@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -333,21 +334,35 @@ def write_form_json(f, phi: AlternatingForm) -> None:
     f.write("\n")
 
 
+def _json_int(value, what: str) -> int:
+    # bool is a subclass of int, but true/false are not form entries
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"malformed form file: {what} must be an integer")
+    return value
+
+
 def read_form_json(f, ctx: FieldCtx | None = None) -> AlternatingForm:
     try:
         data = json.load(f)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed form file: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError("malformed form file: expected a JSON object")
     for key in ("m", "p", "e", "upper"):
         if key not in data:
             raise ValueError(f"malformed form file: missing {key!r}")
-    if ctx is None:
-        ctx = make_field(int(data["p"]), int(data["e"]))
-    elif (ctx.p, ctx.e) != (int(data["p"]), int(data["e"])):
-        raise ValueError("form file field does not match the requested field")
-    m = int(data["m"])
+    m, p, e = (_json_int(data[key], repr(key)) for key in ("m", "p", "e"))
     upper = data["upper"]
-    if any(not isinstance(x, int) or not 0 <= x < ctx.q2 for x in upper):
+    if not isinstance(upper, list):
+        raise ValueError("malformed form file: 'upper' must be a list")
+    upper = [_json_int(x, "'upper' entry") for x in upper]
+    if ctx is None:
+        ctx = make_field(p, e)
+    elif (ctx.p, ctx.e) != (p, e):
+        raise ValueError("form file field does not match the requested field")
+    if m < 1:
+        raise ValueError("malformed form file: 'm' must be positive")
+    if any(not 0 <= x < ctx.q2 for x in upper):
         raise ValueError("malformed form file: upper entries out of range")
     return AlternatingForm.from_upper(ctx, m, upper)
 
@@ -375,7 +390,6 @@ class SpectrumReport:
     min_nonzero_weight: int | None
     min_weight_example: list[int] | None
     min_weight_radical_dims: dict[int, int] | None = None
-    _min_indices: np.ndarray | None = field(default=None, repr=False)
 
 
 def _scan_block(mul_rows, add_table, xor, powers, q2, n_cols, lo, hi, chunk=4096):
@@ -387,7 +401,7 @@ def _scan_block(mul_rows, add_table, xor, powers, q2, n_cols, lo, hi, chunk=4096
     for start in range(lo, hi, chunk):
         idx = np.arange(start, min(hi, start + chunk), dtype=np.int64)
         digits = (idx[:, None] // powers[None, :]) % q2
-        c = mul_rows[digits[:, 0], 0].copy()
+        c = mul_rows[digits[:, 0], 0]
         for t in range(1, k):
             term = mul_rows[digits[:, t], t]
             if xor:
@@ -406,6 +420,12 @@ def _scan_block(mul_rows, add_table, xor, powers, q2, n_cols, lo, hi, chunk=4096
                 best_idx.append(idx[nz & (w == local)])
     merged = np.concatenate(best_idx) if best_idx else np.zeros(0, dtype=np.int64)
     return hist, best_w, merged
+
+
+def _pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for a pool: no more than the jobs asked for, the
+    tasks to run or the CPUs present, and at least one."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
 
 
 def _scan_worker(args):
@@ -451,7 +471,8 @@ def spectrum(
                 (mul_rows, add_table, xor, powers, q2, n, d * block, (d + 1) * block)
                 for d in range(splits)
             ]
-            with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
+            workers = _pool_size(jobs, len(tasks))
+            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
                 parts = pool.map(_scan_worker, tasks)
         else:
             parts = [_scan_block(mul_rows, add_table, xor, powers, q2, n, 0, total)]
@@ -489,7 +510,6 @@ def spectrum(
             min_nonzero_weight=best_w,
             min_weight_example=example,
             min_weight_radical_dims=rad_counts,
-            _min_indices=min_idx,
         )
         return report
 
@@ -509,7 +529,7 @@ def spectrum(
             while zero.any():
                 digits[zero] = rng.integers(0, q2, size=(int(zero.sum()), k), dtype=np.uint8)
                 zero = ~digits.any(axis=1)
-            c = mul_rows[digits[:, 0], 0].copy()
+            c = mul_rows[digits[:, 0], 0]
             for t in range(1, k):
                 term = mul_rows[digits[:, t], t]
                 if xor:
@@ -585,8 +605,10 @@ def min_distance(
     if strategy == "exhaustive":
         rep = spectrum(system, mode="exhaustive", budget=budget, jobs=jobs, radical_dims=False)
         d = rep.min_nonzero_weight
-        witness = form_from_index(ctx, m, int(rep._min_indices[0]))
-        assert weight_direct(witness, system) == d
+        witness = AlternatingForm.from_upper(ctx, m, rep.min_weight_example)
+        wd = weight_direct(witness, system)
+        if wd != d:
+            raise RuntimeError(f"exhaustive witness has weight {wd}, expected {d}")
         cert = {
             "strategy": "exhaustive",
             "forms_scanned": rep.forms_scanned,

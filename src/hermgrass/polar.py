@@ -53,6 +53,10 @@ __all__ = [
     "write_lines_csv",
 ]
 
+# Entries of one inner-product block in line_pair_indices; about 1 MB
+# per uint8 temporary.
+_BLOCK_ELEMS = 1 << 20
+
 
 def isotropic_point_count(m: int, q: int) -> int:
     """Projective isotropic points of a nondegenerate form on V(m, q^2).
@@ -65,7 +69,8 @@ def isotropic_point_count(m: int, q: int) -> int:
     s = (-1) ** (m - 1)
     num = (q**m + s) * (q ** (m - 1) - s)
     den = q * q - 1
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"isotropic point count not integral at m = {m}, q = {q}")
     return num // den
 
 
@@ -75,7 +80,8 @@ def line_count(m: int, q: int) -> int:
         return 0
     num = isotropic_point_count(m, q) * isotropic_point_count(m - 2, q)
     den = q * q + 1
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"line count not integral at m = {m}, q = {q}")
     return num // den
 
 
@@ -252,9 +258,19 @@ class HermitianSpace:
         """Index pairs (a, b) into points() whose rows stacked form the
         canonical RREF basis of each totally isotropic line.
 
-        Every line appears exactly once: the rows (p_a, p_b) are in RREF
-        exactly when lead(a) < lead(b), a[lead(b)] = 0, and the two
-        points are orthogonal.  Pairs are sorted by the flattened basis.
+        The rows (p_a, p_b) are in RREF exactly when lead(a) < lead(b)
+        and a[lead(b)] = 0, so every line appears exactly once among the
+        orthogonal pairs of that shape.  The search runs one lead block
+        at a time: for each l >= 1 it tests only the inner products of
+        B_l = {b : lead(b) = l} against A_l = {a : lead(a) < l, a[l] = 0},
+        in row chunks of about ``_BLOCK_ELEMS`` entries.  Since b[j] = 0
+        for j < l and b[l] = 1, the product conj(p_a)^T H p_b sums only
+        the columns j >= l.
+
+        Pairs are sorted by the flattened basis.  points() is in
+        ascending lex order and its rows are distinct, so comparing
+        (p_a, p_b) lexicographically is the same as comparing (a, b);
+        one sort of the keys a * n_pts + b gives the canonical line order.
         """
         if "line_pairs" not in self._cache:
             ctx = self.ctx
@@ -262,30 +278,28 @@ class HermitianSpace:
             leads = self.point_leads()
             cgr = self.conj_gram_rows()
             n_pts = len(pts)
-            ais, bis = [], []
-            for ib in range(n_pts):
-                b = pts[ib]
-                vals = np.zeros(n_pts, dtype=np.uint8)
-                for j in range(self.m):
-                    s = b[j]
-                    if s:
-                        vals = fadd(ctx, vals, ctx.mul[s, cgr[:, j]])
-                lb = leads[ib]
-                mask = (vals == 0) & (leads < lb) & (pts[:, lb] == 0)
-                ai = np.nonzero(mask)[0]
-                if ai.size:
-                    ais.append(ai.astype(np.int32))
-                    bis.append(np.full(ai.size, ib, dtype=np.int32))
-            if ais:
-                a_idx = np.concatenate(ais)
-                b_idx = np.concatenate(bis)
-            else:
-                a_idx = np.zeros(0, dtype=np.int32)
-                b_idx = np.zeros(0, dtype=np.int32)
-            keys = np.hstack([pts[a_idx], pts[b_idx]])
-            order = np.lexsort(keys.T[::-1])
-            a_idx = np.ascontiguousarray(a_idx[order])
-            b_idx = np.ascontiguousarray(b_idx[order])
+            keys = []
+            for lead in range(1, self.m):
+                b_rows = np.nonzero(leads == lead)[0]
+                a_rows = np.nonzero((leads < lead) & (pts[:, lead] == 0))[0]
+                if not (b_rows.size and a_rows.size):
+                    continue
+                cgr_a = cgr[a_rows]
+                step = max(1, _BLOCK_ELEMS // a_rows.size)
+                for lo in range(0, b_rows.size, step):
+                    b_chunk = pts[b_rows[lo : lo + step]]
+                    vals = np.broadcast_to(cgr_a[:, lead], (len(b_chunk), a_rows.size))
+                    for j in range(lead + 1, self.m):
+                        term = ctx.mul[b_chunk[:, j][:, None], cgr_a[:, j][None, :]]
+                        vals = fadd(ctx, vals, term)
+                    bi, ai = np.nonzero(vals == 0)
+                    keys.append(a_rows[ai] * n_pts + b_rows[lo + bi])
+            key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+            key.sort()
+            # Decode straight into int32: int64 temporaries freed here would
+            # stay in the heap under the cached arrays and raise peak RSS.
+            a_idx, b_idx = np.empty((2, len(key)), dtype=np.int32)
+            np.divmod(key, n_pts, out=(a_idx, b_idx), casting="unsafe")
             expected = line_count(self.m, self.ctx.q)
             if len(a_idx) != expected:
                 raise RuntimeError(

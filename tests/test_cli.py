@@ -134,3 +134,25 @@ def test_prime_power_shorthand(capsys):
     out = capsys.readouterr().out
     assert "4, 4," in out
     assert cli.run(["params", "-m", "4", "-q", "6"]) == 2
+
+
+@pytest.mark.parametrize("command", ["weight", "classify"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"m": 4, "p": 2, "e": 1, "upper": 5}',
+        '{"m": 4, "p": 2, "e": 1, "upper": [true, 0, 0, 0, 0, 0]}',
+        '{"m": null, "p": 2, "e": 1, "upper": [0, 0, 0, 0, 0, 0]}',
+        '[4, 2, 1]',
+        "5",
+    ],
+    ids=["upper-int", "upper-bool", "m-null", "list", "number"],
+)
+def test_malformed_form_file_exits_2(tmp_path, capsys, command, text):
+    form = tmp_path / "form.json"
+    form.write_text(text + "\n")
+    assert cli.run([command, "--form", str(form), "-q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed form file")

@@ -307,3 +307,13 @@ def test_min_distance_constructed(system62):
     assert cert["sample_min_weight"] >= 4032
     with pytest.raises(ValueError):
         code.min_distance(system62, strategy="guess")
+
+
+def test_pool_size_is_capped(monkeypatch):
+    monkeypatch.setattr(code.os, "cpu_count", lambda: 4)
+    assert code._pool_size(1000, 16) == 4
+    assert code._pool_size(2, 16) == 2
+    assert code._pool_size(8, 3) == 3
+    assert code._pool_size(8, 0) == 1
+    monkeypatch.setattr(code.os, "cpu_count", lambda: None)
+    assert code._pool_size(8, 16) == 1

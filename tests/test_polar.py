@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -95,28 +96,66 @@ def test_isotropic_vector_with_unit_coordinates(ctx2):
 
 
 def _naive_line_keys(space):
-    """Oracle: scan ordered point pairs, canonicalize by rref, dedup."""
+    """Oracle: scan ordered point pairs, canonicalize by rref, dedup.
+
+    Orthogonality comes from one Gram product of all points, so the scan
+    shares no code with the lead-block search it checks.
+    """
     ctx = space.ctx
     pts = space.points()
-    n = len(pts)
+    gram = linalg.matmul(ctx, linalg.matmul(ctx, ctx.frob[pts], space.gram), pts.T)
+    assert not np.diagonal(gram).any()
     keys = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if space.inner(pts[i], pts[j]) == 0:
-                r, rk = linalg.rref(ctx, np.stack([pts[i], pts[j]]))
-                assert rk == 2
-                keys.add(r.tobytes())
+    for i, j in zip(*np.nonzero(gram == 0)):
+        if i < j:
+            r, rk = linalg.rref(ctx, np.stack([pts[i], pts[j]]))
+            assert rk == 2
+            keys.add(r.tobytes())
     return keys
 
 
-@pytest.mark.parametrize("m,q", [(4, 2), (4, 3)])
-def test_line_enumeration_against_scan_and_dedup_oracle(m, q):
-    ctx = hg.make_field(q, 1)
-    space = hg.HermitianSpace(m, ctx)
+def _antidiagonal_gram_space(ctx):
+    h = np.zeros((4, 4), dtype=np.uint8)
+    for i in range(4):
+        h[i, 3 - i] = 1
+    return hg.HermitianSpace(4, ctx, gram=h)
+
+
+@pytest.mark.parametrize(
+    "make_space",
+    [
+        lambda: hg.HermitianSpace(4, hg.make_field(2, 1)),
+        lambda: hg.HermitianSpace(4, hg.make_field(3, 1)),
+        lambda: _antidiagonal_gram_space(hg.make_field(2, 1)),
+        lambda: hg.HermitianSpace(4, hg.make_field(2, 2)),
+    ],
+    ids=["4-2", "4-3", "4-2-antidiagonal-gram", "4-4"],
+)
+def test_line_enumeration_against_scan_and_dedup_oracle(make_space):
+    space = make_space()
     a, b = space.line_bases()
-    keys = {np.stack([a[i], b[i]]).tobytes() for i in range(len(a))}
-    assert len(keys) == polar.line_count(m, q)
-    assert keys == _naive_line_keys(space)
+    keys = [np.stack([a[i], b[i]]).tobytes() for i in range(len(a))]
+    assert len(keys) == polar.line_count(4, space.ctx.q)
+    assert keys == sorted(_naive_line_keys(space))
+
+
+# sha256 of the stacked int64 (a_idx, b_idx) pairs, recorded from the
+# earlier per-point enumeration, so a change of line order shows here.
+LINE_PAIR_SHA256 = {
+    (6, 2, 1): "b7972dac2ec34020b93d2ff5b659e6ec3e44bcb834b88bb0ffbde39bab1a7b4d",
+    (5, 3, 1): "33db03b267d0b63d83174506773fc2610c8730e4abe2c9b1801e1bc2e69836b0",
+    (4, 5, 1): "1f73ad3711e9303ace7d94f48dacca9fe1a14bd55376171d95ee80da40370234",
+    (4, 2, 2): "7f1dc8e41a9b2ae7227f1467bc4fb3efe4b4554a03ca4413b1829a89a30cbc20",
+}
+
+
+@pytest.mark.parametrize("m,p,e", sorted(LINE_PAIR_SHA256))
+def test_line_pair_indices_pinned(m, p, e):
+    space = hg.HermitianSpace(m, hg.make_field(p, e))
+    a, b = space.line_pair_indices()
+    assert a.dtype == b.dtype == np.int32
+    got = hashlib.sha256(np.stack([a, b]).astype(np.int64).tobytes()).hexdigest()
+    assert got == LINE_PAIR_SHA256[(m, p, e)]
 
 
 def test_lines_sorted_by_canonical_key(space52):
@@ -278,10 +317,7 @@ def test_gram_validation(ctx2):
 
 
 def test_non_identity_gram_space(ctx2):
-    h = np.zeros((4, 4), dtype=np.uint8)
-    for i in range(4):
-        h[i, 3 - i] = 1
-    space = hg.HermitianSpace(4, ctx2, gram=h)
+    space = _antidiagonal_gram_space(ctx2)
     assert not space.is_identity_gram
     assert space.num_points == polar.isotropic_point_count(4, 2)
     assert space.num_lines == polar.line_count(4, 2)
