@@ -272,6 +272,9 @@ class BoundTable:
 
 
 def bound_table(m: int, q: int) -> BoundTable:
+    """Per-rank bounds for the line code on V(m, q^2); requires m >= 4."""
+    if m < 4:
+        raise ValueError("the line code requires m >= 4")
     rows = tuple(
         BoundRow(
             i=i,

@@ -57,11 +57,14 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
+        samples = getattr(args, "samples", None)
+        if samples is None:
+            samples = getattr(args, "sample", None)
         cfg = cls(
             command=args.command,
             budget=getattr(args, "budget", 1 << 24),
             seed=getattr(args, "seed", 1),
-            samples=getattr(args, "samples", None) or getattr(args, "sample", None),
+            samples=samples,
             out=getattr(args, "out", None),
             fmt=getattr(args, "fmt", "csv"),
             jobs=getattr(args, "jobs", 1),

@@ -18,9 +18,17 @@ Weights are computed three independent ways across the package:
 Form file format (JSON): {"m": .., "p": .., "e": .., "upper": [..]}
 where "upper" lists the strict upper triangle in pair order.
 
-Spectrum scans enumerate the strict upper triangle as a mixed-radix
-counter (most significant digit first); exhaustive mode visits all
-q^(2K) forms, sample mode draws seeded uniform forms.
+Spectrum scans index the strict upper triangle as a mixed-radix
+counter (most significant digit first); sample mode draws seeded
+uniform forms.  Exhaustive mode covers all Q^K forms, Q = q^2, but
+scans only one representative per scalar class, the forms whose first
+nonzero digit is the unit 1, since weight and rank do not change under
+S -> lambda S.  It scales the nonzero histogram bins and the radical
+counts back by Q - 1 and adds the zero form, so ``forms_scanned`` is
+still Q^K.  A representative's codeword is its prefix codeword plus
+one row of an inner table holding every combination of the last few
+generator rows, so each form costs one addition.  The histogram is
+gated on its total and the first two Pless power moments.
 """
 
 from __future__ import annotations
@@ -392,45 +400,126 @@ class SpectrumReport:
     min_weight_radical_dims: dict[int, int] | None = None
 
 
-def _scan_block(mul_rows, add_table, xor, powers, q2, n_cols, lo, hi, chunk=4096):
-    """Histogram + minimum tracking for counter indices [lo, hi)."""
-    hist = np.zeros(n_cols + 1, dtype=np.int64)
+# The exhaustive scan keeps its inner table at most this many rows and
+# each block of codewords near this many bytes; the radical split ranks
+# this many minimum-weight forms per batch.
+_INNER_ROWS = 256
+_BLOCK_BYTES = 1 << 18
+_RANK_CHUNK = 1024
+
+
+def _digits(idx: np.ndarray, q2: int, width: int) -> np.ndarray:
+    """Counter digits of the indices, most significant first."""
+    powers = q2 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (idx[:, None] // powers[None, :]) % q2
+
+
+def _accumulate(mul_rows, digits, add_table):
+    """Codewords of the digit rows: the sum over t of
+    ``mul_rows[digits[:, t], t]``.  ``add_table`` is None in
+    characteristic 2, where addition is XOR.  Each term is gathered into
+    one reused buffer, so at most three row blocks are live at once."""
+    c = mul_rows[digits[:, 0], 0]
+    term = np.empty_like(c)
+    for t in range(1, digits.shape[1]):
+        # digits are < q2, so "clip" never clips; it avoids the buffered
+        # copy that take() makes for out= under the default "raise"
+        np.take(mul_rows[:, t], digits[:, t], axis=0, out=term, mode="clip")
+        if add_table is None:
+            np.bitwise_xor(c, term, out=c)
+        else:
+            c = add_table[c, term]
+    return c
+
+
+def _rep_blocks(k: int, q2: int, n: int, t_max: int) -> list[tuple[int, int, int]]:
+    """Blocks (lead, lo, hi) covering the scalar-class representatives in
+    ascending counter order.
+
+    A representative with lead position j has zero digits before j and
+    the unit 1 at j.  Its digits at j .. k-1-t form a prefix value in
+    [q2^(r-t), 2 q2^(r-t)) with r = k-1-j and t = min(t_max, r); the last
+    t digits index a row of the inner table.  A block holds the prefixes
+    lo .. hi-1 of one lead, each combined with every table row.
+    """
+    blocks = []
+    for j in range(k - 1, -1, -1):
+        r = k - 1 - j
+        t = min(t_max, r)
+        lo = q2 ** (r - t)
+        step = max(1, _BLOCK_BYTES // (q2**t * n))
+        blocks.extend((j, a, min(2 * lo, a + step)) for a in range(lo, 2 * lo, step))
+    return blocks
+
+
+def _scan_reps(mul_rows, add_table, inner, t_max, blocks):
+    """Histogram of the representatives in the blocks, their minimum
+    weight and the ascending counter indices that attain it."""
+    q2, k, n = mul_rows.shape
+    hist = np.zeros(n + 1, dtype=np.int64)
     best_w: int | None = None
     best_idx: list[np.ndarray] = []
-    k = len(powers)
-    for start in range(lo, hi, chunk):
-        idx = np.arange(start, min(hi, start + chunk), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % q2
-        c = mul_rows[digits[:, 0], 0]
-        for t in range(1, k):
-            term = mul_rows[digits[:, t], t]
-            if xor:
-                np.bitwise_xor(c, term, out=c)
-            else:
-                c = add_table[c, term]
-        w = np.count_nonzero(c, axis=1)
-        hist += np.bincount(w, minlength=n_cols + 1)
-        nz = w > 0
-        if nz.any():
-            local = int(w[nz].min())
-            if best_w is None or local < best_w:
-                best_w = local
-                best_idx = []
-            if local == best_w:
-                best_idx.append(idx[nz & (w == local)])
-    merged = np.concatenate(best_idx) if best_idx else np.zeros(0, dtype=np.int64)
-    return hist, best_w, merged
+    for j, lo, hi in blocks:
+        t = min(t_max, k - 1 - j)
+        rows = q2**t
+        prefix = np.arange(lo, hi, dtype=np.int64)
+        c = _accumulate(mul_rows[:, j : k - t], _digits(prefix, q2, k - t - j), add_table)
+        tab = inner[:rows]
+        if add_table is None:
+            c = c[:, None, :] ^ tab[None, :, :]
+        else:
+            c = add_table[c[:, None, :], tab[None, :, :]]
+        w = np.count_nonzero(c.reshape(-1, n), axis=1)
+        hist += np.bincount(w, minlength=n + 1)
+        local = int(w.min())
+        if local == 0:
+            raise RuntimeError("a nonzero form has weight 0; the generator is rank deficient")
+        if best_w is None or local < best_w:
+            best_w = local
+            best_idx = []
+        if local == best_w:
+            hits = np.flatnonzero(w == local)
+            best_idx.append(prefix[hits // rows] * rows + hits % rows)
+    return hist, best_w, best_idx
+
+
+def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray) -> dict[int, int]:
+    """Radical dimension -> number of forms among the counter indices,
+    keyed in order of first occurrence."""
+    k = m * (m - 1) // 2
+    iu, ju = np.triu_indices(m, 1)
+    counts: dict[int, int] = {}
+    for lo in range(0, len(idx), _RANK_CHUNK):
+        d = _digits(idx[lo : lo + _RANK_CHUNK], ctx.q2, k).astype(np.uint8)
+        s = np.zeros((len(d), m, m), dtype=np.uint8)
+        s[:, iu, ju] = d
+        s[:, ju, iu] = ctx.neg[d]
+        rad = m - linalg.rank_stack(ctx, s)
+        dims, first, cnt = np.unique(rad, return_index=True, return_counts=True)
+        for o in np.argsort(first):
+            counts[int(dims[o])] = counts.get(int(dims[o]), 0) + int(cnt[o])
+    return counts
+
+
+def _check_pless(hist: dict[int, int], n: int, k: int, q2: int) -> None:
+    """Raise RuntimeError unless a histogram over all q2^k forms has the
+    total and the first two Pless power moments of a projective [n, k]
+    code over GF(q2) (Pless, Inf. Control 1963)."""
+    want = (
+        q2**k,
+        n * (q2 - 1) * q2 ** (k - 1),
+        (q2 - 1) * q2 ** (k - 2) * n * (q2 + (n - 1) * (q2 - 1)),
+    )
+    got = tuple(sum(w**e * a for w, a in hist.items()) for e in range(3))
+    for e, (g, x) in enumerate(zip(got, want)):
+        if g != x:
+            raise RuntimeError(f"spectrum fails Pless power moment {e}: {g} != {x}")
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
     """Worker processes for a pool: no more than the jobs asked for, the
     tasks to run or the CPUs present, and at least one."""
     return max(1, min(jobs, tasks, os.cpu_count() or 1))
-
-
-def _scan_worker(args):
-    mul_rows, add_table, xor, powers, q2, n_cols, lo, hi = args
-    return _scan_block(mul_rows, add_table, xor, powers, q2, n_cols, lo, hi)
 
 
 def spectrum(
@@ -444,11 +533,23 @@ def spectrum(
 ) -> SpectrumReport:
     """Weight histogram over alternating forms.
 
-    Exhaustive mode scans all q^(2K) forms and requires that count to
-    fit in the budget.  Sample mode draws ``samples`` uniform nonzero
-    forms from numpy's default PCG64 generator seeded with ``seed``;
-    the seed is recorded in the report.  Histograms are merged
-    associatively, so the result does not depend on the worker count.
+    Exhaustive mode covers all q^(2K) forms and requires that count to
+    fit in the budget.  Weight and rank do not change under S -> lambda S,
+    so it scans one representative per scalar class: the nonzero forms
+    whose first nonzero counter digit is the unit 1, (Q^K - 1)/(Q - 1)
+    of them for Q = q^2.  Every nonzero histogram bin and radical count
+    is scaled back by Q - 1 and the zero form is added, so
+    ``forms_scanned`` stays Q^K.  The smallest counter index in a class
+    is its representative, so ``min_weight_example`` is the minimum word
+    of smallest counter index and ``min_weight_radical_dims`` is keyed in
+    order of first occurrence.  The histogram must have the total and
+    the first two Pless power moments of the code, or RuntimeError is
+    raised.  With ``jobs > 1`` the representatives are split across a
+    worker pool; the result does not depend on the worker count.
+
+    Sample mode draws ``samples`` uniform nonzero forms from numpy's
+    default PCG64 generator seeded with ``seed``; the seed is recorded
+    in the report.
     """
     ctx = system.ctx
     q2 = ctx.q2
@@ -456,62 +557,55 @@ def spectrum(
     m = system.space.m
     started = time.perf_counter()
     mul_rows = ctx.mul[np.arange(q2, dtype=np.intp)[:, None, None], system.matrix[None, :, :]]
-    xor = ctx.p == 2
-    add_table = None if xor else ctx.add
+    add_table = None if ctx.p == 2 else ctx.add
 
     if mode == "exhaustive":
         total = q2**k
         if total > budget:
             raise ValueError(f"exhaustive scan of {total} forms exceeds budget {budget}")
-        powers = q2 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        if jobs > 1 and total >= 4 * q2:
-            splits = q2 * q2 if (jobs > q2 and k >= 2) else q2
-            block = total // splits
+        # Inner table: the codewords of every combination of the last
+        # t_max digits, at most _INNER_ROWS of them; row 0 is zero.
+        # The line code has k >= 6 and q2 <= 64, so t_max >= 1.
+        t_max = 1
+        while t_max + 1 < k and q2 ** (t_max + 1) <= _INNER_ROWS:
+            t_max += 1
+        inner_digits = _digits(np.arange(q2**t_max, dtype=np.int64), q2, t_max)
+        inner = _accumulate(mul_rows[:, k - t_max :], inner_digits, add_table)
+        blocks = _rep_blocks(k, q2, n, t_max)
+        workers = _pool_size(jobs, len(blocks))
+        if workers > 1:
+            cuts = [len(blocks) * i // workers for i in range(workers + 1)]
             tasks = [
-                (mul_rows, add_table, xor, powers, q2, n, d * block, (d + 1) * block)
-                for d in range(splits)
+                (mul_rows, add_table, inner, t_max, blocks[lo:hi])
+                for lo, hi in zip(cuts, cuts[1:])
             ]
-            workers = _pool_size(jobs, len(tasks))
             with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-                parts = pool.map(_scan_worker, tasks)
+                parts = pool.starmap(_scan_reps, tasks)
         else:
-            parts = [_scan_block(mul_rows, add_table, xor, powers, q2, n, 0, total)]
-        hist = np.zeros(n + 1, dtype=np.int64)
-        best_w = None
-        best_idx: list[np.ndarray] = []
-        for h, w, idx in parts:
-            hist += h
-            if w is None:
-                continue
-            if best_w is None or w < best_w:
-                best_w = w
-                best_idx = []
-            if w == best_w:
-                best_idx.append(idx)
-        min_idx = np.concatenate(best_idx) if best_idx else np.zeros(0, dtype=np.int64)
+            parts = [_scan_reps(mul_rows, add_table, inner, t_max, blocks)]
+        # Parts cover ascending index ranges, so their minima stay ascending.
+        best_w = min(w for _, w, _ in parts)
+        min_idx = np.concatenate([i for _, w, idx in parts if w == best_w for i in idx])
+        hist = sum(h for h, _, _ in parts)
+        histogram = {0: 1}
+        histogram.update((int(w), int(c) * (q2 - 1)) for w, c in enumerate(hist) if c)
+        _check_pless(histogram, n, k, q2)
         rad_counts = None
-        example = None
-        if best_w is not None and min_idx.size:
-            example = [int(x) for x in form_from_index(ctx, m, int(min_idx[0])).upper()]
-            if radical_dims:
-                rad_counts = {}
-                for i in min_idx:
-                    phi = form_from_index(ctx, m, int(i))
-                    rd = phi.rad_dim
-                    rad_counts[rd] = rad_counts.get(rd, 0) + 1
-        report = SpectrumReport(
+        if radical_dims:
+            split = _radical_split(ctx, m, min_idx)
+            rad_counts = {d: c * (q2 - 1) for d, c in split.items()}
+        return SpectrumReport(
             mode="exhaustive",
             m=m,
             q=ctx.q,
-            histogram={int(w): int(c) for w, c in enumerate(hist) if c},
+            histogram=histogram,
             forms_scanned=total,
             seed=None,
             wall_time_s=time.perf_counter() - started,
             min_nonzero_weight=best_w,
-            min_weight_example=example,
+            min_weight_example=[int(x) for x in _digits(min_idx[:1], q2, k)[0]],
             min_weight_radical_dims=rad_counts,
         )
-        return report
 
     if mode == "sample":
         if not samples or samples < 1:
@@ -529,14 +623,7 @@ def spectrum(
             while zero.any():
                 digits[zero] = rng.integers(0, q2, size=(int(zero.sum()), k), dtype=np.uint8)
                 zero = ~digits.any(axis=1)
-            c = mul_rows[digits[:, 0], 0]
-            for t in range(1, k):
-                term = mul_rows[digits[:, t], t]
-                if xor:
-                    np.bitwise_xor(c, term, out=c)
-                else:
-                    c = add_table[c, term]
-            w = np.count_nonzero(c, axis=1)
+            w = np.count_nonzero(_accumulate(mul_rows, digits, add_table), axis=1)
             hist += np.bincount(w, minlength=n + 1)
             local = int(w.min())
             if best_w is None or local < best_w:

@@ -26,6 +26,7 @@ __all__ = [
     "matvec",
     "rref",
     "rank",
+    "rank_stack",
     "kernel",
     "Subspace",
     "solve_membership",
@@ -140,6 +141,36 @@ def rank(ctx: FieldCtx, m) -> int:
             r[below] = fsub(ctx, r[below], ctx.mul[f[:, None], r[row][None, :]])
         row += 1
     return row
+
+
+def rank_stack(ctx: FieldCtx, mats) -> np.ndarray:
+    """Ranks of a stack of matrices of shape (B, r, c).
+
+    One batched forward elimination: each column is one pivot step of
+    table lookups over the whole stack.  Instead of swapping rows, a
+    row that has served as a pivot leaves the pool of candidates.
+    """
+    a = np.array(mats, dtype=np.uint8)
+    if a.ndim != 3:
+        raise ValueError("expected a stack of matrices")
+    if a.size and a.max() >= ctx.q2:
+        raise ValueError(f"entry out of range for GF({ctx.q2})")
+    b, nr, nc = a.shape
+    free = np.ones((b, nr), dtype=bool)
+    ranks = np.zeros(b, dtype=np.int64)
+    stack = np.arange(b)
+    for col in range(nc):
+        cand = (a[:, :, col] != 0) & free
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        prow = a[stack, piv]
+        f = ctx.mul[a[:, :, col], ctx.inv[prow[:, col]][:, None]]
+        f[~free] = 0
+        f[stack, piv] = 0
+        a = fsub(ctx, a, ctx.mul[f[:, :, None], prow[:, None, :]])
+        free[stack, piv] &= ~has
+        ranks += has
+    return ranks
 
 
 class Subspace:

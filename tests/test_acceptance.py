@@ -45,13 +45,38 @@ def test_criterion_1_golden_exhaustive_52(system52):
     assert t1 == 1980
     rank2_min = 3 * t1
     assert rep.min_weight_radical_dims == {3: rank2_min, 1: 24948 - rank2_min}
-    assert rep.min_weight_radical_dims == {3: 5940, 1: 19008}
+    # keyed in order of first occurrence by counter index, as verify prints it
+    assert list(rep.min_weight_radical_dims.items()) == [(3, 5940), (1, 19008)]
     print(
         "PASS criterion 1: (5,2) exhaustive weights {0,192,216,224,232,256}, "
         f"24948 at 192, radical split dim3={rank2_min} dim1={24948 - rank2_min} "
         f"in {rep.wall_time_s:.1f}s"
     )
 
+
+
+def test_exhaustive_enumerator_44():
+    # The whole weight enumerator over GF(16): 16^6 forms.
+    ctx = hg.make_field(2, 2)
+    system = hg.build_system(hg.HermitianSpace(4, ctx))
+    params = code.code_params(4, 4)
+    assert (system.n, system.k, params.d_min) == (325, 6, 240)
+    rep = code.spectrum(system, mode="exhaustive")
+    hist, n, k, Q = rep.histogram, system.n, system.k, ctx.q2
+    assert rep.forms_scanned == sum(hist.values()) == Q**k
+    assert sum(w * a for w, a in hist.items()) == n * (Q - 1) * Q ** (k - 1)
+    assert sum(w * w * a for w, a in hist.items()) == (
+        (Q - 1) * Q ** (k - 2) * n * (Q + (n - 1) * (Q - 1))
+    )
+    assert rep.min_nonzero_weight == params.d_min == 240
+    assert hist[240] == 15600
+    assert sum(rep.min_weight_radical_dims.values()) == 15600
+    witness = code.AlternatingForm.from_upper(ctx, 4, rep.min_weight_example)
+    assert code.weight_direct(witness, system) == 240
+    print(
+        f"PASS (4,4) enumerator: {Q**k} forms, d_min 240 x {hist[240]}, "
+        f"radical split {rep.min_weight_radical_dims} in {rep.wall_time_s:.1f}s"
+    )
 
 @pytest.mark.parametrize("m,q", [(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (4, 3), (5, 3)])
 def test_criterion_2_counts_and_rank(request, m, q):

@@ -150,6 +150,13 @@ def test_bound_table_orderings_small():
     assert t7.max_indices() == [1] and t7.second_index() == 3
 
 
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bound_table_rejects_small_m(m):
+    with pytest.raises(ValueError):
+        classify.bound_table(m, 2)
+
+
 def test_stratum_weight_bound_values():
     assert classify.stratum_weight_bound(4, 2, 2) == 12
     assert classify.stratum_weight_bound(4, 1, 2) == Fraction(74, 5)

@@ -156,3 +156,27 @@ def test_malformed_form_file_exits_2(tmp_path, capsys, command, text):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: malformed form file")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "-m", "4", "-q", "2", "--samples", "0"],
+        ["min-word", "-m", "4", "-q", "2", "--construct", "--samples", "0"],
+        ["spectrum", "-m", "4", "-q", "2", "--sample", "0"],
+    ],
+    ids=["verify", "min-word", "spectrum"],
+)
+def test_zero_sample_count_exits_2(capsys, argv):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: sample count must be positive"]
+
+
+@pytest.mark.parametrize("m", ["1", "2", "3"])
+def test_bounds_below_m4_exits_2(capsys, m):
+    assert cli.run(["bounds", "-m", m, "-q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: the line code requires m >= 4"]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -254,18 +255,69 @@ def test_exhaustive_spectrum_respects_budget(system62):
         code.spectrum(system62, mode="exhaustive", budget=1 << 20)
 
 
-def test_worker_partition_merges_identically(system42):
+def _same_report(r1, r2):
+    assert dataclasses.replace(r1, wall_time_s=0) == dataclasses.replace(r2, wall_time_s=0)
+    assert list(r1.min_weight_radical_dims or {}) == list(r2.min_weight_radical_dims or {})
+
+
+def test_worker_partition_merges_identically(monkeypatch, system42):
+    monkeypatch.setattr(code.os, "cpu_count", lambda: 2)  # run the pool even on one CPU
     r1 = code.spectrum(system42, mode="exhaustive", jobs=1)
     r2 = code.spectrum(system42, mode="exhaustive", jobs=2)
-    assert r1.histogram == r2.histogram
-    assert r1.min_weight_radical_dims == r2.min_weight_radical_dims
+    _same_report(r1, r2)
 
 
-def test_worker_partition_odd_characteristic(system43):
+def test_worker_partition_odd_characteristic(monkeypatch, system43):
     # odd p goes through the add-table path inside the workers
+    monkeypatch.setattr(code.os, "cpu_count", lambda: 2)
     r1 = code.spectrum(system43, mode="exhaustive", jobs=2, radical_dims=False)
     assert r1.min_nonzero_weight == 72
     assert sum(r1.histogram.values()) == 9**6
+    _same_report(r1, code.spectrum(system43, mode="exhaustive", jobs=1, radical_dims=False))
+    _same_report(
+        code.spectrum(system43, mode="exhaustive", jobs=1),
+        code.spectrum(system43, mode="exhaustive", jobs=2),
+    )
+
+
+def test_exhaustive_spectrum_matches_per_form_oracle(system42):
+    # Every one of the 4096 forms, one at a time: direct weight and rank.
+    ctx = system42.ctx
+    hist, split, example = {}, {}, None
+    forms = [code.form_from_index(ctx, 4, n) for n in range(4**6)]
+    weights = [code.weight_direct(phi, system42) for phi in forms]
+    d = min(w for w in weights if w)
+    for phi, w in zip(forms, weights):
+        hist[w] = hist.get(w, 0) + 1
+        if w == d:
+            example = example or [int(x) for x in phi.upper()]
+            split[phi.rad_dim] = split.get(phi.rad_dim, 0) + 1
+    rep = code.spectrum(system42, mode="exhaustive")
+    assert rep.histogram == hist
+    assert rep.min_nonzero_weight == d
+    assert rep.min_weight_example == example
+    assert list(rep.min_weight_radical_dims.items()) == list(split.items())
+
+
+def test_pless_gate_rejects_tampered_histogram():
+    n, k, q2 = 27, 6, 4
+    code._check_pless(FROZEN_42_HISTOGRAM, n, k, q2)
+    moved = dict(FROZEN_42_HISTOGRAM)
+    moved[12] -= 1
+    moved[16] += 1  # same total, wrong moments
+    with pytest.raises(RuntimeError, match="moment 1"):
+        code._check_pless(moved, n, k, q2)
+    short = dict(FROZEN_42_HISTOGRAM)
+    short[24] -= 1
+    with pytest.raises(RuntimeError, match="moment 0"):
+        code._check_pless(short, n, k, q2)
+    # two moves that keep the total and the first moment
+    swapped = dict(FROZEN_42_HISTOGRAM)
+    swapped[16] -= 2
+    swapped[12] += 1
+    swapped[20] += 1
+    with pytest.raises(RuntimeError, match="moment 2"):
+        code._check_pless(swapped, n, k, q2)
 
 
 def test_sample_spectrum_reproducible(system42):

@@ -71,6 +71,36 @@ def test_rank_two_outer_product():
             assert linalg.rank(ctx, s) == expected
 
 
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)], ids=["q2", "q3", "q4", "q5"])
+def test_rank_stack_agrees_with_rank(p, e):
+    ctx = hg.make_field(p, e)
+    rng = np.random.default_rng(17 + ctx.q2)
+    mats = [rng.integers(0, ctx.q2, size=(5, 5), dtype=np.uint8) for _ in range(40)]
+    for _ in range(40):  # sparse: mostly rank-deficient
+        dense = rng.integers(0, ctx.q2, size=(5, 5), dtype=np.uint8)
+        mats.append(np.where(rng.random((5, 5)) < 0.2, dense, 0).astype(np.uint8))
+    for _ in range(40):  # alternating forms a b^T - b a^T: rank 0 or 2
+        a = rng.integers(0, ctx.q2, size=5, dtype=np.uint8)
+        b = rng.integers(0, ctx.q2, size=5, dtype=np.uint8)
+        ab, ba = ctx.mul[a[:, None], b[None, :]], ctx.mul[b[:, None], a[None, :]]
+        mats.append(linalg.fsub(ctx, ab, ba))
+    for _ in range(40):  # products of a 5 x r and an r x 5 matrix: rank <= r
+        r = int(rng.integers(1, 5))
+        a = rng.integers(0, ctx.q2, size=(5, r), dtype=np.uint8)
+        b = rng.integers(0, ctx.q2, size=(r, 5), dtype=np.uint8)
+        mats.append(linalg.matmul(ctx, a, b))
+    mats.append(np.zeros((5, 5), dtype=np.uint8))
+    stack = np.stack(mats)
+    want = [linalg.rank(ctx, x) for x in stack]
+    assert {0, 2} <= set(want)
+    assert linalg.rank_stack(ctx, stack).tolist() == want
+    rect = rng.integers(0, ctx.q2, size=(30, 3, 6), dtype=np.uint8)
+    assert linalg.rank_stack(ctx, rect).tolist() == [linalg.rank(ctx, x) for x in rect]
+    with pytest.raises(ValueError):
+        linalg.rank_stack(ctx, stack[0])
+
+
 def test_kernel_extremes(ctx2):
     assert linalg.kernel(ctx2, np.eye(4, dtype=np.uint8)).dim == 0
     assert linalg.kernel(ctx2, np.zeros((2, 4), dtype=np.uint8)).dim == 4
