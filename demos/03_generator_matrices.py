@@ -22,5 +22,5 @@ print(np.asarray(system.matrix))
 # column j is exactly the normalized Pluecker image of line j
 a, b = space.line_bases()
 col0 = pluecker_point(ctx, np.stack([a[0], b[0]]))
-assert np.array_equal(col0, system.omega_column(0))
+assert np.array_equal(col0, system.matrix[:, 0])
 print("\ncolumn 0 equals the embedded first line:", [int(x) for x in col0])

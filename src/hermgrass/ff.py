@@ -68,6 +68,12 @@ class FieldCtx:
         relied on.
     ``subfield``
         ascending codes of the q elements fixed by ``frob``.
+    ``mul_flat``, ``code_dtype``
+        ``mul`` flattened, so ``mul_flat[a * q2 + b] == mul[a, b]``;
+        ``code_dtype`` is the narrowest unsigned dtype holding every
+        such flat code (uint8 while q2**2 <= 256, else uint16).  A
+        left operand pre-scaled once with ``scaled_codes`` turns each
+        product into one add and one 1-D gather.
 
     Instances are immutable after construction and can be shared
     freely across threads and worker processes.
@@ -103,6 +109,8 @@ class FieldCtx:
         mul = np.zeros((self.q2, self.q2), dtype=np.uint8)
         mul[1:, 1:] = exp[(nzlog[:, None] + nzlog[None, :]) % n1]
         self.mul = mul
+        self.mul_flat = mul.reshape(-1)
+        self.code_dtype = np.dtype(np.uint8 if self.q2 * self.q2 <= 256 else np.uint16)
         inv = np.zeros(self.q2, dtype=np.uint8)
         inv[1:] = exp[(n1 - nzlog) % n1]
         self.inv = inv
@@ -119,8 +127,19 @@ class FieldCtx:
         if not np.array_equal(frob[frob], codes):
             raise RuntimeError("Frobenius is not an involution")
 
-        for a in (self.add, self.neg, self.mul, self.inv, self.frob, self.norm, self.subfield):
+        for a in (
+            self.add, self.neg, self.mul, self.mul_flat, self.inv, self.frob, self.norm,
+            self.subfield,
+        ):
             a.flags.writeable = False
+
+    def scaled_codes(self, a) -> np.ndarray:
+        """a * q2 in ``code_dtype``: the left operand of ``mul_flat``.
+
+        Adding any uint8 code array b gives the flat codes a * q2 + b
+        without overflow.
+        """
+        return np.multiply(a, self.q2, dtype=self.code_dtype)
 
     def _build_power_tables(self, p: int, deg: int):
         # exp[i] = code of x^i, log[code of x^i] = i, for 0 <= i < q^2 - 1.

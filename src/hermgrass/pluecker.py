@@ -9,6 +9,16 @@ The ordered images of all totally isotropic lines form a projective
 system; stacking them as columns gives the generator matrix of the
 induced linear code.  Generator matrix text format: header
 "m p e N K", then K rows of N whitespace-separated entries.
+
+``build_system`` fills the matrix from the line pairs (a, b) of
+``HermitianSpace.line_pair_indices``, whose point rows p_a, p_b are the
+RREF basis of each line.  It walks the lines in blocks of 2^16 and
+gathers, per block, the m coordinate columns of the a- and b-points
+from the transposed point table, the a-side pre-scaled by q^2 once
+(``FieldCtx.scaled_codes``).  Every product p_a[i] p_b[j] is then one
+add and one 1-D gather from ``FieldCtx.mul_flat``, and row (i, j) of
+the block is mul_flat[A_i + B_j] - mul_flat[A_j + B_i].  The full
+N x m bases are never built.
 """
 
 from __future__ import annotations
@@ -20,6 +30,10 @@ from .ff import FieldCtx
 from .linalg import fsub
 
 __all__ = ["pair_indices", "pluecker_point", "ProjectiveSystem", "build_system", "write_genmat"]
+
+# Lines per block of the Pluecker fill; bounds the gathered point
+# columns to m * 2^16 codes per side.
+_LINE_BLOCK = 1 << 16
 
 
 def pair_indices(m: int) -> list[tuple[int, int]]:
@@ -67,10 +81,6 @@ class ProjectiveSystem:
         self.matrix = matrix
         self.k = matrix.shape[0]
         self.n = matrix.shape[1]
-        self.pairs = pair_indices(space.m)
-
-    def omega_column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
 
     def __repr__(self) -> str:
         return f"ProjectiveSystem(m={self.space.m}, q={self.ctx.q}, N={self.n}, K={self.k})"
@@ -91,24 +101,33 @@ def _row_rank(ctx: FieldCtx, g: np.ndarray) -> int:
     return linalg.rank(ctx, g)
 
 
-def build_system(space: polar.HermitianSpace, check_rank: bool = True) -> ProjectiveSystem:
-    """Generator matrix of the line code of the given space (cached)."""
+def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
+    """Generator matrix of the line code of the given space (cached).
+
+    Raises RuntimeError unless the matrix has rank C(m, 2), so every
+    cached system is certified.
+    """
     if "system" in space._cache:
         return space._cache["system"]
     if space.m < 4:
         raise ValueError("the line system requires m >= 4")
     ctx = space.ctx
-    m = space.m
-    a, b = space.line_bases()
-    n = len(a)
-    k = m * (m - 1) // 2
-    g = np.empty((k, n), dtype=np.uint8)
-    for idx, (i, j) in enumerate(pair_indices(m)):
-        g[idx] = fsub(ctx, ctx.mul[a[:, i], b[:, j]], ctx.mul[a[:, j], b[:, i]])
-    if check_rank:
-        got = _row_rank(ctx, g)
-        if got != k:
-            raise RuntimeError(f"generator matrix rank {got}, expected {k}")
+    a_idx, b_idx = space.line_pair_indices()
+    pts_t = space.points().T
+    pts_t_scaled = ctx.scaled_codes(pts_t)
+    mulf = ctx.mul_flat
+    pairs = pair_indices(space.m)
+    n = len(a_idx)
+    g = np.empty((len(pairs), n), dtype=np.uint8)
+    for lo in range(0, n, _LINE_BLOCK):
+        hi = min(n, lo + _LINE_BLOCK)
+        a = np.take(pts_t_scaled, a_idx[lo:hi], axis=1)
+        b = np.take(pts_t, b_idx[lo:hi], axis=1)
+        for r, (i, j) in enumerate(pairs):
+            g[r, lo:hi] = fsub(ctx, np.take(mulf, a[i] + b[j]), np.take(mulf, a[j] + b[i]))
+    got = _row_rank(ctx, g)
+    if got != len(pairs):
+        raise RuntimeError(f"generator matrix rank {got}, expected {len(pairs)}")
     system = ProjectiveSystem(space, g)
     space._cache["system"] = system
     return system

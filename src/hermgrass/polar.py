@@ -29,6 +29,7 @@ Counting helpers (all exact integers):
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,11 @@ __all__ = [
 # Entries of one inner-product block in line_pair_indices; about 1 MB
 # per uint8 temporary.
 _BLOCK_ELEMS = 1 << 20
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def isotropic_point_count(m: int, q: int) -> int:
@@ -203,21 +209,33 @@ class HermitianSpace:
         return vals
 
     def all_points(self) -> np.ndarray:
-        """All normalized points of PG(m-1, q^2), ascending lex order."""
+        """All normalized points of PG(m-1, q^2), ascending lex order.
+
+        Raises ValueError, before allocating, when the table of
+        (Q^m - 1)/(Q - 1) rows of m bytes (Q = q^2) would exceed the
+        physical memory of the machine.
+        """
         if "all_points" not in self._cache:
-            q2 = self.ctx.q2
-            blocks = []
-            for lead in range(self.m - 1, -1, -1):
-                tail = self.m - 1 - lead
-                cnt = q2**tail
-                arr = np.zeros((cnt, self.m), dtype=np.uint8)
-                arr[:, lead] = 1
-                if tail:
-                    idx = np.arange(cnt, dtype=np.int64)
-                    pows = q2 ** np.arange(tail - 1, -1, -1, dtype=np.int64)
-                    arr[:, lead + 1 :] = ((idx[:, None] // pows) % q2).astype(np.uint8)
-                blocks.append(arr)
-            pts = np.vstack(blocks)
+            m, q2 = self.m, self.ctx.q2
+            total = (q2**m - 1) // (q2 - 1)
+            need, have = total * m, _physical_memory()
+            if need > have:
+                raise ValueError(
+                    f"the point table of PG({m - 1}, {q2}) needs {need} bytes,"
+                    f" more than the {have} bytes of physical memory"
+                )
+            pts = np.zeros((total, m), dtype=np.uint8)
+            start = 0
+            for lead in range(m - 1, -1, -1):
+                tail = m - 1 - lead
+                block = pts[start : start + q2**tail]
+                block[:, lead] = 1
+                # Digit c of the block row index is the middle axis of a
+                # (q2^c, q2, q2^(tail-1-c)) split of the rows.
+                for c in range(tail):
+                    view = block.reshape(q2**c, q2, q2 ** (tail - 1 - c), m)
+                    view[:, :, :, lead + 1 + c] = np.arange(q2, dtype=np.uint8)[None, :, None]
+                start += len(block)
             pts.flags.writeable = False
             self._cache["all_points"] = pts
         return self._cache["all_points"]
@@ -265,7 +283,9 @@ class HermitianSpace:
         B_l = {b : lead(b) = l} against A_l = {a : lead(a) < l, a[l] = 0},
         in row chunks of about ``_BLOCK_ELEMS`` entries.  Since b[j] = 0
         for j < l and b[l] = 1, the product conj(p_a)^T H p_b sums only
-        the columns j >= l.
+        the columns j >= l.  Each of its products is one 1-D gather from
+        ``ctx.mul_flat`` at the b-codes pre-scaled by q^2 plus the a-side
+        codes.
 
         Pairs are sorted by the flattened basis.  points() is in
         ascending lex order and its rows are distinct, so comparing
@@ -275,6 +295,9 @@ class HermitianSpace:
         if "line_pairs" not in self._cache:
             ctx = self.ctx
             pts = self.points()
+            # Operands are taken as m x count arrays, so each coordinate
+            # column of a block is one contiguous row.
+            pts_scaled_t = ctx.scaled_codes(pts.T)
             leads = self.point_leads()
             cgr = self.conj_gram_rows()
             n_pts = len(pts)
@@ -284,13 +307,13 @@ class HermitianSpace:
                 a_rows = np.nonzero((leads < lead) & (pts[:, lead] == 0))[0]
                 if not (b_rows.size and a_rows.size):
                     continue
-                cgr_a = cgr[a_rows]
+                cgr_a = np.take(cgr.T, a_rows, axis=1)
                 step = max(1, _BLOCK_ELEMS // a_rows.size)
                 for lo in range(0, b_rows.size, step):
-                    b_chunk = pts[b_rows[lo : lo + step]]
-                    vals = np.broadcast_to(cgr_a[:, lead], (len(b_chunk), a_rows.size))
+                    b_chunk = np.take(pts_scaled_t, b_rows[lo : lo + step], axis=1)
+                    vals = np.broadcast_to(cgr_a[lead], (b_chunk.shape[1], a_rows.size))
                     for j in range(lead + 1, self.m):
-                        term = ctx.mul[b_chunk[:, j][:, None], cgr_a[:, j][None, :]]
+                        term = np.take(ctx.mul_flat, b_chunk[j][:, None] + cgr_a[j][None, :])
                         vals = fadd(ctx, vals, term)
                     bi, ai = np.nonzero(vals == 0)
                     keys.append(a_rows[ai] * n_pts + b_rows[lo + bi])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hermgrass import cli
+from hermgrass import cli, polar
 
 
 def test_params_table_contains_expected_row(capsys):
@@ -180,3 +180,16 @@ def test_bounds_below_m4_exits_2(capsys, m):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: the line code requires m >= 4"]
+
+
+def test_points_beyond_physical_memory_exits_2(capsys, monkeypatch):
+    # (6,2) has 1365 points of 6 bytes; a tiny memory figure stands in
+    # for a table too large for the machine, so nothing big is allocated
+    monkeypatch.setattr(polar, "_physical_memory", lambda: 8000)
+    assert cli.run(["points", "-m", "6", "-q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the point table of PG(5, 4) needs 8190 bytes,"
+        " more than the 8000 bytes of physical memory"
+    ]

@@ -61,7 +61,7 @@ def test_evaluate_equals_pluecker_pairing(space52, system52):
         phi = code.AlternatingForm.from_upper(ctx, 5, up)
         j = int(rng.integers(0, len(a)))
         val = code.evaluate(phi, np.stack([a[j], b[j]]))
-        col = system52.omega_column(j)
+        col = system52.matrix[:, j]
         acc = 0
         for k in range(10):
             acc = ctx.add_s(acc, ctx.mul_s(up[k], col[k]))

@@ -31,6 +31,15 @@ def test_field_axioms_exhaustive(ctx):
     assert np.array_equal(mul[x, add[y, z]], add[mul[x, y], mul[x, z]])
 
 
+def test_flat_codes_reproduce_mul(ctx):
+    a = np.arange(ctx.q2, dtype=np.uint8)
+    codes = ctx.scaled_codes(a)[:, None] + a[None, :]
+    assert codes.dtype == ctx.code_dtype
+    assert ctx.code_dtype == (np.uint8 if ctx.q2 <= 16 else np.uint16)
+    assert np.array_equal(np.take(ctx.mul_flat, codes), ctx.mul)
+    assert not ctx.mul_flat.flags.writeable
+
+
 def test_frobenius_is_order_two_field_automorphism(ctx):
     q2 = ctx.q2
     a = np.arange(q2)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -90,7 +91,40 @@ def test_columns_match_pointwise_embedding(system42):
     a, b = space.line_bases()
     for j in range(0, system42.n, 5):
         col = pluecker.pluecker_point(space.ctx, np.stack([a[j], b[j]]))
-        assert np.array_equal(col, system42.omega_column(j))
+        assert np.array_equal(col, system42.matrix[:, j])
+
+
+# GF(9), GF(16) (q2**2 = 256, the last uint8 flat codes), GF(25) and
+# GF(64) (uint16 flat codes)
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (2, 3)])
+def test_every_column_matches_pluecker_point(p, e):
+    ctx = hg.make_field(p, e)
+    space = hg.HermitianSpace(4, ctx)
+    g = hg.build_system(space).matrix
+    a, b = space.line_bases()
+    for j in range(len(a)):
+        assert np.array_equal(g[:, j], pluecker.pluecker_point(ctx, np.stack([a[j], b[j]])))
+
+
+# sha256 of system.matrix, recorded from the table-lookup fill over
+# line_bases() that the blocked flat-code fill replaced
+GENERATOR_SHA256 = {
+    (4, 2, 1): "72f0027bd1249fb464188be4a131e766cb7f8092e1189b8973e5d25f4c2bf407",
+    (4, 2, 2): "dcd2687179622eafdf8eda216144547582d2bd6d6fe5076fd80672f14863a3d6",
+    (4, 5, 1): "a2f849fb3610f6ff1c7b9a0f463be8cc7fea022a2fee97eebf0c523eb354c167",
+    (4, 7, 1): "f76ec43d73fc6845b1c72984fca4611271a68c4025b34cb59b0446dafdec4075",
+    (4, 2, 3): "134a682b0c996ed1a0a67d2bffa54de45542cce4ee560a4c73b4e74bcfcbdbeb",
+    (5, 3, 1): "64099dd54a1e2c30679f0c92ec33d55384670f4503df3276ea9eed31ff977780",
+    (6, 2, 1): "c4ec6015ca3491ca4623a8f29542fe8b07fe19824f25bf9461b5cbf1f2cbb073",
+    (7, 2, 1): "5b1dbd71eb12a265b2e55be889bf28b301b3f108e3a9e0d308a8d367e0dfe2c7",
+}
+
+
+@pytest.mark.parametrize("m,p,e", sorted(GENERATOR_SHA256))
+def test_generator_pinned(m, p, e):
+    system = hg.build_system(hg.HermitianSpace(m, hg.make_field(p, e)))
+    assert system.matrix.dtype == np.uint8
+    assert hashlib.sha256(system.matrix.tobytes()).hexdigest() == GENERATOR_SHA256[(m, p, e)]
 
 
 def test_genmat_format(system42):
@@ -147,8 +181,8 @@ def test_row_rank_falls_back_when_subset_is_short(ctx2, monkeypatch):
 
 def test_rank_deficient_generator_raises(ctx2, monkeypatch):
     space = hg.HermitianSpace(4, ctx2)
-    a, b = space.line_bases()
+    a, b = space.line_pair_indices()
     # three lines give a 6 x 3 generator, rank at most 3 < C(4,2)
-    monkeypatch.setattr(space, "line_bases", lambda: (a[:3], b[:3]))
+    monkeypatch.setattr(space, "line_pair_indices", lambda: (a[:3], b[:3]))
     with pytest.raises(RuntimeError, match="rank"):
         hg.build_system(space)

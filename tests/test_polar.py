@@ -146,6 +146,8 @@ LINE_PAIR_SHA256 = {
     (5, 3, 1): "33db03b267d0b63d83174506773fc2610c8730e4abe2c9b1801e1bc2e69836b0",
     (4, 5, 1): "1f73ad3711e9303ace7d94f48dacca9fe1a14bd55376171d95ee80da40370234",
     (4, 2, 2): "7f1dc8e41a9b2ae7227f1467bc4fb3efe4b4554a03ca4413b1829a89a30cbc20",
+    (4, 7, 1): "f627d90254a20538b0655d3180c377f5bcd8900c6890979ca8aa1e0aa13a50da",
+    (4, 2, 3): "981be7fd49d0e7ab611fc95e5d6ec236bfd3e911339cc3663c0236d01769617d",
 }
 
 
