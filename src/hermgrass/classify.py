@@ -75,9 +75,9 @@ def polar_image(phi: AlternatingForm, space: polar.HermitianSpace, x) -> np.ndar
     if x.size != space.m:
         raise ValueError("vector length does not match the space")
     if space.is_identity_gram:
-        y = ctx.frob[linalg.matvec(ctx, phi.s, x)]
+        y = ctx.frob[linalg.dot(ctx, phi.s, x)]
     else:
-        row = linalg.matvec(ctx, phi.s.T, x)  # x^T S; its kernel is the polar hyperplane
+        row = linalg.dot(ctx, phi.s.T, x)  # x^T S; its kernel is the polar hyperplane
         if not row.any():
             return None
         hyper = linalg.kernel(ctx, row.reshape(1, -1))

@@ -20,7 +20,6 @@ import sys
 
 import numpy as np
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 from . import classify, code, pluecker, polar
 from .ff import make_field
@@ -28,56 +27,6 @@ from .ff import make_field
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-COMMANDS = (
-    "params",
-    "points",
-    "lines",
-    "genmat",
-    "weight",
-    "spectrum",
-    "classify",
-    "bounds",
-    "min-word",
-    "verify",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized run settings shared by all subcommands."""
-
-    command: str
-    budget: int
-    seed: int
-    samples: int | None
-    out: str | None
-    fmt: str
-    jobs: int
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        samples = getattr(args, "samples", None)
-        if samples is None:
-            samples = getattr(args, "sample", None)
-        cfg = cls(
-            command=args.command,
-            budget=getattr(args, "budget", 1 << 24),
-            seed=getattr(args, "seed", 1),
-            samples=samples,
-            out=getattr(args, "out", None),
-            fmt=getattr(args, "fmt", "csv"),
-            jobs=getattr(args, "jobs", 1),
-        )
-        if cfg.command not in COMMANDS:
-            raise ValueError(f"unknown command {cfg.command!r}")
-        if cfg.budget <= 0:
-            raise ValueError("budget must be positive")
-        if cfg.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if cfg.samples is not None and cfg.samples < 1:
-            raise ValueError("sample count must be positive")
-        return cfg
 
 
 def _parse_range(text: str) -> list[int]:
@@ -584,7 +533,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        RunConfig.from_args(args)
+        if getattr(args, "budget", 1) <= 0:
+            raise ValueError("budget must be positive")
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError("jobs must be at least 1")
+        samples = getattr(args, "samples", getattr(args, "sample", None))
+        if samples is not None and samples < 1:
+            raise ValueError("sample count must be positive")
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

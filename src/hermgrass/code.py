@@ -43,7 +43,7 @@ import numpy as np
 
 from . import linalg, polar
 from .ff import FieldCtx, make_field
-from .linalg import Subspace, fadd
+from .linalg import Subspace
 from .pluecker import ProjectiveSystem, pair_indices
 
 __all__ = [
@@ -182,11 +182,7 @@ def evaluate(phi: AlternatingForm, line) -> int:
     b = line.basis if isinstance(line, polar.IsotropicLine) else linalg.as_matrix(ctx, line)
     if b.shape != (2, phi.m):
         raise ValueError("line basis must be 2 x m")
-    sw = linalg.matvec(ctx, phi.s, b[1])
-    acc = np.uint8(0)
-    for i in range(phi.m):
-        acc = fadd(ctx, acc, ctx.mul[b[0, i], sw[i]])
-    return int(acc)
+    return int(linalg.dot(ctx, b[0], linalg.dot(ctx, phi.s, b[1])))
 
 
 @dataclass(frozen=True)
@@ -201,12 +197,7 @@ def codeword(phi: AlternatingForm, system: ProjectiveSystem) -> Codeword:
     ctx = system.ctx
     if phi.m != system.space.m or phi.ctx.q2 != ctx.q2:
         raise ValueError("form does not match the system")
-    u = phi.upper()
-    vals = np.zeros(system.n, dtype=np.uint8)
-    for k in range(system.k):
-        s = u[k]
-        if s:
-            vals = fadd(ctx, vals, ctx.mul[s, system.matrix[k]])
+    vals = linalg.dot(ctx, phi.upper(), system.matrix.T)
     return Codeword(values=vals, weight=int(np.count_nonzero(vals)))
 
 
@@ -242,22 +233,20 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     pairs = space.orthogonal_point_pairs()
     if pairs is not None:
         ui, xi = pairs
-        vals = np.zeros(len(ui), dtype=np.uint8)
-        for k in range(space.m):
-            vals = fadd(ctx, vals, ctx.mul[ps[ui, k], pts[xi, k]])
-        cnt = np.bincount(ui[vals != 0], minlength=n_pts).astype(np.int64)
+        nonzero = np.empty(len(ui), dtype=bool)
+        step = max(1, linalg.DOT_BLOCK // space.m)
+        for lo in range(0, len(ui), step):
+            u, x = ui[lo : lo + step], xi[lo : lo + step]
+            nonzero[lo : lo + step] = linalg.dot(ctx, ps[u], pts[x]) != 0
+        cnt = np.bincount(ui[nonzero], minlength=n_pts).astype(np.int64)
     else:
         cgr = space.conj_gram_rows()
         cnt = np.zeros(n_pts, dtype=np.int64)
-        block = max(1, 2_000_000 // max(n_pts, 1))
-        for lo in range(0, n_pts, block):
-            hi = min(n_pts, lo + block)
-            eta = np.zeros((hi - lo, n_pts), dtype=np.uint8)
-            val = np.zeros((hi - lo, n_pts), dtype=np.uint8)
-            for k in range(space.m):
-                eta = fadd(ctx, eta, ctx.mul[cgr[lo:hi, k][:, None], pts[:, k][None, :]])
-                val = fadd(ctx, val, ctx.mul[ps[lo:hi, k][:, None], pts[:, k][None, :]])
-            cnt[lo:hi] = ((eta == 0) & (val != 0)).sum(axis=1)
+        step = max(1, linalg.DOT_BLOCK // max(n_pts, 1))
+        for lo in range(0, n_pts, step):
+            eta = linalg.matmul(ctx, cgr[lo : lo + step], pts.T)
+            val = linalg.matmul(ctx, ps[lo : lo + step], pts.T)
+            cnt[lo : lo + step] = ((eta == 0) & (val != 0)).sum(axis=1)
     if (cnt % q2).any():
         raise RuntimeError("pair count not divisible by q^2; arithmetic bug")
     return cnt // q2
@@ -272,15 +261,10 @@ def point_weight(phi: AlternatingForm, space: polar.HermitianSpace, u) -> int:
     if space.inner(u, u) != 0:
         raise ValueError("u is not isotropic")
     pts = space.points()
-    us = linalg.matvec(ctx, phi.s.T, u)  # row u^T S
-    cu = linalg.matvec(ctx, space.gram.T, ctx.frob[u])  # row conj(u)^T H
-    eta = np.zeros(len(pts), dtype=np.uint8)
-    val = np.zeros(len(pts), dtype=np.uint8)
-    for k in range(space.m):
-        if cu[k]:
-            eta = fadd(ctx, eta, ctx.mul[cu[k], pts[:, k]])
-        if us[k]:
-            val = fadd(ctx, val, ctx.mul[us[k], pts[:, k]])
+    us = linalg.dot(ctx, u, phi.s.T)  # row u^T S
+    cu = linalg.dot(ctx, ctx.frob[u], space.gram.T)  # row conj(u)^T H
+    eta = linalg.dot(ctx, cu, pts)
+    val = linalg.dot(ctx, us, pts)
     cnt = int(((eta == 0) & (val != 0)).sum())
     if cnt % ctx.q2:
         raise RuntimeError("pair count not divisible by q^2; arithmetic bug")

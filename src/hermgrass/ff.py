@@ -68,12 +68,14 @@ class FieldCtx:
         relied on.
     ``subfield``
         ascending codes of the q elements fixed by ``frob``.
-    ``mul_flat``, ``code_dtype``
-        ``mul`` flattened, so ``mul_flat[a * q2 + b] == mul[a, b]``;
-        ``code_dtype`` is the narrowest unsigned dtype holding every
-        such flat code (uint8 while q2**2 <= 256, else uint16).  A
-        left operand pre-scaled once with ``scaled_codes`` turns each
-        product into one add and one 1-D gather.
+    ``mul_flat``, ``add_flat``, ``code_dtype``
+        ``mul`` and ``add`` flattened, so ``mul_flat[a * q2 + b] ==
+        mul[a, b]`` and likewise for ``add_flat``; ``code_dtype`` is the
+        narrowest unsigned dtype holding every such flat code (uint8
+        while q2**2 <= 256, else uint16).  A left operand pre-scaled
+        once with ``scaled_codes`` turns each product or sum into one
+        add and one 1-D gather.  ``linalg.dot`` and ``linalg.fadd`` are
+        built on these.
 
     Instances are immutable after construction and can be shared
     freely across threads and worker processes.
@@ -102,6 +104,7 @@ class FieldCtx:
             t //= p
         pw = p ** np.arange(deg)
         self.add = (((digs[:, None, :] + digs[None, :, :]) % p) @ pw).astype(np.uint8)
+        self.add_flat = self.add.reshape(-1)
         self.neg = (((-digs) % p) @ pw).astype(np.uint8)
 
         n1 = self.q2 - 1
@@ -128,13 +131,14 @@ class FieldCtx:
             raise RuntimeError("Frobenius is not an involution")
 
         for a in (
-            self.add, self.neg, self.mul, self.mul_flat, self.inv, self.frob, self.norm,
-            self.subfield,
+            self.add, self.add_flat, self.neg, self.mul, self.mul_flat, self.inv, self.frob,
+            self.norm, self.subfield,
         ):
             a.flags.writeable = False
 
     def scaled_codes(self, a) -> np.ndarray:
-        """a * q2 in ``code_dtype``: the left operand of ``mul_flat``.
+        """a * q2 in ``code_dtype``: the left operand of ``mul_flat`` and
+        ``add_flat``.
 
         Adding any uint8 code array b gives the flat codes a * q2 + b
         without overflow.

@@ -1,13 +1,11 @@
 """Dense exact linear algebra over GF(q^2).
 
-Matrices are numpy arrays of field-element codes (see ff).  All
-products go through the FieldCtx tables, so every result is exact.
-The reduced row echelon form is the canonical representative of a row
-space; its flattened entries serve as a total order and hash key for
-subspaces.  Pivots are chosen leftmost first.
-
-Text format for matrices: first line "rows cols q2", then the entries
-in row-major order, whitespace separated.
+Matrices are numpy arrays of field-element codes (see ff).  Every sum
+of products goes through ``dot``, the one product kernel: each product
+is one add and one 1-D gather from ``FieldCtx.mul_flat``, so every
+result is exact.  The reduced row echelon form is the canonical
+representative of a row space; its flattened entries serve as a total
+order and hash key for subspaces.  Pivots are chosen leftmost first.
 """
 
 from __future__ import annotations
@@ -17,22 +15,25 @@ import numpy as np
 from .ff import FieldCtx
 
 __all__ = [
+    "DOT_BLOCK",
     "as_matrix",
     "fadd",
     "fsub",
     "fneg",
-    "fmul",
+    "dot",
     "matmul",
-    "matvec",
     "rref",
     "rank",
     "rank_stack",
     "kernel",
     "Subspace",
     "solve_membership",
-    "write_matrix_text",
-    "read_matrix_text",
 ]
+
+#: Entries per block of a table-sized ``dot``: callers with operands the
+#: size of the point or pair tables slice them to about this many
+#: entries, since each gather first casts its index to intp (8 bytes).
+DOT_BLOCK = 1 << 16
 
 
 def as_matrix(ctx: FieldCtx, rows) -> np.ndarray:
@@ -51,44 +52,42 @@ def fneg(ctx: FieldCtx, a):
 
 
 def fadd(ctx: FieldCtx, a, b):
+    """a + b elementwise: XOR in characteristic 2, else one gather from
+    ``ctx.add_flat``."""
     if ctx.p == 2:
         return np.bitwise_xor(a, b)
-    return ctx.add[a, b]
+    return np.take(ctx.add_flat, ctx.scaled_codes(a) + b)
 
 
 def fsub(ctx: FieldCtx, a, b):
-    if ctx.p == 2:
-        return np.bitwise_xor(a, b)
-    return ctx.add[a, ctx.neg[b]]
+    return fadd(ctx, a, fneg(ctx, b))
 
 
-def fmul(ctx: FieldCtx, a, b):
-    return ctx.mul[a, b]
+def dot(ctx: FieldCtx, x, y) -> np.ndarray:
+    """Sum over k of x[..., k] * y[..., k] over GF(q^2).
+
+    The leading axes of x and y broadcast against each other; the last
+    axes must have equal, nonzero length.  Each product is one add and
+    one 1-D gather from ``ctx.mul_flat`` at ``ctx.scaled_codes(x[...,
+    k]) + y[..., k]``.  A vector-vector product gives a 0-d array.
+    """
+    x = np.asarray(x, dtype=np.uint8)
+    y = np.asarray(y, dtype=np.uint8)
+    t = x.shape[-1]
+    if y.shape[-1] != t:
+        raise ValueError("inner dimensions do not match")
+    xs = ctx.scaled_codes(x)
+    out = np.take(ctx.mul_flat, xs[..., 0] + y[..., 0])
+    for k in range(1, t):
+        out = fadd(ctx, out, np.take(ctx.mul_flat, xs[..., k] + y[..., k]))
+    return out
 
 
 def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
     """Matrix product over GF(q^2); a is (r, t), b is (t, c)."""
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
-    r, t = a.shape
-    t2, c = b.shape
-    if t != t2:
-        raise ValueError("inner dimensions do not match")
-    out = np.zeros((r, c), dtype=np.uint8)
-    for k in range(t):
-        out = fadd(ctx, out, ctx.mul[a[:, k][:, None], b[k][None, :]])
-    return out
-
-
-def matvec(ctx: FieldCtx, a, x) -> np.ndarray:
-    a = np.asarray(a, dtype=np.uint8)
-    x = np.asarray(x, dtype=np.uint8).reshape(-1)
-    out = np.zeros(a.shape[0], dtype=np.uint8)
-    for k in range(a.shape[1]):
-        s = x[k]
-        if s:
-            out = fadd(ctx, out, ctx.mul[s, a[:, k]])
-    return out
+    return dot(ctx, a[:, None, :], b.T[None])
 
 
 def rref(ctx: FieldCtx, m) -> tuple[np.ndarray, int]:
@@ -252,25 +251,3 @@ def solve_membership(ctx: FieldCtx, w: Subspace, v) -> bool:
         if c:
             res = fsub(ctx, res, ctx.mul[c, row])
     return not res.any()
-
-
-def write_matrix_text(f, ctx: FieldCtx, m) -> None:
-    m = as_matrix(ctx, m)
-    f.write(f"{m.shape[0]} {m.shape[1]} {ctx.q2}\n")
-    for row in m:
-        f.write(" ".join(str(int(x)) for x in row) + "\n")
-
-
-def read_matrix_text(f) -> tuple[np.ndarray, int]:
-    """Parse the text format; returns (matrix, q2)."""
-    toks = f.read().split()
-    if len(toks) < 3:
-        raise ValueError("malformed matrix text")
-    nr, nc, q2 = int(toks[0]), int(toks[1]), int(toks[2])
-    body = toks[3:]
-    if len(body) != nr * nc:
-        raise ValueError("matrix text has wrong number of entries")
-    m = np.array([int(t) for t in body], dtype=np.uint8).reshape(nr, nc)
-    if m.size and m.max() >= q2:
-        raise ValueError("matrix entry out of range")
-    return m, q2

@@ -57,6 +57,9 @@ __all__ = [
 # Entries of one inner-product block in line_pair_indices; about 1 MB
 # per uint8 temporary.
 _BLOCK_ELEMS = 1 << 20
+# Largest orthogonal pair set orthogonal_point_pairs materialises; above
+# it the per-point line counts stream instead.
+_MAX_PAIRS = 20_000_000
 
 
 def _physical_memory() -> int:
@@ -189,24 +192,13 @@ class HermitianSpace:
         y = np.asarray(y, dtype=np.uint8).reshape(-1)
         if x.size != self.m or y.size != self.m:
             raise ValueError("vector length does not match the space dimension")
-        hx = linalg.matvec(ctx, self.gram.T, ctx.frob[x])
-        acc = 0
-        for j in range(self.m):
-            acc = int(fadd(ctx, np.uint8(acc), ctx.mul[hx[j], y[j]]))
-        return acc
-
-    def is_isotropic(self, u) -> bool:
-        return self.inner(u, u) == 0
+        return int(linalg.dot(ctx, linalg.dot(ctx, ctx.frob[x], self.gram.T), y))
 
     # -- point enumeration ----------------------------------------------
     def inner_diag(self, pts: np.ndarray) -> np.ndarray:
         """inner(row, row) for every row of pts."""
         ctx = self.ctx
-        left = linalg.matmul(ctx, ctx.frob[pts], self.gram)
-        vals = np.zeros(len(pts), dtype=np.uint8)
-        for j in range(self.m):
-            vals = fadd(ctx, vals, ctx.mul[left[:, j], pts[:, j]])
-        return vals
+        return linalg.dot(ctx, linalg.matmul(ctx, ctx.frob[pts], self.gram), pts)
 
     def all_points(self) -> np.ndarray:
         """All normalized points of PG(m-1, q^2), ascending lex order.
@@ -241,10 +233,28 @@ class HermitianSpace:
         return self._cache["all_points"]
 
     def points(self) -> np.ndarray:
-        """Isotropic points, canonical order, one row per point."""
+        """Isotropic points, canonical order, one row per point.
+
+        The isotropy mask is taken in row blocks of about
+        ``linalg.DOT_BLOCK`` entries.  Raises ValueError, before
+        computing it, when the point table plus the
+        ``isotropic_point_count`` rows of m bytes exceed the physical
+        memory of the machine.
+        """
         if "points" not in self._cache:
             allp = self.all_points()
-            mask = self.inner_diag(allp) == 0
+            m, q2 = self.m, self.ctx.q2
+            need = allp.nbytes + isotropic_point_count(m, self.ctx.q) * m
+            have = _physical_memory()
+            if need > have:
+                raise ValueError(
+                    f"the isotropic points of PG({m - 1}, {q2}) need {need} bytes"
+                    f" with the point table, more than the {have} bytes of physical memory"
+                )
+            mask = np.empty(len(allp), dtype=bool)
+            step = max(1, linalg.DOT_BLOCK // m)
+            for lo in range(0, len(allp), step):
+                mask[lo : lo + step] = self.inner_diag(allp[lo : lo + step]) == 0
             pts = np.ascontiguousarray(allp[mask])
             pts.flags.writeable = False
             self._cache["points"] = pts
@@ -344,36 +354,39 @@ class HermitianSpace:
         return len(self.line_pair_indices()[0])
 
     # -- orthogonality pairs (for per-point line counts) -------------------
-    def orthogonal_point_pairs(self, max_pairs: int = 20_000_000):
-        """(u, x) index pairs over isotropic points with inner(p_u, p_x) = 0.
+    def orthogonal_point_pairs(self):
+        """(u, x) index pairs over isotropic points with inner(p_u, p_x) = 0,
+        ascending in (u, x).
 
-        Both orders are present, self pairs included.  Returns None when
-        the pair set would exceed max_pairs; callers then stream instead.
+        Both orders are present, self pairs included: the perp of an
+        isotropic point p is a cone with vertex p holding q^2 * mu(m-2)
+        other isotropic points, so there are exactly
+        n_pts * (1 + q^2 * mu(m-2)) pairs, and any other count raises
+        RuntimeError.  Returns None when that exceeds ``_MAX_PAIRS``;
+        callers then stream instead.
         """
         key = "orth_pairs"
         if key not in self._cache:
             q = self.ctx.q
-            est = self.num_points * (q * q * isotropic_point_count(self.m - 2, q) + 1)
-            if est > max_pairs:
+            total = self.num_points * (q * q * isotropic_point_count(self.m - 2, q) + 1)
+            if total > _MAX_PAIRS:
                 self._cache[key] = None
             else:
                 ctx = self.ctx
                 pts = self.points()
                 cgr = self.conj_gram_rows()
-                n_pts = len(pts)
-                uis, xis = [], []
-                for iu in range(n_pts):
-                    vals = np.zeros(n_pts, dtype=np.uint8)
-                    row = cgr[iu]
-                    for j in range(self.m):
-                        s = row[j]
-                        if s:
-                            vals = fadd(ctx, vals, ctx.mul[s, pts[:, j]])
-                    xi = np.nonzero(vals == 0)[0]
-                    uis.append(np.full(xi.size, iu, dtype=np.int32))
-                    xis.append(xi.astype(np.int32))
-                ui = np.concatenate(uis)
-                xi = np.concatenate(xis)
+                ui, xi = np.empty((2, total), dtype=np.int32)
+                pos = 0
+                step = max(1, linalg.DOT_BLOCK // max(len(pts), 1))
+                for lo in range(0, len(pts), step):
+                    bu, bx = np.nonzero(linalg.matmul(ctx, cgr[lo : lo + step], pts.T) == 0)
+                    if pos + len(bu) > total:
+                        raise RuntimeError(f"more than the {total} expected orthogonal point pairs")
+                    ui[pos : pos + len(bu)] = bu + lo
+                    xi[pos : pos + len(bu)] = bx
+                    pos += len(bu)
+                if pos != total:
+                    raise RuntimeError(f"{pos} orthogonal point pairs, expected {total}")
                 ui.flags.writeable = False
                 xi.flags.writeable = False
                 self._cache[key] = (ui, xi)

@@ -49,7 +49,7 @@ def test_polar_image_general_composition_oracle(space52):
             continue
         phi = code.AlternatingForm.from_upper(ctx, 5, up)
         x = space52.points()[int(rng.integers(0, space52.num_points))]
-        row = linalg.matvec(ctx, phi.s.T, x)
+        row = linalg.dot(ctx, phi.s.T, x)
         img = classify.polar_image(phi, space52, x)
         if not row.any():
             assert img is None
@@ -71,7 +71,7 @@ def test_polar_image_non_identity_gram(ctx2):
     x = space.points()[3]
     img = classify.polar_image(phi, space, x)
     # defining property: the image is orthogonal to the polar hyperplane of x
-    hyper = linalg.kernel(ctx2, linalg.matvec(ctx2, phi.s.T, x).reshape(1, -1))
+    hyper = linalg.kernel(ctx2, linalg.dot(ctx2, phi.s.T, x).reshape(1, -1))
     for row in hyper.basis:
         assert space.inner(row, img) == 0
 

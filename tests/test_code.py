@@ -188,11 +188,13 @@ def test_weight_recursive_zero_form(space52):
     assert code.weight_recursive(zero, space52) == 0
 
 
-def test_point_weights_streaming_branch_matches_pairs(ctx2):
+def test_point_weights_streaming_branch_matches_pairs(ctx2, monkeypatch):
     # a fresh space whose pair cache is forced empty must stream and agree
     paired = hg.HermitianSpace(5, ctx2)
+    assert paired.orthogonal_point_pairs() is not None
     streamed = hg.HermitianSpace(5, ctx2)
-    assert streamed.orthogonal_point_pairs(max_pairs=1) is None
+    monkeypatch.setattr(polar, "_MAX_PAIRS", 1)
+    assert streamed.orthogonal_point_pairs() is None
     rng = np.random.default_rng(55)
     for _ in range(5):
         up = rng.integers(0, 4, size=10, dtype=np.uint8)

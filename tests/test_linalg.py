@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,27 +129,55 @@ def test_subspace_key_is_span_invariant():
         assert w1 == w2 and w1.key == w2.key and hash(w1) == hash(w2)
 
 
-def test_matrix_text_round_trip(ctx3):
-    m = np.array([[0, 1, 8], [2, 3, 4]], dtype=np.uint8)
-    buf = io.StringIO()
-    linalg.write_matrix_text(buf, ctx3, m)
-    buf.seek(0)
-    m2, q2 = linalg.read_matrix_text(buf)
-    assert q2 == 9 and np.array_equal(m, m2)
-    with pytest.raises(ValueError):
-        linalg.read_matrix_text(io.StringIO("1 2"))
-    with pytest.raises(ValueError):
-        linalg.read_matrix_text(io.StringIO("1 2 4\n9 0"))
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)]
 
 
-def test_matmul_against_python_loop(ctx3):
+@pytest.mark.parametrize("p,e", FIELDS, ids=lambda v: str(v))
+def test_fadd_fsub_match_tables(p, e):
+    ctx = hg.make_field(p, e)
+    a = np.repeat(np.arange(ctx.q2, dtype=np.uint8), ctx.q2)
+    b = np.tile(np.arange(ctx.q2, dtype=np.uint8), ctx.q2)
+    assert np.array_equal(linalg.fadd(ctx, a, b), ctx.add[a, b])
+    assert np.array_equal(linalg.fsub(ctx, a, b), ctx.add[a, ctx.neg[b]])
+
+
+def _loop_dot(ctx, x, y):
+    """Scalar reference: sum of ctx.mul products with ctx.add."""
+    acc = 0
+    for xk, yk in zip(x, y):
+        acc = int(ctx.add[acc, ctx.mul[int(xk), int(yk)]])
+    return acc
+
+
+def test_matmul_against_python_loop():
     rng = np.random.default_rng(2)
-    a = rng.integers(0, 9, size=(3, 4), dtype=np.uint8)
-    b = rng.integers(0, 9, size=(4, 2), dtype=np.uint8)
-    out = linalg.matmul(ctx3, a, b)
-    for i in range(3):
-        for j in range(2):
-            acc = 0
-            for k in range(4):
-                acc = ctx3.add_s(acc, ctx3.mul_s(a[i, k], b[k, j]))
-            assert out[i, j] == acc
+    for p, e in FIELDS:
+        ctx = hg.make_field(p, e)
+        q2 = ctx.q2
+        a = rng.integers(0, q2, size=(3, 4), dtype=np.uint8)
+        b = rng.integers(0, q2, size=(4, 2), dtype=np.uint8)
+        out = linalg.matmul(ctx, a, b)
+        assert out.shape == (3, 2) and out.dtype == np.uint8
+        for i in range(3):
+            for j in range(2):
+                assert out[i, j] == _loop_dot(ctx, a[i], b[:, j])
+        # vector . vector gives a 0-d array
+        v = linalg.dot(ctx, a[0], b[:, 1])
+        assert v.shape == () and v == _loop_dot(ctx, a[0], b[:, 1])
+        # matrix . vector: one product per row
+        x = rng.integers(0, q2, size=4, dtype=np.uint8)
+        assert linalg.dot(ctx, a, x).tolist() == [_loop_dot(ctx, row, x) for row in a]
+        # scalar . row: a length-1 inner axis scales the row
+        s = rng.integers(0, q2, size=1, dtype=np.uint8)
+        row = rng.integers(0, q2, size=(7, 1), dtype=np.uint8)
+        assert linalg.dot(ctx, s, row).tolist() == [_loop_dot(ctx, s, r) for r in row]
+        # (r, 1, t) x (1, c, t) broadcasts to (r, c)
+        x3 = rng.integers(0, q2, size=(3, 1, 5), dtype=np.uint8)
+        y3 = rng.integers(0, q2, size=(1, 4, 5), dtype=np.uint8)
+        got = linalg.dot(ctx, x3, y3)
+        assert got.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert got[i, j] == _loop_dot(ctx, x3[i, 0], y3[0, j])
+        with pytest.raises(ValueError):
+            linalg.dot(ctx, a, b)

@@ -160,6 +160,31 @@ def test_line_pair_indices_pinned(m, p, e):
     assert got == LINE_PAIR_SHA256[(m, p, e)]
 
 
+# sha256 of the stacked int64 (ui, xi) orthogonal point pairs, recorded
+# from the earlier per-point loop.
+ORTH_PAIR_SHA256 = {
+    "6-2": "38848d120e168227bcc15942ba5bc1964ff175e6b0051675b663560fafc93b60",
+    "5-3": "e1adec48ddc443605a8869838afabcf24464676dd2310355084b53a74aaa9be7",
+    "4-3": "82f74313300eaf3ecf0bdad83988a2c2e13c3548c1db6c43da17c0b46d641430",
+    "4-2-antidiagonal-gram": "a8985cf90ace65cd4496add4823987a9315f827fe87e4a2b3dc8f4b374c6f743",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(ORTH_PAIR_SHA256))
+def test_orthogonal_point_pairs_pinned(tag):
+    if tag == "4-2-antidiagonal-gram":
+        space = _antidiagonal_gram_space(hg.make_field(2, 1))
+    else:
+        m, q = (int(x) for x in tag.split("-"))
+        space = hg.HermitianSpace(m, hg.make_field(q, 1))
+    ui, xi = space.orthogonal_point_pairs()
+    assert ui.dtype == xi.dtype == np.int32
+    q = space.ctx.q
+    assert len(ui) == space.num_points * (1 + q * q * polar.isotropic_point_count(space.m - 2, q))
+    got = hashlib.sha256(np.stack([ui, xi]).astype(np.int64).tobytes()).hexdigest()
+    assert got == ORTH_PAIR_SHA256[tag]
+
+
 def test_lines_sorted_by_canonical_key(space52):
     a, b = space52.line_bases()
     keys = [np.hstack([a[i], b[i]]).tobytes() for i in range(len(a))]
