@@ -36,7 +36,6 @@ from .code import (
     form_from_index,
     form_to_index,
     min_distance,
-    point_weight,
     point_weight_values,
     point_weights,
     read_form_json,
@@ -50,12 +49,8 @@ from .linalg import Subspace, kernel, rank, rref, solve_membership
 from .pluecker import ProjectiveSystem, build_system, pair_indices, pluecker_point
 from .polar import (
     HermitianSpace,
-    IsotropicLine,
-    ProjectivePoint,
     RadicalProfile,
     cone_point_count,
-    enumerate_lines,
-    enumerate_points,
     isotropic_point_count,
     line_count,
     perp,

@@ -97,8 +97,8 @@ def polar_image(phi: AlternatingForm, space: polar.HermitianSpace, x) -> np.ndar
 def _images(phi: AlternatingForm, space: polar.HermitianSpace, pts: np.ndarray):
     """Vectorized polar images of the given point rows.
 
-    Returns (kernel_mask, normalized_images); image rows for kernel
-    points are zero.
+    Returns (kernel_mask, normalized_images, fixed_mask); image rows for
+    kernel points are zero, and fixed rows equal their image.
     """
     ctx = space.ctx
     if space.is_identity_gram:
@@ -116,29 +116,30 @@ def _images(phi: AlternatingForm, space: polar.HermitianSpace, pts: np.ndarray):
         lead = (sub != 0).argmax(axis=1)
         vals = sub[np.arange(len(sub)), lead]
         y[live] = ctx.mul[ctx.inv[vals][:, None], sub]
-    return kernel_mask, y
+    return kernel_mask, y, live & (y == pts).all(axis=1)
+
+
+def _labels(space: polar.HermitianSpace, zero, y) -> np.ndarray:
+    """Class labels of isotropic points from their polar images; ``zero``
+    marks the kernel and fixed points."""
+    labels = np.full(len(y), SECANT_CLASS, dtype=np.int8)
+    labels[zero] = ZERO_CLASS
+    labels[~zero & (space.inner_diag(y) == 0)] = TANGENT_CLASS
+    return labels
 
 
 def point_classes(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarray:
     """Class label (0 zero, 1 secant, 2 tangent) per isotropic point."""
     if phi.is_zero():
         raise ValueError("the zero form has no point classification")
-    pts = space.points()
-    kernel_mask, y = _images(phi, space, pts)
-    fixed = ~kernel_mask & (y == pts).all(axis=1)
-    iso = space.inner_diag(y) == 0
-    labels = np.full(len(pts), SECANT_CLASS, dtype=np.int8)
-    labels[kernel_mask | fixed] = ZERO_CLASS
-    labels[~(kernel_mask | fixed) & iso] = TANGENT_CLASS
-    return labels
+    kernel_mask, y, fixed = _images(phi, space, space.points())
+    return _labels(space, kernel_mask | fixed, y)
 
 
 def fixed_point_count(phi: AlternatingForm, space: polar.HermitianSpace) -> int:
     """Projective fixed points of the composed polarity map over the
     whole projective space."""
-    pts = space.all_points()
-    kernel_mask, y = _images(phi, space, pts)
-    return int((~kernel_mask & (y == pts).all(axis=1)).sum())
+    return int(_images(phi, space, space.all_points())[2].sum())
 
 
 def weight_from_class_counts(m: int, q: int, a: int, b: int, c: int) -> int:
@@ -187,7 +188,13 @@ def classify_points(
     """
     ctx = space.ctx
     q = ctx.q
-    labels = point_classes(phi, space)
+    if phi.is_zero():
+        raise ValueError("the zero form has no point classification")
+    # One pass of polar images over all points serves both the fixed
+    # points and, at the isotropic rows, the point classes.
+    kernel_mask, y, fixed = _images(phi, space, space.all_points())
+    iso = space.point_index(space.points())
+    labels = _labels(space, (kernel_mask | fixed)[iso], y[iso])
     scale = ctx.q2 - 1
     a = int((labels == ZERO_CLASS).sum()) * scale
     b = int((labels == SECANT_CLASS).sum()) * scale
@@ -204,7 +211,7 @@ def classify_points(
         C=c,
         rad_dim=phi.rad_dim,
         profile=profile,
-        fix_count=fixed_point_count(phi, space),
+        fix_count=int(fixed.sum()),
         weight_from_counts=wfc,
         weight_direct=wd,
         checks={

@@ -11,7 +11,10 @@ Weights are computed three independent ways across the package:
 * ``weight_direct``: count nonzero codeword positions;
 * ``weight_recursive``: accumulate, over all isotropic vectors u, the
   number of totally isotropic lines through [u] not annihilated by
-  the form, then divide by q^4 - 1;
+  the form, then divide by q^4 - 1.  ``point_weights`` counts them as
+  the isotropic points in the perp of u off the hyperplane u^T S x = 0,
+  one AND and popcount of two rows of the space's bit-packed
+  hyperplane-section table per point;
 * ``classify.weight_from_class_counts``: reconstruct from the sizes
   of the three per-point classes.
 
@@ -55,7 +58,6 @@ __all__ = [
     "evaluate",
     "codeword",
     "weight_direct",
-    "point_weight",
     "point_weights",
     "point_weight_values",
     "weight_recursive",
@@ -179,7 +181,7 @@ def evaluate(phi: AlternatingForm, line) -> int:
     nonzero values depend on the basis only up to a nonzero scalar.
     """
     ctx = phi.ctx
-    b = line.basis if isinstance(line, polar.IsotropicLine) else linalg.as_matrix(ctx, line)
+    b = linalg.as_matrix(ctx, line)
     if b.shape != (2, phi.m):
         raise ValueError("line basis must be 2 x m")
     return int(linalg.dot(ctx, b[0], linalg.dot(ctx, phi.s, b[1])))
@@ -220,8 +222,12 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     """For every isotropic point [u], the number of totally isotropic
     lines through [u] not annihilated by the form.
 
-    Each qualifying line through [u] carries exactly q^2 isotropic
-    points other than [u], so the pair count divides exactly by q^2.
+    Such a line joins [u] to an isotropic x with conj(u)^T H x = 0 and
+    u^T S x != 0: the bits set in row ``space.perp_index()[u]`` of
+    ``space.section_table()`` and clear in the row of u^T S (none when
+    u^T S = 0).  Each such line carries q^2 of these x, so the count
+    divides exactly by q^2.  Over the table's budget both sections are
+    streamed in row blocks of the points instead.
     """
     ctx = space.ctx
     if phi.m != space.m:
@@ -230,18 +236,17 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     n_pts = len(pts)
     q2 = ctx.q2
     ps = linalg.matmul(ctx, pts, phi.s)
-    pairs = space.orthogonal_point_pairs()
-    if pairs is not None:
-        ui, xi = pairs
-        nonzero = np.empty(len(ui), dtype=bool)
-        step = max(1, linalg.DOT_BLOCK // space.m)
-        for lo in range(0, len(ui), step):
-            u, x = ui[lo : lo + step], xi[lo : lo + step]
-            nonzero[lo : lo + step] = linalg.dot(ctx, ps[u], pts[x]) != 0
-        cnt = np.bincount(ui[nonzero], minlength=n_pts).astype(np.int64)
+    table = space.section_table()
+    cnt = np.zeros(n_pts, dtype=np.int64)
+    if table is not None:
+        live = np.flatnonzero(ps.any(axis=1))
+        perp, sect = space.perp_index()[live], space.point_index(ps[live])
+        step = max(1, linalg.DOT_BLOCK // table.shape[1])
+        for lo in range(0, len(live), step):
+            hits = table[perp[lo : lo + step]] & ~table[sect[lo : lo + step]]
+            cnt[live[lo : lo + step]] = np.bitwise_count(hits).sum(axis=1)
     else:
         cgr = space.conj_gram_rows()
-        cnt = np.zeros(n_pts, dtype=np.int64)
         step = max(1, linalg.DOT_BLOCK // max(n_pts, 1))
         for lo in range(0, n_pts, step):
             eta = linalg.matmul(ctx, cgr[lo : lo + step], pts.T)
@@ -250,25 +255,6 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     if (cnt % q2).any():
         raise RuntimeError("pair count not divisible by q^2; arithmetic bug")
     return cnt // q2
-
-
-def point_weight(phi: AlternatingForm, space: polar.HermitianSpace, u) -> int:
-    """Per-point line count at a single isotropic vector u."""
-    ctx = space.ctx
-    u = np.asarray(u, dtype=np.uint8).reshape(-1)
-    if u.size != space.m:
-        raise ValueError("vector length does not match the space")
-    if space.inner(u, u) != 0:
-        raise ValueError("u is not isotropic")
-    pts = space.points()
-    us = linalg.dot(ctx, u, phi.s.T)  # row u^T S
-    cu = linalg.dot(ctx, ctx.frob[u], space.gram.T)  # row conj(u)^T H
-    eta = linalg.dot(ctx, cu, pts)
-    val = linalg.dot(ctx, us, pts)
-    cnt = int(((eta == 0) & (val != 0)).sum())
-    if cnt % ctx.q2:
-        raise RuntimeError("pair count not divisible by q^2; arithmetic bug")
-    return cnt // ctx.q2
 
 
 def weight_recursive(phi: AlternatingForm, space: polar.HermitianSpace) -> int:

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 #: Entries per block of a table-sized ``dot``: callers with operands the
-#: size of the point or pair tables slice them to about this many
+#: size of the point or section tables slice them to about this many
 #: entries, since each gather first casts its index to intp (8 bytes).
 DOT_BLOCK = 1 << 16
 

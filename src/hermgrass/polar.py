@@ -42,12 +42,8 @@ __all__ = [
     "isotropic_point_count",
     "line_count",
     "cone_point_count",
-    "ProjectivePoint",
-    "IsotropicLine",
     "RadicalProfile",
     "HermitianSpace",
-    "enumerate_points",
-    "enumerate_lines",
     "perp",
     "radical_profile",
     "write_points_csv",
@@ -57,13 +53,21 @@ __all__ = [
 # Entries of one inner-product block in line_pair_indices; about 1 MB
 # per uint8 temporary.
 _BLOCK_ELEMS = 1 << 20
-# Largest orthogonal pair set orthogonal_point_pairs materialises; above
-# it the per-point line counts stream instead.
-_MAX_PAIRS = 20_000_000
+# Largest hyperplane-section table section_table builds; above it the
+# per-point line counts stream instead.
+_MAX_TABLE_BYTES = 160_000_000
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory of this machine."""
+def _available_memory() -> int:
+    """Bytes of memory available for new allocations: ``MemAvailable``
+    from /proc/meminfo, or the physical memory where that is absent."""
+    try:
+        with open("/proc/meminfo", "rb") as f:
+            for line in f:
+                if line.startswith(b"MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -108,39 +112,6 @@ def cone_point_count(m: int, i: int, t: int, q: int) -> int:
         raise ValueError(f"t = {t} out of range for m = {m}, i = {i}")
     q2 = q * q
     return q2**t * isotropic_point_count(m - 2 * i - t, q) + (q2**t - 1) // (q2 - 1)
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Normalized projective point (first nonzero coordinate is 1)."""
-
-    coords: tuple[int, ...]
-
-
-class IsotropicLine:
-    """Totally isotropic 2-space held by its canonical RREF basis."""
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis: np.ndarray):
-        basis = np.ascontiguousarray(np.asarray(basis, dtype=np.uint8))
-        if basis.shape[0] != 2:
-            raise ValueError("a line basis has exactly 2 rows")
-        basis.flags.writeable = False
-        self.basis = basis
-
-    @property
-    def key(self) -> bytes:
-        return self.basis.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IsotropicLine) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __repr__(self) -> str:
-        return f"IsotropicLine({[tuple(int(x) for x in r) for r in self.basis]})"
 
 
 @dataclass(frozen=True)
@@ -205,16 +176,16 @@ class HermitianSpace:
 
         Raises ValueError, before allocating, when the table of
         (Q^m - 1)/(Q - 1) rows of m bytes (Q = q^2) would exceed the
-        physical memory of the machine.
+        available memory of the machine.
         """
         if "all_points" not in self._cache:
             m, q2 = self.m, self.ctx.q2
             total = (q2**m - 1) // (q2 - 1)
-            need, have = total * m, _physical_memory()
+            need, have = total * m, _available_memory()
             if need > have:
                 raise ValueError(
                     f"the point table of PG({m - 1}, {q2}) needs {need} bytes,"
-                    f" more than the {have} bytes of physical memory"
+                    f" more than the {have} bytes of available memory"
                 )
             pts = np.zeros((total, m), dtype=np.uint8)
             start = 0
@@ -238,18 +209,18 @@ class HermitianSpace:
         The isotropy mask is taken in row blocks of about
         ``linalg.DOT_BLOCK`` entries.  Raises ValueError, before
         computing it, when the point table plus the
-        ``isotropic_point_count`` rows of m bytes exceed the physical
+        ``isotropic_point_count`` rows of m bytes exceed the available
         memory of the machine.
         """
         if "points" not in self._cache:
             allp = self.all_points()
             m, q2 = self.m, self.ctx.q2
             need = allp.nbytes + isotropic_point_count(m, self.ctx.q) * m
-            have = _physical_memory()
+            have = _available_memory()
             if need > have:
                 raise ValueError(
                     f"the isotropic points of PG({m - 1}, {q2}) need {need} bytes"
-                    f" with the point table, more than the {have} bytes of physical memory"
+                    f" with the point table, more than the {have} bytes of available memory"
                 )
             mask = np.empty(len(allp), dtype=bool)
             step = max(1, linalg.DOT_BLOCK // m)
@@ -353,58 +324,89 @@ class HermitianSpace:
     def num_lines(self) -> int:
         return len(self.line_pair_indices()[0])
 
-    # -- orthogonality pairs (for per-point line counts) -------------------
-    def orthogonal_point_pairs(self):
-        """(u, x) index pairs over isotropic points with inner(p_u, p_x) = 0,
-        ascending in (u, x).
+    # -- hyperplane sections (for per-point line counts) -------------------
+    def point_index(self, rows) -> np.ndarray:
+        """Row of all_points() holding the point of each row, -1 for a zero
+        row: (Q^(m-1-l) - 1)/(Q - 1) for the lead l, plus the base-Q value
+        of the normalized digits after l (Q = q^2)."""
+        ctx, m, q2 = self.ctx, self.m, self.ctx.q2
+        rows = np.asarray(rows, dtype=np.uint8).reshape(-1, m)
+        lead = (rows != 0).argmax(axis=1)
+        first = rows[np.arange(len(rows)), lead]
+        value = ctx.mul[ctx.inv[first][:, None], rows] @ q2 ** np.arange(m - 1, -1, -1)
+        top = np.int64(q2) ** (m - 1 - lead)
+        return np.where(first != 0, (top - 1) // (q2 - 1) + value - top, -1)
 
-        Both orders are present, self pairs included: the perp of an
-        isotropic point p is a cone with vertex p holding q^2 * mu(m-2)
-        other isotropic points, so there are exactly
-        n_pts * (1 + q^2 * mu(m-2)) pairs, and any other count raises
-        RuntimeError.  Returns None when that exceeds ``_MAX_PAIRS``;
-        callers then stream instead.
+    def perp_index(self) -> np.ndarray:
+        """Row of section_table() holding the perp of each isotropic point."""
+        if "perp_index" not in self._cache:
+            idx = self.point_index(self.conj_gram_rows())
+            idx.flags.writeable = False
+            self._cache["perp_index"] = idx
+        return self._cache["perp_index"]
+
+    def section_table(self) -> np.ndarray | None:
+        """Bit-packed hyperplane sections of the isotropic points: row f,
+        in all_points() order, has bit x (np.packbits order) set exactly
+        when sum_k f_k x_k = 0.  None, before allocating, when the
+        (Q^m - 1)/(Q - 1) rows of ceil(n_pts / 8) bytes exceed
+        ``_MAX_TABLE_BYTES``.
+
+        Per chunk of columns x, a row with lead l is x_l plus mul[f_j, x_j]
+        over its later digits.  The last few digits are grown once into a
+        table of every digit combination, one broadcast add per digit;
+        each row then compares its leading part with that table negated.
+        Every temporary holds about ``linalg.DOT_BLOCK`` entries.  Each
+        perp must hold 1 + q^2 mu(m-2) isotropic points, or RuntimeError.
         """
-        key = "orth_pairs"
-        if key not in self._cache:
-            q = self.ctx.q
-            total = self.num_points * (q * q * isotropic_point_count(self.m - 2, q) + 1)
-            if total > _MAX_PAIRS:
-                self._cache[key] = None
-            else:
-                ctx = self.ctx
-                pts = self.points()
-                cgr = self.conj_gram_rows()
-                ui, xi = np.empty((2, total), dtype=np.int32)
-                pos = 0
-                step = max(1, linalg.DOT_BLOCK // max(len(pts), 1))
-                for lo in range(0, len(pts), step):
-                    bu, bx = np.nonzero(linalg.matmul(ctx, cgr[lo : lo + step], pts.T) == 0)
-                    if pos + len(bu) > total:
-                        raise RuntimeError(f"more than the {total} expected orthogonal point pairs")
-                    ui[pos : pos + len(bu)] = bu + lo
-                    xi[pos : pos + len(bu)] = bx
-                    pos += len(bu)
-                if pos != total:
-                    raise RuntimeError(f"{pos} orthogonal point pairs, expected {total}")
-                ui.flags.writeable = False
-                xi.flags.writeable = False
-                self._cache[key] = (ui, xi)
-        return self._cache[key]
+        if "sections" in self._cache:
+            return self._cache["sections"]
+        ctx, m, q2, block = self.ctx, self.m, self.ctx.q2, linalg.DOT_BLOCK
+        pts = self.points()
+        n_rows, width = (q2**m - 1) // (q2 - 1), -(-len(pts) // 8)
+        if n_rows * width > _MAX_TABLE_BYTES:
+            self._cache["sections"] = None
+            return None
+        table = np.empty((n_rows, width), dtype=np.uint8)
+        # whole bytes of columns per chunk, room for two grown digits
+        step = min(8 * width, max(8, block // (q2 * q2) // 8 * 8))
+        for c0 in range(0, len(pts), step):
+            x = pts[c0 : c0 + step]
+            w = len(x)
+            terms = ctx.mul[np.arange(q2)[None, :, None], x.T[:, None, :]]  # [j, d] = d * x_j
+            n_low = 0
+            while n_low < m - 1 and q2 ** (n_low + 1) * w <= block:
+                n_low += 1
+            # minus every sum over the last n_low digits, ascending base Q;
+            # its first Q^t rows cover the last t digits alone
+            low = np.zeros((1, w), dtype=np.uint8)
+            for j in range(m - n_low, m):
+                low = fadd(ctx, low[:, None, :], terms[j][None]).reshape(-1, w)
+            low = linalg.fneg(ctx, low)
+            for lead in range(m - 1, -1, -1):
+                n_high = max(0, m - 1 - lead - n_low)
+                lows = low[: q2 ** (m - 1 - lead - n_high)]
+                start = (q2 ** (m - 1 - lead) - 1) // (q2 - 1)
+                per = max(1, block // (len(lows) * w))
+                for i0 in range(0, q2**n_high, per):
+                    idx = np.arange(i0, min(i0 + per, q2**n_high))
+                    high = np.broadcast_to(x[:, lead], (len(idx), w))
+                    for i in range(n_high):
+                        high = fadd(ctx, high, terms[lead + 1 + i][idx // q2 ** (n_high - 1 - i) % q2])
+                    bits = np.packbits(high[:, None, :] == lows[None], axis=-1).reshape(-1, -(-w // 8))
+                    lo = start + i0 * len(lows)
+                    table[lo : lo + len(bits), c0 // 8 : c0 // 8 + bits.shape[1]] = bits
+        q, perp, rows = ctx.q, self.perp_index(), max(1, block // width)
+        want = 1 + q * q * isotropic_point_count(m - 2, q)
+        for lo in range(0, len(perp), rows):
+            if (np.bitwise_count(table[perp[lo : lo + rows]]).sum(axis=1) != want).any():
+                raise RuntimeError(f"a perp section does not hold {want} isotropic points")
+        table.flags.writeable = False
+        self._cache["sections"] = table
+        return table
 
     def __repr__(self) -> str:
         return f"HermitianSpace(m={self.m}, q={self.ctx.q})"
-
-
-def enumerate_points(space: HermitianSpace) -> list[ProjectivePoint]:
-    return [ProjectivePoint(tuple(int(x) for x in row)) for row in space.points()]
-
-
-def enumerate_lines(space: HermitianSpace) -> list[IsotropicLine]:
-    if space.m < 4:
-        raise ValueError("totally isotropic lines require m >= 4")
-    a, b = space.line_bases()
-    return [IsotropicLine(np.stack([a[i], b[i]])) for i in range(len(a))]
 
 
 def perp(space: HermitianSpace, w) -> Subspace:

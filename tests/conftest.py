@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import hermgrass as hg
+from hermgrass import linalg
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +73,73 @@ def system43(space43):
 @pytest.fixture(scope="session")
 def system53(space53):
     return hg.build_system(space53)
+
+
+class PairOracle:
+    """Per-point line counts from the materialised orthogonal point pairs.
+
+    The pairs (u, x) of isotropic points with conj(p_u)^T H p_x = 0 come
+    from a blocked ``linalg.matmul(cgr, pts.T) == 0``, ascending in
+    (u, x).  The count at u is the number of its pairs with
+    p_u^T S p_x != 0, divided by q^2: an oracle that shares nothing with
+    the section table behind ``code.point_weights``.
+    """
+
+    def __init__(self):
+        self._pairs = {}
+
+    def pairs(self, space):
+        if space not in self._pairs:
+            ctx, pts = space.ctx, space.points()
+            cgr = space.conj_gram_rows()
+            step = max(1, linalg.DOT_BLOCK // len(pts))
+            ui, xi = [], []
+            for lo in range(0, len(pts), step):
+                bu, bx = np.nonzero(linalg.matmul(ctx, cgr[lo : lo + step], pts.T) == 0)
+                ui.append(bu + lo)
+                xi.append(bx)
+            self._pairs[space] = (
+                np.concatenate(ui).astype(np.int32),
+                np.concatenate(xi).astype(np.int32),
+            )
+        return self._pairs[space]
+
+    def point_weights(self, phi, space):
+        ctx, pts = space.ctx, space.points()
+        ui, xi = self.pairs(space)
+        ps = linalg.matmul(ctx, pts, phi.s)
+        nonzero = np.empty(len(ui), dtype=bool)
+        step = max(1, linalg.DOT_BLOCK // space.m)
+        for lo in range(0, len(ui), step):
+            u, x = ui[lo : lo + step], xi[lo : lo + step]
+            nonzero[lo : lo + step] = linalg.dot(ctx, ps[u], pts[x]) != 0
+        cnt = np.bincount(ui[nonzero], minlength=len(pts))
+        assert not (cnt % ctx.q2).any()
+        return cnt // ctx.q2
+
+
+@pytest.fixture(scope="session")
+def pair_oracle():
+    return PairOracle()
+
+
+def _seeded_forms(ctx, m, seed, count):
+    """Seeded nonzero forms at (m, q); every third one has rank 2."""
+    rng = np.random.default_rng(seed)
+    forms = []
+    while len(forms) < count:
+        if len(forms) % 3 == 2:
+            a = rng.integers(0, ctx.q2, size=m, dtype=np.uint8)
+            b = rng.integers(0, ctx.q2, size=m, dtype=np.uint8)
+            s = ctx.add[ctx.mul[a[:, None], b[None, :]], ctx.neg[ctx.mul[b[:, None], a[None, :]]]]
+        else:
+            upper = rng.integers(0, ctx.q2, size=m * (m - 1) // 2, dtype=np.uint8)
+            s = hg.AlternatingForm.from_upper(ctx, m, upper).s
+        if s.any():
+            forms.append(hg.AlternatingForm(ctx, s))
+    return forms
+
+
+@pytest.fixture(scope="session")
+def seeded_forms():
+    return _seeded_forms

@@ -290,3 +290,17 @@ def test_fixed_point_lemma_rank4_at_52(space52):
         fc = classify.fixed_point_count(phi, space52)
         assert fc == full or fc <= q * q + q + 2
     assert seen > 50
+
+
+@pytest.mark.parametrize("gram", ["identity", "antidiagonal"])
+def test_classify_points_matches_separate_passes(ctx2, gram, seeded_forms):
+    # classify_points takes the labels and the fixed points from one pass
+    # over all points; they must equal the two public single-purpose calls
+    h = np.eye(5, dtype=np.uint8) if gram == "identity" else np.eye(5, dtype=np.uint8)[::-1]
+    space = hg.HermitianSpace(5, ctx2, gram=h)
+    for phi in seeded_forms(ctx2, 5, 41, 4):
+        rep = classify.classify_points(phi, space)
+        labels = classify.point_classes(phi, space)
+        sizes = [int((labels == c).sum()) * (ctx2.q2 - 1) for c in range(3)]
+        assert [rep.A, rep.B, rep.C] == sizes
+        assert rep.fix_count == classify.fixed_point_count(phi, space)

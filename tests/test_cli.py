@@ -183,26 +183,27 @@ def test_bounds_below_m4_exits_2(capsys, m):
 
 
 def test_points_beyond_physical_memory_exits_2(capsys, monkeypatch):
-    # (6,2) has 1365 points of 6 bytes; a tiny memory figure stands in
-    # for a table too large for the machine, so nothing big is allocated
-    monkeypatch.setattr(polar, "_physical_memory", lambda: 8000)
+    # (6,2) has 1365 points of 6 bytes; a tiny figure of available
+    # memory stands in for a table too large for the machine, so nothing
+    # big is allocated
+    monkeypatch.setattr(polar, "_available_memory", lambda: 8000)
     assert cli.run(["points", "-m", "6", "-q", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: the point table of PG(5, 4) needs 8190 bytes,"
-        " more than the 8000 bytes of physical memory"
+        " more than the 8000 bytes of available memory"
     ]
 
 
 def test_isotropic_points_beyond_physical_memory_exits_2(capsys, monkeypatch):
     # at (6,2) the 8190-byte point table fits in 10000 bytes, but with the
     # 693 isotropic points of 6 bytes it needs 12348
-    monkeypatch.setattr(polar, "_physical_memory", lambda: 10000)
+    monkeypatch.setattr(polar, "_available_memory", lambda: 10000)
     assert cli.run(["points", "-m", "6", "-q", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: the isotropic points of PG(5, 4) need 12348 bytes"
-        " with the point table, more than the 10000 bytes of physical memory"
+        " with the point table, more than the 10000 bytes of available memory"
     ]

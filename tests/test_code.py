@@ -138,7 +138,8 @@ def test_weight_scaling_invariance(space42, system42):
 
 def test_weight_direct_against_per_line_loop(space42, system42):
     ctx = space42.ctx
-    lines = polar.enumerate_lines(space42)
+    a, b = space42.line_bases()
+    lines = [np.stack([a[i], b[i]]) for i in range(len(a))]
     rng = np.random.default_rng(4)
     for _ in range(15):
         up = rng.integers(0, 4, size=6, dtype=np.uint8)
@@ -154,23 +155,20 @@ def test_point_weight_cases(space52, system52):
     assert set(int(v) for v in np.unique(vals)) == {0, 6, 8}
     assert code.point_weight_values(5, 2) == (0, 6, 8)
     # vectors of the radical meeting the variety sit in the zero class
+    pts = space.points()
     rad = phi.radical.basis
     for row in rad:
         if space.inner(row, row) == 0:
-            assert code.point_weight(phi, space, row) == 0
-    with pytest.raises(ValueError):
-        code.point_weight(phi, space, np.array([1, 0, 0, 0, 0], dtype=np.uint8))
+            (idx,) = np.flatnonzero((pts == row).all(axis=1))
+            assert vals[idx] == 0
 
 
-def test_point_weight_matches_vector_version(space52):
+def test_point_weight_matches_vector_version(space52, pair_oracle):
     rng = np.random.default_rng(12)
     ctx = space52.ctx
-    pts = space52.points()
     up = rng.integers(0, 4, size=10, dtype=np.uint8)
     phi = code.AlternatingForm.from_upper(ctx, 5, up)
-    vals = code.point_weights(phi, space52)
-    for idx in rng.integers(0, len(pts), size=12):
-        assert code.point_weight(phi, space52, pts[idx]) == int(vals[idx])
+    assert np.array_equal(code.point_weights(phi, space52), pair_oracle.point_weights(phi, space52))
 
 
 @pytest.mark.parametrize("seed,count", [(101, 60)])
@@ -189,12 +187,12 @@ def test_weight_recursive_zero_form(space52):
 
 
 def test_point_weights_streaming_branch_matches_pairs(ctx2, monkeypatch):
-    # a fresh space whose pair cache is forced empty must stream and agree
+    # a fresh space whose section table is over budget must stream and agree
     paired = hg.HermitianSpace(5, ctx2)
-    assert paired.orthogonal_point_pairs() is not None
+    assert paired.section_table() is not None
     streamed = hg.HermitianSpace(5, ctx2)
-    monkeypatch.setattr(polar, "_MAX_PAIRS", 1)
-    assert streamed.orthogonal_point_pairs() is None
+    monkeypatch.setattr(polar, "_MAX_TABLE_BYTES", 1)
+    assert streamed.section_table() is None
     rng = np.random.default_rng(55)
     for _ in range(5):
         up = rng.integers(0, 4, size=10, dtype=np.uint8)
@@ -202,6 +200,31 @@ def test_point_weights_streaming_branch_matches_pairs(ctx2, monkeypatch):
         assert np.array_equal(
             code.point_weights(phi, paired), code.point_weights(phi, streamed)
         )
+
+
+def _antidiagonal_gram_space(ctx, m):
+    h = np.zeros((m, m), dtype=np.uint8)
+    h[np.arange(m), m - 1 - np.arange(m)] = 1
+    return hg.HermitianSpace(m, ctx, gram=h)
+
+
+@pytest.mark.parametrize(
+    "make_space",
+    [
+        lambda: hg.HermitianSpace(6, hg.make_field(2, 1)),
+        lambda: hg.HermitianSpace(5, hg.make_field(3, 1)),
+        lambda: hg.HermitianSpace(4, hg.make_field(3, 1)),
+        lambda: _antidiagonal_gram_space(hg.make_field(2, 1), 5),
+    ],
+    ids=["6-2", "5-3", "4-3", "5-2-antidiagonal-gram"],
+)
+def test_point_weights_table_matches_streaming(make_space, seeded_forms, monkeypatch):
+    table_space, streamed = make_space(), make_space()
+    assert table_space.section_table() is not None
+    monkeypatch.setattr(polar, "_MAX_TABLE_BYTES", 0)
+    assert streamed.section_table() is None
+    for phi in seeded_forms(table_space.ctx, table_space.m, 23, 3):
+        assert np.array_equal(code.point_weights(phi, table_space), code.point_weights(phi, streamed))
 
 
 def test_form_index_round_trip(ctx3):

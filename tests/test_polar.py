@@ -1,11 +1,13 @@
+import functools
 import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
 
 import hermgrass as hg
-from hermgrass import linalg, polar
+from hermgrass import code, linalg, polar
 
 
 def test_point_count_closed_form_values():
@@ -161,7 +163,8 @@ def test_line_pair_indices_pinned(m, p, e):
 
 
 # sha256 of the stacked int64 (ui, xi) orthogonal point pairs, recorded
-# from the earlier per-point loop.
+# from the earlier per-point loop; the pairs come from the test-side
+# oracle conftest.PairOracle.
 ORTH_PAIR_SHA256 = {
     "6-2": "38848d120e168227bcc15942ba5bc1964ff175e6b0051675b663560fafc93b60",
     "5-3": "e1adec48ddc443605a8869838afabcf24464676dd2310355084b53a74aaa9be7",
@@ -170,19 +173,92 @@ ORTH_PAIR_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("tag", sorted(ORTH_PAIR_SHA256))
-def test_orthogonal_point_pairs_pinned(tag):
+@functools.cache
+def _orth_space(tag):
     if tag == "4-2-antidiagonal-gram":
-        space = _antidiagonal_gram_space(hg.make_field(2, 1))
-    else:
-        m, q = (int(x) for x in tag.split("-"))
-        space = hg.HermitianSpace(m, hg.make_field(q, 1))
-    ui, xi = space.orthogonal_point_pairs()
+        return _antidiagonal_gram_space(hg.make_field(2, 1))
+    m, q = (int(x) for x in tag.split("-"))
+    return hg.HermitianSpace(m, hg.make_field(q, 1))
+
+
+@pytest.mark.parametrize("tag", sorted(ORTH_PAIR_SHA256))
+def test_orthogonal_point_pairs_pinned(tag, pair_oracle):
+    space = _orth_space(tag)
+    ui, xi = pair_oracle.pairs(space)
     assert ui.dtype == xi.dtype == np.int32
     q = space.ctx.q
     assert len(ui) == space.num_points * (1 + q * q * polar.isotropic_point_count(space.m - 2, q))
     got = hashlib.sha256(np.stack([ui, xi]).astype(np.int64).tobytes()).hexdigest()
     assert got == ORTH_PAIR_SHA256[tag]
+
+
+@pytest.mark.parametrize("tag", sorted(ORTH_PAIR_SHA256))
+def test_point_weights_match_pair_oracle(tag, pair_oracle, seeded_forms):
+    space = _orth_space(tag)
+    for phi in seeded_forms(space.ctx, space.m, 17, 6):
+        assert np.array_equal(code.point_weights(phi, space), pair_oracle.point_weights(phi, space))
+
+
+@pytest.mark.parametrize("m,p,e", [(4, 2, 1), (5, 3, 1), (4, 5, 1), (3, 7, 1)])
+def test_point_index_inverts_all_points(m, p, e):
+    space = hg.HermitianSpace(m, hg.make_field(p, e))
+    allp = space.all_points()
+    assert np.array_equal(space.point_index(allp), np.arange(len(allp)))
+    # every nonzero multiple of a row names the same point; zero rows get -1
+    ctx = space.ctx
+    rng = np.random.default_rng(3)
+    rows = rng.integers(0, len(allp), size=200)
+    scale = rng.integers(1, ctx.q2, size=200)
+    assert np.array_equal(space.point_index(ctx.mul[scale[:, None], allp[rows]]), rows)
+    assert space.point_index(np.zeros((2, m), dtype=np.uint8)).tolist() == [-1, -1]
+
+
+@pytest.mark.parametrize("block", [None, 256], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("m,p,e", [(4, 2, 1), (4, 3, 1), (5, 2, 1)])
+def test_section_table_matches_brute_force(m, p, e, block, monkeypatch):
+    if block is not None:
+        # narrow column chunks with a partial last byte, and rows built
+        # from leading digits as well as the grown trailing ones
+        monkeypatch.setattr(linalg, "DOT_BLOCK", block)
+    space = hg.HermitianSpace(m, hg.make_field(p, e))
+    table = space.section_table()
+    zero = linalg.matmul(space.ctx, space.all_points(), space.points().T) == 0
+    assert table.shape == (len(zero), -(-space.num_points // 8))
+    assert np.array_equal(table, np.packbits(zero, axis=1))
+
+
+def test_section_table_over_budget_is_none(monkeypatch):
+    space = hg.HermitianSpace(4, hg.make_field(2, 1))
+    # (4^4 - 1)/3 rows of ceil(45/8) bytes
+    monkeypatch.setattr(polar, "_MAX_TABLE_BYTES", 85 * 6 - 1)
+    assert space.section_table() is None
+    monkeypatch.setattr(polar, "_MAX_TABLE_BYTES", 85 * 6)
+    assert hg.HermitianSpace(4, hg.make_field(2, 1)).section_table().nbytes == 85 * 6
+
+
+def test_section_table_checks_perp_sizes(monkeypatch):
+    # every perp holds 1 + q^2 mu(m-2) isotropic points; a wrong count
+    # for mu stands in for a corrupted table
+    space = hg.HermitianSpace(4, hg.make_field(2, 1))
+    space.points()
+    monkeypatch.setattr(polar, "isotropic_point_count", lambda m, q: 0)
+    with pytest.raises(RuntimeError, match="perp section"):
+        space.section_table()
+
+
+def test_available_memory_falls_back_to_physical(monkeypatch):
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert 0 < polar._available_memory() <= physical
+
+    # a kernel without the MemAvailable field, then no /proc/meminfo
+    monkeypatch.setattr(polar, "open", lambda *a: io.BytesIO(b"MemTotal: 1000 kB\n"), raising=False)
+    assert polar._available_memory() == physical
+
+    def no_meminfo(path, mode):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(polar, "open", no_meminfo, raising=False)
+    assert polar._available_memory() == physical
 
 
 def test_lines_sorted_by_canonical_key(space52):
@@ -208,14 +284,12 @@ def test_line_bases_are_rref_and_totally_isotropic(space52):
 
 
 def test_enumerate_objects(space42, ctx2):
-    pts = polar.enumerate_points(space42)
-    assert len(pts) == 45
-    assert all(isinstance(p, polar.ProjectivePoint) for p in pts[:3])
-    lines = polar.enumerate_lines(space42)
-    assert len(lines) == 27
-    assert len({ln.key for ln in lines}) == 27
-    with pytest.raises(ValueError):
-        polar.enumerate_lines(hg.HermitianSpace(3, ctx2))
+    pts = space42.points()
+    assert pts.shape == (45, 4)
+    a, b = space42.line_bases()
+    assert len(a) == 27
+    assert len({np.stack([a[i], b[i]]).tobytes() for i in range(len(a))}) == 27
+    assert hg.HermitianSpace(3, ctx2).num_lines == 0
 
 
 def test_perp_dimensions_and_membership(space52):
