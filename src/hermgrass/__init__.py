@@ -49,8 +49,12 @@ from .linalg import Subspace, kernel, rank, rref, solve_membership
 from .pluecker import ProjectiveSystem, build_system, pair_indices, pluecker_point
 from .polar import (
     HermitianSpace,
+    IsotropicLine,
+    ProjectivePoint,
     RadicalProfile,
     cone_point_count,
+    enumerate_lines,
+    enumerate_points,
     isotropic_point_count,
     line_count,
     perp,

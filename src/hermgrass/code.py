@@ -181,7 +181,7 @@ def evaluate(phi: AlternatingForm, line) -> int:
     nonzero values depend on the basis only up to a nonzero scalar.
     """
     ctx = phi.ctx
-    b = linalg.as_matrix(ctx, line)
+    b = line.basis if isinstance(line, polar.IsotropicLine) else linalg.as_matrix(ctx, line)
     if b.shape != (2, phi.m):
         raise ValueError("line basis must be 2 x m")
     return int(linalg.dot(ctx, b[0], linalg.dot(ctx, phi.s, b[1])))
@@ -226,8 +226,9 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     u^T S x != 0: the bits set in row ``space.perp_index()[u]`` of
     ``space.section_table()`` and clear in the row of u^T S (none when
     u^T S = 0).  Each such line carries q^2 of these x, so the count
-    divides exactly by q^2.  Over the table's budget both sections are
-    streamed in row blocks of the points instead.
+    divides exactly by q^2.  When the table does not fit in the
+    available memory, both sections are streamed in row blocks of the
+    points instead.
     """
     ctx = space.ctx
     if phi.m != space.m:
@@ -244,7 +245,7 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
         step = max(1, linalg.DOT_BLOCK // table.shape[1])
         for lo in range(0, len(live), step):
             hits = table[perp[lo : lo + step]] & ~table[sect[lo : lo + step]]
-            cnt[live[lo : lo + step]] = np.bitwise_count(hits).sum(axis=1)
+            cnt[live[lo : lo + step]] = polar.bit_counts(hits)
     else:
         cgr = space.conj_gram_rows()
         step = max(1, linalg.DOT_BLOCK // max(n_pts, 1))

@@ -42,8 +42,12 @@ __all__ = [
     "isotropic_point_count",
     "line_count",
     "cone_point_count",
+    "ProjectivePoint",
+    "IsotropicLine",
     "RadicalProfile",
     "HermitianSpace",
+    "enumerate_points",
+    "enumerate_lines",
     "perp",
     "radical_profile",
     "write_points_csv",
@@ -53,9 +57,6 @@ __all__ = [
 # Entries of one inner-product block in line_pair_indices; about 1 MB
 # per uint8 temporary.
 _BLOCK_ELEMS = 1 << 20
-# Largest hyperplane-section table section_table builds; above it the
-# per-point line counts stream instead.
-_MAX_TABLE_BYTES = 160_000_000
 
 
 def _available_memory() -> int:
@@ -69,6 +70,13 @@ def _available_memory() -> int:
     except OSError:
         pass
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def bit_counts(rows: np.ndarray) -> np.ndarray:
+    """Set bits in each row of a uint8 array, by a bytewise SWAR popcount."""
+    rows = rows - ((rows >> 1) & 0x55)
+    rows = (rows & 0x33) + ((rows >> 2) & 0x33)
+    return ((rows + (rows >> 4)) & 0x0F).sum(axis=1)
 
 
 def isotropic_point_count(m: int, q: int) -> int:
@@ -112,6 +120,39 @@ def cone_point_count(m: int, i: int, t: int, q: int) -> int:
         raise ValueError(f"t = {t} out of range for m = {m}, i = {i}")
     q2 = q * q
     return q2**t * isotropic_point_count(m - 2 * i - t, q) + (q2**t - 1) // (q2 - 1)
+
+
+@dataclass(frozen=True)
+class ProjectivePoint:
+    """Normalized projective point (first nonzero coordinate is 1)."""
+
+    coords: tuple[int, ...]
+
+
+class IsotropicLine:
+    """Totally isotropic 2-space held by its canonical RREF basis."""
+
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: np.ndarray):
+        basis = np.ascontiguousarray(np.asarray(basis, dtype=np.uint8))
+        if basis.shape[0] != 2:
+            raise ValueError("a line basis has exactly 2 rows")
+        basis.flags.writeable = False
+        self.basis = basis
+
+    @property
+    def key(self) -> bytes:
+        return self.basis.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IsotropicLine) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+    def __repr__(self) -> str:
+        return f"IsotropicLine({[tuple(int(x) for x in r) for r in self.basis]})"
 
 
 @dataclass(frozen=True)
@@ -349,14 +390,15 @@ class HermitianSpace:
         """Bit-packed hyperplane sections of the isotropic points: row f,
         in all_points() order, has bit x (np.packbits order) set exactly
         when sum_k f_k x_k = 0.  None, before allocating, when the
-        (Q^m - 1)/(Q - 1) rows of ceil(n_pts / 8) bytes exceed
-        ``_MAX_TABLE_BYTES``.
+        (Q^m - 1)/(Q - 1) rows of ceil(n_pts / 8) bytes exceed the
+        available memory of the machine.
 
         Per chunk of columns x, a row with lead l is x_l plus mul[f_j, x_j]
         over its later digits.  The last few digits are grown once into a
         table of every digit combination, one broadcast add per digit;
         each row then compares its leading part with that table negated.
-        Every temporary holds about ``linalg.DOT_BLOCK`` entries.  Each
+        Every temporary holds about ``linalg.DOT_BLOCK`` entries (up to
+        512 Q where Q > 128, to grow at least one digit).  Each
         perp must hold 1 + q^2 mu(m-2) isotropic points, or RuntimeError.
         """
         if "sections" in self._cache:
@@ -364,19 +406,22 @@ class HermitianSpace:
         ctx, m, q2, block = self.ctx, self.m, self.ctx.q2, linalg.DOT_BLOCK
         pts = self.points()
         n_rows, width = (q2**m - 1) // (q2 - 1), -(-len(pts) // 8)
-        if n_rows * width > _MAX_TABLE_BYTES:
+        if n_rows * width > _available_memory():
             self._cache["sections"] = None
             return None
         table = np.empty((n_rows, width), dtype=np.uint8)
-        # whole bytes of columns per chunk, room for two grown digits
-        step = min(8 * width, max(8, block // (q2 * q2) // 8 * 8))
+        # Column chunks are whole bytes and at least block/128 columns wide,
+        # since numpy loops over rows of a few bytes are slow; as many
+        # trailing digits are grown as fit in a block, and at least one.
+        w_min = min(len(pts), max(8, block // 128))
+        n_low = 1
+        while n_low < m - 1 and q2 ** (n_low + 1) * w_min <= block:
+            n_low += 1
+        step = max(w_min, block // q2**n_low // 8 * 8)
         for c0 in range(0, len(pts), step):
             x = pts[c0 : c0 + step]
             w = len(x)
             terms = ctx.mul[np.arange(q2)[None, :, None], x.T[:, None, :]]  # [j, d] = d * x_j
-            n_low = 0
-            while n_low < m - 1 and q2 ** (n_low + 1) * w <= block:
-                n_low += 1
             # minus every sum over the last n_low digits, ascending base Q;
             # its first Q^t rows cover the last t digits alone
             low = np.zeros((1, w), dtype=np.uint8)
@@ -399,7 +444,7 @@ class HermitianSpace:
         q, perp, rows = ctx.q, self.perp_index(), max(1, block // width)
         want = 1 + q * q * isotropic_point_count(m - 2, q)
         for lo in range(0, len(perp), rows):
-            if (np.bitwise_count(table[perp[lo : lo + rows]]).sum(axis=1) != want).any():
+            if (bit_counts(table[perp[lo : lo + rows]]) != want).any():
                 raise RuntimeError(f"a perp section does not hold {want} isotropic points")
         table.flags.writeable = False
         self._cache["sections"] = table
@@ -407,6 +452,17 @@ class HermitianSpace:
 
     def __repr__(self) -> str:
         return f"HermitianSpace(m={self.m}, q={self.ctx.q})"
+
+
+def enumerate_points(space: HermitianSpace) -> list[ProjectivePoint]:
+    return [ProjectivePoint(tuple(int(x) for x in row)) for row in space.points()]
+
+
+def enumerate_lines(space: HermitianSpace) -> list[IsotropicLine]:
+    if space.m < 4:
+        raise ValueError("totally isotropic lines require m >= 4")
+    a, b = space.line_bases()
+    return [IsotropicLine(np.stack([a[i], b[i]])) for i in range(len(a))]
 
 
 def perp(space: HermitianSpace, w) -> Subspace:

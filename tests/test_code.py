@@ -138,8 +138,7 @@ def test_weight_scaling_invariance(space42, system42):
 
 def test_weight_direct_against_per_line_loop(space42, system42):
     ctx = space42.ctx
-    a, b = space42.line_bases()
-    lines = [np.stack([a[i], b[i]]) for i in range(len(a))]
+    lines = polar.enumerate_lines(space42)
     rng = np.random.default_rng(4)
     for _ in range(15):
         up = rng.integers(0, 4, size=6, dtype=np.uint8)
@@ -187,11 +186,13 @@ def test_weight_recursive_zero_form(space52):
 
 
 def test_point_weights_streaming_branch_matches_pairs(ctx2, monkeypatch):
-    # a fresh space whose section table is over budget must stream and agree
+    # a fresh space whose section table does not fit in memory must
+    # stream and agree
     paired = hg.HermitianSpace(5, ctx2)
     assert paired.section_table() is not None
     streamed = hg.HermitianSpace(5, ctx2)
-    monkeypatch.setattr(polar, "_MAX_TABLE_BYTES", 1)
+    streamed.points()
+    monkeypatch.setattr(polar, "_available_memory", lambda: 1)
     assert streamed.section_table() is None
     rng = np.random.default_rng(55)
     for _ in range(5):
@@ -221,7 +222,8 @@ def _antidiagonal_gram_space(ctx, m):
 def test_point_weights_table_matches_streaming(make_space, seeded_forms, monkeypatch):
     table_space, streamed = make_space(), make_space()
     assert table_space.section_table() is not None
-    monkeypatch.setattr(polar, "_MAX_TABLE_BYTES", 0)
+    streamed.points()
+    monkeypatch.setattr(polar, "_available_memory", lambda: 0)
     assert streamed.section_table() is None
     for phi in seeded_forms(table_space.ctx, table_space.m, 23, 3):
         assert np.array_equal(code.point_weights(phi, table_space), code.point_weights(phi, streamed))

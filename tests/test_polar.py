@@ -227,13 +227,23 @@ def test_section_table_matches_brute_force(m, p, e, block, monkeypatch):
     assert np.array_equal(table, np.packbits(zero, axis=1))
 
 
-def test_section_table_over_budget_is_none(monkeypatch):
-    space = hg.HermitianSpace(4, hg.make_field(2, 1))
+def test_section_table_over_available_memory_is_none(monkeypatch):
+    ctx = hg.make_field(2, 1)
+    short, fits = hg.HermitianSpace(4, ctx), hg.HermitianSpace(4, ctx)
+    short.points()
+    fits.points()
     # (4^4 - 1)/3 rows of ceil(45/8) bytes
-    monkeypatch.setattr(polar, "_MAX_TABLE_BYTES", 85 * 6 - 1)
-    assert space.section_table() is None
-    monkeypatch.setattr(polar, "_MAX_TABLE_BYTES", 85 * 6)
-    assert hg.HermitianSpace(4, hg.make_field(2, 1)).section_table().nbytes == 85 * 6
+    monkeypatch.setattr(polar, "_available_memory", lambda: 85 * 6 - 1)
+    assert short.section_table() is None
+    monkeypatch.setattr(polar, "_available_memory", lambda: 85 * 6)
+    assert fits.section_table().nbytes == 85 * 6
+
+
+def test_bit_counts_matches_unpackbits():
+    rows = np.random.default_rng(8).integers(0, 256, size=(40, 7), dtype=np.uint8)
+    rows[0] = 0
+    rows[1] = 255
+    assert np.array_equal(polar.bit_counts(rows), np.unpackbits(rows, axis=1).sum(axis=1))
 
 
 def test_section_table_checks_perp_sizes(monkeypatch):
@@ -284,12 +294,14 @@ def test_line_bases_are_rref_and_totally_isotropic(space52):
 
 
 def test_enumerate_objects(space42, ctx2):
-    pts = space42.points()
-    assert pts.shape == (45, 4)
-    a, b = space42.line_bases()
-    assert len(a) == 27
-    assert len({np.stack([a[i], b[i]]).tobytes() for i in range(len(a))}) == 27
-    assert hg.HermitianSpace(3, ctx2).num_lines == 0
+    pts = polar.enumerate_points(space42)
+    assert len(pts) == 45
+    assert all(isinstance(p, polar.ProjectivePoint) for p in pts[:3])
+    lines = polar.enumerate_lines(space42)
+    assert len(lines) == 27
+    assert len({ln.key for ln in lines}) == 27
+    with pytest.raises(ValueError):
+        polar.enumerate_lines(hg.HermitianSpace(3, ctx2))
 
 
 def test_perp_dimensions_and_membership(space52):
