@@ -4,22 +4,22 @@
 
 import numpy as np
 
-from hermgrass import frobenius, hermitian_norm, make_field
+from hermgrass import make_field
 
 for p, e in [(2, 1), (3, 1), (2, 2)]:
     ctx = make_field(p, e)
     print(f"\n=== {ctx} ===")
     print("subfield GF(q) =", [int(x) for x in ctx.subfield])
 
-    # conjugation is the unique order-2 automorphism fixing GF(q)
-    fixed = [x for x in ctx.elements if frobenius(ctx, x) == x]
+    # conjugation is the unique order-2 automorphism fixing GF(q);
+    # ctx.frob is its table, indexed by element code
+    fixed = [x for x in range(ctx.q2) if ctx.frob[x] == x]
     print("fixed points of x -> x^q:", fixed)
-    assert all(frobenius(ctx, frobenius(ctx, x)) == x for x in ctx.elements)
+    assert all(ctx.frob[ctx.frob[x]] == x for x in range(ctx.q2))
 
     # the norm x -> x^(q+1) is onto GF(q), each nonzero value hit q+1 times
-    norms = np.array([hermitian_norm(ctx, x) for x in ctx.elements])
-    for s in sorted(set(int(v) for v in norms)):
-        print(f"norm fiber over {s}: {int((norms == s).sum())} elements")
+    for s in sorted(set(int(v) for v in ctx.norm)):
+        print(f"norm fiber over {s}: {int((ctx.norm == s).sum())} elements")
 
 ctx = make_field(2, 1)
 print("\nGF(4) multiplication table:")

@@ -28,7 +28,9 @@ print("\nfirst isotropic points of the (4,2) space, ascending lex order:")
 for row in space.points()[:6]:
     print(" ", tuple(int(x) for x in row))
 
-a, b = space.line_bases()
+# line i is the pair of point rows (a_idx[i], b_idx[i]), its RREF basis
+a_idx, b_idx = space.line_pair_indices()
+a, b = space.points()[a_idx], space.points()[b_idx]
 print("\nfirst totally isotropic lines (canonical 2 x 4 RREF bases):")
 for i in range(3):
     print(" ", tuple(int(x) for x in a[i]), "|", tuple(int(x) for x in b[i]))

@@ -20,7 +20,7 @@ print(f"\n(4,2) generator matrix is {system.k} x {system.n}, rank", rank(ctx, sy
 print(np.asarray(system.matrix))
 
 # column j is exactly the normalized Pluecker image of line j
-a, b = space.line_bases()
-col0 = pluecker_point(ctx, np.stack([a[0], b[0]]))
+a_idx, b_idx = space.line_pair_indices()
+col0 = pluecker_point(ctx, space.points()[[a_idx[0], b_idx[0]]])
 assert np.array_equal(col0, system.matrix[:, 0])
 print("\ncolumn 0 equals the embedded first line:", [int(x) for x in col0])

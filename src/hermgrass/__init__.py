@@ -33,8 +33,6 @@ from .code import (
     code_params,
     codeword,
     evaluate,
-    form_from_index,
-    form_to_index,
     min_distance,
     point_weight_values,
     point_weights,
@@ -44,17 +42,13 @@ from .code import (
     weight_recursive,
     write_form_json,
 )
-from .ff import SUPPORTED_Q, FieldCtx, frobenius, hermitian_norm, make_field
-from .linalg import Subspace, kernel, rank, rref, solve_membership
+from .ff import SUPPORTED_Q, FieldCtx, make_field
+from .linalg import Subspace, kernel, rank, rref
 from .pluecker import ProjectiveSystem, build_system, pair_indices, pluecker_point
 from .polar import (
     HermitianSpace,
-    IsotropicLine,
-    ProjectivePoint,
     RadicalProfile,
     cone_point_count,
-    enumerate_lines,
-    enumerate_points,
     isotropic_point_count,
     line_count,
     perp,

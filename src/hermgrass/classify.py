@@ -5,8 +5,9 @@ For a nonzero alternating form S, the semilinear map
     [x]  ->  perp_form([x]) then perp_hermitian(...)
 
 sends a point to the pole, under the Hermitian polarity, of its polar
-hyperplane under the alternating form.  With the identity Gram matrix
-it is [x] -> [S^q x^q]; its kernel is the projectivized radical of S.
+hyperplane under the alternating form.  With Gram matrix H it is
+[x] -> [H^-1 (S^T x)^q], so [S^q x^q] for the identity; its kernel is
+the projectivized radical of S.
 Isotropic points split into three classes by their per-point line
 count:
 
@@ -64,51 +65,28 @@ ZERO_CLASS, SECANT_CLASS, TANGENT_CLASS = 0, 1, 2
 
 def polar_image(phi: AlternatingForm, space: polar.HermitianSpace, x) -> np.ndarray | None:
     """Image of the point [x] under the composition of the two
-    polarities, normalized; None when [x] lies in the radical.
-
-    With the identity Gram matrix this is [S^q x^q] = [(S x)^q].  The
-    general path composes the two perps on subspaces and agrees with
-    the fast path whenever both apply.
-    """
-    ctx = space.ctx
+    polarities, normalized; None when [x] lies in the radical."""
     x = np.asarray(x, dtype=np.uint8).reshape(-1)
     if x.size != space.m:
         raise ValueError("vector length does not match the space")
-    if space.is_identity_gram:
-        y = ctx.frob[linalg.dot(ctx, phi.s, x)]
-    else:
-        row = linalg.dot(ctx, phi.s.T, x)  # x^T S; its kernel is the polar hyperplane
-        if not row.any():
-            return None
-        hyper = linalg.kernel(ctx, row.reshape(1, -1))
-        pole = polar.perp(space, hyper)
-        if pole.dim != 1:
-            return None
-        y = pole.basis[0].copy()
-    nz = np.nonzero(y)[0]
-    if nz.size == 0:
-        return None
-    lead = y[nz[0]]
-    if lead != 1:
-        y = ctx.mul[ctx.inv[lead], y]
-    return y
+    kernel_mask, y, _ = _images(phi, space, x.reshape(1, -1))
+    return None if kernel_mask[0] else y[0]
 
 
 def _images(phi: AlternatingForm, space: polar.HermitianSpace, pts: np.ndarray):
     """Vectorized polar images of the given point rows.
 
+    The polar hyperplane {z : x^T S z = 0} of [x] has the pole
+    [H^-1 conj(S^T x)] under the Hermitian form, whose transpose is
+    conj(x)^T conj(S) H^-T: one product of the conjugated rows with an
+    m x m matrix, for any Gram matrix H.
+
     Returns (kernel_mask, normalized_images, fixed_mask); image rows for
     kernel points are zero, and fixed rows equal their image.
     """
     ctx = space.ctx
-    if space.is_identity_gram:
-        y = ctx.frob[linalg.matmul(ctx, pts, phi.s.T)]
-    else:
-        rows = []
-        for r in pts:
-            img = polar_image(phi, space, r)
-            rows.append(np.zeros(space.m, dtype=np.uint8) if img is None else img)
-        y = np.array(rows, dtype=np.uint8)
+    polarity = linalg.matmul(ctx, ctx.frob[phi.s], space.gram_inv.T)
+    y = linalg.matmul(ctx, ctx.frob[pts], polarity)
     kernel_mask = ~y.any(axis=1)
     live = ~kernel_mask
     if live.any():
@@ -415,22 +393,14 @@ def make_permutable_form(
         for blk in range(0, m, 2):
             s[blk, blk + 1] = 1
             s[blk + 1, blk] = ctx.neg[1]
-        yield s
+        yield AlternatingForm(ctx, s)
         rng = np.random.default_rng(seed)
         sub = np.asarray(ctx.subfield)
         n_up = m * (m - 1) // 2
-        from .pluecker import pair_indices
-
         for _ in range(max_tries):
-            upper = sub[rng.integers(0, len(sub), size=n_up)]
-            s = np.zeros((m, m), dtype=np.uint8)
-            for k, (i, j) in enumerate(pair_indices(m)):
-                s[i, j] = upper[k]
-                s[j, i] = ctx.neg[upper[k]]
-            yield s
+            yield AlternatingForm.from_upper(ctx, m, sub[rng.integers(0, len(sub), size=n_up)])
 
-    for s in candidates():
-        phi = AlternatingForm(ctx, s)
+    for phi in candidates():
         if phi.rank != m:
             continue
         labels = point_classes(phi, space)

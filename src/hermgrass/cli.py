@@ -141,8 +141,6 @@ def _resolve_field(args) -> tuple[int, int]:
     q = getattr(args, "q", None)
     p = getattr(args, "p", None)
     e = getattr(args, "e", None)
-    if isinstance(q, list):
-        raise ValueError("internal: list q must be handled by the caller")
     if q is not None:
         if p is not None or e is not None:
             raise ValueError("give either -q or -p/-e, not both")
@@ -228,15 +226,14 @@ def cmd_lines(args) -> int:
     space = _space_for(args)
     with _open_out(args.out) as f:
         if args.fmt == "json":
-            a, b = space.line_bases()
+            a_idx, b_idx = space.line_pair_indices()
+            pts = space.points()
             json.dump(
                 {
                     "m": space.m,
                     "p": space.ctx.p,
                     "e": space.ctx.e,
-                    "lines": [
-                        [[int(x) for x in a[i]], [int(x) for x in b[i]]] for i in range(len(a))
-                    ],
+                    "lines": np.stack([pts[a_idx], pts[b_idx]], axis=1).tolist(),
                 },
                 f,
                 sort_keys=True,
@@ -304,7 +301,7 @@ def cmd_spectrum(args) -> int:
         )
     else:
         rep = code.spectrum(system, mode="exhaustive", budget=args.budget, jobs=args.jobs)
-    meta = code.spectrum_metadata(rep, wall_time=False)
+    meta = code.spectrum_metadata(rep)
     with _open_out(args.out) as f:
         if args.fmt == "json":
             json.dump(

@@ -47,7 +47,7 @@ import numpy as np
 from . import linalg, polar
 from .ff import FieldCtx, make_field
 from .linalg import Subspace
-from .pluecker import ProjectiveSystem, pair_indices
+from .pluecker import ProjectiveSystem
 
 __all__ = [
     "AlternatingForm",
@@ -63,8 +63,6 @@ __all__ = [
     "weight_recursive",
     "spectrum",
     "min_distance",
-    "form_from_index",
-    "form_to_index",
     "read_form_json",
     "write_form_json",
     "write_spectrum_csv",
@@ -98,18 +96,19 @@ class AlternatingForm:
 
     @classmethod
     def from_upper(cls, ctx: FieldCtx, m: int, upper) -> "AlternatingForm":
+        """The form with the given strict upper triangle, in the order of
+        ``np.triu_indices(m, 1)``, which is ``pluecker.pair_indices(m)``."""
         upper = np.asarray(upper, dtype=np.uint8).reshape(-1)
         if upper.size != m * (m - 1) // 2:
             raise ValueError("upper triangle has wrong length")
+        iu, ju = np.triu_indices(m, 1)
         s = np.zeros((m, m), dtype=np.uint8)
-        for k, (i, j) in enumerate(pair_indices(m)):
-            s[i, j] = upper[k]
-            s[j, i] = ctx.neg[upper[k]]
+        s[iu, ju] = upper
+        s[ju, iu] = ctx.neg[upper]
         return cls(ctx, s)
 
     def upper(self) -> np.ndarray:
-        m = self.m
-        return np.array([self.s[i, j] for i, j in pair_indices(m)], dtype=np.uint8)
+        return self.s[np.triu_indices(self.m, 1)]
 
     @property
     def rank(self) -> int:
@@ -181,7 +180,7 @@ def evaluate(phi: AlternatingForm, line) -> int:
     nonzero values depend on the basis only up to a nonzero scalar.
     """
     ctx = phi.ctx
-    b = line.basis if isinstance(line, polar.IsotropicLine) else linalg.as_matrix(ctx, line)
+    b = linalg.as_matrix(ctx, line)
     if b.shape != (2, phi.m):
         raise ValueError("line basis must be 2 x m")
     return int(linalg.dot(ctx, b[0], linalg.dot(ctx, phi.s, b[1])))
@@ -274,29 +273,7 @@ def weight_recursive(phi: AlternatingForm, space: polar.HermitianSpace) -> int:
     return total // den
 
 
-# -- form indexing and files ------------------------------------------------
-
-
-def form_from_index(ctx: FieldCtx, m: int, n: int) -> AlternatingForm:
-    """Form at position n of the mixed-radix counter over the upper
-    triangle (most significant digit = first pair)."""
-    k = m * (m - 1) // 2
-    q2 = ctx.q2
-    if not 0 <= n < q2**k:
-        raise ValueError("index out of range")
-    digits = np.zeros(k, dtype=np.uint8)
-    for pos in range(k - 1, -1, -1):
-        digits[pos] = n % q2
-        n //= q2
-    return AlternatingForm.from_upper(ctx, m, digits)
-
-
-def form_to_index(phi: AlternatingForm) -> int:
-    n = 0
-    q2 = phi.ctx.q2
-    for d in phi.upper():
-        n = n * q2 + int(d)
-    return n
+# -- form files -------------------------------------------------------------
 
 
 def write_form_json(f, phi: AlternatingForm) -> None:
@@ -622,9 +599,9 @@ def write_spectrum_csv(f, report: SpectrumReport) -> None:
         f.write(f"{w},{report.histogram[w]}\n")
 
 
-def spectrum_metadata(report: SpectrumReport, wall_time: bool = True) -> dict:
-    """Metadata dictionary for a scan; wall time is optional so written
-    files can stay byte-identical between reruns."""
+def spectrum_metadata(report: SpectrumReport) -> dict:
+    """Metadata dictionary for a scan.  It leaves out the wall time, so
+    written files stay byte-identical between reruns."""
     meta = {
         "mode": report.mode,
         "m": report.m,
@@ -637,8 +614,6 @@ def spectrum_metadata(report: SpectrumReport, wall_time: bool = True) -> dict:
         meta["min_weight_radical_dims"] = {
             str(k): v for k, v in sorted(report.min_weight_radical_dims.items())
         }
-    if wall_time:
-        meta["wall_time_s"] = report.wall_time_s
     return meta
 
 

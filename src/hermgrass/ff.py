@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SUPPORTED_Q", "FieldCtx", "make_field", "frobenius", "hermitian_norm"]
+__all__ = ["SUPPORTED_Q", "FieldCtx", "make_field"]
 
 #: q values with pinned primitive polynomials.
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8)
@@ -169,42 +169,6 @@ class FieldCtx:
             raise RuntimeError("modulus polynomial is not primitive")
         return exp, log
 
-    # Scalar convenience wrappers over the tables.
-    def add_s(self, a: int, b: int) -> int:
-        return int(self.add[a, b])
-
-    def sub_s(self, a: int, b: int) -> int:
-        return int(self.add[a, self.neg[b]])
-
-    def mul_s(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inv_s(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return int(self.inv[a])
-
-    def conj_s(self, a: int) -> int:
-        return int(self.frob[a])
-
-    @property
-    def elements(self) -> range:
-        return range(self.q2)
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector of a code, constant term first."""
-        out = []
-        for _ in range(2 * self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def from_coeffs(self, coeffs) -> int:
-        code = 0
-        for c in reversed(list(coeffs)):
-            code = code * self.p + int(c) % self.p
-        return code
-
     def __repr__(self) -> str:
         return f"FieldCtx(GF({self.q2}) = GF({self.p}^{2 * self.e}))"
 
@@ -216,12 +180,3 @@ def make_field(p: int, e: int) -> FieldCtx:
     """
     return FieldCtx(p, e)
 
-
-def frobenius(ctx: FieldCtx, x: int) -> int:
-    """x^q, the conjugation of GF(q^2) over GF(q)."""
-    return int(ctx.frob[x])
-
-
-def hermitian_norm(ctx: FieldCtx, x: int) -> int:
-    """x^(q+1); always lies in the subfield GF(q)."""
-    return int(ctx.norm[x])

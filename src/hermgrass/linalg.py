@@ -27,7 +27,6 @@ __all__ = [
     "rank_stack",
     "kernel",
     "Subspace",
-    "solve_membership",
 ]
 
 #: Entries per block of a table-sized ``dot``: callers with operands the
@@ -238,16 +237,3 @@ def kernel(ctx: FieldCtx, m) -> Subspace:
             rows[j, pc] = fneg(ctx, r[i, fc])
     return Subspace.from_rows(ctx, rows, ambient=nc)
 
-
-def solve_membership(ctx: FieldCtx, w: Subspace, v) -> bool:
-    """True when v lies in the span of w; v must have matching length."""
-    v = np.asarray(v, dtype=np.uint8).reshape(-1)
-    if v.size != w.ambient:
-        raise ValueError("vector length does not match the ambient dimension")
-    res = v.copy()
-    for row in w.basis:
-        pc = int(np.nonzero(row)[0][0])
-        c = res[pc]
-        if c:
-            res = fsub(ctx, res, ctx.mul[c, row])
-    return not res.any()

@@ -47,7 +47,7 @@ def pluecker_point(ctx: FieldCtx, basis) -> np.ndarray:
     The result does not depend on the chosen basis of the span.
     Raises ValueError when the two rows are dependent.
     """
-    b = basis.basis if isinstance(basis, polar.IsotropicLine) else linalg.as_matrix(ctx, basis)
+    b = linalg.as_matrix(ctx, basis)
     if b.shape[0] != 2:
         raise ValueError("need exactly 2 basis rows")
     v, w = b[0], b[1]

@@ -42,12 +42,8 @@ __all__ = [
     "isotropic_point_count",
     "line_count",
     "cone_point_count",
-    "ProjectivePoint",
-    "IsotropicLine",
     "RadicalProfile",
     "HermitianSpace",
-    "enumerate_points",
-    "enumerate_lines",
     "perp",
     "radical_profile",
     "write_points_csv",
@@ -123,39 +119,6 @@ def cone_point_count(m: int, i: int, t: int, q: int) -> int:
 
 
 @dataclass(frozen=True)
-class ProjectivePoint:
-    """Normalized projective point (first nonzero coordinate is 1)."""
-
-    coords: tuple[int, ...]
-
-
-class IsotropicLine:
-    """Totally isotropic 2-space held by its canonical RREF basis."""
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis: np.ndarray):
-        basis = np.ascontiguousarray(np.asarray(basis, dtype=np.uint8))
-        if basis.shape[0] != 2:
-            raise ValueError("a line basis has exactly 2 rows")
-        basis.flags.writeable = False
-        self.basis = basis
-
-    @property
-    def key(self) -> bytes:
-        return self.basis.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IsotropicLine) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __repr__(self) -> str:
-        return f"IsotropicLine({[tuple(int(x) for x in r) for r in self.basis]})"
-
-
-@dataclass(frozen=True)
 class RadicalProfile:
     """Shape of a subspace section of the polar space.
 
@@ -173,6 +136,8 @@ class RadicalProfile:
 class HermitianSpace:
     """V(m, q^2) with a nondegenerate Hermitian form.
 
+    ``gram`` is the Gram matrix H and ``gram_inv`` its inverse, taken
+    from the rref of [H | I] that also proves H nonsingular.
     Enumerations are cached on the instance; the caches are immutable
     arrays, so sharing a space between workers is safe.
     """
@@ -189,11 +154,16 @@ class HermitianSpace:
             raise ValueError("Gram matrix must be m x m")
         if not np.array_equal(ctx.frob[gram].T, gram):
             raise ValueError("Gram matrix is not Hermitian")
-        if linalg.rank(ctx, gram) != m:
+        eye = np.eye(m, dtype=np.uint8)
+        reduced, _ = linalg.rref(ctx, np.hstack([gram, eye]))
+        if not np.array_equal(reduced[:, :m], eye):
             raise ValueError("Gram matrix is singular")
-        gram.flags.writeable = False
+        gram_inv = np.ascontiguousarray(reduced[:, m:])
+        for a in (gram, gram_inv):
+            a.flags.writeable = False
         self.gram = gram
-        self.is_identity_gram = bool(np.array_equal(gram, np.eye(m, dtype=np.uint8)))
+        self.gram_inv = gram_inv
+        self.is_identity_gram = bool(np.array_equal(gram, eye))
         self._cache: dict[str, object] = {}
 
     # -- scalar form ----------------------------------------------------
@@ -355,12 +325,6 @@ class HermitianSpace:
             self._cache["line_pairs"] = (a_idx, b_idx)
         return self._cache["line_pairs"]
 
-    def line_bases(self) -> tuple[np.ndarray, np.ndarray]:
-        """First and second RREF basis rows of every line (N x m each)."""
-        a_idx, b_idx = self.line_pair_indices()
-        pts = self.points()
-        return pts[a_idx], pts[b_idx]
-
     @property
     def num_lines(self) -> int:
         return len(self.line_pair_indices()[0])
@@ -454,17 +418,6 @@ class HermitianSpace:
         return f"HermitianSpace(m={self.m}, q={self.ctx.q})"
 
 
-def enumerate_points(space: HermitianSpace) -> list[ProjectivePoint]:
-    return [ProjectivePoint(tuple(int(x) for x in row)) for row in space.points()]
-
-
-def enumerate_lines(space: HermitianSpace) -> list[IsotropicLine]:
-    if space.m < 4:
-        raise ValueError("totally isotropic lines require m >= 4")
-    a, b = space.line_bases()
-    return [IsotropicLine(np.stack([a[i], b[i]])) for i in range(len(a))]
-
-
 def perp(space: HermitianSpace, w) -> Subspace:
     """Subspace of vectors orthogonal to all of w under the form."""
     ctx = space.ctx
@@ -503,8 +456,12 @@ def write_points_csv(f, space: HermitianSpace) -> None:
 
 def write_lines_csv(f, space: HermitianSpace) -> None:
     ctx = space.ctx
-    a, b = space.line_bases()
-    f.write(f"# lines m={space.m} p={ctx.p} e={ctx.e} count={len(a)}\n")
-    for i in range(len(a)):
-        row = [str(int(x)) for x in a[i]] + [str(int(x)) for x in b[i]]
-        f.write(",".join(row) + "\n")
+    a_idx, b_idx = space.line_pair_indices()
+    pts = space.points()
+    rows = np.hstack([pts[a_idx], pts[b_idx]])
+    f.write(f"# lines m={space.m} p={ctx.p} e={ctx.e} count={len(rows)}\n")
+    # converted to Python lists a block at a time, so the int objects
+    # alive at once stay near DOT_BLOCK however many lines there are
+    step = max(1, linalg.DOT_BLOCK // rows.shape[1])
+    for lo in range(0, len(rows), step):
+        f.writelines(",".join(map(str, r)) + "\n" for r in rows[lo : lo + step].tolist())

@@ -5,6 +5,12 @@ import hermgrass as hg
 from hermgrass import linalg
 
 
+def antidiagonal_gram_space(ctx, m):
+    """V(m, q^2) with the antidiagonal Gram matrix, the non-identity
+    nondegenerate Hermitian form the tests share."""
+    return hg.HermitianSpace(m, ctx, gram=np.eye(m, dtype=np.uint8)[::-1])
+
+
 @pytest.fixture(scope="session")
 def ctx2():
     return hg.make_field(2, 1)

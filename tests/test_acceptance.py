@@ -5,6 +5,8 @@ numbers it verified (run pytest with -s to see them).  All arithmetic
 is exact, so every comparison is equality unless a bound is involved.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -182,7 +184,8 @@ def _seeded_forms(ctx, m, count, seed):
 def scan_records(space42, system42, space52, system52, space62, system62, space53, system53):
     records = {}
     ctx42 = space42.ctx
-    all42 = [code.form_from_index(ctx42, 4, n) for n in range(1, 4**6)]
+    nonzero42 = itertools.islice(itertools.product(range(ctx42.q2), repeat=6), 1, None)
+    all42 = [code.AlternatingForm.from_upper(ctx42, 4, up) for up in nonzero42]
     records[(4, 2)] = _scan_forms(space42, system42, all42)
     records[(5, 2)] = _scan_forms(space52, system52, _seeded_forms(space52.ctx, 5, 1000, 501))
     records[(6, 2)] = _scan_forms(space62, system62, _seeded_forms(space62.ctx, 6, 1000, 601))

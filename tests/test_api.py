@@ -1,0 +1,76 @@
+"""The public API: every module's ``__all__`` names real objects, the
+package re-exports only public names, and deleted names stay deleted."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import hermgrass as hg
+
+MODULES = ("ff", "linalg", "polar", "pluecker", "code", "classify")
+INIT = Path(hg.__file__)
+
+# Object wrappers and scalar helpers that only tests and demos used,
+# replaced by the point and line arrays and the GF(q^2) tables.
+DELETED = (
+    "ProjectivePoint",
+    "IsotropicLine",
+    "enumerate_points",
+    "enumerate_lines",
+    "line_bases",
+    "frobenius",
+    "hermitian_norm",
+    "solve_membership",
+    "form_from_index",
+    "form_to_index",
+)
+DELETED_FIELD_WRAPPERS = (
+    "add_s",
+    "sub_s",
+    "mul_s",
+    "inv_s",
+    "conj_s",
+    "elements",
+    "coeffs",
+    "from_coeffs",
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_exist(name):
+    mod = importlib.import_module(f"hermgrass.{name}")
+    missing = [n for n in mod.__all__ if not hasattr(mod, n)]
+    assert not missing
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    namespace = {}
+    exec(f"from hermgrass.{name} import *", namespace)
+    assert set(mod.__all__) <= set(namespace)
+
+
+def test_package_imports_are_in_module_all():
+    tree = ast.parse(INIT.read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        mod = importlib.import_module(f"hermgrass.{node.module}")
+        names = [alias.name for alias in node.names]
+        assert set(names) <= set(mod.__all__), (node.module, set(names) - set(mod.__all__))
+        assert all(getattr(hg, n) is getattr(mod, n) for n in names)
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_names_are_gone(name):
+    for mod in (hg, *(importlib.import_module(f"hermgrass.{m}") for m in MODULES)):
+        assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+        assert name not in getattr(mod, "__all__", ())
+    assert not hasattr(hg.HermitianSpace, name)
+    with pytest.raises(ImportError):
+        exec(f"from hermgrass import {name}", {})
+
+
+def test_deleted_field_wrappers_are_gone(ctx2):
+    for name in DELETED_FIELD_WRAPPERS:
+        assert not hasattr(ctx2, name), name
+        assert not hasattr(hg.FieldCtx, name), name

@@ -1,8 +1,11 @@
-import numpy as np
-import pytest
+import functools
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 import hermgrass as hg
+from conftest import antidiagonal_gram_space
 from hermgrass import classify, code, linalg, polar
 
 
@@ -39,34 +42,94 @@ def test_polar_image_kernel_case(space52):
     assert classify.polar_image(phi, space52, rad[0]) is None
 
 
-def test_polar_image_general_composition_oracle(space52):
-    """The fast path must match an explicit perp-then-perp composition."""
-    ctx = space52.ctx
+def _composition_image(phi, space, x):
+    """Oracle: the pole under the Hermitian form of the polar hyperplane
+    of [x] under phi, by an explicit kernel then perp; None in the radical."""
+    ctx = space.ctx
+    row = linalg.dot(ctx, phi.s.T, x)  # x^T S; its kernel is the polar hyperplane
+    if not row.any():
+        return None
+    pole = polar.perp(space, linalg.kernel(ctx, row.reshape(1, -1)))
+    assert pole.dim == 1
+    lead = np.nonzero(pole.basis[0])[0][0]
+    return ctx.mul[ctx.inv[pole.basis[0][lead]], pole.basis[0]]
+
+
+def _random_hermitian_gram(ctx, m, seed):
+    """A seeded nonsingular Hermitian Gram matrix: random strict upper
+    triangle, its conjugate transpose below, subfield diagonal."""
+    rng = np.random.default_rng(seed)
+    while True:
+        h = np.triu(rng.integers(0, ctx.q2, size=(m, m), dtype=np.uint8), 1)
+        h = linalg.fadd(ctx, h, ctx.frob[h].T)
+        h[np.arange(m), np.arange(m)] = ctx.subfield[rng.integers(0, ctx.q, size=m)]
+        if linalg.rank(ctx, h) == m:
+            return h
+
+
+@functools.cache
+def _gram_space(gram, m, q):
+    ctx = hg.make_field(q, 1)
+    if gram == "identity":
+        return hg.HermitianSpace(m, ctx)
+    if gram == "antidiagonal":
+        return antidiagonal_gram_space(ctx, m)
+    space = hg.HermitianSpace(m, ctx, gram=_random_hermitian_gram(ctx, m, 10 * m + q))
+    assert not space.is_identity_gram
+    return space
+
+
+@pytest.mark.parametrize("m,q", [(5, 2), (4, 3)], ids=["5-2", "4-3"])
+@pytest.mark.parametrize("gram", ["identity", "antidiagonal", "random"])
+def test_polar_image_general_composition_oracle(gram, m, q):
+    """The one-expression image must match an explicit perp-then-perp
+    composition for any Gram matrix."""
+    space = _gram_space(gram, m, q)
+    ctx = space.ctx
     rng = np.random.default_rng(9)
     for _ in range(10):
-        up = rng.integers(0, 4, size=10, dtype=np.uint8)
+        up = rng.integers(0, ctx.q2, size=m * (m - 1) // 2, dtype=np.uint8)
         if not up.any():
             continue
-        phi = code.AlternatingForm.from_upper(ctx, 5, up)
-        x = space52.points()[int(rng.integers(0, space52.num_points))]
-        row = linalg.dot(ctx, phi.s.T, x)
-        img = classify.polar_image(phi, space52, x)
-        if not row.any():
-            assert img is None
-            continue
-        hyper = linalg.kernel(ctx, row.reshape(1, -1))
-        pole = polar.perp(space52, hyper)
-        assert pole.dim == 1
-        lead = np.nonzero(pole.basis[0])[0][0]
-        expect = ctx.mul[ctx.inv[pole.basis[0][lead]], pole.basis[0]]
-        assert np.array_equal(img, expect)
+        phi = code.AlternatingForm.from_upper(ctx, m, up)
+        for x in space.points()[rng.integers(0, space.num_points, size=3)]:
+            img = classify.polar_image(phi, space, x)
+            expect = _composition_image(phi, space, x)
+            if expect is None:
+                assert img is None
+            else:
+                assert np.array_equal(img, expect)
+    # the radical of a rank-2 form is the kernel of the map
+    if m >= 5:
+        cone = hg.make_rank2_cone_form(space)
+        assert classify.polar_image(cone, space, cone.radical.basis[0]) is None
+        assert _composition_image(cone, space, cone.radical.basis[0]) is None
+
+
+def test_point_classes_and_fixed_points_match_oracle_loop(ctx2, seeded_forms):
+    """On the antidiagonal (5,2) space, the point classes and the fixed
+    point count equal a per-point loop of the composition oracle."""
+    space = antidiagonal_gram_space(ctx2, 5)
+    for phi in seeded_forms(ctx2, 5, 61, 3):
+        labels = []
+        for x in space.points():
+            y = _composition_image(phi, space, x)
+            if y is None or np.array_equal(y, x):
+                labels.append(classify.ZERO_CLASS)
+            elif space.inner(y, y) == 0:
+                labels.append(classify.TANGENT_CLASS)
+            else:
+                labels.append(classify.SECANT_CLASS)
+        assert classify.point_classes(phi, space).tolist() == labels
+        fixed = 0
+        for x in space.all_points():
+            y = _composition_image(phi, space, x)
+            fixed += y is not None and np.array_equal(y, x)
+        assert classify.fixed_point_count(phi, space) == fixed
 
 
 def test_polar_image_non_identity_gram(ctx2):
-    h = np.zeros((4, 4), dtype=np.uint8)
-    for i in range(4):
-        h[i, 3 - i] = 1
-    space = hg.HermitianSpace(4, ctx2, gram=h)
+    space = antidiagonal_gram_space(ctx2, 4)
     phi = _symplectic_block(ctx2, 4)
     x = space.points()[3]
     img = classify.polar_image(phi, space, x)
@@ -296,8 +359,7 @@ def test_fixed_point_lemma_rank4_at_52(space52):
 def test_classify_points_matches_separate_passes(ctx2, gram, seeded_forms):
     # classify_points takes the labels and the fixed points from one pass
     # over all points; they must equal the two public single-purpose calls
-    h = np.eye(5, dtype=np.uint8) if gram == "identity" else np.eye(5, dtype=np.uint8)[::-1]
-    space = hg.HermitianSpace(5, ctx2, gram=h)
+    space = hg.HermitianSpace(5, ctx2) if gram == "identity" else antidiagonal_gram_space(ctx2, 5)
     for phi in seeded_forms(ctx2, 5, 41, 4):
         rep = classify.classify_points(phi, space)
         labels = classify.point_classes(phi, space)

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermgrass as hg
+from conftest import antidiagonal_gram_space
 from hermgrass import code, linalg, polar
 
 
@@ -55,7 +57,8 @@ def test_upper_round_trip(ctx2):
 def test_evaluate_equals_pluecker_pairing(space52, system52):
     ctx = space52.ctx
     rng = np.random.default_rng(3)
-    a, b = space52.line_bases()
+    pts = space52.points()
+    a, b = (pts[i] for i in space52.line_pair_indices())
     for _ in range(20):
         up = rng.integers(0, 4, size=10, dtype=np.uint8)
         phi = code.AlternatingForm.from_upper(ctx, 5, up)
@@ -64,27 +67,29 @@ def test_evaluate_equals_pluecker_pairing(space52, system52):
         col = system52.matrix[:, j]
         acc = 0
         for k in range(10):
-            acc = ctx.add_s(acc, ctx.mul_s(up[k], col[k]))
+            acc = ctx.add[acc, ctx.mul[up[k], col[k]]]
         assert val == acc
 
 
 def test_evaluate_zero_form_and_scaled_basis(space42):
     ctx = space42.ctx
     zero = code.AlternatingForm(ctx, np.zeros((4, 4), dtype=np.uint8))
-    a, b = space42.line_bases()
+    pts = space42.points()
+    a, b = (pts[i] for i in space42.line_pair_indices())
     assert all(code.evaluate(zero, np.stack([a[i], b[i]])) == 0 for i in range(5))
     up = np.array([1, 2, 0, 3, 0, 1], dtype=np.uint8)
     phi = code.AlternatingForm.from_upper(ctx, 4, up)
     basis = np.stack([a[0], b[0]])
     scaled = np.stack([ctx.mul[3, a[0]], b[0]])
-    assert code.evaluate(phi, scaled) == ctx.mul_s(3, code.evaluate(phi, basis))
+    assert code.evaluate(phi, scaled) == ctx.mul[3, code.evaluate(phi, basis)]
 
 
 def test_rank2_form_vanishes_exactly_on_lines_meeting_radical(space52, system52):
     ctx = space52.ctx
     phi = hg.make_rank2_cone_form(space52)
     rad = phi.radical.basis
-    a, b = space52.line_bases()
+    pts = space52.points()
+    a, b = (pts[i] for i in space52.line_pair_indices())
     for j in range(system52.n):
         stacked = np.vstack([np.stack([a[j], b[j]]), rad])
         meets = linalg.rank(ctx, stacked) < 2 + rad.shape[0]
@@ -137,8 +142,8 @@ def test_weight_scaling_invariance(space42, system42):
 
 
 def test_weight_direct_against_per_line_loop(space42, system42):
-    ctx = space42.ctx
-    lines = polar.enumerate_lines(space42)
+    ctx, pts = space42.ctx, space42.points()
+    lines = [pts[[a, b]] for a, b in zip(*space42.line_pair_indices())]
     rng = np.random.default_rng(4)
     for _ in range(15):
         up = rng.integers(0, 4, size=6, dtype=np.uint8)
@@ -203,19 +208,13 @@ def test_point_weights_streaming_branch_matches_pairs(ctx2, monkeypatch):
         )
 
 
-def _antidiagonal_gram_space(ctx, m):
-    h = np.zeros((m, m), dtype=np.uint8)
-    h[np.arange(m), m - 1 - np.arange(m)] = 1
-    return hg.HermitianSpace(m, ctx, gram=h)
-
-
 @pytest.mark.parametrize(
     "make_space",
     [
         lambda: hg.HermitianSpace(6, hg.make_field(2, 1)),
         lambda: hg.HermitianSpace(5, hg.make_field(3, 1)),
         lambda: hg.HermitianSpace(4, hg.make_field(3, 1)),
-        lambda: _antidiagonal_gram_space(hg.make_field(2, 1), 5),
+        lambda: antidiagonal_gram_space(hg.make_field(2, 1), 5),
     ],
     ids=["6-2", "5-3", "4-3", "5-2-antidiagonal-gram"],
 )
@@ -230,11 +229,18 @@ def test_point_weights_table_matches_streaming(make_space, seeded_forms, monkeyp
 
 
 def test_form_index_round_trip(ctx3):
+    # the scan counter: index n has the upper triangle of base-9 digits of
+    # n, most significant first, the order of itertools.product
+    powers = 9 ** np.arange(5, -1, -1)
     for n in (0, 1, 500, 9**6 - 1):
-        phi = code.form_from_index(ctx3, 4, n)
-        assert code.form_to_index(phi) == n
+        digits = code._digits(np.array([n]), 9, 6)[0]
+        phi = code.AlternatingForm.from_upper(ctx3, 4, digits)
+        assert int(phi.upper().astype(np.int64) @ powers) == n
+    assert [tuple(d) for d in code._digits(np.arange(200), 9, 6).tolist()] == list(
+        itertools.islice(itertools.product(range(9), repeat=6), 200)
+    )
     with pytest.raises(ValueError):
-        code.form_from_index(ctx3, 4, 9**6)
+        code.AlternatingForm.from_upper(ctx3, 4, np.zeros(7, dtype=np.uint8))
 
 
 def test_form_json_round_trip(ctx2):
@@ -271,8 +277,8 @@ def test_exhaustive_spectrum_42(system42):
 def test_exhaustive_codewords_all_distinct(system42):
     ctx = system42.ctx
     seen = {
-        code.codeword(code.form_from_index(ctx, 4, n), system42).values.tobytes()
-        for n in range(4**6)
+        code.codeword(code.AlternatingForm.from_upper(ctx, 4, up), system42).values.tobytes()
+        for up in itertools.product(range(ctx.q2), repeat=6)
     }
     assert len(seen) == 4**6
 
@@ -311,7 +317,10 @@ def test_exhaustive_spectrum_matches_per_form_oracle(system42):
     # Every one of the 4096 forms, one at a time: direct weight and rank.
     ctx = system42.ctx
     hist, split, example = {}, {}, None
-    forms = [code.form_from_index(ctx, 4, n) for n in range(4**6)]
+    forms = [
+        code.AlternatingForm.from_upper(ctx, 4, up)
+        for up in itertools.product(range(ctx.q2), repeat=6)
+    ]
     weights = [code.weight_direct(phi, system42) for phi in forms]
     d = min(w for w in weights if w)
     for phi, w in zip(forms, weights):
@@ -363,10 +372,9 @@ def test_spectrum_csv_and_metadata(system42):
     lines = buf.getvalue().splitlines()
     assert lines[0] == "weight,count"
     assert lines[1] == "0,1"
-    meta = code.spectrum_metadata(rep, wall_time=False)
+    meta = code.spectrum_metadata(rep)
     assert meta["mode"] == "exhaustive" and meta["forms_scanned"] == 4096
     assert "wall_time_s" not in meta
-    assert "wall_time_s" in code.spectrum_metadata(rep)
     json.dumps(meta)
 
 

@@ -50,7 +50,8 @@ def test_quadratic_relations_on_enumerated_lines(space52, space43):
         m = space.m
         pairs = pluecker.pair_indices(m)
         pos = {pq: k for k, pq in enumerate(pairs)}
-        a, b = space.line_bases()
+        pts = space.points()
+        a, b = (pts[i] for i in space.line_pair_indices())
         for idx in range(0, len(a), 11):
             p = pluecker.pluecker_point(ctx, np.stack([a[idx], b[idx]]))
             for i in range(m):
@@ -88,7 +89,8 @@ def test_columns_are_normalized(system52):
 
 def test_columns_match_pointwise_embedding(system42):
     space = system42.space
-    a, b = space.line_bases()
+    pts = space.points()
+    a, b = (pts[i] for i in space.line_pair_indices())
     for j in range(0, system42.n, 5):
         col = pluecker.pluecker_point(space.ctx, np.stack([a[j], b[j]]))
         assert np.array_equal(col, system42.matrix[:, j])
@@ -101,13 +103,14 @@ def test_every_column_matches_pluecker_point(p, e):
     ctx = hg.make_field(p, e)
     space = hg.HermitianSpace(4, ctx)
     g = hg.build_system(space).matrix
-    a, b = space.line_bases()
+    pts = space.points()
+    a, b = (pts[i] for i in space.line_pair_indices())
     for j in range(len(a)):
         assert np.array_equal(g[:, j], pluecker.pluecker_point(ctx, np.stack([a[j], b[j]])))
 
 
-# sha256 of system.matrix, recorded from the table-lookup fill over
-# line_bases() that the blocked flat-code fill replaced
+# sha256 of system.matrix, recorded from a table-lookup fill over the
+# gathered line bases, before the blocked flat-code fill
 GENERATOR_SHA256 = {
     (4, 2, 1): "72f0027bd1249fb464188be4a131e766cb7f8092e1189b8973e5d25f4c2bf407",
     (4, 2, 2): "dcd2687179622eafdf8eda216144547582d2bd6d6fe5076fd80672f14863a3d6",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hermgrass as hg
+from conftest import antidiagonal_gram_space
 from hermgrass import code, linalg, polar
 
 
@@ -85,9 +86,9 @@ def test_inner_sesquilinear(space42):
         ax = ctx.mul[alpha, x]
         ay = ctx.mul[alpha, y]
         v = space42.inner(x, y)
-        assert space42.inner(ax, y) == ctx.mul_s(ctx.conj_s(alpha), v)
-        assert space42.inner(x, ay) == ctx.mul_s(alpha, v)
-        assert space42.inner(y, x) == ctx.conj_s(v)
+        assert space42.inner(ax, y) == ctx.mul[ctx.frob[alpha], v]
+        assert space42.inner(x, ay) == ctx.mul[alpha, v]
+        assert space42.inner(y, x) == ctx.frob[v]
 
 
 def test_isotropic_vector_with_unit_coordinates(ctx2):
@@ -116,26 +117,20 @@ def _naive_line_keys(space):
     return keys
 
 
-def _antidiagonal_gram_space(ctx):
-    h = np.zeros((4, 4), dtype=np.uint8)
-    for i in range(4):
-        h[i, 3 - i] = 1
-    return hg.HermitianSpace(4, ctx, gram=h)
-
-
 @pytest.mark.parametrize(
     "make_space",
     [
         lambda: hg.HermitianSpace(4, hg.make_field(2, 1)),
         lambda: hg.HermitianSpace(4, hg.make_field(3, 1)),
-        lambda: _antidiagonal_gram_space(hg.make_field(2, 1)),
+        lambda: antidiagonal_gram_space(hg.make_field(2, 1), 4),
         lambda: hg.HermitianSpace(4, hg.make_field(2, 2)),
     ],
     ids=["4-2", "4-3", "4-2-antidiagonal-gram", "4-4"],
 )
 def test_line_enumeration_against_scan_and_dedup_oracle(make_space):
     space = make_space()
-    a, b = space.line_bases()
+    pts = space.points()
+    a, b = (pts[i] for i in space.line_pair_indices())
     keys = [np.stack([a[i], b[i]]).tobytes() for i in range(len(a))]
     assert len(keys) == polar.line_count(4, space.ctx.q)
     assert keys == sorted(_naive_line_keys(space))
@@ -176,7 +171,7 @@ ORTH_PAIR_SHA256 = {
 @functools.cache
 def _orth_space(tag):
     if tag == "4-2-antidiagonal-gram":
-        return _antidiagonal_gram_space(hg.make_field(2, 1))
+        return antidiagonal_gram_space(hg.make_field(2, 1), 4)
     m, q = (int(x) for x in tag.split("-"))
     return hg.HermitianSpace(m, hg.make_field(q, 1))
 
@@ -272,14 +267,15 @@ def test_available_memory_falls_back_to_physical(monkeypatch):
 
 
 def test_lines_sorted_by_canonical_key(space52):
-    a, b = space52.line_bases()
+    pts = space52.points()
+    a, b = (pts[i] for i in space52.line_pair_indices())
     keys = [np.hstack([a[i], b[i]]).tobytes() for i in range(len(a))]
     assert keys == sorted(keys)
 
 
 def test_line_bases_are_rref_and_totally_isotropic(space52):
-    ctx = space52.ctx
-    a, b = space52.line_bases()
+    ctx, pts = space52.ctx, space52.points()
+    a, b = (pts[i] for i in space52.line_pair_indices())
     sample = range(0, len(a), 13)
     for i in sample:
         basis = np.stack([a[i], b[i]])
@@ -294,14 +290,12 @@ def test_line_bases_are_rref_and_totally_isotropic(space52):
 
 
 def test_enumerate_objects(space42, ctx2):
-    pts = polar.enumerate_points(space42)
-    assert len(pts) == 45
-    assert all(isinstance(p, polar.ProjectivePoint) for p in pts[:3])
-    lines = polar.enumerate_lines(space42)
-    assert len(lines) == 27
-    assert len({ln.key for ln in lines}) == 27
-    with pytest.raises(ValueError):
-        polar.enumerate_lines(hg.HermitianSpace(3, ctx2))
+    pts = space42.points()
+    assert pts.shape == (45, 4) and pts.dtype == np.uint8
+    a_idx, b_idx = space42.line_pair_indices()
+    assert len(a_idx) == 27
+    assert len({(pts[a].tobytes(), pts[b].tobytes()) for a, b in zip(a_idx, b_idx)}) == 27
+    assert hg.HermitianSpace(3, ctx2).num_lines == 0
 
 
 def test_perp_dimensions_and_membership(space52):
@@ -313,7 +307,7 @@ def test_perp_dimensions_and_membership(space52):
     u = space52.points()[7]
     pp = polar.perp(space52, u.reshape(1, -1))
     assert pp.dim == 4
-    assert linalg.solve_membership(ctx, pp, u)
+    assert linalg.rank(ctx, np.vstack([pp.basis, u])) == pp.dim
 
 
 def test_radical_profile_extremes(space52):
@@ -321,8 +315,8 @@ def test_radical_profile_extremes(space52):
     nondeg = linalg.Subspace.from_rows(ctx, np.eye(5, dtype=np.uint8)[:3])
     prof = polar.radical_profile(space52, nondeg)
     assert prof.t == 0 and prof.label == "[Pi_0]H_3"
-    a, b = space52.line_bases()
-    iso = linalg.Subspace.from_rows(ctx, np.stack([a[0], b[0]]))
+    a, b = space52.line_pair_indices()
+    iso = linalg.Subspace.from_rows(ctx, space52.points()[[a[0], b[0]]])
     prof = polar.radical_profile(space52, iso)
     assert prof.t == 2 and prof.dim == 2
 
@@ -430,7 +424,7 @@ def test_gram_validation(ctx2):
 
 
 def test_non_identity_gram_space(ctx2):
-    space = _antidiagonal_gram_space(ctx2)
+    space = antidiagonal_gram_space(ctx2, 4)
     assert not space.is_identity_gram
     assert space.num_points == polar.isotropic_point_count(4, 2)
     assert space.num_lines == polar.line_count(4, 2)
