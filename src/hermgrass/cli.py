@@ -105,7 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--sample", type=int, metavar="N")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--budget", type=int, default=1 << 24)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    sp.add_argument(
+        "--jobs",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker processes of the exhaustive scan (default: CPU count); "
+        "--sample runs in one process and ignores it",
+    )
     _add_output_args(sp)
 
     sp = sub.add_parser("classify", help="class sizes and cross-checks for one form")

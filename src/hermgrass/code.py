@@ -28,10 +28,18 @@ scans only one representative per scalar class, the forms whose first
 nonzero digit is the unit 1, since weight and rank do not change under
 S -> lambda S.  It scales the nonzero histogram bins and the radical
 counts back by Q - 1 and adds the zero form, so ``forms_scanned`` is
-still Q^K.  A representative's codeword is its prefix codeword plus
-one row of an inner table holding every combination of the last few
-generator rows, so each form costs one addition.  The histogram is
-gated on its total and the first two Pless power moments.
+still Q^K.  The histogram is gated on its total and the first two Pless
+power moments.
+
+Both modes share one codeword kernel.  The K digits fall into groups of
+g, the largest g with Q^g <= 256, and each group has a table holding
+the codeword of every digit combination, so a sampled form costs one
+row gather and add per group, ceil(K/g) in all.  An exhaustive
+representative is a prefix codeword plus one row of the last group's
+table, one addition.  In characteristic 2 the rows are bit-packed
+GF(2) planes: adding is XOR and the weight is the popcount
+(``polar.bit_counts``) of the OR of the planes.  For odd p the rows are
+element codes, added with ``add_flat`` gathers.
 """
 
 from __future__ import annotations
@@ -348,10 +356,10 @@ class SpectrumReport:
     min_weight_radical_dims: dict[int, int] | None = None
 
 
-# The exhaustive scan keeps its inner table at most this many rows and
+# The scan kernel keeps each digit-group table at most this many rows and
 # each block of codewords near this many bytes; the radical split ranks
 # this many minimum-weight forms per batch.
-_INNER_ROWS = 256
+_GROUP_ROWS = 256
 _BLOCK_BYTES = 1 << 18
 _RANK_CHUNK = 1024
 
@@ -362,63 +370,119 @@ def _digits(idx: np.ndarray, q2: int, width: int) -> np.ndarray:
     return (idx[:, None] // powers[None, :]) % q2
 
 
-def _accumulate(mul_rows, digits, add_table):
-    """Codewords of the digit rows: the sum over t of
-    ``mul_rows[digits[:, t], t]``.  ``add_table`` is None in
-    characteristic 2, where addition is XOR.  Each term is gathered into
-    one reused buffer, so at most three row blocks are live at once."""
-    c = mul_rows[digits[:, 0], 0]
-    term = np.empty_like(c)
-    for t in range(1, digits.shape[1]):
-        # digits are < q2, so "clip" never clips; it avoids the buffered
-        # copy that take() makes for out= under the default "raise"
-        np.take(mul_rows[:, t], digits[:, t], axis=0, out=term, mode="clip")
-        if add_table is None:
-            np.bitwise_xor(c, term, out=c)
-        else:
-            c = add_table[c, term]
-    return c
+class _ScanKernel:
+    """Codewords of alternating forms as sums of digit-group table rows.
+
+    The K counter digits are split into consecutive groups of g digits,
+    the last ending at digit K - 1 and the first possibly shorter, with g
+    the largest such that Q^g <= _GROUP_ROWS (Q = q^2).  Table i holds
+    the codeword of every digit combination of group i, its row index
+    being those digits read base Q, most significant first; row 0 is the
+    zero word.  A form's codeword is the sum of one row per group.
+
+    In characteristic 2 a row holds the 2e bit-planes of the codeword,
+    each packed with np.packbits into ``plane`` bytes (a multiple of 8,
+    zero-padded), so a sum is an XOR and the weight is the popcount of
+    the OR of the planes.  Otherwise rows are element codes, a sum is one
+    ``add_flat`` gather and the weight counts the nonzero codes.
+    """
+
+    def __init__(self, system: ProjectiveSystem):
+        ctx = self.ctx = system.ctx
+        q2, (k, n) = ctx.q2, system.matrix.shape
+        self.n = n
+        g = 1
+        while g + 1 < k and q2 ** (g + 1) <= _GROUP_ROWS:
+            g += 1
+        self.g = g
+        self.bounds = [(max(0, b - g), b) for b in range(k, 0, -g)][::-1]
+        self.planes = 2 * ctx.e if ctx.p == 2 else 0
+        self.plane = -(-n // 64) * 8
+        self.width = self.planes * self.plane if self.planes else n
+        self.tables = []
+        for a, b in self.bounds:
+            tab = np.zeros((1, self.width), dtype=np.uint8)
+            for row in system.matrix[a:b]:
+                # ctx.mul[d, row] is d times the generator row; each old
+                # row r becomes the rows r Q + d
+                terms = self._pack(ctx.mul[:, row])
+                tab = np.concatenate([self.add(r, terms) for r in tab])
+            self.tables.append(tab)
+
+    def _pack(self, codes: np.ndarray) -> np.ndarray:
+        """Rows of element codes in the table layout."""
+        if not self.planes:
+            return codes
+        bits = codes[:, None, :] >> np.arange(self.planes, dtype=np.uint8)[None, :, None] & 1
+        packed = np.zeros((len(codes), self.planes, self.plane), dtype=np.uint8)
+        packed[..., : -(-codes.shape[1] // 8)] = np.packbits(bits, axis=-1)
+        return packed.reshape(len(codes), -1)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b on broadcasting codeword rows.  For odd p the gather casts
+        its index to intp, 8 bytes an entry, so callers pass row blocks of
+        about _BLOCK_BYTES entries."""
+        if self.planes:
+            return a ^ b
+        return np.take(self.ctx.add_flat, self.ctx.scaled_codes(a) + b)
+
+    def codewords(self, digits: np.ndarray) -> np.ndarray:
+        """Codewords of digit rows that cover whole groups, the digits of
+        the groups left out being zero: one table row per group, summed."""
+        q2 = self.ctx.q2
+        c = None
+        for (a, b), tab in zip(self.bounds, self.tables):
+            if b > digits.shape[1]:
+                break
+            row = np.take(tab, digits[:, a:b] @ q2 ** np.arange(b - a - 1, -1, -1), axis=0)
+            c = row if c is None else self.add(c, row)
+        return c
+
+    def weights(self, c: np.ndarray) -> np.ndarray:
+        """Nonzero positions of each codeword along the last axis: the set
+        bits of the OR of its planes, or of its packed nonzero mask."""
+        if not self.planes:
+            return polar.bit_counts(np.packbits(c != 0, axis=-1))
+        w = self.plane
+        acc = c[..., :w] | c[..., w : 2 * w]
+        for i in range(2, self.planes):
+            np.bitwise_or(acc, c[..., i * w : (i + 1) * w], out=acc)
+        return polar.bit_counts(acc)
 
 
-def _rep_blocks(k: int, q2: int, n: int, t_max: int) -> list[tuple[int, int, int]]:
-    """Blocks (lead, lo, hi) covering the scalar-class representatives in
-    ascending counter order.
+def _rep_blocks(k: int, g: int, q2: int, width: int) -> list[tuple[int, int, int, int]]:
+    """Blocks (lo, hi, r0, r1) covering the scalar-class representatives
+    in ascending counter order: the indices p Q^g + r for the prefixes
+    lo <= p < hi and the last group's table rows r0 <= r < r1.
 
     A representative with lead position j has zero digits before j and
-    the unit 1 at j.  Its digits at j .. k-1-t form a prefix value in
-    [q2^(r-t), 2 q2^(r-t)) with r = k-1-j and t = min(t_max, r); the last
-    t digits index a row of the inner table.  A block holds the prefixes
-    lo .. hi-1 of one lead, each combined with every table row.
+    the unit 1 at j, so its index lies in [Q^r, 2 Q^r) for r = k-1-j.
+    For r < g that is a row range of the last group's table with prefix
+    0; for r >= g the prefix lies in [Q^(r-g), 2 Q^(r-g)) and pairs with
+    every row.  A block holds about _BLOCK_BYTES of codewords.
     """
-    blocks = []
-    for j in range(k - 1, -1, -1):
-        r = k - 1 - j
-        t = min(t_max, r)
-        lo = q2 ** (r - t)
-        step = max(1, _BLOCK_BYTES // (q2**t * n))
-        blocks.extend((j, a, min(2 * lo, a + step)) for a in range(lo, 2 * lo, step))
+    rows = q2**g
+    blocks = [(0, 1, q2**r, 2 * q2**r) for r in range(g)]
+    step = max(1, _BLOCK_BYTES // (rows * width))
+    for r in range(g, k):
+        lo = q2 ** (r - g)
+        blocks.extend((a, min(2 * lo, a + step), 0, rows) for a in range(lo, 2 * lo, step))
     return blocks
 
 
-def _scan_reps(mul_rows, add_table, inner, t_max, blocks):
+def _scan_reps(kernel: _ScanKernel, blocks):
     """Histogram of the representatives in the blocks, their minimum
     weight and the ascending counter indices that attain it."""
-    q2, k, n = mul_rows.shape
-    hist = np.zeros(n + 1, dtype=np.int64)
+    q2, g, k = kernel.ctx.q2, kernel.g, kernel.bounds[-1][1]
+    last = kernel.tables[-1]
+    hist = np.zeros(kernel.n + 1, dtype=np.int64)
     best_w: int | None = None
     best_idx: list[np.ndarray] = []
-    for j, lo, hi in blocks:
-        t = min(t_max, k - 1 - j)
-        rows = q2**t
+    for lo, hi, r0, r1 in blocks:
         prefix = np.arange(lo, hi, dtype=np.int64)
-        c = _accumulate(mul_rows[:, j : k - t], _digits(prefix, q2, k - t - j), add_table)
-        tab = inner[:rows]
-        if add_table is None:
-            c = c[:, None, :] ^ tab[None, :, :]
-        else:
-            c = add_table[c[:, None, :], tab[None, :, :]]
-        w = np.count_nonzero(c.reshape(-1, n), axis=1)
-        hist += np.bincount(w, minlength=n + 1)
+        c = kernel.codewords(_digits(prefix, q2, k - g))
+        w = kernel.weights(kernel.add(c[:, None, :], last[None, r0:r1])).reshape(-1)
+        hist += np.bincount(w, minlength=len(hist))
         local = int(w.min())
         if local == 0:
             raise RuntimeError("a nonzero form has weight 0; the generator is rank deficient")
@@ -427,7 +491,7 @@ def _scan_reps(mul_rows, add_table, inner, t_max, blocks):
             best_idx = []
         if local == best_w:
             hits = np.flatnonzero(w == local)
-            best_idx.append(prefix[hits // rows] * rows + hits % rows)
+            best_idx.append(prefix[hits // (r1 - r0)] * q2**g + r0 + hits % (r1 - r0))
     return hist, best_w, best_idx
 
 
@@ -497,40 +561,35 @@ def spectrum(
 
     Sample mode draws ``samples`` uniform nonzero forms from numpy's
     default PCG64 generator seeded with ``seed``; the seed is recorded
-    in the report.
+    in the report.  It ignores ``jobs`` and runs in the calling process,
+    since starting a pool costs more than the scan.
+
+    Both modes sum rows of the same digit-group tables (``_ScanKernel``).
     """
     ctx = system.ctx
     q2 = ctx.q2
     k, n = system.k, system.n
     m = system.space.m
     started = time.perf_counter()
-    mul_rows = ctx.mul[np.arange(q2, dtype=np.intp)[:, None, None], system.matrix[None, :, :]]
-    add_table = None if ctx.p == 2 else ctx.add
+    total = q2**k
+    if mode == "exhaustive" and total > budget:
+        raise ValueError(f"exhaustive scan of {total} forms exceeds budget {budget}")
+    if mode == "sample" and (not samples or samples < 1):
+        raise ValueError("sample mode needs a positive sample count")
+    if mode not in ("exhaustive", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    kernel = _ScanKernel(system)
 
     if mode == "exhaustive":
-        total = q2**k
-        if total > budget:
-            raise ValueError(f"exhaustive scan of {total} forms exceeds budget {budget}")
-        # Inner table: the codewords of every combination of the last
-        # t_max digits, at most _INNER_ROWS of them; row 0 is zero.
-        # The line code has k >= 6 and q2 <= 64, so t_max >= 1.
-        t_max = 1
-        while t_max + 1 < k and q2 ** (t_max + 1) <= _INNER_ROWS:
-            t_max += 1
-        inner_digits = _digits(np.arange(q2**t_max, dtype=np.int64), q2, t_max)
-        inner = _accumulate(mul_rows[:, k - t_max :], inner_digits, add_table)
-        blocks = _rep_blocks(k, q2, n, t_max)
+        blocks = _rep_blocks(k, kernel.g, q2, kernel.width)
         workers = _pool_size(jobs, len(blocks))
         if workers > 1:
             cuts = [len(blocks) * i // workers for i in range(workers + 1)]
-            tasks = [
-                (mul_rows, add_table, inner, t_max, blocks[lo:hi])
-                for lo, hi in zip(cuts, cuts[1:])
-            ]
+            tasks = [(kernel, blocks[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
             with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
                 parts = pool.starmap(_scan_reps, tasks)
         else:
-            parts = [_scan_reps(mul_rows, add_table, inner, t_max, blocks)]
+            parts = [_scan_reps(kernel, blocks)]
         # Parts cover ascending index ranges, so their minima stay ascending.
         best_w = min(w for _, w, _ in parts)
         min_idx = np.concatenate([i for _, w, idx in parts if w == best_w for i in idx])
@@ -555,42 +614,40 @@ def spectrum(
             min_weight_radical_dims=rad_counts,
         )
 
-    if mode == "sample":
-        if not samples or samples < 1:
-            raise ValueError("sample mode needs a positive sample count")
-        rng = np.random.default_rng(seed)
-        hist = np.zeros(n + 1, dtype=np.int64)
-        best_w = None
-        best_upper = None
-        remaining = samples
-        chunk = 4096
-        while remaining:
-            b = min(chunk, remaining)
-            digits = rng.integers(0, q2, size=(b, k), dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    best_w = None
+    best_upper = None
+    remaining = samples
+    chunk = 4096
+    step = max(1, _BLOCK_BYTES // kernel.width)
+    while remaining:
+        b = min(chunk, remaining)
+        digits = rng.integers(0, q2, size=(b, k), dtype=np.uint8)
+        zero = ~digits.any(axis=1)
+        while zero.any():
+            digits[zero] = rng.integers(0, q2, size=(int(zero.sum()), k), dtype=np.uint8)
             zero = ~digits.any(axis=1)
-            while zero.any():
-                digits[zero] = rng.integers(0, q2, size=(int(zero.sum()), k), dtype=np.uint8)
-                zero = ~digits.any(axis=1)
-            w = np.count_nonzero(_accumulate(mul_rows, digits, add_table), axis=1)
-            hist += np.bincount(w, minlength=n + 1)
-            local = int(w.min())
-            if best_w is None or local < best_w:
-                best_w = local
-                best_upper = [int(x) for x in digits[int(w.argmin())]]
-            remaining -= b
-        return SpectrumReport(
-            mode="sample",
-            m=m,
-            q=ctx.q,
-            histogram={int(w): int(c) for w, c in enumerate(hist) if c},
-            forms_scanned=samples,
-            seed=seed,
-            wall_time_s=time.perf_counter() - started,
-            min_nonzero_weight=best_w,
-            min_weight_example=best_upper,
+        w = np.concatenate(
+            [kernel.weights(kernel.codewords(digits[lo : lo + step])) for lo in range(0, b, step)]
         )
-
-    raise ValueError(f"unknown mode {mode!r}")
+        hist += np.bincount(w, minlength=n + 1)
+        local = int(w.min())
+        if best_w is None or local < best_w:
+            best_w = local
+            best_upper = [int(x) for x in digits[int(w.argmin())]]
+        remaining -= b
+    return SpectrumReport(
+        mode="sample",
+        m=m,
+        q=ctx.q,
+        histogram={int(w): int(c) for w, c in enumerate(hist) if c},
+        forms_scanned=samples,
+        seed=seed,
+        wall_time_s=time.perf_counter() - started,
+        min_nonzero_weight=best_w,
+        min_weight_example=best_upper,
+    )
 
 
 def write_spectrum_csv(f, report: SpectrumReport) -> None:

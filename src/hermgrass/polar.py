@@ -68,11 +68,27 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+# np.bitwise_count is new in numpy 2.0
+_bitwise_count = getattr(np, "bitwise_count", None)
+
+
 def bit_counts(rows: np.ndarray) -> np.ndarray:
-    """Set bits in each row of a uint8 array, by a bytewise SWAR popcount."""
-    rows = rows - ((rows >> 1) & 0x55)
-    rows = (rows & 0x33) + ((rows >> 2) & 0x33)
-    return ((rows + (rows >> 4)) & 0x0F).sum(axis=1)
+    """Set bits along the last axis of a uint8 array, as intp.
+
+    With ``np.bitwise_count`` the whole words of each row are counted as
+    uint64 and the remaining bytes one at a time; without it (numpy
+    before 2.0) every byte takes a SWAR popcount.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    if _bitwise_count is None:
+        rows = rows - ((rows >> 1) & 0x55)
+        rows = (rows & 0x33) + ((rows >> 2) & 0x33)
+        return ((rows + (rows >> 4)) & 0x0F).sum(axis=-1, dtype=np.intp)
+    whole = rows.shape[-1] // 8 * 8
+    counts = _bitwise_count(rows[..., :whole].view(np.uint64)).sum(axis=-1, dtype=np.intp)
+    if whole < rows.shape[-1]:
+        counts += _bitwise_count(rows[..., whole:]).sum(axis=-1, dtype=np.intp)
+    return counts
 
 
 def isotropic_point_count(m: int, q: int) -> int:
@@ -446,22 +462,31 @@ def radical_profile(space: HermitianSpace, r) -> RadicalProfile:
     return RadicalProfile(dim=d, t=t, label=f"[Pi_{t}]H_{d - t}")
 
 
+def _write_csv_rows(f, n_rows: int, width: int, block) -> None:
+    """Write rows of integers as CSV lines; ``block(lo, hi)`` gives rows
+    lo .. hi-1.  They are gathered and converted to Python lists a block
+    at a time, so the int objects alive at once stay near DOT_BLOCK
+    however many rows there are."""
+    step = max(1, linalg.DOT_BLOCK // max(width, 1))
+    for lo in range(0, n_rows, step):
+        f.writelines(",".join(map(str, r)) + "\n" for r in block(lo, lo + step).tolist())
+
+
 def write_points_csv(f, space: HermitianSpace) -> None:
     ctx = space.ctx
     pts = space.points()
     f.write(f"# points m={space.m} p={ctx.p} e={ctx.e} count={len(pts)}\n")
-    for row in pts:
-        f.write(",".join(str(int(x)) for x in row) + "\n")
+    _write_csv_rows(f, len(pts), space.m, lambda lo, hi: pts[lo:hi])
 
 
 def write_lines_csv(f, space: HermitianSpace) -> None:
     ctx = space.ctx
     a_idx, b_idx = space.line_pair_indices()
     pts = space.points()
-    rows = np.hstack([pts[a_idx], pts[b_idx]])
-    f.write(f"# lines m={space.m} p={ctx.p} e={ctx.e} count={len(rows)}\n")
-    # converted to Python lists a block at a time, so the int objects
-    # alive at once stay near DOT_BLOCK however many lines there are
-    step = max(1, linalg.DOT_BLOCK // rows.shape[1])
-    for lo in range(0, len(rows), step):
-        f.writelines(",".join(map(str, r)) + "\n" for r in rows[lo : lo + step].tolist())
+    f.write(f"# lines m={space.m} p={ctx.p} e={ctx.e} count={len(a_idx)}\n")
+    _write_csv_rows(
+        f,
+        len(a_idx),
+        2 * space.m,
+        lambda lo, hi: np.hstack([pts[a_idx[lo:hi]], pts[b_idx[lo:hi]]]),
+    )

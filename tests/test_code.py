@@ -335,6 +335,74 @@ def test_exhaustive_spectrum_matches_per_form_oracle(system42):
     assert list(rep.min_weight_radical_dims.items()) == list(split.items())
 
 
+def _kernel_codes(kernel, c):
+    """Element codes of kernel codeword rows: the planes reassembled in
+    characteristic 2, the rows themselves otherwise."""
+    if not kernel.planes:
+        return c
+    bits = np.unpackbits(c.reshape(len(c), kernel.planes, kernel.plane), axis=-1)[..., : kernel.n]
+    return (bits << np.arange(kernel.planes, dtype=np.uint8)[None, :, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "m,q", [(4, q) for q in hg.SUPPORTED_Q] + [(5, 2)], ids=lambda v: str(v)
+)
+def test_scan_kernel_matches_codeword_oracle(m, q):
+    # Characteristic 2 runs the packed bit-plane path (GF(4), GF(16),
+    # GF(64)), odd p the element-code path (GF(9), GF(25), GF(49)).
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    ctx = hg.make_field(p, round(np.log(q) / np.log(p)))
+    assert ctx.q == q
+    system = hg.build_system(hg.HermitianSpace(m, ctx))
+    kernel = code._ScanKernel(system)
+    q2, k = ctx.q2, system.k
+    assert [b - a for a, b in kernel.bounds][1:] == [kernel.g] * (len(kernel.bounds) - 1)
+    assert q2**kernel.g <= code._GROUP_ROWS < q2 ** (kernel.g + 1)
+    rng = np.random.default_rng(q2 + m)
+    single = np.zeros((k, k), dtype=np.uint8)
+    single[np.arange(k), np.arange(k)] = rng.integers(1, q2, size=k)
+    last = np.zeros((6, k), dtype=np.uint8)
+    last[:, kernel.bounds[-1][0] :] = rng.integers(1, q2, size=(6, k - kernel.bounds[-1][0]))
+    digits = np.vstack([rng.integers(0, q2, size=(30, k), dtype=np.uint8), single, last])
+
+    def oracle(rows):
+        return [code.codeword(code.AlternatingForm.from_upper(ctx, m, r), system) for r in rows]
+
+    c = kernel.codewords(digits)
+    assert c.shape == (len(digits), kernel.width)
+    want = oracle(digits)
+    assert kernel.weights(c).tolist() == [cw.weight for cw in want]
+    assert np.array_equal(_kernel_codes(kernel, c), np.array([cw.values for cw in want]))
+    # the exhaustive scan's form: prefix codewords plus every row of the
+    # last group's table, broadcast
+    prefixes = digits[:4, : k - kernel.g]
+    wide = kernel.weights(
+        kernel.add(kernel.codewords(prefixes)[:, None, :], kernel.tables[-1][None])
+    )
+    tail = code._digits(np.arange(q2**kernel.g), q2, kernel.g).astype(np.uint8)
+    forms = [np.concatenate([pre, t]) for pre in prefixes for t in tail]
+    assert wide.reshape(-1).tolist() == [cw.weight for cw in oracle(forms)]
+
+
+def test_sample_spectrum_matches_per_form_oracle(system43):
+    # the seeded draws of sample mode: chunks of 4096 rows, all-zero rows
+    # redrawn until none is left
+    ctx, k = system43.ctx, system43.k
+    rng = np.random.default_rng(6)
+    digits = rng.integers(0, ctx.q2, size=(300, k), dtype=np.uint8)
+    zero = ~digits.any(axis=1)
+    while zero.any():
+        digits[zero] = rng.integers(0, ctx.q2, size=(int(zero.sum()), k), dtype=np.uint8)
+        zero = ~digits.any(axis=1)
+    weights = [
+        code.weight_direct(code.AlternatingForm.from_upper(ctx, 4, d), system43) for d in digits
+    ]
+    rep = code.spectrum(system43, mode="sample", seed=6, samples=300)
+    assert rep.histogram == {w: weights.count(w) for w in set(weights)}
+    assert rep.min_nonzero_weight == min(weights)
+    assert rep.min_weight_example == digits[int(np.argmin(weights))].tolist()
+
+
 def test_pless_gate_rejects_tampered_histogram():
     n, k, q2 = 27, 6, 4
     code._check_pless(FROZEN_42_HISTOGRAM, n, k, q2)

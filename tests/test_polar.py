@@ -234,11 +234,24 @@ def test_section_table_over_available_memory_is_none(monkeypatch):
     assert fits.section_table().nbytes == 85 * 6
 
 
-def test_bit_counts_matches_unpackbits():
-    rows = np.random.default_rng(8).integers(0, 256, size=(40, 7), dtype=np.uint8)
-    rows[0] = 0
-    rows[1] = 255
-    assert np.array_equal(polar.bit_counts(rows), np.unpackbits(rows, axis=1).sum(axis=1))
+def test_bit_counts_matches_unpackbits(monkeypatch):
+    def check():
+        for width in (1, 7, 8, 13, 16, 41):
+            rows = np.random.default_rng(width).integers(0, 256, size=(40, width), dtype=np.uint8)
+            rows[0] = 0
+            rows[1] = 255
+            want = np.unpackbits(rows, axis=1).sum(axis=1)
+            got = polar.bit_counts(rows)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want)
+            # counts run along the last axis, of a stack and of a column slice
+            assert np.array_equal(polar.bit_counts(rows.reshape(4, 10, width)), want.reshape(4, 10))
+            tail = rows[:, 1:]
+            assert np.array_equal(polar.bit_counts(tail), np.unpackbits(tail, axis=1).sum(axis=1))
+
+    check()
+    monkeypatch.setattr(polar, "_bitwise_count", None)  # numpy before 2.0: the SWAR path
+    check()
 
 
 def test_section_table_checks_perp_sizes(monkeypatch):
