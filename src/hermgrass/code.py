@@ -473,14 +473,14 @@ def _rep_blocks(k: int, g: int, q2: int, width: int) -> list[tuple[int, int, int
 def _scan_reps(kernel: _ScanKernel, blocks):
     """Histogram of the representatives in the blocks, their minimum
     weight and the ascending counter indices that attain it."""
-    q2, g, k = kernel.ctx.q2, kernel.g, kernel.bounds[-1][1]
-    last = kernel.tables[-1]
+    q2, g = kernel.ctx.q2, kernel.g
+    head, last = kernel.bounds[-1][0], kernel.tables[-1]  # digits before the last group
     hist = np.zeros(kernel.n + 1, dtype=np.int64)
     best_w: int | None = None
     best_idx: list[np.ndarray] = []
     for lo, hi, r0, r1 in blocks:
         prefix = np.arange(lo, hi, dtype=np.int64)
-        c = kernel.codewords(_digits(prefix, q2, k - g))
+        c = kernel.codewords(_digits(prefix, q2, head))
         w = kernel.weights(kernel.add(c[:, None, :], last[None, r0:r1])).reshape(-1)
         hist += np.bincount(w, minlength=len(hist))
         local = int(w.min())

@@ -79,7 +79,7 @@ def bit_counts(rows: np.ndarray) -> np.ndarray:
     uint64 and the remaining bytes one at a time; without it (numpy
     before 2.0) every byte takes a SWAR popcount.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    rows = np.ascontiguousarray(rows)
     if _bitwise_count is None:
         rows = rows - ((rows >> 1) & 0x55)
         rows = (rows & 0x33) + ((rows >> 2) & 0x33)
@@ -467,7 +467,7 @@ def _write_csv_rows(f, n_rows: int, width: int, block) -> None:
     lo .. hi-1.  They are gathered and converted to Python lists a block
     at a time, so the int objects alive at once stay near DOT_BLOCK
     however many rows there are."""
-    step = max(1, linalg.DOT_BLOCK // max(width, 1))
+    step = max(1, linalg.DOT_BLOCK // width)
     for lo in range(0, n_rows, step):
         f.writelines(",".join(map(str, r)) + "\n" for r in block(lo, lo + step).tolist())
 
