@@ -43,7 +43,7 @@ from .code import (
     write_form_json,
 )
 from .ff import SUPPORTED_Q, FieldCtx, make_field
-from .linalg import Subspace, kernel, rank, rref
+from .linalg import kernel, rank, rref
 from .pluecker import ProjectiveSystem, build_system, pair_indices, pluecker_point
 from .polar import (
     HermitianSpace,

@@ -106,6 +106,13 @@ def _labels(space: polar.HermitianSpace, zero, y) -> np.ndarray:
     return labels
 
 
+def _class_sizes(ctx: FieldCtx, labels: np.ndarray) -> tuple[int, int, int]:
+    """Vector counts (A, B, C) of the zero, secant and tangent classes,
+    q^2 - 1 vectors per labelled point."""
+    a, b, c = np.bincount(labels, minlength=3) * (ctx.q2 - 1)
+    return int(a), int(b), int(c)
+
+
 def point_classes(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarray:
     """Class label (0 zero, 1 secant, 2 tangent) per isotropic point."""
     if phi.is_zero():
@@ -172,11 +179,7 @@ def classify_points(
     # points and, at the isotropic rows, the point classes.
     kernel_mask, y, fixed = _images(phi, space, space.all_points())
     iso = space.point_index(space.points())
-    labels = _labels(space, (kernel_mask | fixed)[iso], y[iso])
-    scale = ctx.q2 - 1
-    a = int((labels == ZERO_CLASS).sum()) * scale
-    b = int((labels == SECANT_CLASS).sum()) * scale
-    c = int((labels == TANGENT_CLASS).sum()) * scale
+    a, b, c = _class_sizes(ctx, _labels(space, (kernel_mask | fixed)[iso], y[iso]))
     wfc = weight_from_class_counts(space.m, q, a, b, c)
     if system is not None:
         wd = weight_direct(phi, system)
@@ -193,7 +196,7 @@ def classify_points(
         weight_from_counts=wfc,
         weight_direct=wd,
         checks={
-            "conservation": a + b + c == scale * polar.isotropic_point_count(space.m, q),
+            "conservation": a + b + c == (ctx.q2 - 1) * polar.isotropic_point_count(space.m, q),
             "weight_agreement": wfc == wd,
         },
     )
@@ -328,7 +331,7 @@ def make_rank2_cone_form(
 
     def candidates():
         x0 = _norm_minus_one_element(ctx)
-        if space.is_identity_gram:
+        if np.array_equal(space.gram, np.eye(m, dtype=np.uint8)):
             if m % 2:
                 rows = np.zeros((m - 2, m), dtype=np.uint8)
                 rows[0, 0] = 1
@@ -340,8 +343,8 @@ def make_rank2_cone_form(
                 p1[0], p1[1] = 1, x0
                 p2 = np.zeros(m, dtype=np.uint8)
                 p2[2], p2[3] = 1, x0
-                rows = polar.perp(space, np.stack([p1, p2])).basis
-            ab = linalg.kernel(ctx, rows).basis
+                rows = polar.perp(space, np.stack([p1, p2]))
+            ab = linalg.kernel(ctx, rows)
             if ab.shape[0] == 2:
                 yield _outer_antisym(ctx, ab[0], ab[1])
         rng = np.random.default_rng(seed)
@@ -403,15 +406,11 @@ def make_permutable_form(
     for phi in candidates():
         if phi.rank != m:
             continue
-        labels = point_classes(phi, space)
-        a = int((labels == ZERO_CLASS).sum()) * (ctx.q2 - 1)
-        b = int((labels == SECANT_CLASS).sum())
+        a, b, _ = _class_sizes(ctx, point_classes(phi, space))
         if a != a_target or b != 0:
             continue
-        if system is not None:
-            expected = q ** (4 * m - 12) - q ** (2 * m - 6)
-            if weight_direct(phi, system) != expected:
-                continue
+        if system is not None and weight_direct(phi, system) != code_params(m, q).d_min:
+            continue
         return phi
     raise RuntimeError("no permutable witness found within the retry budget")
 
@@ -436,9 +435,7 @@ def check_min_weight_profile(
         raise ValueError("not a minimum-weight form")
     rad_dim = phi.rad_dim
     if m in (4, 6):
-        labels = point_classes(phi, space)
-        a = int((labels == ZERO_CLASS).sum()) * (space.ctx.q2 - 1)
-        b = int((labels == SECANT_CLASS).sum())
+        a, b, _ = _class_sizes(space.ctx, point_classes(phi, space))
         ok = phi.rank == m and a == (q**m - 1) * (q + 1) and b == 0
         return ok, f"rank={phi.rank}, A={a}, B={b}"
     profile = polar.radical_profile(space, phi.radical)

@@ -59,18 +59,18 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-def _add_field_args(sp, with_m=True, m_range=False):
+def _add_field_args(sp, with_m=True):
     if with_m:
-        help_m = "space dimension m (range like 4..8 allowed)" if m_range else "space dimension m"
-        sp.add_argument("-m", required=True, help=help_m)
+        sp.add_argument("-m", required=True, help="space dimension m")
     sp.add_argument("-q", type=int, help="shorthand for the subfield order (prime power)")
     sp.add_argument("-p", type=int, help="subfield characteristic")
     sp.add_argument("-e", type=int, help="subfield extension degree over GF(p)")
 
 
-def _add_output_args(sp):
+def _add_output_args(sp, with_format=True):
     sp.add_argument("--out", help="output path (default: stdout)")
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    if with_format:
+        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=desc)
         _add_field_args(sp)
-        _add_output_args(sp)
+        _add_output_args(sp, with_format=name != "genmat")
 
     sp = sub.add_parser("weight", help="weights of one form, computed three ways")
     _add_field_args(sp, with_m=False)
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="class sizes and cross-checks for one form")
     _add_field_args(sp, with_m=False)
     sp.add_argument("--form", required=True)
-    _add_output_args(sp)
+    _add_output_args(sp, with_format=False)
 
     sp = sub.add_parser("bounds", help="per-rank zero-class bounds and weight bounds")
     _add_field_args(sp)
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=100_000)
     sp.add_argument("--budget", type=int, default=1 << 24)
     sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    _add_output_args(sp)
+    _add_output_args(sp, with_format=False)
 
     sp = sub.add_parser("verify", help="run every claim check feasible at (m, q)")
     _add_field_args(sp)
@@ -270,13 +270,12 @@ def cmd_weight(args) -> int:
     ctx, phi = _load_form(args)
     space = polar.HermitianSpace(phi.m, ctx)
     system = pluecker.build_system(space)
-    wd = code.weight_direct(phi, system)
     wr = code.weight_recursive(phi, space)
     if phi.is_zero():
-        wfc = 0
+        wd, wfc = code.weight_direct(phi, system), 0
     else:
         rep = classify.classify_points(phi, space, system)
-        wfc = rep.weight_from_counts
+        wd, wfc = rep.weight_direct, rep.weight_from_counts
     payload = {
         "m": phi.m,
         "q": ctx.q,
@@ -448,9 +447,8 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
         if not upper.any():
             continue
         phi = code.AlternatingForm.from_upper(ctx, m, upper)
-        wd = code.weight_direct(phi, system)
-        wr = code.weight_recursive(phi, space)
         rep = classify.classify_points(phi, space, system)
+        wd, wr = rep.weight_direct, code.weight_recursive(phi, space)
         pw = set(int(x) for x in np.unique(code.point_weights(phi, space)))
         if not (wd == wr == rep.weight_from_counts and rep.checks["conservation"]):
             all_ok = False

@@ -31,15 +31,18 @@ counts back by Q - 1 and adds the zero form, so ``forms_scanned`` is
 still Q^K.  The histogram is gated on its total and the first two Pless
 power moments.
 
-Both modes share one codeword kernel.  The K digits fall into groups of
-g, the largest g with Q^g <= 256, and each group has a table holding
-the codeword of every digit combination, so a sampled form costs one
-row gather and add per group, ceil(K/g) in all.  An exhaustive
-representative is a prefix codeword plus one row of the last group's
-table, one addition.  In characteristic 2 the rows are bit-packed
-GF(2) planes: adding is XOR and the weight is the popcount
-(``polar.bit_counts``) of the OR of the planes.  For odd p the rows are
-element codes, added with ``add_flat`` gathers.
+Both modes share one codeword kernel, ``linalg._ScanKernel`` on the
+generator matrix.  The K digits fall into groups of g, the largest g
+with Q^g <= 256, and each group has a table holding the codeword of
+every digit combination, so a sampled form costs one row gather and add
+per group, ceil(K/g) in all.  An exhaustive representative is a prefix
+codeword plus one row of the last group's table; the kernel's block
+walk, which also builds the space's section table, yields their packed
+nonzero masks and the scan popcounts them (``linalg.bit_counts``).  In
+characteristic 2 the rows are bit-packed GF(2) planes: adding is XOR
+and the mask is the OR of the planes.  For odd p the rows are element
+codes: a sampled form adds them with ``add_flat`` gathers, and the walk
+compares the prefix codeword with the negated last table.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ import numpy as np
 
 from . import linalg, polar
 from .ff import FieldCtx, make_field
-from .linalg import Subspace
 from .pluecker import ProjectiveSystem
 
 __all__ = [
@@ -100,7 +102,7 @@ class AlternatingForm:
         self.s = s
         self.m = s.shape[0]
         self._rank: int | None = None
-        self._radical: Subspace | None = None
+        self._radical: np.ndarray | None = None
 
     @classmethod
     def from_upper(cls, ctx: FieldCtx, m: int, upper) -> "AlternatingForm":
@@ -125,9 +127,11 @@ class AlternatingForm:
         return self._rank
 
     @property
-    def radical(self) -> Subspace:
+    def radical(self) -> np.ndarray:
+        """RREF basis of the two-sided kernel, one row per dimension."""
         if self._radical is None:
             self._radical = linalg.kernel(self.ctx, self.s)
+            self._radical.flags.writeable = False
         return self._radical
 
     @property
@@ -252,7 +256,7 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
         step = max(1, linalg.DOT_BLOCK // table.shape[1])
         for lo in range(0, len(live), step):
             hits = table[perp[lo : lo + step]] & ~table[sect[lo : lo + step]]
-            cnt[live[lo : lo + step]] = polar.bit_counts(hits)
+            cnt[live[lo : lo + step]] = linalg.bit_counts(hits)
     else:
         cgr = space.conj_gram_rows()
         step = max(1, linalg.DOT_BLOCK // max(n_pts, 1))
@@ -356,132 +360,19 @@ class SpectrumReport:
     min_weight_radical_dims: dict[int, int] | None = None
 
 
-# The scan kernel keeps each digit-group table at most this many rows and
-# each block of codewords near this many bytes; the radical split ranks
-# this many minimum-weight forms per batch.
-_GROUP_ROWS = 256
-_BLOCK_BYTES = 1 << 18
+# The radical split ranks this many minimum-weight forms per batch.
 _RANK_CHUNK = 1024
 
 
-def _digits(idx: np.ndarray, q2: int, width: int) -> np.ndarray:
-    """Counter digits of the indices, most significant first."""
-    powers = q2 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // powers[None, :]) % q2
-
-
-class _ScanKernel:
-    """Codewords of alternating forms as sums of digit-group table rows.
-
-    The K counter digits are split into consecutive groups of g digits,
-    the last ending at digit K - 1 and the first possibly shorter, with g
-    the largest such that Q^g <= _GROUP_ROWS (Q = q^2).  Table i holds
-    the codeword of every digit combination of group i, its row index
-    being those digits read base Q, most significant first; row 0 is the
-    zero word.  A form's codeword is the sum of one row per group.
-
-    In characteristic 2 a row holds the 2e bit-planes of the codeword,
-    each packed with np.packbits into ``plane`` bytes (a multiple of 8,
-    zero-padded), so a sum is an XOR and the weight is the popcount of
-    the OR of the planes.  Otherwise rows are element codes, a sum is one
-    ``add_flat`` gather and the weight counts the nonzero codes.
-    """
-
-    def __init__(self, system: ProjectiveSystem):
-        ctx = self.ctx = system.ctx
-        q2, (k, n) = ctx.q2, system.matrix.shape
-        self.n = n
-        g = 1
-        while g + 1 < k and q2 ** (g + 1) <= _GROUP_ROWS:
-            g += 1
-        self.g = g
-        self.bounds = [(max(0, b - g), b) for b in range(k, 0, -g)][::-1]
-        self.planes = 2 * ctx.e if ctx.p == 2 else 0
-        self.plane = -(-n // 64) * 8
-        self.width = self.planes * self.plane if self.planes else n
-        self.tables = []
-        for a, b in self.bounds:
-            tab = np.zeros((1, self.width), dtype=np.uint8)
-            for row in system.matrix[a:b]:
-                # ctx.mul[d, row] is d times the generator row; each old
-                # row r becomes the rows r Q + d
-                terms = self._pack(ctx.mul[:, row])
-                tab = np.concatenate([self.add(r, terms) for r in tab])
-            self.tables.append(tab)
-
-    def _pack(self, codes: np.ndarray) -> np.ndarray:
-        """Rows of element codes in the table layout."""
-        if not self.planes:
-            return codes
-        bits = codes[:, None, :] >> np.arange(self.planes, dtype=np.uint8)[None, :, None] & 1
-        packed = np.zeros((len(codes), self.planes, self.plane), dtype=np.uint8)
-        packed[..., : -(-codes.shape[1] // 8)] = np.packbits(bits, axis=-1)
-        return packed.reshape(len(codes), -1)
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a + b on broadcasting codeword rows.  For odd p the gather casts
-        its index to intp, 8 bytes an entry, so callers pass row blocks of
-        about _BLOCK_BYTES entries."""
-        if self.planes:
-            return a ^ b
-        return np.take(self.ctx.add_flat, self.ctx.scaled_codes(a) + b)
-
-    def codewords(self, digits: np.ndarray) -> np.ndarray:
-        """Codewords of digit rows that cover whole groups, the digits of
-        the groups left out being zero: one table row per group, summed."""
-        q2 = self.ctx.q2
-        c = None
-        for (a, b), tab in zip(self.bounds, self.tables):
-            if b > digits.shape[1]:
-                break
-            row = np.take(tab, digits[:, a:b] @ q2 ** np.arange(b - a - 1, -1, -1), axis=0)
-            c = row if c is None else self.add(c, row)
-        return c
-
-    def weights(self, c: np.ndarray) -> np.ndarray:
-        """Nonzero positions of each codeword along the last axis: the set
-        bits of the OR of its planes, or of its packed nonzero mask."""
-        if not self.planes:
-            return polar.bit_counts(np.packbits(c != 0, axis=-1))
-        w = self.plane
-        acc = c[..., :w] | c[..., w : 2 * w]
-        for i in range(2, self.planes):
-            np.bitwise_or(acc, c[..., i * w : (i + 1) * w], out=acc)
-        return polar.bit_counts(acc)
-
-
-def _rep_blocks(k: int, g: int, q2: int, width: int) -> list[tuple[int, int, int, int]]:
-    """Blocks (lo, hi, r0, r1) covering the scalar-class representatives
-    in ascending counter order: the indices p Q^g + r for the prefixes
-    lo <= p < hi and the last group's table rows r0 <= r < r1.
-
-    A representative with lead position j has zero digits before j and
-    the unit 1 at j, so its index lies in [Q^r, 2 Q^r) for r = k-1-j.
-    For r < g that is a row range of the last group's table with prefix
-    0; for r >= g the prefix lies in [Q^(r-g), 2 Q^(r-g)) and pairs with
-    every row.  A block holds about _BLOCK_BYTES of codewords.
-    """
-    rows = q2**g
-    blocks = [(0, 1, q2**r, 2 * q2**r) for r in range(g)]
-    step = max(1, _BLOCK_BYTES // (rows * width))
-    for r in range(g, k):
-        lo = q2 ** (r - g)
-        blocks.extend((a, min(2 * lo, a + step), 0, rows) for a in range(lo, 2 * lo, step))
-    return blocks
-
-
-def _scan_reps(kernel: _ScanKernel, blocks):
+def _scan_reps(kernel: linalg._ScanKernel, blocks):
     """Histogram of the representatives in the blocks, their minimum
     weight and the ascending counter indices that attain it."""
-    q2, g = kernel.ctx.q2, kernel.g
-    head, last = kernel.bounds[-1][0], kernel.tables[-1]  # digits before the last group
+    rows = kernel.ctx.q2**kernel.g
     hist = np.zeros(kernel.n + 1, dtype=np.int64)
     best_w: int | None = None
     best_idx: list[np.ndarray] = []
-    for lo, hi, r0, r1 in blocks:
-        prefix = np.arange(lo, hi, dtype=np.int64)
-        c = kernel.codewords(_digits(prefix, q2, head))
-        w = kernel.weights(kernel.add(c[:, None, :], last[None, r0:r1])).reshape(-1)
+    for (lo, _, r0, r1), mask in zip(blocks, kernel.nonzero_masks(blocks)):
+        w = linalg.bit_counts(mask).reshape(-1)
         hist += np.bincount(w, minlength=len(hist))
         local = int(w.min())
         if local == 0:
@@ -491,7 +382,7 @@ def _scan_reps(kernel: _ScanKernel, blocks):
             best_idx = []
         if local == best_w:
             hits = np.flatnonzero(w == local)
-            best_idx.append(prefix[hits // (r1 - r0)] * q2**g + r0 + hits % (r1 - r0))
+            best_idx.append((lo + hits // (r1 - r0)) * rows + r0 + hits % (r1 - r0))
     return hist, best_w, best_idx
 
 
@@ -502,7 +393,7 @@ def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray) -> dict[int, int]:
     iu, ju = np.triu_indices(m, 1)
     counts: dict[int, int] = {}
     for lo in range(0, len(idx), _RANK_CHUNK):
-        d = _digits(idx[lo : lo + _RANK_CHUNK], ctx.q2, k).astype(np.uint8)
+        d = linalg._digits(idx[lo : lo + _RANK_CHUNK], ctx.q2, k).astype(np.uint8)
         s = np.zeros((len(d), m, m), dtype=np.uint8)
         s[:, iu, ju] = d
         s[:, ju, iu] = ctx.neg[d]
@@ -564,7 +455,7 @@ def spectrum(
     in the report.  It ignores ``jobs`` and runs in the calling process,
     since starting a pool costs more than the scan.
 
-    Both modes sum rows of the same digit-group tables (``_ScanKernel``).
+    Both modes sum rows of the same digit-group tables (``linalg._ScanKernel``).
     """
     ctx = system.ctx
     q2 = ctx.q2
@@ -578,10 +469,10 @@ def spectrum(
         raise ValueError("sample mode needs a positive sample count")
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    kernel = _ScanKernel(system)
+    kernel = linalg._ScanKernel(ctx, system.matrix)
 
     if mode == "exhaustive":
-        blocks = _rep_blocks(k, kernel.g, q2, kernel.width)
+        blocks = linalg._rep_blocks(k, kernel.g, q2, kernel.width)
         workers = _pool_size(jobs, len(blocks))
         if workers > 1:
             cuts = [len(blocks) * i // workers for i in range(workers + 1)]
@@ -610,7 +501,7 @@ def spectrum(
             seed=None,
             wall_time_s=time.perf_counter() - started,
             min_nonzero_weight=best_w,
-            min_weight_example=[int(x) for x in _digits(min_idx[:1], q2, k)[0]],
+            min_weight_example=[int(x) for x in linalg._digits(min_idx[:1], q2, k)[0]],
             min_weight_radical_dims=rad_counts,
         )
 
@@ -620,7 +511,7 @@ def spectrum(
     best_upper = None
     remaining = samples
     chunk = 4096
-    step = max(1, _BLOCK_BYTES // kernel.width)
+    step = max(1, linalg._BLOCK_BYTES // kernel.width)
     while remaining:
         b = min(chunk, remaining)
         digits = rng.integers(0, q2, size=(b, k), dtype=np.uint8)

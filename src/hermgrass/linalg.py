@@ -3,9 +3,18 @@
 Matrices are numpy arrays of field-element codes (see ff).  Every sum
 of products goes through ``dot``, the one product kernel: each product
 is one add and one 1-D gather from ``FieldCtx.mul_flat``, so every
-result is exact.  The reduced row echelon form is the canonical
-representative of a row space; its flattened entries serve as a total
-order and hash key for subspaces.  Pivots are chosen leftmost first.
+result is exact.  A subspace is held by its reduced row echelon basis,
+the canonical representative of a row space; its flattened entries
+serve as a total order and hash key.  Pivots are chosen leftmost first.
+
+The scan kernel (``_ScanKernel``) holds the products f M of a K x N
+matrix M with every coefficient vector f as sums of digit-group table
+rows.  Its one block walk (``_ScanKernel.nonzero_masks`` over
+``_rep_blocks``) visits the normalized f, first nonzero entry 1, in
+ascending order and yields the packed nonzero mask of each f M: the
+exhaustive spectrum scan popcounts it (``bit_counts``), with M the
+generator matrix, and ``HermitianSpace.section_table`` stores its
+complement, with M the transposed isotropic points.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ __all__ = [
     "rank",
     "rank_stack",
     "kernel",
-    "Subspace",
 ]
 
 #: Entries per block of a table-sized ``dot``: callers with operands the
@@ -171,60 +179,13 @@ def rank_stack(ctx: FieldCtx, mats) -> np.ndarray:
     return ranks
 
 
-class Subspace:
-    """A subspace of GF(q^2)^n held by its canonical RREF basis.
-
-    Equality and hashing go through the flattened basis entries, so
-    two Subspace objects agree exactly when they span the same space.
-    """
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis: np.ndarray):
-        basis = np.ascontiguousarray(np.asarray(basis, dtype=np.uint8))
-        if basis.ndim != 2:
-            raise ValueError("basis must be a 2-d array")
-        basis.flags.writeable = False
-        self.basis = basis
-
-    @classmethod
-    def from_rows(cls, ctx: FieldCtx, rows, ambient: int | None = None) -> "Subspace":
-        m = as_matrix(ctx, rows)
-        if m.size == 0:
-            if ambient is None:
-                ambient = m.shape[1]
-            return cls(np.zeros((0, ambient), dtype=np.uint8))
-        r, rk = rref(ctx, m)
-        return cls(r[:rk])
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def ambient(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def key(self) -> bytes:
-        return self.basis.tobytes()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subspace) and self.basis.shape == other.basis.shape and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash((self.basis.shape, self.key))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def kernel(ctx: FieldCtx, m) -> Subspace:
-    """Right kernel {x : m x = 0} as a canonical Subspace."""
+def kernel(ctx: FieldCtx, m) -> np.ndarray:
+    """Right kernel {x : m x = 0} as its canonical RREF basis, one row
+    per dimension."""
     m = as_matrix(ctx, m)
     nr, nc = m.shape
     if nr == 0:
-        return Subspace.from_rows(ctx, np.eye(nc, dtype=np.uint8))
+        return np.eye(nc, dtype=np.uint8)
     r, rk = rref(ctx, m)
     pivots = []
     for i in range(rk):
@@ -235,5 +196,162 @@ def kernel(ctx: FieldCtx, m) -> Subspace:
         rows[j, fc] = 1
         for i, pc in enumerate(pivots):
             rows[j, pc] = fneg(ctx, r[i, fc])
-    return Subspace.from_rows(ctx, rows, ambient=nc)
+    basis, rk = rref(ctx, rows)
+    return basis[:rk]
 
+
+# -- scan kernel ---------------------------------------------------------------
+
+# The scan kernel keeps each digit-group table at most this many rows and
+# each block of codewords near this many bytes.
+_GROUP_ROWS = 256
+_BLOCK_BYTES = 1 << 18
+
+# np.bitwise_count is new in numpy 2.0
+_bitwise_count = getattr(np, "bitwise_count", None)
+
+
+def bit_counts(rows: np.ndarray) -> np.ndarray:
+    """Set bits along the last axis of a uint8 array, as intp.
+
+    With ``np.bitwise_count`` the whole words of each row are counted as
+    uint64 and the remaining bytes one at a time; without it (numpy
+    before 2.0) every byte takes a SWAR popcount.
+    """
+    rows = np.ascontiguousarray(rows)
+    if _bitwise_count is None:
+        rows = rows - ((rows >> 1) & 0x55)
+        rows = (rows & 0x33) + ((rows >> 2) & 0x33)
+        return ((rows + (rows >> 4)) & 0x0F).sum(axis=-1, dtype=np.intp)
+    whole = rows.shape[-1] // 8 * 8
+    counts = _bitwise_count(rows[..., :whole].view(np.uint64)).sum(axis=-1, dtype=np.intp)
+    if whole < rows.shape[-1]:
+        counts += _bitwise_count(rows[..., whole:]).sum(axis=-1, dtype=np.intp)
+    return counts
+
+
+def _digits(idx: np.ndarray, q2: int, width: int) -> np.ndarray:
+    """Counter digits of the indices, most significant first."""
+    powers = q2 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (idx[:, None] // powers[None, :]) % q2
+
+
+class _ScanKernel:
+    """The products f M of a K x N matrix M with coefficient vectors f,
+    as sums of digit-group table rows.
+
+    The K digits of f are split into consecutive groups of g digits,
+    the last ending at digit K - 1 and the first possibly shorter, with g
+    the largest below K such that Q^g <= _GROUP_ROWS (Q = q^2).  Table i
+    holds the codeword of every digit combination of group i, its row
+    index being those digits read base Q, most significant first; row 0
+    is the zero word.  A codeword is the sum of one row per group.
+
+    In characteristic 2 a row holds the 2e bit-planes of the codeword,
+    each packed with np.packbits into ``plane`` bytes (a multiple of 8,
+    zero-padded), so a sum is an XOR and the nonzero mask is the OR of
+    the planes.  Otherwise rows are element codes, a sum is one
+    ``add_flat`` gather and the nonzero mask packs the nonzero codes.
+    """
+
+    def __init__(self, ctx: FieldCtx, matrix: np.ndarray):
+        self.ctx = ctx
+        q2, (k, n) = ctx.q2, matrix.shape
+        self.n = n
+        g = 1
+        while g + 1 < k and q2 ** (g + 1) <= _GROUP_ROWS:
+            g += 1
+        self.g = g
+        self.bounds = [(max(0, b - g), b) for b in range(k, 0, -g)][::-1]
+        self.planes = 2 * ctx.e if ctx.p == 2 else 0
+        self.plane = -(-n // 64) * 8
+        self.width = self.planes * self.plane if self.planes else n
+        self.tables = []
+        for a, b in self.bounds:
+            tab = np.zeros((1, self.width), dtype=np.uint8)
+            for row in matrix[a:b]:
+                # ctx.mul[d, row] is d times the matrix row; each old
+                # row r becomes the rows r Q + d
+                terms = self._pack(ctx.mul[:, row])
+                tab = np.concatenate([self.add(r, terms) for r in tab])
+            self.tables.append(tab)
+
+    def _pack(self, codes: np.ndarray) -> np.ndarray:
+        """Rows of element codes in the table layout."""
+        if not self.planes:
+            return codes
+        bits = codes[:, None, :] >> np.arange(self.planes, dtype=np.uint8)[None, :, None] & 1
+        packed = np.zeros((len(codes), self.planes, self.plane), dtype=np.uint8)
+        packed[..., : -(-codes.shape[1] // 8)] = np.packbits(bits, axis=-1)
+        return packed.reshape(len(codes), -1)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b on broadcasting codeword rows.  For odd p the gather casts
+        its index to intp, 8 bytes an entry, so callers pass row blocks of
+        about _BLOCK_BYTES entries."""
+        if self.planes:
+            return a ^ b
+        return np.take(self.ctx.add_flat, self.ctx.scaled_codes(a) + b)
+
+    def codewords(self, digits: np.ndarray) -> np.ndarray:
+        """Codewords of digit rows that cover whole groups, the digits of
+        the groups left out being zero: one table row per group, summed."""
+        q2 = self.ctx.q2
+        c = None
+        for (a, b), tab in zip(self.bounds, self.tables):
+            if b > digits.shape[1]:
+                break
+            row = np.take(tab, digits[:, a:b] @ q2 ** np.arange(b - a - 1, -1, -1), axis=0)
+            c = row if c is None else self.add(c, row)
+        return c
+
+    def _mask(self, c: np.ndarray) -> np.ndarray:
+        """Packed nonzero positions of codewords along the last axis: the
+        OR of the planes, or np.packbits of the nonzero codes."""
+        if not self.planes:
+            return np.packbits(c != 0, axis=-1)
+        w = self.plane
+        acc = c[..., :w] | c[..., w : 2 * w]
+        for i in range(2, self.planes):
+            np.bitwise_or(acc, c[..., i * w : (i + 1) * w], out=acc)
+        return acc
+
+    def weights(self, c: np.ndarray) -> np.ndarray:
+        """Nonzero positions of each codeword along the last axis."""
+        return bit_counts(self._mask(c))
+
+    def nonzero_masks(self, blocks):
+        """For each block (lo, hi, r0, r1) of ``_rep_blocks``, the packed
+        nonzero masks of the codewords of the indices p Q^g + r, prefix
+        codeword plus last-table row, shaped (hi - lo, r1 - r0, bytes).
+        The padding bits after position N are clear."""
+        q2, head = self.ctx.q2, self.bounds[-1][0]  # digits before the last group
+        # For odd p, c + t != 0 exactly when c != -t: the walk compares
+        # with the negated last table instead of adding.
+        last = self.tables[-1] if self.planes else self.ctx.neg[self.tables[-1]]
+        for lo, hi, r0, r1 in blocks:
+            c = self.codewords(_digits(np.arange(lo, hi, dtype=np.int64), q2, head))[:, None, :]
+            if self.planes:
+                yield self._mask(c ^ last[None, r0:r1])
+            else:
+                yield np.packbits(c != last[None, r0:r1], axis=-1)
+
+
+def _rep_blocks(k: int, g: int, q2: int, width: int) -> list[tuple[int, int, int, int]]:
+    """Blocks (lo, hi, r0, r1) covering the scalar-class representatives
+    in ascending counter order: the indices p Q^g + r for the prefixes
+    lo <= p < hi and the last group's table rows r0 <= r < r1.
+
+    A representative with lead position j has zero digits before j and
+    the unit 1 at j, so its index lies in [Q^r, 2 Q^r) for r = k-1-j.
+    For r < g that is a row range of the last group's table with prefix
+    0; for r >= g the prefix lies in [Q^(r-g), 2 Q^(r-g)) and pairs with
+    every row.  A block holds about _BLOCK_BYTES of codewords.
+    """
+    rows = q2**g
+    blocks = [(0, 1, q2**r, 2 * q2**r) for r in range(g)]
+    step = max(1, _BLOCK_BYTES // (rows * width))
+    for r in range(g, k):
+        lo = q2 ** (r - g)
+        blocks.extend((a, min(2 * lo, a + step), 0, rows) for a in range(lo, 2 * lo, step))
+    return blocks

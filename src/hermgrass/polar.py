@@ -25,6 +25,12 @@ Counting helpers (all exact integers):
   by an (m-2i)-dimensional subspace whose induced singular radical
   has dimension t (a cone with a t-dimensional vertex over a
   nondegenerate piece of dimension m-2i-t).
+
+``HermitianSpace.section_table`` holds, bit-packed, which isotropic
+points lie on each hyperplane of PG(m-1, q^2).  It is the complement of
+the nonzero masks that the exhaustive scan's kernel walk
+(``linalg._ScanKernel``) yields for the points as matrix columns.
+Subspaces (``perp``, ``radical_profile``) are RREF basis arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 
 from . import linalg
 from .ff import FieldCtx
-from .linalg import Subspace, fadd
+from .linalg import fadd
 
 __all__ = [
     "isotropic_point_count",
@@ -66,29 +72,6 @@ def _available_memory() -> int:
     except OSError:
         pass
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-# np.bitwise_count is new in numpy 2.0
-_bitwise_count = getattr(np, "bitwise_count", None)
-
-
-def bit_counts(rows: np.ndarray) -> np.ndarray:
-    """Set bits along the last axis of a uint8 array, as intp.
-
-    With ``np.bitwise_count`` the whole words of each row are counted as
-    uint64 and the remaining bytes one at a time; without it (numpy
-    before 2.0) every byte takes a SWAR popcount.
-    """
-    rows = np.ascontiguousarray(rows)
-    if _bitwise_count is None:
-        rows = rows - ((rows >> 1) & 0x55)
-        rows = (rows & 0x33) + ((rows >> 2) & 0x33)
-        return ((rows + (rows >> 4)) & 0x0F).sum(axis=-1, dtype=np.intp)
-    whole = rows.shape[-1] // 8 * 8
-    counts = _bitwise_count(rows[..., :whole].view(np.uint64)).sum(axis=-1, dtype=np.intp)
-    if whole < rows.shape[-1]:
-        counts += _bitwise_count(rows[..., whole:]).sum(axis=-1, dtype=np.intp)
-    return counts
 
 
 def isotropic_point_count(m: int, q: int) -> int:
@@ -179,7 +162,6 @@ class HermitianSpace:
             a.flags.writeable = False
         self.gram = gram
         self.gram_inv = gram_inv
-        self.is_identity_gram = bool(np.array_equal(gram, eye))
         self._cache: dict[str, object] = {}
 
     # -- scalar form ----------------------------------------------------
@@ -373,58 +355,33 @@ class HermitianSpace:
         (Q^m - 1)/(Q - 1) rows of ceil(n_pts / 8) bytes exceed the
         available memory of the machine.
 
-        Per chunk of columns x, a row with lead l is x_l plus mul[f_j, x_j]
-        over its later digits.  The last few digits are grown once into a
-        table of every digit combination, one broadcast add per digit;
-        each row then compares its leading part with that table negated.
-        Every temporary holds about ``linalg.DOT_BLOCK`` entries (up to
-        512 Q where Q > 128, to grow at least one digit).  Each
-        perp must hold 1 + q^2 mu(m-2) isotropic points, or RuntimeError.
+        The rows are the complements of the nonzero masks that the scan
+        kernel's block walk yields for the matrix of the isotropic points
+        as columns: its normalized coefficient vectors, in ascending
+        order, are the rows of all_points().  Each perp must hold
+        1 + q^2 mu(m-2) isotropic points, or RuntimeError.
         """
         if "sections" in self._cache:
             return self._cache["sections"]
-        ctx, m, q2, block = self.ctx, self.m, self.ctx.q2, linalg.DOT_BLOCK
+        ctx, m, q2 = self.ctx, self.m, self.ctx.q2
         pts = self.points()
         n_rows, width = (q2**m - 1) // (q2 - 1), -(-len(pts) // 8)
         if n_rows * width > _available_memory():
             self._cache["sections"] = None
             return None
         table = np.empty((n_rows, width), dtype=np.uint8)
-        # Column chunks are whole bytes and at least block/128 columns wide,
-        # since numpy loops over rows of a few bytes are slow; as many
-        # trailing digits are grown as fit in a block, and at least one.
-        w_min = min(len(pts), max(8, block // 128))
-        n_low = 1
-        while n_low < m - 1 and q2 ** (n_low + 1) * w_min <= block:
-            n_low += 1
-        step = max(w_min, block // q2**n_low // 8 * 8)
-        for c0 in range(0, len(pts), step):
-            x = pts[c0 : c0 + step]
-            w = len(x)
-            terms = ctx.mul[np.arange(q2)[None, :, None], x.T[:, None, :]]  # [j, d] = d * x_j
-            # minus every sum over the last n_low digits, ascending base Q;
-            # its first Q^t rows cover the last t digits alone
-            low = np.zeros((1, w), dtype=np.uint8)
-            for j in range(m - n_low, m):
-                low = fadd(ctx, low[:, None, :], terms[j][None]).reshape(-1, w)
-            low = linalg.fneg(ctx, low)
-            for lead in range(m - 1, -1, -1):
-                n_high = max(0, m - 1 - lead - n_low)
-                lows = low[: q2 ** (m - 1 - lead - n_high)]
-                start = (q2 ** (m - 1 - lead) - 1) // (q2 - 1)
-                per = max(1, block // (len(lows) * w))
-                for i0 in range(0, q2**n_high, per):
-                    idx = np.arange(i0, min(i0 + per, q2**n_high))
-                    high = np.broadcast_to(x[:, lead], (len(idx), w))
-                    for i in range(n_high):
-                        high = fadd(ctx, high, terms[lead + 1 + i][idx // q2 ** (n_high - 1 - i) % q2])
-                    bits = np.packbits(high[:, None, :] == lows[None], axis=-1).reshape(-1, -(-w // 8))
-                    lo = start + i0 * len(lows)
-                    table[lo : lo + len(bits), c0 // 8 : c0 // 8 + bits.shape[1]] = bits
-        q, perp, rows = ctx.q, self.perp_index(), max(1, block // width)
+        kernel = linalg._ScanKernel(ctx, pts.T)
+        lo = 0
+        for mask in kernel.nonzero_masks(linalg._rep_blocks(m, kernel.g, q2, kernel.width)):
+            mask = mask.reshape(-1, mask.shape[-1])[:, :width]
+            np.invert(mask, out=table[lo : lo + len(mask)])
+            lo += len(mask)
+        if len(pts) % 8:
+            table[:, -1] &= np.uint8(0xFF << (8 - len(pts) % 8) & 0xFF)  # the padding bits
+        q, perp, rows = ctx.q, self.perp_index(), max(1, linalg.DOT_BLOCK // width)
         want = 1 + q * q * isotropic_point_count(m - 2, q)
         for lo in range(0, len(perp), rows):
-            if (bit_counts(table[perp[lo : lo + rows]]) != want).any():
+            if (linalg.bit_counts(table[perp[lo : lo + rows]]) != want).any():
                 raise RuntimeError(f"a perp section does not hold {want} isotropic points")
         table.flags.writeable = False
         self._cache["sections"] = table
@@ -434,26 +391,24 @@ class HermitianSpace:
         return f"HermitianSpace(m={self.m}, q={self.ctx.q})"
 
 
-def perp(space: HermitianSpace, w) -> Subspace:
-    """Subspace of vectors orthogonal to all of w under the form."""
+def perp(space: HermitianSpace, w) -> np.ndarray:
+    """RREF basis of the vectors orthogonal to all rows of w under the
+    form."""
     ctx = space.ctx
-    rows = w.basis if isinstance(w, Subspace) else linalg.as_matrix(ctx, w)
+    rows = linalg.as_matrix(ctx, w)
     if rows.shape[1] != space.m:
         raise ValueError("subspace ambient dimension mismatch")
-    if rows.shape[0] == 0:
-        return Subspace.from_rows(ctx, np.eye(space.m, dtype=np.uint8))
-    mat = linalg.matmul(ctx, ctx.frob[rows], space.gram)
-    return linalg.kernel(ctx, mat)
+    return linalg.kernel(ctx, linalg.matmul(ctx, ctx.frob[rows], space.gram))
 
 
 def radical_profile(space: HermitianSpace, r) -> RadicalProfile:
-    """Profile of the section cut by the subspace r.
+    """Profile of the section cut by the row span of r, a basis.
 
     t is the dimension of the radical of the form restricted to r, so
     the section is a cone [Pi_t]H_(dim-t).
     """
     ctx = space.ctx
-    rows = r.basis if isinstance(r, Subspace) else linalg.as_matrix(ctx, r)
+    rows = linalg.as_matrix(ctx, r)
     d = rows.shape[0]
     if d == 0:
         return RadicalProfile(dim=0, t=0, label="[Pi_0]H_0")

@@ -25,6 +25,7 @@ DELETED = (
     "solve_membership",
     "form_from_index",
     "form_to_index",
+    "Subspace",
 )
 DELETED_FIELD_WRAPPERS = (
     "add_s",

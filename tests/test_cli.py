@@ -127,6 +127,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.run(["spectrum", "-m", "4", "-q", "2", "--exhaustive", "--budget", "0"]) == 2
     assert cli.run(["spectrum", "-m", "4", "-q", "2", "--sample", "-3"]) == 2
     assert cli.run(["min-word", "-m", "4", "-q", "2", "--jobs", "0"]) == 2
+    # genmat, classify and min-word write one format and take no --format
+    assert cli.run(["genmat", "-m", "4", "-q", "2", "--format", "csv"]) == 2
+    assert cli.run(["classify", "--form", str(bad), "-q", "2", "--format", "json"]) == 2
+    assert cli.run(["min-word", "-m", "4", "-q", "2", "--format", "json"]) == 2
 
 
 def test_prime_power_shorthand(capsys):

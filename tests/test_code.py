@@ -87,7 +87,7 @@ def test_evaluate_zero_form_and_scaled_basis(space42):
 def test_rank2_form_vanishes_exactly_on_lines_meeting_radical(space52, system52):
     ctx = space52.ctx
     phi = hg.make_rank2_cone_form(space52)
-    rad = phi.radical.basis
+    rad = phi.radical
     pts = space52.points()
     a, b = (pts[i] for i in space52.line_pair_indices())
     for j in range(system52.n):
@@ -160,7 +160,7 @@ def test_point_weight_cases(space52, system52):
     assert code.point_weight_values(5, 2) == (0, 6, 8)
     # vectors of the radical meeting the variety sit in the zero class
     pts = space.points()
-    rad = phi.radical.basis
+    rad = phi.radical
     for row in rad:
         if space.inner(row, row) == 0:
             (idx,) = np.flatnonzero((pts == row).all(axis=1))
@@ -233,10 +233,10 @@ def test_form_index_round_trip(ctx3):
     # n, most significant first, the order of itertools.product
     powers = 9 ** np.arange(5, -1, -1)
     for n in (0, 1, 500, 9**6 - 1):
-        digits = code._digits(np.array([n]), 9, 6)[0]
+        digits = linalg._digits(np.array([n]), 9, 6)[0]
         phi = code.AlternatingForm.from_upper(ctx3, 4, digits)
         assert int(phi.upper().astype(np.int64) @ powers) == n
-    assert [tuple(d) for d in code._digits(np.arange(200), 9, 6).tolist()] == list(
+    assert [tuple(d) for d in linalg._digits(np.arange(200), 9, 6).tolist()] == list(
         itertools.islice(itertools.product(range(9), repeat=6), 200)
     )
     with pytest.raises(ValueError):
@@ -354,10 +354,10 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     ctx = hg.make_field(p, round(np.log(q) / np.log(p)))
     assert ctx.q == q
     system = hg.build_system(hg.HermitianSpace(m, ctx))
-    kernel = code._ScanKernel(system)
+    kernel = linalg._ScanKernel(ctx, system.matrix)
     q2, k = ctx.q2, system.k
     assert [b - a for a, b in kernel.bounds][1:] == [kernel.g] * (len(kernel.bounds) - 1)
-    assert q2**kernel.g <= code._GROUP_ROWS < q2 ** (kernel.g + 1)
+    assert q2**kernel.g <= linalg._GROUP_ROWS < q2 ** (kernel.g + 1)
     rng = np.random.default_rng(q2 + m)
     single = np.zeros((k, k), dtype=np.uint8)
     single[np.arange(k), np.arange(k)] = rng.integers(1, q2, size=k)
@@ -373,15 +373,21 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     want = oracle(digits)
     assert kernel.weights(c).tolist() == [cw.weight for cw in want]
     assert np.array_equal(_kernel_codes(kernel, c), np.array([cw.values for cw in want]))
-    # the exhaustive scan's form: prefix codewords plus every row of the
-    # last group's table, broadcast
-    prefixes = digits[:4, : k - kernel.g]
-    wide = kernel.weights(
-        kernel.add(kernel.codewords(prefixes)[:, None, :], kernel.tables[-1][None])
-    )
-    tail = code._digits(np.arange(q2**kernel.g), q2, kernel.g).astype(np.uint8)
-    forms = [np.concatenate([pre, t]) for pre in prefixes for t in tail]
-    assert wide.reshape(-1).tolist() == [cw.weight for cw in oracle(forms)]
+    # the shared block walk of the exhaustive scan and the section table:
+    # the packed nonzero mask of every representative p Q^g + r of a
+    # block, checked on the last block with prefix 0, the first with a
+    # prefix and the last block of all
+    blocks = linalg._rep_blocks(k, kernel.g, q2, kernel.width)
+    chosen = [blocks[kernel.g - 1], blocks[kernel.g], blocks[-1]]
+    for (lo, hi, r0, r1), mask in zip(chosen, kernel.nonzero_masks(chosen)):
+        assert mask.shape[:2] == (hi - lo, r1 - r0)
+        idx = (np.arange(lo, hi)[:, None] * q2**kernel.g + np.arange(r0, r1)[None]).reshape(-1)
+        forms = linalg._digits(idx, q2, k)
+        lead = (forms != 0).argmax(axis=1)
+        assert (forms[np.arange(len(forms)), lead] == 1).all()  # normalized, nonzero
+        bits = np.unpackbits(mask.reshape(len(idx), -1), axis=1)
+        assert not bits[:, system.n :].any()
+        assert np.array_equal(bits[:, : system.n], linalg.matmul(ctx, forms, system.matrix) != 0)
 
 
 def test_sample_spectrum_matches_per_form_oracle(system43):
