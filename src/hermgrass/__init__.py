@@ -15,11 +15,9 @@ from .classify import (
     check_min_weight_profile,
     classify_points,
     cone_count_max,
-    fixed_point_count,
     make_permutable_form,
     make_rank2_cone_form,
     point_classes,
-    polar_image,
     rank2_cone_weight,
     stratum_weight_bound,
     weight_from_class_counts,

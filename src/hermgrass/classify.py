@@ -5,9 +5,9 @@ For a nonzero alternating form S, the semilinear map
     [x]  ->  perp_form([x]) then perp_hermitian(...)
 
 sends a point to the pole, under the Hermitian polarity, of its polar
-hyperplane under the alternating form.  With Gram matrix H it is
-[x] -> [H^-1 (S^T x)^q], so [S^q x^q] for the identity; its kernel is
-the projectivized radical of S.
+hyperplane under the alternating form.  For the form conj(x)^T y the
+pole of {z : x^T S z = 0} is [conj(S^T x)], so the map is
+[x] -> [S^q x^q]; its kernel is the projectivized radical of S.
 Isotropic points split into three classes by their per-point line
 count:
 
@@ -35,17 +35,15 @@ from math import ceil
 import numpy as np
 
 from . import linalg, polar
-from .code import AlternatingForm, code_params, weight_direct, weight_recursive
+from .code import AlternatingForm, code_params, weight_direct
 from .ff import FieldCtx
 from .linalg import fsub
 from .pluecker import ProjectiveSystem
 
 __all__ = [
-    "polar_image",
     "point_classes",
     "ClassificationReport",
     "classify_points",
-    "fixed_point_count",
     "weight_from_class_counts",
     "cone_count_max",
     "zero_class_bound",
@@ -63,30 +61,18 @@ __all__ = [
 ZERO_CLASS, SECANT_CLASS, TANGENT_CLASS = 0, 1, 2
 
 
-def polar_image(phi: AlternatingForm, space: polar.HermitianSpace, x) -> np.ndarray | None:
-    """Image of the point [x] under the composition of the two
-    polarities, normalized; None when [x] lies in the radical."""
-    x = np.asarray(x, dtype=np.uint8).reshape(-1)
-    if x.size != space.m:
-        raise ValueError("vector length does not match the space")
-    kernel_mask, y, _ = _images(phi, space, x.reshape(1, -1))
-    return None if kernel_mask[0] else y[0]
-
-
 def _images(phi: AlternatingForm, space: polar.HermitianSpace, pts: np.ndarray):
     """Vectorized polar images of the given point rows.
 
     The polar hyperplane {z : x^T S z = 0} of [x] has the pole
-    [H^-1 conj(S^T x)] under the Hermitian form, whose transpose is
-    conj(x)^T conj(S) H^-T: one product of the conjugated rows with an
-    m x m matrix, for any Gram matrix H.
+    [conj(S^T x)] under the Hermitian form, whose transpose is
+    conj(x)^T conj(S): one product of the conjugated rows with S^q.
 
     Returns (kernel_mask, normalized_images, fixed_mask); image rows for
     kernel points are zero, and fixed rows equal their image.
     """
     ctx = space.ctx
-    polarity = linalg.matmul(ctx, ctx.frob[phi.s], space.gram_inv.T)
-    y = linalg.matmul(ctx, ctx.frob[pts], polarity)
+    y = linalg.matmul(ctx, ctx.frob[pts], ctx.frob[phi.s])
     kernel_mask = ~y.any(axis=1)
     live = ~kernel_mask
     if live.any():
@@ -119,12 +105,6 @@ def point_classes(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
         raise ValueError("the zero form has no point classification")
     kernel_mask, y, fixed = _images(phi, space, space.points())
     return _labels(space, kernel_mask | fixed, y)
-
-
-def fixed_point_count(phi: AlternatingForm, space: polar.HermitianSpace) -> int:
-    """Projective fixed points of the composed polarity map over the
-    whole projective space."""
-    return int(_images(phi, space, space.all_points())[2].sum())
 
 
 def weight_from_class_counts(m: int, q: int, a: int, b: int, c: int) -> int:
@@ -160,16 +140,14 @@ class ClassificationReport:
 
 
 def classify_points(
-    phi: AlternatingForm,
-    space: polar.HermitianSpace,
-    system: ProjectiveSystem | None = None,
+    phi: AlternatingForm, space: polar.HermitianSpace, system: ProjectiveSystem
 ) -> ClassificationReport:
     """Full classification report for a nonzero form.
 
-    When a projective system is supplied the direct weight is taken
-    from the codeword; otherwise it falls back to the per-point count,
-    which is an independent route from the class-size reconstruction
-    either way.
+    The direct weight is taken from the codeword of the system, a route
+    independent of the class-size reconstruction.  ``fix_count`` counts
+    the projective fixed points of the composed polarity map over the
+    whole projective space.
     """
     ctx = space.ctx
     q = ctx.q
@@ -181,10 +159,7 @@ def classify_points(
     iso = space.point_index(space.points())
     a, b, c = _class_sizes(ctx, _labels(space, (kernel_mask | fixed)[iso], y[iso]))
     wfc = weight_from_class_counts(space.m, q, a, b, c)
-    if system is not None:
-        wd = weight_direct(phi, system)
-    else:
-        wd = weight_recursive(phi, space)
+    wd = weight_direct(phi, system)
     profile = polar.radical_profile(space, phi.radical)
     report = ClassificationReport(
         A=a,
@@ -308,111 +283,72 @@ def rank2_cone_weight(m: int, q: int) -> int:
 
 
 def make_rank2_cone_form(
-    space: polar.HermitianSpace,
-    system: ProjectiveSystem | None = None,
-    seed: int = 1,
-    max_tries: int = 10_000,
+    space: polar.HermitianSpace, system: ProjectiveSystem | None = None
 ) -> AlternatingForm:
     """Rank-2 form whose radical cuts the fattest possible cone.
 
-    For odd m the radical meets the space in a vertex-1 cone
-    [Pi_1]H_(m-3); for even m in a vertex-2 cone [Pi_2]H_(m-4) with a
-    totally isotropic vertex.  A deterministic candidate built from a
-    norm(-1) element is tried first, then seeded random pairs.  The
-    radical profile is always certified; the weight is certified too
-    when a system is supplied (q^(4m-12) - q^(3m-9) for odd m,
-    q^(4m-12) for even m).
+    For odd m the radical is spanned by (1, x0, 0, ...) and e_3 .. e_(m-1),
+    with norm(x0) = -1, and meets the space in a vertex-1 cone
+    [Pi_1]H_(m-3); for even m it is the perp of (1, x0, 0, ...) and
+    (0, 0, 1, x0, 0, ...), a vertex-2 cone [Pi_2]H_(m-4) with a totally
+    isotropic vertex.  The form is a b^T - b a^T for the basis a, b of
+    the radical's annihilator.  The radical profile is always
+    certified; the weight is certified too when a system is supplied
+    (q^(4m-12) - q^(3m-9) for odd m, q^(4m-12) for even m).  Raises
+    RuntimeError when the certificate fails.
     """
     ctx = space.ctx
     m = space.m
     if m < 5:
         raise ValueError("rank-2 cone witnesses need m >= 5")
-    want_t = 1 if m % 2 else 2
-
-    def candidates():
-        x0 = _norm_minus_one_element(ctx)
-        if np.array_equal(space.gram, np.eye(m, dtype=np.uint8)):
-            if m % 2:
-                rows = np.zeros((m - 2, m), dtype=np.uint8)
-                rows[0, 0] = 1
-                rows[0, 1] = x0
-                for j in range(3, m):
-                    rows[j - 2, j] = 1
-            else:
-                p1 = np.zeros(m, dtype=np.uint8)
-                p1[0], p1[1] = 1, x0
-                p2 = np.zeros(m, dtype=np.uint8)
-                p2[2], p2[3] = 1, x0
-                rows = polar.perp(space, np.stack([p1, p2]))
-            ab = linalg.kernel(ctx, rows)
-            if ab.shape[0] == 2:
-                yield _outer_antisym(ctx, ab[0], ab[1])
-        rng = np.random.default_rng(seed)
-        for _ in range(max_tries):
-            a = rng.integers(0, ctx.q2, size=m, dtype=np.uint8)
-            b = rng.integers(0, ctx.q2, size=m, dtype=np.uint8)
-            yield _outer_antisym(ctx, a, b)
-
-    expected = rank2_cone_weight(m, ctx.q)
-    for s in candidates():
-        if not s.any():
-            continue
-        phi = AlternatingForm(ctx, s)
-        if phi.rank != 2:
-            continue
-        profile = polar.radical_profile(space, phi.radical)
-        if profile.t != want_t:
-            continue
-        if system is not None and weight_direct(phi, system) != expected:
-            continue
-        return phi
-    raise RuntimeError("no rank-2 cone witness found within the retry budget")
+    x0 = _norm_minus_one_element(ctx)
+    if m % 2:
+        rows = np.zeros((m - 2, m), dtype=np.uint8)
+        rows[0, 0] = 1
+        rows[0, 1] = x0
+        for j in range(3, m):
+            rows[j - 2, j] = 1
+    else:
+        p1 = np.zeros(m, dtype=np.uint8)
+        p1[0], p1[1] = 1, x0
+        p2 = np.zeros(m, dtype=np.uint8)
+        p2[2], p2[3] = 1, x0
+        rows = polar.perp(space, np.stack([p1, p2]))
+    a, b = linalg.kernel(ctx, rows)
+    phi = AlternatingForm(ctx, _outer_antisym(ctx, a, b))
+    ok = phi.rank == 2 and polar.radical_profile(space, phi.radical).t == (1 if m % 2 else 2)
+    if not ok or (system is not None and weight_direct(phi, system) != rank2_cone_weight(m, ctx.q)):
+        raise RuntimeError(f"the rank-2 cone candidate fails its certificate at m = {m}, q = {ctx.q}")
+    return phi
 
 
 def make_permutable_form(
-    space: polar.HermitianSpace,
-    system: ProjectiveSystem | None = None,
-    seed: int = 1,
-    max_tries: int = 10_000,
+    space: polar.HermitianSpace, system: ProjectiveSystem | None = None
 ) -> AlternatingForm:
     """Nonsingular form whose polarity commutes with the Hermitian one.
 
     Only m in {4, 6} is supported, where such forms induce the
-    minimum-weight codewords.  The certificate is computational: the
-    zero class has size (q^m - 1)(q + 1) and the secant class is
-    empty.  The default candidate is the block-diagonal standard
-    symplectic matrix over the prime subfield; seeded random
-    nonsingular alternating matrices with subfield entries follow.
+    minimum-weight codewords.  The form is the block-diagonal standard
+    symplectic matrix over the prime subfield.  The certificate is
+    computational: the zero class has size (q^m - 1)(q + 1) and the
+    secant class is empty, and the weight is d_min when a system is
+    supplied.  Raises RuntimeError when the certificate fails.
     """
     ctx = space.ctx
     m = space.m
     if m not in (4, 6):
         raise ValueError("permutable witnesses are used for m in {4, 6} only")
     q = ctx.q
-    a_target = (q**m - 1) * (q + 1)
-
-    def candidates():
-        s = np.zeros((m, m), dtype=np.uint8)
-        for blk in range(0, m, 2):
-            s[blk, blk + 1] = 1
-            s[blk + 1, blk] = ctx.neg[1]
-        yield AlternatingForm(ctx, s)
-        rng = np.random.default_rng(seed)
-        sub = np.asarray(ctx.subfield)
-        n_up = m * (m - 1) // 2
-        for _ in range(max_tries):
-            yield AlternatingForm.from_upper(ctx, m, sub[rng.integers(0, len(sub), size=n_up)])
-
-    for phi in candidates():
-        if phi.rank != m:
-            continue
-        a, b, _ = _class_sizes(ctx, point_classes(phi, space))
-        if a != a_target or b != 0:
-            continue
-        if system is not None and weight_direct(phi, system) != code_params(m, q).d_min:
-            continue
-        return phi
-    raise RuntimeError("no permutable witness found within the retry budget")
+    s = np.zeros((m, m), dtype=np.uint8)
+    for blk in range(0, m, 2):
+        s[blk, blk + 1] = 1
+        s[blk + 1, blk] = ctx.neg[1]
+    phi = AlternatingForm(ctx, s)
+    a, b, _ = _class_sizes(ctx, point_classes(phi, space))
+    ok = phi.rank == m and a == (q**m - 1) * (q + 1) and b == 0
+    if not ok or (system is not None and weight_direct(phi, system) != code_params(m, q).d_min):
+        raise RuntimeError(f"the permutable candidate fails its certificate at m = {m}, q = {q}")
+    return phi
 
 
 def check_min_weight_profile(

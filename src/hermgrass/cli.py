@@ -465,7 +465,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
     yield ("per-rank lower bounds", bound_ok, "weights >= stratum bounds")
 
     if m >= 5:
-        witness = classify.make_rank2_cone_form(space, system=system, seed=seed)
+        witness = classify.make_rank2_cone_form(space, system=system)
         w = code.weight_direct(witness, system)
         expect = classify.rank2_cone_weight(m, q)
         yield ("rank-2 cone witness", w == expect, f"weight {w}")
@@ -473,7 +473,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
             ok, why = classify.check_min_weight_profile(witness, space, w)
             yield ("minimum-word profile (rank-2)", ok, why)
     if m in (4, 6):
-        witness = classify.make_permutable_form(space, system=system, seed=seed)
+        witness = classify.make_permutable_form(space, system=system)
         w = code.weight_direct(witness, system)
         yield ("permutable witness", w == params.d_min, f"weight {w}")
         ok, why = classify.check_min_weight_profile(witness, space, w)

@@ -233,7 +233,7 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     """For every isotropic point [u], the number of totally isotropic
     lines through [u] not annihilated by the form.
 
-    Such a line joins [u] to an isotropic x with conj(u)^T H x = 0 and
+    Such a line joins [u] to an isotropic x with conj(u)^T x = 0 and
     u^T S x != 0: the bits set in row ``space.perp_index()[u]`` of
     ``space.section_table()`` and clear in the row of u^T S (none when
     u^T S = 0).  Each such line carries q^2 of these x, so the count
@@ -253,15 +253,14 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     if table is not None:
         live = np.flatnonzero(ps.any(axis=1))
         perp, sect = space.perp_index()[live], space.point_index(ps[live])
-        step = max(1, linalg.DOT_BLOCK // table.shape[1])
+        step = max(1, linalg.DOT_BLOCK // max(1, table.shape[1]))
         for lo in range(0, len(live), step):
             hits = table[perp[lo : lo + step]] & ~table[sect[lo : lo + step]]
             cnt[live[lo : lo + step]] = linalg.bit_counts(hits)
     else:
-        cgr = space.conj_gram_rows()
         step = max(1, linalg.DOT_BLOCK // max(n_pts, 1))
         for lo in range(0, n_pts, step):
-            eta = linalg.matmul(ctx, cgr[lo : lo + step], pts.T)
+            eta = linalg.matmul(ctx, ctx.frob[pts[lo : lo + step]], pts.T)
             val = linalg.matmul(ctx, ps[lo : lo + step], pts.T)
             cnt[lo : lo + step] = ((eta == 0) & (val != 0)).sum(axis=1)
     if (cnt % q2).any():
@@ -601,10 +600,10 @@ def min_distance(
         from . import classify
 
         if m in (4, 6):
-            witness = classify.make_permutable_form(system.space, system=system, seed=seed)
+            witness = classify.make_permutable_form(system.space, system=system)
             kind = "permutable"
         else:
-            witness = classify.make_rank2_cone_form(system.space, system=system, seed=seed)
+            witness = classify.make_rank2_cone_form(system.space, system=system)
             kind = "rank2-cone"
         wd = weight_direct(witness, system)
         if wd != params.d_min:

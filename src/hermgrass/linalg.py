@@ -273,7 +273,7 @@ class _ScanKernel:
                 # ctx.mul[d, row] is d times the matrix row; each old
                 # row r becomes the rows r Q + d
                 terms = self._pack(ctx.mul[:, row])
-                tab = np.concatenate([self.add(r, terms) for r in tab])
+                tab = np.concatenate([fadd(ctx, r, terms) for r in tab])
             self.tables.append(tab)
 
     def _pack(self, codes: np.ndarray) -> np.ndarray:
@@ -285,25 +285,18 @@ class _ScanKernel:
         packed[..., : -(-codes.shape[1] // 8)] = np.packbits(bits, axis=-1)
         return packed.reshape(len(codes), -1)
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a + b on broadcasting codeword rows.  For odd p the gather casts
-        its index to intp, 8 bytes an entry, so callers pass row blocks of
-        about _BLOCK_BYTES entries."""
-        if self.planes:
-            return a ^ b
-        return np.take(self.ctx.add_flat, self.ctx.scaled_codes(a) + b)
-
     def codewords(self, digits: np.ndarray) -> np.ndarray:
         """Codewords of digit rows that cover whole groups, the digits of
-        the groups left out being zero: one table row per group, summed."""
+        the groups left out being zero: one table row per group, summed.
+        Rows that cover no group (K = 1) give zero words."""
         q2 = self.ctx.q2
         c = None
         for (a, b), tab in zip(self.bounds, self.tables):
             if b > digits.shape[1]:
                 break
             row = np.take(tab, digits[:, a:b] @ q2 ** np.arange(b - a - 1, -1, -1), axis=0)
-            c = row if c is None else self.add(c, row)
-        return c
+            c = row if c is None else fadd(self.ctx, c, row)
+        return np.zeros((len(digits), self.width), dtype=np.uint8) if c is None else c
 
     def _mask(self, c: np.ndarray) -> np.ndarray:
         """Packed nonzero positions of codewords along the last axis: the
@@ -350,7 +343,7 @@ def _rep_blocks(k: int, g: int, q2: int, width: int) -> list[tuple[int, int, int
     """
     rows = q2**g
     blocks = [(0, 1, q2**r, 2 * q2**r) for r in range(g)]
-    step = max(1, _BLOCK_BYTES // (rows * width))
+    step = max(1, _BLOCK_BYTES // max(1, rows * width))
     for r in range(g, k):
         lo = q2 ** (r - g)
         blocks.extend((a, min(2 * lo, a + step), 0, rows) for a in range(lo, 2 * lo, step))

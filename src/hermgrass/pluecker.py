@@ -69,8 +69,9 @@ class ProjectiveSystem:
 
     ``matrix`` is the K x N generator matrix whose j-th column holds
     the normalized coordinates of the j-th line in canonical order.
-    Construction verifies that the matrix has full rank K, so distinct
-    coefficient vectors give distinct codewords.
+    The constructor does not check the matrix; ``build_system``
+    certifies that it has full rank K, so distinct coefficient vectors
+    give distinct codewords.
     """
 
     def __init__(self, space: polar.HermitianSpace, matrix: np.ndarray):

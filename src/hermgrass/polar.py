@@ -1,12 +1,13 @@
 """Hermitian polar spaces over GF(q^2).
 
-A HermitianSpace wraps V(m, q^2) with a nondegenerate sesquilinear
+A HermitianSpace wraps V(m, q^2) with the nondegenerate Hermitian
 form, conjugate-linear in the first argument:
 
-    inner(x, y) = conj(x)^T H y,    conj = Frobenius a -> a^q.
+    inner(x, y) = conj(x)^T y,    conj = Frobenius a -> a^q.
 
-The Gram matrix H defaults to the identity; every nondegenerate
-Hermitian form on V(m, q^2) is equivalent to that one.
+Every nondegenerate Hermitian form on V(m, q^2) is isometric to this
+one, so the points, lines, codes and weights computed here do not
+depend on the choice; the Gram matrix is fixed to the identity.
 
 Conventions fixed here and relied on elsewhere:
 
@@ -133,52 +134,33 @@ class RadicalProfile:
 
 
 class HermitianSpace:
-    """V(m, q^2) with a nondegenerate Hermitian form.
+    """V(m, q^2) with the Hermitian form conj(x)^T y.
 
-    ``gram`` is the Gram matrix H and ``gram_inv`` its inverse, taken
-    from the rref of [H | I] that also proves H nonsingular.
     Enumerations are cached on the instance; the caches are immutable
     arrays, so sharing a space between workers is safe.
     """
 
-    def __init__(self, m: int, ctx: FieldCtx, gram=None):
+    def __init__(self, m: int, ctx: FieldCtx):
         if m < 1:
             raise ValueError("m must be positive")
         self.m = m
         self.ctx = ctx
-        if gram is None:
-            gram = np.eye(m, dtype=np.uint8)
-        gram = linalg.as_matrix(ctx, gram)
-        if gram.shape != (m, m):
-            raise ValueError("Gram matrix must be m x m")
-        if not np.array_equal(ctx.frob[gram].T, gram):
-            raise ValueError("Gram matrix is not Hermitian")
-        eye = np.eye(m, dtype=np.uint8)
-        reduced, _ = linalg.rref(ctx, np.hstack([gram, eye]))
-        if not np.array_equal(reduced[:, :m], eye):
-            raise ValueError("Gram matrix is singular")
-        gram_inv = np.ascontiguousarray(reduced[:, m:])
-        for a in (gram, gram_inv):
-            a.flags.writeable = False
-        self.gram = gram
-        self.gram_inv = gram_inv
         self._cache: dict[str, object] = {}
 
     # -- scalar form ----------------------------------------------------
     def inner(self, x, y) -> int:
-        """conj(x)^T H y; conjugate-linear in x, linear in y."""
+        """conj(x)^T y; conjugate-linear in x, linear in y."""
         ctx = self.ctx
         x = np.asarray(x, dtype=np.uint8).reshape(-1)
         y = np.asarray(y, dtype=np.uint8).reshape(-1)
         if x.size != self.m or y.size != self.m:
             raise ValueError("vector length does not match the space dimension")
-        return int(linalg.dot(ctx, linalg.dot(ctx, ctx.frob[x], self.gram.T), y))
+        return int(linalg.dot(ctx, ctx.frob[x], y))
 
     # -- point enumeration ----------------------------------------------
     def inner_diag(self, pts: np.ndarray) -> np.ndarray:
         """inner(row, row) for every row of pts."""
-        ctx = self.ctx
-        return linalg.dot(ctx, linalg.matmul(ctx, ctx.frob[pts], self.gram), pts)
+        return linalg.dot(self.ctx, self.ctx.frob[pts], pts)
 
     def all_points(self) -> np.ndarray:
         """All normalized points of PG(m-1, q^2), ascending lex order.
@@ -248,15 +230,6 @@ class HermitianSpace:
             self._cache["leads"] = leads
         return self._cache["leads"]
 
-    def conj_gram_rows(self) -> np.ndarray:
-        """Row i equals conj(p_i)^T H, for p_i the i-th isotropic point."""
-        if "cgr" not in self._cache:
-            ctx = self.ctx
-            r = linalg.matmul(ctx, ctx.frob[self.points()], self.gram)
-            r.flags.writeable = False
-            self._cache["cgr"] = r
-        return self._cache["cgr"]
-
     @property
     def num_points(self) -> int:
         return len(self.points())
@@ -272,7 +245,7 @@ class HermitianSpace:
         at a time: for each l >= 1 it tests only the inner products of
         B_l = {b : lead(b) = l} against A_l = {a : lead(a) < l, a[l] = 0},
         in row chunks of about ``_BLOCK_ELEMS`` entries.  Since b[j] = 0
-        for j < l and b[l] = 1, the product conj(p_a)^T H p_b sums only
+        for j < l and b[l] = 1, the product conj(p_a)^T p_b sums only
         the columns j >= l.  Each of its products is one 1-D gather from
         ``ctx.mul_flat`` at the b-codes pre-scaled by q^2 plus the a-side
         codes.
@@ -289,7 +262,6 @@ class HermitianSpace:
             # column of a block is one contiguous row.
             pts_scaled_t = ctx.scaled_codes(pts.T)
             leads = self.point_leads()
-            cgr = self.conj_gram_rows()
             n_pts = len(pts)
             keys = []
             for lead in range(1, self.m):
@@ -297,13 +269,13 @@ class HermitianSpace:
                 a_rows = np.nonzero((leads < lead) & (pts[:, lead] == 0))[0]
                 if not (b_rows.size and a_rows.size):
                     continue
-                cgr_a = np.take(cgr.T, a_rows, axis=1)
+                conj_a = ctx.frob[np.take(pts.T, a_rows, axis=1)]
                 step = max(1, _BLOCK_ELEMS // a_rows.size)
                 for lo in range(0, b_rows.size, step):
                     b_chunk = np.take(pts_scaled_t, b_rows[lo : lo + step], axis=1)
-                    vals = np.broadcast_to(cgr_a[lead], (b_chunk.shape[1], a_rows.size))
+                    vals = np.broadcast_to(conj_a[lead], (b_chunk.shape[1], a_rows.size))
                     for j in range(lead + 1, self.m):
-                        term = np.take(ctx.mul_flat, b_chunk[j][:, None] + cgr_a[j][None, :])
+                        term = np.take(ctx.mul_flat, b_chunk[j][:, None] + conj_a[j][None, :])
                         vals = fadd(ctx, vals, term)
                     bi, ai = np.nonzero(vals == 0)
                     keys.append(a_rows[ai] * n_pts + b_rows[lo + bi])
@@ -341,9 +313,10 @@ class HermitianSpace:
         return np.where(first != 0, (top - 1) // (q2 - 1) + value - top, -1)
 
     def perp_index(self) -> np.ndarray:
-        """Row of section_table() holding the perp of each isotropic point."""
+        """Row of section_table() holding the perp of each isotropic point:
+        the point conj(p), whose hyperplane is the perp of p."""
         if "perp_index" not in self._cache:
-            idx = self.point_index(self.conj_gram_rows())
+            idx = self.point_index(self.ctx.frob[self.points()])
             idx.flags.writeable = False
             self._cache["perp_index"] = idx
         return self._cache["perp_index"]
@@ -373,12 +346,12 @@ class HermitianSpace:
         kernel = linalg._ScanKernel(ctx, pts.T)
         lo = 0
         for mask in kernel.nonzero_masks(linalg._rep_blocks(m, kernel.g, q2, kernel.width)):
-            mask = mask.reshape(-1, mask.shape[-1])[:, :width]
+            mask = mask.reshape(mask.shape[0] * mask.shape[1], -1)[:, :width]
             np.invert(mask, out=table[lo : lo + len(mask)])
             lo += len(mask)
         if len(pts) % 8:
             table[:, -1] &= np.uint8(0xFF << (8 - len(pts) % 8) & 0xFF)  # the padding bits
-        q, perp, rows = ctx.q, self.perp_index(), max(1, linalg.DOT_BLOCK // width)
+        q, perp, rows = ctx.q, self.perp_index(), max(1, linalg.DOT_BLOCK // max(1, width))
         want = 1 + q * q * isotropic_point_count(m - 2, q)
         for lo in range(0, len(perp), rows):
             if (linalg.bit_counts(table[perp[lo : lo + rows]]) != want).any():
@@ -398,7 +371,7 @@ def perp(space: HermitianSpace, w) -> np.ndarray:
     rows = linalg.as_matrix(ctx, w)
     if rows.shape[1] != space.m:
         raise ValueError("subspace ambient dimension mismatch")
-    return linalg.kernel(ctx, linalg.matmul(ctx, ctx.frob[rows], space.gram))
+    return linalg.kernel(ctx, ctx.frob[rows])
 
 
 def radical_profile(space: HermitianSpace, r) -> RadicalProfile:
@@ -412,8 +385,8 @@ def radical_profile(space: HermitianSpace, r) -> RadicalProfile:
     d = rows.shape[0]
     if d == 0:
         return RadicalProfile(dim=0, t=0, label="[Pi_0]H_0")
-    gram = linalg.matmul(ctx, linalg.matmul(ctx, ctx.frob[rows], space.gram), rows.T)
-    t = d - linalg.rank(ctx, gram)
+    restricted = linalg.matmul(ctx, ctx.frob[rows], rows.T)
+    t = d - linalg.rank(ctx, restricted)
     return RadicalProfile(dim=d, t=t, label=f"[Pi_{t}]H_{d - t}")
 
 

@@ -5,12 +5,6 @@ import hermgrass as hg
 from hermgrass import linalg
 
 
-def antidiagonal_gram_space(ctx, m):
-    """V(m, q^2) with the antidiagonal Gram matrix, the non-identity
-    nondegenerate Hermitian form the tests share."""
-    return hg.HermitianSpace(m, ctx, gram=np.eye(m, dtype=np.uint8)[::-1])
-
-
 @pytest.fixture(scope="session")
 def ctx2():
     return hg.make_field(2, 1)
@@ -84,8 +78,8 @@ def system53(space53):
 class PairOracle:
     """Per-point line counts from the materialised orthogonal point pairs.
 
-    The pairs (u, x) of isotropic points with conj(p_u)^T H p_x = 0 come
-    from a blocked ``linalg.matmul(cgr, pts.T) == 0``, ascending in
+    The pairs (u, x) of isotropic points with conj(p_u)^T p_x = 0 come
+    from a blocked ``linalg.matmul(conj(pts), pts.T) == 0``, ascending in
     (u, x).  The count at u is the number of its pairs with
     p_u^T S p_x != 0, divided by q^2: an oracle that shares nothing with
     the section table behind ``code.point_weights``.
@@ -97,11 +91,11 @@ class PairOracle:
     def pairs(self, space):
         if space not in self._pairs:
             ctx, pts = space.ctx, space.points()
-            cgr = space.conj_gram_rows()
+            conj = ctx.frob[pts]
             step = max(1, linalg.DOT_BLOCK // len(pts))
             ui, xi = [], []
             for lo in range(0, len(pts), step):
-                bu, bx = np.nonzero(linalg.matmul(ctx, cgr[lo : lo + step], pts.T) == 0)
+                bu, bx = np.nonzero(linalg.matmul(ctx, conj[lo : lo + step], pts.T) == 0)
                 ui.append(bu + lo)
                 xi.append(bx)
             self._pairs[space] = (

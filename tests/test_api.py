@@ -13,7 +13,9 @@ MODULES = ("ff", "linalg", "polar", "pluecker", "code", "classify")
 INIT = Path(hg.__file__)
 
 # Object wrappers and scalar helpers that only tests and demos used,
-# replaced by the point and line arrays and the GF(q^2) tables.
+# replaced by the point and line arrays and the GF(q^2) tables, and the
+# polar-image wrappers and Gram rows that only tests used once the form
+# was fixed to conj(x)^T y.
 DELETED = (
     "ProjectivePoint",
     "IsotropicLine",
@@ -26,6 +28,9 @@ DELETED = (
     "form_from_index",
     "form_to_index",
     "Subspace",
+    "polar_image",
+    "fixed_point_count",
+    "conj_gram_rows",
 )
 DELETED_FIELD_WRAPPERS = (
     "add_s",

@@ -1,11 +1,9 @@
-import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hermgrass as hg
-from conftest import antidiagonal_gram_space
 from hermgrass import classify, code, linalg, polar
 
 
@@ -17,11 +15,17 @@ def _symplectic_block(ctx, m):
     return code.AlternatingForm(ctx, s)
 
 
+def _image(phi, space, x):
+    """Normalized polar image of the point [x]; None in the radical."""
+    kernel_mask, y, _ = classify._images(phi, space, np.asarray(x, dtype=np.uint8).reshape(1, -1))
+    return None if kernel_mask[0] else y[0]
+
+
 def test_polar_image_kernel_and_symplectic(space42):
     ctx = space42.ctx
     phi = _symplectic_block(ctx, 4)
     e0 = np.array([1, 0, 0, 0], dtype=np.uint8)
-    img = classify.polar_image(phi, space42, e0)
+    img = _image(phi, space42, e0)
     assert np.array_equal(img, np.array([0, 1, 0, 0], dtype=np.uint8))
     # involution: prime-subfield S with S^2 = -I acts projectively as identity
     rng = np.random.default_rng(6)
@@ -29,8 +33,8 @@ def test_polar_image_kernel_and_symplectic(space42):
         x = rng.integers(0, 4, size=4, dtype=np.uint8)
         if not x.any():
             continue
-        y = classify.polar_image(phi, space42, x)
-        z = classify.polar_image(phi, space42, y)
+        y = _image(phi, space42, x)
+        z = _image(phi, space42, y)
         lead = np.nonzero(x)[0][0]
         xn = ctx.mul[ctx.inv[x[lead]], x]
         assert np.array_equal(z, xn)
@@ -39,7 +43,7 @@ def test_polar_image_kernel_and_symplectic(space42):
 def test_polar_image_kernel_case(space52):
     phi = hg.make_rank2_cone_form(space52)
     rad = phi.radical
-    assert classify.polar_image(phi, space52, rad[0]) is None
+    assert _image(phi, space52, rad[0]) is None
 
 
 def _composition_image(phi, space, x):
@@ -55,36 +59,11 @@ def _composition_image(phi, space, x):
     return ctx.mul[ctx.inv[pole[0][lead]], pole[0]]
 
 
-def _random_hermitian_gram(ctx, m, seed):
-    """A seeded nonsingular Hermitian Gram matrix: random strict upper
-    triangle, its conjugate transpose below, subfield diagonal."""
-    rng = np.random.default_rng(seed)
-    while True:
-        h = np.triu(rng.integers(0, ctx.q2, size=(m, m), dtype=np.uint8), 1)
-        h = linalg.fadd(ctx, h, ctx.frob[h].T)
-        h[np.arange(m), np.arange(m)] = ctx.subfield[rng.integers(0, ctx.q, size=m)]
-        if linalg.rank(ctx, h) == m:
-            return h
-
-
-@functools.cache
-def _gram_space(gram, m, q):
-    ctx = hg.make_field(q, 1)
-    if gram == "identity":
-        return hg.HermitianSpace(m, ctx)
-    if gram == "antidiagonal":
-        return antidiagonal_gram_space(ctx, m)
-    space = hg.HermitianSpace(m, ctx, gram=_random_hermitian_gram(ctx, m, 10 * m + q))
-    assert not np.array_equal(space.gram, np.eye(m, dtype=np.uint8))
-    return space
-
-
-@pytest.mark.parametrize("m,q", [(5, 2), (4, 3)], ids=["5-2", "4-3"])
-@pytest.mark.parametrize("gram", ["identity", "antidiagonal", "random"])
-def test_polar_image_general_composition_oracle(gram, m, q):
+@pytest.mark.parametrize("m,q", [(5, 2), (4, 3)], ids=["identity-5-2", "identity-4-3"])
+def test_polar_image_general_composition_oracle(m, q):
     """The one-expression image must match an explicit perp-then-perp
-    composition for any Gram matrix."""
-    space = _gram_space(gram, m, q)
+    composition."""
+    space = hg.HermitianSpace(m, hg.make_field(q, 1))
     ctx = space.ctx
     rng = np.random.default_rng(9)
     for _ in range(10):
@@ -93,7 +72,7 @@ def test_polar_image_general_composition_oracle(gram, m, q):
             continue
         phi = code.AlternatingForm.from_upper(ctx, m, up)
         for x in space.points()[rng.integers(0, space.num_points, size=3)]:
-            img = classify.polar_image(phi, space, x)
+            img = _image(phi, space, x)
             expect = _composition_image(phi, space, x)
             if expect is None:
                 assert img is None
@@ -102,15 +81,15 @@ def test_polar_image_general_composition_oracle(gram, m, q):
     # the radical of a rank-2 form is the kernel of the map
     if m >= 5:
         cone = hg.make_rank2_cone_form(space)
-        assert classify.polar_image(cone, space, cone.radical[0]) is None
+        assert _image(cone, space, cone.radical[0]) is None
         assert _composition_image(cone, space, cone.radical[0]) is None
 
 
-def test_point_classes_and_fixed_points_match_oracle_loop(ctx2, seeded_forms):
-    """On the antidiagonal (5,2) space, the point classes and the fixed
-    point count equal a per-point loop of the composition oracle."""
-    space = antidiagonal_gram_space(ctx2, 5)
-    for phi in seeded_forms(ctx2, 5, 61, 3):
+def test_point_classes_and_fixed_points_match_oracle_loop(space52, system52, seeded_forms):
+    """On the (5,2) space, the point classes and the fixed point count
+    equal a per-point loop of the composition oracle."""
+    space = space52
+    for phi in seeded_forms(space.ctx, 5, 61, 3):
         labels = []
         for x in space.points():
             y = _composition_image(phi, space, x)
@@ -125,18 +104,7 @@ def test_point_classes_and_fixed_points_match_oracle_loop(ctx2, seeded_forms):
         for x in space.all_points():
             y = _composition_image(phi, space, x)
             fixed += y is not None and np.array_equal(y, x)
-        assert classify.fixed_point_count(phi, space) == fixed
-
-
-def test_polar_image_non_identity_gram(ctx2):
-    space = antidiagonal_gram_space(ctx2, 4)
-    phi = _symplectic_block(ctx2, 4)
-    x = space.points()[3]
-    img = classify.polar_image(phi, space, x)
-    # defining property: the image is orthogonal to the polar hyperplane of x
-    hyper = linalg.kernel(ctx2, linalg.dot(ctx2, phi.s.T, x).reshape(1, -1))
-    for row in hyper:
-        assert space.inner(row, img) == 0
+        assert classify.classify_points(phi, space, system52).fix_count == fixed
 
 
 def test_point_classes_match_point_weight_cases(space52, system52):
@@ -171,12 +139,6 @@ def test_classification_reports(space42, system42, space43, system43):
     rep3 = classify.classify_points(hg.make_permutable_form(space43), space43, system43)
     assert (rep3.A, rep3.B) == (320, 0)
     assert rep3.weight_direct == 72
-
-
-def test_classify_without_system_uses_recursive_route(space42):
-    phi = hg.make_permutable_form(space42)
-    rep = classify.classify_points(phi, space42)
-    assert rep.weight_direct == 12
 
 
 def test_weight_from_class_counts(ctx2):
@@ -247,8 +209,8 @@ def test_rank2_witness_62(space62, system62):
     prof = polar.radical_profile(space62, phi.radical)
     assert prof.label == "[Pi_2]H_2"
     # the vertex of the cone is totally isotropic
-    gram_rows = linalg.matmul(space62.ctx, space62.ctx.frob[phi.radical], space62.gram)
-    vertex = linalg.kernel(space62.ctx, linalg.matmul(space62.ctx, gram_rows, phi.radical.T))
+    conj_rows = space62.ctx.frob[phi.radical]
+    vertex = linalg.kernel(space62.ctx, linalg.matmul(space62.ctx, conj_rows, phi.radical.T))
     assert len(vertex) == 2
     assert code.weight_direct(phi, system62) == 4096
 
@@ -333,7 +295,7 @@ def test_min_profile_accepts_rank4_minimum_words_at_52(space52, system52):
     assert found >= 3
 
 
-def test_fixed_point_lemma_rank4_at_52(space52):
+def test_fixed_point_lemma_rank4_at_52(space52, system52):
     """Rank-4 forms on V(5): the fixed set of the composed polarity is
     either a full subplane-geometry, q^3 + q^2 + q + 1 points, or has
     at most q^2 + q + 2 points."""
@@ -350,19 +312,40 @@ def test_fixed_point_lemma_rank4_at_52(space52):
         if phi.rank != 4:
             continue
         seen += 1
-        fc = classify.fixed_point_count(phi, space52)
+        fc = classify.classify_points(phi, space52, system52).fix_count
         assert fc == full or fc <= q * q + q + 2
     assert seen > 50
 
 
-@pytest.mark.parametrize("gram", ["identity", "antidiagonal"])
-def test_classify_points_matches_separate_passes(ctx2, gram, seeded_forms):
+def test_classify_points_matches_separate_passes(space52, system52, seeded_forms):
     # classify_points takes the labels and the fixed points from one pass
-    # over all points; they must equal the two public single-purpose calls
-    space = hg.HermitianSpace(5, ctx2) if gram == "identity" else antidiagonal_gram_space(ctx2, 5)
-    for phi in seeded_forms(ctx2, 5, 41, 4):
-        rep = classify.classify_points(phi, space)
+    # over all points; they must equal point_classes and a separate pass
+    # of polar images over the whole projective space
+    space = space52
+    for phi in seeded_forms(space.ctx, 5, 41, 4):
+        rep = classify.classify_points(phi, space, system52)
         labels = classify.point_classes(phi, space)
-        sizes = [int((labels == c).sum()) * (ctx2.q2 - 1) for c in range(3)]
+        sizes = [int((labels == c).sum()) * (space.ctx.q2 - 1) for c in range(3)]
         assert [rep.A, rep.B, rep.C] == sizes
-        assert rep.fix_count == classify.fixed_point_count(phi, space)
+        assert rep.fix_count == classify._images(phi, space, space.all_points())[2].sum()
+
+
+WITNESS_SIZES = [(4, q) for q in hg.SUPPORTED_Q] + [(5, 2), (5, 3), (5, 4), (6, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("m,q", WITNESS_SIZES, ids=[f"{m}-{q}" for m, q in WITNESS_SIZES])
+def test_witness_construction_is_certified(m, q):
+    # each construction returns its one deterministic candidate, with the
+    # same form whether or not a system certifies the weight too
+    ctx = hg.make_field(*next((p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3) if p**e == q))
+    space = hg.HermitianSpace(m, ctx)
+    system = hg.build_system(space)
+    if m in (4, 6):
+        perm = hg.make_permutable_form(space, system=system)
+        assert perm == _symplectic_block(ctx, m) == hg.make_permutable_form(space)
+        assert code.weight_direct(perm, system) == code.code_params(m, q).d_min
+    if m >= 5:
+        cone = hg.make_rank2_cone_form(space, system=system)
+        assert cone == hg.make_rank2_cone_form(space)
+        want = classify.rank2_cone_weight(m, q) if m == 6 else code.code_params(m, q).d_min
+        assert code.weight_direct(cone, system) == want

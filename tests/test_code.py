@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermgrass as hg
-from conftest import antidiagonal_gram_space
 from hermgrass import code, linalg, polar
 
 
@@ -214,9 +213,8 @@ def test_point_weights_streaming_branch_matches_pairs(ctx2, monkeypatch):
         lambda: hg.HermitianSpace(6, hg.make_field(2, 1)),
         lambda: hg.HermitianSpace(5, hg.make_field(3, 1)),
         lambda: hg.HermitianSpace(4, hg.make_field(3, 1)),
-        lambda: antidiagonal_gram_space(hg.make_field(2, 1), 5),
     ],
-    ids=["6-2", "5-3", "4-3", "5-2-antidiagonal-gram"],
+    ids=["6-2", "5-3", "4-3"],
 )
 def test_point_weights_table_matches_streaming(make_space, seeded_forms, monkeypatch):
     table_space, streamed = make_space(), make_space()

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import hermgrass as hg
-from conftest import antidiagonal_gram_space
 from hermgrass import code, linalg, polar
 
 
@@ -106,7 +105,7 @@ def _naive_line_keys(space):
     """
     ctx = space.ctx
     pts = space.points()
-    gram = linalg.matmul(ctx, linalg.matmul(ctx, ctx.frob[pts], space.gram), pts.T)
+    gram = linalg.matmul(ctx, ctx.frob[pts], pts.T)
     assert not np.diagonal(gram).any()
     keys = set()
     for i, j in zip(*np.nonzero(gram == 0)):
@@ -122,10 +121,9 @@ def _naive_line_keys(space):
     [
         lambda: hg.HermitianSpace(4, hg.make_field(2, 1)),
         lambda: hg.HermitianSpace(4, hg.make_field(3, 1)),
-        lambda: antidiagonal_gram_space(hg.make_field(2, 1), 4),
         lambda: hg.HermitianSpace(4, hg.make_field(2, 2)),
     ],
-    ids=["4-2", "4-3", "4-2-antidiagonal-gram", "4-4"],
+    ids=["4-2", "4-3", "4-4"],
 )
 def test_line_enumeration_against_scan_and_dedup_oracle(make_space):
     space = make_space()
@@ -164,14 +162,11 @@ ORTH_PAIR_SHA256 = {
     "6-2": "38848d120e168227bcc15942ba5bc1964ff175e6b0051675b663560fafc93b60",
     "5-3": "e1adec48ddc443605a8869838afabcf24464676dd2310355084b53a74aaa9be7",
     "4-3": "82f74313300eaf3ecf0bdad83988a2c2e13c3548c1db6c43da17c0b46d641430",
-    "4-2-antidiagonal-gram": "a8985cf90ace65cd4496add4823987a9315f827fe87e4a2b3dc8f4b374c6f743",
 }
 
 
 @functools.cache
 def _orth_space(tag):
-    if tag == "4-2-antidiagonal-gram":
-        return antidiagonal_gram_space(hg.make_field(2, 1), 4)
     m, q = (int(x) for x in tag.split("-"))
     return hg.HermitianSpace(m, hg.make_field(q, 1))
 
@@ -404,23 +399,6 @@ def test_cone_count_monotone_chains(q):
             assert max(seq) == hg.cone_count_max(m, i, q)
 
 
-def test_gram_validation(ctx2):
-    bad = np.zeros((4, 4), dtype=np.uint8)
-    with pytest.raises(ValueError):
-        hg.HermitianSpace(4, ctx2, gram=bad)
-    notherm = np.eye(4, dtype=np.uint8)
-    notherm[0, 1] = 2  # conjugate transpose differs
-    with pytest.raises(ValueError):
-        hg.HermitianSpace(4, ctx2, gram=notherm)
-
-
-def test_non_identity_gram_space(ctx2):
-    space = antidiagonal_gram_space(ctx2, 4)
-    assert not np.array_equal(space.gram, np.eye(4, dtype=np.uint8))
-    assert space.num_points == polar.isotropic_point_count(4, 2)
-    assert space.num_lines == polar.line_count(4, 2)
-
-
 def test_csv_writers(space42):
     buf = io.StringIO()
     polar.write_points_csv(buf, space42)
@@ -435,3 +413,12 @@ def test_csv_writers(space42):
     assert lines[0] == "# lines m=4 p=2 e=1 count=27"
     assert len(lines) == 28
     assert len(lines[1].split(",")) == 8
+
+
+def test_m1_space_has_empty_section_table_and_zero_weight(ctx2, ctx3):
+    # V(1, q^2) has no isotropic points: one hyperplane row of width 0
+    for ctx in (ctx2, ctx3):
+        space = hg.HermitianSpace(1, ctx)
+        assert space.section_table().shape == (1, 0)
+        zero = code.AlternatingForm(ctx, np.zeros((1, 1), dtype=np.uint8))
+        assert code.weight_recursive(zero, space) == 0
