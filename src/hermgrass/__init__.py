@@ -26,7 +26,6 @@ from .classify import (
 from .code import (
     AlternatingForm,
     CodeParams,
-    Codeword,
     SpectrumReport,
     code_params,
     codeword,

@@ -22,7 +22,7 @@ import numpy as np
 from contextlib import nullcontext
 
 from . import classify, code, pluecker, polar
-from .ff import make_field
+from .ff import _is_prime, make_field
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -143,23 +143,40 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _resolve_field(args) -> tuple[int, int]:
-    q = getattr(args, "q", None)
-    p = getattr(args, "p", None)
-    e = getattr(args, "e", None)
+def _resolve_field(q, p, e) -> tuple[int, int]:
+    """(p, e) of the subfield GF(q), from -q or from -p and -e: p prime,
+    e >= 1 (default 1)."""
     if q is not None:
         if p is not None or e is not None:
             raise ValueError("give either -q or -p/-e, not both")
         return _factor_prime_power(q)
     if p is None:
         raise ValueError("a field is required: -q Q or -p P [-e E]")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if e is not None and e < 1:
+        raise ValueError(f"e = {e} is not a positive extension degree")
     return p, e if e is not None else 1
 
 
-def _open_out(path):
-    if path is None:
-        return nullcontext(sys.stdout)
-    return open(path, "w")
+def _single_m(text: str) -> int:
+    m = _parse_range(text)
+    if len(m) != 1:
+        raise ValueError("this command takes a single m")
+    return m[0]
+
+
+def _write(args, payload, indent=None, write_csv=None) -> None:
+    """Write a command's output to --out or stdout.  ``write_csv(f)``
+    writes the CSV or plain-text format; without it, or with ``--format
+    json``, the output is the sorted-key JSON of ``payload()``, which is
+    built only then."""
+    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as f:
+        if write_csv is not None and getattr(args, "fmt", "csv") == "csv":
+            write_csv(f)
+        else:
+            json.dump(payload(), f, indent=indent, sort_keys=True)
+            f.write("\n")
 
 
 # -- command handlers ---------------------------------------------------------
@@ -167,100 +184,58 @@ def _open_out(path):
 
 def cmd_params(args) -> int:
     m_values = _parse_range(args.m)
-    if args.q:
-        if args.p is not None or args.e is not None:
-            raise ValueError("give either -q or -p/-e, not both")
-        q_values = list(args.q)
-    else:
-        p = args.p
-        if p is None:
-            raise ValueError("params needs -q or -p/-e")
-        e = args.e if args.e is not None else 1
-        q_values = [p**e]
-    rows = []
-    for q in q_values:
-        _factor_prime_power(q)
-        for m in m_values:
-            cp = code.code_params(m, q)
-            rows.append(cp)
-    with _open_out(args.out) as f:
-        if args.fmt == "json":
-            json.dump(
-                [{"m": r.m, "q": r.q, "N": r.n, "K": r.k, "d_min": r.d_min} for r in rows],
-                f,
-                indent=2,
-                sort_keys=True,
-            )
-            f.write("\n")
-        else:
-            f.write("m, q, N, K, d_min\n")
-            for r in rows:
-                f.write(f"{r.m}, {r.q}, {r.n}, {r.k}, {r.d_min}\n")
+    fields = [_resolve_field(q, args.p, args.e) for q in args.q or [None]]
+    rows = [code.code_params(m, p**e) for p, e in fields for m in m_values]
+    _write(
+        args,
+        lambda: [{"m": r.m, "q": r.q, "N": r.n, "K": r.k, "d_min": r.d_min} for r in rows],
+        indent=2,
+        write_csv=lambda f: f.writelines(
+            ["m, q, N, K, d_min\n"] + [f"{r.m}, {r.q}, {r.n}, {r.k}, {r.d_min}\n" for r in rows]
+        ),
+    )
     return EXIT_OK
 
 
 def _space_for(args) -> polar.HermitianSpace:
-    p, e = _resolve_field(args)
-    ctx = make_field(p, e)
-    m = _parse_range(args.m)
-    if len(m) != 1:
-        raise ValueError("this command takes a single m")
-    return polar.HermitianSpace(m[0], ctx)
+    ctx = make_field(*_resolve_field(args.q, args.p, args.e))
+    return polar.HermitianSpace(_single_m(args.m), ctx)
+
+
+def _space_json(space: polar.HermitianSpace, **rows) -> dict:
+    return {"m": space.m, "p": space.ctx.p, "e": space.ctx.e, **rows}
 
 
 def cmd_points(args) -> int:
     space = _space_for(args)
-    with _open_out(args.out) as f:
-        if args.fmt == "json":
-            json.dump(
-                {
-                    "m": space.m,
-                    "p": space.ctx.p,
-                    "e": space.ctx.e,
-                    "points": [[int(x) for x in row] for row in space.points()],
-                },
-                f,
-                sort_keys=True,
-            )
-            f.write("\n")
-        else:
-            polar.write_points_csv(f, space)
+    _write(
+        args,
+        lambda: _space_json(space, points=space.points().tolist()),
+        write_csv=lambda f: polar.write_points_csv(f, space),
+    )
     return EXIT_OK
 
 
 def cmd_lines(args) -> int:
     space = _space_for(args)
-    with _open_out(args.out) as f:
-        if args.fmt == "json":
-            a_idx, b_idx = space.line_pair_indices()
-            pts = space.points()
-            json.dump(
-                {
-                    "m": space.m,
-                    "p": space.ctx.p,
-                    "e": space.ctx.e,
-                    "lines": np.stack([pts[a_idx], pts[b_idx]], axis=1).tolist(),
-                },
-                f,
-                sort_keys=True,
-            )
-            f.write("\n")
-        else:
-            polar.write_lines_csv(f, space)
+    (a_idx, b_idx), pts = space.line_pair_indices(), space.points()
+    _write(
+        args,
+        lambda: _space_json(space, lines=np.stack([pts[a_idx], pts[b_idx]], axis=1).tolist()),
+        write_csv=lambda f: polar.write_lines_csv(f, space),
+    )
     return EXIT_OK
 
 
 def cmd_genmat(args) -> int:
     space = _space_for(args)
     system = pluecker.build_system(space)
-    with _open_out(args.out) as f:
-        pluecker.write_genmat(f, system)
+    _write(args, None, write_csv=lambda f: pluecker.write_genmat(f, system))
     return EXIT_OK
 
 
 def _load_form(args):
-    p, e = _resolve_field(args)
-    ctx = make_field(p, e)
+    ctx = make_field(*_resolve_field(args.q, args.p, args.e))
     with open(args.form) as f:
         phi = code.read_form_json(f, ctx)
     return ctx, phi
@@ -284,13 +259,8 @@ def cmd_weight(args) -> int:
         "weight_from_counts": wfc,
         "agree": wd == wr == wfc,
     }
-    with _open_out(args.out) as f:
-        if args.fmt == "json":
-            json.dump(payload, f, sort_keys=True)
-            f.write("\n")
-        else:
-            f.write("route,weight\n")
-            f.write(f"direct,{wd}\nrecursive,{wr}\nfrom_counts,{wfc}\n")
+    csv = f"route,weight\ndirect,{wd}\nrecursive,{wr}\nfrom_counts,{wfc}\n"
+    _write(args, lambda: payload, write_csv=lambda f: f.write(csv))
     if not payload["agree"]:
         print("weight routes disagree", file=sys.stderr)
         return EXIT_FAIL
@@ -307,23 +277,22 @@ def cmd_spectrum(args) -> int:
     else:
         rep = code.spectrum(system, mode="exhaustive", budget=args.budget, jobs=args.jobs)
     meta = code.spectrum_metadata(rep)
-    with _open_out(args.out) as f:
-        if args.fmt == "json":
-            json.dump(
-                {"histogram": {str(k): v for k, v in sorted(rep.histogram.items())}, "meta": meta},
-                f,
-                indent=2,
-                sort_keys=True,
-            )
-            f.write("\n")
+
+    def write_csv(f):
+        code.write_spectrum_csv(f, rep)
+        if args.out:
+            with open(args.out + ".meta.json", "w") as mf:
+                json.dump(meta, mf, indent=2, sort_keys=True)
+                mf.write("\n")
         else:
-            code.write_spectrum_csv(f, rep)
-            if args.out:
-                with open(args.out + ".meta.json", "w") as mf:
-                    json.dump(meta, mf, indent=2, sort_keys=True)
-                    mf.write("\n")
-            else:
-                f.write(json.dumps(meta, sort_keys=True) + "\n")
+            f.write(json.dumps(meta, sort_keys=True) + "\n")
+
+    _write(
+        args,
+        lambda: {"histogram": {str(k): v for k, v in sorted(rep.histogram.items())}, "meta": meta},
+        indent=2,
+        write_csv=write_csv,
+    )
     print(
         f"spectrum: {rep.forms_scanned} forms in {rep.wall_time_s:.2f}s "
         f"(mode={rep.mode}, seed={rep.seed})",
@@ -350,42 +319,23 @@ def cmd_classify(args) -> int:
         "weightDirect": rep.weight_direct,
         "checks": rep.checks,
     }
-    with _open_out(args.out) as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write(args, lambda: payload, indent=2)
     return EXIT_OK if all(rep.checks.values()) else EXIT_FAIL
 
 
 def cmd_bounds(args) -> int:
-    p, e = _resolve_field(args)
-    q = p**e
-    m = _parse_range(args.m)
-    if len(m) != 1:
-        raise ValueError("bounds takes a single m")
-    table = classify.bound_table(m[0], q)
-    with _open_out(args.out) as f:
-        if args.fmt == "json":
-            json.dump(
-                {
-                    "m": table.m,
-                    "q": table.q,
-                    "rows": [
-                        {
-                            "i": r.i,
-                            "xi": r.xi,
-                            "muMax": r.mu_max,
-                            "dLower": math.ceil(r.d_lower),
-                        }
-                        for r in table.rows
-                    ],
-                },
-                f,
-                indent=2,
-                sort_keys=True,
-            )
-            f.write("\n")
-        else:
-            classify.write_bounds_csv(f, table)
+    p, e = _resolve_field(args.q, args.p, args.e)
+    table = classify.bound_table(_single_m(args.m), p**e)
+    rows = [
+        {"i": r.i, "xi": r.xi, "muMax": r.mu_max, "dLower": math.ceil(r.d_lower)}
+        for r in table.rows
+    ]
+    _write(
+        args,
+        lambda: {"m": table.m, "q": table.q, "rows": rows},
+        indent=2,
+        write_csv=lambda f: classify.write_bounds_csv(f, table),
+    )
     return EXIT_OK
 
 
@@ -401,9 +351,7 @@ def cmd_min_word(args) -> int:
         budget=args.budget,
         jobs=args.jobs,
     )
-    with _open_out(args.out) as f:
-        json.dump({"d_min": d, "certificate": cert}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write(args, lambda: {"d_min": d, "certificate": cert}, indent=2)
     return EXIT_OK
 
 

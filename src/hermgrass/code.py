@@ -8,7 +8,8 @@ line's normalized Pluecker coordinates.
 
 Weights are computed three independent ways across the package:
 
-* ``weight_direct``: count nonzero codeword positions;
+* ``weight_direct``: count the nonzero positions of ``codeword``, the
+  array of the form's values on the lines;
 * ``weight_recursive``: accumulate, over all isotropic vectors u, the
   number of totally isotropic lines through [u] not annihilated by
   the form, then divide by q^4 - 1.  ``point_weights`` counts them as
@@ -62,7 +63,6 @@ from .pluecker import ProjectiveSystem
 __all__ = [
     "AlternatingForm",
     "CodeParams",
-    "Codeword",
     "SpectrumReport",
     "code_params",
     "evaluate",
@@ -198,25 +198,19 @@ def evaluate(phi: AlternatingForm, line) -> int:
     return int(linalg.dot(ctx, b[0], linalg.dot(ctx, phi.s, b[1])))
 
 
-@dataclass(frozen=True)
-class Codeword:
-    values: np.ndarray
-    weight: int
-
-
-def codeword(phi: AlternatingForm, system: ProjectiveSystem) -> Codeword:
-    """Codeword of the form: position j holds the form's value on the
-    normalized Pluecker coordinates of line j."""
+def codeword(phi: AlternatingForm, system: ProjectiveSystem) -> np.ndarray:
+    """Codeword of the form, as element codes: position j holds the
+    form's value on the normalized Pluecker coordinates of line j."""
     ctx = system.ctx
     if phi.m != system.space.m or phi.ctx.q2 != ctx.q2:
         raise ValueError("form does not match the system")
-    vals = linalg.dot(ctx, phi.upper(), system.matrix.T)
-    return Codeword(values=vals, weight=int(np.count_nonzero(vals)))
+    return linalg.dot(ctx, phi.upper(), system.matrix.T)
 
 
 def weight_direct(phi: AlternatingForm, system: ProjectiveSystem) -> int:
-    """Number of lines on which the form does not vanish."""
-    return codeword(phi, system).weight
+    """Number of lines on which the form does not vanish: the nonzero
+    positions of its codeword."""
+    return int(np.count_nonzero(codeword(phi, system)))
 
 
 # -- per-point line counts ------------------------------------------------

@@ -7,6 +7,10 @@ result is exact.  A subspace is held by its reduced row echelon basis,
 the canonical representative of a row space; its flattened entries
 serve as a total order and hash key.  Pivots are chosen leftmost first.
 
+One forward elimination, ``_echelon``, serves ``rank``, which counts
+its pivots, and ``rref``, which adds a backward pass and which ``kernel``
+reads.  ``rank_stack`` eliminates a stack of small matrices at once.
+
 The scan kernel (``_ScanKernel``) holds the products f M of a K x N
 matrix M with every coefficient vector f as sums of digit-group table
 rows.  Its one block walk (``_ScanKernel.nonzero_masks`` over
@@ -97,42 +101,15 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
     return dot(ctx, a[:, None, :], b.T[None])
 
 
-def rref(ctx: FieldCtx, m) -> tuple[np.ndarray, int]:
-    """Reduced row echelon form and rank.
-
-    The result is the unique RREF of the row space, with unit pivots
-    and zeros above and below each pivot.
-    """
-    r = as_matrix(ctx, m).copy()
+def _echelon(ctx: FieldCtx, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Forward elimination of a copy of the ``as_matrix`` array m: its
+    rows in row echelon form, pivots leftmost first, and the pivot column
+    of each nonzero row.  Each pivot row is swapped up and clears below."""
+    r = m.copy()
     nr, nc = r.shape
-    row = 0
+    pivots: list[int] = []
     for col in range(nc):
-        if row == nr:
-            break
-        hits = np.nonzero(r[row:, col])[0]
-        if hits.size == 0:
-            continue
-        piv = row + hits[0]
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        pv = r[row, col]
-        if pv != 1:
-            r[row] = ctx.mul[ctx.inv[pv], r[row]]
-        others = np.nonzero(r[:, col])[0]
-        others = others[others != row]
-        if others.size:
-            f = r[others, col]
-            r[others] = fsub(ctx, r[others], ctx.mul[f[:, None], r[row][None, :]])
-        row += 1
-    return r, row
-
-
-def rank(ctx: FieldCtx, m) -> int:
-    """Rank via forward elimination only (cheaper than full rref)."""
-    r = as_matrix(ctx, m).copy()
-    nr, nc = r.shape
-    row = 0
-    for col in range(nc):
+        row = len(pivots)
         if row == nr:
             break
         hits = np.nonzero(r[row:, col])[0]
@@ -145,8 +122,42 @@ def rank(ctx: FieldCtx, m) -> int:
         if below.size:
             f = ctx.mul[r[below, col], ctx.inv[r[row, col]]]
             r[below] = fsub(ctx, r[below], ctx.mul[f[:, None], r[row][None, :]])
-        row += 1
-    return row
+        pivots.append(col)
+    return r, pivots
+
+
+def rref(ctx: FieldCtx, m) -> tuple[np.ndarray, int]:
+    """Reduced row echelon form and rank.
+
+    The result is the unique RREF of the row space, with unit pivots
+    and zeros above and below each pivot: the rows of ``_echelon`` are
+    scaled to unit pivots, then one backward pass clears above each.
+    """
+    r, pivots = _echelon(ctx, as_matrix(ctx, m))
+    k = len(pivots)
+    r[:k] = ctx.mul[ctx.inv[r[np.arange(k), pivots]][:, None], r[:k]]
+    for row in range(k - 1, 0, -1):
+        f = r[:row, pivots[row], None]
+        if f.any():
+            r[:row] = fsub(ctx, r[:row], ctx.mul[f, r[row]])
+    return r, k
+
+
+def rank(ctx: FieldCtx, m) -> int:
+    """Rank by forward elimination only (``_echelon``).
+
+    A wide matrix is certified on a column subset first: the rank of
+    any column subset is at most the rank of the matrix, so when an
+    evenly strided subset of about 64 columns per row already has full
+    row rank, so does the matrix.  Only a subset that falls short costs
+    an elimination of the whole matrix.
+    """
+    m = as_matrix(ctx, m)
+    k, n = m.shape
+    step = n // (64 * k) if k else 0
+    if step > 1 and len(_echelon(ctx, m[:, ::step])[1]) == k:
+        return k
+    return len(_echelon(ctx, m)[1])
 
 
 def rank_stack(ctx: FieldCtx, mats) -> np.ndarray:
@@ -182,20 +193,13 @@ def rank_stack(ctx: FieldCtx, mats) -> np.ndarray:
 def kernel(ctx: FieldCtx, m) -> np.ndarray:
     """Right kernel {x : m x = 0} as its canonical RREF basis, one row
     per dimension."""
-    m = as_matrix(ctx, m)
-    nr, nc = m.shape
-    if nr == 0:
-        return np.eye(nc, dtype=np.uint8)
     r, rk = rref(ctx, m)
-    pivots = []
-    for i in range(rk):
-        pivots.append(int(np.nonzero(r[i])[0][0]))
-    free = [c for c in range(nc) if c not in set(pivots)]
+    nc = r.shape[1]
+    pivots = [int(np.flatnonzero(row)[0]) for row in r[:rk]]
+    free = [c for c in range(nc) if c not in pivots]
     rows = np.zeros((len(free), nc), dtype=np.uint8)
-    for j, fc in enumerate(free):
-        rows[j, fc] = 1
-        for i, pc in enumerate(pivots):
-            rows[j, pc] = fneg(ctx, r[i, fc])
+    rows[np.arange(len(free)), free] = 1
+    rows[:, pivots] = fneg(ctx, r[:rk, free].T)
     basis, rk = rref(ctx, rows)
     return basis[:rk]
 

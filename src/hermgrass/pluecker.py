@@ -18,7 +18,8 @@ from the transposed point table, the a-side pre-scaled by q^2 once
 (``FieldCtx.scaled_codes``).  Every product p_a[i] p_b[j] is then one
 add and one 1-D gather from ``FieldCtx.mul_flat``, and row (i, j) of
 the block is mul_flat[A_i + B_j] - mul_flat[A_j + B_i].  The full
-N x m bases are never built.
+N x m bases are never built.  ``linalg.rank`` certifies the K x N
+matrix, usually on a strided subset of its columns.
 """
 
 from __future__ import annotations
@@ -87,21 +88,6 @@ class ProjectiveSystem:
         return f"ProjectiveSystem(m={self.space.m}, q={self.ctx.q}, N={self.n}, K={self.k})"
 
 
-def _row_rank(ctx: FieldCtx, g: np.ndarray) -> int:
-    """Exact rank of a wide matrix, certified on a column subset first.
-
-    The rank of any column subset is at most the rank of the matrix, so
-    when an evenly strided subset of about 64 columns per row already
-    has full row rank, so does the matrix.  Only a subset that falls
-    short costs a rank of the whole matrix.
-    """
-    k, n = g.shape
-    step = max(1, n // (64 * k))
-    if step > 1 and linalg.rank(ctx, g[:, ::step]) == k:
-        return k
-    return linalg.rank(ctx, g)
-
-
 def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
     """Generator matrix of the line code of the given space (cached).
 
@@ -126,7 +112,7 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
         b = np.take(pts_t, b_idx[lo:hi], axis=1)
         for r, (i, j) in enumerate(pairs):
             g[r, lo:hi] = fsub(ctx, np.take(mulf, a[i] + b[j]), np.take(mulf, a[j] + b[i]))
-    got = _row_rank(ctx, g)
+    got = linalg.rank(ctx, g)
     if got != len(pairs):
         raise RuntimeError(f"generator matrix rank {got}, expected {len(pairs)}")
     system = ProjectiveSystem(space, g)

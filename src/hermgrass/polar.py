@@ -222,14 +222,6 @@ class HermitianSpace:
             self._cache["points"] = pts
         return self._cache["points"]
 
-    def point_leads(self) -> np.ndarray:
-        if "leads" not in self._cache:
-            pts = self.points()
-            leads = (pts != 0).argmax(axis=1).astype(np.int16)
-            leads.flags.writeable = False
-            self._cache["leads"] = leads
-        return self._cache["leads"]
-
     @property
     def num_points(self) -> int:
         return len(self.points())
@@ -261,7 +253,7 @@ class HermitianSpace:
             # Operands are taken as m x count arrays, so each coordinate
             # column of a block is one contiguous row.
             pts_scaled_t = ctx.scaled_codes(pts.T)
-            leads = self.point_leads()
+            leads = (pts != 0).argmax(axis=1)
             n_pts = len(pts)
             keys = []
             for lead in range(1, self.m):

@@ -13,9 +13,11 @@ MODULES = ("ff", "linalg", "polar", "pluecker", "code", "classify")
 INIT = Path(hg.__file__)
 
 # Object wrappers and scalar helpers that only tests and demos used,
-# replaced by the point and line arrays and the GF(q^2) tables, and the
+# replaced by the point and line arrays and the GF(q^2) tables; the
 # polar-image wrappers and Gram rows that only tests used once the form
-# was fixed to conj(x)^T y.
+# was fixed to conj(x)^T y; the codeword record (``codeword`` returns the
+# value array), the cached point leads of one caller, and the rank
+# wrapper whose column-subset certificate moved into ``linalg.rank``.
 DELETED = (
     "ProjectivePoint",
     "IsotropicLine",
@@ -31,6 +33,9 @@ DELETED = (
     "polar_image",
     "fixed_point_count",
     "conj_gram_rows",
+    "Codeword",
+    "point_leads",
+    "_row_rank",
 )
 DELETED_FIELD_WRAPPERS = (
     "add_s",

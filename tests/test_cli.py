@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermgrass import cli, polar
 
@@ -211,3 +215,45 @@ def test_isotropic_points_beyond_physical_memory_exits_2(capsys, monkeypatch):
         "error: the isotropic points of PG(5, 4) need 12348 bytes"
         " with the point table, more than the 10000 bytes of available memory"
     ]
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, n))
+
+
+def _field_order(q, p, e):
+    """p^e when the flags name the field GF(p^e), p prime and e >= 1, else
+    None: -q alone must be a prime power, and -p (with an optional -e)
+    excludes -q."""
+    if q is not None:
+        powers = {b**k for b in range(2, q + 1) if _is_prime(b) for k in range(1, q)}
+        return q if p is None and e is None and q in powers else None
+    if p is None or not _is_prime(p) or (e is not None and e < 1):
+        return None
+    return p ** (1 if e is None else e)
+
+
+flag = st.one_of(st.none(), st.integers(-3, 20))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(["params", "bounds"]), flag, flag, st.one_of(st.none(), st.integers(-2, 6)))
+def test_field_flags_exit_0_or_2(command, q, p, e):
+    argv = [command, "-m", "4", "--format", "json"]
+    for name, value in (("-q", q), ("-p", p), ("-e", e)):
+        if value is not None:
+            argv += [name, str(value)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    want = _field_order(q, p, e)
+    if want is None:
+        assert code == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert code == 0
+        data = json.loads(out.getvalue())
+        got = [row["q"] for row in data] if command == "params" else [data["q"]]
+        assert got == [want]

@@ -2,10 +2,11 @@
 
 Every command runs in-process at (4,2) and (4,3), once to stdout in
 its default format and once with ``--out`` (in JSON where the command
-has a JSON writer); ``weight`` and ``classify`` also run on a fixed
-(5,2) form.  The exit code and the sha256 of stdout and of every file
-written are pinned, so any change of output bytes shows here.  Stderr
-carries wall-clock times and is not pinned.
+has a JSON writer), and commands with a JSON writer also write JSON to
+stdout; ``weight`` and ``classify`` also run on a fixed (5,2) form.
+The exit code and the sha256 of stdout and of every file written are
+pinned, so any change of output bytes shows here.  Stderr carries
+wall-clock times and is not pinned.
 """
 
 import contextlib
@@ -50,12 +51,14 @@ def _cases():
             tag = f"{cmd}-{mode}{m}-{q}"
             yield tag, [cmd, *field, *extra], None
             if cmd in JSON_OUT:
+                yield f"{tag}-json", [cmd, *field, *extra, "--format", "json"], None
                 yield f"{tag}-json-out", [cmd, *field, *extra, "--format", "json", "--out", "{out}"], None
             if cmd in PLAIN_OUT or cmd == "spectrum":
                 yield f"{tag}-out", [cmd, *field, *extra, "--out", "{out}"], None
     for m, q in sorted(FORMS):
         field = ["--form", "{form}", "-q", str(q)]
         yield f"weight-{m}-{q}", ["weight", *field], (m, q)
+        yield f"weight-{m}-{q}-json", ["weight", *field, "--format", "json"], (m, q)
         yield f"weight-{m}-{q}-json-out", ["weight", *field, "--format", "json", "--out", "{out}"], (m, q)
         yield f"classify-{m}-{q}", ["classify", *field], (m, q)
         yield f"classify-{m}-{q}-out", ["classify", *field, "--out", "{out}"], (m, q)
@@ -87,10 +90,14 @@ def run_case(tag: str, tmp_path) -> tuple[int, dict]:
     return code, hashes
 
 
-# Recorded from the code before linalg.dot replaced the table loops.
+# Recorded from the code before linalg.dot replaced the table loops; the
+# JSON-to-stdout cases from the code before the CLI had one output writer.
 GOLDEN = {
     "bounds-4-2": (0, {
         "stdout": "4286a06bd5fb7282d2e31d6173c6e702ce50f701b78bc3c409d382451bdec896",
+    }),
+    "bounds-4-2-json": (0, {
+        "stdout": "4c8fcb084f29b06f54e261afabd548a4a7ac1301cfad392fe4e06bad416987dd",
     }),
     "bounds-4-2-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -98,6 +105,9 @@ GOLDEN = {
     }),
     "bounds-4-3": (0, {
         "stdout": "bd9e7477dec0af9edf23644883ad71e7d7a4d4b244001959cd5a07ddd562fbcc",
+    }),
+    "bounds-4-3-json": (0, {
+        "stdout": "e0c26b2d4f7dcc44b9b4a92576f322706476b3883db32bfa5b7127dd7077de9a",
     }),
     "bounds-4-3-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -141,12 +151,18 @@ GOLDEN = {
     "lines-4-2": (0, {
         "stdout": "400cb647ba66b44c384a52c62c2a1d1dcf2291b65ac9a207793bb980f5bff684",
     }),
+    "lines-4-2-json": (0, {
+        "stdout": "71a83b67ea4dc774a526442fb11afcabcdc39ecb978d4fe1a99b2e4a994b4207",
+    }),
     "lines-4-2-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "71a83b67ea4dc774a526442fb11afcabcdc39ecb978d4fe1a99b2e4a994b4207",
     }),
     "lines-4-3": (0, {
         "stdout": "f0469887f2c2e9f0db9d4f35408ee2f9e1385b1feb5a62b7576adce65b9047bd",
+    }),
+    "lines-4-3-json": (0, {
+        "stdout": "017b705a97fcab6fdfa65ffa1db78ade9df2baa0ace8294202fefa0085785013",
     }),
     "lines-4-3-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -183,12 +199,18 @@ GOLDEN = {
     "params-4-2": (0, {
         "stdout": "2dc31afffc00266acba203471fcbe862a89a209fa826abbb9fbf5ec2915961f1",
     }),
+    "params-4-2-json": (0, {
+        "stdout": "5f8415f369147da59ba87bf541bd7bd7d5bcd549339ce632f006e7fc1dde7589",
+    }),
     "params-4-2-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "5f8415f369147da59ba87bf541bd7bd7d5bcd549339ce632f006e7fc1dde7589",
     }),
     "params-4-3": (0, {
         "stdout": "10bf7f2981fc58dedbc14662ee9e2045e04d6e44317ea4394bda3198dfe46004",
+    }),
+    "params-4-3-json": (0, {
+        "stdout": "ce622f778ff432cec847d25007831128cb124c3a58bff41576861baf93960a83",
     }),
     "params-4-3-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -197,6 +219,9 @@ GOLDEN = {
     "points-4-2": (0, {
         "stdout": "ae34c621374431071b7081aafd723b31673037d2aa5a1c063670df99fcee9024",
     }),
+    "points-4-2-json": (0, {
+        "stdout": "9782a5eeea11a1cfe66e37db842e1eec32a9d80aa88a999925326d03169b77b8",
+    }),
     "points-4-2-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "9782a5eeea11a1cfe66e37db842e1eec32a9d80aa88a999925326d03169b77b8",
@@ -204,12 +229,18 @@ GOLDEN = {
     "points-4-3": (0, {
         "stdout": "be95b4dfd7557f80b08d563976180143a6a0daa3f553d78bfb42574d4dd5a828",
     }),
+    "points-4-3-json": (0, {
+        "stdout": "f62318fd5ad31f67f7747d09f87c0abedbee836b7bca1c13bdbf53e931faca08",
+    }),
     "points-4-3-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "f62318fd5ad31f67f7747d09f87c0abedbee836b7bca1c13bdbf53e931faca08",
     }),
     "spectrum-exhaustive-4-2": (0, {
         "stdout": "7b04f39cbe81d1eca05f13b2bf8f4f255bd4115274a57b034d013723c82f4b76",
+    }),
+    "spectrum-exhaustive-4-2-json": (0, {
+        "stdout": "0b5bce97b558b7830cc84ab5c0990d42c1481f249c80a58718c1e757c2c94b86",
     }),
     "spectrum-exhaustive-4-2-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -223,6 +254,9 @@ GOLDEN = {
     "spectrum-exhaustive-4-3": (0, {
         "stdout": "5b03c90d63c750d4c72e60d3397709f1169110bfb937b41b15383bf0d1a31958",
     }),
+    "spectrum-exhaustive-4-3-json": (0, {
+        "stdout": "bbfe56aecb3835b9f06bd86400fc5660d12e9611d840957c3e583a36218e0a4c",
+    }),
     "spectrum-exhaustive-4-3-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "bbfe56aecb3835b9f06bd86400fc5660d12e9611d840957c3e583a36218e0a4c",
@@ -235,6 +269,9 @@ GOLDEN = {
     "spectrum-sample-4-2": (0, {
         "stdout": "b53f6bc57532d22a5f2366cd14bdf9e28ecea642b072b0105fa9111666b72c5d",
     }),
+    "spectrum-sample-4-2-json": (0, {
+        "stdout": "d27ac7a62081e3eda4e67652070f2891f3c059dbb4baedba6b77549c9d9ddb17",
+    }),
     "spectrum-sample-4-2-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "d27ac7a62081e3eda4e67652070f2891f3c059dbb4baedba6b77549c9d9ddb17",
@@ -246,6 +283,9 @@ GOLDEN = {
     }),
     "spectrum-sample-4-3": (0, {
         "stdout": "61b768adec663d121435982cee686db50f5b04cda7b77b162487c00cc80eb127",
+    }),
+    "spectrum-sample-4-3-json": (0, {
+        "stdout": "85d1088c16411166457bf502f2d87674cdc8154c84ec700e33c9bf911cb9424a",
     }),
     "spectrum-sample-4-3-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -265,6 +305,9 @@ GOLDEN = {
     "weight-4-2": (0, {
         "stdout": "dd8a08bb7fe70c722f3b6d0e2fb3007d7563963a75a703fa2b8617d530f7de48",
     }),
+    "weight-4-2-json": (0, {
+        "stdout": "613724940c984ab8e1e231d0641edb512d381777134739ecf226d1aed4339029",
+    }),
     "weight-4-2-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "613724940c984ab8e1e231d0641edb512d381777134739ecf226d1aed4339029",
@@ -272,12 +315,18 @@ GOLDEN = {
     "weight-4-3": (0, {
         "stdout": "ab11b3938c4f9bbeb1286583c5d35410226e12c2a095f22525f95a86da0b78d8",
     }),
+    "weight-4-3-json": (0, {
+        "stdout": "b150b7bbf0b2fc4f421ba2f9f9d8d2aa92d7a318281b2e4e3bf30ea623478cc2",
+    }),
     "weight-4-3-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "b150b7bbf0b2fc4f421ba2f9f9d8d2aa92d7a318281b2e4e3bf30ea623478cc2",
     }),
     "weight-5-2": (0, {
         "stdout": "77e07ba5ab75819f7d349760c9ecb4bda887200ad6487a16b068443494013365",
+    }),
+    "weight-5-2-json": (0, {
+        "stdout": "408f64f3656b0f34df6881e85d180fa9907d08e426d786660413f2b1e68151d8",
     }),
     "weight-5-2-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,78 @@ def test_rref_idempotent(cm):
 def test_rank_transpose_invariant(cm):
     ctx, m = cm
     assert linalg.rank(ctx, m) == linalg.rank(ctx, m.T)
-    assert linalg.rank(ctx, m) == linalg.rref(ctx, m)[1]
+
+
+def _span_size(ctx, m) -> int:
+    """Distinct vectors in the row span of m: every coefficient vector
+    times m, multiplied out with matmul."""
+    coeffs = np.array(list(itertools.product(range(ctx.q2), repeat=len(m))), dtype=np.uint8)
+    return len({row.tobytes() for row in linalg.matmul(ctx, coeffs, m)})
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)], ids=["q2", "q3", "q4"])
+def test_rank_counts_the_row_span(p, e):
+    # Q^rank vectors span the rows, Q = q^2; shapes up to 3 x 4 and 2 x 300,
+    # whose rank first tries the strided-column certificate
+    ctx = hg.make_field(p, e)
+    rng = np.random.default_rng(31 + ctx.q2)
+    mats = []
+    for r, c in [(1, 4), (2, 3), (3, 3), (3, 4), (2, 300)]:
+        for t in range(r + 1):  # a product of r x t and t x c matrices: rank <= t
+            a = rng.integers(0, ctx.q2, size=(r, t), dtype=np.uint8)
+            b = rng.integers(0, ctx.q2, size=(t, c), dtype=np.uint8)
+            mats.append(linalg.matmul(ctx, a, b) if t else np.zeros((r, c), dtype=np.uint8))
+    wide = np.tile(rng.integers(1, ctx.q2, size=(1, 300), dtype=np.uint8), (2, 1))
+    wide[1, 1] = ctx.add[wide[1, 1], 1]  # rows differ off the stride-2 columns only
+    mats.append(wide)
+    col = rng.integers(0, ctx.q2, size=(3, 1), dtype=np.uint8)
+    mats.append(np.hstack([col, np.eye(3, dtype=np.uint8)[::-1]]))  # rank 3, rows swapped
+    for m in mats:
+        assert _span_size(ctx, m) == ctx.q2 ** linalg.rank(ctx, m)
+    assert {linalg.rank(ctx, m) for m in mats} == {0, 1, 2, 3}
+
+
+def _counting_echelon(monkeypatch):
+    """Shapes of the matrices that the elimination sees."""
+    calls = []
+    real = linalg._echelon
+
+    def echelon(ctx, m):
+        calls.append(m.shape)
+        return real(ctx, m)
+
+    monkeypatch.setattr(linalg, "_echelon", echelon)
+    return calls
+
+
+def test_rank_certified_on_strided_columns(ctx2, monkeypatch):
+    g = np.zeros((2, 256), dtype=np.uint8)
+    g[0, ::2] = 1
+    g[1, 1::2] = 1
+    g[:, 0] = [1, 1]
+    calls = _counting_echelon(monkeypatch)
+    assert linalg.rank(ctx2, g) == 2
+    assert calls == [(2, 128)]
+
+
+def test_rank_falls_back_when_subset_is_short(ctx2, monkeypatch):
+    # the stride-2 columns span only e1; the odd columns add e2
+    g = np.zeros((2, 256), dtype=np.uint8)
+    g[0, ::2] = 1
+    g[1, 1::2] = 1
+    calls = _counting_echelon(monkeypatch)
+    assert linalg.rank(ctx2, g) == 2
+    assert calls == [(2, 128), (2, 256)]
+    calls.clear()
+    g[1] = 0
+    assert linalg.rank(ctx2, g) == 1
+    assert calls == [(2, 128), (2, 256)]
+
+
+def test_rank_of_zero_rows(ctx2):
+    # the certificate's stride n // (64 k) must not divide by k = 0
+    for n in (0, 1, 64, 1000):
+        assert linalg.rank(ctx2, np.zeros((0, n), dtype=np.uint8)) == 0
 
 
 @settings(deadline=None)

@@ -146,42 +146,6 @@ def test_build_requires_m_at_least_4(ctx2):
         hg.build_system(space)
 
 
-def _counting_rank(monkeypatch):
-    calls = []
-    real = linalg.rank
-
-    def rank(ctx, m):
-        calls.append(np.asarray(m).shape)
-        return real(ctx, m)
-
-    monkeypatch.setattr(linalg, "rank", rank)
-    return calls
-
-
-def test_row_rank_certified_on_strided_columns(ctx2, monkeypatch):
-    g = np.zeros((2, 256), dtype=np.uint8)
-    g[0, ::2] = 1
-    g[1, 1::2] = 1
-    g[:, 0] = [1, 1]
-    calls = _counting_rank(monkeypatch)
-    assert pluecker._row_rank(ctx2, g) == 2
-    assert calls == [(2, 128)]
-
-
-def test_row_rank_falls_back_when_subset_is_short(ctx2, monkeypatch):
-    # the stride-2 columns span only e1; the odd columns add e2
-    g = np.zeros((2, 256), dtype=np.uint8)
-    g[0, ::2] = 1
-    g[1, 1::2] = 1
-    calls = _counting_rank(monkeypatch)
-    assert pluecker._row_rank(ctx2, g) == 2
-    assert calls == [(2, 128), (2, 256)]
-    calls.clear()
-    g[1] = 0
-    assert pluecker._row_rank(ctx2, g) == 1
-    assert calls == [(2, 128), (2, 256)]
-
-
 def test_rank_deficient_generator_raises(ctx2, monkeypatch):
     space = hg.HermitianSpace(4, ctx2)
     a, b = space.line_pair_indices()
