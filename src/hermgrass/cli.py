@@ -143,20 +143,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The largest subfield order the field flags take: it keeps the trial
+# division of q or p, and p**e, instant.
+_MAX_Q = 1 << 32
+
+
 def _resolve_field(q, p, e) -> tuple[int, int]:
     """(p, e) of the subfield GF(q), from -q or from -p and -e: p prime,
-    e >= 1 (default 1)."""
+    e >= 1 (default 1), the order at most _MAX_Q.  The order is checked
+    first, so an oversized q, p or e is rejected at once."""
     if q is not None:
         if p is not None or e is not None:
             raise ValueError("give either -q or -p/-e, not both")
+        if q > _MAX_Q:
+            raise ValueError(f"q = {q} exceeds the largest supported order {_MAX_Q}")
         return _factor_prime_power(q)
     if p is None:
         raise ValueError("a field is required: -q Q or -p P [-e E]")
+    e = 1 if e is None else e
+    if p > _MAX_Q or e >= _MAX_Q.bit_length() or p ** max(e, 1) > _MAX_Q:
+        raise ValueError(f"p^e exceeds the largest supported order {_MAX_Q}")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    if e is not None and e < 1:
+    if e < 1:
         raise ValueError(f"e = {e} is not a positive extension degree")
-    return p, e if e is not None else 1
+    return p, e
 
 
 def _single_m(text: str) -> int:
@@ -428,7 +439,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
         yield ("minimum-word profile (permutable)", ok, why)
 
     total = ctx.q2**params.k
-    if total <= budget:
+    if code._first_row_classes(ctx, m, budget) is not None:
         rep = code.spectrum(system, mode="exhaustive", budget=budget, jobs=jobs)
         yield (
             "exhaustive minimum distance",

@@ -24,31 +24,30 @@ where "upper" lists the strict upper triangle in pair order.
 
 Spectrum scans index the strict upper triangle as a mixed-radix
 counter (most significant digit first); sample mode draws seeded
-uniform forms.  Exhaustive mode covers all Q^K forms, Q = q^2, but
-scans only one representative per scalar class, the forms whose first
-nonzero digit is the unit 1, since weight and rank do not change under
-S -> lambda S.  It scales the nonzero histogram bins and the radical
-counts back by Q - 1 and adds the zero form, so ``forms_scanned`` is
-still Q^K.  The histogram is gated on its total and the first two Pless
-power moments.
+uniform forms.  Exhaustive mode covers all Q^K forms, Q = q^2, by
+scanning one first row (S_01 .. S_0,m-1) per class of rows that
+unitary maps and scalars exchange, with all entries below it, and
+counting each form with its class size.  The histogram is gated on its
+MacWilliams dual counts B_0 .. B_3.
 
-Both modes share one codeword kernel, ``linalg._ScanKernel`` on the
-generator matrix.  The K digits fall into groups of g, the largest g
-with Q^g <= 256, and each group has a table holding the codeword of
-every digit combination, so a sampled form costs one row gather and add
-per group, ceil(K/g) in all.  An exhaustive representative is a prefix
-codeword plus one row of the last group's table; the kernel's block
-walk, which also builds the space's section table, yields their packed
-nonzero masks and the scan popcounts them (``linalg.bit_counts``).  In
-characteristic 2 the rows are bit-packed GF(2) planes: adding is XOR
-and the mask is the OR of the planes.  For odd p the rows are element
-codes: a sampled form adds them with ``add_flat`` gathers, and the walk
-compares the prefix codeword with the negated last table.
+Both modes use the codeword kernel ``linalg._ScanKernel``: the digits
+fall into groups of g, the largest g with Q^g <= 256, and each group
+has a table holding the codeword of every digit combination, so a
+sampled form costs ceil(K/g) row gathers and adds.  The exhaustive scan
+builds it on the generator rows below the first row and adds a class's
+first-row codeword into the last group's table once; the kernel's block
+walk yields the packed nonzero masks of prefix codeword plus table row
+and the scan popcounts them (``linalg.bit_counts``).  In characteristic
+2 the rows are bit-packed GF(2) planes: adding is XOR and the mask is
+the OR of the planes.  For odd p the rows are element codes, added with
+``add_flat`` gathers or, in the walk, compared with the negated table.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -357,31 +356,55 @@ class SpectrumReport:
 _RANK_CHUNK = 1024
 
 
-def _scan_reps(kernel: linalg._ScanKernel, blocks):
-    """Histogram of the representatives in the blocks, their minimum
-    weight and the ascending counter indices that attain it."""
-    rows = kernel.ctx.q2**kernel.g
+def _first_row_classes(ctx: FieldCtx, m: int, budget: int):
+    """Representatives (smallest counter index) and sizes of the classes
+    of first rows (S_01 .. S_0,m-1), ascending, or None when scanning each
+    with all Q^C(m-1,2) entries below it would exceed ``budget`` forms.
+
+    Permutations of coordinates 1..m-1, diagonal maps with norm-1 entries
+    and scalars keep weight and rank and take S_0j to lambda d_0 d_j
+    S_0(pi j), so two first rows share a class exactly when their norms
+    x^(q+1), zeros included, agree as multisets up to a factor in GF(q)*.
+    The key of a row is the least base-Q value of its sorted norms times
+    c, over c in GF(q)*.  Its Q^(m-1) rows are allocated only once
+    Q^C(m-1,2), no fewer for m >= 4, is within the budget.
+    """
+    q2, rest = ctx.q2, ctx.q2 ** ((m - 1) * (m - 2) // 2)
+    if rest > budget:
+        return None
+    norms = ctx.norm[linalg._digits(np.arange(q2 ** (m - 1)), q2, m - 1)]
+    powers = q2 ** np.arange(m - 2, -1, -1)
+    key = np.minimum.reduce([np.sort(ctx.mul[c, norms], axis=1) @ powers for c in ctx.subfield[1:]])
+    _, reps, sizes = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(reps)
+    return (reps[order], sizes[order]) if len(reps) * rest <= budget else None
+
+
+def _scan_classes(kernel: linalg._ScanKernel, shifts, reps, sizes, tasks):
+    """Histogram of the tasks (class, block), each form counted with its
+    class size; the minimum nonzero weight; and the ascending counter
+    indices that attain it."""
+    rows, span = kernel.ctx.q2**kernel.g, kernel.ctx.q2 ** kernel.bounds[-1][1]
     hist = np.zeros(kernel.n + 1, dtype=np.int64)
-    best_w: int | None = None
-    best_idx: list[np.ndarray] = []
-    for (lo, _, r0, r1), mask in zip(blocks, kernel.nonzero_masks(blocks)):
-        w = linalg.bit_counts(mask).reshape(-1)
-        hist += np.bincount(w, minlength=len(hist))
-        local = int(w.min())
-        if local == 0:
-            raise RuntimeError("a nonzero form has weight 0; the generator is rank deficient")
-        if best_w is None or local < best_w:
-            best_w = local
-            best_idx = []
-        if local == best_w:
-            hits = np.flatnonzero(w == local)
-            best_idx.append((lo + hits // (r1 - r0)) * rows + r0 + hits % (r1 - r0))
+    best_w, best_idx = kernel.n + 1, []
+    for c, group in itertools.groupby(tasks, key=lambda t: t[0]):
+        blocks = [b for _, b in group]
+        for (lo, _, _, _), mask in zip(blocks, kernel.nonzero_masks(blocks, shifts[c])):
+            w = linalg.bit_counts(mask).reshape(-1)
+            hist += sizes[c] * np.bincount(w, minlength=len(hist))
+            w[w == 0] = len(hist)  # the zero form is no minimum word
+            local = int(w.min())
+            if local < best_w:
+                best_w, best_idx = local, []
+            if local == best_w:
+                hits = np.flatnonzero(w == local)
+                best_idx.append(reps[c] * span + lo * rows + hits)
     return hist, best_w, best_idx
 
 
-def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray) -> dict[int, int]:
-    """Radical dimension -> number of forms among the counter indices,
-    keyed in order of first occurrence."""
+def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray, sizes: np.ndarray) -> dict[int, int]:
+    """Radical dimension -> summed class sizes of the forms at the counter
+    indices, keyed in order of first occurrence."""
     k = m * (m - 1) // 2
     iu, ju = np.triu_indices(m, 1)
     counts: dict[int, int] = {}
@@ -391,25 +414,36 @@ def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray) -> dict[int, int]:
         s[:, iu, ju] = d
         s[:, ju, iu] = ctx.neg[d]
         rad = m - linalg.rank_stack(ctx, s)
-        dims, first, cnt = np.unique(rad, return_index=True, return_counts=True)
-        for o in np.argsort(first):
-            counts[int(dims[o])] = counts.get(int(dims[o]), 0) + int(cnt[o])
+        dims, first = np.unique(rad, return_index=True)
+        for dim in dims[np.argsort(first)]:
+            weight = int(sizes[lo : lo + _RANK_CHUNK][rad == dim].sum())
+            counts[int(dim)] = counts.get(int(dim), 0) + weight
     return counts
 
 
-def _check_pless(hist: dict[int, int], n: int, k: int, q2: int) -> None:
-    """Raise RuntimeError unless a histogram over all q2^k forms has the
-    total and the first two Pless power moments of a projective [n, k]
-    code over GF(q2) (Pless, Inf. Control 1963)."""
-    want = (
-        q2**k,
-        n * (q2 - 1) * q2 ** (k - 1),
-        (q2 - 1) * q2 ** (k - 2) * n * (q2 + (n - 1) * (q2 - 1)),
+def _check_macwilliams(hist: dict[int, int], m: int, q: int) -> None:
+    """Raise RuntimeError unless a histogram over all Q^K forms has the
+    dual counts B_j, exact Krawtchouk sums, of the projective line code:
+    B_0 = 1, B_1 = B_2 = 0 and B_3 = (Q - 1) mu(m) [S(m-2) C(q+1, 3) +
+    L(m-2) C(Q+1, 3)], Q - 1 times the collinear column triples, with mu
+    and L the point and line counts and S(d) = nu(d) nu(d-1)/(Q - q) the
+    nondegenerate 2-spaces of V(d, Q), nu(d) = (Q^d - 1)/(Q - 1) - mu(d)
+    (MacWilliams, Bell Syst. Tech. J. 1963).
+    """
+    q2, n, k = q * q, polar.line_count(m, q), m * (m - 1) // 2
+    nu = [(q2**d - 1) // (q2 - 1) - polar.isotropic_point_count(d, q) for d in (m - 2, m - 3)]
+    triples = polar.isotropic_point_count(m, q) * (
+        nu[0] * nu[1] // (q2 - q) * math.comb(q + 1, 3)
+        + polar.line_count(m - 2, q) * math.comb(q2 + 1, 3)
     )
-    got = tuple(sum(w**e * a for w, a in hist.items()) for e in range(3))
-    for e, (g, x) in enumerate(zip(got, want)):
-        if g != x:
-            raise RuntimeError(f"spectrum fails Pless power moment {e}: {g} != {x}")
+    for j, want in enumerate((1, 0, 0, (q2 - 1) * triples)):
+        got = sum(
+            a * (-1) ** i * (q2 - 1) ** (j - i) * math.comb(w, i) * math.comb(n - w, j - i)
+            for w, a in hist.items()
+            for i in range(j + 1)
+        )
+        if got != want * q2**k:
+            raise RuntimeError(f"spectrum fails MacWilliams: B_{j} = {got / q2**k:g}, not {want}")
 
 
 def _pool_size(jobs: int, tasks: int) -> int:
@@ -429,75 +463,79 @@ def spectrum(
 ) -> SpectrumReport:
     """Weight histogram over alternating forms.
 
-    Exhaustive mode covers all q^(2K) forms and requires that count to
-    fit in the budget.  Weight and rank do not change under S -> lambda S,
-    so it scans one representative per scalar class: the nonzero forms
-    whose first nonzero counter digit is the unit 1, (Q^K - 1)/(Q - 1)
-    of them for Q = q^2.  Every nonzero histogram bin and radical count
-    is scaled back by Q - 1 and the zero form is added, so
-    ``forms_scanned`` stays Q^K.  The smallest counter index in a class
-    is its representative, so ``min_weight_example`` is the minimum word
-    of smallest counter index and ``min_weight_radical_dims`` is keyed in
-    order of first occurrence.  The histogram must have the total and
-    the first two Pless power moments of the code, or RuntimeError is
-    raised.  With ``jobs > 1`` the representatives are split across a
-    worker pool; the result does not depend on the worker count.
+    Exhaustive mode covers all q^(2K) forms: it scans each first-row
+    class's representative (``_first_row_classes``) with all Q^C(m-1,2)
+    entries below it and counts each form with its class size, so
+    ``forms_scanned`` is Q^K and ``budget`` bounds the forms scanned.  A
+    class map takes any form to one with the representative's first row
+    and no larger index, so the scan, in ascending counter order, meets
+    the first form of every weight and radical dimension:
+    ``min_weight_example`` is the minimum word of smallest index and
+    ``min_weight_radical_dims`` is keyed in order of first occurrence.
+    A nonzero form of weight 0 or a histogram failing
+    ``_check_macwilliams`` raises RuntimeError.  With ``jobs > 1`` the
+    (class, block) tasks are split across a worker pool; the result does
+    not depend on the worker count.
 
     Sample mode draws ``samples`` uniform nonzero forms from numpy's
     default PCG64 generator seeded with ``seed``; the seed is recorded
     in the report.  It ignores ``jobs`` and runs in the calling process,
     since starting a pool costs more than the scan.
 
-    Both modes sum rows of the same digit-group tables (``linalg._ScanKernel``).
+    Both modes sum rows of digit-group tables (``linalg._ScanKernel``).
     """
     ctx = system.ctx
     q2 = ctx.q2
     k, n = system.k, system.n
     m = system.space.m
     started = time.perf_counter()
-    total = q2**k
-    if mode == "exhaustive" and total > budget:
-        raise ValueError(f"exhaustive scan of {total} forms exceeds budget {budget}")
     if mode == "sample" and (not samples or samples < 1):
         raise ValueError("sample mode needs a positive sample count")
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    kernel = linalg._ScanKernel(ctx, system.matrix)
 
     if mode == "exhaustive":
-        blocks = linalg._rep_blocks(k, kernel.g, q2, kernel.width)
-        workers = _pool_size(jobs, len(blocks))
+        classes = _first_row_classes(ctx, m, budget)
+        if classes is None:
+            raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {budget}")
+        reps, sizes = classes
+        kernel = linalg._ScanKernel(ctx, system.matrix[m - 1 :])
+        firsts = linalg._digits(reps, q2, m - 1).astype(np.uint8)
+        shifts = kernel._pack(linalg.matmul(ctx, firsts, system.matrix[: m - 1]))
+        rows, prefixes = q2**kernel.g, q2 ** kernel.bounds[-1][0]
+        step = max(1, linalg._BLOCK_BYTES // (rows * kernel.width))
+        walk = [(lo, min(prefixes, lo + step), 0, rows) for lo in range(0, prefixes, step)]
+        tasks = [(c, b) for c in range(len(reps)) for b in walk]
+        workers = _pool_size(jobs, len(tasks))
+        cuts = [len(tasks) * i // workers for i in range(workers + 1)]
+        args = [(kernel, shifts, reps, sizes, tasks[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         if workers > 1:
-            cuts = [len(blocks) * i // workers for i in range(workers + 1)]
-            tasks = [(kernel, blocks[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
             with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-                parts = pool.starmap(_scan_reps, tasks)
+                parts = pool.starmap(_scan_classes, args)
         else:
-            parts = [_scan_reps(kernel, blocks)]
+            parts = [_scan_classes(*args[0])]
         # Parts cover ascending index ranges, so their minima stay ascending.
         best_w = min(w for _, w, _ in parts)
         min_idx = np.concatenate([i for _, w, idx in parts if w == best_w for i in idx])
-        hist = sum(h for h, _, _ in parts)
-        histogram = {0: 1}
-        histogram.update((int(w), int(c) * (q2 - 1)) for w, c in enumerate(hist) if c)
-        _check_pless(histogram, n, k, q2)
-        rad_counts = None
-        if radical_dims:
-            split = _radical_split(ctx, m, min_idx)
-            rad_counts = {d: c * (q2 - 1) for d, c in split.items()}
+        min_size = sizes[np.searchsorted(reps, min_idx // q2 ** kernel.bounds[-1][1])]
+        histogram = {int(w): int(c) for w, c in enumerate(sum(h for h, _, _ in parts)) if c}
+        if histogram.get(0) != 1:
+            raise RuntimeError("a nonzero form has weight 0; the generator is rank deficient")
+        _check_macwilliams(histogram, m, ctx.q)
         return SpectrumReport(
             mode="exhaustive",
             m=m,
             q=ctx.q,
             histogram=histogram,
-            forms_scanned=total,
+            forms_scanned=q2**k,
             seed=None,
             wall_time_s=time.perf_counter() - started,
             min_nonzero_weight=best_w,
             min_weight_example=[int(x) for x in linalg._digits(min_idx[:1], q2, k)[0]],
-            min_weight_radical_dims=rad_counts,
+            min_weight_radical_dims=_radical_split(ctx, m, min_idx, min_size) if radical_dims else None,
         )
 
+    kernel = linalg._ScanKernel(ctx, system.matrix)
     rng = np.random.default_rng(seed)
     hist = np.zeros(n + 1, dtype=np.int64)
     best_w = None

@@ -82,6 +82,9 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, e: int):
+        # before the trial division of p and p**e, which a huge p or e stalls
+        if p > max(SUPPORTED_Q) or e >= max(SUPPORTED_Q).bit_length():
+            raise ValueError(f"q = {p}^{e} is outside the supported range {SUPPORTED_Q}")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         q = p**e

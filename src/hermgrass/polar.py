@@ -337,7 +337,7 @@ class HermitianSpace:
         table = np.empty((n_rows, width), dtype=np.uint8)
         kernel = linalg._ScanKernel(ctx, pts.T)
         lo = 0
-        for mask in kernel.nonzero_masks(linalg._rep_blocks(m, kernel.g, q2, kernel.width)):
+        for mask in kernel.nonzero_masks(linalg._RepBlocks(m, kernel.g, q2, kernel.width)):
             mask = mask.reshape(mask.shape[0] * mask.shape[1], -1)[:, :width]
             np.invert(mask, out=table[lo : lo + len(mask)])
             lo += len(mask)

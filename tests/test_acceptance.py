@@ -71,7 +71,10 @@ def test_exhaustive_enumerator_44():
         (Q - 1) * Q ** (k - 2) * n * (Q + (n - 1) * (Q - 1))
     )
     assert rep.min_nonzero_weight == params.d_min == 240
-    assert hist[240] == 15600
+    assert hist == {
+        0: 1, 240: 15600, 256: 4875, 300: 5091840, 304: 3978000, 308: 7488000, 320: 198900,
+    }
+    assert rep.min_weight_example == [0, 0, 1, 1, 0, 0]
     assert sum(rep.min_weight_radical_dims.values()) == 15600
     witness = code.AlternatingForm.from_upper(ctx, 4, rep.min_weight_example)
     assert code.weight_direct(witness, system) == 240

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,25 @@ def test_prime_power_shorthand(capsys):
     out = capsys.readouterr().out
     assert "4, 4," in out
     assert cli.run(["params", "-m", "4", "-q", "6"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "-m", "4", "-q", "1000000000000000003"],
+        ["params", "-m", "4", "-p", "2", "-e", "100000000"],
+    ],
+    ids=["q", "p-e"],
+)
+def test_oversized_field_exits_2_at_once(capsys, argv):
+    # rejected before any trial division of q or p and before p**e
+    started = time.perf_counter()
+    assert cli.run(argv) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.mark.parametrize("command", ["weight", "classify"])

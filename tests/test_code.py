@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+from math import comb
 
 import numpy as np
 import pytest
@@ -273,6 +274,87 @@ def test_exhaustive_spectrum_42(system42):
     assert rep.histogram[0] == 1
 
 
+def test_exhaustive_spectrum_43_pins(system43):
+    rep = code.spectrum(system43, mode="exhaustive")
+    assert rep.histogram == {
+        0: 1, 72: 2016, 81: 896, 96: 136080, 99: 161280, 102: 217728, 108: 13440,
+    }
+    assert rep.min_weight_example == [0, 0, 1, 1, 0, 0]
+    assert list(rep.min_weight_radical_dims.items()) == [(0, 2016)]
+
+
+@pytest.mark.parametrize("m,p,e", [(4, 2, 1), (4, 3, 1), (5, 2, 1), (4, 5, 1), (5, 3, 1)])
+def test_first_row_classes_are_orbits(m, p, e):
+    # Orbits of the first rows under the generators themselves: adjacent
+    # transpositions, one entry times a norm-1 element, every entry times
+    # a scalar.  Each orbit's label falls to its smallest counter index.
+    ctx = hg.make_field(p, e)
+    q2, width = ctx.q2, m - 1
+    rows = linalg._digits(np.arange(q2**width), q2, width)
+    powers = q2 ** np.arange(width - 1, -1, -1)
+    maps = [rows[:, np.r_[:j, j + 1, j, j + 2 : width]] for j in range(width - 1)]
+    for u in np.flatnonzero(ctx.norm == 1):
+        scaled = rows.copy()
+        scaled[:, 0] = ctx.mul[u, rows[:, 0]]
+        maps.append(scaled)
+    maps += [ctx.mul[c, rows] for c in range(1, q2)]
+    images = [image @ powers for image in maps]
+    label = np.arange(len(rows))
+    while True:
+        before = label.copy()
+        for image in images:
+            np.minimum.at(label, image, label)
+            label = np.minimum(label, label[image])
+        if np.array_equal(label, before):
+            break
+    reps, sizes = np.unique(label, return_counts=True)
+    got_reps, got_sizes = code._first_row_classes(ctx, m, budget=1 << 30)
+    assert got_reps.tolist() == reps.tolist()
+    assert got_sizes.tolist() == sizes.tolist()
+    assert int(got_sizes.sum()) == q2**width
+    # the budget counts the scanned forms, classes x Q^C(m-1,2)
+    scanned = len(reps) * q2 ** ((m - 1) * (m - 2) // 2)
+    assert code._first_row_classes(ctx, m, budget=scanned) is not None
+    assert code._first_row_classes(ctx, m, budget=scanned - 1) is None
+
+
+def test_exhaustive_enumerator_62(system62):
+    # The whole (6,2) weight enumerator: 4^15 forms from 6 first-row
+    # classes of 4^10 scanned forms each.
+    rep = code.spectrum(system62, mode="exhaustive")
+    hist, n, q2 = rep.histogram, system62.n, 4
+    assert rep.forms_scanned == sum(hist.values()) == q2**15
+    assert (rep.min_nonzero_weight, hist[4032]) == (4032, 57024)
+    assert len(hist) == 12 and hist[0] == 1  # the zero form and 11 nonzero weights
+    assert sum(rep.min_weight_radical_dims.values()) == 57024
+    code._check_macwilliams(hist, 6, 2)
+    # B_3 by its own Krawtchouk sum
+    krawtchouk3 = sum(
+        a * sum((-1) ** i * (q2 - 1) ** (3 - i) * comb(w, i) * comb(n - w, 3 - i) for i in range(4))
+        for w, a in hist.items()
+    )
+    assert krawtchouk3 == 1_060_290 * q2**15
+    witness = code.AlternatingForm.from_upper(system62.ctx, 6, rep.min_weight_example)
+    assert code.weight_direct(witness, system62) == 4032
+    with pytest.raises(ValueError, match="budget"):
+        code.spectrum(system62, mode="exhaustive", budget=6 * q2**10 - 1)
+
+
+def test_exhaustive_enumerator_45():
+    # odd p with several norms per first row: 10 classes of 25^3 forms
+    # cover the 25^6 forms, within a budget of exactly that many
+    ctx = hg.make_field(5, 1)
+    system = hg.build_system(hg.HermitianSpace(4, ctx))
+    rep = code.spectrum(system, mode="exhaustive", budget=10 * 25**3)
+    assert rep.histogram == {
+        0: 1, 600: 75600, 625: 18144, 720: 81900000, 725: 47174400, 730: 113400000, 750: 1572480,
+    }
+    assert rep.forms_scanned == 25**6
+    assert rep.min_nonzero_weight == code.code_params(4, 5).d_min == 600
+    assert rep.min_weight_example == [0, 0, 1, 1, 0, 0]
+    assert rep.min_weight_radical_dims == {0: 75600}
+
+
 def test_exhaustive_codewords_all_distinct(system42):
     ctx = system42.ctx
     seen = {
@@ -369,11 +451,12 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     phis = [code.AlternatingForm.from_upper(ctx, m, r) for r in digits]
     assert kernel.weights(c).tolist() == [code.weight_direct(f, system) for f in phis]
     assert np.array_equal(_kernel_codes(kernel, c), np.array([code.codeword(f, system) for f in phis]))
-    # the shared block walk of the exhaustive scan and the section table:
-    # the packed nonzero mask of every representative p Q^g + r of a
-    # block, checked on the last block with prefix 0, the first with a
-    # prefix and the last block of all
-    blocks = linalg._rep_blocks(k, kernel.g, q2, kernel.width)
+    # the block walk shared by the exhaustive scan and the section table,
+    # on the section table's blocks, made on demand: the packed nonzero
+    # mask of every representative p Q^g + r of a block, checked on the
+    # last block with prefix 0, the first with a prefix and the last
+    # block of all
+    blocks = linalg._RepBlocks(k, kernel.g, q2, kernel.width)
     chosen = [blocks[kernel.g - 1], blocks[kernel.g], blocks[-1]]
     for (lo, hi, r0, r1), mask in zip(chosen, kernel.nonzero_masks(chosen)):
         assert mask.shape[:2] == (hi - lo, r1 - r0)
@@ -384,6 +467,14 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
         bits = np.unpackbits(mask.reshape(len(idx), -1), axis=1)
         assert not bits[:, system.n :].any()
         assert np.array_equal(bits[:, : system.n], linalg.matmul(ctx, forms, system.matrix) != 0)
+    # a shift row lies in every codeword of the walk, as the exhaustive
+    # scan's first-row codeword does: the last block shifted by the
+    # codeword of d gives the masks of the forms f + d
+    d = rng.integers(0, q2, size=(1, k), dtype=np.uint8)
+    (mask,) = kernel.nonzero_masks(chosen[-1:], kernel.codewords(d)[0])
+    bits = np.unpackbits(mask.reshape(len(idx), -1), axis=1)
+    shifted = linalg.fadd(ctx, forms.astype(np.uint8), d)
+    assert np.array_equal(bits[:, : system.n], linalg.matmul(ctx, shifted, system.matrix) != 0)
 
 
 def test_sample_spectrum_matches_per_form_oracle(system43):
@@ -405,25 +496,39 @@ def test_sample_spectrum_matches_per_form_oracle(system43):
     assert rep.min_weight_example == digits[int(np.argmin(weights))].tolist()
 
 
-def test_pless_gate_rejects_tampered_histogram():
-    n, k, q2 = 27, 6, 4
-    code._check_pless(FROZEN_42_HISTOGRAM, n, k, q2)
+GOLDEN_52_HISTOGRAM = {0: 1, 192: 24948, 216: 295680, 224: 498960, 232: 228096, 256: 891}
+
+
+def test_macwilliams_gate_rejects_tampered_histogram():
+    code._check_macwilliams(FROZEN_42_HISTOGRAM, 4, 2)
+    code._check_macwilliams(GOLDEN_52_HISTOGRAM, 5, 2)
     moved = dict(FROZEN_42_HISTOGRAM)
     moved[12] -= 1
-    moved[16] += 1  # same total, wrong moments
-    with pytest.raises(RuntimeError, match="moment 1"):
-        code._check_pless(moved, n, k, q2)
+    moved[16] += 1  # same total, wrong first moment
+    with pytest.raises(RuntimeError, match="B_1"):
+        code._check_macwilliams(moved, 4, 2)
     short = dict(FROZEN_42_HISTOGRAM)
     short[24] -= 1
-    with pytest.raises(RuntimeError, match="moment 0"):
-        code._check_pless(short, n, k, q2)
+    with pytest.raises(RuntimeError, match="B_0"):
+        code._check_macwilliams(short, 4, 2)
     # two moves that keep the total and the first moment
     swapped = dict(FROZEN_42_HISTOGRAM)
     swapped[16] -= 2
     swapped[12] += 1
     swapped[20] += 1
-    with pytest.raises(RuntimeError, match="moment 2"):
-        code._check_pless(swapped, n, k, q2)
+    with pytest.raises(RuntimeError, match="B_2"):
+        code._check_macwilliams(swapped, 4, 2)
+    # 3 (1, -10, 15, -6) keeps the total and both Pless power moments but
+    # moves B_3 from 5940 to 5940.94
+    pless = dict(GOLDEN_52_HISTOGRAM)
+    for w, d in zip((192, 216, 224, 232), (3, -30, 45, -18)):
+        pless[w] += d
+    for e in range(3):
+        assert sum(w**e * a for w, a in pless.items()) == sum(
+            w**e * a for w, a in GOLDEN_52_HISTOGRAM.items()
+        )
+    with pytest.raises(RuntimeError, match="B_3 = 5940.94"):
+        code._check_macwilliams(pless, 5, 2)
 
 
 def test_sample_spectrum_reproducible(system42):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,12 @@ def test_make_field_rejects_bad_parameters():
         ff.make_field(11, 1)  # outside the pinned range
     with pytest.raises(ValueError):
         ff.make_field(2, 4)  # table size overflow
+    # rejected before any trial division of p or power p**e
+    started = time.perf_counter()
+    for p, e in ((1000000000000000003, 1), (2, 100000000)):
+        with pytest.raises(ValueError, match="outside the supported range"):
+            ff.make_field(p, e)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_coefficient_encoding_round_trip():
