@@ -31,13 +31,13 @@ for m in (5, 6):
     for row in table.rows:
         print(f"  i={row.i}: xi={row.xi:5d}  d_i >= {ceil(row.d_lower)}")
 
-    cone = make_rank2_cone_form(space, system=system)
+    cone = make_rank2_cone_form(space)
     w = weight_direct(cone, system)
     prof = radical_profile(space, cone.radical)
     print(f"rank-2 cone witness: weight {w}, radical profile {prof.label}")
 
     if m in (4, 6):
-        perm = make_permutable_form(space, system=system)
+        perm = make_permutable_form(space)
         wp = weight_direct(perm, system)
         print(f"permutable witness: weight {wp} (this is d_min for m = {m})")
         ok, why = check_min_weight_profile(perm, space, wp)

@@ -282,9 +282,7 @@ def rank2_cone_weight(m: int, q: int) -> int:
     return q ** (4 * m - 12)
 
 
-def make_rank2_cone_form(
-    space: polar.HermitianSpace, system: ProjectiveSystem | None = None
-) -> AlternatingForm:
+def make_rank2_cone_form(space: polar.HermitianSpace) -> AlternatingForm:
     """Rank-2 form whose radical cuts the fattest possible cone.
 
     For odd m the radical is spanned by (1, x0, 0, ...) and e_3 .. e_(m-1),
@@ -292,10 +290,9 @@ def make_rank2_cone_form(
     [Pi_1]H_(m-3); for even m it is the perp of (1, x0, 0, ...) and
     (0, 0, 1, x0, 0, ...), a vertex-2 cone [Pi_2]H_(m-4) with a totally
     isotropic vertex.  The form is a b^T - b a^T for the basis a, b of
-    the radical's annihilator.  The radical profile is always
-    certified; the weight is certified too when a system is supplied
-    (q^(4m-12) - q^(3m-9) for odd m, q^(4m-12) for even m).  Raises
-    RuntimeError when the certificate fails.
+    the radical's annihilator.  The certificate is rank 2 and the
+    radical profile; callers check the weight, ``rank2_cone_weight(m,
+    q)``, themselves.  Raises RuntimeError when the certificate fails.
     """
     ctx = space.ctx
     m = space.m
@@ -316,23 +313,20 @@ def make_rank2_cone_form(
         rows = polar.perp(space, np.stack([p1, p2]))
     a, b = linalg.kernel(ctx, rows)
     phi = AlternatingForm(ctx, _outer_antisym(ctx, a, b))
-    ok = phi.rank == 2 and polar.radical_profile(space, phi.radical).t == (1 if m % 2 else 2)
-    if not ok or (system is not None and weight_direct(phi, system) != rank2_cone_weight(m, ctx.q)):
+    if phi.rank != 2 or polar.radical_profile(space, phi.radical).t != (1 if m % 2 else 2):
         raise RuntimeError(f"the rank-2 cone candidate fails its certificate at m = {m}, q = {ctx.q}")
     return phi
 
 
-def make_permutable_form(
-    space: polar.HermitianSpace, system: ProjectiveSystem | None = None
-) -> AlternatingForm:
+def make_permutable_form(space: polar.HermitianSpace) -> AlternatingForm:
     """Nonsingular form whose polarity commutes with the Hermitian one.
 
     Only m in {4, 6} is supported, where such forms induce the
     minimum-weight codewords.  The form is the block-diagonal standard
     symplectic matrix over the prime subfield.  The certificate is
-    computational: the zero class has size (q^m - 1)(q + 1) and the
-    secant class is empty, and the weight is d_min when a system is
-    supplied.  Raises RuntimeError when the certificate fails.
+    computational: rank m, a zero class of size (q^m - 1)(q + 1) and an
+    empty secant class; callers check the weight, d_min, themselves.
+    Raises RuntimeError when the certificate fails.
     """
     ctx = space.ctx
     m = space.m
@@ -345,8 +339,7 @@ def make_permutable_form(
         s[blk + 1, blk] = ctx.neg[1]
     phi = AlternatingForm(ctx, s)
     a, b, _ = _class_sizes(ctx, point_classes(phi, space))
-    ok = phi.rank == m and a == (q**m - 1) * (q + 1) and b == 0
-    if not ok or (system is not None and weight_direct(phi, system) != code_params(m, q).d_min):
+    if not (phi.rank == m and a == (q**m - 1) * (q + 1) and b == 0):
         raise RuntimeError(f"the permutable candidate fails its certificate at m = {m}, q = {q}")
     return phi
 

@@ -19,10 +19,10 @@ import os
 import sys
 
 import numpy as np
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from . import classify, code, pluecker, polar
-from .ff import _is_prime, make_field
+from .ff import make_field
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -163,7 +163,10 @@ def _resolve_field(q, p, e) -> tuple[int, int]:
     e = 1 if e is None else e
     if p > _MAX_Q or e >= _MAX_Q.bit_length() or p ** max(e, 1) > _MAX_Q:
         raise ValueError(f"p^e exceeds the largest supported order {_MAX_Q}")
-    if not _is_prime(p):
+    prime = False
+    with suppress(ValueError):  # raised for p < 2 and for p not a prime power
+        prime = _factor_prime_power(p) == (p, 1)
+    if not prime:
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
         raise ValueError(f"e = {e} is not a positive extension degree")
@@ -424,7 +427,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
     yield ("per-rank lower bounds", bound_ok, "weights >= stratum bounds")
 
     if m >= 5:
-        witness = classify.make_rank2_cone_form(space, system=system)
+        witness = classify.make_rank2_cone_form(space)
         w = code.weight_direct(witness, system)
         expect = classify.rank2_cone_weight(m, q)
         yield ("rank-2 cone witness", w == expect, f"weight {w}")
@@ -432,7 +435,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
             ok, why = classify.check_min_weight_profile(witness, space, w)
             yield ("minimum-word profile (rank-2)", ok, why)
     if m in (4, 6):
-        witness = classify.make_permutable_form(space, system=system)
+        witness = classify.make_permutable_form(space)
         w = code.weight_direct(witness, system)
         yield ("permutable witness", w == params.d_min, f"weight {w}")
         ok, why = classify.check_min_weight_profile(witness, space, w)

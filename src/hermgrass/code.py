@@ -389,7 +389,7 @@ def _scan_classes(kernel: linalg._ScanKernel, shifts, reps, sizes, tasks):
     best_w, best_idx = kernel.n + 1, []
     for c, group in itertools.groupby(tasks, key=lambda t: t[0]):
         blocks = [b for _, b in group]
-        for (lo, _, _, _), mask in zip(blocks, kernel.nonzero_masks(blocks, shifts[c])):
+        for (lo, _), mask in zip(blocks, kernel.nonzero_masks(blocks, shifts[c])):
             w = linalg.bit_counts(mask).reshape(-1)
             hist += sizes[c] * np.bincount(w, minlength=len(hist))
             w[w == 0] = len(hist)  # the zero form is no minimum word
@@ -459,7 +459,6 @@ def spectrum(
     seed: int | None = 1,
     samples: int | None = None,
     jobs: int = 1,
-    radical_dims: bool = True,
 ) -> SpectrumReport:
     """Weight histogram over alternating forms.
 
@@ -504,7 +503,7 @@ def spectrum(
         shifts = kernel._pack(linalg.matmul(ctx, firsts, system.matrix[: m - 1]))
         rows, prefixes = q2**kernel.g, q2 ** kernel.bounds[-1][0]
         step = max(1, linalg._BLOCK_BYTES // (rows * kernel.width))
-        walk = [(lo, min(prefixes, lo + step), 0, rows) for lo in range(0, prefixes, step)]
+        walk = [(lo, min(prefixes, lo + step)) for lo in range(0, prefixes, step)]
         tasks = [(c, b) for c in range(len(reps)) for b in walk]
         workers = _pool_size(jobs, len(tasks))
         cuts = [len(tasks) * i // workers for i in range(workers + 1)]
@@ -532,7 +531,7 @@ def spectrum(
             wall_time_s=time.perf_counter() - started,
             min_nonzero_weight=best_w,
             min_weight_example=[int(x) for x in linalg._digits(min_idx[:1], q2, k)[0]],
-            min_weight_radical_dims=_radical_split(ctx, m, min_idx, min_size) if radical_dims else None,
+            min_weight_radical_dims=_radical_split(ctx, m, min_idx, min_size),
         )
 
     kernel = linalg._ScanKernel(ctx, system.matrix)
@@ -615,7 +614,7 @@ def min_distance(
     m = system.space.m
     params = code_params(m, ctx.q)
     if strategy == "exhaustive":
-        rep = spectrum(system, mode="exhaustive", budget=budget, jobs=jobs, radical_dims=False)
+        rep = spectrum(system, mode="exhaustive", budget=budget, jobs=jobs)
         d = rep.min_nonzero_weight
         witness = AlternatingForm.from_upper(ctx, m, rep.min_weight_example)
         wd = weight_direct(witness, system)
@@ -632,10 +631,10 @@ def min_distance(
         from . import classify
 
         if m in (4, 6):
-            witness = classify.make_permutable_form(system.space, system=system)
+            witness = classify.make_permutable_form(system.space)
             kind = "permutable"
         else:
-            witness = classify.make_rank2_cone_form(system.space, system=system)
+            witness = classify.make_rank2_cone_form(system.space)
             kind = "rank2-cone"
         wd = weight_direct(witness, system)
         if wd != params.d_min:

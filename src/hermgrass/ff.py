@@ -44,17 +44,6 @@ _PRIMITIVE_POLY = {
 }
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class FieldCtx:
     """GF(q^2) with dense lookup tables.
 
@@ -82,14 +71,10 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, e: int):
-        # before the trial division of p and p**e, which a huge p or e stalls
-        if p > max(SUPPORTED_Q) or e >= max(SUPPORTED_Q).bit_length():
+        # one lookup, instant for any p or e, before p**e
+        if (p, 2 * e) not in _PRIMITIVE_POLY:
             raise ValueError(f"q = {p}^{e} is outside the supported range {SUPPORTED_Q}")
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         q = p**e
-        if q not in SUPPORTED_Q:
-            raise ValueError(f"q = {q} is outside the supported range {SUPPORTED_Q}")
         self.p = p
         self.e = e
         self.q = q
@@ -179,7 +164,7 @@ class FieldCtx:
 def make_field(p: int, e: int) -> FieldCtx:
     """Build GF(q^2) for q = p^e.
 
-    Raises ValueError for non-prime p or a size outside SUPPORTED_Q.
+    Raises ValueError unless p is prime and q is in SUPPORTED_Q.
     """
     return FieldCtx(p, e)
 

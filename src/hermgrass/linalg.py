@@ -17,14 +17,11 @@ rows.  Its one block walk (``_ScanKernel.nonzero_masks``) yields the
 packed nonzero masks of f M in ascending order of f: the exhaustive
 spectrum scan popcounts them (``bit_counts``), with M the generator rows
 below a form's first row, and ``HermitianSpace.section_table`` stores
-their complements over the normalized f (``_RepBlocks``), with M the
-transposed isotropic points.
+their complements over the normalized f, with M the transposed isotropic
+points, reading the f that lead in the last group straight off its table.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
-from itertools import accumulate
 
 import numpy as np
 
@@ -321,51 +318,20 @@ class _ScanKernel:
         return bit_counts(self._mask(c))
 
     def nonzero_masks(self, blocks, shift=None):
-        """For each block (lo, hi, r0, r1), the packed nonzero masks of the
-        codewords of the indices p Q^g + r, prefix codeword plus last-table
-        row, shaped (hi - lo, r1 - r0, bytes); a ``shift`` row is added
-        to the last table once, so it lies in every codeword.  The padding
-        bits after position N are clear."""
+        """For each block (lo, hi), the packed nonzero masks of the
+        codewords of the indices p Q^g + r, lo <= p < hi, r every row of
+        the last table, prefix codeword plus table row, shaped (hi - lo,
+        Q^g, bytes); a ``shift`` row is added to the last table once, so
+        it lies in every codeword.  The padding bits after N are clear."""
         q2, head = self.ctx.q2, self.bounds[-1][0]  # digits before the last group
         last = self.tables[-1] if shift is None else fadd(self.ctx, self.tables[-1], shift)
         # For odd p, c + t != 0 exactly when c != -t: the walk compares
         # with the negated last table instead of adding.
         last = last if self.planes else self.ctx.neg[last]
-        for lo, hi, r0, r1 in blocks:
+        for lo, hi in blocks:
             c = self.codewords(_digits(np.arange(lo, hi, dtype=np.int64), q2, head))[:, None, :]
             if self.planes:
-                yield self._mask(c ^ last[None, r0:r1])
+                yield self._mask(c ^ last)
             else:
-                yield np.packbits(c != last[None, r0:r1], axis=-1)
+                yield np.packbits(c != last, axis=-1)
 
-
-class _RepBlocks:
-    """Blocks (lo, hi, r0, r1) covering the scalar-class representatives
-    in ascending counter order: the indices p Q^g + r for the prefixes
-    lo <= p < hi and the last group's table rows r0 <= r < r1.
-
-    A representative with lead position j has zero digits before j and
-    the unit 1 at j, so its index lies in [Q^r, 2 Q^r) for r = k-1-j.
-    For r < g that is a row range of the last group's table with prefix
-    0; for r >= g the prefix lies in [Q^(r-g), 2 Q^(r-g)) and pairs with
-    every row, in ceil(Q^(r-g) / step) blocks of about _BLOCK_BYTES of
-    codewords.  Blocks are made on demand, found by bisecting the
-    running block counts of the leads.
-    """
-
-    def __init__(self, k: int, g: int, q2: int, width: int):
-        self.g, self.q2, self.rows = g, q2, q2**g
-        self.step = max(1, _BLOCK_BYTES // max(1, self.rows * width))
-        self.ends = list(accumulate([g] + [-(-(q2 ** (r - g)) // self.step) for r in range(g, k)]))
-
-    def __len__(self) -> int:
-        return self.ends[-1]
-
-    def __getitem__(self, i: int) -> tuple[int, int, int, int]:
-        i = range(len(self))[i]  # negative indices count from the end; IndexError past it
-        if i < self.g:
-            return 0, 1, self.q2**i, 2 * self.q2**i
-        j = bisect_right(self.ends, i) - 1  # lead r = g + j
-        lo = self.q2**j
-        a = lo + (i - self.ends[j]) * self.step
-        return a, min(2 * lo, a + self.step), 0, self.rows

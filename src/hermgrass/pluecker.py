@@ -124,4 +124,4 @@ def write_genmat(f, system: ProjectiveSystem) -> None:
     ctx = system.ctx
     f.write(f"{system.space.m} {ctx.p} {ctx.e} {system.n} {system.k}\n")
     for row in system.matrix:
-        f.write(" ".join(str(int(x)) for x in row) + "\n")
+        f.write(" ".join(map(str, row.tolist())) + "\n")

@@ -36,6 +36,7 @@ Subspaces (``perp``, ``radical_profile``) are RREF basis arrays.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -320,10 +321,12 @@ class HermitianSpace:
         (Q^m - 1)/(Q - 1) rows of ceil(n_pts / 8) bytes exceed the
         available memory of the machine.
 
-        The rows are the complements of the nonzero masks that the scan
-        kernel's block walk yields for the matrix of the isotropic points
-        as columns: its normalized coefficient vectors, in ascending
-        order, are the rows of all_points().  Each perp must hold
+        The rows are the complements of the scan kernel's nonzero masks
+        for the isotropic points as matrix columns, over the normalized
+        coefficient vectors, ascending as in all_points().  Those with
+        lead m-1-r fill the indices [Q^r, 2 Q^r): for r < g rows of the
+        last table, read straight off it; for r >= g one block walk of the
+        prefixes [Q^(r-g), 2 Q^(r-g)) with every row.  Each perp must hold
         1 + q^2 mu(m-2) isotropic points, or RuntimeError.
         """
         if "sections" in self._cache:
@@ -336,8 +339,14 @@ class HermitianSpace:
             return None
         table = np.empty((n_rows, width), dtype=np.uint8)
         kernel = linalg._ScanKernel(ctx, pts.T)
+        g, last = kernel.g, kernel.tables[-1]
+        # blocks of about _BLOCK_BYTES of codewords
+        step = max(1, linalg._BLOCK_BYTES // max(1, q2**g * kernel.width))
+        starts = [q2 ** (r - g) for r in range(g, m)]
+        blocks = ((lo, min(2 * a, lo + step)) for a in starts for lo in range(a, 2 * a, step))
+        short = (kernel._mask(last[None, q2**r : 2 * q2**r]) for r in range(g))
         lo = 0
-        for mask in kernel.nonzero_masks(linalg._RepBlocks(m, kernel.g, q2, kernel.width)):
+        for mask in itertools.chain(short, kernel.nonzero_masks(blocks)):
             mask = mask.reshape(mask.shape[0] * mask.shape[1], -1)[:, :width]
             np.invert(mask, out=table[lo : lo + len(mask)])
             lo += len(mask)

@@ -128,20 +128,20 @@ def test_criterion_4_constructed_witnesses(
     space52, system52, space62, system62, space43, system43, space72
 ):
     q = 2
-    perm62 = hg.make_permutable_form(space62, system=system62)
+    perm62 = hg.make_permutable_form(space62)
     w = code.weight_direct(perm62, system62)
     assert w == q**12 - q**6 == 4032
-    perm43 = hg.make_permutable_form(space43, system=system43)
+    perm43 = hg.make_permutable_form(space43)
     assert code.weight_direct(perm43, system43) == 3**4 - 3**2 == 72
 
-    cone52 = hg.make_rank2_cone_form(space52, system=system52)
+    cone52 = hg.make_rank2_cone_form(space52)
     assert code.weight_direct(cone52, system52) == q**8 - q**6 == 192
     system72 = hg.build_system(space72)
-    cone72 = hg.make_rank2_cone_form(space72, system=system72)
+    cone72 = hg.make_rank2_cone_form(space72)
     w72 = code.weight_direct(cone72, system72)
     assert w72 == q**16 - q**12 == 61440
 
-    cone62 = hg.make_rank2_cone_form(space62, system=system62)
+    cone62 = hg.make_rank2_cone_form(space62)
     assert code.weight_direct(cone62, system62) == q**12 == 4096
 
     rep = code.spectrum(system62, mode="sample", seed=20240901, samples=100_000)

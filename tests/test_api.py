@@ -3,6 +3,7 @@ package re-exports only public names, and deleted names stay deleted."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,10 @@ INIT = Path(hg.__file__)
 # polar-image wrappers and Gram rows that only tests used once the form
 # was fixed to conj(x)^T y; the codeword record (``codeword`` returns the
 # value array), the cached point leads of one caller, and the rank
-# wrapper whose column-subset certificate moved into ``linalg.rank``.
+# wrapper whose column-subset certificate moved into ``linalg.rank``; the
+# section table's block sequence, whose short leads are rows of the scan
+# kernel's last table, and the field's trial division, which the keys of
+# its primitive polynomials replace.
 DELETED = (
     "ProjectivePoint",
     "IsotropicLine",
@@ -36,6 +40,8 @@ DELETED = (
     "Codeword",
     "point_leads",
     "_row_rank",
+    "_RepBlocks",
+    "_is_prime",
 )
 DELETED_FIELD_WRAPPERS = (
     "add_s",
@@ -47,6 +53,15 @@ DELETED_FIELD_WRAPPERS = (
     "coeffs",
     "from_coeffs",
 )
+
+# Parameter names of calls whose options were deleted: a new one needs a
+# deliberate edit here.
+SIGNATURES = {
+    "code.spectrum": ["system", "mode", "budget", "seed", "samples", "jobs"],
+    "classify.make_rank2_cone_form": ["space"],
+    "classify.make_permutable_form": ["space"],
+    "linalg._ScanKernel.nonzero_masks": ["self", "blocks", "shift"],
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -85,3 +100,11 @@ def test_deleted_field_wrappers_are_gone(ctx2):
     for name in DELETED_FIELD_WRAPPERS:
         assert not hasattr(ctx2, name), name
         assert not hasattr(hg.FieldCtx, name), name
+
+
+@pytest.mark.parametrize("path", SIGNATURES)
+def test_signatures_are_pinned(path):
+    obj = importlib.import_module(f"hermgrass.{path.split('.')[0]}")
+    for attr in path.split(".")[1:]:
+        obj = getattr(obj, attr)
+    assert list(inspect.signature(obj).parameters) == SIGNATURES[path]

@@ -198,14 +198,14 @@ def test_bounds_csv(tmp_path):
 
 
 def test_rank2_witness_52(space52, system52):
-    phi = hg.make_rank2_cone_form(space52, system=system52)
+    phi = hg.make_rank2_cone_form(space52)
     assert phi.rank == 2 and phi.rad_dim == 3
     assert polar.radical_profile(space52, phi.radical).label == "[Pi_1]H_2"
     assert code.weight_direct(phi, system52) == 192
 
 
 def test_rank2_witness_62(space62, system62):
-    phi = hg.make_rank2_cone_form(space62, system=system62)
+    phi = hg.make_rank2_cone_form(space62)
     prof = polar.radical_profile(space62, phi.radical)
     assert prof.label == "[Pi_2]H_2"
     # the vertex of the cone is totally isotropic
@@ -231,7 +231,7 @@ def test_rank2_witness_profiles_scale_with_m(ctx2, m, want_t):
 
 
 def test_permutable_witness_62(space62, system62):
-    phi = hg.make_permutable_form(space62, system=system62)
+    phi = hg.make_permutable_form(space62)
     rep = classify.classify_points(phi, space62, system62)
     assert rep.A == (2**6 - 1) * 3 == 189
     assert rep.B == 0
@@ -250,7 +250,7 @@ def test_weight_routes_and_witness_on_headroom_fields(p, e):
     q = ctx.q
     space = hg.HermitianSpace(4, ctx)
     system = hg.build_system(space)
-    perm = hg.make_permutable_form(space, system=system)
+    perm = hg.make_permutable_form(space)
     assert code.weight_direct(perm, system) == q**4 - q**2 == code.code_params(4, q).d_min
     rng = np.random.default_rng(p * 100 + e)
     for _ in range(5):
@@ -263,14 +263,14 @@ def test_weight_routes_and_witness_on_headroom_fields(p, e):
         assert wd == classify.classify_points(phi, space, system).weight_from_counts
 
 
-def test_check_min_weight_profile(space42, space52, space62, system42, system52, system62):
-    perm = hg.make_permutable_form(space42, system=system42)
+def test_check_min_weight_profile(space42, space52, space62):
+    perm = hg.make_permutable_form(space42)
     ok, why = classify.check_min_weight_profile(perm, space42, 12)
     assert ok, why
-    cone = hg.make_rank2_cone_form(space52, system=system52)
+    cone = hg.make_rank2_cone_form(space52)
     ok, why = classify.check_min_weight_profile(cone, space52, 192)
     assert ok, why
-    cone62 = hg.make_rank2_cone_form(space62, system=system62)
+    cone62 = hg.make_rank2_cone_form(space62)
     with pytest.raises(ValueError):
         classify.check_min_weight_profile(cone62, space62, 4096)
 
@@ -335,17 +335,16 @@ WITNESS_SIZES = [(4, q) for q in hg.SUPPORTED_Q] + [(5, 2), (5, 3), (5, 4), (6, 
 
 @pytest.mark.parametrize("m,q", WITNESS_SIZES, ids=[f"{m}-{q}" for m, q in WITNESS_SIZES])
 def test_witness_construction_is_certified(m, q):
-    # each construction returns its one deterministic candidate, with the
-    # same form whether or not a system certifies the weight too
+    # each construction returns its one deterministic candidate; the
+    # caller checks its weight
     ctx = hg.make_field(*next((p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3) if p**e == q))
     space = hg.HermitianSpace(m, ctx)
     system = hg.build_system(space)
     if m in (4, 6):
-        perm = hg.make_permutable_form(space, system=system)
-        assert perm == _symplectic_block(ctx, m) == hg.make_permutable_form(space)
+        perm = hg.make_permutable_form(space)
+        assert perm == _symplectic_block(ctx, m)
         assert code.weight_direct(perm, system) == code.code_params(m, q).d_min
     if m >= 5:
-        cone = hg.make_rank2_cone_form(space, system=system)
-        assert cone == hg.make_rank2_cone_form(space)
+        cone = hg.make_rank2_cone_form(space)
         want = classify.rank2_cone_weight(m, q) if m == 6 else code.code_params(m, q).d_min
         assert code.weight_direct(cone, system) == want

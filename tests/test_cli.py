@@ -119,6 +119,23 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "FAIL doomed" in capsys.readouterr().out
 
 
+def test_verify_reports_a_wrong_witness_weight(monkeypatch, capsys):
+    # the witness constructors leave the weight to verify, which reports a
+    # mismatch as one FAIL line and runs the checks after it
+    monkeypatch.setattr(cli.classify, "rank2_cone_weight", lambda m, q: 0)
+    assert cli.run(["verify", "-m", "5", "-q", "2", "--samples", "2", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "FAIL rank-2 cone witness: weight 192" in lines
+    later = lines[lines.index("FAIL rank-2 cone witness: weight 192") + 1 :]
+    assert [line.split(":")[0] for line in later] == [
+        "PASS minimum-word profile (rank-2)",
+        "PASS exhaustive minimum distance",
+        "PASS exhaustive (5,2) spectrum",
+    ]
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.run(["no-such-command"]) == 2
     assert cli.run(["points", "-m", "4"]) == 2  # no field given

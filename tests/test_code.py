@@ -155,7 +155,8 @@ def test_weight_direct_against_per_line_loop(space42, system42):
 
 def test_point_weight_cases(space52, system52):
     space = space52
-    phi = hg.make_rank2_cone_form(space, system=system52)
+    phi = hg.make_rank2_cone_form(space)
+    assert code.weight_direct(phi, system52) == 192
     vals = code.point_weights(phi, space)
     assert set(int(v) for v in np.unique(vals)) == {0, 6, 8}
     assert code.point_weight_values(5, 2) == (0, 6, 8)
@@ -384,14 +385,11 @@ def test_worker_partition_merges_identically(monkeypatch, system42):
 def test_worker_partition_odd_characteristic(monkeypatch, system43):
     # odd p goes through the add-table path inside the workers
     monkeypatch.setattr(code.os, "cpu_count", lambda: 2)
-    r1 = code.spectrum(system43, mode="exhaustive", jobs=2, radical_dims=False)
+    r1 = code.spectrum(system43, mode="exhaustive", jobs=2)
     assert r1.min_nonzero_weight == 72
     assert sum(r1.histogram.values()) == 9**6
-    _same_report(r1, code.spectrum(system43, mode="exhaustive", jobs=1, radical_dims=False))
-    _same_report(
-        code.spectrum(system43, mode="exhaustive", jobs=1),
-        code.spectrum(system43, mode="exhaustive", jobs=2),
-    )
+    assert list(r1.min_weight_radical_dims.items()) == [(0, 2016)]
+    _same_report(r1, code.spectrum(system43, mode="exhaustive", jobs=1))
 
 
 def test_exhaustive_spectrum_matches_per_form_oracle(system42):
@@ -451,19 +449,19 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     phis = [code.AlternatingForm.from_upper(ctx, m, r) for r in digits]
     assert kernel.weights(c).tolist() == [code.weight_direct(f, system) for f in phis]
     assert np.array_equal(_kernel_codes(kernel, c), np.array([code.codeword(f, system) for f in phis]))
-    # the block walk shared by the exhaustive scan and the section table,
-    # on the section table's blocks, made on demand: the packed nonzero
-    # mask of every representative p Q^g + r of a block, checked on the
-    # last block with prefix 0, the first with a prefix and the last
-    # block of all
-    blocks = linalg._RepBlocks(k, kernel.g, q2, kernel.width)
-    chosen = [blocks[kernel.g - 1], blocks[kernel.g], blocks[-1]]
-    for (lo, hi, r0, r1), mask in zip(chosen, kernel.nonzero_masks(chosen)):
-        assert mask.shape[:2] == (hi - lo, r1 - r0)
-        idx = (np.arange(lo, hi)[:, None] * q2**kernel.g + np.arange(r0, r1)[None]).reshape(-1)
+    # the block walk shared by the exhaustive scan and the section table:
+    # the packed nonzero mask of every index p Q^g + r of a block (lo, hi),
+    # checked on the first block (prefix 0), one in the middle and the
+    # last, found by arithmetic ((4,8) has 64^5 prefixes)
+    rows, prefixes = q2**kernel.g, q2 ** kernel.bounds[-1][0]
+    step = max(1, linalg._BLOCK_BYTES // (rows * kernel.width))
+    starts = (0, prefixes // step // 2 * step, (prefixes - 1) // step * step)
+    chosen = [(lo, min(prefixes, lo + step)) for lo in starts]
+    assert chosen[0][0] == 0 and chosen[-1][1] == prefixes
+    for (lo, hi), mask in zip(chosen, kernel.nonzero_masks(chosen)):
+        assert mask.shape[:2] == (hi - lo, rows)
+        idx = (np.arange(lo, hi)[:, None] * rows + np.arange(rows)[None]).reshape(-1)
         forms = linalg._digits(idx, q2, k)
-        lead = (forms != 0).argmax(axis=1)
-        assert (forms[np.arange(len(forms)), lead] == 1).all()  # normalized, nonzero
         bits = np.unpackbits(mask.reshape(len(idx), -1), axis=1)
         assert not bits[:, system.n :].any()
         assert np.array_equal(bits[:, : system.n], linalg.matmul(ctx, forms, system.matrix) != 0)
