@@ -501,8 +501,7 @@ def spectrum(
         kernel = linalg._ScanKernel(ctx, system.matrix[m - 1 :])
         firsts = linalg._digits(reps, q2, m - 1).astype(np.uint8)
         shifts = kernel._pack(linalg.matmul(ctx, firsts, system.matrix[: m - 1]))
-        rows, prefixes = q2**kernel.g, q2 ** kernel.bounds[-1][0]
-        step = max(1, linalg._BLOCK_BYTES // (rows * kernel.width))
+        prefixes, step = q2 ** kernel.bounds[-1][0], kernel.block_prefixes
         walk = [(lo, min(prefixes, lo + step)) for lo in range(0, prefixes, step)]
         tasks = [(c, b) for c in range(len(reps)) for b in walk]
         workers = _pool_size(jobs, len(tasks))

@@ -1,11 +1,14 @@
 """Dense exact linear algebra over GF(q^2).
 
-Matrices are numpy arrays of field-element codes (see ff).  Every sum
-of products goes through ``dot``, the one product kernel: each product
-is one add and one 1-D gather from ``FieldCtx.mul_flat``, so every
-result is exact.  A subspace is held by its reduced row echelon basis,
-the canonical representative of a row space; its flattened entries
-serve as a total order and hash key.  Pivots are chosen leftmost first.
+Matrices are numpy arrays of field-element codes (see ff).  Sums of
+products go through ``dot``, the one product kernel, except in two fills
+that index the point table, ``HermitianSpace.line_pair_indices`` and
+``pluecker.build_system``, which loop over their own gathers.  Each
+product is one add and one 1-D gather from ``FieldCtx.mul_flat``, so
+every result is exact.  A subspace is held by its reduced row echelon
+basis, the canonical representative of a row space; its flattened
+entries serve as a total order and hash key.  Pivots are chosen leftmost
+first.
 
 One forward elimination, ``_echelon``, serves ``rank``, which counts
 its pivots, and ``rref``, which adds a backward pass and which ``kernel``
@@ -316,6 +319,11 @@ class _ScanKernel:
     def weights(self, c: np.ndarray) -> np.ndarray:
         """Nonzero positions of each codeword along the last axis."""
         return bit_counts(self._mask(c))
+
+    @property
+    def block_prefixes(self) -> int:
+        """Prefixes per block of the walk: about _BLOCK_BYTES of codewords, at least 1."""
+        return max(1, _BLOCK_BYTES // max(1, self.ctx.q2**self.g * self.width))
 
     def nonzero_masks(self, blocks, shift=None):
         """For each block (lo, hi), the packed nonzero masks of the

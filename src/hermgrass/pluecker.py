@@ -121,7 +121,8 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
 
 
 def write_genmat(f, system: ProjectiveSystem) -> None:
+    """The text format through ``polar._write_csv_rows``, whose byte
+    slots hold codes below 100: every code here is below q^2 <= 64."""
     ctx = system.ctx
     f.write(f"{system.space.m} {ctx.p} {ctx.e} {system.n} {system.k}\n")
-    for row in system.matrix:
-        f.write(" ".join(map(str, row.tolist())) + "\n")
+    polar._write_csv_rows(f, system.k, system.n, lambda lo, hi: system.matrix[lo:hi], " ")

@@ -339,9 +339,7 @@ class HermitianSpace:
             return None
         table = np.empty((n_rows, width), dtype=np.uint8)
         kernel = linalg._ScanKernel(ctx, pts.T)
-        g, last = kernel.g, kernel.tables[-1]
-        # blocks of about _BLOCK_BYTES of codewords
-        step = max(1, linalg._BLOCK_BYTES // max(1, q2**g * kernel.width))
+        g, last, step = kernel.g, kernel.tables[-1], kernel.block_prefixes
         starts = [q2 ** (r - g) for r in range(g, m)]
         blocks = ((lo, min(2 * a, lo + step)) for a in starts for lo in range(a, 2 * a, step))
         short = (kernel._mask(last[None, q2**r : 2 * q2**r]) for r in range(g))
@@ -391,14 +389,22 @@ def radical_profile(space: HermitianSpace, r) -> RadicalProfile:
     return RadicalProfile(dim=d, t=t, label=f"[Pi_{t}]H_{d - t}")
 
 
-def _write_csv_rows(f, n_rows: int, width: int, block) -> None:
-    """Write rows of integers as CSV lines; ``block(lo, hi)`` gives rows
-    lo .. hi-1.  They are gathered and converted to Python lists a block
-    at a time, so the int objects alive at once stay near DOT_BLOCK
-    however many rows there are."""
+def _write_csv_rows(f, n_rows: int, width: int, block, sep: str = ",") -> None:
+    """Write the rows ``block(lo, hi)``, about DOT_BLOCK codes at a time, as
+    lines of ``sep``-separated decimals.  A code, below 100, fills three
+    byte slots (tens digit or 0, units digit, sep or newline); each
+    block's nonzero slots are written as one string."""
     step = max(1, linalg.DOT_BLOCK // width)
     for lo in range(0, n_rows, step):
-        f.writelines(",".join(map(str, r)) + "\n" for r in block(lo, lo + step).tolist())
+        codes = block(lo, lo + step)
+        tens, units = np.divmod(codes, 10)
+        slots = np.empty((*codes.shape, 3), dtype=np.uint8)
+        slots[..., 0] = np.where(tens, tens + 48, 0)
+        slots[..., 1] = units + 48
+        slots[..., 2] = ord(sep)
+        slots[:, -1, 2] = ord("\n")
+        flat = slots.ravel()
+        f.write(flat[flat != 0].tobytes().decode("ascii"))
 
 
 def write_points_csv(f, space: HermitianSpace) -> None:

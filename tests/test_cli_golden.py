@@ -4,6 +4,8 @@ Every command runs in-process at (4,2) and (4,3), once to stdout in
 its default format and once with ``--out`` (in JSON where the command
 has a JSON writer), and commands with a JSON writer also write JSON to
 stdout; ``weight`` and ``classify`` also run on a fixed (5,2) form.
+``points``, ``lines`` and ``genmat`` also run at (4,4) and (4,8), whose
+field codes have two digits, to stdout and with ``--out``.
 The exit code and the sha256 of stdout and of every file written are
 pinned, so any change of output bytes shows here.  Stderr carries
 wall-clock times and is not pinned.
@@ -55,6 +57,12 @@ def _cases():
                 yield f"{tag}-json-out", [cmd, *field, *extra, "--format", "json", "--out", "{out}"], None
             if cmd in PLAIN_OUT or cmd == "spectrum":
                 yield f"{tag}-out", [cmd, *field, *extra, "--out", "{out}"], None
+    # q = 4 and 8: field codes up to 15 and 63, so entries of two digits
+    for m, q in ((4, 4), (4, 8)):
+        field = ["-m", str(m), "-q", str(q)]
+        for cmd in ("points", "lines", "genmat"):
+            yield f"{cmd}-{m}-{q}", [cmd, *field], None
+            yield f"{cmd}-{m}-{q}-out", [cmd, *field, "--out", "{out}"], None
     for m, q in sorted(FORMS):
         field = ["--form", "{form}", "-q", str(q)]
         yield f"weight-{m}-{q}", ["weight", *field], (m, q)
@@ -91,7 +99,8 @@ def run_case(tag: str, tmp_path) -> tuple[int, dict]:
 
 
 # Recorded from the code before linalg.dot replaced the table loops; the
-# JSON-to-stdout cases from the code before the CLI had one output writer.
+# JSON-to-stdout cases from the code before the CLI had one output writer;
+# the q = 4 and 8 cases from the code before the byte text writer.
 GOLDEN = {
     "bounds-4-2": (0, {
         "stdout": "4286a06bd5fb7282d2e31d6173c6e702ce50f701b78bc3c409d382451bdec896",
@@ -148,6 +157,20 @@ GOLDEN = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "02e733fb3afccd8b947084f03ce454192067bf0a2fcf836b3fc7bd9e29cfaedd",
     }),
+    "genmat-4-4": (0, {
+        "stdout": "115549cefc75f15ee6f9e72403516236299c27e3fb0e1c86f3f174aec3032320",
+    }),
+    "genmat-4-4-out": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "115549cefc75f15ee6f9e72403516236299c27e3fb0e1c86f3f174aec3032320",
+    }),
+    "genmat-4-8": (0, {
+        "stdout": "4397b57561db265b09dd83d904dbee3a64d3c889b117b258fcf857f848ff4e03",
+    }),
+    "genmat-4-8-out": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "4397b57561db265b09dd83d904dbee3a64d3c889b117b258fcf857f848ff4e03",
+    }),
     "lines-4-2": (0, {
         "stdout": "400cb647ba66b44c384a52c62c2a1d1dcf2291b65ac9a207793bb980f5bff684",
     }),
@@ -167,6 +190,20 @@ GOLDEN = {
     "lines-4-3-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "017b705a97fcab6fdfa65ffa1db78ade9df2baa0ace8294202fefa0085785013",
+    }),
+    "lines-4-4": (0, {
+        "stdout": "cc51c41a7fe470002af742aa88f641d49bfb832e7b993b9c821c8ac5c6cda950",
+    }),
+    "lines-4-4-out": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "cc51c41a7fe470002af742aa88f641d49bfb832e7b993b9c821c8ac5c6cda950",
+    }),
+    "lines-4-8": (0, {
+        "stdout": "60e1eb626922e9013607bda2ef1eeba04bd310ce61e1987d806ec536683563d5",
+    }),
+    "lines-4-8-out": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "60e1eb626922e9013607bda2ef1eeba04bd310ce61e1987d806ec536683563d5",
     }),
     "min-word-construct-4-2": (0, {
         "stdout": "9cbcb49dd6501d7bf763eb04441c74b0bf865be9a8dd269a0682626fa998897e",
@@ -235,6 +272,20 @@ GOLDEN = {
     "points-4-3-json-out": (0, {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "out": "f62318fd5ad31f67f7747d09f87c0abedbee836b7bca1c13bdbf53e931faca08",
+    }),
+    "points-4-4": (0, {
+        "stdout": "911cbe7a4a914a2f15776443e947d22b6de6c3948b19a0afcf7ec25d4e1d75a3",
+    }),
+    "points-4-4-out": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "911cbe7a4a914a2f15776443e947d22b6de6c3948b19a0afcf7ec25d4e1d75a3",
+    }),
+    "points-4-8": (0, {
+        "stdout": "97c40813aeb924d5ba829eab306981f5eecf399124a4766ee482c5c1c1577203",
+    }),
+    "points-4-8-out": (0, {
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "97c40813aeb924d5ba829eab306981f5eecf399124a4766ee482c5c1c1577203",
     }),
     "spectrum-exhaustive-4-2": (0, {
         "stdout": "7b04f39cbe81d1eca05f13b2bf8f4f255bd4115274a57b034d013723c82f4b76",

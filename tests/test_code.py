@@ -455,6 +455,7 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     # last, found by arithmetic ((4,8) has 64^5 prefixes)
     rows, prefixes = q2**kernel.g, q2 ** kernel.bounds[-1][0]
     step = max(1, linalg._BLOCK_BYTES // (rows * kernel.width))
+    assert kernel.block_prefixes == step
     starts = (0, prefixes // step // 2 * step, (prefixes - 1) // step * step)
     chosen = [(lo, min(prefixes, lo + step)) for lo in starts]
     assert chosen[0][0] == 0 and chosen[-1][1] == prefixes
