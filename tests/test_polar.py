@@ -435,8 +435,13 @@ class _CountingWriter(io.StringIO):
 
 
 def _join_rows(rows, sep):
-    """The test's own text of rows: one str.join per row."""
-    return "".join(sep.join(map(str, r)) + "\n" for r in rows.tolist())
+    """The test's own lines of text: one str.join per row.  Lines, not one
+    string, so that a failure reports the first differing line."""
+    return [sep.join(map(str, r)) + "\n" for r in rows.tolist()]
+
+
+def _lines(buf):
+    return buf.getvalue().splitlines(keepends=True)
 
 
 @functools.cache
@@ -454,7 +459,8 @@ def _text_rows(m, p, e):
 @pytest.mark.parametrize("m,p,e", [(4, 2, 1), (5, 3, 1), (4, 2, 2), (4, 2, 3)])
 def test_text_writer_matches_str_join(m, p, e, dot_block, monkeypatch):
     # (4, 2, 2) and (4, 2, 3) are q = 4 and 8: codes up to 15 and 63.
-    # DOT_BLOCK = 40 puts 10 points, 5 lines or 1 generator row in a block.
+    # DOT_BLOCK = 40 puts 40 // width rows, at least 1, in a block, so the
+    # points, the lines and the generator rows each take several blocks.
     space, arrays = _text_rows(m, p, e)
     if dot_block is not None:
         monkeypatch.setattr(linalg, "DOT_BLOCK", dot_block)
@@ -463,7 +469,7 @@ def test_text_writer_matches_str_join(m, p, e, dot_block, monkeypatch):
         for sep in (",", " "):
             buf = _CountingWriter()
             polar._write_csv_rows(buf, len(rows), rows.shape[1], lambda lo, hi: rows[lo:hi], sep)
-            assert buf.getvalue() == _join_rows(rows, sep), (name, sep)
+            assert _lines(buf) == _join_rows(rows, sep), (name, sep)
             assert buf.writes == -(-len(rows) // step)
         if dot_block is not None:
             assert buf.writes > 1, name
@@ -477,11 +483,11 @@ def test_text_writer_matches_str_join(m, p, e, dot_block, monkeypatch):
     ):
         buf = io.StringIO()
         write(buf, space)
-        assert buf.getvalue() == head + "\n" + _join_rows(arrays[name], sep)
+        assert _lines(buf) == [head + "\n"] + _join_rows(arrays[name], sep)
     buf = io.StringIO()
     pluecker.write_genmat(buf, hg.build_system(space))
     rows = arrays["genmat"]
-    assert buf.getvalue() == f"{m} {ctx.p} {ctx.e} {rows.shape[1]} {rows.shape[0]}\n" + _join_rows(rows, " ")
+    assert _lines(buf) == [f"{m} {ctx.p} {ctx.e} {rows.shape[1]} {rows.shape[0]}\n"] + _join_rows(rows, " ")
 
 
 @pytest.mark.parametrize("cmd,m", [("points", "1"), ("lines", "3")])
