@@ -156,7 +156,7 @@ def classify_points(
     # One pass of polar images over all points serves both the fixed
     # points and, at the isotropic rows, the point classes.
     kernel_mask, y, fixed = _images(phi, space, space.all_points())
-    iso = space.point_index(space.points())
+    iso = space.point_rows()
     a, b, c = _class_sizes(ctx, _labels(space, (kernel_mask | fixed)[iso], y[iso]))
     wfc = weight_from_class_counts(space.m, q, a, b, c)
     wd = weight_direct(phi, system)

@@ -411,7 +411,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
         phi = code.AlternatingForm.from_upper(ctx, m, upper)
         rep = classify.classify_points(phi, space, system)
         wd, wr = rep.weight_direct, code.weight_recursive(phi, space)
-        pw = set(int(x) for x in np.unique(code.point_weights(phi, space)))
+        pw = set(code.point_weights(phi, space).tolist())
         if not (wd == wr == rep.weight_from_counts and rep.checks["conservation"]):
             all_ok = False
             detail = f"disagreement at upper={list(map(int, upper))}"

@@ -39,8 +39,9 @@ first-row codeword into the last group's table once; the kernel's block
 walk yields the packed nonzero masks of prefix codeword plus table row
 and the scan popcounts them (``linalg.bit_counts``).  In characteristic
 2 the rows are bit-packed GF(2) planes: adding is XOR and the mask is
-the OR of the planes.  For odd p the rows are element codes, added with
-``add_flat`` gathers or, in the walk, compared with the negated table.
+the OR of the planes.  For odd p (where q = p) a position is one byte
+holding its two base-p digits as nibbles: adding is a uint8 add, and
+the walk compares the reduced prefix codeword with the negated table.
 """
 
 from __future__ import annotations

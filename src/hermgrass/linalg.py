@@ -16,12 +16,16 @@ reads.  ``rank_stack`` eliminates a stack of small matrices at once.
 
 The scan kernel (``_ScanKernel``) holds the products f M of a K x N
 matrix M with every coefficient vector f as sums of digit-group table
-rows.  Its one block walk (``_ScanKernel.nonzero_masks``) yields the
-packed nonzero masks of f M in ascending order of f: the exhaustive
-spectrum scan popcounts them (``bit_counts``), with M the generator rows
-below a form's first row, and ``HermitianSpace.section_table`` stores
-their complements over the normalized f, with M the transposed isotropic
-points, reading the f that lead in the last group straight off its table.
+rows.  The rows are GF(2) bit-planes in characteristic 2; for odd p,
+which must have e = 1, each position is one byte d0 + 16 d1 holding the
+base-p digits of the code d0 + p d1, so rows add as uint8 and a nibble
+is reduced mod p only once it could pass 15.  The kernel's one block
+walk (``_ScanKernel.nonzero_masks``) yields the packed nonzero masks of
+f M in ascending order of f: the exhaustive spectrum scan popcounts them
+(``bit_counts``), with M the generator rows below a form's first row,
+and ``HermitianSpace.section_table`` stores their complements over the
+normalized f, with M the transposed isotropic points, reading the f that
+lead in the last group straight off its table.
 """
 
 from __future__ import annotations
@@ -243,6 +247,17 @@ def _digits(idx: np.ndarray, q2: int, width: int) -> np.ndarray:
     return (idx[:, None] // powers[None, :]) % q2
 
 
+def _lookup(table: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """table[c] for a uint8 array c, DOT_BLOCK entries at a time, since
+    each lookup first casts its index to intp."""
+    c = np.ascontiguousarray(c)
+    out = np.empty(c.shape, dtype=table.dtype)
+    flat, res = c.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, DOT_BLOCK):
+        np.take(table, flat[lo : lo + DOT_BLOCK], out=res[lo : lo + DOT_BLOCK], mode="clip")
+    return out
+
+
 class _ScanKernel:
     """The products f M of a K x N matrix M with coefficient vectors f,
     as sums of digit-group table rows.
@@ -257,11 +272,24 @@ class _ScanKernel:
     In characteristic 2 a row holds the 2e bit-planes of the codeword,
     each packed with np.packbits into ``plane`` bytes (a multiple of 8,
     zero-padded), so a sum is an XOR and the nonzero mask is the OR of
-    the planes.  Otherwise rows are element codes, a sum is one
-    ``add_flat`` gather and the nonzero mask packs the nonzero codes.
+    the planes.
+
+    For odd p the field must have e = 1 (q = p, as for every supported
+    odd q), so an element code is c = d0 + p d1 with two base-p digits.
+    A row holds one byte d0 + 16 d1 per position, and a sum is a plain
+    uint8 add of the nibbles.  A sum of t rows of digits below p keeps
+    every nibble below 16 while t <= 15 // (p - 1): 7 terms at p = 3,
+    3 at p = 5, 2 at p = 7.  ``codewords`` reduces each nibble mod p,
+    through one 256-entry table, only before a sum would pass that
+    limit, so its rows are congruent to the codewords nibble by nibble
+    but need not be reduced; the tables and the walk's operands are.
+    The nonzero mask is one 256-entry "either nibble is nonzero mod p"
+    lookup, packed with np.packbits.
     """
 
     def __init__(self, ctx: FieldCtx, matrix: np.ndarray):
+        if ctx.p != 2 and ctx.e != 1:
+            raise ValueError(f"the scan kernel needs q = p for odd p, not q = {ctx.q}")
         self.ctx = ctx
         q2, (k, n) = ctx.q2, matrix.shape
         self.n = n
@@ -273,43 +301,63 @@ class _ScanKernel:
         self.planes = 2 * ctx.e if ctx.p == 2 else 0
         self.plane = -(-n // 64) * 8
         self.width = self.planes * self.plane if self.planes else n
+        if not self.planes:
+            p, lo, hi = ctx.p, np.arange(256) & 15, np.arange(256) >> 4
+            self._reduced = (lo % p + 16 * (hi % p)).astype(np.uint8)
+            self._nonzero = (lo % p != 0) | (hi % p != 0)
+            self._terms = 15 // (p - 1)
         self.tables = []
         for a, b in self.bounds:
             tab = np.zeros((1, self.width), dtype=np.uint8)
             for row in matrix[a:b]:
-                # ctx.mul[d, row] is d times the matrix row; each old
-                # row r becomes the rows r Q + d
-                terms = self._pack(ctx.mul[:, row])
-                tab = np.concatenate([fadd(ctx, r, terms) for r in tab])
+                # row d of the take is d times the matrix row (np.take
+                # keeps it C-contiguous, unlike ctx.mul[:, row]); each
+                # old row r becomes the rows r Q + d
+                terms = self._pack(np.take(ctx.mul, row, axis=1))
+                new = tab[:, None] ^ terms if self.planes else self._reduce(tab[:, None] + terms)
+                tab = new.reshape(len(tab) * q2, self.width)
             self.tables.append(tab)
 
     def _pack(self, codes: np.ndarray) -> np.ndarray:
         """Rows of element codes in the table layout."""
         if not self.planes:
-            return codes
-        bits = codes[:, None, :] >> np.arange(self.planes, dtype=np.uint8)[None, :, None] & 1
+            return codes + (16 - self.ctx.p) * (codes // self.ctx.p)
         packed = np.zeros((len(codes), self.planes, self.plane), dtype=np.uint8)
-        packed[..., : -(-codes.shape[1] // 8)] = np.packbits(bits, axis=-1)
+        for i in range(self.planes):  # one plane's bits at a time, not all 2e at once
+            packed[:, i, : -(-codes.shape[1] // 8)] = np.packbits(codes >> i & 1, axis=-1)
         return packed.reshape(len(codes), -1)
+
+    def _reduce(self, c: np.ndarray) -> np.ndarray:
+        """Odd p: c with each nibble reduced mod p."""
+        return _lookup(self._reduced, c)
 
     def codewords(self, digits: np.ndarray) -> np.ndarray:
         """Codewords of digit rows that cover whole groups, the digits of
-        the groups left out being zero: one table row per group, summed.
-        Rows that cover no group (K = 1) give zero words."""
-        q2 = self.ctx.q2
-        c = None
+        the groups left out being zero: one table row per group, summed
+        (for odd p not necessarily reduced).  Rows that cover no group
+        (K = 1) give zero words."""
+        q2, c, terms = self.ctx.q2, None, 0
         for (a, b), tab in zip(self.bounds, self.tables):
             if b > digits.shape[1]:
                 break
             row = np.take(tab, digits[:, a:b] @ q2 ** np.arange(b - a - 1, -1, -1), axis=0)
-            c = row if c is None else fadd(self.ctx, c, row)
+            if c is None:
+                c = row
+            elif self.planes:
+                c ^= row
+            else:
+                if terms == self._terms:
+                    c, terms = self._reduce(c), 1
+                c += row
+            terms += 1
         return np.zeros((len(digits), self.width), dtype=np.uint8) if c is None else c
 
     def _mask(self, c: np.ndarray) -> np.ndarray:
         """Packed nonzero positions of codewords along the last axis: the
-        OR of the planes, or np.packbits of the nonzero codes."""
+        OR of the planes, or np.packbits of the positions with a nibble
+        nonzero mod p."""
         if not self.planes:
-            return np.packbits(c != 0, axis=-1)
+            return np.packbits(_lookup(self._nonzero, c), axis=-1)
         w = self.plane
         acc = c[..., :w] | c[..., w : 2 * w]
         for i in range(2, self.planes):
@@ -329,17 +377,23 @@ class _ScanKernel:
         """For each block (lo, hi), the packed nonzero masks of the
         codewords of the indices p Q^g + r, lo <= p < hi, r every row of
         the last table, prefix codeword plus table row, shaped (hi - lo,
-        Q^g, bytes); a ``shift`` row is added to the last table once, so
-        it lies in every codeword.  The padding bits after N are clear."""
+        Q^g, bytes); a ``shift`` row in the table layout is added to the
+        last table once, so it lies in every codeword.  The padding bits
+        after N are clear."""
         q2, head = self.ctx.q2, self.bounds[-1][0]  # digits before the last group
-        last = self.tables[-1] if shift is None else fadd(self.ctx, self.tables[-1], shift)
-        # For odd p, c + t != 0 exactly when c != -t: the walk compares
-        # with the negated last table instead of adding.
-        last = last if self.planes else self.ctx.neg[last]
+        last = self.tables[-1]
+        if self.planes:
+            last = last if shift is None else last ^ shift
+        else:
+            # For odd p, c + t != 0 exactly when c != -t: the walk compares
+            # each reduced prefix codeword with the negated last table
+            # instead of adding.  Each nibble of t (plus the reduced shift)
+            # is at most 2p - 2, so 2p - t stays a nibble congruent to -t.
+            last = last if shift is None else last + self._reduce(shift)
+            last = self._reduce(np.uint8(0x11 * 2 * self.ctx.p) - last)
         for lo, hi in blocks:
-            c = self.codewords(_digits(np.arange(lo, hi, dtype=np.int64), q2, head))[:, None, :]
+            c = self.codewords(_digits(np.arange(lo, hi, dtype=np.int64), q2, head))
             if self.planes:
-                yield self._mask(c ^ last)
+                yield self._mask(c[:, None, :] ^ last)
             else:
-                yield np.packbits(c != last, axis=-1)
-
+                yield np.packbits(self._reduce(c)[:, None, :] != last, axis=-1)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+import types
 from math import comb
 
 import numpy as np
@@ -416,9 +417,10 @@ def test_exhaustive_spectrum_matches_per_form_oracle(system42):
 
 def _kernel_codes(kernel, c):
     """Element codes of kernel codeword rows: the planes reassembled in
-    characteristic 2, the rows themselves otherwise."""
+    characteristic 2; for odd p each nibble reduced mod p, then d0 + p d1."""
     if not kernel.planes:
-        return c
+        p = kernel.ctx.p
+        return (c & 15) % p + p * ((c >> 4) % p)
     bits = np.unpackbits(c.reshape(len(c), kernel.planes, kernel.plane), axis=-1)[..., : kernel.n]
     return (bits << np.arange(kernel.planes, dtype=np.uint8)[None, :, None]).sum(axis=1)
 
@@ -428,7 +430,8 @@ def _kernel_codes(kernel, c):
 )
 def test_scan_kernel_matches_codeword_oracle(m, q):
     # Characteristic 2 runs the packed bit-plane path (GF(4), GF(16),
-    # GF(64)), odd p the element-code path (GF(9), GF(25), GF(49)).
+    # GF(64)), odd p the nibble path (GF(9), GF(25), GF(49)); (4,5) and
+    # (4,7) sum 6 rows, past the 3 and 2 unreduced terms of p = 5 and 7.
     p = next(d for d in range(2, q + 1) if q % d == 0)
     ctx = hg.make_field(p, round(np.log(q) / np.log(p)))
     assert ctx.q == q
@@ -474,6 +477,46 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     bits = np.unpackbits(mask.reshape(len(idx), -1), axis=1)
     shifted = linalg.fadd(ctx, forms.astype(np.uint8), d)
     assert np.array_equal(bits[:, : system.n], linalg.matmul(ctx, shifted, system.matrix) != 0)
+
+
+def test_scan_kernel_reduces_long_nibble_sums():
+    # GF(9) with K = 16 gives 8 groups of 2 digits: a codeword sums 8
+    # rows, one more than the 7 unreduced terms a nibble holds at p = 3
+    ctx = hg.make_field(3, 1)
+    rng = np.random.default_rng(16)
+    n = 203
+    matrix = rng.integers(0, ctx.q2, size=(16, n), dtype=np.uint8)
+    kernel = linalg._ScanKernel(ctx, matrix)
+    assert len(kernel.bounds) == 8 and kernel.g == 2
+    digits = np.vstack(
+        [
+            rng.integers(0, ctx.q2, size=(40, 16), dtype=np.uint8),
+            np.full((1, 16), ctx.q2 - 1, dtype=np.uint8),
+            rng.integers(1, ctx.q2, size=(8, 16), dtype=np.uint8),
+        ]
+    )
+    want = linalg.matmul(ctx, digits, matrix)
+    c = kernel.codewords(digits)
+    assert np.array_equal(_kernel_codes(kernel, c), want)
+    assert kernel.weights(c).tolist() == (want != 0).sum(axis=1).tolist()
+    # the walk, plain and shifted by a packed codeword as the exhaustive
+    # scan shifts it, on the first, a middle and the last block
+    rows, prefixes = ctx.q2**kernel.g, ctx.q2 ** kernel.bounds[-1][0]
+    step = kernel.block_prefixes
+    chosen = [(lo, min(prefixes, lo + step)) for lo in (0, prefixes // 2, prefixes - step)]
+    d = rng.integers(0, ctx.q2, size=(1, 16), dtype=np.uint8)
+    packed = kernel._pack(linalg.matmul(ctx, d, matrix))[0]
+    for shift, add in ((None, np.zeros_like(d)), (packed, d)):
+        for (lo, hi), mask in zip(chosen, kernel.nonzero_masks(chosen, shift)):
+            assert mask.shape[:2] == (hi - lo, rows)
+            idx = (np.arange(lo, hi)[:, None] * rows + np.arange(rows)[None]).reshape(-1)
+            forms = linalg.fadd(ctx, linalg._digits(idx, ctx.q2, 16).astype(np.uint8), add)
+            bits = np.unpackbits(mask.reshape(len(idx), -1), axis=1)
+            assert not bits[:, n:].any()
+            assert np.array_equal(bits[:, :n], linalg.matmul(ctx, forms, matrix) != 0)
+    # the two digits of a nibble byte are those of q = p only
+    with pytest.raises(ValueError, match="q = p"):
+        linalg._ScanKernel(types.SimpleNamespace(p=3, e=2, q=9), matrix)
 
 
 def test_sample_spectrum_matches_per_form_oracle(system43):

@@ -201,6 +201,8 @@ def test_point_index_inverts_all_points(m, p, e):
     scale = rng.integers(1, ctx.q2, size=200)
     assert np.array_equal(space.point_index(ctx.mul[scale[:, None], allp[rows]]), rows)
     assert space.point_index(np.zeros((2, m), dtype=np.uint8)).tolist() == [-1, -1]
+    # the isotropic rows kept by points() are those point_index names
+    assert np.array_equal(space.point_rows(), space.point_index(space.points()))
 
 
 @pytest.mark.parametrize("block", [None, 1], ids=["default-blocks", "small-blocks"])
