@@ -4,16 +4,19 @@
 
 from math import ceil
 
+import numpy as np
+
 from hermgrass import (
+    AlternatingForm,
     HermitianSpace,
     bound_table,
     build_system,
     check_min_weight_profile,
     code_params,
     make_field,
-    make_permutable_form,
     make_rank2_cone_form,
     min_distance,
+    min_word_witness,
     radical_profile,
     weight_direct,
 )
@@ -34,16 +37,23 @@ for m in (5, 6):
     cone = make_rank2_cone_form(space)
     w = weight_direct(cone, system)
     prof = radical_profile(space, cone.radical)
-    print(f"rank-2 cone witness: weight {w}, radical profile {prof.label}")
+    print(f"rank-2 cone form: weight {w}, radical profile {prof.label}")
 
-    if m in (4, 6):
-        perm = make_permutable_form(space)
-        wp = weight_direct(perm, system)
-        print(f"permutable witness: weight {wp} (this is d_min for m = {m})")
-        ok, why = check_min_weight_profile(perm, space, wp)
-    else:
-        ok, why = check_min_weight_profile(cone, space, w)
-    print("minimum-word structure check:", ok, "|", why)
+    kind, witness = min_word_witness(space)
+    wd = weight_direct(witness, system)
+    print(f"minimum-word witness: {kind}, weight {wd}")
+    print("minimum-word structure check:", *check_min_weight_profile(witness, space, wd))
+
+    if m == 5:
+        # the second m = 5 shape: rank 4, the radical the non-isotropic
+        # point e_0, and a permutable form on its perp
+        s = np.zeros((m, m), dtype=np.uint8)
+        s[1, 2] = s[3, 4] = 1
+        s[2, 1] = s[4, 3] = ctx.neg[1]
+        rank4 = AlternatingForm(ctx, s)
+        w4 = weight_direct(rank4, system)
+        print(f"rank-4 form, radical e_0: weight {w4}")
+        print("minimum-word structure check:", *check_min_weight_profile(rank4, space, w4))
 
     d, cert = min_distance(system, strategy="construct+sample", seed=7, samples=20_000)
     print(

@@ -17,6 +17,7 @@ from .classify import (
     cone_count_max,
     make_permutable_form,
     make_rank2_cone_form,
+    min_word_witness,
     point_classes,
     rank2_cone_weight,
     stratum_weight_bound,

@@ -22,8 +22,9 @@ besides the direct and the per-point recursive counts.
 
 zero_class_bound(m, i, q) bounds the zero-class size over all forms of
 rank 2i; stratum_weight_bound turns it into a per-rank lower bound on
-weights.  make_rank2_cone_form and make_permutable_form build the two
-families of certified minimum-weight witnesses.
+weights.  Minimum words take one of two shapes, rank-2 cone forms and
+permutable forms, each tested by one predicate that the witness
+constructions, min_word_witness and check_min_weight_profile share.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "rank2_cone_weight",
     "make_rank2_cone_form",
     "make_permutable_form",
+    "min_word_witness",
     "check_min_weight_profile",
 ]
 
@@ -282,6 +284,32 @@ def rank2_cone_weight(m: int, q: int) -> int:
     return q ** (4 * m - 12)
 
 
+def _is_rank2_cone(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[bool, str]:
+    """Rank 2, the radical cutting a vertex-1 cone for odd m and a
+    vertex-2 cone for even m."""
+    profile = polar.radical_profile(space, phi.radical)
+    ok = phi.rank == 2 and profile.t == 2 - space.m % 2
+    return ok, f"rad_dim={phi.rad_dim}, profile={profile.label}"
+
+
+def _is_permutable(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[bool, str]:
+    """Rank m - (m mod 2), a non-isotropic radical point for odd m, a
+    zero class of (q^rank - 1)(q + 1) vectors and, for even m, an empty
+    secant class."""
+    m, q, rank = space.m, space.ctx.q, phi.rank
+    a, b, _ = _class_sizes(space.ctx, point_classes(phi, space))
+    ok = rank == m - m % 2 and polar.radical_profile(space, phi.radical).t == 0
+    ok = ok and a == (q**rank - 1) * (q + 1) and (b == 0 or m % 2 == 1)
+    return ok, f"rank={rank}, A={a}, B={b}"
+
+
+def _certified(phi: AlternatingForm, space: polar.HermitianSpace, check) -> AlternatingForm:
+    ok, why = check(phi, space)
+    if not ok:
+        raise RuntimeError(f"witness at m = {space.m}, q = {space.ctx.q} fails {check.__name__}: {why}")
+    return phi
+
+
 def make_rank2_cone_form(space: polar.HermitianSpace) -> AlternatingForm:
     """Rank-2 form whose radical cuts the fattest possible cone.
 
@@ -290,32 +318,23 @@ def make_rank2_cone_form(space: polar.HermitianSpace) -> AlternatingForm:
     [Pi_1]H_(m-3); for even m it is the perp of (1, x0, 0, ...) and
     (0, 0, 1, x0, 0, ...), a vertex-2 cone [Pi_2]H_(m-4) with a totally
     isotropic vertex.  The form is a b^T - b a^T for the basis a, b of
-    the radical's annihilator.  The certificate is rank 2 and the
-    radical profile; callers check the weight, ``rank2_cone_weight(m,
-    q)``, themselves.  Raises RuntimeError when the certificate fails.
+    the radical's annihilator, certified by ``_is_rank2_cone``
+    (RuntimeError if it fails); callers check the weight,
+    ``rank2_cone_weight(m, q)``, themselves.
     """
-    ctx = space.ctx
-    m = space.m
+    ctx, m = space.ctx, space.m
     if m < 5:
         raise ValueError("rank-2 cone witnesses need m >= 5")
     x0 = _norm_minus_one_element(ctx)
     if m % 2:
-        rows = np.zeros((m - 2, m), dtype=np.uint8)
-        rows[0, 0] = 1
+        rows = np.eye(m, dtype=np.uint8)[[0, *range(3, m)]]
         rows[0, 1] = x0
-        for j in range(3, m):
-            rows[j - 2, j] = 1
     else:
-        p1 = np.zeros(m, dtype=np.uint8)
-        p1[0], p1[1] = 1, x0
-        p2 = np.zeros(m, dtype=np.uint8)
-        p2[2], p2[3] = 1, x0
-        rows = polar.perp(space, np.stack([p1, p2]))
+        pts = np.zeros((2, m), dtype=np.uint8)
+        pts[0, :2] = pts[1, 2:4] = 1, x0
+        rows = polar.perp(space, pts)
     a, b = linalg.kernel(ctx, rows)
-    phi = AlternatingForm(ctx, _outer_antisym(ctx, a, b))
-    if phi.rank != 2 or polar.radical_profile(space, phi.radical).t != (1 if m % 2 else 2):
-        raise RuntimeError(f"the rank-2 cone candidate fails its certificate at m = {m}, q = {ctx.q}")
-    return phi
+    return _certified(AlternatingForm(ctx, _outer_antisym(ctx, a, b)), space, _is_rank2_cone)
 
 
 def make_permutable_form(space: polar.HermitianSpace) -> AlternatingForm:
@@ -323,25 +342,26 @@ def make_permutable_form(space: polar.HermitianSpace) -> AlternatingForm:
 
     Only m in {4, 6} is supported, where such forms induce the
     minimum-weight codewords.  The form is the block-diagonal standard
-    symplectic matrix over the prime subfield.  The certificate is
-    computational: rank m, a zero class of size (q^m - 1)(q + 1) and an
-    empty secant class; callers check the weight, d_min, themselves.
-    Raises RuntimeError when the certificate fails.
+    symplectic matrix over the prime subfield, certified by
+    ``_is_permutable`` (RuntimeError if it fails); callers check the
+    weight, d_min, themselves.
     """
-    ctx = space.ctx
-    m = space.m
+    ctx, m = space.ctx, space.m
     if m not in (4, 6):
         raise ValueError("permutable witnesses are used for m in {4, 6} only")
-    q = ctx.q
     s = np.zeros((m, m), dtype=np.uint8)
     for blk in range(0, m, 2):
         s[blk, blk + 1] = 1
         s[blk + 1, blk] = ctx.neg[1]
-    phi = AlternatingForm(ctx, s)
-    a, b, _ = _class_sizes(ctx, point_classes(phi, space))
-    if not (phi.rank == m and a == (q**m - 1) * (q + 1) and b == 0):
-        raise RuntimeError(f"the permutable candidate fails its certificate at m = {m}, q = {q}")
-    return phi
+    return _certified(AlternatingForm(ctx, s), space, _is_permutable)
+
+
+def min_word_witness(space: polar.HermitianSpace) -> tuple[str, AlternatingForm]:
+    """(kind, form) of a certified minimum-weight witness: "permutable"
+    for m in {4, 6}, "rank2-cone" for m >= 5 otherwise."""
+    if space.m in (4, 6):
+        return "permutable", make_permutable_form(space)
+    return "rank2-cone", make_rank2_cone_form(space)
 
 
 def check_min_weight_profile(
@@ -349,30 +369,24 @@ def check_min_weight_profile(
 ) -> tuple[bool, str]:
     """Whether a minimum-weight form has the shape the minimum demands.
 
-    For m in {4, 6}: nonsingular with the permutable signature.  For
-    other even m: radical of dimension m-2 cutting a vertex-2 cone.
-    For odd m (except m = 5 with q = 2): radical of dimension m-2
-    cutting a vertex-1 cone.  For (m, q) = (5, 2) minimum words occur
-    with radical dimension 1 as well as 3; the 3-dimensional ones must
-    cut a vertex-1 cone.
+    For m in {4, 6} the form is permutable (``_is_permutable``); for
+    m >= 7 it is a rank-2 cone form (``_is_rank2_cone``).  At m = 5
+    both shapes occur: rank 2 with a 3-dimensional radical cutting a
+    vertex-1 cone, and rank 4 with a non-isotropic radical point whose
+    perp carries a permutable form.  Of the 11 190 816 minimum words at
+    (5, 3), 9 961 056 have rank 4.  At m = 5 a form that fails the
+    rank-2 check reports both details.
 
     Raises ValueError when the supplied weight is not the minimum
     distance.
     """
-    m, q = space.m, space.ctx.q
-    if weight != code_params(m, q).d_min:
+    m = space.m
+    if weight != code_params(m, space.ctx.q).d_min:
         raise ValueError("not a minimum-weight form")
-    rad_dim = phi.rad_dim
     if m in (4, 6):
-        a, b, _ = _class_sizes(space.ctx, point_classes(phi, space))
-        ok = phi.rank == m and a == (q**m - 1) * (q + 1) and b == 0
-        return ok, f"rank={phi.rank}, A={a}, B={b}"
-    profile = polar.radical_profile(space, phi.radical)
-    if m % 2 == 0:
-        ok = rad_dim == m - 2 and profile.t == 2
-        return ok, f"rad_dim={rad_dim}, profile={profile.label}"
-    if m == 5 and q == 2:
-        ok = rad_dim == 1 or (rad_dim == 3 and profile.t == 1)
-        return ok, f"rad_dim={rad_dim}, profile={profile.label}"
-    ok = rad_dim == m - 2 and profile.t == 1
-    return ok, f"rad_dim={rad_dim}, profile={profile.label}"
+        return _is_permutable(phi, space)
+    ok, why = _is_rank2_cone(phi, space)
+    if m == 5 and not ok:
+        ok, perm_why = _is_permutable(phi, space)
+        why = f"{why}; {perm_why}"
+    return ok, why

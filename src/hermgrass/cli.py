@@ -73,6 +73,12 @@ def _add_output_args(sp, with_format=True):
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
 
+def _add_scan_args(sp):
+    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--budget", type=int, default=1 << 24)
+    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="scan worker processes")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hermgrass", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -103,15 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sp.add_mutually_exclusive_group()
     g.add_argument("--exhaustive", action="store_true", default=None)
     g.add_argument("--sample", type=int, metavar="N")
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--budget", type=int, default=1 << 24)
-    sp.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes of the exhaustive scan (default: CPU count); "
-        "--sample runs in one process and ignores it",
-    )
+    _add_scan_args(sp)
     _add_output_args(sp)
 
     sp = sub.add_parser("classify", help="class sizes and cross-checks for one form")
@@ -128,18 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sp.add_mutually_exclusive_group()
     g.add_argument("--construct", action="store_true", default=None)
     g.add_argument("--exhaustive", action="store_true", default=None)
-    sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--samples", type=int, default=100_000)
-    sp.add_argument("--budget", type=int, default=1 << 24)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    _add_scan_args(sp)
     _add_output_args(sp, with_format=False)
 
     sp = sub.add_parser("verify", help="run every claim check feasible at (m, q)")
     _add_field_args(sp)
-    sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--samples", type=int, default=200)
-    sp.add_argument("--budget", type=int, default=1 << 24)
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    _add_scan_args(sp)
     return ap
 
 
@@ -401,8 +395,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
 
     rng = np.random.default_rng(seed)
     values = set(code.point_weight_values(m, q))
-    all_ok = True
-    bound_ok = True
+    all_ok = bound_ok = True
     detail = ""
     for _ in range(samples):
         upper = rng.integers(0, ctx.q2, size=params.k, dtype=np.uint8)
@@ -420,34 +413,29 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
             all_ok = False
             detail = f"per-point value outside the case set: {sorted(pw)}"
             break
-        i = phi.rank // 2
-        if wd < classify.stratum_weight_bound(m, i, q):
-            bound_ok = False
+        bound_ok &= wd >= classify.stratum_weight_bound(m, phi.rank // 2, q)
     yield ("three weight routes + conservation + case values", all_ok, detail or f"{samples} seeded forms")
     yield ("per-rank lower bounds", bound_ok, "weights >= stratum bounds")
 
+    kind, witness = classify.min_word_witness(space)
     if m >= 5:
-        witness = classify.make_rank2_cone_form(space)
-        w = code.weight_direct(witness, system)
-        expect = classify.rank2_cone_weight(m, q)
-        yield ("rank-2 cone witness", w == expect, f"weight {w}")
-        if m % 2 or m >= 8:
-            ok, why = classify.check_min_weight_profile(witness, space, w)
-            yield ("minimum-word profile (rank-2)", ok, why)
-    if m in (4, 6):
-        witness = classify.make_permutable_form(space)
+        cone = witness if kind == "rank2-cone" else classify.make_rank2_cone_form(space)
+        w = code.weight_direct(cone, system)
+        yield ("rank-2 cone witness", w == classify.rank2_cone_weight(m, q), f"weight {w}")
+    if kind == "permutable":
         w = code.weight_direct(witness, system)
         yield ("permutable witness", w == params.d_min, f"weight {w}")
+    ok, why = False, f"weight {w} is not d_min = {params.d_min}"
+    if w == params.d_min:
         ok, why = classify.check_min_weight_profile(witness, space, w)
-        yield ("minimum-word profile (permutable)", ok, why)
+    yield (f"minimum-word profile ({'rank-2' if kind == 'rank2-cone' else kind})", ok, why)
 
-    total = ctx.q2**params.k
     if code._first_row_classes(ctx, m, budget) is not None:
         rep = code.spectrum(system, mode="exhaustive", budget=budget, jobs=jobs)
         yield (
             "exhaustive minimum distance",
             rep.min_nonzero_weight == params.d_min,
-            f"min weight {rep.min_nonzero_weight} over {total} forms",
+            f"min weight {rep.min_nonzero_weight} over {ctx.q2**params.k} forms",
         )
         if (m, q) == (5, 2):
             ok = (

@@ -628,14 +628,9 @@ def min_distance(
         }
         return d, cert
     if strategy == "construct+sample":
-        from . import classify
+        from .classify import min_word_witness
 
-        if m in (4, 6):
-            witness = classify.make_permutable_form(system.space)
-            kind = "permutable"
-        else:
-            witness = classify.make_rank2_cone_form(system.space)
-            kind = "rank2-cone"
+        kind, witness = min_word_witness(system.space)
         wd = weight_direct(witness, system)
         if wd != params.d_min:
             raise RuntimeError(f"constructed witness has weight {wd}, expected {params.d_min}")

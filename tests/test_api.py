@@ -60,6 +60,8 @@ SIGNATURES = {
     "code.spectrum": ["system", "mode", "budget", "seed", "samples", "jobs"],
     "classify.make_rank2_cone_form": ["space"],
     "classify.make_permutable_form": ["space"],
+    "classify.min_word_witness": ["space"],
+    "classify.check_min_weight_profile": ["phi", "space", "weight"],
     "linalg._ScanKernel.nonzero_masks": ["self", "blocks", "shift"],
 }
 

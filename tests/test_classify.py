@@ -8,11 +8,17 @@ from hermgrass import classify, code, linalg, polar
 
 
 def _symplectic_block(ctx, m):
+    """Block-diagonal standard symplectic matrix; for odd m the first
+    coordinate is left out, so the radical is the point e_0."""
     s = np.zeros((m, m), dtype=np.uint8)
-    for b in range(0, m, 2):
+    for b in range(m % 2, m, 2):
         s[b, b + 1] = 1
         s[b + 1, b] = ctx.neg[1]
     return code.AlternatingForm(ctx, s)
+
+
+def _field(q):
+    return hg.make_field(*next((p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3) if p**e == q))
 
 
 def _image(phi, space, x):
@@ -295,6 +301,67 @@ def test_min_profile_accepts_rank4_minimum_words_at_52(space52, system52):
     assert found >= 3
 
 
+@pytest.mark.parametrize("q,d_min", [(2, 192), (3, 5832), (4, 61440), (5, 375000)])
+def test_rank4_e0_radical_form_is_a_minimum_word_at_m5(q, d_min):
+    # the second m = 5 shape: radical the non-isotropic point e_0 and a
+    # permutable form on its perp
+    space = hg.HermitianSpace(5, _field(q))
+    phi = _symplectic_block(space.ctx, 5)
+    assert phi.rank == 4
+    assert code.weight_direct(phi, hg.build_system(space)) == d_min
+    ok, why = classify.check_min_weight_profile(phi, space, d_min)
+    assert ok, why
+
+
+def test_rank4_form_with_isotropic_radical_is_rejected_at_52(space52):
+    # a^b + c^d for a basis a, b, c, d of the annihilator of the isotropic
+    # point (1, x0, 0, 0, 0): rank 4, the radical that point
+    ctx = space52.ctx
+    point = np.array([[1, classify._norm_minus_one_element(ctx), 0, 0, 0]], dtype=np.uint8)
+    a, b, c, d = linalg.kernel(ctx, point)
+    s = ctx.add[classify._outer_antisym(ctx, a, b), classify._outer_antisym(ctx, c, d)]
+    phi = code.AlternatingForm(ctx, s)
+    assert phi.rank == 4 and polar.radical_profile(space52, phi.radical).t == 1
+    ok, why = classify.check_min_weight_profile(phi, space52, 192)
+    assert not ok, why
+
+
+def test_rank4_e0_radical_form_is_rejected_at_72(space72):
+    # the m = 5 construction is no minimum word beyond m = 6
+    phi = _symplectic_block(space72.ctx, 7)
+    assert classify._is_permutable(phi, space72)[0]
+    ok, why = classify.check_min_weight_profile(phi, space72, 61440)
+    assert not ok, why
+
+
+def _scanned_min_words(system, monkeypatch):
+    """Minimum words among the forms an exhaustive scan visits, read from
+    the counter indices the scan hands to its radical split."""
+    seen = []
+    split = code._radical_split
+    monkeypatch.setattr(code, "_radical_split", lambda *a: seen.append(a[2]) or split(*a))
+    code.spectrum(system, mode="exhaustive", jobs=1)
+    ctx, m = system.ctx, system.space.m
+    digits = linalg._digits(seen[0], ctx.q2, m * (m - 1) // 2).astype(np.uint8)
+    return [code.AlternatingForm.from_upper(ctx, m, d) for d in digits]
+
+
+MIN_WORD_SIZES = [(4, 2), (4, 3), (5, 2), (4, 4), (4, 5)]
+
+
+@pytest.mark.parametrize("m,q", MIN_WORD_SIZES, ids=[f"{m}-{q}" for m, q in MIN_WORD_SIZES])
+def test_every_scanned_minimum_word_has_the_profile(m, q, monkeypatch):
+    space = hg.HermitianSpace(m, _field(q))
+    system = hg.build_system(space)
+    d_min = code.code_params(m, q).d_min
+    words = _scanned_min_words(system, monkeypatch)
+    assert words
+    for phi in words:
+        assert code.weight_direct(phi, system) == d_min
+        ok, why = classify.check_min_weight_profile(phi, space, d_min)
+        assert ok, (phi.upper().tolist(), why)
+
+
 def test_fixed_point_lemma_rank4_at_52(space52, system52):
     """Rank-4 forms on V(5): the fixed set of the composed polarity is
     either a full subplane-geometry, q^3 + q^2 + q + 1 points, or has
@@ -337,7 +404,7 @@ WITNESS_SIZES = [(4, q) for q in hg.SUPPORTED_Q] + [(5, 2), (5, 3), (5, 4), (6, 
 def test_witness_construction_is_certified(m, q):
     # each construction returns its one deterministic candidate; the
     # caller checks its weight
-    ctx = hg.make_field(*next((p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3) if p**e == q))
+    ctx = _field(q)
     space = hg.HermitianSpace(m, ctx)
     system = hg.build_system(space)
     if m in (4, 6):

@@ -3,11 +3,12 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermgrass import cli, polar
+from hermgrass import cli, code, polar
 
 
 def test_params_table_contains_expected_row(capsys):
@@ -131,6 +132,28 @@ def test_verify_reports_a_wrong_witness_weight(monkeypatch, capsys):
     later = lines[lines.index("FAIL rank-2 cone witness: weight 192") + 1 :]
     assert [line.split(":")[0] for line in later] == [
         "PASS minimum-word profile (rank-2)",
+        "PASS exhaustive minimum distance",
+        "PASS exhaustive (5,2) spectrum",
+    ]
+
+
+def test_verify_reports_a_witness_below_the_minimum(monkeypatch, capsys):
+    # a witness whose weight is not d_min fails its profile line instead of
+    # stopping verify before the exhaustive checks
+    def e0_e1(space):
+        s = np.zeros((space.m, space.m), dtype=np.uint8)
+        s[0, 1], s[1, 0] = 1, space.ctx.neg[1]
+        return code.AlternatingForm(space.ctx, s)
+
+    monkeypatch.setattr(cli.classify, "make_rank2_cone_form", e0_e1)
+    assert cli.run(["verify", "-m", "5", "-q", "2", "--samples", "2", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "FAIL rank-2 cone witness: weight 216" in lines
+    later = lines[lines.index("FAIL rank-2 cone witness: weight 216") + 1 :]
+    assert later[0] == "FAIL minimum-word profile (rank-2): weight 216 is not d_min = 192"
+    assert [line.split(":")[0] for line in later[1:]] == [
         "PASS exhaustive minimum distance",
         "PASS exhaustive (5,2) spectrum",
     ]
