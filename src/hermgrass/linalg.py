@@ -1,11 +1,13 @@
 """Dense exact linear algebra over GF(q^2).
 
 Matrices are numpy arrays of field-element codes (see ff).  Sums of
-products go through ``dot``, the one product kernel, except in two fills
-that index the point table, ``HermitianSpace.line_pair_indices`` and
-``pluecker.build_system``, which loop over their own gathers.  Each
-product is one add and one 1-D gather from ``FieldCtx.mul_flat``, so
-every result is exact.  A subspace is held by its reduced row echelon
+products go through ``dot``, each product one add and one 1-D gather
+from ``FieldCtx.mul_flat``, so every result is exact.  The Pluecker fill
+(``pluecker.build_system``) takes the same gathers per block of lines,
+as it has one difference of two products per coordinate.  The line
+search (``HermitianSpace.line_pair_indices``) makes no per-product
+gather: its products are rows of small tables, summed with ``fadd``
+written in place.  A subspace is held by its reduced row echelon
 basis, the canonical representative of a row space; its flattened
 entries serve as a total order and hash key.  Pivots are chosen leftmost
 first.
@@ -69,16 +71,16 @@ def fneg(ctx: FieldCtx, a):
     return ctx.neg[a]
 
 
-def fadd(ctx: FieldCtx, a, b):
+def fadd(ctx: FieldCtx, a, b, out=None):
     """a + b elementwise: XOR in characteristic 2, else one gather from
-    ``ctx.add_flat``."""
+    ``ctx.add_flat``; written to ``out`` when given, which may be a."""
     if ctx.p == 2:
-        return np.bitwise_xor(a, b)
-    return np.take(ctx.add_flat, ctx.scaled_codes(a) + b)
+        return np.bitwise_xor(a, b, out=out)
+    return np.take(ctx.add_flat, ctx.scaled_codes(a) + b, out=out, mode="clip")
 
 
-def fsub(ctx: FieldCtx, a, b):
-    return fadd(ctx, a, fneg(ctx, b))
+def fsub(ctx: FieldCtx, a, b, out=None):
+    return fadd(ctx, a, fneg(ctx, b), out)
 
 
 def dot(ctx: FieldCtx, x, y) -> np.ndarray:
@@ -283,8 +285,10 @@ class _ScanKernel:
     through one 256-entry table, only before a sum would pass that
     limit, so its rows are congruent to the codewords nibble by nibble
     but need not be reduced; the tables and the walk's operands are.
-    The nonzero mask is one 256-entry "either nibble is nonzero mod p"
-    lookup, packed with np.packbits.
+    The nonzero mask tests each nibble x for divisibility without a
+    lookup: x <= 15 is a multiple of p exactly when x p^-1 mod 256, a
+    wrapping uint8 product, is at most 255 // p; it is packed with
+    np.packbits.
     """
 
     def __init__(self, ctx: FieldCtx, matrix: np.ndarray):
@@ -304,7 +308,6 @@ class _ScanKernel:
         if not self.planes:
             p, lo, hi = ctx.p, np.arange(256) & 15, np.arange(256) >> 4
             self._reduced = (lo % p + 16 * (hi % p)).astype(np.uint8)
-            self._nonzero = (lo % p != 0) | (hi % p != 0)
             self._terms = 15 // (p - 1)
         self.tables = []
         for a, b in self.bounds:
@@ -357,7 +360,11 @@ class _ScanKernel:
         OR of the planes, or np.packbits of the positions with a nibble
         nonzero mod p."""
         if not self.planes:
-            return np.packbits(_lookup(self._nonzero, c), axis=-1)
+            p = self.ctx.p
+            inv, top = np.uint8(pow(p, -1, 256)), np.uint8(255 // p)
+            nonzero = (c & 15) * inv > top
+            nonzero |= (c >> 4) * inv > top
+            return np.packbits(nonzero, axis=-1)
         w = self.plane
         acc = c[..., :w] | c[..., w : 2 * w]
         for i in range(2, self.planes):

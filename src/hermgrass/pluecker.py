@@ -17,9 +17,11 @@ gathers, per block, the m coordinate columns of the a- and b-points
 from the transposed point table, the a-side pre-scaled by q^2 once
 (``FieldCtx.scaled_codes``).  Every product p_a[i] p_b[j] is then one
 add and one 1-D gather from ``FieldCtx.mul_flat``, and row (i, j) of
-the block is mul_flat[A_i + B_j] - mul_flat[A_j + B_i].  The full
-N x m bases are never built.  ``linalg.rank`` certifies the K x N
-matrix, usually on a strided subset of its columns.
+the block is mul_flat[A_i + B_j] - mul_flat[A_j + B_i], except for
+i = 0: p_b[0] = 0 and p_a[0] is 0 or 1, so row (0, j) is the plain
+byte product p_a[0] p_b[j].  The full N x m bases are never built.
+``linalg.rank`` certifies the K x N matrix, usually on a strided subset
+of its columns.
 """
 
 from __future__ import annotations
@@ -91,27 +93,39 @@ class ProjectiveSystem:
 def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
     """Generator matrix of the line code of the given space (cached).
 
-    Raises RuntimeError unless the matrix has rank C(m, 2), so every
-    cached system is certified.
+    Raises ValueError, before allocating, when the K x N matrix of bytes
+    exceeds the available memory of the machine, and RuntimeError unless
+    the matrix has rank C(m, 2), so every cached system is certified.
     """
     if "system" in space._cache:
         return space._cache["system"]
     if space.m < 4:
         raise ValueError("the line system requires m >= 4")
     ctx = space.ctx
+    pairs = pair_indices(space.m)
+    shape = (len(pairs), polar.line_count(space.m, ctx.q))
+    need, have = shape[0] * shape[1], polar._available_memory()
+    if need > have:
+        raise ValueError(
+            f"the {shape[0]} x {shape[1]} generator matrix needs {need} bytes,"
+            f" more than the {have} bytes of available memory"
+        )
     a_idx, b_idx = space.line_pair_indices()
     pts_t = space.points().T
     pts_t_scaled = ctx.scaled_codes(pts_t)
     mulf = ctx.mul_flat
-    pairs = pair_indices(space.m)
     n = len(a_idx)
     g = np.empty((len(pairs), n), dtype=np.uint8)
     for lo in range(0, n, _LINE_BLOCK):
         hi = min(n, lo + _LINE_BLOCK)
         a = np.take(pts_t_scaled, a_idx[lo:hi], axis=1)
         b = np.take(pts_t, b_idx[lo:hi], axis=1)
+        a0 = np.take(pts_t[0], a_idx[lo:hi])
         for r, (i, j) in enumerate(pairs):
-            g[r, lo:hi] = fsub(ctx, np.take(mulf, a[i] + b[j]), np.take(mulf, a[j] + b[i]))
+            if i == 0:  # lead(b) >= 1 gives b_0 = 0, and a_0 is 0 or 1: row (0, j) is a_0 b_j
+                np.multiply(a0, b[j], out=g[r, lo:hi])
+            else:
+                fsub(ctx, np.take(mulf, a[i] + b[j]), np.take(mulf, a[j] + b[i]), g[r, lo:hi])
     got = linalg.rank(ctx, g)
     if got != len(pairs):
         raise RuntimeError(f"generator matrix rank {got}, expected {len(pairs)}")

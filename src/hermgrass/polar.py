@@ -58,9 +58,14 @@ __all__ = [
     "write_lines_csv",
 ]
 
-# Entries of one inner-product block in line_pair_indices; about 1 MB
-# per uint8 temporary.
-_BLOCK_ELEMS = 1 << 20
+# Entries of one inner-product block in line_pair_indices: 256 KB per
+# uint8 temporary.  Blocks of 1 << 20 were no faster at (8,2), and the
+# heap that their hit lists grew, about 8 MB, stayed resident after it.
+_BLOCK_ELEMS = 1 << 18
+
+# Bytes per line that line_pair_indices keeps at once: the int32 b of each
+# hit in search order, and the int32 a and b it returns.
+_LINE_BYTES = 12
 
 
 def _available_memory() -> int:
@@ -235,61 +240,98 @@ class HermitianSpace:
         return len(self.points())
 
     # -- line enumeration -------------------------------------------------
+    def _lead_blocks(self):
+        """Zeros of the inner products of A_l = {a : lead(a) < l, a[l] = 0}
+        against B_l = {b : lead(b) = l}, for l from m - 1 down to 1.
+
+        B_l is the rows [b_lo, b_lo + |B_l|) of points(), whose leads
+        descend.  Since b[j] = 0 for j < l and a[l] = 0, conj(p_a)^T p_b
+        sums only the columns j > l.  For each such j one table holds
+        v b[j] in row v for every b in B_l, so over rows a and columns b the
+        term of column j is one row gather of that table at conj(a[j]).
+        Yields (rows, b_lo, hit) for row chunks of A_l of about
+        ``_BLOCK_ELEMS`` entries, rows ascending; hit[r, c] is set when
+        rows[r] and b_lo + c are orthogonal, in a buffer that the next
+        chunk reuses.
+        """
+        ctx, m, pts = self.ctx, self.m, self.points()
+        conj_t = ctx.frob[pts.T]
+        n_lead = np.bincount((pts != 0).argmax(axis=1), minlength=m)
+        lead_start = np.cumsum(n_lead[::-1])[::-1] - n_lead
+        for lead in range(m - 1, 0, -1):
+            b_lo, b_hi = lead_start[lead], lead_start[lead] + n_lead[lead]
+            a_rows = b_hi + np.flatnonzero(pts[b_hi:, lead] == 0)
+            if not (b_hi > b_lo and a_rows.size):
+                continue
+            tabs = [np.take(ctx.mul, pts[b_lo:b_hi, j], axis=1) for j in range(lead + 1, m)]
+            step = max(1, _BLOCK_ELEMS // (b_hi - b_lo))
+            acc, term = np.empty((2, min(step, a_rows.size), b_hi - b_lo), dtype=np.uint8)
+            zero = np.empty(acc.shape, dtype=bool)
+            for lo in range(0, a_rows.size, step):
+                rows = a_rows[lo : lo + step]
+                codes = conj_t[lead + 1 :, rows]
+                block = np.take(tabs[0], codes[0], axis=0, out=acc[: len(rows)], mode="clip")
+                for tab, c in zip(tabs[1:], codes[1:]):
+                    row_terms = np.take(tab, c, axis=0, out=term[: len(rows)], mode="clip")
+                    fadd(ctx, block, row_terms, block)
+                yield rows, b_lo, np.equal(block, 0, out=zero[: len(rows)])
+
     def line_pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (a, b) into points() whose rows stacked form the
-        canonical RREF basis of each totally isotropic line.
+        canonical RREF basis of each totally isotropic line, as int32.
 
         The rows (p_a, p_b) are in RREF exactly when lead(a) < lead(b)
         and a[lead(b)] = 0, so every line appears exactly once among the
-        orthogonal pairs of that shape.  The search runs one lead block
-        at a time: for each l >= 1 it tests only the inner products of
-        B_l = {b : lead(b) = l} against A_l = {a : lead(a) < l, a[l] = 0},
-        in row chunks of about ``_BLOCK_ELEMS`` entries.  Since b[j] = 0
-        for j < l and b[l] = 1, the product conj(p_a)^T p_b sums only
-        the columns j >= l.  Each of its products is one 1-D gather from
-        ``ctx.mul_flat`` at the b-codes pre-scaled by q^2 plus the a-side
-        codes.
+        orthogonal pairs that ``_lead_blocks`` finds.  The canonical line
+        order is lexicographic on the flattened basis; points() is in
+        ascending lex order with distinct rows, so that is the order of
+        the pairs (a, b).  A block's hits, read row by row, come out in
+        that order, and as the leads of points() descend, for a fixed a
+        every b of lead l comes before every b of a smaller lead.  The
+        blocks run from the largest lead down, so a counting merge on the
+        hits per (a, l) places each block's b values of an a after those
+        of the blocks before.
 
-        Pairs are sorted by the flattened basis.  points() is in
-        ascending lex order and its rows are distinct, so comparing
-        (p_a, p_b) lexicographically is the same as comparing (a, b);
-        one sort of the keys a * n_pts + b gives the canonical line order.
+        Raises ValueError, before allocating, when the ``line_count``
+        lines at ``_LINE_BYTES`` each exceed the available memory of the
+        machine.
         """
         if "line_pairs" not in self._cache:
-            ctx = self.ctx
-            pts = self.points()
-            # Operands are taken as m x count arrays, so each coordinate
-            # column of a block is one contiguous row.
-            pts_scaled_t = ctx.scaled_codes(pts.T)
-            leads = (pts != 0).argmax(axis=1)
-            n_pts = len(pts)
-            keys = []
-            for lead in range(1, self.m):
-                b_rows = np.nonzero(leads == lead)[0]
-                a_rows = np.nonzero((leads < lead) & (pts[:, lead] == 0))[0]
-                if not (b_rows.size and a_rows.size):
-                    continue
-                conj_a = ctx.frob[np.take(pts.T, a_rows, axis=1)]
-                step = max(1, _BLOCK_ELEMS // a_rows.size)
-                for lo in range(0, b_rows.size, step):
-                    b_chunk = np.take(pts_scaled_t, b_rows[lo : lo + step], axis=1)
-                    vals = np.broadcast_to(conj_a[lead], (b_chunk.shape[1], a_rows.size))
-                    for j in range(lead + 1, self.m):
-                        term = np.take(ctx.mul_flat, b_chunk[j][:, None] + conj_a[j][None, :])
-                        vals = fadd(ctx, vals, term)
-                    bi, ai = np.nonzero(vals == 0)
-                    keys.append(a_rows[ai] * n_pts + b_rows[lo + bi])
-            key = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
-            key.sort()
-            # Decode straight into int32: int64 temporaries freed here would
-            # stay in the heap under the cached arrays and raise peak RSS.
-            a_idx, b_idx = np.empty((2, len(key)), dtype=np.int32)
-            np.divmod(key, n_pts, out=(a_idx, b_idx), casting="unsafe")
-            expected = line_count(self.m, self.ctx.q)
-            if len(a_idx) != expected:
-                raise RuntimeError(
-                    f"line enumeration produced {len(a_idx)} lines, expected {expected}"
+            ctx, m = self.ctx, self.m
+            n_lines = line_count(m, ctx.q)
+            need, have = n_lines * _LINE_BYTES, _available_memory()
+            if need > have:
+                raise ValueError(
+                    f"the {n_lines} totally isotropic lines of PG({m - 1}, {ctx.q2}) need"
+                    f" {need} bytes, more than the {have} bytes of available memory"
                 )
+            # b of every hit in search order, and each chunk's rows and hits per row
+            found, chunks, n_found = np.empty(n_lines, dtype=np.int32), [], 0
+            for rows, b_lo, hit in self._lead_blocks():
+                counts = hit.view(np.uint8).sum(axis=1, dtype=np.intp)
+                flat = np.flatnonzero(hit)
+                if n_found + len(flat) > n_lines:
+                    raise RuntimeError(f"line enumeration produced more than {n_lines} lines")
+                # hit (r, c) has the flat position r * width + c and b = b_lo + c
+                row_base = np.arange(len(rows)) * hit.shape[1] - b_lo
+                out = found[n_found : n_found + len(flat)]
+                np.subtract(flat, np.repeat(row_base, counts), out=out, casting="unsafe")
+                chunks.append((rows, counts, n_found))
+                n_found += len(flat)
+            if n_found != n_lines:
+                raise RuntimeError(f"line enumeration produced {n_found} lines, expected {n_lines}")
+            n_pts = self.num_points
+            per_point = np.zeros(n_pts, dtype=np.intp)
+            for rows, counts, _ in chunks:
+                per_point[rows] += counts
+            a_idx = np.repeat(np.arange(n_pts, dtype=np.int32), per_point)
+            b_idx = np.empty(n_lines, dtype=np.int32)
+            free = np.cumsum(per_point) - per_point  # next slot of each a
+            for rows, counts, lo in chunks:
+                dest = np.repeat(free[rows] - (np.cumsum(counts) - counts), counts)
+                dest += np.arange(len(dest))
+                b_idx[dest] = found[lo : lo + len(dest)]
+                free[rows] += counts
             a_idx.flags.writeable = False
             b_idx.flags.writeable = False
             self._cache["line_pairs"] = (a_idx, b_idx)

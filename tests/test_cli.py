@@ -277,6 +277,32 @@ def test_isotropic_points_beyond_physical_memory_exits_2(capsys, monkeypatch):
     ]
 
 
+def test_lines_beyond_available_memory_exits_2(capsys, monkeypatch):
+    # (10,2) has 383 628 069 lines; the bound is checked before anything
+    # is allocated, and a figure of available memory makes it exact here
+    monkeypatch.setattr(polar, "_available_memory", lambda: 10**9)
+    need = 383628069 * polar._LINE_BYTES
+    assert cli.run(["lines", "-m", "10", "-q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: the 383628069 totally isotropic lines of PG(9, 4) need {need} bytes,"
+        " more than the 1000000000 bytes of available memory"
+    ]
+
+
+def test_genmat_beyond_available_memory_exits_2(capsys, monkeypatch):
+    # at (6,2) the 6237 lines fit in 80000 bytes, the 15 x 6237 matrix not
+    monkeypatch.setattr(polar, "_available_memory", lambda: 80000)
+    assert cli.run(["genmat", "-m", "6", "-q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the 15 x 6237 generator matrix needs 93555 bytes,"
+        " more than the 80000 bytes of available memory"
+    ]
+
+
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, n))
 

@@ -235,6 +235,23 @@ def test_fadd_fsub_match_tables(p, e):
     b = np.tile(np.arange(ctx.q2, dtype=np.uint8), ctx.q2)
     assert np.array_equal(linalg.fadd(ctx, a, b), ctx.add[a, b])
     assert np.array_equal(linalg.fsub(ctx, a, b), ctx.add[a, ctx.neg[b]])
+    # written in place, into the left operand itself
+    out = a.copy()
+    assert linalg.fadd(ctx, out, b, out) is out
+    assert np.array_equal(out, ctx.add[a, b])
+    out = a.copy()
+    assert linalg.fsub(ctx, out, b, out) is out
+    assert np.array_equal(out, ctx.add[a, ctx.neg[b]])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_odd_nonzero_mask_on_every_byte(p):
+    # a byte holds the nibbles of one position; the mask is set when
+    # either nibble is nonzero mod p
+    kernel = linalg._ScanKernel(hg.make_field(p, 1), np.eye(2, 8, dtype=np.uint8))
+    c = np.arange(256, dtype=np.uint8)
+    want = ((c & 15) % p != 0) | ((c >> 4) % p != 0)
+    assert np.array_equal(kernel._mask(c.reshape(4, 64)), np.packbits(want.reshape(4, 64), axis=-1))
 
 
 def _loop_dot(ctx, x, y):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hermgrass as hg
-from hermgrass import linalg, pluecker
+from hermgrass import linalg, pluecker, polar
 
 
 def test_pair_indices_order():
@@ -128,6 +128,18 @@ def test_generator_pinned(m, p, e):
     system = hg.build_system(hg.HermitianSpace(m, hg.make_field(p, e)))
     assert system.matrix.dtype == np.uint8
     assert hashlib.sha256(system.matrix.tobytes()).hexdigest() == GENERATOR_SHA256[(m, p, e)]
+
+
+def test_build_system_over_available_memory_raises(monkeypatch):
+    # the 15 x 6237 matrix at (6,2) is bounded before the lines are
+    # searched, whose 6237 * polar._LINE_BYTES bytes are fewer
+    space = hg.HermitianSpace(6, hg.make_field(2, 1))
+    monkeypatch.setattr(polar, "_available_memory", lambda: 15 * 6237 - 1)
+    with pytest.raises(ValueError, match="the 15 x 6237 generator matrix needs 93555 bytes"):
+        hg.build_system(space)
+    assert "line_pairs" not in space._cache
+    monkeypatch.setattr(polar, "_available_memory", lambda: 15 * 6237)
+    assert hg.build_system(space).matrix.shape == (15, 6237)
 
 
 def test_genmat_format(system42):

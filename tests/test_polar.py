@@ -97,46 +97,54 @@ def test_isotropic_vector_with_unit_coordinates(ctx2):
     assert space.inner(x, x) == 0
 
 
-def _naive_line_keys(space):
-    """Oracle: scan ordered point pairs, canonicalize by rref, dedup.
+def _naive_line_bases(space):
+    """Oracle: scan ordered point pairs, canonicalize by RREF, dedup.
 
-    Orthogonality comes from one Gram product of all points, so the scan
-    shares no code with the lead-block search it checks.
+    Orthogonality comes from one Gram product of all points, and each
+    pair (u, v) of normalized points is brought to RREF at once: the row
+    of smaller lead first, less the other row when the leads are equal,
+    the second row scaled to a unit pivot and cleared from the first.
+    So the scan shares no code with the lead-block search it checks.
+    Returns the distinct flattened bases in ascending order.
     """
     ctx = space.ctx
     pts = space.points()
     gram = linalg.matmul(ctx, ctx.frob[pts], pts.T)
     assert not np.diagonal(gram).any()
-    keys = set()
-    for i, j in zip(*np.nonzero(gram == 0)):
-        if i < j:
-            r, rk = linalg.rref(ctx, np.stack([pts[i], pts[j]]))
-            assert rk == 2
-            keys.add(r.tobytes())
-    return keys
+    i, j = np.nonzero(gram == 0)
+    u, v = pts[i[i < j]], pts[j[i < j]]
+    lead_u, lead_v = (u != 0).argmax(axis=1), (v != 0).argmax(axis=1)
+    swap = (lead_v < lead_u)[:, None]
+    r1, r2 = np.where(swap, v, u), np.where(swap, u, v)
+    r2 = np.where((lead_u == lead_v)[:, None], linalg.fsub(ctx, r2, r1), r2)
+    assert r2.any(axis=1).all()
+    rows = np.arange(len(r2))
+    pivot = (r2 != 0).argmax(axis=1)
+    r2 = ctx.mul[ctx.inv[r2[rows, pivot]][:, None], r2]
+    r1 = linalg.fsub(ctx, r1, ctx.mul[r1[rows, pivot][:, None], r2])
+    return np.unique(np.hstack([r1, r2]), axis=0)
 
 
 @pytest.mark.parametrize(
-    "make_space",
-    [
-        lambda: hg.HermitianSpace(4, hg.make_field(2, 1)),
-        lambda: hg.HermitianSpace(4, hg.make_field(3, 1)),
-        lambda: hg.HermitianSpace(4, hg.make_field(2, 2)),
-    ],
-    ids=["4-2", "4-3", "4-4"],
+    "m,p,e",
+    [(4, 2, 1), (4, 3, 1), (4, 2, 2), (5, 2, 1), (5, 3, 1)],
+    ids=["4-2", "4-3", "4-4", "5-2", "5-3"],
 )
-def test_line_enumeration_against_scan_and_dedup_oracle(make_space):
-    space = make_space()
+def test_line_enumeration_against_scan_and_dedup_oracle(m, p, e):
+    # at m = 5 one a pairs with b of up to three leads, so a wrong merge
+    # of the lead blocks shows here
+    space = hg.HermitianSpace(m, hg.make_field(p, e))
     pts = space.points()
-    a, b = (pts[i] for i in space.line_pair_indices())
-    keys = [np.stack([a[i], b[i]]).tobytes() for i in range(len(a))]
-    assert len(keys) == polar.line_count(4, space.ctx.q)
-    assert keys == sorted(_naive_line_keys(space))
+    a, b = space.line_pair_indices()
+    assert len(a) == polar.line_count(m, space.ctx.q)
+    assert np.array_equal(np.hstack([pts[a], pts[b]]), _naive_line_bases(space))
 
 
 # sha256 of the stacked int64 (a_idx, b_idx) pairs, recorded from the
-# earlier per-point enumeration, so a change of line order shows here.
+# earlier per-point enumeration (the (7, 2) entry from the keyed search
+# with one sort that came after it), so a change of line order shows here.
 LINE_PAIR_SHA256 = {
+    (7, 2, 1): "bd0dc1c122e43eb3dcfedbd0e5bfde93d9b1d5a69545e29e8c48143273bc91ce",
     (6, 2, 1): "b7972dac2ec34020b93d2ff5b659e6ec3e44bcb834b88bb0ffbde39bab1a7b4d",
     (5, 3, 1): "33db03b267d0b63d83174506773fc2610c8730e4abe2c9b1801e1bc2e69836b0",
     (4, 5, 1): "1f73ad3711e9303ace7d94f48dacca9fe1a14bd55376171d95ee80da40370234",
@@ -240,6 +248,22 @@ def test_section_table_checks_perp_sizes(monkeypatch):
     monkeypatch.setattr(polar, "isotropic_point_count", lambda m, q: 0)
     with pytest.raises(RuntimeError, match="perp section"):
         space.section_table()
+
+
+def test_line_enumeration_over_available_memory_raises(monkeypatch):
+    # (6,2) has 6237 lines at polar._LINE_BYTES each; a tiny figure of
+    # available memory stands in for a machine too small, so nothing big
+    # is allocated, not even the points
+    need = 6237 * polar._LINE_BYTES
+    ctx = hg.make_field(2, 1)
+    short, fits = hg.HermitianSpace(6, ctx), hg.HermitianSpace(6, ctx)
+    monkeypatch.setattr(polar, "_available_memory", lambda: need - 1)
+    message = f"the 6237 totally isotropic lines of PG\\(5, 4\\) need {need} bytes"
+    with pytest.raises(ValueError, match=message):
+        short.line_pair_indices()
+    assert "points" not in short._cache and "all_points" not in short._cache
+    monkeypatch.setattr(polar, "_available_memory", lambda: need)
+    assert fits.num_lines == 6237
 
 
 def test_available_memory_falls_back_to_physical(monkeypatch):
