@@ -277,11 +277,9 @@ def _norm_minus_one_element(ctx: FieldCtx) -> int:
 
 
 def rank2_cone_weight(m: int, q: int) -> int:
-    """Weight of a rank-2 form whose radical cuts the fattest cone:
-    q^(4m-12) - q^(3m-9) for odd m, q^(4m-12) for even m."""
-    if m % 2:
-        return q ** (4 * m - 12) - q ** (3 * m - 9)
-    return q ** (4 * m - 12)
+    """Weight of a rank-2 form whose radical cuts the fattest cone: d_min,
+    plus q^(2m-6) at m in {4, 6}, where the minimum words are permutable."""
+    return code_params(m, q).d_min + (q ** (2 * m - 6) if m in (4, 6) else 0)
 
 
 def _is_rank2_cone(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[bool, str]:

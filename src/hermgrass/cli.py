@@ -174,14 +174,16 @@ def _single_m(text: str) -> int:
     return m[0]
 
 
-def _write(args, payload, indent=None, write_csv=None) -> None:
+def _write(args, payload, indent=None, write_csv=None, write_json=None) -> None:
     """Write a command's output to --out or stdout.  ``write_csv(f)``
     writes the CSV or plain-text format; without it, or with ``--format
-    json``, the output is the sorted-key JSON of ``payload()``, which is
-    built only then."""
+    json``, ``write_json(f)`` or else the sorted-key JSON of
+    ``payload()``, which is built only then."""
     with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as f:
         if write_csv is not None and getattr(args, "fmt", "csv") == "csv":
             write_csv(f)
+        elif write_json is not None:
+            write_json(f)
         else:
             json.dump(payload(), f, indent=indent, sort_keys=True)
             f.write("\n")
@@ -210,28 +212,37 @@ def _space_for(args) -> polar.HermitianSpace:
     return polar.HermitianSpace(_single_m(args.m), ctx)
 
 
-def _space_json(space: polar.HermitianSpace, **rows) -> dict:
-    return {"m": space.m, "p": space.ctx.p, "e": space.ctx.e, **rows}
+def _write_rows(args, space, key: str, n_rows: int, block, write_csv) -> None:
+    """``_write`` of points or lines: CSV by ``write_csv(f, space)``, JSON
+    as the sorted-key dump of {"m", "p", "e", key: block(0, n_rows)}, but
+    with the rows listed 4096 at a time."""
+    fields = {"m": space.m, "p": space.ctx.p, "e": space.ctx.e, key: None}
+    head, _, tail = json.dumps(fields, sort_keys=True).partition(f'"{key}": null')
+
+    def write_json(f):
+        f.write(f'{head}"{key}": [')
+        for lo in range(0, n_rows, 4096):
+            f.write((", " if lo else "") + json.dumps(block(lo, lo + 4096).tolist())[1:-1])
+        f.write(f"]{tail}\n")
+
+    _write(args, None, write_csv=lambda f: write_csv(f, space), write_json=write_json)
 
 
 def cmd_points(args) -> int:
     space = _space_for(args)
-    _write(
-        args,
-        lambda: _space_json(space, points=space.points().tolist()),
-        write_csv=lambda f: polar.write_points_csv(f, space),
-    )
+    pts = space.points()
+    _write_rows(args, space, "points", len(pts), lambda lo, hi: pts[lo:hi], polar.write_points_csv)
     return EXIT_OK
 
 
 def cmd_lines(args) -> int:
     space = _space_for(args)
     (a_idx, b_idx), pts = space.line_pair_indices(), space.points()
-    _write(
-        args,
-        lambda: _space_json(space, lines=np.stack([pts[a_idx], pts[b_idx]], axis=1).tolist()),
-        write_csv=lambda f: polar.write_lines_csv(f, space),
-    )
+
+    def lines(lo, hi):
+        return np.stack([pts[a_idx[lo:hi]], pts[b_idx[lo:hi]]], axis=1)
+
+    _write_rows(args, space, "lines", len(a_idx), lines, polar.write_lines_csv)
     return EXIT_OK
 
 

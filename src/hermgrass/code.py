@@ -27,21 +27,18 @@ counter (most significant digit first); sample mode draws seeded
 uniform forms.  Exhaustive mode covers all Q^K forms, Q = q^2, by
 scanning one first row (S_01 .. S_0,m-1) per class of rows that
 unitary maps and scalars exchange, with all entries below it, and
-counting each form with its class size.  The histogram is gated on its
-MacWilliams dual counts B_0 .. B_3.
+counting each form with its class size.  Both modes pass their weights
+to one tally (``_tally``) and gate weight 0, which only the zero form
+may have; the exhaustive histogram is also gated on its MacWilliams dual
+counts B_0 .. B_3.
 
-Both modes use the codeword kernel ``linalg._ScanKernel``: the digits
-fall into groups of g, the largest g with Q^g <= 256, and each group
-has a table holding the codeword of every digit combination, so a
+Both modes use the codeword kernel ``linalg._ScanKernel``, which sums
+one row of a digit-group table per group of g digits (Q^g <= 256), so a
 sampled form costs ceil(K/g) row gathers and adds.  The exhaustive scan
 builds it on the generator rows below the first row and adds a class's
 first-row codeword into the last group's table once; the kernel's block
-walk yields the packed nonzero masks of prefix codeword plus table row
-and the scan popcounts them (``linalg.bit_counts``).  In characteristic
-2 the rows are bit-packed GF(2) planes: adding is XOR and the mask is
-the OR of the planes.  For odd p (where q = p) a position is one byte
-holding its two base-p digits as nibbles: adding is a uint8 add, and
-the walk compares the reduced prefix codeword with the negated table.
+walk yields the packed nonzero masks, which the scan popcounts
+(``linalg.bit_counts``).
 """
 
 from __future__ import annotations
@@ -381,26 +378,53 @@ def _first_row_classes(ctx: FieldCtx, m: int, budget: int):
     return (reps[order], sizes[order]) if len(reps) * rest <= budget else None
 
 
+def _tally(n: int, blocks):
+    """Histogram, minimum nonzero weight (n + 1 if none) and, in block
+    order, at(hits) of the blocks reaching it, over blocks (weights,
+    count, at): each weight stands for ``count`` forms and ``at`` maps
+    positions to what the caller keeps."""
+    hist = np.zeros(n + 1, dtype=np.int64)
+    best_w, best = n + 1, []
+    for w, count, at in blocks:
+        hist += count * np.bincount(w, minlength=n + 1)
+        w[w == 0] = n + 1  # the zero form is no minimum word
+        local = int(w.min())
+        if local < best_w:
+            best_w, best = local, []
+        if local == best_w:
+            best.append(at(np.flatnonzero(w == local)))
+    return hist, best_w, best
+
+
 def _scan_classes(kernel: linalg._ScanKernel, shifts, reps, sizes, tasks):
-    """Histogram of the tasks (class, block), each form counted with its
-    class size; the minimum nonzero weight; and the ascending counter
-    indices that attain it."""
+    """``_tally`` of the tasks (class, block), each form counted with its
+    class size and its hits given as ascending counter indices."""
     rows, span = kernel.ctx.q2**kernel.g, kernel.ctx.q2 ** kernel.bounds[-1][1]
-    hist = np.zeros(kernel.n + 1, dtype=np.int64)
-    best_w, best_idx = kernel.n + 1, []
-    for c, group in itertools.groupby(tasks, key=lambda t: t[0]):
-        blocks = [b for _, b in group]
-        for (lo, _), mask in zip(blocks, kernel.nonzero_masks(blocks, shifts[c])):
-            w = linalg.bit_counts(mask).reshape(-1)
-            hist += sizes[c] * np.bincount(w, minlength=len(hist))
-            w[w == 0] = len(hist)  # the zero form is no minimum word
-            local = int(w.min())
-            if local < best_w:
-                best_w, best_idx = local, []
-            if local == best_w:
-                hits = np.flatnonzero(w == local)
-                best_idx.append(reps[c] * span + lo * rows + hits)
-    return hist, best_w, best_idx
+
+    def blocks():
+        for c, group in itertools.groupby(tasks, key=lambda t: t[0]):
+            walk = [b for _, b in group]
+            for (lo, _), mask in zip(walk, kernel.nonzero_masks(walk, shifts[c])):
+                base = reps[c] * span + lo * rows
+                yield linalg.bit_counts(mask).reshape(-1), sizes[c], lambda hits, b=base: b + hits
+
+    return _tally(kernel.n, blocks())
+
+
+def _sample_blocks(kernel: linalg._ScanKernel, seed: int | None, samples: int, k: int):
+    """``_tally`` blocks of ``samples`` seeded uniform nonzero forms, 4096
+    at a time, each counted once, hits given as digit rows."""
+    rng, q2 = np.random.default_rng(seed), kernel.ctx.q2
+    step = max(1, linalg._BLOCK_BYTES // kernel.width)
+    for done in range(0, samples, 4096):
+        b = min(4096, samples - done)
+        digits = rng.integers(0, q2, size=(b, k), dtype=np.uint8)
+        while (zero := ~digits.any(axis=1)).any():
+            digits[zero] = rng.integers(0, q2, size=(int(zero.sum()), k), dtype=np.uint8)
+        w = np.concatenate(
+            [kernel.weights(kernel.codewords(digits[lo : lo + step])) for lo in range(0, b, step)]
+        )
+        yield w, 1, lambda hits, d=digits: d[hits]
 
 
 def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray, sizes: np.ndarray) -> dict[int, int]:
@@ -463,38 +487,35 @@ def spectrum(
 ) -> SpectrumReport:
     """Weight histogram over alternating forms.
 
-    Exhaustive mode covers all q^(2K) forms: it scans each first-row
-    class's representative (``_first_row_classes``) with all Q^C(m-1,2)
-    entries below it and counts each form with its class size, so
-    ``forms_scanned`` is Q^K and ``budget`` bounds the forms scanned.  A
-    class map takes any form to one with the representative's first row
-    and no larger index, so the scan, in ascending counter order, meets
-    the first form of every weight and radical dimension:
+    Exhaustive mode covers all Q^K forms, scanning one representative
+    per first-row class (``_first_row_classes``), so ``budget`` bounds
+    the forms scanned.  A class map takes any form to one with the
+    representative's first row and no larger index, so the scan, in
+    ascending counter order, meets the first form of every weight and
+    radical dimension:
     ``min_weight_example`` is the minimum word of smallest index and
     ``min_weight_radical_dims`` is keyed in order of first occurrence.
-    A nonzero form of weight 0 or a histogram failing
-    ``_check_macwilliams`` raises RuntimeError.  With ``jobs > 1`` the
-    (class, block) tasks are split across a worker pool; the result does
-    not depend on the worker count.
+    A histogram failing ``_check_macwilliams`` raises RuntimeError.
+    With ``jobs > 1`` the (class, block) tasks are split across a worker
+    pool; the result does not depend on the worker count.
 
     Sample mode draws ``samples`` uniform nonzero forms from numpy's
     default PCG64 generator seeded with ``seed``; the seed is recorded
     in the report.  It ignores ``jobs`` and runs in the calling process,
     since starting a pool costs more than the scan.
 
-    Both modes sum rows of digit-group tables (``linalg._ScanKernel``).
+    Both modes count weights with one ``_tally``, and in both a nonzero
+    form of weight 0 raises RuntimeError.
     """
-    ctx = system.ctx
-    q2 = ctx.q2
-    k, n = system.k, system.n
-    m = system.space.m
-    started = time.perf_counter()
+    ctx, m, k, n = system.ctx, system.space.m, system.k, system.n
+    q2, started = ctx.q2, time.perf_counter()
     if mode == "sample" and (not samples or samples < 1):
         raise ValueError("sample mode needs a positive sample count")
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    if mode == "exhaustive":
+    exhaustive = mode == "exhaustive"
+    if exhaustive:
         classes = _first_row_classes(ctx, m, budget)
         if classes is None:
             raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {budget}")
@@ -513,61 +534,34 @@ def spectrum(
                 parts = pool.starmap(_scan_classes, args)
         else:
             parts = [_scan_classes(*args[0])]
-        # Parts cover ascending index ranges, so their minima stay ascending.
-        best_w = min(w for _, w, _ in parts)
-        min_idx = np.concatenate([i for _, w, idx in parts if w == best_w for i in idx])
-        min_size = sizes[np.searchsorted(reps, min_idx // q2 ** kernel.bounds[-1][1])]
-        histogram = {int(w): int(c) for w, c in enumerate(sum(h for h, _, _ in parts)) if c}
-        if histogram.get(0) != 1:
-            raise RuntimeError("a nonzero form has weight 0; the generator is rank deficient")
+        # Parts cover ascending index ranges, so their hits stay ascending.
+        hist, best_w = sum(h for h, _, _ in parts), min(w for _, w, _ in parts)
+        hits = [i for _, w, idx in parts if w == best_w for i in idx]
+    else:
+        kernel = linalg._ScanKernel(ctx, system.matrix)
+        hist, best_w, hits = _tally(n, _sample_blocks(kernel, seed, samples, k))
+    histogram = {int(w): int(c) for w, c in enumerate(hist) if c}
+    # the zero form is scanned once in exhaustive mode, never drawn in sample mode
+    if histogram.get(0, 0) != int(exhaustive):
+        raise RuntimeError("a nonzero form has weight 0; the generator is rank deficient")
+    radical_dims, example = None, hits[0][0]
+    if exhaustive:
         _check_macwilliams(histogram, m, ctx.q)
-        return SpectrumReport(
-            mode="exhaustive",
-            m=m,
-            q=ctx.q,
-            histogram=histogram,
-            forms_scanned=q2**k,
-            seed=None,
-            wall_time_s=time.perf_counter() - started,
-            min_nonzero_weight=best_w,
-            min_weight_example=[int(x) for x in linalg._digits(min_idx[:1], q2, k)[0]],
-            min_weight_radical_dims=_radical_split(ctx, m, min_idx, min_size),
-        )
-
-    kernel = linalg._ScanKernel(ctx, system.matrix)
-    rng = np.random.default_rng(seed)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    best_w = None
-    best_upper = None
-    remaining = samples
-    chunk = 4096
-    step = max(1, linalg._BLOCK_BYTES // kernel.width)
-    while remaining:
-        b = min(chunk, remaining)
-        digits = rng.integers(0, q2, size=(b, k), dtype=np.uint8)
-        zero = ~digits.any(axis=1)
-        while zero.any():
-            digits[zero] = rng.integers(0, q2, size=(int(zero.sum()), k), dtype=np.uint8)
-            zero = ~digits.any(axis=1)
-        w = np.concatenate(
-            [kernel.weights(kernel.codewords(digits[lo : lo + step])) for lo in range(0, b, step)]
-        )
-        hist += np.bincount(w, minlength=n + 1)
-        local = int(w.min())
-        if best_w is None or local < best_w:
-            best_w = local
-            best_upper = [int(x) for x in digits[int(w.argmin())]]
-        remaining -= b
+        min_idx = np.concatenate(hits)
+        min_size = sizes[np.searchsorted(reps, min_idx // q2 ** kernel.bounds[-1][1])]
+        radical_dims = _radical_split(ctx, m, min_idx, min_size)
+        example = linalg._digits(min_idx[:1], q2, k)[0]
     return SpectrumReport(
-        mode="sample",
+        mode=mode,
         m=m,
         q=ctx.q,
-        histogram={int(w): int(c) for w, c in enumerate(hist) if c},
-        forms_scanned=samples,
-        seed=seed,
+        histogram=histogram,
+        forms_scanned=q2**k if exhaustive else samples,
+        seed=None if exhaustive else seed,
         wall_time_s=time.perf_counter() - started,
         min_nonzero_weight=best_w,
-        min_weight_example=best_upper,
+        min_weight_example=[int(x) for x in example],
+        min_weight_radical_dims=radical_dims,
     )
 
 

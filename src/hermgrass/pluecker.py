@@ -103,19 +103,14 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
         raise ValueError("the line system requires m >= 4")
     ctx = space.ctx
     pairs = pair_indices(space.m)
-    shape = (len(pairs), polar.line_count(space.m, ctx.q))
-    need, have = shape[0] * shape[1], polar._available_memory()
-    if need > have:
-        raise ValueError(
-            f"the {shape[0]} x {shape[1]} generator matrix needs {need} bytes,"
-            f" more than the {have} bytes of available memory"
-        )
+    k, n_lines = len(pairs), polar.line_count(space.m, ctx.q)
+    polar._check_memory(k * n_lines, f"the {k} x {n_lines} generator matrix needs {{}} bytes")
     a_idx, b_idx = space.line_pair_indices()
     pts_t = space.points().T
     pts_t_scaled = ctx.scaled_codes(pts_t)
     mulf = ctx.mul_flat
     n = len(a_idx)
-    g = np.empty((len(pairs), n), dtype=np.uint8)
+    g = np.empty((k, n), dtype=np.uint8)
     for lo in range(0, n, _LINE_BLOCK):
         hi = min(n, lo + _LINE_BLOCK)
         a = np.take(pts_t_scaled, a_idx[lo:hi], axis=1)

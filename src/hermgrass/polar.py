@@ -81,6 +81,14 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _check_memory(need: int, what: str) -> None:
+    """Raise ValueError when ``need`` bytes exceed the available memory;
+    ``what`` names them, with ``{}`` for ``need``."""
+    have = _available_memory()
+    if need > have:
+        raise ValueError(f"{what.format(need)}, more than the {have} bytes of available memory")
+
+
 def isotropic_point_count(m: int, q: int) -> int:
     """Projective isotropic points of a nondegenerate form on V(m, q^2).
 
@@ -171,19 +179,13 @@ class HermitianSpace:
     def all_points(self) -> np.ndarray:
         """All normalized points of PG(m-1, q^2), ascending lex order.
 
-        Raises ValueError, before allocating, when the table of
-        (Q^m - 1)/(Q - 1) rows of m bytes (Q = q^2) would exceed the
-        available memory of the machine.
+        ``_check_memory`` raises ValueError first if its (Q^m - 1)/(Q - 1)
+        rows of m bytes (Q = q^2) do not fit.
         """
         if "all_points" not in self._cache:
             m, q2 = self.m, self.ctx.q2
             total = (q2**m - 1) // (q2 - 1)
-            need, have = total * m, _available_memory()
-            if need > have:
-                raise ValueError(
-                    f"the point table of PG({m - 1}, {q2}) needs {need} bytes,"
-                    f" more than the {have} bytes of available memory"
-                )
+            _check_memory(total * m, f"the point table of PG({m - 1}, {q2}) needs {{}} bytes")
             pts = np.zeros((total, m), dtype=np.uint8)
             start = 0
             for lead in range(m - 1, -1, -1):
@@ -204,21 +206,17 @@ class HermitianSpace:
         """Isotropic points, canonical order, one row per point.
 
         The isotropy mask is taken in row blocks of about
-        ``linalg.DOT_BLOCK`` entries.  Raises ValueError, before
-        computing it, when the point table plus the
-        ``isotropic_point_count`` rows of m bytes exceed the available
-        memory of the machine.
+        ``linalg.DOT_BLOCK`` entries.  ``_check_memory`` raises
+        ValueError first if the point table plus the
+        ``isotropic_point_count`` rows of m bytes do not fit.
         """
         if "points" not in self._cache:
             allp = self.all_points()
             m, q2 = self.m, self.ctx.q2
-            need = allp.nbytes + isotropic_point_count(m, self.ctx.q) * m
-            have = _available_memory()
-            if need > have:
-                raise ValueError(
-                    f"the isotropic points of PG({m - 1}, {q2}) need {need} bytes"
-                    f" with the point table, more than the {have} bytes of available memory"
-                )
+            _check_memory(
+                allp.nbytes + isotropic_point_count(m, self.ctx.q) * m,
+                f"the isotropic points of PG({m - 1}, {q2}) need {{}} bytes with the point table",
+            )
             mask = np.empty(len(allp), dtype=bool)
             step = max(1, linalg.DOT_BLOCK // m)
             for lo in range(0, len(allp), step):
@@ -292,19 +290,16 @@ class HermitianSpace:
         hits per (a, l) places each block's b values of an a after those
         of the blocks before.
 
-        Raises ValueError, before allocating, when the ``line_count``
-        lines at ``_LINE_BYTES`` each exceed the available memory of the
-        machine.
+        ``_check_memory`` raises ValueError first if the ``line_count``
+        lines at ``_LINE_BYTES`` each do not fit.
         """
         if "line_pairs" not in self._cache:
             ctx, m = self.ctx, self.m
             n_lines = line_count(m, ctx.q)
-            need, have = n_lines * _LINE_BYTES, _available_memory()
-            if need > have:
-                raise ValueError(
-                    f"the {n_lines} totally isotropic lines of PG({m - 1}, {ctx.q2}) need"
-                    f" {need} bytes, more than the {have} bytes of available memory"
-                )
+            _check_memory(
+                n_lines * _LINE_BYTES,
+                f"the {n_lines} totally isotropic lines of PG({m - 1}, {ctx.q2}) need {{}} bytes",
+            )
             # b of every hit in search order, and each chunk's rows and hits per row
             found, chunks, n_found = np.empty(n_lines, dtype=np.int32), [], 0
             for rows, b_lo, hit in self._lead_blocks():
@@ -431,8 +426,6 @@ def radical_profile(space: HermitianSpace, r) -> RadicalProfile:
     ctx = space.ctx
     rows = linalg.as_matrix(ctx, r)
     d = rows.shape[0]
-    if d == 0:
-        return RadicalProfile(dim=0, t=0, label="[Pi_0]H_0")
     restricted = linalg.matmul(ctx, ctx.frob[rows], rows.T)
     t = d - linalg.rank(ctx, restricted)
     return RadicalProfile(dim=d, t=t, label=f"[Pi_{t}]H_{d - t}")

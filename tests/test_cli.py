@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermgrass import cli, code, polar
+import hermgrass as hg
+from hermgrass import cli, code, linalg, polar
 
 
 def test_params_table_contains_expected_row(capsys):
@@ -52,6 +53,37 @@ def test_weight_and_classify(tmp_path, capsys):
         assert key in rep
     assert rep["weightFromABC"] == rep["weightDirect"]
     assert rep["checks"]["conservation"] is True
+
+
+@pytest.mark.parametrize("command, m", [("lines", 6), ("points", 8)])
+def test_json_rows_written_in_blocks_match_one_dump(tmp_path, command, m):
+    # 6237 lines of 12 codes and 10 965 points of 8 codes each span more
+    # than one block of the writer
+    out = tmp_path / "rows.json"
+    assert cli.run([command, "-m", str(m), "-q", "2", "--format", "json", "--out", str(out)]) == 0
+    space = polar.HermitianSpace(m, hg.make_field(2, 1))
+    pts = space.points()
+    if command == "lines":
+        a, b = space.line_pair_indices()
+        rows = np.stack([pts[a], pts[b]], axis=1)
+    else:
+        rows = pts
+    assert len(rows) * rows[0].size > linalg.DOT_BLOCK
+    payload = {"m": m, "p": 2, "e": 1, command: rows.tolist()}
+    assert out.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_weight_and_classify_of_the_zero_form(tmp_path, capsys):
+    form = tmp_path / "zero.json"
+    form.write_text('{"m": 4, "p": 2, "e": 1, "upper": [0, 0, 0, 0, 0, 0]}\n')
+    assert cli.run(["weight", "--form", str(form), "-q", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    routes = ("weight_direct", "weight_recursive", "weight_from_counts")
+    assert [payload[r] for r in routes] == [0, 0, 0] and payload["agree"] is True
+    assert cli.run(["classify", "--form", str(form), "-q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: the zero form has no classification report"]
 
 
 def test_spectrum_outputs_are_byte_identical(tmp_path):

@@ -573,6 +573,26 @@ def test_macwilliams_gate_rejects_tampered_histogram():
         code._check_macwilliams(pless, 5, 2)
 
 
+@pytest.mark.parametrize(
+    "mode, row, match",
+    [
+        ("sample", 0, "weight 0"),
+        ("sample", 3, "weight 0"),
+        # S_12 lies below the first row, so the scan meets its forms directly
+        ("exhaustive", 3, "weight 0"),
+        # forms with only S_01 nonzero share a first-row class with S_03,
+        # so the class representative has weight and the dual counts catch it
+        ("exhaustive", 0, "MacWilliams"),
+    ],
+)
+def test_spectrum_rejects_rank_deficient_system(space42, system42, mode, row, match):
+    matrix = system42.matrix.copy()
+    matrix[row] = 0  # every form with only S_ij (row (i, j)) nonzero has weight 0
+    deficient = hg.ProjectiveSystem(space42, matrix)
+    with pytest.raises(RuntimeError, match=match):
+        code.spectrum(deficient, mode=mode, seed=1, samples=20_000)
+
+
 def test_sample_spectrum_reproducible(system42):
     r1 = code.spectrum(system42, mode="sample", seed=42, samples=500)
     r2 = code.spectrum(system42, mode="sample", seed=42, samples=500)

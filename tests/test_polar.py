@@ -330,6 +330,8 @@ def test_radical_profile_extremes(space52):
     a, b = space52.line_pair_indices()
     prof = polar.radical_profile(space52, space52.points()[[a[0], b[0]]])
     assert prof.t == 2 and prof.dim == 2
+    prof = polar.radical_profile(space52, np.zeros((0, 5), dtype=np.uint8))
+    assert (prof.dim, prof.t, prof.label) == (0, 0, "[Pi_0]H_0")
 
 
 def _subspace_points(ctx, basis):
