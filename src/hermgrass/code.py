@@ -34,11 +34,12 @@ counts B_0 .. B_3.
 
 Both modes use the codeword kernel ``linalg._ScanKernel``, which sums
 one row of a digit-group table per group of g digits (Q^g <= 256), so a
-sampled form costs ceil(K/g) row gathers and adds.  The exhaustive scan
-builds it on the generator rows below the first row and adds a class's
-first-row codeword into the last group's table once; the kernel's block
-walk yields the packed nonzero masks, which the scan popcounts
-(``linalg.bit_counts``).
+sampled form costs ceil(K/g) row gathers and adds.  Each mode's kernel is
+built once per system and kept on it (``_scan_kernel``).  The exhaustive
+scan's is built on the generator rows below the first row, and a class's
+first-row codeword is added into the last group's table once; the
+kernel's block walk yields the packed nonzero masks, which the scan
+popcounts (``linalg.bit_counts``).
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def evaluate(phi: AlternatingForm, line) -> int:
     b = linalg.as_matrix(ctx, line)
     if b.shape != (2, phi.m):
         raise ValueError("line basis must be 2 x m")
-    return int(linalg.dot(ctx, b[0], linalg.dot(ctx, phi.s, b[1])))
+    return int(linalg.matmul(ctx, linalg.matmul(ctx, b[:1], phi.s), b[1:].T)[0, 0])
 
 
 def codeword(phi: AlternatingForm, system: ProjectiveSystem) -> np.ndarray:
@@ -201,7 +202,7 @@ def codeword(phi: AlternatingForm, system: ProjectiveSystem) -> np.ndarray:
     ctx = system.ctx
     if phi.m != system.space.m or phi.ctx.q2 != ctx.q2:
         raise ValueError("form does not match the system")
-    return linalg.dot(ctx, phi.upper(), system.matrix.T)
+    return linalg.matmul(ctx, system.matrix.T, phi.upper()[:, None])[:, 0]
 
 
 def weight_direct(phi: AlternatingForm, system: ProjectiveSystem) -> int:
@@ -249,11 +250,12 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
             hits = table[perp[lo : lo + step]] & ~table[sect[lo : lo + step]]
             cnt[live[lo : lo + step]] = linalg.bit_counts(hits)
     else:
+        # points first: a chunk's product tables are Q x chunk, not Q x n_pts
         step = max(1, linalg.DOT_BLOCK // max(n_pts, 1))
         for lo in range(0, n_pts, step):
-            eta = linalg.matmul(ctx, ctx.frob[pts[lo : lo + step]], pts.T)
-            val = linalg.matmul(ctx, ps[lo : lo + step], pts.T)
-            cnt[lo : lo + step] = ((eta == 0) & (val != 0)).sum(axis=1)
+            eta = linalg.matmul(ctx, pts, ctx.frob[pts[lo : lo + step]].T)
+            val = linalg.matmul(ctx, pts, ps[lo : lo + step].T)
+            cnt[lo : lo + step] = ((eta == 0) & (val != 0)).sum(axis=0)
     if (cnt % q2).any():
         raise RuntimeError("pair count not divisible by q^2; arithmetic bug")
     return cnt // q2
@@ -378,6 +380,16 @@ def _first_row_classes(ctx: FieldCtx, m: int, budget: int):
     return (reps[order], sizes[order]) if len(reps) * rest <= budget else None
 
 
+def _scan_kernel(system: ProjectiveSystem, mode: str) -> linalg._ScanKernel:
+    """The kernel of a scan mode, built once and kept on the system, whose
+    matrix is read-only: on the generator rows below the first row for
+    the exhaustive scan, on all of them for the sample."""
+    if mode not in system._kernels:
+        rows = system.matrix[system.space.m - 1 :] if mode == "exhaustive" else system.matrix
+        system._kernels[mode] = linalg._ScanKernel(system.ctx, rows)
+    return system._kernels[mode]
+
+
 def _tally(n: int, blocks):
     """Histogram, minimum nonzero weight (n + 1 if none) and, in block
     order, at(hits) of the blocks reaching it, over blocks (weights,
@@ -496,6 +508,9 @@ def spectrum(
     ``min_weight_example`` is the minimum word of smallest index and
     ``min_weight_radical_dims`` is keyed in order of first occurrence.
     A histogram failing ``_check_macwilliams`` raises RuntimeError.
+    Exhaustive mode needs the space's own generator matrix: the class
+    compression relies on its unitary symmetry, and a tampered matrix
+    that breaks it is caught only by that gate.
     With ``jobs > 1`` the (class, block) tasks are split across a worker
     pool; the result does not depend on the worker count.
 
@@ -520,7 +535,7 @@ def spectrum(
         if classes is None:
             raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {budget}")
         reps, sizes = classes
-        kernel = linalg._ScanKernel(ctx, system.matrix[m - 1 :])
+        kernel = _scan_kernel(system, mode)
         firsts = linalg._digits(reps, q2, m - 1).astype(np.uint8)
         shifts = kernel._pack(linalg.matmul(ctx, firsts, system.matrix[: m - 1]))
         prefixes, step = q2 ** kernel.bounds[-1][0], kernel.block_prefixes
@@ -538,7 +553,7 @@ def spectrum(
         hist, best_w = sum(h for h, _, _ in parts), min(w for _, w, _ in parts)
         hits = [i for _, w, idx in parts if w == best_w for i in idx]
     else:
-        kernel = linalg._ScanKernel(ctx, system.matrix)
+        kernel = _scan_kernel(system, mode)
         hist, best_w, hits = _tally(n, _sample_blocks(kernel, seed, samples, k))
     histogram = {int(w): int(c) for w, c in enumerate(hist) if c}
     # the zero form is scanned once in exhaustive mode, never drawn in sample mode

@@ -1,16 +1,14 @@
 """Dense exact linear algebra over GF(q^2).
 
 Matrices are numpy arrays of field-element codes (see ff).  Sums of
-products go through ``dot``, each product one add and one 1-D gather
-from ``FieldCtx.mul_flat``, so every result is exact.  The Pluecker fill
-(``pluecker.build_system``) takes the same gathers per block of lines,
-as it has one difference of two products per coordinate.  The line
-search (``HermitianSpace.line_pair_indices``) makes no per-product
-gather: its products are rows of small tables, summed with ``fadd``
-written in place.  A subspace is held by its reduced row echelon
-basis, the canonical representative of a row space; its flattened
-entries serve as a total order and hash key.  Pivots are chosen leftmost
-first.
+products go through ``matmul``, which sums one row-gathered product
+table per inner index, so every result is exact; the weight routes, the
+polar images and the line search all call it.  The Pluecker fill
+(``pluecker.build_system``) has one difference of two products per
+coordinate instead, and the scan kernel below sums table rows.  A
+subspace is held by its reduced row echelon basis, the canonical
+representative of a row space; its flattened entries serve as a total
+order and hash key.  Pivots are chosen leftmost first.
 
 One forward elimination, ``_echelon``, serves ``rank``, which counts
 its pivots, and ``rref``, which adds a backward pass and which ``kernel``
@@ -42,7 +40,6 @@ __all__ = [
     "fadd",
     "fsub",
     "fneg",
-    "dot",
     "matmul",
     "rref",
     "rank",
@@ -50,9 +47,10 @@ __all__ = [
     "kernel",
 ]
 
-#: Entries per block of a table-sized ``dot``: callers with operands the
-#: size of the point or section tables slice them to about this many
-#: entries, since each gather first casts its index to intp (8 bytes).
+#: Entries per block of a table-sized product or gather: callers with
+#: operands the size of the point or section tables slice them to about
+#: this many entries, since each gather first casts its index to intp
+#: (8 bytes).
 DOT_BLOCK = 1 << 16
 
 
@@ -83,31 +81,24 @@ def fsub(ctx: FieldCtx, a, b, out=None):
     return fadd(ctx, a, fneg(ctx, b), out)
 
 
-def dot(ctx: FieldCtx, x, y) -> np.ndarray:
-    """Sum over k of x[..., k] * y[..., k] over GF(q^2).
-
-    The leading axes of x and y broadcast against each other; the last
-    axes must have equal, nonzero length.  Each product is one add and
-    one 1-D gather from ``ctx.mul_flat`` at ``ctx.scaled_codes(x[...,
-    k]) + y[..., k]``.  A vector-vector product gives a 0-d array.
-    """
-    x = np.asarray(x, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
-    t = x.shape[-1]
-    if y.shape[-1] != t:
-        raise ValueError("inner dimensions do not match")
-    xs = ctx.scaled_codes(x)
-    out = np.take(ctx.mul_flat, xs[..., 0] + y[..., 0])
-    for k in range(1, t):
-        out = fadd(ctx, out, np.take(ctx.mul_flat, xs[..., k] + y[..., k]))
-    return out
-
-
 def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
-    """Matrix product over GF(q^2); a is (r, t), b is (t, c)."""
+    """Matrix product over GF(q^2); a is (r, t), b is (t, c), t >= 1.
+
+    For each k the product table of row k of b, ``np.take(ctx.mul, b[k],
+    axis=1)``, is Q x c with v b[k] in row v (Q = q^2); gathered at
+    column k of a it gives the (r, c) terms of k, and the t terms are
+    summed in place with ``fadd``.  The tables cost Q c entries per k
+    whatever r is, so callers pass the tall operand as a.
+    """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
-    return dot(ctx, a[:, None, :], b.T[None])
+    t = a.shape[1]
+    if b.shape[0] != t or t == 0:
+        raise ValueError("inner dimensions do not match")
+    out = np.take(np.take(ctx.mul, b[0], axis=1), a[:, 0], axis=0)
+    for k in range(1, t):
+        fadd(ctx, out, np.take(np.take(ctx.mul, b[k], axis=1), a[:, k], axis=0), out)
+    return out
 
 
 def _echelon(ctx: FieldCtx, m: np.ndarray) -> tuple[np.ndarray, list[int]]:

@@ -20,6 +20,9 @@ add and one 1-D gather from ``FieldCtx.mul_flat``, and row (i, j) of
 the block is mul_flat[A_i + B_j] - mul_flat[A_j + B_i], except for
 i = 0: p_b[0] = 0 and p_a[0] is 0 or 1, so row (0, j) is the plain
 byte product p_a[0] p_b[j].  The full N x m bases are never built.
+The fill gathers its products itself, not through ``linalg.matmul``,
+since a coordinate is a difference of two products, not a sum over an
+inner index.
 ``linalg.rank`` certifies the K x N matrix, usually on a strided subset
 of its columns.
 """
@@ -74,7 +77,8 @@ class ProjectiveSystem:
     the normalized coordinates of the j-th line in canonical order.
     The constructor does not check the matrix; ``build_system``
     certifies that it has full rank K, so distinct coefficient vectors
-    give distinct codewords.
+    give distinct codewords.  The matrix is read-only, so ``code.spectrum``
+    keeps the scan kernel of each mode in ``_kernels`` once built.
     """
 
     def __init__(self, space: polar.HermitianSpace, matrix: np.ndarray):
@@ -85,6 +89,7 @@ class ProjectiveSystem:
         self.matrix = matrix
         self.k = matrix.shape[0]
         self.n = matrix.shape[1]
+        self._kernels: dict[str, linalg._ScanKernel] = {}
 
     def __repr__(self) -> str:
         return f"ProjectiveSystem(m={self.space.m}, q={self.ctx.q}, N={self.n}, K={self.k})"

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -165,16 +166,17 @@ class HermitianSpace:
     def inner(self, x, y) -> int:
         """conj(x)^T y; conjugate-linear in x, linear in y."""
         ctx = self.ctx
-        x = np.asarray(x, dtype=np.uint8).reshape(-1)
-        y = np.asarray(y, dtype=np.uint8).reshape(-1)
+        x = np.asarray(x, dtype=np.uint8).reshape(1, -1)
+        y = np.asarray(y, dtype=np.uint8).reshape(-1, 1)
         if x.size != self.m or y.size != self.m:
             raise ValueError("vector length does not match the space dimension")
-        return int(linalg.dot(ctx, ctx.frob[x], y))
+        return int(linalg.matmul(ctx, ctx.frob[x], y)[0, 0])
 
     # -- point enumeration ----------------------------------------------
     def inner_diag(self, pts: np.ndarray) -> np.ndarray:
-        """inner(row, row) for every row of pts."""
-        return linalg.dot(self.ctx, self.ctx.frob[pts], pts)
+        """inner(row, row) for every row of pts: the sum of the norms
+        x_k^(q+1) = conj(x_k) x_k of its entries."""
+        return reduce(partial(fadd, self.ctx), self.ctx.norm[pts].T)
 
     def all_points(self) -> np.ndarray:
         """All normalized points of PG(m-1, q^2), ascending lex order.
@@ -244,16 +246,14 @@ class HermitianSpace:
 
         B_l is the rows [b_lo, b_lo + |B_l|) of points(), whose leads
         descend.  Since b[j] = 0 for j < l and a[l] = 0, conj(p_a)^T p_b
-        sums only the columns j > l.  For each such j one table holds
-        v b[j] in row v for every b in B_l, so over rows a and columns b the
-        term of column j is one row gather of that table at conj(a[j]).
-        Yields (rows, b_lo, hit) for row chunks of A_l of about
-        ``_BLOCK_ELEMS`` entries, rows ascending; hit[r, c] is set when
-        rows[r] and b_lo + c are orthogonal, in a buffer that the next
-        chunk reuses.
+        sums only the columns j > l: one ``linalg.matmul`` of those columns
+        of conj(p_a), a row chunk of A_l of about ``_BLOCK_ELEMS`` products,
+        with those of p_b transposed.  Yields (rows, b_lo, hit) per chunk,
+        rows ascending; hit[r, c] is set when rows[r] and b_lo + c are
+        orthogonal.
         """
         ctx, m, pts = self.ctx, self.m, self.points()
-        conj_t = ctx.frob[pts.T]
+        conj = ctx.frob[pts]
         n_lead = np.bincount((pts != 0).argmax(axis=1), minlength=m)
         lead_start = np.cumsum(n_lead[::-1])[::-1] - n_lead
         for lead in range(m - 1, 0, -1):
@@ -261,18 +261,11 @@ class HermitianSpace:
             a_rows = b_hi + np.flatnonzero(pts[b_hi:, lead] == 0)
             if not (b_hi > b_lo and a_rows.size):
                 continue
-            tabs = [np.take(ctx.mul, pts[b_lo:b_hi, j], axis=1) for j in range(lead + 1, m)]
+            b_t = pts[b_lo:b_hi, lead + 1 :].T
             step = max(1, _BLOCK_ELEMS // (b_hi - b_lo))
-            acc, term = np.empty((2, min(step, a_rows.size), b_hi - b_lo), dtype=np.uint8)
-            zero = np.empty(acc.shape, dtype=bool)
             for lo in range(0, a_rows.size, step):
                 rows = a_rows[lo : lo + step]
-                codes = conj_t[lead + 1 :, rows]
-                block = np.take(tabs[0], codes[0], axis=0, out=acc[: len(rows)], mode="clip")
-                for tab, c in zip(tabs[1:], codes[1:]):
-                    row_terms = np.take(tab, c, axis=0, out=term[: len(rows)], mode="clip")
-                    fadd(ctx, block, row_terms, block)
-                yield rows, b_lo, np.equal(block, 0, out=zero[: len(rows)])
+                yield rows, b_lo, linalg.matmul(ctx, conj[rows, lead + 1 :], b_t) == 0
 
     def line_pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (a, b) into points() whose rows stacked form the

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -75,14 +77,21 @@ def system53(space53):
     return hg.build_system(space53)
 
 
+def table_sum(ctx, terms):
+    """Sum of element codes along the last axis, one ``ctx.add`` lookup per
+    term: the oracles' arithmetic, which shares nothing with
+    ``linalg.matmul``."""
+    return functools.reduce(lambda acc, t: ctx.add[acc, t], np.moveaxis(terms, -1, 0))
+
+
 class PairOracle:
     """Per-point line counts from the materialised orthogonal point pairs.
 
     The pairs (u, x) of isotropic points with conj(p_u)^T p_x = 0 come
-    from a blocked ``linalg.matmul(conj(pts), pts.T) == 0``, ascending in
-    (u, x).  The count at u is the number of its pairs with
+    from blocks of ``ctx.mul`` products summed with ``table_sum``,
+    ascending in (u, x).  The count at u is the number of its pairs with
     p_u^T S p_x != 0, divided by q^2: an oracle that shares nothing with
-    the section table behind ``code.point_weights``.
+    ``linalg.matmul`` or the section table behind ``code.point_weights``.
     """
 
     def __init__(self):
@@ -95,7 +104,8 @@ class PairOracle:
             step = max(1, linalg.DOT_BLOCK // len(pts))
             ui, xi = [], []
             for lo in range(0, len(pts), step):
-                bu, bx = np.nonzero(linalg.matmul(ctx, conj[lo : lo + step], pts.T) == 0)
+                inner = table_sum(ctx, ctx.mul[conj[lo : lo + step, None, :], pts[None]])
+                bu, bx = np.nonzero(inner == 0)
                 ui.append(bu + lo)
                 xi.append(bx)
             self._pairs[space] = (
@@ -107,12 +117,13 @@ class PairOracle:
     def point_weights(self, phi, space):
         ctx, pts = space.ctx, space.points()
         ui, xi = self.pairs(space)
-        ps = linalg.matmul(ctx, pts, phi.s)
+        # p_u^T S, row u summing p_u[i] S[i, j] over i
+        ps = table_sum(ctx, ctx.mul[pts[:, :, None], phi.s].transpose(0, 2, 1))
         nonzero = np.empty(len(ui), dtype=bool)
         step = max(1, linalg.DOT_BLOCK // space.m)
         for lo in range(0, len(ui), step):
             u, x = ui[lo : lo + step], xi[lo : lo + step]
-            nonzero[lo : lo + step] = linalg.dot(ctx, ps[u], pts[x]) != 0
+            nonzero[lo : lo + step] = table_sum(ctx, ctx.mul[ps[u], pts[x]]) != 0
         cnt = np.bincount(ui[nonzero], minlength=len(pts))
         assert not (cnt % ctx.q2).any()
         return cnt // ctx.q2

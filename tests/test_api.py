@@ -42,6 +42,7 @@ DELETED = (
     "_row_rank",
     "_RepBlocks",
     "_is_prime",
+    "dot",
 )
 DELETED_FIELD_WRAPPERS = (
     "add_s",

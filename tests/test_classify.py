@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +57,8 @@ def _composition_image(phi, space, x):
     """Oracle: the pole under the Hermitian form of the polar hyperplane
     of [x] under phi, by an explicit kernel then perp; None in the radical."""
     ctx = space.ctx
-    row = linalg.dot(ctx, phi.s.T, x)  # x^T S; its kernel is the polar hyperplane
+    # x^T S, the rows x_i S[i] summed with ctx.add; its kernel is the polar hyperplane
+    row = functools.reduce(lambda acc, r: ctx.add[acc, r], ctx.mul[x[:, None], phi.s])
     if not row.any():
         return None
     pole = polar.perp(space, linalg.kernel(ctx, row.reshape(1, -1)))

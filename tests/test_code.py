@@ -217,8 +217,10 @@ def test_point_weights_streaming_branch_matches_pairs(ctx2, monkeypatch):
         lambda: hg.HermitianSpace(6, hg.make_field(2, 1)),
         lambda: hg.HermitianSpace(5, hg.make_field(3, 1)),
         lambda: hg.HermitianSpace(4, hg.make_field(3, 1)),
+        # 3276 points: a streamed chunk is 20 rows, fewer than Q = 25
+        lambda: hg.HermitianSpace(4, hg.make_field(5, 1)),
     ],
-    ids=["6-2", "5-3", "4-3"],
+    ids=["6-2", "5-3", "4-3", "4-5"],
 )
 def test_point_weights_table_matches_streaming(make_space, seeded_forms, monkeypatch):
     table_space, streamed = make_space(), make_space()
@@ -600,6 +602,23 @@ def test_sample_spectrum_reproducible(system42):
     assert r1.forms_scanned == 500
     assert 0 not in r1.histogram
     assert r1.seed == 42
+
+
+def test_spectrum_builds_each_scan_kernel_once(ctx2, monkeypatch):
+    built = []
+    init = linalg._ScanKernel.__init__
+
+    def counting_init(self, ctx, matrix):
+        built.append(matrix.shape)
+        init(self, ctx, matrix)
+
+    monkeypatch.setattr(linalg._ScanKernel, "__init__", counting_init)
+    system = hg.build_system(hg.HermitianSpace(4, ctx2))  # a fresh system, no kernel kept yet
+    for mode in ("exhaustive", "sample"):
+        first, second = (code.spectrum(system, mode=mode, seed=5, samples=300) for _ in range(2))
+        first.wall_time_s = second.wall_time_s = 0.0
+        assert first == second
+    assert built == [(system.k - 3, system.n), (system.k, system.n)]
 
 
 def test_spectrum_csv_and_metadata(system42):

@@ -267,30 +267,21 @@ def test_matmul_against_python_loop():
     for p, e in FIELDS:
         ctx = hg.make_field(p, e)
         q2 = ctx.q2
-        a = rng.integers(0, q2, size=(3, 4), dtype=np.uint8)
-        b = rng.integers(0, q2, size=(4, 2), dtype=np.uint8)
-        out = linalg.matmul(ctx, a, b)
-        assert out.shape == (3, 2) and out.dtype == np.uint8
-        for i in range(3):
-            for j in range(2):
-                assert out[i, j] == _loop_dot(ctx, a[i], b[:, j])
-        # vector . vector gives a 0-d array
-        v = linalg.dot(ctx, a[0], b[:, 1])
-        assert v.shape == () and v == _loop_dot(ctx, a[0], b[:, 1])
-        # matrix . vector: one product per row
-        x = rng.integers(0, q2, size=4, dtype=np.uint8)
-        assert linalg.dot(ctx, a, x).tolist() == [_loop_dot(ctx, row, x) for row in a]
-        # scalar . row: a length-1 inner axis scales the row
-        s = rng.integers(0, q2, size=1, dtype=np.uint8)
-        row = rng.integers(0, q2, size=(7, 1), dtype=np.uint8)
-        assert linalg.dot(ctx, s, row).tolist() == [_loop_dot(ctx, s, r) for r in row]
-        # (r, 1, t) x (1, c, t) broadcasts to (r, c)
-        x3 = rng.integers(0, q2, size=(3, 1, 5), dtype=np.uint8)
-        y3 = rng.integers(0, q2, size=(1, 4, 5), dtype=np.uint8)
-        got = linalg.dot(ctx, x3, y3)
-        assert got.shape == (3, 4)
-        for i in range(3):
-            for j in range(4):
-                assert got[i, j] == _loop_dot(ctx, x3[i, 0], y3[0, j])
+        # (r, t, c): the callers' shapes, with r below and above Q = q2 and t = 1
+        for r, t, c in [(3, 4, 2), (q2 - 1, 5, 3), (q2 + 7, 3, 4), (9, 1, 6), (1, 6, 1)]:
+            a = rng.integers(0, q2, size=(r, t), dtype=np.uint8)
+            b = rng.integers(0, q2, size=(t, c), dtype=np.uint8)
+            out = linalg.matmul(ctx, a, b)
+            assert out.shape == (r, c) and out.dtype == np.uint8
+            for i in range(r):
+                for j in range(c):
+                    assert out[i, j] == _loop_dot(ctx, a[i], b[:, j])
+        # a transposed view as a, as codeword passes the generator
+        g = rng.integers(0, q2, size=(4, 11), dtype=np.uint8)
+        f = rng.integers(0, q2, size=(4, 1), dtype=np.uint8)
+        got = linalg.matmul(ctx, g.T, f)
+        assert got[:, 0].tolist() == [_loop_dot(ctx, col, f[:, 0]) for col in g.T]
         with pytest.raises(ValueError):
-            linalg.dot(ctx, a, b)
+            linalg.matmul(ctx, a, a)
+        with pytest.raises(ValueError):
+            linalg.matmul(ctx, np.zeros((3, 0), dtype=np.uint8), np.zeros((0, 2), dtype=np.uint8))
