@@ -34,12 +34,11 @@ counts B_0 .. B_3.
 
 Both modes use the codeword kernel ``linalg._ScanKernel``, which sums
 one row of a digit-group table per group of g digits (Q^g <= 256), so a
-sampled form costs ceil(K/g) row gathers and adds.  Each mode's kernel is
-built once per system and kept on it (``_scan_kernel``).  The exhaustive
-scan's is built on the generator rows below the first row, and a class's
-first-row codeword is added into the last group's table once; the
-kernel's block walk yields the packed nonzero masks, which the scan
-popcounts (``linalg.bit_counts``).
+sampled form costs ceil(K/g) row gathers and adds.  The exhaustive scan
+builds it on the generator rows below the first row and adds a class's
+first-row codeword into the last group's table once; the kernel's block
+walk yields the packed nonzero masks, which the scan popcounts
+(``linalg.bit_counts``).
 """
 
 from __future__ import annotations
@@ -380,16 +379,6 @@ def _first_row_classes(ctx: FieldCtx, m: int, budget: int):
     return (reps[order], sizes[order]) if len(reps) * rest <= budget else None
 
 
-def _scan_kernel(system: ProjectiveSystem, mode: str) -> linalg._ScanKernel:
-    """The kernel of a scan mode, built once and kept on the system, whose
-    matrix is read-only: on the generator rows below the first row for
-    the exhaustive scan, on all of them for the sample."""
-    if mode not in system._kernels:
-        rows = system.matrix[system.space.m - 1 :] if mode == "exhaustive" else system.matrix
-        system._kernels[mode] = linalg._ScanKernel(system.ctx, rows)
-    return system._kernels[mode]
-
-
 def _tally(n: int, blocks):
     """Histogram, minimum nonzero weight (n + 1 if none) and, in block
     order, at(hits) of the blocks reaching it, over blocks (weights,
@@ -535,7 +524,7 @@ def spectrum(
         if classes is None:
             raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {budget}")
         reps, sizes = classes
-        kernel = _scan_kernel(system, mode)
+        kernel = linalg._ScanKernel(ctx, system.matrix[m - 1 :])
         firsts = linalg._digits(reps, q2, m - 1).astype(np.uint8)
         shifts = kernel._pack(linalg.matmul(ctx, firsts, system.matrix[: m - 1]))
         prefixes, step = q2 ** kernel.bounds[-1][0], kernel.block_prefixes
@@ -553,7 +542,7 @@ def spectrum(
         hist, best_w = sum(h for h, _, _ in parts), min(w for _, w, _ in parts)
         hits = [i for _, w, idx in parts if w == best_w for i in idx]
     else:
-        kernel = _scan_kernel(system, mode)
+        kernel = linalg._ScanKernel(ctx, system.matrix)
         hist, best_w, hits = _tally(n, _sample_blocks(kernel, seed, samples, k))
     histogram = {int(w): int(c) for w, c in enumerate(hist) if c}
     # the zero form is scanned once in exhaustive mode, never drawn in sample mode

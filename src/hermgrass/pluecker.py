@@ -77,8 +77,7 @@ class ProjectiveSystem:
     the normalized coordinates of the j-th line in canonical order.
     The constructor does not check the matrix; ``build_system``
     certifies that it has full rank K, so distinct coefficient vectors
-    give distinct codewords.  The matrix is read-only, so ``code.spectrum``
-    keeps the scan kernel of each mode in ``_kernels`` once built.
+    give distinct codewords.
     """
 
     def __init__(self, space: polar.HermitianSpace, matrix: np.ndarray):
@@ -89,7 +88,6 @@ class ProjectiveSystem:
         self.matrix = matrix
         self.k = matrix.shape[0]
         self.n = matrix.shape[1]
-        self._kernels: dict[str, linalg._ScanKernel] = {}
 
     def __repr__(self) -> str:
         return f"ProjectiveSystem(m={self.space.m}, q={self.ctx.q}, N={self.n}, K={self.k})"

@@ -604,23 +604,6 @@ def test_sample_spectrum_reproducible(system42):
     assert r1.seed == 42
 
 
-def test_spectrum_builds_each_scan_kernel_once(ctx2, monkeypatch):
-    built = []
-    init = linalg._ScanKernel.__init__
-
-    def counting_init(self, ctx, matrix):
-        built.append(matrix.shape)
-        init(self, ctx, matrix)
-
-    monkeypatch.setattr(linalg._ScanKernel, "__init__", counting_init)
-    system = hg.build_system(hg.HermitianSpace(4, ctx2))  # a fresh system, no kernel kept yet
-    for mode in ("exhaustive", "sample"):
-        first, second = (code.spectrum(system, mode=mode, seed=5, samples=300) for _ in range(2))
-        first.wall_time_s = second.wall_time_s = 0.0
-        assert first == second
-    assert built == [(system.k - 3, system.n), (system.k, system.n)]
-
-
 def test_spectrum_csv_and_metadata(system42):
     rep = code.spectrum(system42, mode="exhaustive")
     buf = io.StringIO()
