@@ -34,11 +34,9 @@ from .code import (
     min_distance,
     point_weight_values,
     point_weights,
-    read_form_json,
     spectrum,
     weight_direct,
     weight_recursive,
-    write_form_json,
 )
 from .ff import SUPPORTED_Q, FieldCtx, make_field
 from .linalg import kernel, rank, rref

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "BoundRow",
     "BoundTable",
     "bound_table",
-    "write_bounds_csv",
     "rank2_cone_weight",
     "make_rank2_cone_form",
     "make_permutable_form",
@@ -250,12 +248,6 @@ def bound_table(m: int, q: int) -> BoundTable:
         for i in range(1, m // 2 + 1)
     )
     return BoundTable(m=m, q=q, rows=rows)
-
-
-def write_bounds_csv(f, table: BoundTable) -> None:
-    f.write("i,xi,muMax,dLower\n")
-    for r in table.rows:
-        f.write(f"{r.i},{r.xi},{r.mu_max},{ceil(r.d_lower)}\n")
 
 
 # -- constructions ------------------------------------------------------------

@@ -8,6 +8,37 @@ All randomized paths take a seed (default 1) and echo it into the
 output metadata.  Identical invocations, seed included, write
 byte-identical output files; wall-clock timing is reported on stderr
 only.
+
+Every file format is written and read here; the library modules return
+arrays and records.  A field element is its integer code 0 .. q^2 - 1.
+JSON output has sorted keys.
+
+* points: a "# points m=.. p=.. e=.. count=.." header line, then one
+  comma-separated row of m coordinates per isotropic point; JSON
+  {"e", "m", "p", "points"}.
+* lines: the "# lines .." header, then per line the 2m entries of its
+  two canonical basis vectors, concatenated; JSON {"e", "m", "p",
+  "lines"}, each line a pair of basis vectors.
+* genmat: header "m p e N K", then K rows of N space-separated
+  entries.
+* params: "m, q, N, K, d_min" rows; JSON a list of objects.
+* weight: "route,weight" rows; JSON {"m", "q", "weight_direct",
+  "weight_recursive", "weight_from_counts", "agree"}.
+* spectrum: "weight,count" rows, then the metadata as one JSON line,
+  or with --out in the sidecar <out>.meta.json; JSON {"histogram",
+  "meta"}.  The metadata leaves out the wall time.
+* bounds: "i,xi,muMax,dLower" rows, dLower the ceiling of the exact
+  rational bound; JSON {"m", "q", "rows"}.
+* classify and min-word: JSON only.
+* form files (weight and classify --form): {"m": .., "p": .., "e": ..,
+  "upper": [..]}, the strict upper triangle in pair order.  The top
+  level must be an object, m, p, e and every upper entry JSON integers
+  (not true, false or null), and upper a list; anything else, nesting
+  too deep for the decoder included, is a usage error.
+
+Points, lines and genmat rows are written by ``_write_table`` in one
+loop over blocks of about DOT_BLOCK / 4 codes, in both formats, so
+neither the text nor the Python lists of a JSON dump hold every row.
 """
 
 from __future__ import annotations
@@ -21,7 +52,7 @@ import sys
 import numpy as np
 from contextlib import nullcontext, suppress
 
-from . import classify, code, pluecker, polar
+from . import classify, code, linalg, pluecker, polar
 from .ff import make_field
 
 EXIT_OK = 0
@@ -174,19 +205,66 @@ def _single_m(text: str) -> int:
     return m[0]
 
 
-def _write(args, payload, indent=None, write_csv=None, write_json=None) -> None:
-    """Write a command's output to --out or stdout.  ``write_csv(f)``
-    writes the CSV or plain-text format; without it, or with ``--format
-    json``, ``write_json(f)`` or else the sorted-key JSON of
-    ``payload()``, which is built only then."""
-    with nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as f:
+def _output(args):
+    """--out opened for writing, or stdout."""
+    return nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
+
+
+def _write(args, payload, indent=None, write_csv=None) -> None:
+    """Write a command's output to --out or stdout: ``write_csv(f)``, the
+    CSV or plain-text format, or without it or with ``--format json`` the
+    sorted-key JSON of ``payload()``, which is built only then."""
+    with _output(args) as f:
         if write_csv is not None and getattr(args, "fmt", "csv") == "csv":
             write_csv(f)
-        elif write_json is not None:
-            write_json(f)
         else:
             json.dump(payload(), f, indent=indent, sort_keys=True)
             f.write("\n")
+
+
+def _csv_text(codes, sep: str) -> str:
+    """The rows of ``codes`` as lines of ``sep``-separated decimals.  A
+    code, below q^2 <= 64 < 100, fills three byte slots (tens digit or 0,
+    units digit, sep or newline), and the nonzero slots are the text."""
+    tens, units = np.divmod(codes, 10)
+    slots = np.empty((*codes.shape, 3), dtype=np.uint8)
+    slots[..., 0] = np.where(tens, tens + 48, 0)
+    slots[..., 1] = units + 48
+    slots[..., 2] = ord(sep)
+    slots[:, -1, 2] = ord("\n")
+    flat = slots.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
+def _write_table(args, space, key: str, n_rows: int, width: int, block, header=None, sep=","):
+    """Write the rows ``block(lo, hi)``, of ``width`` codes each, to --out
+    or stdout in one loop over blocks of about DOT_BLOCK / 4 codes: a
+    JSON block's rows become Python lists of about 20 bytes a code, and
+    this keeps them to some 0.3 MB (2048 points at (8,2)).
+
+    CSV: ``header``, by default "# key m=.. p=.. e=.. count=..", then
+    one ``_csv_text`` string per block.  With ``--format json``: the
+    sorted-key dump of {"m", "p", "e", key: block(0, n_rows)}, with each
+    block's rows listed and written in turn.
+    """
+    ctx, as_json = space.ctx, getattr(args, "fmt", "csv") == "json"
+    if as_json:
+        doc = json.dumps({"m": space.m, "p": ctx.p, "e": ctx.e, key: None}, sort_keys=True)
+        header, _, tail = doc.partition("null")
+        header += "["
+    elif header is None:
+        header = f"# {key} m={space.m} p={ctx.p} e={ctx.e} count={n_rows}\n"
+    step = max(1, linalg.DOT_BLOCK // 4 // width)
+    with _output(args) as f:
+        f.write(header)
+        for lo in range(0, n_rows, step):
+            codes = block(lo, lo + step)
+            if as_json:
+                f.write((", " if lo else "") + json.dumps(codes.tolist())[1:-1])
+            else:
+                f.write(_csv_text(codes.reshape(len(codes), width), sep))
+        if as_json:
+            f.write(f"]{tail}\n")
 
 
 # -- command handlers ---------------------------------------------------------
@@ -212,26 +290,10 @@ def _space_for(args) -> polar.HermitianSpace:
     return polar.HermitianSpace(_single_m(args.m), ctx)
 
 
-def _write_rows(args, space, key: str, n_rows: int, block, write_csv) -> None:
-    """``_write`` of points or lines: CSV by ``write_csv(f, space)``, JSON
-    as the sorted-key dump of {"m", "p", "e", key: block(0, n_rows)}, but
-    with the rows listed 4096 at a time."""
-    fields = {"m": space.m, "p": space.ctx.p, "e": space.ctx.e, key: None}
-    head, _, tail = json.dumps(fields, sort_keys=True).partition(f'"{key}": null')
-
-    def write_json(f):
-        f.write(f'{head}"{key}": [')
-        for lo in range(0, n_rows, 4096):
-            f.write((", " if lo else "") + json.dumps(block(lo, lo + 4096).tolist())[1:-1])
-        f.write(f"]{tail}\n")
-
-    _write(args, None, write_csv=lambda f: write_csv(f, space), write_json=write_json)
-
-
 def cmd_points(args) -> int:
     space = _space_for(args)
     pts = space.points()
-    _write_rows(args, space, "points", len(pts), lambda lo, hi: pts[lo:hi], polar.write_points_csv)
+    _write_table(args, space, "points", len(pts), space.m, lambda lo, hi: pts[lo:hi])
     return EXIT_OK
 
 
@@ -242,22 +304,52 @@ def cmd_lines(args) -> int:
     def lines(lo, hi):
         return np.stack([pts[a_idx[lo:hi]], pts[b_idx[lo:hi]]], axis=1)
 
-    _write_rows(args, space, "lines", len(a_idx), lines, polar.write_lines_csv)
+    _write_table(args, space, "lines", len(a_idx), 2 * space.m, lines)
     return EXIT_OK
 
 
 def cmd_genmat(args) -> int:
     space = _space_for(args)
-    system = pluecker.build_system(space)
-    _write(args, None, write_csv=lambda f: pluecker.write_genmat(f, system))
+    system, ctx = pluecker.build_system(space), space.ctx
+    header = f"{space.m} {ctx.p} {ctx.e} {system.n} {system.k}\n"
+    g = system.matrix
+    _write_table(args, space, "genmat", system.k, system.n, lambda lo, hi: g[lo:hi], header, " ")
     return EXIT_OK
 
 
+def _json_int(value, what: str) -> int:
+    # bool is a subclass of int, but true/false are not form entries
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"malformed form file: {what} must be an integer")
+    return value
+
+
 def _load_form(args):
+    """The field of the flags and the form of the --form file, checked
+    as the module docstring states; ValueError on any mismatch."""
     ctx = make_field(*_resolve_field(args.q, args.p, args.e))
     with open(args.form) as f:
-        phi = code.read_form_json(f, ctx)
-    return ctx, phi
+        try:
+            data = json.load(f)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"malformed form file: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError("malformed form file: expected a JSON object")
+    for key in ("m", "p", "e", "upper"):
+        if key not in data:
+            raise ValueError(f"malformed form file: missing {key!r}")
+    m, p, e = (_json_int(data[key], repr(key)) for key in ("m", "p", "e"))
+    upper = data["upper"]
+    if not isinstance(upper, list):
+        raise ValueError("malformed form file: 'upper' must be a list")
+    upper = [_json_int(x, "'upper' entry") for x in upper]
+    if (ctx.p, ctx.e) != (p, e):
+        raise ValueError("form file field does not match the requested field")
+    if m < 1:
+        raise ValueError("malformed form file: 'm' must be positive")
+    if any(not 0 <= x < ctx.q2 for x in upper):
+        raise ValueError("malformed form file: upper entries out of range")
+    return ctx, code.AlternatingForm.from_upper(ctx, m, upper)
 
 
 def cmd_weight(args) -> int:
@@ -295,10 +387,22 @@ def cmd_spectrum(args) -> int:
         )
     else:
         rep = code.spectrum(system, mode="exhaustive", budget=args.budget, jobs=args.jobs)
-    meta = code.spectrum_metadata(rep)
+    meta = {
+        "mode": rep.mode,
+        "m": rep.m,
+        "q": rep.q,
+        "seed": rep.seed,
+        "forms_scanned": rep.forms_scanned,
+        "min_nonzero_weight": rep.min_nonzero_weight,
+    }  # no wall time, so written files stay byte-identical between reruns
+    if rep.min_weight_radical_dims is not None:
+        meta["min_weight_radical_dims"] = {
+            str(k): v for k, v in sorted(rep.min_weight_radical_dims.items())
+        }
+    rows = sorted(rep.histogram.items())
 
     def write_csv(f):
-        code.write_spectrum_csv(f, rep)
+        f.writelines(["weight,count\n"] + [f"{w},{c}\n" for w, c in rows])
         if args.out:
             with open(args.out + ".meta.json", "w") as mf:
                 json.dump(meta, mf, indent=2, sort_keys=True)
@@ -308,7 +412,7 @@ def cmd_spectrum(args) -> int:
 
     _write(
         args,
-        lambda: {"histogram": {str(k): v for k, v in sorted(rep.histogram.items())}, "meta": meta},
+        lambda: {"histogram": {str(w): c for w, c in rows}, "meta": meta},
         indent=2,
         write_csv=write_csv,
     )
@@ -349,11 +453,12 @@ def cmd_bounds(args) -> int:
         {"i": r.i, "xi": r.xi, "muMax": r.mu_max, "dLower": math.ceil(r.d_lower)}
         for r in table.rows
     ]
+    csv = ["i,xi,muMax,dLower\n"] + [",".join(map(str, r.values())) + "\n" for r in rows]
     _write(
         args,
         lambda: {"m": table.m, "q": table.q, "rows": rows},
         indent=2,
-        write_csv=lambda f: classify.write_bounds_csv(f, table),
+        write_csv=lambda f: f.writelines(csv),
     )
     return EXIT_OK
 

@@ -19,9 +19,6 @@ Weights are computed three independent ways across the package:
 * ``classify.weight_from_class_counts``: reconstruct from the sizes
   of the three per-point classes.
 
-Form file format (JSON): {"m": .., "p": .., "e": .., "upper": [..]}
-where "upper" lists the strict upper triangle in pair order.
-
 Spectrum scans index the strict upper triangle as a mixed-radix
 counter (most significant digit first); sample mode draws seeded
 uniform forms.  Exhaustive mode covers all Q^K forms, Q = q^2, by
@@ -44,7 +41,6 @@ walk yields the packed nonzero masks, which the scan popcounts
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import multiprocessing
 import os
@@ -54,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, polar
-from .ff import FieldCtx, make_field
+from .ff import FieldCtx
 from .pluecker import ProjectiveSystem
 
 __all__ = [
@@ -70,10 +66,6 @@ __all__ = [
     "weight_recursive",
     "spectrum",
     "min_distance",
-    "read_form_json",
-    "write_form_json",
-    "write_spectrum_csv",
-    "spectrum_metadata",
 ]
 
 
@@ -274,56 +266,6 @@ def weight_recursive(phi: AlternatingForm, space: polar.HermitianSpace) -> int:
     if total % den:
         raise RuntimeError("vector sum not divisible by q^4 - 1; arithmetic bug")
     return total // den
-
-
-# -- form files -------------------------------------------------------------
-
-
-def write_form_json(f, phi: AlternatingForm) -> None:
-    json.dump(
-        {
-            "m": phi.m,
-            "p": phi.ctx.p,
-            "e": phi.ctx.e,
-            "upper": [int(x) for x in phi.upper()],
-        },
-        f,
-        sort_keys=True,
-    )
-    f.write("\n")
-
-
-def _json_int(value, what: str) -> int:
-    # bool is a subclass of int, but true/false are not form entries
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"malformed form file: {what} must be an integer")
-    return value
-
-
-def read_form_json(f, ctx: FieldCtx | None = None) -> AlternatingForm:
-    try:
-        data = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed form file: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError("malformed form file: expected a JSON object")
-    for key in ("m", "p", "e", "upper"):
-        if key not in data:
-            raise ValueError(f"malformed form file: missing {key!r}")
-    m, p, e = (_json_int(data[key], repr(key)) for key in ("m", "p", "e"))
-    upper = data["upper"]
-    if not isinstance(upper, list):
-        raise ValueError("malformed form file: 'upper' must be a list")
-    upper = [_json_int(x, "'upper' entry") for x in upper]
-    if ctx is None:
-        ctx = make_field(p, e)
-    elif (ctx.p, ctx.e) != (p, e):
-        raise ValueError("form file field does not match the requested field")
-    if m < 1:
-        raise ValueError("malformed form file: 'm' must be positive")
-    if any(not 0 <= x < ctx.q2 for x in upper):
-        raise ValueError("malformed form file: upper entries out of range")
-    return AlternatingForm.from_upper(ctx, m, upper)
 
 
 # -- spectrum scans ---------------------------------------------------------
@@ -567,30 +509,6 @@ def spectrum(
         min_weight_example=[int(x) for x in example],
         min_weight_radical_dims=radical_dims,
     )
-
-
-def write_spectrum_csv(f, report: SpectrumReport) -> None:
-    f.write("weight,count\n")
-    for w in sorted(report.histogram):
-        f.write(f"{w},{report.histogram[w]}\n")
-
-
-def spectrum_metadata(report: SpectrumReport) -> dict:
-    """Metadata dictionary for a scan.  It leaves out the wall time, so
-    written files stay byte-identical between reruns."""
-    meta = {
-        "mode": report.mode,
-        "m": report.m,
-        "q": report.q,
-        "seed": report.seed,
-        "forms_scanned": report.forms_scanned,
-        "min_nonzero_weight": report.min_nonzero_weight,
-    }
-    if report.min_weight_radical_dims is not None:
-        meta["min_weight_radical_dims"] = {
-            str(k): v for k, v in sorted(report.min_weight_radical_dims.items())
-        }
-    return meta
 
 
 def min_distance(

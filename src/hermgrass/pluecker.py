@@ -7,8 +7,7 @@ coordinates are already normalized (the pivot-pair coordinate is 1).
 
 The ordered images of all totally isotropic lines form a projective
 system; stacking them as columns gives the generator matrix of the
-induced linear code.  Generator matrix text format: header
-"m p e N K", then K rows of N whitespace-separated entries.
+induced linear code.
 
 ``build_system`` fills the matrix from the line pairs (a, b) of
 ``HermitianSpace.line_pair_indices``, whose point rows p_a, p_b are the
@@ -35,7 +34,7 @@ from . import linalg, polar
 from .ff import FieldCtx
 from .linalg import fsub
 
-__all__ = ["pair_indices", "pluecker_point", "ProjectiveSystem", "build_system", "write_genmat"]
+__all__ = ["pair_indices", "pluecker_point", "ProjectiveSystem", "build_system"]
 
 # Lines per block of the Pluecker fill; bounds the gathered point
 # columns to m * 2^16 codes per side.
@@ -131,10 +130,3 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
     space._cache["system"] = system
     return system
 
-
-def write_genmat(f, system: ProjectiveSystem) -> None:
-    """The text format through ``polar._write_csv_rows``, whose byte
-    slots hold codes below 100: every code here is below q^2 <= 64."""
-    ctx = system.ctx
-    f.write(f"{system.space.m} {ctx.p} {ctx.e} {system.n} {system.k}\n")
-    polar._write_csv_rows(f, system.k, system.n, lambda lo, hi: system.matrix[lo:hi], " ")

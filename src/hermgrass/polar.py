@@ -55,8 +55,6 @@ __all__ = [
     "HermitianSpace",
     "perp",
     "radical_profile",
-    "write_points_csv",
-    "write_lines_csv",
 ]
 
 # Entries of one inner-product block in line_pair_indices: 256 KB per
@@ -423,40 +421,3 @@ def radical_profile(space: HermitianSpace, r) -> RadicalProfile:
     t = d - linalg.rank(ctx, restricted)
     return RadicalProfile(dim=d, t=t, label=f"[Pi_{t}]H_{d - t}")
 
-
-def _write_csv_rows(f, n_rows: int, width: int, block, sep: str = ",") -> None:
-    """Write the rows ``block(lo, hi)``, about DOT_BLOCK codes at a time, as
-    lines of ``sep``-separated decimals.  A code, below 100, fills three
-    byte slots (tens digit or 0, units digit, sep or newline); each
-    block's nonzero slots are written as one string."""
-    step = max(1, linalg.DOT_BLOCK // width)
-    for lo in range(0, n_rows, step):
-        codes = block(lo, lo + step)
-        tens, units = np.divmod(codes, 10)
-        slots = np.empty((*codes.shape, 3), dtype=np.uint8)
-        slots[..., 0] = np.where(tens, tens + 48, 0)
-        slots[..., 1] = units + 48
-        slots[..., 2] = ord(sep)
-        slots[:, -1, 2] = ord("\n")
-        flat = slots.ravel()
-        f.write(flat[flat != 0].tobytes().decode("ascii"))
-
-
-def write_points_csv(f, space: HermitianSpace) -> None:
-    ctx = space.ctx
-    pts = space.points()
-    f.write(f"# points m={space.m} p={ctx.p} e={ctx.e} count={len(pts)}\n")
-    _write_csv_rows(f, len(pts), space.m, lambda lo, hi: pts[lo:hi])
-
-
-def write_lines_csv(f, space: HermitianSpace) -> None:
-    ctx = space.ctx
-    a_idx, b_idx = space.line_pair_indices()
-    pts = space.points()
-    f.write(f"# lines m={space.m} p={ctx.p} e={ctx.e} count={len(a_idx)}\n")
-    _write_csv_rows(
-        f,
-        len(a_idx),
-        2 * space.m,
-        lambda lo, hi: np.hstack([pts[a_idx[lo:hi]], pts[b_idx[lo:hi]]]),
-    )

@@ -21,7 +21,8 @@ INIT = Path(hg.__file__)
 # wrapper whose column-subset certificate moved into ``linalg.rank``; the
 # section table's block sequence, whose short leads are rows of the scan
 # kernel's last table, and the field's trial division, which the keys of
-# its primitive polynomials replace.
+# its primitive polynomials replace; and the file readers and writers,
+# whose formats the command line front end now owns.
 DELETED = (
     "ProjectivePoint",
     "IsotropicLine",
@@ -43,6 +44,14 @@ DELETED = (
     "_RepBlocks",
     "_is_prime",
     "dot",
+    "write_points_csv",
+    "write_lines_csv",
+    "write_genmat",
+    "write_spectrum_csv",
+    "spectrum_metadata",
+    "write_bounds_csv",
+    "write_form_json",
+    "read_form_json",
 )
 DELETED_FIELD_WRAPPERS = (
     "add_s",

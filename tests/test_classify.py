@@ -195,16 +195,6 @@ def test_stratum_weight_bound_values():
     assert classify.stratum_weight_bound(4, 1, 2) == Fraction(74, 5)
 
 
-def test_bounds_csv(tmp_path):
-    table = classify.bound_table(6, 2)
-    path = tmp_path / "bounds.csv"
-    with open(path, "w") as f:
-        classify.write_bounds_csv(f, table)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,xi,muMax,dLower"
-    assert lines[3] == "3,189,0,4032"
-
-
 def test_rank2_witness_52(space52, system52):
     phi = hg.make_rank2_cone_form(space52)
     assert phi.rank == 2 and phi.rad_dim == 3

@@ -1,11 +1,13 @@
 import contextlib
+import functools
 import io
 import json
+import sys
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import hermgrass as hg
@@ -55,6 +57,123 @@ def test_weight_and_classify(tmp_path, capsys):
     assert rep["checks"]["conservation"] is True
 
 
+def test_csv_writers(space42, capsys):
+    assert cli.run(["points", "-m", "4", "-q", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# points m=4 p=2 e=1 count=45"
+    assert len(lines) == 46
+    first = [int(x) for x in lines[1].split(",")]
+    assert first == [int(x) for x in space42.points()[0]]
+    assert cli.run(["lines", "-m", "4", "-q", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# lines m=4 p=2 e=1 count=27"
+    assert len(lines) == 28
+    assert len(lines[1].split(",")) == 8
+
+
+def test_genmat_format(system42, capsys):
+    assert cli.run(["genmat", "-m", "4", "-q", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "4 2 1 27 6"
+    assert len(lines) == 7
+    row = [int(x) for x in lines[1].split()]
+    assert row == [int(x) for x in system42.matrix[0]]
+
+
+class _CountingWriter(io.StringIO):
+    """A text buffer that counts its write calls."""
+
+    writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+def _join_rows(rows, sep):
+    """The test's own lines of text: one str.join per row.  Lines, not one
+    string, so that a failure reports the first differing line."""
+    return [sep.join(map(str, r)) + "\n" for r in rows.tolist()]
+
+
+@functools.cache
+def _tables(m, p, e):
+    """The space of V(m, q^2), q = p^e, with its points, lines and
+    generator built (and cached on it) before any test shrinks
+    DOT_BLOCK, and the rows of each table: a line is the pair of its
+    basis rows."""
+    space = hg.HermitianSpace(m, hg.make_field(p, e))
+    pts = space.points()
+    a_idx, b_idx = space.line_pair_indices()
+    rows = {
+        "points": pts,
+        "lines": np.stack([pts[a_idx], pts[b_idx]], axis=1),
+        "genmat": hg.build_system(space).matrix,
+    }
+    return space, rows
+
+
+def _run_table(monkeypatch, tmp_path, argv):
+    """stdout of ``cli.run(argv)`` in a counting buffer, after checking
+    that ``--out`` writes the same text."""
+    out = tmp_path / "table.out"
+    assert cli.run([*argv, "--out", str(out)]) == 0
+    buf = _CountingWriter()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", buf)
+        assert cli.run(argv) == 0
+    assert out.read_text() == buf.getvalue()
+    return buf
+
+
+@pytest.mark.parametrize("dot_block", [None, 40], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize("m,p,e", [(4, 2, 1), (5, 3, 1), (4, 2, 2), (4, 2, 3)])
+def test_text_writer_matches_str_join(m, p, e, dot_block, monkeypatch, tmp_path):
+    # (4, 2, 2) and (4, 2, 3) are q = 4 and 8: codes up to 15 and 63.
+    # DOT_BLOCK = 40 puts 10 // width rows, at least 1, in a block, so the
+    # points, the lines and the generator rows each take several blocks.
+    # The commands write the tables built here, from the space's caches.
+    space, tables = _tables(m, p, e)
+    monkeypatch.setattr(cli, "_space_for", lambda args: space)
+    if dot_block is not None:
+        monkeypatch.setattr(linalg, "DOT_BLOCK", dot_block)
+    field = ["-m", str(m), "-p", str(p), "-e", str(e)]
+    for name, rows in tables.items():
+        flat = rows.reshape(len(rows), -1)
+        blocks = -(-len(rows) // max(1, linalg.DOT_BLOCK // 4 // flat.shape[1]))
+        if dot_block is not None:
+            assert blocks > 1, name
+        sep = " " if name == "genmat" else ","
+        if name == "genmat":
+            head = f"{m} {p} {e} {flat.shape[1]} {len(rows)}\n"
+        else:
+            head = f"# {name} m={m} p={p} e={e} count={len(rows)}\n"
+        # CSV: the header, then one write per block
+        buf = _run_table(monkeypatch, tmp_path, [name, *field])
+        assert buf.getvalue().splitlines(keepends=True) == [head] + _join_rows(flat, sep), name
+        assert buf.writes == 1 + blocks
+        if name == "genmat":
+            continue
+        # JSON: the bytes of one json.dumps, the rows written one block at a time
+        buf = _run_table(monkeypatch, tmp_path, [name, *field, "--format", "json"])
+        payload = {"m": m, "p": p, "e": e, name: rows.tolist()}
+        assert buf.getvalue() == json.dumps(payload, sort_keys=True) + "\n", name
+        assert buf.writes == 2 + blocks
+    # the tens digit is in play exactly when q^2 > 9
+    assert (max(int(rows.max()) for rows in tables.values()) >= 10) == (p**e > 3)
+
+
+@pytest.mark.parametrize("cmd,m", [("points", "1"), ("lines", "3")])
+def test_text_writers_of_no_rows_print_only_the_header(monkeypatch, tmp_path, cmd, m):
+    # V(1, 4) has no isotropic points and V(3, 4) no totally isotropic lines
+    buf = _run_table(monkeypatch, tmp_path, [cmd, "-m", m, "-q", "2"])
+    assert buf.getvalue() == f"# {cmd} m={m} p=2 e=1 count=0\n"
+    assert buf.writes == 1
+    buf = _run_table(monkeypatch, tmp_path, [cmd, "-m", m, "-q", "2", "--format", "json"])
+    assert buf.getvalue() == json.dumps({"m": int(m), "p": 2, "e": 1, cmd: []}, sort_keys=True) + "\n"
+    assert buf.writes == 2
+
+
 @pytest.mark.parametrize("command, m", [("lines", 6), ("points", 8)])
 def test_json_rows_written_in_blocks_match_one_dump(tmp_path, command, m):
     # 6237 lines of 12 codes and 10 965 points of 8 codes each span more
@@ -71,6 +190,45 @@ def test_json_rows_written_in_blocks_match_one_dump(tmp_path, command, m):
     assert len(rows) * rows[0].size > linalg.DOT_BLOCK
     payload = {"m": m, "p": 2, "e": 1, command: rows.tolist()}
     assert out.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+
+def test_form_json_round_trip(ctx2, tmp_path, monkeypatch, capsys):
+    phi = code.AlternatingForm.from_upper(ctx2, 5, np.arange(10, dtype=np.uint8) % 4)
+    form = tmp_path / "form.json"
+    with open(form, "w") as f:
+        json.dump({"m": 5, "p": 2, "e": 1, "upper": [int(x) for x in phi.upper()]}, f)
+    read = []
+    weight_recursive = code.weight_recursive
+    monkeypatch.setattr(cli.code, "weight_recursive", lambda f, s: read.append(f) or weight_recursive(f, s))
+    assert cli.run(["weight", "--form", str(form), "-q", "2"]) == 0
+    assert read == [phi]
+    # not JSON, a missing key, an entry outside GF(4), and a field that
+    # is not the one of the flags
+    for text, why in (
+        ("not json", "malformed form file: Expecting value: line 1 column 1 (char 0)"),
+        ('{"m": 4, "p": 2, "e": 1}', "malformed form file: missing 'upper'"),
+        ('{"m": 4, "p": 2, "e": 1, "upper": [9,0,0,0,0,0]}', "malformed form file: upper entries out of range"),
+        ('{"m": 4, "p": 3, "e": 1, "upper": [0,0,0,0,0,0]}', "form file field does not match the requested field"),
+    ):
+        form.write_text(text)
+        capsys.readouterr()
+        assert cli.run(["weight", "--form", str(form), "-q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {why}"]
+
+
+@pytest.mark.parametrize("command", ["weight", "classify"])
+def test_deeply_nested_form_file_exits_2(tmp_path, capsys, command):
+    # the JSON decoder gives up on nesting this deep with RecursionError
+    depth = 100_000
+    form = tmp_path / "deep.json"
+    form.write_text('{"m": 4, "p": 2, "e": 1, "upper": ' + "[" * depth + "]" * depth + "}\n")
+    assert cli.run([command, "--form", str(form), "-q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed form file: maximum recursion depth")
 
 
 def test_weight_and_classify_of_the_zero_form(tmp_path, capsys):
@@ -100,6 +258,21 @@ def test_spectrum_outputs_are_byte_identical(tmp_path):
     assert rows[0] == "weight,count" and rows[1] == "0,1"
 
 
+def test_spectrum_csv_and_metadata(tmp_path, capsys):
+    assert cli.run(["spectrum", "-m", "4", "-q", "2", "--exhaustive", "--jobs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "weight,count"
+    assert lines[1] == "0,1"
+    # to stdout the metadata follows the rows as one JSON line
+    meta = json.loads(lines[-1])
+    assert meta["mode"] == "exhaustive" and meta["forms_scanned"] == 4096
+    assert "wall_time_s" not in meta
+    out = tmp_path / "s.csv"
+    assert cli.run(["spectrum", "-m", "4", "-q", "2", "--exhaustive", "--jobs", "1", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == lines[:-1]
+    assert json.loads((tmp_path / "s.csv.meta.json").read_text()) == meta
+
+
 def test_spectrum_sample_seeded(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -111,11 +284,18 @@ def test_spectrum_sample_seeded(tmp_path):
     assert data["meta"]["seed"] == 9 and data["meta"]["forms_scanned"] == 400
 
 
-def test_bounds_csv(capsys):
+def test_bounds_csv(tmp_path, capsys):
     assert cli.run(["bounds", "-m", "6", "-q", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "i,xi,muMax,dLower"
-    assert out[3].startswith("3,189,0,")
+    assert out[3] == "3,189,0,4032"
+    path = tmp_path / "bounds.csv"
+    assert cli.run(["bounds", "-m", "6", "-q", "2", "--out", str(path)]) == 0
+    assert path.read_text().splitlines() == out
+    # the CSV rows are the JSON rows, dLower the ceiling of the exact bound
+    assert cli.run(["bounds", "-m", "6", "-q", "2", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert out[1:] == [f"{r['i']},{r['xi']},{r['muMax']},{r['dLower']}" for r in rows]
 
 
 def test_min_word_exhaustive(tmp_path):
@@ -375,3 +555,64 @@ def test_field_flags_exit_0_or_2(command, q, p, e):
         data = json.loads(out.getvalue())
         got = [row["q"] for row in data] if command == "params" else [data["q"]]
         assert got == [want]
+
+
+json_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=4),
+    st.integers(-3, 6),
+    st.integers(min_value=-(2**80), max_value=2**80),
+)
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+# Near misses of each form file key, for m up to 5 and -q 2.
+near_values = {
+    "m": st.integers(-2, 6) | st.integers(min_value=2**63),
+    "p": st.integers(-1, 5),
+    "e": st.integers(-1, 3),
+    "upper": st.lists(st.integers(-1, 4), max_size=12),
+}
+
+
+@st.composite
+def form_documents(draw):
+    """A JSON document for --form: any value; a form file of m up to 5
+    over GF(4); or such a file with some of m, p, e and upper dropped or
+    replaced by a near miss or by any value."""
+    kind = draw(st.sampled_from(["any", "form", "disturbed"]))
+    if kind == "any":
+        return draw(json_value)
+    m = draw(st.sampled_from([4, 5]) | st.integers(-1, 5))
+    n = max(0, m * (m - 1) // 2)
+    doc = {"m": m, "p": 2, "e": 1, "upper": draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))}
+    if kind == "disturbed":
+        for key in draw(st.sets(st.sampled_from(sorted(doc)), min_size=1)):
+            if draw(st.booleans()):
+                del doc[key]
+            else:
+                doc[key] = draw(near_values[key] | json_value)
+    doc.update(draw(st.dictionaries(st.text(max_size=3), json_leaf, max_size=2)))
+    return doc
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(["weight", "classify"]), form_documents())
+def test_fuzzed_form_files_exit_0_1_or_2(tmp_path_factory, command, doc):
+    form = tmp_path_factory.getbasetemp() / "fuzzed-form.json"
+    form.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run([command, "--form", str(form), "-q", "2"])
+    assert code in (0, 1, 2)
+    event(f"exit {code}")
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

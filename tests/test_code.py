@@ -1,7 +1,5 @@
 import dataclasses
-import io
 import itertools
-import json
 import types
 from math import comb
 
@@ -245,25 +243,6 @@ def test_form_index_round_trip(ctx3):
     )
     with pytest.raises(ValueError):
         code.AlternatingForm.from_upper(ctx3, 4, np.zeros(7, dtype=np.uint8))
-
-
-def test_form_json_round_trip(ctx2):
-    phi = code.AlternatingForm.from_upper(ctx2, 5, np.arange(10, dtype=np.uint8) % 4)
-    buf = io.StringIO()
-    code.write_form_json(buf, phi)
-    buf.seek(0)
-    again = code.read_form_json(buf, ctx2)
-    assert again == phi
-    with pytest.raises(ValueError):
-        code.read_form_json(io.StringIO("not json"))
-    with pytest.raises(ValueError):
-        code.read_form_json(io.StringIO('{"m": 4, "p": 2, "e": 1}'))
-    with pytest.raises(ValueError):
-        code.read_form_json(io.StringIO('{"m": 4, "p": 2, "e": 1, "upper": [9,0,0,0,0,0]}'))
-    with pytest.raises(ValueError):
-        code.read_form_json(
-            io.StringIO('{"m": 4, "p": 3, "e": 1, "upper": [0,0,0,0,0,0]}'), ctx2
-        )
 
 
 FROZEN_42_HISTOGRAM = {0: 1, 12: 108, 16: 81, 18: 720, 20: 1620, 22: 1296, 24: 270}
@@ -602,19 +581,6 @@ def test_sample_spectrum_reproducible(system42):
     assert r1.forms_scanned == 500
     assert 0 not in r1.histogram
     assert r1.seed == 42
-
-
-def test_spectrum_csv_and_metadata(system42):
-    rep = code.spectrum(system42, mode="exhaustive")
-    buf = io.StringIO()
-    code.write_spectrum_csv(buf, rep)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "weight,count"
-    assert lines[1] == "0,1"
-    meta = code.spectrum_metadata(rep)
-    assert meta["mode"] == "exhaustive" and meta["forms_scanned"] == 4096
-    assert "wall_time_s" not in meta
-    json.dumps(meta)
 
 
 def test_min_distance_exhaustive(system42):

@@ -1,5 +1,4 @@
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -140,16 +139,6 @@ def test_build_system_over_available_memory_raises(monkeypatch):
     assert "line_pairs" not in space._cache
     monkeypatch.setattr(polar, "_available_memory", lambda: 15 * 6237)
     assert hg.build_system(space).matrix.shape == (15, 6237)
-
-
-def test_genmat_format(system42):
-    buf = io.StringIO()
-    pluecker.write_genmat(buf, system42)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "4 2 1 27 6"
-    assert len(lines) == 7
-    row = [int(x) for x in lines[1].split()]
-    assert row == [int(x) for x in system42.matrix[0]]
 
 
 def test_build_requires_m_at_least_4(ctx2):

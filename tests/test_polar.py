@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hermgrass as hg
-from hermgrass import cli, code, linalg, pluecker, polar
+from hermgrass import code, linalg, polar
 
 
 def test_point_count_closed_form_values():
@@ -427,22 +427,6 @@ def test_cone_count_monotone_chains(q):
             assert max(seq) == hg.cone_count_max(m, i, q)
 
 
-def test_csv_writers(space42):
-    buf = io.StringIO()
-    polar.write_points_csv(buf, space42)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# points m=4 p=2 e=1 count=45"
-    assert len(lines) == 46
-    first = [int(x) for x in lines[1].split(",")]
-    assert first == [int(x) for x in space42.points()[0]]
-    buf = io.StringIO()
-    polar.write_lines_csv(buf, space42)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "# lines m=4 p=2 e=1 count=27"
-    assert len(lines) == 28
-    assert len(lines[1].split(",")) == 8
-
-
 def test_m1_space_has_empty_section_table_and_zero_weight(ctx2, ctx3):
     # V(1, q^2) has no isotropic points: one hyperplane row of width 0
     for ctx in (ctx2, ctx3):
@@ -450,79 +434,3 @@ def test_m1_space_has_empty_section_table_and_zero_weight(ctx2, ctx3):
         assert space.section_table().shape == (1, 0)
         zero = code.AlternatingForm(ctx, np.zeros((1, 1), dtype=np.uint8))
         assert code.weight_recursive(zero, space) == 0
-
-
-class _CountingWriter(io.StringIO):
-    """A text buffer that counts its write calls."""
-
-    writes = 0
-
-    def write(self, s):
-        self.writes += 1
-        return super().write(s)
-
-
-def _join_rows(rows, sep):
-    """The test's own lines of text: one str.join per row.  Lines, not one
-    string, so that a failure reports the first differing line."""
-    return [sep.join(map(str, r)) + "\n" for r in rows.tolist()]
-
-
-def _lines(buf):
-    return buf.getvalue().splitlines(keepends=True)
-
-
-@functools.cache
-def _text_rows(m, p, e):
-    """Points, line bases and generator rows of V(m, q^2), q = p^e, built
-    before any test shrinks DOT_BLOCK."""
-    space = hg.HermitianSpace(m, hg.make_field(p, e))
-    pts = space.points()
-    a_idx, b_idx = space.line_pair_indices()
-    system = hg.build_system(space)
-    return space, {"points": pts, "lines": np.hstack([pts[a_idx], pts[b_idx]]), "genmat": system.matrix}
-
-
-@pytest.mark.parametrize("dot_block", [None, 40], ids=["default-blocks", "small-blocks"])
-@pytest.mark.parametrize("m,p,e", [(4, 2, 1), (5, 3, 1), (4, 2, 2), (4, 2, 3)])
-def test_text_writer_matches_str_join(m, p, e, dot_block, monkeypatch):
-    # (4, 2, 2) and (4, 2, 3) are q = 4 and 8: codes up to 15 and 63.
-    # DOT_BLOCK = 40 puts 40 // width rows, at least 1, in a block, so the
-    # points, the lines and the generator rows each take several blocks.
-    space, arrays = _text_rows(m, p, e)
-    if dot_block is not None:
-        monkeypatch.setattr(linalg, "DOT_BLOCK", dot_block)
-    for name, rows in arrays.items():
-        step = max(1, linalg.DOT_BLOCK // rows.shape[1])
-        for sep in (",", " "):
-            buf = _CountingWriter()
-            polar._write_csv_rows(buf, len(rows), rows.shape[1], lambda lo, hi: rows[lo:hi], sep)
-            assert _lines(buf) == _join_rows(rows, sep), (name, sep)
-            assert buf.writes == -(-len(rows) // step)
-        if dot_block is not None:
-            assert buf.writes > 1, name
-    # the tens digit is in play exactly when q^2 > 9
-    assert (max(int(rows.max()) for rows in arrays.values()) >= 10) == (p**e > 3)
-    # the public writers: their header line, then the same rows
-    ctx = space.ctx
-    for write, name, sep, head in (
-        (polar.write_points_csv, "points", ",", f"# points m={m} p={p} e={e} count={len(arrays['points'])}"),
-        (polar.write_lines_csv, "lines", ",", f"# lines m={m} p={p} e={e} count={len(arrays['lines'])}"),
-    ):
-        buf = io.StringIO()
-        write(buf, space)
-        assert _lines(buf) == [head + "\n"] + _join_rows(arrays[name], sep)
-    buf = io.StringIO()
-    pluecker.write_genmat(buf, hg.build_system(space))
-    rows = arrays["genmat"]
-    assert _lines(buf) == [f"{m} {ctx.p} {ctx.e} {rows.shape[1]} {rows.shape[0]}\n"] + _join_rows(rows, " ")
-
-
-@pytest.mark.parametrize("cmd,m", [("points", "1"), ("lines", "3")])
-def test_text_writers_of_no_rows_print_only_the_header(capsys, cmd, m):
-    # V(1, 4) has no isotropic points and V(3, 4) no totally isotropic lines
-    assert cli.run([cmd, "-m", m, "-q", "2"]) == 0
-    assert capsys.readouterr().out == f"# {cmd} m={m} p=2 e=1 count=0\n"
-    buf = _CountingWriter()
-    polar._write_csv_rows(buf, 0, 4, lambda lo, hi: np.zeros((0, 4), dtype=np.uint8))
-    assert buf.writes == 0
