@@ -1,11 +1,12 @@
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hermgrass as hg
-from hermgrass import classify, code, linalg, polar
+from hermgrass import classify, cli, code, linalg, polar
 
 
 def _symplectic_block(ctx, m):
@@ -193,6 +194,19 @@ def test_bound_table_rejects_small_m(m):
 def test_stratum_weight_bound_values():
     assert classify.stratum_weight_bound(4, 2, 2) == 12
     assert classify.stratum_weight_bound(4, 1, 2) == Fraction(74, 5)
+
+
+def test_bounds_csv(tmp_path):
+    table = classify.bound_table(6, 2)
+    path = tmp_path / "bounds.csv"
+    assert cli.run(["bounds", "-m", "6", "-q", "2", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "i,xi,muMax,dLower"
+    assert lines[3] == "3,189,0,4032"
+    # one row per rank of the bound table, dLower the ceiling of the exact bound
+    assert lines[1:] == [
+        f"{r.i},{r.xi},{r.mu_max},{math.ceil(r.d_lower)}" for r in table.rows
+    ]
 
 
 def test_rank2_witness_52(space52, system52):

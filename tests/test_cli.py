@@ -284,14 +284,11 @@ def test_spectrum_sample_seeded(tmp_path):
     assert data["meta"]["seed"] == 9 and data["meta"]["forms_scanned"] == 400
 
 
-def test_bounds_csv(tmp_path, capsys):
+def test_bounds_csv(capsys):
     assert cli.run(["bounds", "-m", "6", "-q", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "i,xi,muMax,dLower"
     assert out[3] == "3,189,0,4032"
-    path = tmp_path / "bounds.csv"
-    assert cli.run(["bounds", "-m", "6", "-q", "2", "--out", str(path)]) == 0
-    assert path.read_text().splitlines() == out
     # the CSV rows are the JSON rows, dLower the ceiling of the exact bound
     assert cli.run(["bounds", "-m", "6", "-q", "2", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
