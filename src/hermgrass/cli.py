@@ -34,7 +34,8 @@ JSON output has sorted keys.
   "upper": [..]}, the strict upper triangle in pair order.  The top
   level must be an object, m, p, e and every upper entry JSON integers
   (not true, false or null), and upper a list; anything else, nesting
-  too deep for the decoder included, is a usage error.
+  too deep for the decoder, bytes that are not UTF-8 and integers of
+  more digits than Python converts included, is a usage error.
 
 Points, lines and genmat rows are written by ``_write_table`` in one
 loop over blocks of about DOT_BLOCK / 4 codes, in both formats, so
@@ -328,11 +329,13 @@ def _load_form(args):
     """The field of the flags and the form of the --form file, checked
     as the module docstring states; ValueError on any mismatch."""
     ctx = make_field(*_resolve_field(args.q, args.p, args.e))
-    with open(args.form) as f:
+    with open(args.form, encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed form file: {exc}") from None
+        except ValueError:  # int() refuses more than sys.get_int_max_str_digits() digits
+            raise ValueError("malformed form file: an integer has too many digits") from None
     if not isinstance(data, dict):
         raise ValueError("malformed form file: expected a JSON object")
     for key in ("m", "p", "e", "upper"):

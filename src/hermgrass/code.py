@@ -45,7 +45,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -277,8 +277,13 @@ class SpectrumReport:
 
     In exhaustive mode the histogram covers all q^(2K) forms and
     ``min_weight_radical_dims`` maps radical dimension to the number
-    of minimum-weight forms with that radical.  Sample mode reports
-    the seeded sample only.
+    of minimum-weight forms with that radical.  The scan visits each
+    first-row class representative with every entry below it; the
+    minimum words it visits are ``min_word_indices``, ascending counter
+    indices whose K base-Q digits, most significant first, are the upper
+    triangle, and ``min_word_class_sizes`` holds the size of each one's
+    first-row class, so the sizes sum to the number of minimum words.
+    Sample mode reports the seeded sample only and leaves both None.
     """
 
     mode: str
@@ -291,6 +296,8 @@ class SpectrumReport:
     min_nonzero_weight: int | None
     min_weight_example: list[int] | None
     min_weight_radical_dims: dict[int, int] | None = None
+    min_word_indices: np.ndarray | None = field(default=None, compare=False)
+    min_word_class_sizes: np.ndarray | None = field(default=None, compare=False)
 
 
 # The radical split ranks this many minimum-weight forms per batch.
@@ -490,13 +497,14 @@ def spectrum(
     # the zero form is scanned once in exhaustive mode, never drawn in sample mode
     if histogram.get(0, 0) != int(exhaustive):
         raise RuntimeError("a nonzero form has weight 0; the generator is rank deficient")
-    radical_dims, example = None, hits[0][0]
+    radical_dims, example, min_idx, min_size = None, hits[0][0], None, None
     if exhaustive:
         _check_macwilliams(histogram, m, ctx.q)
         min_idx = np.concatenate(hits)
         min_size = sizes[np.searchsorted(reps, min_idx // q2 ** kernel.bounds[-1][1])]
         radical_dims = _radical_split(ctx, m, min_idx, min_size)
         example = linalg._digits(min_idx[:1], q2, k)[0]
+        min_idx.flags.writeable = min_size.flags.writeable = False
     return SpectrumReport(
         mode=mode,
         m=m,
@@ -508,6 +516,8 @@ def spectrum(
         min_nonzero_weight=best_w,
         min_weight_example=[int(x) for x in example],
         min_weight_radical_dims=radical_dims,
+        min_word_indices=min_idx,
+        min_word_class_sizes=min_size,
     )
 
 

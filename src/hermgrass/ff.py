@@ -63,9 +63,11 @@ class FieldCtx:
         narrowest unsigned dtype holding every such flat code (uint8
         while q2**2 <= 256, else uint16).  A left operand pre-scaled
         once with ``scaled_codes`` turns each product or sum into one
-        add and one 1-D gather: odd-p ``linalg.fadd`` and the Pluecker
-        fill (``pluecker.build_system``) are built on these, while
-        ``linalg.matmul`` gathers rows of ``mul``.
+        add and one 1-D gather: odd-p ``linalg.fadd`` and the odd-p
+        Pluecker fill (``pluecker.build_system``) are built on these.
+        ``linalg.matmul`` gathers rows of ``mul``, and the
+        characteristic-2 fill reads no table: bit u of a code is the
+        coefficient of x^u, so it multiplies by shifts and adds.
 
     Instances are immutable after construction and can be shared
     freely across threads and worker processes.

@@ -5,7 +5,9 @@ products go through ``matmul``, which sums one row-gathered product
 table per inner index, so every result is exact; the weight routes, the
 polar images and the line search all call it.  The Pluecker fill
 (``pluecker.build_system``) has one difference of two products per
-coordinate instead, and the scan kernel below sums table rows.  A
+coordinate instead, which it forms by shift-and-add on the code bits in
+characteristic 2 and by ``FieldCtx.mul_flat`` gathers for odd p; the
+scan kernel below sums table rows.  A
 subspace is held by its reduced row echelon basis, the canonical
 representative of a row space; its flattened entries serve as a total
 order and hash key.  Pivots are chosen leftmost first.

@@ -11,17 +11,21 @@ induced linear code.
 
 ``build_system`` fills the matrix from the line pairs (a, b) of
 ``HermitianSpace.line_pair_indices``, whose point rows p_a, p_b are the
-RREF basis of each line.  It walks the lines in blocks of 2^16 and
-gathers, per block, the m coordinate columns of the a- and b-points
-from the transposed point table, the a-side pre-scaled by q^2 once
-(``FieldCtx.scaled_codes``).  Every product p_a[i] p_b[j] is then one
-add and one 1-D gather from ``FieldCtx.mul_flat``, and row (i, j) of
-the block is mul_flat[A_i + B_j] - mul_flat[A_j + B_i], except for
-i = 0: p_b[0] = 0 and p_a[0] is 0 or 1, so row (0, j) is the plain
-byte product p_a[0] p_b[j].  The full N x m bases are never built.
-The fill gathers its products itself, not through ``linalg.matmul``,
-since a coordinate is a difference of two products, not a sum over an
-inner index.
+RREF basis of each line; row (i, j) is p_a[i] p_b[j] - p_a[j] p_b[i].
+The lines come sorted by a, in runs of one a each, and the fill walks
+blocks of whole runs.  Per block it gathers the m coordinate rows of the
+b-points from the transposed point table once, and takes the a-side from
+the run heads only, expanded over each run with ``np.repeat``.  Rows
+(0, j) are the byte products p_a[0] p_b[j], since p_b[0] = 0 and p_a[0]
+is 0 or 1.  In characteristic 2 a product needs no table: with bit u of
+a code the coefficient of x^u (see ff), a b is the XOR over u < 2e of
+a x^u masked by bit u of b.  So each bit u costs one repeat of the
+heads' multiples a x^u, the 0x00/0xFF masks of b (a shift, an AND and a
+negate), and two byte ANDs and two XORs per row.  For odd p (e = 1,
+small systems) each product is one ``FieldCtx.mul_flat`` gather.  The
+full N x m bases are never built.  The fill computes its products
+itself, not through ``linalg.matmul``, since a coordinate is a
+difference of two products, not a sum over an inner index.
 ``linalg.rank`` certifies the K x N matrix, usually on a strided subset
 of its columns.
 """
@@ -36,9 +40,11 @@ from .linalg import fsub
 
 __all__ = ["pair_indices", "pluecker_point", "ProjectiveSystem", "build_system"]
 
-# Lines per block of the Pluecker fill; bounds the gathered point
-# columns to m * 2^16 codes per side.
-_LINE_BLOCK = 1 << 16
+# Lines per block of the Pluecker fill, which ends on a run edge unless one
+# run is longer.  A block's b-side, masks, a-side and row temporaries take
+# about 5m bytes a line; 2^15 was as fast as 2^16 at (8,2), and faster at
+# (5,4).
+_LINE_BLOCK = 1 << 15
 
 
 def pair_indices(m: int) -> list[tuple[int, int]]:
@@ -108,21 +114,20 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
     k, n_lines = len(pairs), polar.line_count(space.m, ctx.q)
     polar._check_memory(k * n_lines, f"the {k} x {n_lines} generator matrix needs {{}} bytes")
     a_idx, b_idx = space.line_pair_indices()
-    pts_t = space.points().T
-    pts_t_scaled = ctx.scaled_codes(pts_t)
-    mulf = ctx.mul_flat
+    pts_t = np.ascontiguousarray(space.points().T)  # a take copies a strided table per call
     n = len(a_idx)
-    g = np.empty((k, n), dtype=np.uint8)
-    for lo in range(0, n, _LINE_BLOCK):
-        hi = min(n, lo + _LINE_BLOCK)
-        a = np.take(pts_t_scaled, a_idx[lo:hi], axis=1)
-        b = np.take(pts_t, b_idx[lo:hi], axis=1)
-        a0 = np.take(pts_t[0], a_idx[lo:hi])
-        for r, (i, j) in enumerate(pairs):
-            if i == 0:  # lead(b) >= 1 gives b_0 = 0, and a_0 is 0 or 1: row (0, j) is a_0 b_j
-                np.multiply(a0, b[j], out=g[r, lo:hi])
-            else:
-                fsub(ctx, np.take(mulf, a[i] + b[j]), np.take(mulf, a[j] + b[i]), g[r, lo:hi])
+    # the first line of each run of equal a, then n
+    edges = np.concatenate(([0], np.flatnonzero(a_idx[1:] != a_idx[:-1]) + 1, [n]))
+    g = np.zeros((k, n), dtype=np.uint8)
+    s = 0
+    while s + 1 < len(edges):
+        # whole runs [edges[s], edges[t]) of at most _LINE_BLOCK lines, or one longer run
+        t = max(s + 1, int(np.searchsorted(edges, edges[s] + _LINE_BLOCK, "right")) - 1)
+        lo, hi = edges[s], edges[t]
+        heads = np.take(pts_t, a_idx[edges[s:t]], axis=1)
+        b = np.take(pts_t, b_idx[lo:hi], axis=1, mode="clip")
+        _fill_block(ctx, heads, np.diff(edges[s : t + 1]), b, g[:, lo:hi])
+        s = t
     got = linalg.rank(ctx, g)
     if got != len(pairs):
         raise RuntimeError(f"generator matrix rank {got}, expected {len(pairs)}")
@@ -130,3 +135,38 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
     space._cache["system"] = system
     return system
 
+
+def _fill_block(ctx: FieldCtx, heads, runs, b, g) -> None:
+    """Rows (i, j) of one block g of the generator, p_a[i] p_b[j] -
+    p_a[j] p_b[i], where p_a is column c of heads for runs[c] lines and
+    p_b is the line's column of b.
+
+    Rows (0, j) are one byte product: p_b[0] = 0, as lead(b) > lead(a),
+    and p_a[0] is 0 or 1.  In characteristic 2 the other rows start at
+    zero and, for each bit u, XOR in p_a[i] x^u masked by bit u of
+    p_b[j], and p_a[j] x^u masked by bit u of p_b[i].  The rows (i, j),
+    j > i, are consecutive in pair order, so each i takes one AND and
+    one XOR per term.  For odd p each product is one ``mul_flat``
+    gather, a row at a time.
+    """
+    m = len(b)
+    np.multiply(b[1:], np.repeat(heads[0], runs), out=g[: m - 1])
+    if ctx.p != 2:
+        a = np.repeat(ctx.scaled_codes(heads), runs, axis=1)
+        for r, (i, j) in enumerate(pair_indices(m)[m - 1 :], m - 1):
+            fsub(ctx, np.take(ctx.mul_flat, a[i] + b[j]), np.take(ctx.mul_flat, a[j] + b[i]), g[r])
+        return
+    mask, tmp = np.empty_like(b), np.empty_like(b[2:])
+    for u in range(2 * ctx.e):
+        a = np.repeat(ctx.mul[1 << u][heads], runs, axis=1)  # p_a x^u; x^u has code 2^u
+        np.right_shift(b, u, out=mask)
+        np.bitwise_and(mask, 1, out=mask)
+        np.negative(mask, out=mask)  # 0xFF where bit u of p_b is set, else 0
+        r = m - 1
+        for i in range(1, m - 1):
+            rows, t = g[r : r + m - 1 - i], tmp[i - 1 :]  # rows (i, j) for j > i
+            np.bitwise_and(mask[i + 1 :], a[i], out=t)
+            np.bitwise_xor(rows, t, out=rows)
+            np.bitwise_and(a[i + 1 :], mask[i], out=t)
+            np.bitwise_xor(rows, t, out=rows)
+            r += m - 1 - i

@@ -340,15 +340,13 @@ def test_rank4_e0_radical_form_is_rejected_at_72(space72):
     assert not ok, why
 
 
-def _scanned_min_words(system, monkeypatch):
-    """Minimum words among the forms an exhaustive scan visits, read from
-    the counter indices the scan hands to its radical split."""
-    seen = []
-    split = code._radical_split
-    monkeypatch.setattr(code, "_radical_split", lambda *a: seen.append(a[2]) or split(*a))
-    code.spectrum(system, mode="exhaustive", jobs=1)
+def _scanned_min_words(system):
+    """Minimum words among the forms an exhaustive scan visits, from the
+    counter indices in its report."""
+    rep = code.spectrum(system, mode="exhaustive", jobs=1)
+    assert rep.min_word_class_sizes.sum() == rep.histogram[rep.min_nonzero_weight]
     ctx, m = system.ctx, system.space.m
-    digits = linalg._digits(seen[0], ctx.q2, m * (m - 1) // 2).astype(np.uint8)
+    digits = linalg._digits(rep.min_word_indices, ctx.q2, m * (m - 1) // 2).astype(np.uint8)
     return [code.AlternatingForm.from_upper(ctx, m, d) for d in digits]
 
 
@@ -356,11 +354,11 @@ MIN_WORD_SIZES = [(4, 2), (4, 3), (5, 2), (4, 4), (4, 5)]
 
 
 @pytest.mark.parametrize("m,q", MIN_WORD_SIZES, ids=[f"{m}-{q}" for m, q in MIN_WORD_SIZES])
-def test_every_scanned_minimum_word_has_the_profile(m, q, monkeypatch):
+def test_every_scanned_minimum_word_has_the_profile(m, q):
     space = hg.HermitianSpace(m, _field(q))
     system = hg.build_system(space)
     d_min = code.code_params(m, q).d_min
-    words = _scanned_min_words(system, monkeypatch)
+    words = _scanned_min_words(system)
     assert words
     for phi in words:
         assert code.weight_direct(phi, system) == d_min

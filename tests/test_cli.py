@@ -231,6 +231,22 @@ def test_deeply_nested_form_file_exits_2(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("error: malformed form file: maximum recursion depth")
 
 
+@pytest.mark.parametrize("command", ["weight", "classify"])
+def test_undecodable_form_files_exit_2(tmp_path, capsys, command):
+    form = tmp_path / "bad.json"
+    for data, why in (
+        (b'{"m": 4, "p": 2, "e": 1, "upper": [0,0,0,0,0,0], "\xff": 0}', "'utf-8' codec can't decode"),
+        (b'{"m": ' + b"9" * 5000 + b', "p": 2, "e": 1, "upper": []}', "an integer has too many digits"),
+    ):
+        form.write_bytes(data)
+        capsys.readouterr()
+        assert cli.run([command, "--form", str(form), "-q", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: malformed form file: {why}")
+
+
 def test_weight_and_classify_of_the_zero_form(tmp_path, capsys):
     form = tmp_path / "zero.json"
     form.write_text('{"m": 4, "p": 2, "e": 1, "upper": [0, 0, 0, 0, 0, 0]}\n')
@@ -599,17 +615,45 @@ def form_documents(draw):
     return doc
 
 
-@settings(deadline=None, max_examples=120)
-@given(st.sampled_from(["weight", "classify"]), form_documents())
-def test_fuzzed_form_files_exit_0_1_or_2(tmp_path_factory, command, doc):
+@st.composite
+def form_file_bytes(draw):
+    """The bytes of a --form file: a ``form_documents`` document as JSON;
+    one with a byte of 0x80 and up spliced in, so rarely UTF-8; any
+    bytes; or a form file with m, e or the first upper entry replaced by
+    a digit string about as long as the 4300 digits that int() takes."""
+    kind = draw(st.sampled_from(["json", "spliced", "bytes", "digits"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "digits":
+        field = draw(st.sampled_from(['"m": 4', '"e": 1', '"upper": [0']))
+        digits = draw(st.sampled_from(["", "-"])) + "9" * draw(st.integers(4295, 4305))
+        text = '{"m": 4, "p": 2, "e": 1, "upper": [0, 0, 0, 0, 0, 0]}'
+        return text.replace(field, field[:-1] + digits).encode()
+    data = json.dumps(draw(form_documents())).encode()
+    if kind == "spliced":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    return data
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["weight", "classify"]), form_file_bytes())
+def test_fuzzed_form_files_exit_0_1_or_2(tmp_path_factory, command, data):
     form = tmp_path_factory.getbasetemp() / "fuzzed-form.json"
-    form.write_text(json.dumps(doc))
+    form.write_bytes(data)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run([command, "--form", str(form), "-q", "2"])
     assert code in (0, 1, 2)
     event(f"exit {code}")
+    try:
+        json.loads(data.decode("utf-8"))
+        decodes = True
+    except (ValueError, RecursionError):  # not UTF-8, not JSON or past int()'s digit limit
+        decodes = False
+    assert code == 2 or decodes
     if code == 2:
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert len(lines) == 1
+        assert lines[0].startswith("error:" if decodes else "error: malformed form file:")

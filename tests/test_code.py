@@ -264,6 +264,11 @@ def test_exhaustive_spectrum_43_pins(system43):
     }
     assert rep.min_weight_example == [0, 0, 1, 1, 0, 0]
     assert list(rep.min_weight_radical_dims.items()) == [(0, 2016)]
+    # the scanned minimum words: the example first, ascending, class sizes
+    # summing to the 2016 minimum words
+    idx, sizes = rep.min_word_indices, rep.min_word_class_sizes
+    assert linalg._digits(idx[:1], 9, 6)[0].tolist() == rep.min_weight_example
+    assert np.all(np.diff(idx) > 0) and len(sizes) == len(idx) and sizes.sum() == 2016
 
 
 @pytest.mark.parametrize("m,p,e", [(4, 2, 1), (4, 3, 1), (5, 2, 1), (4, 5, 1), (5, 3, 1)])
@@ -355,6 +360,8 @@ def test_exhaustive_spectrum_respects_budget(system62):
 def _same_report(r1, r2):
     assert dataclasses.replace(r1, wall_time_s=0) == dataclasses.replace(r2, wall_time_s=0)
     assert list(r1.min_weight_radical_dims or {}) == list(r2.min_weight_radical_dims or {})
+    assert np.array_equal(r1.min_word_indices, r2.min_word_indices)
+    assert np.array_equal(r1.min_word_class_sizes, r2.min_word_class_sizes)
 
 
 def test_worker_partition_merges_identically(monkeypatch, system42):
@@ -517,6 +524,7 @@ def test_sample_spectrum_matches_per_form_oracle(system43):
     assert rep.histogram == {w: weights.count(w) for w in set(weights)}
     assert rep.min_nonzero_weight == min(weights)
     assert rep.min_weight_example == digits[int(np.argmin(weights))].tolist()
+    assert rep.min_word_indices is None and rep.min_word_class_sizes is None
 
 
 GOLDEN_52_HISTOGRAM = {0: 1, 192: 24948, 216: 295680, 224: 498960, 232: 228096, 256: 891}

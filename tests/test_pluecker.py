@@ -95,9 +95,9 @@ def test_columns_match_pointwise_embedding(system42):
         assert np.array_equal(col, system42.matrix[:, j])
 
 
-# GF(9), GF(16) (q2**2 = 256, the last uint8 flat codes), GF(25) and
-# GF(64) (uint16 flat codes)
-@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (2, 3)])
+# GF(4) and GF(16) (2 and 4 bits of shift-and-add), GF(64) (6 bits),
+# GF(9) (uint8 flat codes) and GF(25) (uint16 flat codes)
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3)])
 def test_every_column_matches_pluecker_point(p, e):
     ctx = hg.make_field(p, e)
     space = hg.HermitianSpace(4, ctx)
@@ -109,7 +109,8 @@ def test_every_column_matches_pluecker_point(p, e):
 
 
 # sha256 of system.matrix, recorded from a table-lookup fill over the
-# gathered line bases, before the blocked flat-code fill
+# gathered line bases, before the blocked flat-code fill; (8,2,1) and
+# (5,2,2) from the flat-code fill, before the shift-and-add fill
 GENERATOR_SHA256 = {
     (4, 2, 1): "72f0027bd1249fb464188be4a131e766cb7f8092e1189b8973e5d25f4c2bf407",
     (4, 2, 2): "dcd2687179622eafdf8eda216144547582d2bd6d6fe5076fd80672f14863a3d6",
@@ -119,6 +120,8 @@ GENERATOR_SHA256 = {
     (5, 3, 1): "64099dd54a1e2c30679f0c92ec33d55384670f4503df3276ea9eed31ff977780",
     (6, 2, 1): "c4ec6015ca3491ca4623a8f29542fe8b07fe19824f25bf9461b5cbf1f2cbb073",
     (7, 2, 1): "5b1dbd71eb12a265b2e55be889bf28b301b3f108e3a9e0d308a8d367e0dfe2c7",
+    (8, 2, 1): "ffeb5d74505316a9d748c63fe2ea611cf62f2143d17c1bc49de1c8a45dea36e4",
+    (5, 2, 2): "4b0bad10a8783ea172bfccd42e7062b9d708578faf0a8aefc921891af1ab0188",
 }
 
 
@@ -127,6 +130,26 @@ def test_generator_pinned(m, p, e):
     system = hg.build_system(hg.HermitianSpace(m, hg.make_field(p, e)))
     assert system.matrix.dtype == np.uint8
     assert hashlib.sha256(system.matrix.tobytes()).hexdigest() == GENERATOR_SHA256[(m, p, e)]
+
+
+# (4,2,2) has runs of 5 lines per a, each longer than a block of 4; at
+# (5,3,1) and (6,2,1) some runs are longer than 8 lines and others share
+# a block of 8
+@pytest.mark.parametrize("m,p,e,block", [(4, 2, 2, 4), (5, 3, 1, 8), (6, 2, 1, 8)])
+def test_fill_blocks_of_whole_runs_match_pins(monkeypatch, m, p, e, block):
+    fill, blocks = pluecker._fill_block, []
+
+    def spy(ctx, heads, runs, b, g):
+        blocks.append(runs.tolist())
+        fill(ctx, heads, runs, b, g)
+
+    monkeypatch.setattr(pluecker, "_LINE_BLOCK", block)
+    monkeypatch.setattr(pluecker, "_fill_block", spy)
+    system = hg.build_system(hg.HermitianSpace(m, hg.make_field(p, e)))
+    assert hashlib.sha256(system.matrix.tobytes()).hexdigest() == GENERATOR_SHA256[(m, p, e)]
+    assert all(len(runs) == 1 or sum(runs) <= block for runs in blocks)
+    assert any(sum(runs) > block for runs in blocks)
+    assert any(len(runs) > 1 for runs in blocks) == (m > 4)
 
 
 def test_build_system_over_available_memory_raises(monkeypatch):

@@ -1,0 +1,77 @@
+"""Cold times of the geometry stages, each run in a fresh process.
+
+For each size (m, q) it starts ``--runs`` new interpreters.  Each builds
+GF(q^2) and the space, then times ``points()``, ``line_pair_indices()``
+and ``build_system``, with the ``linalg.rank`` certificate timed apart
+from the fill that precedes it, and prints one JSON line:
+
+    {"m": 8, "q": 2, "n": 1519749, "points_ms": ..., "lines_ms": ...,
+     "fill_ms": ..., "rank_ms": ...}
+
+``--src DIR`` imports hermgrass from DIR instead of this checkout's src,
+so two trees are timed by one script:
+
+    python3 tools/stage_times.py [--runs 5] [--src DIR] [m,q ...]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SIZES = ["8,2", "7,2", "6,2", "5,4", "4,8", "5,3", "4,5", "4,7"]
+FIELD = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3)}  # q -> (p, e)
+
+
+def _child(m: int, q: int) -> dict:
+    import hermgrass as hg
+    from hermgrass import linalg
+
+    rank_s = []
+    rank = linalg.rank
+
+    def timed_rank(*args, **kwargs):
+        t = time.perf_counter()
+        out = rank(*args, **kwargs)
+        rank_s.append(time.perf_counter() - t)
+        return out
+
+    linalg.rank = timed_rank  # build_system calls it through the module
+    space = hg.HermitianSpace(m, hg.make_field(*FIELD[q]))
+    times = []
+    for stage in (space.points, space.line_pair_indices, lambda: hg.build_system(space)):
+        t = time.perf_counter()
+        stage()
+        times.append(time.perf_counter() - t)
+    secs = (times[0], times[1], times[2] - sum(rank_s), sum(rank_s))
+    ms = {f"{name}_ms": round(s * 1e3, 3) for name, s in zip(("points", "lines", "fill", "rank"), secs)}
+    return {"m": m, "q": q, "n": space.num_lines, **ms}
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("sizes", nargs="*", default=SIZES, help="m,q pairs (default: %(default)s)")
+    ap.add_argument("--runs", type=int, default=5, help="fresh processes per size")
+    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
+    ap.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(_child(*args.child)))
+        return 0
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    for size in args.sizes:
+        m, q = (int(x) for x in size.split(","))
+        for _ in range(args.runs):
+            cmd = [sys.executable, __file__, "--child", str(m), str(q)]
+            out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
+            print(out.strip(), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
