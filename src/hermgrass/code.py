@@ -29,18 +29,17 @@ to one tally (``_tally``) and gate weight 0, which only the zero form
 may have; the exhaustive histogram is also gated on its MacWilliams dual
 counts B_0 .. B_3.
 
-Both modes use the codeword kernel ``linalg._ScanKernel``, which sums
-one row of a digit-group table per group of g digits (Q^g <= 256), so a
-sampled form costs ceil(K/g) row gathers and adds.  The exhaustive scan
-builds it on the generator rows below the first row and adds a class's
-first-row codeword into the last group's table once; the kernel's block
-walk yields the packed nonzero masks, which the scan popcounts
+Both modes use one codeword kernel on the generator,
+``linalg._ScanKernel``, which sums one row of a digit-group table per
+group of g digits (Q^g <= 256), so a sampled form costs ceil(K/g) row
+gathers and adds.  The first-row digits lead the counter, so the forms
+of a class are one range of counter indices; the kernel's walk over
+those ranges yields the packed nonzero masks, which the scan popcounts
 (``linalg.bit_counts``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
@@ -51,7 +50,7 @@ import numpy as np
 
 from . import linalg, polar
 from .ff import FieldCtx
-from .pluecker import ProjectiveSystem
+from .pluecker import ProjectiveSystem, build_system
 
 __all__ = [
     "AlternatingForm",
@@ -346,35 +345,30 @@ def _tally(n: int, blocks):
     return hist, best_w, best
 
 
-def _scan_classes(kernel: linalg._ScanKernel, shifts, reps, sizes, tasks):
-    """``_tally`` of the tasks (class, block), each form counted with its
-    class size and its hits given as ascending counter indices."""
-    rows, span = kernel.ctx.q2**kernel.g, kernel.ctx.q2 ** kernel.bounds[-1][1]
+def _scan_classes(kernel: linalg._ScanKernel, tasks):
+    """``_tally`` of the tasks (size, lo, hi), each a counter-index range
+    inside one class, its forms counted with the class size and its hits
+    given as ascending counter indices."""
 
     def blocks():
-        for c, group in itertools.groupby(tasks, key=lambda t: t[0]):
-            walk = [b for _, b in group]
-            for (lo, _), mask in zip(walk, kernel.nonzero_masks(walk, shifts[c])):
-                base = reps[c] * span + lo * rows
-                yield linalg.bit_counts(mask).reshape(-1), sizes[c], lambda hits, b=base: b + hits
+        for size, lo, hi in tasks:
+            for first, mask in kernel.nonzero_masks([(lo, hi)]):
+                yield linalg.bit_counts(mask), size, lambda hits, b=first: b + hits
 
     return _tally(kernel.n, blocks())
 
 
-def _sample_blocks(kernel: linalg._ScanKernel, seed: int | None, samples: int, k: int):
-    """``_tally`` blocks of ``samples`` seeded uniform nonzero forms, 4096
-    at a time, each counted once, hits given as digit rows."""
-    rng, q2 = np.random.default_rng(seed), kernel.ctx.q2
-    step = max(1, linalg._BLOCK_BYTES // kernel.width)
+def _sample_blocks(kernel: linalg._ScanKernel, seed: int | None, samples: int, q2: int, k: int):
+    """``_tally`` blocks of ``samples`` seeded uniform nonzero forms of k
+    digits below q2, 4096 at a time, each counted once, hits given as
+    digit rows."""
+    rng = np.random.default_rng(seed)
     for done in range(0, samples, 4096):
         b = min(4096, samples - done)
         digits = rng.integers(0, q2, size=(b, k), dtype=np.uint8)
         while (zero := ~digits.any(axis=1)).any():
             digits[zero] = rng.integers(0, q2, size=(int(zero.sum()), k), dtype=np.uint8)
-        w = np.concatenate(
-            [kernel.weights(kernel.codewords(digits[lo : lo + step])) for lo in range(0, b, step)]
-        )
-        yield w, 1, lambda hits, d=digits: d[hits]
+        yield kernel.weights(digits), 1, lambda hits, d=digits: d[hits]
 
 
 def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray, sizes: np.ndarray) -> dict[int, int]:
@@ -446,11 +440,13 @@ def spectrum(
     ``min_weight_example`` is the minimum word of smallest index and
     ``min_weight_radical_dims`` is keyed in order of first occurrence.
     A histogram failing ``_check_macwilliams`` raises RuntimeError.
-    Exhaustive mode needs the space's own generator matrix: the class
-    compression relies on its unitary symmetry, and a tampered matrix
-    that breaks it is caught only by that gate.
-    With ``jobs > 1`` the (class, block) tasks are split across a worker
-    pool; the result does not depend on the worker count.
+    The class compression holds only for the space's own generator, so
+    exhaustive mode raises ValueError unless ``system`` is
+    ``build_system(system.space)``.  The forms of a class are one range
+    of counter indices.  With ``jobs > 1`` each class's range is cut into
+    one equal part per worker, and each worker scans as many consecutive
+    parts as there are classes; the result does not depend on the worker
+    count.
 
     Sample mode draws ``samples`` uniform nonzero forms from numpy's
     default PCG64 generator seeded with ``seed``; the seed is recorded
@@ -472,16 +468,16 @@ def spectrum(
         classes = _first_row_classes(ctx, m, budget)
         if classes is None:
             raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {budget}")
+        if system is not build_system(system.space):
+            raise ValueError("exhaustive mode needs the space's own generator from build_system")
         reps, sizes = classes
-        kernel = linalg._ScanKernel(ctx, system.matrix[m - 1 :])
-        firsts = linalg._digits(reps, q2, m - 1).astype(np.uint8)
-        shifts = kernel._pack(linalg.matmul(ctx, firsts, system.matrix[: m - 1]))
-        prefixes, step = q2 ** kernel.bounds[-1][0], kernel.block_prefixes
-        walk = [(lo, min(prefixes, lo + step)) for lo in range(0, prefixes, step)]
-        tasks = [(c, b) for c in range(len(reps)) for b in walk]
-        workers = _pool_size(jobs, len(tasks))
-        cuts = [len(tasks) * i // workers for i in range(workers + 1)]
-        args = [(kernel, shifts, reps, sizes, tasks[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    kernel = linalg._ScanKernel(ctx, system.matrix)
+    if exhaustive:
+        span = q2 ** (k - m + 1)  # the forms of one first row
+        workers = _pool_size(jobs, span)
+        cuts = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
+        tasks = [(s, r * span + a, r * span + b) for r, s in zip(reps, sizes) for a, b in cuts]
+        args = [(kernel, tasks[len(reps) * i : len(reps) * (i + 1)]) for i in range(workers)]
         if workers > 1:
             with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
                 parts = pool.starmap(_scan_classes, args)
@@ -491,8 +487,7 @@ def spectrum(
         hist, best_w = sum(h for h, _, _ in parts), min(w for _, w, _ in parts)
         hits = [i for _, w, idx in parts if w == best_w for i in idx]
     else:
-        kernel = linalg._ScanKernel(ctx, system.matrix)
-        hist, best_w, hits = _tally(n, _sample_blocks(kernel, seed, samples, k))
+        hist, best_w, hits = _tally(n, _sample_blocks(kernel, seed, samples, q2, k))
     histogram = {int(w): int(c) for w, c in enumerate(hist) if c}
     # the zero form is scanned once in exhaustive mode, never drawn in sample mode
     if histogram.get(0, 0) != int(exhaustive):
@@ -501,7 +496,7 @@ def spectrum(
     if exhaustive:
         _check_macwilliams(histogram, m, ctx.q)
         min_idx = np.concatenate(hits)
-        min_size = sizes[np.searchsorted(reps, min_idx // q2 ** kernel.bounds[-1][1])]
+        min_size = sizes[np.searchsorted(reps, min_idx // span)]
         radical_dims = _radical_split(ctx, m, min_idx, min_size)
         example = linalg._digits(min_idx[:1], q2, k)[0]
         min_idx.flags.writeable = min_size.flags.writeable = False

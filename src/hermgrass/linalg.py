@@ -21,16 +21,20 @@ matrix M with every coefficient vector f as sums of digit-group table
 rows.  The rows are GF(2) bit-planes in characteristic 2; for odd p,
 which must have e = 1, each position is one byte d0 + 16 d1 holding the
 base-p digits of the code d0 + p d1, so rows add as uint8 and a nibble
-is reduced mod p only once it could pass 15.  The kernel's one block
-walk (``_ScanKernel.nonzero_masks``) yields the packed nonzero masks of
-f M in ascending order of f: the exhaustive spectrum scan popcounts them
-(``bit_counts``), with M the generator rows below a form's first row,
-and ``HermitianSpace.section_table`` stores their complements over the
-normalized f, with M the transposed isotropic points, reading the f that
-lead in the last group straight off its table.
+is reduced mod p only once it could pass 15.  The kernel's one walk
+(``_ScanKernel.nonzero_masks``) yields the packed nonzero masks of f M
+over ascending ranges of counter indices f, in blocks it cuts itself:
+the exhaustive spectrum scan popcounts them (``bit_counts``), with M the
+generator and one range per first-row class, and
+``HermitianSpace.section_table`` stores their complements, with M the
+transposed isotropic points and one range of normalized f per lead.
+Outside this module only ``n``, ``nonzero_masks`` and ``weights`` of the
+kernel are read.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -242,17 +246,6 @@ def _digits(idx: np.ndarray, q2: int, width: int) -> np.ndarray:
     return (idx[:, None] // powers[None, :]) % q2
 
 
-def _lookup(table: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """table[c] for a uint8 array c, DOT_BLOCK entries at a time, since
-    each lookup first casts its index to intp."""
-    c = np.ascontiguousarray(c)
-    out = np.empty(c.shape, dtype=table.dtype)
-    flat, res = c.reshape(-1), out.reshape(-1)
-    for lo in range(0, flat.size, DOT_BLOCK):
-        np.take(table, flat[lo : lo + DOT_BLOCK], out=res[lo : lo + DOT_BLOCK], mode="clip")
-    return out
-
-
 class _ScanKernel:
     """The products f M of a K x N matrix M with coefficient vectors f,
     as sums of digit-group table rows.
@@ -277,11 +270,10 @@ class _ScanKernel:
     3 at p = 5, 2 at p = 7.  ``codewords`` reduces each nibble mod p,
     through one 256-entry table, only before a sum would pass that
     limit, so its rows are congruent to the codewords nibble by nibble
-    but need not be reduced; the tables and the walk's operands are.
-    The nonzero mask tests each nibble x for divisibility without a
-    lookup: x <= 15 is a multiple of p exactly when x p^-1 mod 256, a
-    wrapping uint8 product, is at most 255 // p; it is packed with
-    np.packbits.
+    but need not be reduced; the tables are.  The nonzero mask tests
+    each nibble x for divisibility without a lookup: x <= 15 is a
+    multiple of p exactly when x p^-1 mod 256, a wrapping uint8 product,
+    is at most 255 // p; it is packed with np.packbits.
     """
 
     def __init__(self, ctx: FieldCtx, matrix: np.ndarray):
@@ -290,10 +282,7 @@ class _ScanKernel:
         self.ctx = ctx
         q2, (k, n) = ctx.q2, matrix.shape
         self.n = n
-        g = 1
-        while g + 1 < k and q2 ** (g + 1) <= _GROUP_ROWS:
-            g += 1
-        self.g = g
+        self.g = g = max(g for g in range(1, max(k, 2)) if q2**g <= _GROUP_ROWS)
         self.bounds = [(max(0, b - g), b) for b in range(k, 0, -g)][::-1]
         self.planes = 2 * ctx.e if ctx.p == 2 else 0
         self.plane = -(-n // 64) * 8
@@ -324,14 +313,22 @@ class _ScanKernel:
         return packed.reshape(len(codes), -1)
 
     def _reduce(self, c: np.ndarray) -> np.ndarray:
-        """Odd p: c with each nibble reduced mod p."""
-        return _lookup(self._reduced, c)
+        """Odd p: c with each nibble reduced mod p, one lookup of
+        DOT_BLOCK entries at a time, since each first casts its index to
+        intp."""
+        c = np.ascontiguousarray(c)
+        out = np.empty_like(c)
+        src, dst = c.reshape(-1), out.reshape(-1)
+        for lo in range(0, src.size, DOT_BLOCK):
+            hi = lo + DOT_BLOCK
+            np.take(self._reduced, src[lo:hi], out=dst[lo:hi], mode="clip")
+        return out
 
     def codewords(self, digits: np.ndarray) -> np.ndarray:
         """Codewords of digit rows that cover whole groups, the digits of
         the groups left out being zero: one table row per group, summed
         (for odd p not necessarily reduced).  Rows that cover no group
-        (K = 1) give zero words."""
+        give zero words."""
         q2, c, terms = self.ctx.q2, None, 0
         for (a, b), tab in zip(self.bounds, self.tables):
             if b > digits.shape[1]:
@@ -364,36 +361,52 @@ class _ScanKernel:
             np.bitwise_or(acc, c[..., i * w : (i + 1) * w], out=acc)
         return acc
 
-    def weights(self, c: np.ndarray) -> np.ndarray:
-        """Nonzero positions of each codeword along the last axis."""
-        return bit_counts(self._mask(c))
+    def weights(self, digits: np.ndarray) -> np.ndarray:
+        """Nonzero positions of the codeword of each row of K digits,
+        about _BLOCK_BYTES of codewords at a time."""
+        step = max(1, _BLOCK_BYTES // self.width)
+        chunks = (self.codewords(digits[lo : lo + step]) for lo in range(0, len(digits), step))
+        return np.concatenate([bit_counts(self._mask(c)) for c in chunks])
 
-    @property
-    def block_prefixes(self) -> int:
-        """Prefixes per block of the walk: about _BLOCK_BYTES of codewords, at least 1."""
-        return max(1, _BLOCK_BYTES // max(1, self.ctx.q2**self.g * self.width))
-
-    def nonzero_masks(self, blocks, shift=None):
-        """For each block (lo, hi), the packed nonzero masks of the
-        codewords of the indices p Q^g + r, lo <= p < hi, r every row of
-        the last table, prefix codeword plus table row, shaped (hi - lo,
-        Q^g, bytes); a ``shift`` row in the table layout is added to the
-        last table once, so it lies in every codeword.  The padding bits
-        after N are clear."""
-        q2, head = self.ctx.q2, self.bounds[-1][0]  # digits before the last group
-        last = self.tables[-1]
+    @cached_property
+    def _walk_table(self) -> np.ndarray:
+        """The last table as ``nonzero_masks`` reads it.  For odd p,
+        c + t != 0 exactly when c != -t, so the walk compares each reduced
+        prefix codeword with the negated table instead of adding: a nibble
+        of t is below p, so p - t is a nibble congruent to -t."""
         if self.planes:
-            last = last if shift is None else last ^ shift
-        else:
-            # For odd p, c + t != 0 exactly when c != -t: the walk compares
-            # each reduced prefix codeword with the negated last table
-            # instead of adding.  Each nibble of t (plus the reduced shift)
-            # is at most 2p - 2, so 2p - t stays a nibble congruent to -t.
-            last = last if shift is None else last + self._reduce(shift)
-            last = self._reduce(np.uint8(0x11 * 2 * self.ctx.p) - last)
-        for lo, hi in blocks:
-            c = self.codewords(_digits(np.arange(lo, hi, dtype=np.int64), q2, head))
-            if self.planes:
-                yield self._mask(c[:, None, :] ^ last)
-            else:
-                yield np.packbits(self._reduce(c)[:, None, :] != last, axis=-1)
+            return self.tables[-1]
+        return self._reduce(np.uint8(0x11 * self.ctx.p) - self.tables[-1])
+
+    def nonzero_masks(self, ranges):
+        """For each block of the ascending counter-index ranges [lo, hi),
+        its first index and the packed nonzero masks of the codewords of
+        its indices, shaped (indices, bytes).  The padding bits after N
+        are clear.
+
+        An index is a prefix, its digits before the last group, times Q^g
+        plus a row of the last table, and its codeword is the prefix's
+        codeword plus that row.  From the first prefix of its range on,
+        each block meets as many prefixes as about _BLOCK_BYTES of
+        codewords hold, at least one, the last block of a range perhaps
+        fewer.  It takes every row for each prefix it meets and keeps its
+        own indices; a block inside one prefix takes only its rows.  The
+        prefix codewords are summed for Q^g blocks at a time.
+        """
+        head, last, rows = self.bounds[-1][0], self._walk_table, self.ctx.q2**self.g
+        per = max(1, _BLOCK_BYTES // max(1, rows * self.width))  # prefixes per block
+        for lo, hi in ranges:
+            start, stop = lo // rows, -(-hi // rows)  # the prefixes met
+            for b0 in range(start, stop, per * rows):
+                b1 = min(stop, b0 + per * rows)
+                c = self.codewords(_digits(np.arange(b0, b1, dtype=np.int64), self.ctx.q2, head))
+                c = c if self.planes else self._reduce(c)
+                for p0 in range(b0, b1, per):
+                    p1 = min(b1, p0 + per)
+                    a, b = max(lo, p0 * rows), min(hi, p1 * rows)
+                    keep, t = slice(a - p0 * rows, b - p0 * rows), last
+                    if p1 - p0 == 1:
+                        keep, t = slice(None), last[keep]
+                    pc = c[p0 - b0 : p1 - b0, None, :]
+                    mask = self._mask(pc ^ t) if self.planes else np.packbits(pc != t, axis=-1)
+                    yield a, mask.reshape(mask.shape[0] * mask.shape[1], -1)[keep]

@@ -22,10 +22,12 @@ a code the coefficient of x^u (see ff), a b is the XOR over u < 2e of
 a x^u masked by bit u of b.  So each bit u costs one repeat of the
 heads' multiples a x^u, the 0x00/0xFF masks of b (a shift, an AND and a
 negate), and two byte ANDs and two XORs per row.  For odd p (e = 1,
-small systems) each product is one ``FieldCtx.mul_flat`` gather.  The
-full N x m bases are never built.  The fill computes its products
-itself, not through ``linalg.matmul``, since a coordinate is a
-difference of two products, not a sum over an inner index.
+small systems) each product is one ``FieldCtx.mul_flat`` gather, and the
+difference adds p_a[i] p_b[j] and (-p_a[j]) p_b[i], with the heads
+negated once per block.  The full N x m bases are never built.  The
+fill computes its products itself, not through ``linalg.matmul``, since
+a coordinate is a difference of two products, not a sum over an inner
+index.
 ``linalg.rank`` certifies the K x N matrix, usually on a strided subset
 of its columns.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import linalg, polar
 from .ff import FieldCtx
-from .linalg import fsub
+from .linalg import fadd, fsub
 
 __all__ = ["pair_indices", "pluecker_point", "ProjectiveSystem", "build_system"]
 
@@ -147,14 +149,15 @@ def _fill_block(ctx: FieldCtx, heads, runs, b, g) -> None:
     p_b[j], and p_a[j] x^u masked by bit u of p_b[i].  The rows (i, j),
     j > i, are consecutive in pair order, so each i takes one AND and
     one XOR per term.  For odd p each product is one ``mul_flat``
-    gather, a row at a time.
+    gather, a row at a time, and each row adds the products with the
+    heads and with the negated heads.
     """
     m = len(b)
     np.multiply(b[1:], np.repeat(heads[0], runs), out=g[: m - 1])
     if ctx.p != 2:
-        a = np.repeat(ctx.scaled_codes(heads), runs, axis=1)
+        a, na = (np.repeat(ctx.scaled_codes(h), runs, axis=1) for h in (heads, ctx.neg[heads]))
         for r, (i, j) in enumerate(pair_indices(m)[m - 1 :], m - 1):
-            fsub(ctx, np.take(ctx.mul_flat, a[i] + b[j]), np.take(ctx.mul_flat, a[j] + b[i]), g[r])
+            fadd(ctx, np.take(ctx.mul_flat, a[i] + b[j]), np.take(ctx.mul_flat, na[j] + b[i]), g[r])
         return
     mask, tmp = np.empty_like(b), np.empty_like(b[2:])
     for u in range(2 * ctx.e):

@@ -30,13 +30,13 @@ Counting helpers (all exact integers):
 ``HermitianSpace.section_table`` holds, bit-packed, which isotropic
 points lie on each hyperplane of PG(m-1, q^2).  It is the complement of
 the nonzero masks that the exhaustive scan's kernel walk
-(``linalg._ScanKernel``) yields for the points as matrix columns.
+(``linalg._ScanKernel``) yields for the points as matrix columns, one
+range of coefficient vectors per lead.
 Subspaces (``perp``, ``radical_profile``) are RREF basis arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -358,11 +358,10 @@ class HermitianSpace:
 
         The rows are the complements of the scan kernel's nonzero masks
         for the isotropic points as matrix columns, over the normalized
-        coefficient vectors, ascending as in all_points().  Those with
-        lead m-1-r fill the indices [Q^r, 2 Q^r): for r < g rows of the
-        last table, read straight off it; for r >= g one block walk of the
-        prefixes [Q^(r-g), 2 Q^(r-g)) with every row.  Each perp must hold
-        1 + q^2 mu(m-2) isotropic points, or RuntimeError.
+        coefficient vectors, ascending as in all_points(): those with lead
+        m-1-r are the counter indices [Q^r, 2 Q^r), one range of the
+        kernel's walk for each r.  Each perp must hold 1 + q^2 mu(m-2)
+        isotropic points, or RuntimeError.
         """
         if "sections" in self._cache:
             return self._cache["sections"]
@@ -372,17 +371,11 @@ class HermitianSpace:
         if n_rows * width > _available_memory():
             self._cache["sections"] = None
             return None
-        table = np.empty((n_rows, width), dtype=np.uint8)
+        table, row = np.empty((n_rows, width), dtype=np.uint8), 0
         kernel = linalg._ScanKernel(ctx, pts.T)
-        g, last, step = kernel.g, kernel.tables[-1], kernel.block_prefixes
-        starts = [q2 ** (r - g) for r in range(g, m)]
-        blocks = ((lo, min(2 * a, lo + step)) for a in starts for lo in range(a, 2 * a, step))
-        short = (kernel._mask(last[None, q2**r : 2 * q2**r]) for r in range(g))
-        lo = 0
-        for mask in itertools.chain(short, kernel.nonzero_masks(blocks)):
-            mask = mask.reshape(mask.shape[0] * mask.shape[1], -1)[:, :width]
-            np.invert(mask, out=table[lo : lo + len(mask)])
-            lo += len(mask)
+        for _, mask in kernel.nonzero_masks((q2**r, 2 * q2**r) for r in range(m)):
+            np.invert(mask[:, :width], out=table[row : row + len(mask)])
+            row += len(mask)
         if len(pts) % 8:
             table[:, -1] &= np.uint8(0xFF << (8 - len(pts) % 8) & 0xFF)  # the padding bits
         q, perp, rows = ctx.q, self.perp_index(), max(1, linalg.DOT_BLOCK // max(1, width))

@@ -72,7 +72,7 @@ SIGNATURES = {
     "classify.make_permutable_form": ["space"],
     "classify.min_word_witness": ["space"],
     "classify.check_min_weight_profile": ["phi", "space", "weight"],
-    "linalg._ScanKernel.nonzero_masks": ["self", "blocks", "shift"],
+    "linalg._ScanKernel.nonzero_masks": ["self", "ranges"],
 }
 
 

@@ -413,6 +413,30 @@ def _kernel_codes(kernel, c):
     return (bits << np.arange(kernel.planes, dtype=np.uint8)[None, :, None]).sum(axis=1)
 
 
+def _check_walk(kernel, matrix, ranges):
+    """The blocks of the walk over the ranges, checked: they tile the
+    ranges in order; each meets the prefixes of one block size, all but
+    the last of a range exactly that many and ending on a prefix edge;
+    and the masks are those of the products with the padding bits
+    clear."""
+    ctx, (k, n) = kernel.ctx, matrix.shape
+    rows = ctx.q2**kernel.g
+    prefixes = max(1, linalg._BLOCK_BYTES // (rows * kernel.width))
+    blocks = list(kernel.nonzero_masks(ranges))
+    ends = {hi for _, hi in ranges}
+    for first, mask in blocks:
+        end = first + len(mask)
+        met = -(-end // rows) - first // rows
+        assert 0 < len(mask) and met <= prefixes
+        assert end in ends or (end % rows == 0 and met == prefixes)
+    idx = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
+    assert np.array_equal(np.concatenate([f + np.arange(len(mk)) for f, mk in blocks]), idx)
+    bits = np.unpackbits(np.concatenate([mask for _, mask in blocks]), axis=1)
+    assert not bits[:, n:].any()
+    assert np.array_equal(bits[:, :n], linalg.matmul(ctx, linalg._digits(idx, ctx.q2, k), matrix) != 0)
+    return blocks
+
+
 @pytest.mark.parametrize(
     "m,q", [(4, q) for q in hg.SUPPORTED_Q] + [(5, 2)], ids=lambda v: str(v)
 )
@@ -438,33 +462,15 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     c = kernel.codewords(digits)
     assert c.shape == (len(digits), kernel.width)
     phis = [code.AlternatingForm.from_upper(ctx, m, r) for r in digits]
-    assert kernel.weights(c).tolist() == [code.weight_direct(f, system) for f in phis]
+    assert kernel.weights(digits).tolist() == [code.weight_direct(f, system) for f in phis]
     assert np.array_equal(_kernel_codes(kernel, c), np.array([code.codeword(f, system) for f in phis]))
-    # the block walk shared by the exhaustive scan and the section table:
-    # the packed nonzero mask of every index p Q^g + r of a block (lo, hi),
-    # checked on the first block (prefix 0), one in the middle and the
-    # last, found by arithmetic ((4,8) has 64^5 prefixes)
-    rows, prefixes = q2**kernel.g, q2 ** kernel.bounds[-1][0]
-    step = max(1, linalg._BLOCK_BYTES // (rows * kernel.width))
-    assert kernel.block_prefixes == step
-    starts = (0, prefixes // step // 2 * step, (prefixes - 1) // step * step)
-    chosen = [(lo, min(prefixes, lo + step)) for lo in starts]
-    assert chosen[0][0] == 0 and chosen[-1][1] == prefixes
-    for (lo, hi), mask in zip(chosen, kernel.nonzero_masks(chosen)):
-        assert mask.shape[:2] == (hi - lo, rows)
-        idx = (np.arange(lo, hi)[:, None] * rows + np.arange(rows)[None]).reshape(-1)
-        forms = linalg._digits(idx, q2, k)
-        bits = np.unpackbits(mask.reshape(len(idx), -1), axis=1)
-        assert not bits[:, system.n :].any()
-        assert np.array_equal(bits[:, : system.n], linalg.matmul(ctx, forms, system.matrix) != 0)
-    # a shift row lies in every codeword of the walk, as the exhaustive
-    # scan's first-row codeword does: the last block shifted by the
-    # codeword of d gives the masks of the forms f + d
-    d = rng.integers(0, q2, size=(1, k), dtype=np.uint8)
-    (mask,) = kernel.nonzero_masks(chosen[-1:], kernel.codewords(d)[0])
-    bits = np.unpackbits(mask.reshape(len(idx), -1), axis=1)
-    shifted = linalg.fadd(ctx, forms.astype(np.uint8), d)
-    assert np.array_equal(bits[:, : system.n], linalg.matmul(ctx, shifted, system.matrix) != 0)
+    # the walk shared by the exhaustive scan and the section table, on its
+    # first block, one in the middle and the last, found by arithmetic
+    # ((4,8) has 64^6 indices)
+    rows, total = q2**kernel.g, q2**k
+    step = max(1, linalg._BLOCK_BYTES // (rows * kernel.width)) * rows
+    starts = (0, total // rows // 2 * rows, (total - 1) // step * step)
+    assert len(_check_walk(kernel, system.matrix, [(lo, min(total, lo + step)) for lo in starts])) == 3
 
 
 def test_scan_kernel_reduces_long_nibble_sums():
@@ -484,27 +490,37 @@ def test_scan_kernel_reduces_long_nibble_sums():
         ]
     )
     want = linalg.matmul(ctx, digits, matrix)
-    c = kernel.codewords(digits)
-    assert np.array_equal(_kernel_codes(kernel, c), want)
-    assert kernel.weights(c).tolist() == (want != 0).sum(axis=1).tolist()
-    # the walk, plain and shifted by a packed codeword as the exhaustive
-    # scan shifts it, on the first, a middle and the last block
-    rows, prefixes = ctx.q2**kernel.g, ctx.q2 ** kernel.bounds[-1][0]
-    step = kernel.block_prefixes
-    chosen = [(lo, min(prefixes, lo + step)) for lo in (0, prefixes // 2, prefixes - step)]
-    d = rng.integers(0, ctx.q2, size=(1, 16), dtype=np.uint8)
-    packed = kernel._pack(linalg.matmul(ctx, d, matrix))[0]
-    for shift, add in ((None, np.zeros_like(d)), (packed, d)):
-        for (lo, hi), mask in zip(chosen, kernel.nonzero_masks(chosen, shift)):
-            assert mask.shape[:2] == (hi - lo, rows)
-            idx = (np.arange(lo, hi)[:, None] * rows + np.arange(rows)[None]).reshape(-1)
-            forms = linalg.fadd(ctx, linalg._digits(idx, ctx.q2, 16).astype(np.uint8), add)
-            bits = np.unpackbits(mask.reshape(len(idx), -1), axis=1)
-            assert not bits[:, n:].any()
-            assert np.array_equal(bits[:, :n], linalg.matmul(ctx, forms, matrix) != 0)
+    assert np.array_equal(_kernel_codes(kernel, kernel.codewords(digits)), want)
+    assert kernel.weights(digits).tolist() == (want != 0).sum(axis=1).tolist()
+    # the walk, whose prefix codewords sum 7 rows, on the first, a middle
+    # and the last prefix
+    rows, total = ctx.q2**kernel.g, ctx.q2**16
+    _check_walk(kernel, matrix, [(lo, lo + rows) for lo in (0, total // 2, total - rows)])
     # the two digits of a nibble byte are those of q = p only
     with pytest.raises(ValueError, match="q = p"):
         linalg._ScanKernel(types.SimpleNamespace(p=3, e=2, q=9), matrix)
+
+
+@pytest.mark.parametrize("prefixes", [1, 3], ids=["one-prefix-blocks", "three-prefix-blocks"])
+@pytest.mark.parametrize("p,e,k", [(2, 1, 6), (2, 2, 4), (3, 1, 4), (7, 1, 3)], ids=["GF4", "GF16", "GF9", "GF49"])
+def test_scan_kernel_walks_counter_ranges(p, e, k, prefixes, monkeypatch):
+    # Ranges of any alignment, with blocks of one or three prefixes of
+    # Q^g rows: one inside a prefix, one across a prefix edge, one across
+    # two, one across a block edge whatever the block, and one ending at
+    # Q^K.
+    ctx = hg.make_field(p, e)
+    matrix = np.random.default_rng(ctx.q2).integers(0, ctx.q2, size=(k, 77), dtype=np.uint8)
+    kernel = linalg._ScanKernel(ctx, matrix)
+    r, total = ctx.q2**kernel.g, ctx.q2**k
+    assert kernel.bounds[-1][0] > 0  # the indices have prefixes
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", prefixes * r * kernel.width)
+    ranges = [(r + 5, r + 17), (2 * r - 3, 2 * r + 4), (3 * r - 5, 4 * r + 2), (5 * r + 3, 9 * r + 1)]
+    blocks = _check_walk(kernel, matrix, ranges + [(total - r - 7, total)])
+    if prefixes == 1:
+        firsts = [r + 5, 2 * r - 3, 2 * r, 3 * r - 5, 3 * r, 4 * r] + [5 * r + 3] + [i * r for i in range(6, 10)]
+    else:
+        firsts = [r + 5, 2 * r - 3, 3 * r - 5, 5 * r + 3, 8 * r]
+    assert [f for f, _ in blocks if f < total - r - 7] == firsts
 
 
 def test_sample_spectrum_matches_per_form_oracle(system43):
@@ -567,19 +583,31 @@ def test_macwilliams_gate_rejects_tampered_histogram():
     [
         ("sample", 0, "weight 0"),
         ("sample", 3, "weight 0"),
-        # S_12 lies below the first row, so the scan meets its forms directly
-        ("exhaustive", 3, "weight 0"),
-        # forms with only S_01 nonzero share a first-row class with S_03,
-        # so the class representative has weight and the dual counts catch it
-        ("exhaustive", 0, "MacWilliams"),
+        # exhaustive mode scans the space's own generator only, so it
+        # refuses the matrix before the class compression could hide the
+        # weight-0 forms of S_01 behind the representative S_03
+        ("exhaustive", 3, "build_system"),
+        ("exhaustive", 0, "build_system"),
     ],
 )
 def test_spectrum_rejects_rank_deficient_system(space42, system42, mode, row, match):
     matrix = system42.matrix.copy()
     matrix[row] = 0  # every form with only S_ij (row (i, j)) nonzero has weight 0
     deficient = hg.ProjectiveSystem(space42, matrix)
-    with pytest.raises(RuntimeError, match=match):
+    with pytest.raises(ValueError if mode == "exhaustive" else RuntimeError, match=match):
         code.spectrum(deficient, mode=mode, seed=1, samples=20_000)
+
+
+def test_exhaustive_spectrum_refuses_a_foreign_system(space42, system42):
+    # the generator's rows permuted span the same code, so the dual counts
+    # B_0 .. B_3 hold, but its first rows are not the counter's first
+    # digits, so the class compression does not apply
+    foreign = hg.ProjectiveSystem(space42, system42.matrix[::-1])
+    with pytest.raises(ValueError, match="build_system"):
+        code.spectrum(foreign, mode="exhaustive")
+    rep = code.spectrum(foreign, mode="sample", seed=1, samples=2000)
+    assert sum(rep.histogram.values()) == 2000
+    assert set(rep.histogram) <= set(code.spectrum(system42).histogram) - {0}
 
 
 def test_sample_spectrum_reproducible(system42):

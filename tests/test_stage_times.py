@@ -15,4 +15,4 @@ def test_stage_times_prints_one_json_line_per_run():
     assert [(r["m"], r["q"], r["n"]) for r in rows] == [(4, 2, 27)] * 2 + [(4, 3, 112)] * 2
     for r in rows:
         assert all(r[k] >= 0 for k in ("points_ms", "lines_ms", "fill_ms", "rank_ms"))
-        assert r["rank_ms"] > 0
+        assert r["rank_ms"] > 0 and r["sections_ms"] > 0

@@ -3,10 +3,11 @@
 For each size (m, q) it starts ``--runs`` new interpreters.  Each builds
 GF(q^2) and the space, then times ``points()``, ``line_pair_indices()``
 and ``build_system``, with the ``linalg.rank`` certificate timed apart
-from the fill that precedes it, and prints one JSON line:
+from the fill that precedes it, and last the first ``section_table()``
+call, and prints one JSON line:
 
     {"m": 8, "q": 2, "n": 1519749, "points_ms": ..., "lines_ms": ...,
-     "fill_ms": ..., "rank_ms": ...}
+     "fill_ms": ..., "rank_ms": ..., "sections_ms": ...}
 
 ``--src DIR`` imports hermgrass from DIR instead of this checkout's src,
 so two trees are timed by one script:
@@ -44,12 +45,14 @@ def _child(m: int, q: int) -> dict:
     linalg.rank = timed_rank  # build_system calls it through the module
     space = hg.HermitianSpace(m, hg.make_field(*FIELD[q]))
     times = []
-    for stage in (space.points, space.line_pair_indices, lambda: hg.build_system(space)):
+    stages = (space.points, space.line_pair_indices, lambda: hg.build_system(space), space.section_table)
+    for stage in stages:
         t = time.perf_counter()
         stage()
         times.append(time.perf_counter() - t)
-    secs = (times[0], times[1], times[2] - sum(rank_s), sum(rank_s))
-    ms = {f"{name}_ms": round(s * 1e3, 3) for name, s in zip(("points", "lines", "fill", "rank"), secs)}
+    secs = (times[0], times[1], times[2] - sum(rank_s), sum(rank_s), times[3])
+    names = ("points", "lines", "fill", "rank", "sections")
+    ms = {f"{name}_ms": round(s * 1e3, 3) for name, s in zip(names, secs)}
     return {"m": m, "q": q, "n": space.num_lines, **ms}
 
 
