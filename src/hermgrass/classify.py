@@ -16,6 +16,12 @@ count:
 * secant class: image is a different non-isotropic point;
 * tangent class: image is a different isotropic point.
 
+Every fixed point of the map is isotropic: conj(S^T x) = c x with c
+nonzero gives S^T x = conj(c) conj(x), so conj(c) conj(x)^T x =
+x^T S x = 0 for the alternating S, and the point lies in its own perp.
+So one pass of polar images over the isotropic points gives both the
+classes and all fixed points of PG(m - 1, q^2).
+
 The class sizes (counted as vectors, q^2 - 1 per point) reconstruct
 the weight of the codeword exactly, giving a third route to weights
 besides the direct and the per-point recursive counts.
@@ -83,13 +89,18 @@ def _images(phi: AlternatingForm, space: polar.HermitianSpace, pts: np.ndarray):
     return kernel_mask, y, live & (y == pts).all(axis=1)
 
 
-def _labels(space: polar.HermitianSpace, zero, y) -> np.ndarray:
-    """Class labels of isotropic points from their polar images; ``zero``
-    marks the kernel and fixed points."""
+def _classes(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[np.ndarray, int]:
+    """Class labels of the isotropic points and the number of them fixed
+    by the polarity map, from one ``_images`` pass over points(); the
+    zero class holds the kernel and the fixed points."""
+    if phi.is_zero():
+        raise ValueError("the zero form has no point classification")
+    kernel_mask, y, fixed = _images(phi, space, space.points())
+    zero = kernel_mask | fixed
     labels = np.full(len(y), SECANT_CLASS, dtype=np.int8)
     labels[zero] = ZERO_CLASS
     labels[~zero & (space.inner_diag(y) == 0)] = TANGENT_CLASS
-    return labels
+    return labels, int(fixed.sum())
 
 
 def _class_sizes(ctx: FieldCtx, labels: np.ndarray) -> tuple[int, int, int]:
@@ -101,10 +112,7 @@ def _class_sizes(ctx: FieldCtx, labels: np.ndarray) -> tuple[int, int, int]:
 
 def point_classes(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarray:
     """Class label (0 zero, 1 secant, 2 tangent) per isotropic point."""
-    if phi.is_zero():
-        raise ValueError("the zero form has no point classification")
-    kernel_mask, y, fixed = _images(phi, space, space.points())
-    return _labels(space, kernel_mask | fixed, y)
+    return _classes(phi, space)[0]
 
 
 def weight_from_class_counts(m: int, q: int, a: int, b: int, c: int) -> int:
@@ -147,17 +155,14 @@ def classify_points(
     The direct weight is taken from the codeword of the system, a route
     independent of the class-size reconstruction.  ``fix_count`` counts
     the projective fixed points of the composed polarity map over the
-    whole projective space.
+    whole projective space.  Every fixed point is isotropic (x^T S x = 0
+    puts a point that is its own pole in its own perp), so the one pass
+    over the isotropic points that gives the classes finds them all.
     """
     ctx = space.ctx
     q = ctx.q
-    if phi.is_zero():
-        raise ValueError("the zero form has no point classification")
-    # One pass of polar images over all points serves both the fixed
-    # points and, at the isotropic rows, the point classes.
-    kernel_mask, y, fixed = _images(phi, space, space.all_points())
-    iso = space.point_rows()
-    a, b, c = _class_sizes(ctx, _labels(space, (kernel_mask | fixed)[iso], y[iso]))
+    labels, fix_count = _classes(phi, space)
+    a, b, c = _class_sizes(ctx, labels)
     wfc = weight_from_class_counts(space.m, q, a, b, c)
     wd = weight_direct(phi, system)
     profile = polar.radical_profile(space, phi.radical)
@@ -167,7 +172,7 @@ def classify_points(
         C=c,
         rad_dim=phi.rad_dim,
         profile=profile,
-        fix_count=int(fixed.sum()),
+        fix_count=fix_count,
         weight_from_counts=wfc,
         weight_direct=wd,
         checks={

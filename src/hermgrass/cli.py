@@ -61,14 +61,22 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_range(text: str, q: int) -> range:
+    """The m of ``text``, one value or a range lo..hi, refused before
+    anything is built when the largest is too large for q.  Every value a
+    command prints is below q^(4m), and Python prints an int of at most
+    4300 digits; the memory messages' K x N bytes need a few digits more."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+    except ValueError:  # int() also refuses more than 4300 digits
+        raise ValueError(f"-m takes an integer m or a range lo..hi, not {text[:20]!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    if hi > (4300 - 10) / (4 * math.log10(q)):
+        raise ValueError(f"m = {hi} is too large for q = {q}: its values would pass 4300 digits")
+    return range(lo, hi + 1)
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -199,11 +207,11 @@ def _resolve_field(q, p, e) -> tuple[int, int]:
     return p, e
 
 
-def _single_m(text: str) -> int:
-    m = _parse_range(text)
-    if len(m) != 1:
+def _single_m(text: str, q: int) -> int:
+    m = _parse_range(text, q)
+    if m.stop - m.start != 1:
         raise ValueError("this command takes a single m")
-    return m[0]
+    return m.start
 
 
 def _output(args):
@@ -272,8 +280,8 @@ def _write_table(args, space, key: str, n_rows: int, width: int, block, header=N
 
 
 def cmd_params(args) -> int:
-    m_values = _parse_range(args.m)
     fields = [_resolve_field(q, args.p, args.e) for q in args.q or [None]]
+    m_values = _parse_range(args.m, max(p**e for p, e in fields))
     rows = [code.code_params(m, p**e) for p, e in fields for m in m_values]
     _write(
         args,
@@ -287,8 +295,8 @@ def cmd_params(args) -> int:
 
 
 def _space_for(args) -> polar.HermitianSpace:
-    ctx = make_field(*_resolve_field(args.q, args.p, args.e))
-    return polar.HermitianSpace(_single_m(args.m), ctx)
+    p, e = _resolve_field(args.q, args.p, args.e)
+    return polar.HermitianSpace(_single_m(args.m, p**e), make_field(p, e))
 
 
 def cmd_points(args) -> int:
@@ -451,7 +459,7 @@ def cmd_classify(args) -> int:
 
 def cmd_bounds(args) -> int:
     p, e = _resolve_field(args.q, args.p, args.e)
-    table = classify.bound_table(_single_m(args.m), p**e)
+    table = classify.bound_table(_single_m(args.m, p**e), p**e)
     rows = [
         {"i": r.i, "xi": r.xi, "muMax": r.mu_max, "dLower": math.ceil(r.d_lower)}
         for r in table.rows
@@ -603,6 +611,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        # argparse reads an attached "--" (-m--, --seed=--) as an empty list
+        if any(v == [] or isinstance(v, list) and [] in v for v in vars(args).values()):
+            raise ValueError("an option was given '--' as its value")
         if getattr(args, "budget", 1) <= 0:
             raise ValueError("budget must be positive")
         if getattr(args, "jobs", 1) < 1:

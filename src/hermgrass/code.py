@@ -45,6 +45,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,8 +73,10 @@ class AlternatingForm:
     """m x m matrix S over GF(q^2) with S^T = -S and zero diagonal.
 
     The zero diagonal is required explicitly so the condition is
-    meaningful in characteristic 2 as well.  Rank (always even) and
-    the two-sided kernel are computed lazily and cached.
+    meaningful in characteristic 2 as well.  The two-sided kernel
+    (``radical``) is computed on first use and cached, and the rank
+    (always even) is m minus its dimension, with no elimination of its
+    own.
     """
 
     def __init__(self, ctx: FieldCtx, s):
@@ -89,8 +92,6 @@ class AlternatingForm:
         self.ctx = ctx
         self.s = s
         self.m = s.shape[0]
-        self._rank: int | None = None
-        self._radical: np.ndarray | None = None
 
     @classmethod
     def from_upper(cls, ctx: FieldCtx, m: int, upper) -> "AlternatingForm":
@@ -108,19 +109,17 @@ class AlternatingForm:
     def upper(self) -> np.ndarray:
         return self.s[np.triu_indices(self.m, 1)]
 
-    @property
-    def rank(self) -> int:
-        if self._rank is None:
-            self._rank = linalg.rank(self.ctx, self.s)
-        return self._rank
+    @cached_property
+    def radical(self) -> np.ndarray:
+        """RREF basis of the two-sided kernel, one row per dimension,
+        read-only."""
+        radical = linalg.kernel(self.ctx, self.s)
+        radical.flags.writeable = False
+        return radical
 
     @property
-    def radical(self) -> np.ndarray:
-        """RREF basis of the two-sided kernel, one row per dimension."""
-        if self._radical is None:
-            self._radical = linalg.kernel(self.ctx, self.s)
-            self._radical.flags.writeable = False
-        return self._radical
+    def rank(self) -> int:
+        return self.m - len(self.radical)
 
     @property
     def rad_dim(self) -> int:

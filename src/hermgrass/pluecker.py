@@ -112,8 +112,7 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
     if space.m < 4:
         raise ValueError("the line system requires m >= 4")
     ctx = space.ctx
-    pairs = pair_indices(space.m)
-    k, n_lines = len(pairs), polar.line_count(space.m, ctx.q)
+    k, n_lines = space.m * (space.m - 1) // 2, polar.line_count(space.m, ctx.q)
     polar._check_memory(k * n_lines, f"the {k} x {n_lines} generator matrix needs {{}} bytes")
     a_idx, b_idx = space.line_pair_indices()
     pts_t = np.ascontiguousarray(space.points().T)  # a take copies a strided table per call
@@ -131,8 +130,8 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
         _fill_block(ctx, heads, np.diff(edges[s : t + 1]), b, g[:, lo:hi])
         s = t
     got = linalg.rank(ctx, g)
-    if got != len(pairs):
-        raise RuntimeError(f"generator matrix rank {got}, expected {len(pairs)}")
+    if got != k:
+        raise RuntimeError(f"generator matrix rank {got}, expected {k}")
     system = ProjectiveSystem(space, g)
     space._cache["system"] = system
     return system

@@ -221,17 +221,10 @@ class HermitianSpace:
             step = max(1, linalg.DOT_BLOCK // m)
             for lo in range(0, len(allp), step):
                 mask[lo : lo + step] = self.inner_diag(allp[lo : lo + step]) == 0
-            rows = np.flatnonzero(mask)
-            pts = allp[rows]
-            rows.flags.writeable = pts.flags.writeable = False
-            self._cache["point_rows"], self._cache["points"] = rows, pts
+            pts = allp[mask]
+            pts.flags.writeable = False
+            self._cache["points"] = pts
         return self._cache["points"]
-
-    def point_rows(self) -> np.ndarray:
-        """Row of all_points() holding each isotropic point, in points()
-        order; kept from the isotropy mask of points()."""
-        self.points()
-        return self._cache["point_rows"]
 
     @property
     def num_points(self) -> int:

@@ -21,8 +21,10 @@ INIT = Path(hg.__file__)
 # wrapper whose column-subset certificate moved into ``linalg.rank``; the
 # section table's block sequence, whose short leads are rows of the scan
 # kernel's last table, and the field's trial division, which the keys of
-# its primitive polynomials replace; and the file readers and writers,
-# whose formats the command line front end now owns.
+# its primitive polynomials replace; the file readers and writers,
+# whose formats the command line front end now owns; and the rows of the
+# isotropic points in the whole point table, which the classification no
+# longer reads since it passes over the isotropic points alone.
 DELETED = (
     "ProjectivePoint",
     "IsotropicLine",
@@ -52,6 +54,7 @@ DELETED = (
     "write_bounds_csv",
     "write_form_json",
     "read_form_json",
+    "point_rows",
 )
 DELETED_FIELD_WRAPPERS = (
     "add_s",

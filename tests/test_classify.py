@@ -388,17 +388,54 @@ def test_fixed_point_lemma_rank4_at_52(space52, system52):
     assert seen > 50
 
 
-def test_classify_points_matches_separate_passes(space52, system52, seeded_forms):
+LEMMA_SIZES = [(5, 2), (4, 3), (5, 3), (4, 4), (6, 2)]
+
+
+@pytest.mark.parametrize("m,q", LEMMA_SIZES, ids=[f"{m}-{q}" for m, q in LEMMA_SIZES])
+def test_classify_points_matches_separate_passes(m, q, seeded_forms):
     # classify_points takes the labels and the fixed points from one pass
-    # over all points; they must equal point_classes and a separate pass
-    # of polar images over the whole projective space
-    space = space52
-    for phi in seeded_forms(space.ctx, 5, 41, 4):
-        rep = classify.classify_points(phi, space, system52)
+    # over the isotropic points; they must equal point_classes and a
+    # separate pass of polar images over the whole projective space, which
+    # marks only isotropic rows fixed
+    space = hg.HermitianSpace(m, _field(q))
+    system = hg.build_system(space)
+    allp = space.all_points()
+    anisotropic = space.inner_diag(allp) != 0
+    total = 0
+    for phi in seeded_forms(space.ctx, m, 41, 9):
+        rep = classify.classify_points(phi, space, system)
         labels = classify.point_classes(phi, space)
         sizes = [int((labels == c).sum()) * (space.ctx.q2 - 1) for c in range(3)]
         assert [rep.A, rep.B, rep.C] == sizes
-        assert rep.fix_count == classify._images(phi, space, space.all_points())[2].sum()
+        fixed = classify._images(phi, space, allp)[2]
+        assert not (fixed & anisotropic).any()
+        assert rep.fix_count == fixed.sum()
+        total += rep.fix_count
+    assert total > 0
+
+
+@pytest.mark.parametrize("size", ["52", "62"])
+def test_classification_is_one_pass_with_three_eliminations(request, size, seeded_forms, monkeypatch):
+    # once points() is cached, neither call reads the point table of the
+    # whole projective space; a fresh form costs three eliminations, two
+    # for the RREF of its radical, which also gives its rank, and one for
+    # the radical's profile
+    space, system = (request.getfixturevalue(f"{k}{size}") for k in ("space", "system"))
+    space.points()
+
+    def refuse():
+        raise AssertionError("all_points() called")
+
+    monkeypatch.setattr(space, "all_points", refuse)
+    calls = []
+    echelon = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(1) or echelon(*args))
+    for phi in seeded_forms(space.ctx, space.m, 7, 3):
+        calls.clear()
+        classify.classify_points(phi, space, system)
+        assert len(calls) == 3
+        assert not phi.radical.flags.writeable
+        classify.point_classes(phi, space)
 
 
 WITNESS_SIZES = [(4, q) for q in hg.SUPPORTED_Q] + [(5, 2), (5, 3), (5, 4), (6, 2), (7, 2)]

@@ -384,6 +384,24 @@ def test_verify_reports_a_witness_below_the_minimum(monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "-m--", "-q", "2"],
+        ["bounds", "-m=--", "-q", "2"],
+        ["params", "-m", "4", "-q", "2", "-q--"],
+        ["spectrum", "-m", "4", "-q", "2", "--budget=--"],
+        ["spectrum", "-m", "4", "-q", "2", "--sample=--"],
+    ],
+    ids=["m", "m-equals", "q-append", "budget", "sample"],
+)
+def test_attached_double_dash_exits_2(capsys, argv):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: an option was given '--' as its value"]
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.run(["no-such-command"]) == 2
     assert cli.run(["points", "-m", "4"]) == 2  # no field given
@@ -415,11 +433,18 @@ def test_prime_power_shorthand(capsys):
     [
         ["params", "-m", "4", "-q", "1000000000000000003"],
         ["params", "-m", "4", "-p", "2", "-e", "100000000"],
+        ["params", "-m", "4..100000000000", "-q", "2"],
+        ["params", "-m", "4..100000", "-q", "2"],
+        ["params", "-m", "4..5000", "-q", "2"],
+        ["bounds", "-m", "100000000", "-q", "2"],
+        ["points", "-m", "100000000", "-q", "2"],
+        ["spectrum", "-m", "100000000", "-q", "2", "--sample", "5"],
     ],
-    ids=["q", "p-e"],
+    ids=["q", "p-e", "params-m-1e11", "params-m-1e5", "params-m-5000", "bounds-m", "points-m", "spectrum-m"],
 )
 def test_oversized_field_exits_2_at_once(capsys, argv):
-    # rejected before any trial division of q or p and before p**e
+    # rejected before any trial division of q or p and before p**e, and
+    # an m whose values would not print before any row, list or space
     started = time.perf_counter()
     assert cli.run(argv) == 2
     assert time.perf_counter() - started < 1.0
@@ -568,6 +593,37 @@ def test_field_flags_exit_0_or_2(command, q, p, e):
         data = json.loads(out.getvalue())
         got = [row["q"] for row in data] if command == "params" else [data["q"]]
         assert got == [want]
+
+
+# Any m drawn is at most 40 or refused (m > 1187 at q = 8), so no drawn
+# table is large; digit strings past int()'s 4300 and text that is no
+# integer are usage errors.
+m_text = st.one_of(
+    (st.integers(-10, 40) | st.integers(4000, 10**30) | st.integers(-(10**30), -10)).map(str),
+    st.integers(4295, 4305).map(lambda n: "9" * n),
+    st.text("0123456789.-x ", min_size=1, max_size=6),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from(["params", "bounds"]),
+    m_text | st.tuples(m_text, m_text).map("..".join),
+    st.sampled_from([2, 3, 4, 8, 4294967291]),
+)
+def test_m_flag_exits_0_or_2(command, m, q):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # "-m<text>" keeps a leading "-" from reading as an option
+        code = cli.run([command, f"-m{m}", "-q", str(q)])
+    assert code in (0, 2)
+    event(f"exit {code}")
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert err.getvalue() == ""
 
 
 json_leaf = st.one_of(
