@@ -23,12 +23,10 @@ So one pass of polar images over the isotropic points gives both the
 classes and all fixed points of PG(m - 1, q^2).
 
 The class sizes (counted as vectors, q^2 - 1 per point) reconstruct
-the weight of the codeword exactly, giving a third route to weights
-besides the direct and the per-point recursive counts.
-
-zero_class_bound(m, i, q) bounds the zero-class size over all forms of
-rank 2i; stratum_weight_bound turns it into a per-rank lower bound on
-weights.  Minimum words take one of two shapes, rank-2 cone forms and
+the weight of the codeword exactly (``counts.weight_from_class_counts``),
+giving a third route to weights besides the direct and the per-point
+recursive counts.  The per-rank zero-class and weight bounds are closed
+forms and live in ``counts``.  Minimum words take one of two shapes, rank-2 cone forms and
 permutable forms, each tested by one predicate that the witness
 constructions, min_word_witness and check_min_weight_profile share.
 """
@@ -36,12 +34,11 @@ constructions, min_word_witness and check_min_weight_profile share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import linalg, polar
-from .code import AlternatingForm, code_params, weight_direct
+from . import counts, linalg, polar
+from .code import AlternatingForm, weight_direct
 from .ff import FieldCtx
 from .linalg import fsub
 from .pluecker import ProjectiveSystem
@@ -50,14 +47,6 @@ __all__ = [
     "point_classes",
     "ClassificationReport",
     "classify_points",
-    "weight_from_class_counts",
-    "cone_count_max",
-    "zero_class_bound",
-    "stratum_weight_bound",
-    "BoundRow",
-    "BoundTable",
-    "bound_table",
-    "rank2_cone_weight",
     "make_rank2_cone_form",
     "make_permutable_form",
     "min_word_witness",
@@ -115,23 +104,6 @@ def point_classes(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     return _classes(phi, space)[0]
 
 
-def weight_from_class_counts(m: int, q: int, a: int, b: int, c: int) -> int:
-    """Weight reconstructed from the three vector-class sizes.
-
-    Requires a + b + c = (q^2 - 1) * (number of isotropic points); the
-    reconstruction (q^(2m-7) (b + c) + (-1)^m q^(m-4) b) / (q^4 - 1)
-    must come out an exact integer.
-    """
-    mu = polar.isotropic_point_count(m, q)
-    if a + b + c != (q * q - 1) * mu:
-        raise ValueError("class counts do not add up to the number of isotropic vectors")
-    num = q ** (2 * m - 7) * (b + c) + (-1) ** m * q ** (m - 4) * b
-    den = q**4 - 1
-    if num % den:
-        raise ValueError("class counts do not give an integral weight")
-    return num // den
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     """Class sizes and cross-checked weights for one nonzero form."""
@@ -163,7 +135,7 @@ def classify_points(
     q = ctx.q
     labels, fix_count = _classes(phi, space)
     a, b, c = _class_sizes(ctx, labels)
-    wfc = weight_from_class_counts(space.m, q, a, b, c)
+    wfc = counts.weight_from_class_counts(space.m, q, a, b, c)
     wd = weight_direct(phi, system)
     profile = polar.radical_profile(space, phi.radical)
     report = ClassificationReport(
@@ -176,83 +148,11 @@ def classify_points(
         weight_from_counts=wfc,
         weight_direct=wd,
         checks={
-            "conservation": a + b + c == (ctx.q2 - 1) * polar.isotropic_point_count(space.m, q),
+            "conservation": a + b + c == (ctx.q2 - 1) * counts.isotropic_point_count(space.m, q),
             "weight_agreement": wfc == wd,
         },
     )
     return report
-
-
-# -- bounds per rank stratum -------------------------------------------------
-
-
-def cone_count_max(m: int, i: int, q: int) -> int:
-    """Largest point count of a section cut by the radical of a form
-    of rank 2i, over all admissible vertex dimensions t."""
-    if i < 1 or 2 * i > m:
-        raise ValueError(f"i = {i} out of range for m = {m}")
-    if 4 * i >= m:
-        t = m - 2 * i
-    elif m % 2 == 0:
-        t = 2 * i
-    else:
-        t = 2 * i - 1
-    return polar.cone_point_count(m, i, t, q)
-
-
-def zero_class_bound(m: int, i: int, q: int) -> int:
-    """Upper bound for the zero-class size of forms of rank 2i."""
-    return (q ** (2 * i) - 1) * (q + 1) + (q * q - 1) * cone_count_max(m, i, q)
-
-
-def stratum_weight_bound(m: int, i: int, q: int) -> Fraction:
-    """Lower bound for weights of forms of rank 2i (exact rational)."""
-    lead = q ** (2 * m - 7) - (q ** (m - 4) if m % 2 else 0)
-    mu = polar.isotropic_point_count(m, q)
-    return Fraction(lead, q * q + 1) * (mu - Fraction(zero_class_bound(m, i, q), q * q - 1))
-
-
-@dataclass(frozen=True)
-class BoundRow:
-    i: int
-    xi: int
-    mu_max: int
-    d_lower: Fraction
-
-
-@dataclass(frozen=True)
-class BoundTable:
-    m: int
-    q: int
-    rows: tuple[BoundRow, ...]
-
-    def max_indices(self) -> list[int]:
-        best = max(r.xi for r in self.rows)
-        return [r.i for r in self.rows if r.xi == best]
-
-    def second_index(self) -> int | None:
-        """Index attaining the second largest bound value, None when
-        fewer than two strata exist."""
-        if len(self.rows) < 2:
-            return None
-        ranked = sorted(self.rows, key=lambda r: r.xi, reverse=True)
-        return ranked[1].i
-
-
-def bound_table(m: int, q: int) -> BoundTable:
-    """Per-rank bounds for the line code on V(m, q^2); requires m >= 4."""
-    if m < 4:
-        raise ValueError("the line code requires m >= 4")
-    rows = tuple(
-        BoundRow(
-            i=i,
-            xi=zero_class_bound(m, i, q),
-            mu_max=cone_count_max(m, i, q),
-            d_lower=stratum_weight_bound(m, i, q),
-        )
-        for i in range(1, m // 2 + 1)
-    )
-    return BoundTable(m=m, q=q, rows=rows)
 
 
 # -- constructions ------------------------------------------------------------
@@ -271,12 +171,6 @@ def _norm_minus_one_element(ctx: FieldCtx) -> int:
         if int(ctx.norm[t]) == want:
             return t
     raise RuntimeError("norm map misses -1; field tables are broken")
-
-
-def rank2_cone_weight(m: int, q: int) -> int:
-    """Weight of a rank-2 form whose radical cuts the fattest cone: d_min,
-    plus q^(2m-6) at m in {4, 6}, where the minimum words are permutable."""
-    return code_params(m, q).d_min + (q ** (2 * m - 6) if m in (4, 6) else 0)
 
 
 def _is_rank2_cone(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[bool, str]:
@@ -315,7 +209,7 @@ def make_rank2_cone_form(space: polar.HermitianSpace) -> AlternatingForm:
     isotropic vertex.  The form is a b^T - b a^T for the basis a, b of
     the radical's annihilator, certified by ``_is_rank2_cone``
     (RuntimeError if it fails); callers check the weight,
-    ``rank2_cone_weight(m, q)``, themselves.
+    ``counts.rank2_cone_weight(m, q)``, themselves.
     """
     ctx, m = space.ctx, space.m
     if m < 5:
@@ -376,7 +270,7 @@ def check_min_weight_profile(
     distance.
     """
     m = space.m
-    if weight != code_params(m, space.ctx.q).d_min:
+    if weight != counts.code_params(m, space.ctx.q).d_min:
         raise ValueError("not a minimum-weight form")
     if m in (4, 6):
         return _is_permutable(phi, space)

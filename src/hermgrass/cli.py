@@ -40,6 +40,11 @@ JSON output has sorted keys.
 Points, lines and genmat rows are written by ``_write_table`` in one
 loop over blocks of about DOT_BLOCK / 4 codes, in both formats, so
 neither the text nor the Python lists of a JSON dump hold every row.
+
+Start-up: this module imports only the standard library and ``counts``,
+so params, bounds, --help and every error in the flags finish without
+numpy.  Each other command imports numpy and the modules it runs inside
+its handler, after its flags are checked.
 """
 
 from __future__ import annotations
@@ -49,12 +54,9 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 from contextlib import nullcontext, suppress
 
-from . import classify, code, linalg, pluecker, polar
-from .ff import make_field
+from . import counts
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -99,10 +101,10 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, e
 
 
-def _add_field_args(sp, with_m=True):
-    if with_m:
-        sp.add_argument("-m", required=True, help="space dimension m")
-    sp.add_argument("-q", type=int, help="shorthand for the subfield order (prime power)")
+def _add_field_args(sp, m_help="space dimension m", q_action="store"):
+    if m_help:
+        sp.add_argument("-m", required=True, help=m_help)
+    sp.add_argument("-q", type=int, action=q_action, help="subfield order (prime power)")
     sp.add_argument("-p", type=int, help="subfield characteristic")
     sp.add_argument("-e", type=int, help="subfield extension degree over GF(p)")
 
@@ -124,10 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("params", help="N, K, d_min table over ranges of m and q")
-    sp.add_argument("-m", required=True, help="dimension or range, like 4..8")
-    sp.add_argument("-q", type=int, action="append", help="subfield order (repeatable)")
-    sp.add_argument("-p", type=int)
-    sp.add_argument("-e", type=int)
+    _add_field_args(sp, "dimension or range, like 4..8", q_action="append")
     _add_output_args(sp)
 
     for name, desc in (
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_output_args(sp, with_format=name != "genmat")
 
     sp = sub.add_parser("weight", help="weights of one form, computed three ways")
-    _add_field_args(sp, with_m=False)
+    _add_field_args(sp, m_help=None)
     sp.add_argument("--form", required=True, help="form JSON file")
     _add_output_args(sp)
 
@@ -153,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(sp)
 
     sp = sub.add_parser("classify", help="class sizes and cross-checks for one form")
-    _add_field_args(sp, with_m=False)
+    _add_field_args(sp, m_help=None)
     sp.add_argument("--form", required=True)
     _add_output_args(sp, with_format=False)
 
@@ -235,6 +234,8 @@ def _csv_text(codes, sep: str) -> str:
     """The rows of ``codes`` as lines of ``sep``-separated decimals.  A
     code, below q^2 <= 64 < 100, fills three byte slots (tens digit or 0,
     units digit, sep or newline), and the nonzero slots are the text."""
+    import numpy as np
+
     tens, units = np.divmod(codes, 10)
     slots = np.empty((*codes.shape, 3), dtype=np.uint8)
     slots[..., 0] = np.where(tens, tens + 48, 0)
@@ -263,7 +264,9 @@ def _write_table(args, space, key: str, n_rows: int, width: int, block, header=N
         header += "["
     elif header is None:
         header = f"# {key} m={space.m} p={ctx.p} e={ctx.e} count={n_rows}\n"
-    step = max(1, linalg.DOT_BLOCK // 4 // width)
+    from .linalg import DOT_BLOCK
+
+    step = max(1, DOT_BLOCK // 4 // width)
     with _output(args) as f:
         f.write(header)
         for lo in range(0, n_rows, step):
@@ -282,7 +285,7 @@ def _write_table(args, space, key: str, n_rows: int, width: int, block, header=N
 def cmd_params(args) -> int:
     fields = [_resolve_field(q, args.p, args.e) for q in args.q or [None]]
     m_values = _parse_range(args.m, max(p**e for p, e in fields))
-    rows = [code.code_params(m, p**e) for p, e in fields for m in m_values]
+    rows = [counts.code_params(m, p**e) for p, e in fields for m in m_values]
     _write(
         args,
         lambda: [{"m": r.m, "q": r.q, "N": r.n, "K": r.k, "d_min": r.d_min} for r in rows],
@@ -294,9 +297,13 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
-def _space_for(args) -> polar.HermitianSpace:
+def _space_for(args):
+    """The HermitianSpace of the flags, which are checked before numpy is imported."""
     p, e = _resolve_field(args.q, args.p, args.e)
-    return polar.HermitianSpace(_single_m(args.m, p**e), make_field(p, e))
+    m = _single_m(args.m, p**e)
+    from . import ff, polar
+
+    return polar.HermitianSpace(m, ff.make_field(p, e))
 
 
 def cmd_points(args) -> int:
@@ -307,6 +314,8 @@ def cmd_points(args) -> int:
 
 
 def cmd_lines(args) -> int:
+    import numpy as np
+
     space = _space_for(args)
     (a_idx, b_idx), pts = space.line_pair_indices(), space.points()
 
@@ -318,6 +327,8 @@ def cmd_lines(args) -> int:
 
 
 def cmd_genmat(args) -> int:
+    from . import pluecker
+
     space = _space_for(args)
     system, ctx = pluecker.build_system(space), space.ctx
     header = f"{space.m} {ctx.p} {ctx.e} {system.n} {system.k}\n"
@@ -336,7 +347,10 @@ def _json_int(value, what: str) -> int:
 def _load_form(args):
     """The field of the flags and the form of the --form file, checked
     as the module docstring states; ValueError on any mismatch."""
-    ctx = make_field(*_resolve_field(args.q, args.p, args.e))
+    field = _resolve_field(args.q, args.p, args.e)
+    from . import code, ff
+
+    ctx = ff.make_field(*field)
     with open(args.form, encoding="utf-8") as f:
         try:
             data = json.load(f)
@@ -364,6 +378,8 @@ def _load_form(args):
 
 
 def cmd_weight(args) -> int:
+    from . import classify, code, pluecker, polar
+
     ctx, phi = _load_form(args)
     space = polar.HermitianSpace(phi.m, ctx)
     system = pluecker.build_system(space)
@@ -390,14 +406,12 @@ def cmd_weight(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import code, pluecker
+
     space = _space_for(args)
     system = pluecker.build_system(space)
-    if args.sample is not None:
-        rep = code.spectrum(
-            system, mode="sample", seed=args.seed, samples=args.sample, jobs=args.jobs
-        )
-    else:
-        rep = code.spectrum(system, mode="exhaustive", budget=args.budget, jobs=args.jobs)
+    mode = "exhaustive" if args.sample is None else "sample"
+    rep = code.spectrum(system, mode, args.budget, args.seed, args.sample, args.jobs)
     meta = {
         "mode": rep.mode,
         "m": rep.m,
@@ -436,6 +450,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import classify, pluecker, polar
+
     ctx, phi = _load_form(args)
     if phi.is_zero():
         raise ValueError("the zero form has no classification report")
@@ -459,7 +475,7 @@ def cmd_classify(args) -> int:
 
 def cmd_bounds(args) -> int:
     p, e = _resolve_field(args.q, args.p, args.e)
-    table = classify.bound_table(_single_m(args.m, p**e), p**e)
+    table = counts.bound_table(_single_m(args.m, p**e), p**e)
     rows = [
         {"i": r.i, "xi": r.xi, "muMax": r.mu_max, "dLower": math.ceil(r.d_lower)}
         for r in table.rows
@@ -475,6 +491,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_min_word(args) -> int:
+    from . import code, pluecker
+
     space = _space_for(args)
     system = pluecker.build_system(space)
     strategy = "exhaustive" if args.exhaustive else "construct+sample"
@@ -495,14 +513,18 @@ def cmd_min_word(args) -> int:
 
 def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
     """Yield (name, ok, detail) for every claim feasible at this size."""
+    import numpy as np
+
+    from . import classify, code, pluecker
+
     ctx = space.ctx
     m, q = space.m, ctx.q
-    params = code.code_params(m, q)
+    params = counts.code_params(m, q)
 
     n_points = space.num_points
     yield (
         "point count",
-        n_points == polar.isotropic_point_count(m, q),
+        n_points == counts.isotropic_point_count(m, q),
         f"{n_points} isotropic points",
     )
     n_lines = space.num_lines
@@ -510,18 +532,12 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
     system = pluecker.build_system(space)
     yield ("generator rank", system.k == params.k, f"rank {system.k} = C(m,2)")
 
-    table = classify.bound_table(m, q)
+    table = counts.bound_table(m, q)
     maxima = table.max_indices()
-    if m in (4, 6):
-        ok = maxima == [m // 2]
-    elif m == 5:
-        ok = sorted(maxima) == [1, 2]
-    else:
-        ok = maxima == [1]
-    yield ("bound table maximum", ok, f"max at i={maxima}")
+    yield ("bound table maximum", maxima == table.expected_max_indices(), f"max at i={maxima}")
 
     rng = np.random.default_rng(seed)
-    values = set(code.point_weight_values(m, q))
+    values = set(counts.point_weight_values(m, q))
     all_ok = bound_ok = True
     detail = ""
     for _ in range(samples):
@@ -540,7 +556,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
             all_ok = False
             detail = f"per-point value outside the case set: {sorted(pw)}"
             break
-        bound_ok &= wd >= classify.stratum_weight_bound(m, phi.rank // 2, q)
+        bound_ok &= wd >= counts.stratum_weight_bound(m, phi.rank // 2, q)
     yield ("three weight routes + conservation + case values", all_ok, detail or f"{samples} seeded forms")
     yield ("per-rank lower bounds", bound_ok, "weights >= stratum bounds")
 
@@ -548,7 +564,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
     if m >= 5:
         cone = witness if kind == "rank2-cone" else classify.make_rank2_cone_form(space)
         w = code.weight_direct(cone, system)
-        yield ("rank-2 cone witness", w == classify.rank2_cone_weight(m, q), f"weight {w}")
+        yield ("rank-2 cone witness", w == counts.rank2_cone_weight(m, q), f"weight {w}")
     if kind == "permutable":
         w = code.weight_direct(witness, system)
         yield ("permutable witness", w == params.d_min, f"weight {w}")

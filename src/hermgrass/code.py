@@ -16,8 +16,8 @@ Weights are computed three independent ways across the package:
   the isotropic points in the perp of u off the hyperplane u^T S x = 0,
   one AND and popcount of two rows of the space's bit-packed
   hyperplane-section table per point;
-* ``classify.weight_from_class_counts``: reconstruct from the sizes
-  of the three per-point classes.
+* ``counts.weight_from_class_counts``: reconstruct from the sizes
+  of the three per-point classes of ``classify``.
 
 Spectrum scans index the strict upper triangle as a mixed-radix
 counter (most significant digit first); sample mode draws seeded
@@ -41,7 +41,6 @@ those ranges yields the packed nonzero masks, which the scan popcounts
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -49,20 +48,17 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg, polar
+from . import counts, linalg, polar
 from .ff import FieldCtx
 from .pluecker import ProjectiveSystem, build_system
 
 __all__ = [
     "AlternatingForm",
-    "CodeParams",
     "SpectrumReport",
-    "code_params",
     "evaluate",
     "codeword",
     "weight_direct",
     "point_weights",
-    "point_weight_values",
     "weight_recursive",
     "spectrum",
     "min_distance",
@@ -142,36 +138,6 @@ class AlternatingForm:
         return f"AlternatingForm(m={self.m}, q2={self.ctx.q2}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Length, dimension and minimum distance of the line code."""
-
-    m: int
-    q: int
-    n: int
-    k: int
-    d_min: int
-
-
-def code_params(m: int, q: int) -> CodeParams:
-    """Parameters of the line code on V(m, q^2); requires m >= 4.
-
-    d_min is q^(4m-12) - q^(2m-6) for m in {4, 6}, q^(4m-12) for even
-    m >= 8, and q^(4m-12) - q^(3m-9) for odd m.
-    """
-    if m < 4:
-        raise ValueError("the line code requires m >= 4")
-    n = polar.line_count(m, q)
-    k = m * (m - 1) // 2
-    if m in (4, 6):
-        d = q ** (4 * m - 12) - q ** (2 * m - 6)
-    elif m % 2 == 0:
-        d = q ** (4 * m - 12)
-    else:
-        d = q ** (4 * m - 12) - q ** (3 * m - 9)
-    return CodeParams(m=m, q=q, n=n, k=k, d_min=d)
-
-
 def evaluate(phi: AlternatingForm, line) -> int:
     """v^T S w on the line's basis rows (v, w).
 
@@ -201,13 +167,6 @@ def weight_direct(phi: AlternatingForm, system: ProjectiveSystem) -> int:
 
 
 # -- per-point line counts ------------------------------------------------
-
-
-def point_weight_values(m: int, q: int) -> tuple[int, int, int]:
-    """The three possible per-point line counts (zero, secant, tangent)."""
-    mu2 = polar.isotropic_point_count(m - 2, q)
-    mu3 = polar.isotropic_point_count(m - 3, q)
-    return 0, mu2 - mu3, q ** (2 * m - 7)
 
 
 def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarray:
@@ -375,7 +334,7 @@ def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray, sizes: np.ndarray) ->
     indices, keyed in order of first occurrence."""
     k = m * (m - 1) // 2
     iu, ju = np.triu_indices(m, 1)
-    counts: dict[int, int] = {}
+    split: dict[int, int] = {}
     for lo in range(0, len(idx), _RANK_CHUNK):
         d = linalg._digits(idx[lo : lo + _RANK_CHUNK], ctx.q2, k).astype(np.uint8)
         s = np.zeros((len(d), m, m), dtype=np.uint8)
@@ -385,8 +344,8 @@ def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray, sizes: np.ndarray) ->
         dims, first = np.unique(rad, return_index=True)
         for dim in dims[np.argsort(first)]:
             weight = int(sizes[lo : lo + _RANK_CHUNK][rad == dim].sum())
-            counts[int(dim)] = counts.get(int(dim), 0) + weight
-    return counts
+            split[int(dim)] = split.get(int(dim), 0) + weight
+    return split
 
 
 def _check_macwilliams(hist: dict[int, int], m: int, q: int) -> None:
@@ -398,11 +357,11 @@ def _check_macwilliams(hist: dict[int, int], m: int, q: int) -> None:
     nondegenerate 2-spaces of V(d, Q), nu(d) = (Q^d - 1)/(Q - 1) - mu(d)
     (MacWilliams, Bell Syst. Tech. J. 1963).
     """
-    q2, n, k = q * q, polar.line_count(m, q), m * (m - 1) // 2
-    nu = [(q2**d - 1) // (q2 - 1) - polar.isotropic_point_count(d, q) for d in (m - 2, m - 3)]
-    triples = polar.isotropic_point_count(m, q) * (
+    q2, n, k = q * q, counts.line_count(m, q), m * (m - 1) // 2
+    nu = [(q2**d - 1) // (q2 - 1) - counts.isotropic_point_count(d, q) for d in (m - 2, m - 3)]
+    triples = counts.isotropic_point_count(m, q) * (
         nu[0] * nu[1] // (q2 - q) * math.comb(q + 1, 3)
-        + polar.line_count(m - 2, q) * math.comb(q2 + 1, 3)
+        + counts.line_count(m - 2, q) * math.comb(q2 + 1, 3)
     )
     for j, want in enumerate((1, 0, 0, (q2 - 1) * triples)):
         got = sum(
@@ -449,8 +408,10 @@ def spectrum(
 
     Sample mode draws ``samples`` uniform nonzero forms from numpy's
     default PCG64 generator seeded with ``seed``; the seed is recorded
-    in the report.  It ignores ``jobs`` and runs in the calling process,
-    since starting a pool costs more than the scan.
+    in the report, and more samples than ``budget`` raise ValueError.
+    It ignores ``jobs`` and runs in the calling process, since starting a
+    pool costs more than the scan; ``multiprocessing`` is imported only
+    when exhaustive mode starts a pool.
 
     Both modes count weights with one ``_tally``, and in both a nonzero
     form of weight 0 raises RuntimeError.
@@ -459,6 +420,8 @@ def spectrum(
     q2, started = ctx.q2, time.perf_counter()
     if mode == "sample" and (not samples or samples < 1):
         raise ValueError("sample mode needs a positive sample count")
+    if mode == "sample" and samples > budget:
+        raise ValueError(f"sample count {polar._short(samples)} exceeds budget {polar._short(budget)}")
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -466,7 +429,7 @@ def spectrum(
     if exhaustive:
         classes = _first_row_classes(ctx, m, budget)
         if classes is None:
-            raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {budget}")
+            raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {polar._short(budget)}")
         if system is not build_system(system.space):
             raise ValueError("exhaustive mode needs the space's own generator from build_system")
         reps, sizes = classes
@@ -478,6 +441,8 @@ def spectrum(
         tasks = [(s, r * span + a, r * span + b) for r, s in zip(reps, sizes) for a, b in cuts]
         args = [(kernel, tasks[len(reps) * i : len(reps) * (i + 1)]) for i in range(workers)]
         if workers > 1:
+            import multiprocessing
+
             with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
                 parts = pool.starmap(_scan_classes, args)
         else:
@@ -532,7 +497,7 @@ def min_distance(
     """
     ctx = system.ctx
     m = system.space.m
-    params = code_params(m, ctx.q)
+    params = counts.code_params(m, ctx.q)
     if strategy == "exhaustive":
         rep = spectrum(system, mode="exhaustive", budget=budget, jobs=jobs)
         d = rep.min_nonzero_weight
@@ -554,7 +519,7 @@ def min_distance(
         wd = weight_direct(witness, system)
         if wd != params.d_min:
             raise RuntimeError(f"constructed witness has weight {wd}, expected {params.d_min}")
-        rep = spectrum(system, mode="sample", seed=seed, samples=samples, jobs=jobs)
+        rep = spectrum(system, mode="sample", budget=budget, seed=seed, samples=samples, jobs=jobs)
         cert = {
             "strategy": "construct+sample",
             "witness_kind": kind,

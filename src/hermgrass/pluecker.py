@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import linalg, polar
+from . import counts, linalg, polar
 from .ff import FieldCtx
 from .linalg import fadd, fsub
 
@@ -112,8 +112,8 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
     if space.m < 4:
         raise ValueError("the line system requires m >= 4")
     ctx = space.ctx
-    k, n_lines = space.m * (space.m - 1) // 2, polar.line_count(space.m, ctx.q)
-    polar._check_memory(k * n_lines, f"the {k} x {n_lines} generator matrix needs {{}} bytes")
+    k, n_lines = space.m * (space.m - 1) // 2, counts.line_count(space.m, ctx.q)
+    polar._check_memory(k * n_lines, f"the {k} x {polar._short(n_lines)} generator matrix needs {{}} bytes")
     a_idx, b_idx = space.line_pair_indices()
     pts_t = np.ascontiguousarray(space.points().T)  # a take copies a strided table per call
     n = len(a_idx)

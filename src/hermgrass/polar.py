@@ -18,14 +18,8 @@ Conventions fixed here and relied on elsewhere:
   reduced row echelon basis, and the canonical line order is
   ascending lexicographic on the flattened basis.
 
-Counting helpers (all exact integers):
-
-* ``isotropic_point_count(m, q)`` for the nondegenerate space,
-* ``line_count(m, q)`` for totally isotropic lines,
-* ``cone_point_count(m, i, t, q)`` for the section of the space cut
-  by an (m-2i)-dimensional subspace whose induced singular radical
-  has dimension t (a cone with a t-dimensional vertex over a
-  nondegenerate piece of dimension m-2i-t).
+The closed-form point, line and cone counts are in ``counts``; the
+enumerations here are checked against them.
 
 ``HermitianSpace.section_table`` holds, bit-packed, which isotropic
 points lie on each hyperplane of PG(m-1, q^2).  It is the complement of
@@ -39,18 +33,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import partial, reduce
 
 import numpy as np
 
-from . import linalg
+from . import counts, linalg
 from .ff import FieldCtx
 from .linalg import fadd
 
 __all__ = [
-    "isotropic_point_count",
-    "line_count",
-    "cone_point_count",
     "RadicalProfile",
     "HermitianSpace",
     "perp",
@@ -80,55 +72,18 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _short(n: int) -> str:
+    """``n`` in full up to 15 digits, else to three significant digits
+    (4.10e+2144), so that a refusal stays one short line."""
+    return str(n) if n < 10**15 else f"{Decimal(n):.2e}"
+
+
 def _check_memory(need: int, what: str) -> None:
     """Raise ValueError when ``need`` bytes exceed the available memory;
-    ``what`` names them, with ``{}`` for ``need``."""
+    ``what`` names them, with ``{}`` for ``need`` in ``_short`` form."""
     have = _available_memory()
     if need > have:
-        raise ValueError(f"{what.format(need)}, more than the {have} bytes of available memory")
-
-
-def isotropic_point_count(m: int, q: int) -> int:
-    """Projective isotropic points of a nondegenerate form on V(m, q^2).
-
-    Zero for m < 2 (the m = 0 value is a convention used by the cone
-    count below).
-    """
-    if m <= 1:
-        return 0
-    s = (-1) ** (m - 1)
-    num = (q**m + s) * (q ** (m - 1) - s)
-    den = q * q - 1
-    if num % den:
-        raise RuntimeError(f"isotropic point count not integral at m = {m}, q = {q}")
-    return num // den
-
-
-def line_count(m: int, q: int) -> int:
-    """Totally isotropic 2-spaces of a nondegenerate form on V(m, q^2)."""
-    if m < 4:
-        return 0
-    num = isotropic_point_count(m, q) * isotropic_point_count(m - 2, q)
-    den = q * q + 1
-    if num % den:
-        raise RuntimeError(f"line count not integral at m = {m}, q = {q}")
-    return num // den
-
-
-def cone_point_count(m: int, i: int, t: int, q: int) -> int:
-    """Points of a vertex-t cone section inside an (m-2i)-subspace.
-
-    The subspace meets the polar space in a cone with a totally
-    isotropic vertex of dimension t over a nondegenerate section of
-    dimension m-2i-t.  Requires 1 <= 2i <= m and
-    0 <= t <= min(2i, m-2i).
-    """
-    if i < 1 or 2 * i > m:
-        raise ValueError(f"i = {i} out of range for m = {m}")
-    if t < 0 or t > min(2 * i, m - 2 * i):
-        raise ValueError(f"t = {t} out of range for m = {m}, i = {i}")
-    q2 = q * q
-    return q2**t * isotropic_point_count(m - 2 * i - t, q) + (q2**t - 1) // (q2 - 1)
+        raise ValueError(f"{what.format(_short(need))}, more than the {have} bytes of available memory")
 
 
 @dataclass(frozen=True)
@@ -214,7 +169,7 @@ class HermitianSpace:
             allp = self.all_points()
             m, q2 = self.m, self.ctx.q2
             _check_memory(
-                allp.nbytes + isotropic_point_count(m, self.ctx.q) * m,
+                allp.nbytes + counts.isotropic_point_count(m, self.ctx.q) * m,
                 f"the isotropic points of PG({m - 1}, {q2}) need {{}} bytes with the point table",
             )
             mask = np.empty(len(allp), dtype=bool)
@@ -279,38 +234,38 @@ class HermitianSpace:
         """
         if "line_pairs" not in self._cache:
             ctx, m = self.ctx, self.m
-            n_lines = line_count(m, ctx.q)
+            n_lines = counts.line_count(m, ctx.q)
             _check_memory(
                 n_lines * _LINE_BYTES,
-                f"the {n_lines} totally isotropic lines of PG({m - 1}, {ctx.q2}) need {{}} bytes",
+                f"the {_short(n_lines)} totally isotropic lines of PG({m - 1}, {ctx.q2}) need {{}} bytes",
             )
             # b of every hit in search order, and each chunk's rows and hits per row
             found, chunks, n_found = np.empty(n_lines, dtype=np.int32), [], 0
             for rows, b_lo, hit in self._lead_blocks():
-                counts = hit.view(np.uint8).sum(axis=1, dtype=np.intp)
+                per_row = hit.view(np.uint8).sum(axis=1, dtype=np.intp)
                 flat = np.flatnonzero(hit)
                 if n_found + len(flat) > n_lines:
                     raise RuntimeError(f"line enumeration produced more than {n_lines} lines")
                 # hit (r, c) has the flat position r * width + c and b = b_lo + c
                 row_base = np.arange(len(rows)) * hit.shape[1] - b_lo
                 out = found[n_found : n_found + len(flat)]
-                np.subtract(flat, np.repeat(row_base, counts), out=out, casting="unsafe")
-                chunks.append((rows, counts, n_found))
+                np.subtract(flat, np.repeat(row_base, per_row), out=out, casting="unsafe")
+                chunks.append((rows, per_row, n_found))
                 n_found += len(flat)
             if n_found != n_lines:
                 raise RuntimeError(f"line enumeration produced {n_found} lines, expected {n_lines}")
             n_pts = self.num_points
             per_point = np.zeros(n_pts, dtype=np.intp)
-            for rows, counts, _ in chunks:
-                per_point[rows] += counts
+            for rows, per_row, _ in chunks:
+                per_point[rows] += per_row
             a_idx = np.repeat(np.arange(n_pts, dtype=np.int32), per_point)
             b_idx = np.empty(n_lines, dtype=np.int32)
             free = np.cumsum(per_point) - per_point  # next slot of each a
-            for rows, counts, lo in chunks:
-                dest = np.repeat(free[rows] - (np.cumsum(counts) - counts), counts)
+            for rows, per_row, lo in chunks:
+                dest = np.repeat(free[rows] - (np.cumsum(per_row) - per_row), per_row)
                 dest += np.arange(len(dest))
                 b_idx[dest] = found[lo : lo + len(dest)]
-                free[rows] += counts
+                free[rows] += per_row
             a_idx.flags.writeable = False
             b_idx.flags.writeable = False
             self._cache["line_pairs"] = (a_idx, b_idx)
@@ -372,7 +327,7 @@ class HermitianSpace:
         if len(pts) % 8:
             table[:, -1] &= np.uint8(0xFF << (8 - len(pts) % 8) & 0xFF)  # the padding bits
         q, perp, rows = ctx.q, self.perp_index(), max(1, linalg.DOT_BLOCK // max(1, width))
-        want = 1 + q * q * isotropic_point_count(m - 2, q)
+        want = 1 + q * q * counts.isotropic_point_count(m - 2, q)
         for lo in range(0, len(perp), rows):
             if (linalg.bit_counts(table[perp[lo : lo + rows]]) != want).any():
                 raise RuntimeError(f"a perp section does not hold {want} isotropic points")

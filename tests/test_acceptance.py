@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hermgrass as hg
-from hermgrass import classify, code, linalg, polar
+from hermgrass import classify, code, counts, linalg, polar
 
 
 def _gaussian_binomial(n, k, qq):
@@ -42,7 +42,7 @@ def test_criterion_1_golden_exhaustive_52(system52):
     threespaces = _gaussian_binomial(5, 3, 4)
     through_point = _gaussian_binomial(4, 2, 4)
     incidences = 165 * through_point
-    t2 = polar.line_count(5, 2)
+    t2 = counts.line_count(5, 2)
     t1 = (incidences - 5 * t2 - 9 * (threespaces - t2)) // 4
     assert t1 == 1980
     rank2_min = 3 * t1
@@ -61,7 +61,7 @@ def test_exhaustive_enumerator_44():
     # The whole weight enumerator over GF(16): 16^6 forms.
     ctx = hg.make_field(2, 2)
     system = hg.build_system(hg.HermitianSpace(4, ctx))
-    params = code.code_params(4, 4)
+    params = counts.code_params(4, 4)
     assert (system.n, system.k, params.d_min) == (325, 6, 240)
     rep = code.spectrum(system, mode="exhaustive")
     hist, n, k, Q = rep.histogram, system.n, system.k, ctx.q2
@@ -96,8 +96,8 @@ def test_criterion_2_counts_and_rank(request, m, q):
         (5, 3): "space53",
     }[(m, q)]
     space = request.getfixturevalue(fixture)
-    mu = polar.isotropic_point_count(m, q)
-    n = polar.line_count(m, q)
+    mu = counts.isotropic_point_count(m, q)
+    n = counts.line_count(m, q)
     k = m * (m - 1) // 2
     assert space.num_points == mu
     assert space.num_lines == n
@@ -157,8 +157,8 @@ def test_criterion_4_constructed_witnesses(
 def _scan_forms(space, system, forms):
     """Cross-check every weight route and collect per-form records."""
     records = []
-    values = set(code.point_weight_values(space.m, space.ctx.q))
-    mu = polar.isotropic_point_count(space.m, space.ctx.q)
+    values = set(counts.point_weight_values(space.m, space.ctx.q))
+    mu = counts.isotropic_point_count(space.m, space.ctx.q)
     conservation_total = (space.ctx.q2 - 1) * mu
     for phi in forms:
         wd = code.weight_direct(phi, system)
@@ -218,7 +218,7 @@ def test_criterion_7_bound_machinery(scan_records):
     second_expect = {6: 1, 7: 3, 8: 4, 9: 4, 10: 5}
     for q in (2, 3, 4, 5):
         for m in range(4, 21):
-            table = classify.bound_table(m, q)
+            table = counts.bound_table(m, q)
             maxima = table.max_indices()
             if m in (4, 6):
                 assert maxima == [m // 2], (m, q, maxima)
@@ -232,7 +232,7 @@ def test_criterion_7_bound_machinery(scan_records):
     checked = 0
     for (m, q), records in scan_records.items():
         for i, weight in records:
-            assert weight >= classify.stratum_weight_bound(m, i, q)
+            assert weight >= counts.stratum_weight_bound(m, i, q)
             checked += 1
     print(
         "PASS criterion 7: bound orderings for m in 4..20, q in {2,3,4,5}; "

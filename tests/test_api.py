@@ -4,13 +4,17 @@ package re-exports only public names, and deleted names stay deleted."""
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import hermgrass as hg
 
-MODULES = ("ff", "linalg", "polar", "pluecker", "code", "classify")
+MODULES = ("counts", "ff", "linalg", "polar", "pluecker", "code", "classify")
 INIT = Path(hg.__file__)
 
 # Object wrappers and scalar helpers that only tests and demos used,
@@ -94,11 +98,60 @@ def test_package_imports_are_in_module_all():
     tree = ast.parse(INIT.read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
     assert imports
+    exported = {}
     for node in imports:
-        mod = importlib.import_module(f"hermgrass.{node.module}")
-        names = [alias.name for alias in node.names]
-        assert set(names) <= set(mod.__all__), (node.module, set(names) - set(mod.__all__))
+        exported[node.module] = [alias.name for alias in node.names]
+    # the numpy-backed names that __getattr__ imports on first use
+    for name, module in hg._LAZY.items():
+        exported.setdefault(module, []).append(name)
+    for module, names in exported.items():
+        mod = importlib.import_module(f"hermgrass.{module}")
+        assert set(names) <= set(mod.__all__), (module, set(names) - set(mod.__all__))
         assert all(getattr(hg, n) is getattr(mod, n) for n in names)
+    public = {n for names in exported.values() for n in names}
+    assert set(hg.__all__) == public | {"counts", *hg._SUBMODULES}
+    assert len(public) == sum(map(len, exported.values()))  # each name from one module
+    assert set(hg.__all__) <= set(dir(hg))
+    for name in hg._SUBMODULES:
+        assert getattr(hg, name) is importlib.import_module(f"hermgrass.{name}")
+
+
+def test_closed_forms_have_one_home():
+    # the numpy-free closed forms live in counts alone, with no alias left
+    # in the modules they came from
+    counts = importlib.import_module("hermgrass.counts")
+    for name in ("polar", "code", "classify", "cli"):
+        mod = importlib.import_module(f"hermgrass.{name}")
+        assert not set(counts.__all__) & set(vars(mod)), name
+
+
+def _fresh_import(preload: str) -> dict:
+    """What a fresh interpreter holds after ``preload`` and ``import
+    hermgrass``, and after it then reads hg.make_field."""
+    script = (
+        f"{preload}\n"
+        "import json, sys\n"
+        "import hermgrass as hg\n"
+        "before = ['numpy' in sys.modules, sorted(set(hg._LAZY) & set(vars(hg)))]\n"
+        "ctx = hg.make_field(2, 1)\n"
+        "print(json.dumps([before, 'numpy' in sys.modules, 'make_field' in vars(hg), ctx.q2]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(INIT.parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_package_imports_numpy_on_first_use():
+    (numpy_loaded, resolved), numpy_after, kept, q2 = _fresh_import("")
+    assert not numpy_loaded and resolved == []
+    assert numpy_after and kept and q2 == 4
+
+
+def test_package_resolves_every_name_when_numpy_is_loaded():
+    (numpy_loaded, resolved), _, kept, q2 = _fresh_import("import numpy")
+    assert numpy_loaded and resolved == sorted(hg._LAZY)
+    assert kept and q2 == 4
 
 
 @pytest.mark.parametrize("name", DELETED)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hermgrass as hg
-from hermgrass import classify, cli, code, linalg, polar
+from hermgrass import classify, cli, code, counts, linalg, polar
 
 
 def _symplectic_block(ctx, m):
@@ -118,7 +118,7 @@ def test_point_classes_and_fixed_points_match_oracle_loop(space52, system52, see
 
 def test_point_classes_match_point_weight_cases(space52, system52):
     ctx = space52.ctx
-    zero_v, secant_v, tangent_v = code.point_weight_values(5, 2)
+    zero_v, secant_v, tangent_v = counts.point_weight_values(5, 2)
     rng = np.random.default_rng(20)
     for _ in range(15):
         up = rng.integers(0, 4, size=10, dtype=np.uint8)
@@ -151,53 +151,63 @@ def test_classification_reports(space42, system42, space43, system43):
 
 
 def test_weight_from_class_counts(ctx2):
-    mu = polar.isotropic_point_count(4, 2)
+    mu = counts.isotropic_point_count(4, 2)
     total = 3 * mu
-    assert classify.weight_from_class_counts(4, 2, total, 0, 0) == 0
-    assert classify.weight_from_class_counts(4, 2, 45, 0, 90) == 12
+    assert counts.weight_from_class_counts(4, 2, total, 0, 0) == 0
+    assert counts.weight_from_class_counts(4, 2, 45, 0, 90) == 12
     with pytest.raises(ValueError):
-        classify.weight_from_class_counts(4, 2, 1, 2, 3)
+        counts.weight_from_class_counts(4, 2, 1, 2, 3)
     with pytest.raises(ValueError):
-        classify.weight_from_class_counts(4, 2, total - 2, 1, 1)
+        counts.weight_from_class_counts(4, 2, total - 2, 1, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_zero_class_bound_polynomials(q):
-    assert classify.zero_class_bound(4, 1, q) == q**4 + q**3 + q**2 - q - 2
-    assert classify.zero_class_bound(4, 2, q) == q**5 + q**4 - q - 1
-    x51 = classify.zero_class_bound(5, 1, q)
+    assert counts.zero_class_bound(4, 1, q) == q**4 + q**3 + q**2 - q - 2
+    assert counts.zero_class_bound(4, 2, q) == q**5 + q**4 - q - 1
+    x51 = counts.zero_class_bound(5, 1, q)
     assert x51 == q**5 + q**4 + q**2 - q - 2
-    assert classify.zero_class_bound(5, 2, q) == x51
-    assert classify.zero_class_bound(6, 1, q) == q**7 + q**6 - q**5 + q**3 + q**2 - q - 2
-    assert classify.zero_class_bound(6, 2, q) == q**5 + 2 * q**4 - q - 2
-    assert classify.zero_class_bound(6, 3, q) == q**7 + q**6 - q - 1
+    assert counts.zero_class_bound(5, 2, q) == x51
+    assert counts.zero_class_bound(6, 1, q) == q**7 + q**6 - q**5 + q**3 + q**2 - q - 2
+    assert counts.zero_class_bound(6, 2, q) == q**5 + 2 * q**4 - q - 2
+    assert counts.zero_class_bound(6, 3, q) == q**7 + q**6 - q - 1
 
 
 def test_bound_table_orderings_small():
-    t4 = classify.bound_table(4, 2)
+    t4 = counts.bound_table(4, 2)
     assert t4.max_indices() == [2]
-    t5 = classify.bound_table(5, 2)
+    t5 = counts.bound_table(5, 2)
     assert sorted(t5.max_indices()) == [1, 2]
-    t6 = classify.bound_table(6, 2)
+    t6 = counts.bound_table(6, 2)
     assert t6.max_indices() == [3] and t6.second_index() == 1
-    t7 = classify.bound_table(7, 2)
+    t7 = counts.bound_table(7, 2)
     assert t7.max_indices() == [1] and t7.second_index() == 3
 
+
+
+def test_expected_bound_maximum_is_where_the_table_peaks():
+    # the rule verify checks, stated once next to bound_table
+    expected = [counts.bound_table(m, 2).expected_max_indices() for m in range(4, 10)]
+    assert expected == [[2], [1, 2], [3], [1], [1], [1]]
+    for q in (2, 3, 4, 5):
+        for m in range(4, 21):
+            table = counts.bound_table(m, q)
+            assert table.max_indices() == table.expected_max_indices(), (m, q)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_bound_table_rejects_small_m(m):
     with pytest.raises(ValueError):
-        classify.bound_table(m, 2)
+        counts.bound_table(m, 2)
 
 
 def test_stratum_weight_bound_values():
-    assert classify.stratum_weight_bound(4, 2, 2) == 12
-    assert classify.stratum_weight_bound(4, 1, 2) == Fraction(74, 5)
+    assert counts.stratum_weight_bound(4, 2, 2) == 12
+    assert counts.stratum_weight_bound(4, 1, 2) == Fraction(74, 5)
 
 
 def test_bounds_csv(tmp_path):
-    table = classify.bound_table(6, 2)
+    table = counts.bound_table(6, 2)
     path = tmp_path / "bounds.csv"
     assert cli.run(["bounds", "-m", "6", "-q", "2", "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
@@ -263,7 +273,7 @@ def test_weight_routes_and_witness_on_headroom_fields(p, e):
     space = hg.HermitianSpace(4, ctx)
     system = hg.build_system(space)
     perm = hg.make_permutable_form(space)
-    assert code.weight_direct(perm, system) == q**4 - q**2 == code.code_params(4, q).d_min
+    assert code.weight_direct(perm, system) == q**4 - q**2 == counts.code_params(4, q).d_min
     rng = np.random.default_rng(p * 100 + e)
     for _ in range(5):
         upper = rng.integers(0, ctx.q2, size=6, dtype=np.uint8)
@@ -357,7 +367,7 @@ MIN_WORD_SIZES = [(4, 2), (4, 3), (5, 2), (4, 4), (4, 5)]
 def test_every_scanned_minimum_word_has_the_profile(m, q):
     space = hg.HermitianSpace(m, _field(q))
     system = hg.build_system(space)
-    d_min = code.code_params(m, q).d_min
+    d_min = counts.code_params(m, q).d_min
     words = _scanned_min_words(system)
     assert words
     for phi in words:
@@ -451,8 +461,8 @@ def test_witness_construction_is_certified(m, q):
     if m in (4, 6):
         perm = hg.make_permutable_form(space)
         assert perm == _symplectic_block(ctx, m)
-        assert code.weight_direct(perm, system) == code.code_params(m, q).d_min
+        assert code.weight_direct(perm, system) == counts.code_params(m, q).d_min
     if m >= 5:
         cone = hg.make_rank2_cone_form(space)
-        want = classify.rank2_cone_weight(m, q) if m == 6 else code.code_params(m, q).d_min
+        want = counts.rank2_cone_weight(m, q) if m == 6 else counts.code_params(m, q).d_min
         assert code.weight_direct(cone, system) == want

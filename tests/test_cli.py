@@ -2,16 +2,19 @@ import contextlib
 import functools
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import hermgrass as hg
-from hermgrass import cli, code, linalg, polar
+from hermgrass import classify, cli, code, counts, linalg, polar
 
 
 def test_params_table_contains_expected_row(capsys):
@@ -199,7 +202,7 @@ def test_form_json_round_trip(ctx2, tmp_path, monkeypatch, capsys):
         json.dump({"m": 5, "p": 2, "e": 1, "upper": [int(x) for x in phi.upper()]}, f)
     read = []
     weight_recursive = code.weight_recursive
-    monkeypatch.setattr(cli.code, "weight_recursive", lambda f, s: read.append(f) or weight_recursive(f, s))
+    monkeypatch.setattr(code, "weight_recursive", lambda f, s: read.append(f) or weight_recursive(f, s))
     assert cli.run(["weight", "--form", str(form), "-q", "2"]) == 0
     assert read == [phi]
     # not JSON, a missing key, an entry outside GF(4), and a field that
@@ -348,7 +351,7 @@ def test_verify_reports_failures(monkeypatch, capsys):
 def test_verify_reports_a_wrong_witness_weight(monkeypatch, capsys):
     # the witness constructors leave the weight to verify, which reports a
     # mismatch as one FAIL line and runs the checks after it
-    monkeypatch.setattr(cli.classify, "rank2_cone_weight", lambda m, q: 0)
+    monkeypatch.setattr(counts, "rank2_cone_weight", lambda m, q: 0)
     assert cli.run(["verify", "-m", "5", "-q", "2", "--samples", "2", "--jobs", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -370,7 +373,7 @@ def test_verify_reports_a_witness_below_the_minimum(monkeypatch, capsys):
         s[0, 1], s[1, 0] = 1, space.ctx.neg[1]
         return code.AlternatingForm(space.ctx, s)
 
-    monkeypatch.setattr(cli.classify, "make_rank2_cone_form", e0_e1)
+    monkeypatch.setattr(classify, "make_rank2_cone_form", e0_e1)
     assert cli.run(["verify", "-m", "5", "-q", "2", "--samples", "2", "--jobs", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -713,3 +716,117 @@ def test_fuzzed_form_files_exit_0_1_or_2(tmp_path_factory, command, data):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:" if decodes else "error: malformed form file:")
+
+
+def test_closed_form_commands_start_without_numpy():
+    # params, bounds, --help and a bad -m run from the standard library
+    # alone: a fresh interpreter ends each with neither numpy nor
+    # multiprocessing loaded
+    script = """
+import contextlib, io, json, sys
+from hermgrass import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(argv)
+    runs.append([code, [m for m in ("numpy", "multiprocessing") if m in sys.modules]])
+print(json.dumps(runs))
+"""
+    commands = [
+        ["params", "-m", "4..8", "-q", "2", "-q", "3"],
+        ["bounds", "-m", "6", "-q", "2"],
+        ["--help"],
+        ["points", "-m", "four", "-q", "2"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[0, []], [0, []], [0, []], [2, []]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["points", "-m", "3562", "-q", "2"],
+        ["lines", "-m", "3562", "-q", "2"],
+        ["genmat", "-m", "3562", "-q", "2"],
+        ["spectrum", "-m", "3562", "-q", "2", "--sample", "5"],
+        ["spectrum", "-m", "4", "-q", "2", "--sample", "9" * 4000, "--budget", "9" * 3999],
+    ],
+    ids=["points", "lines", "genmat", "spectrum", "sample-budget"],
+)
+def test_refusals_of_huge_counts_are_short(capsys, argv):
+    # the largest m accepted at q = 2 has counts of over 2000 digits, which
+    # the refusal prints to three significant digits
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 200
+    assert "e+" in err[0]
+
+
+def test_refusal_counts_keep_three_significant_digits():
+    assert polar._short(10**15 - 1) == "999999999999999"
+    assert polar._short(4095 * 10**2141) == "4.10e+2144"
+    assert polar._short(10**15) == "1.00e+15"
+
+
+# Scan option values: negative, zero, small, past the default budget,
+# longer than int()'s 4300 digits, and not integers at all.
+scan_value = st.one_of(
+    st.integers(-(10**40), 0),
+    st.integers(1, 3000),
+    st.integers((1 << 24) + 1, 10**40),
+    st.integers(4301, 4310).map(lambda n: "9" * n),
+    st.sampled_from(["", "1.5", "1e3", "0x10", "seven", "--"]),
+).map(str)
+
+
+@st.composite
+def scan_argv(draw):
+    """spectrum or min-word at (4,2) with --jobs 1 and some of --seed,
+    --budget and the sample count, each given a ``scan_value``."""
+    command = draw(st.sampled_from(["spectrum", "min-word"]))
+    argv = [command, "-m", "4", "-q", "2", "--jobs", "1"]
+    if command == "min-word":
+        argv += draw(st.sampled_from([[], ["--construct"], ["--exhaustive"]]))
+    count = "--sample" if command == "spectrum" else "--samples"
+    values = {}
+    for flag in ("--seed", "--budget", count):
+        if draw(st.booleans()):
+            values[flag] = draw(scan_value)
+            argv.append(f"{flag}={values[flag]}")
+    return argv, values
+
+
+def _int_or_none(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(scan_argv())
+def test_scan_options_exit_0_or_2(drawn):
+    argv, values = drawn
+    samples = _int_or_none(values.get("--sample", values.get("--samples", "100000")))
+    budget = _int_or_none(values.get("--budget", str(1 << 24)))
+    sampling = "--sample" in values or argv[0] == "min-word" and "--exhaustive" not in argv
+    # a sample the budget admits is scanned in full: valid, and only slow
+    assume(not (sampling and samples and budget and 10**5 < samples <= budget))
+    out, err = io.StringIO(), io.StringIO()
+    # --jobs 1 runs every scan in this process: starting a pool fails the test
+    no_pool = mock.patch("multiprocessing.get_context", side_effect=AssertionError("a pool was started"))
+    with no_pool, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2)
+    event(f"exit {code}")
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    if code == 2:
+        assert out.getvalue() == "" and len(errors) == 1
+    else:
+        assert errors == [] and out.getvalue()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermgrass as hg
-from hermgrass import code, linalg, polar
+from hermgrass import code, counts, linalg, polar
 
 
 def test_params_table():
@@ -23,10 +23,10 @@ def test_params_table():
         (5, 3): (6832, 10, 5832),
     }
     for (m, q), (n, k, d) in cases.items():
-        cp = code.code_params(m, q)
+        cp = counts.code_params(m, q)
         assert (cp.n, cp.k, cp.d_min) == (n, k, d)
     with pytest.raises(ValueError):
-        code.code_params(3, 2)
+        counts.code_params(3, 2)
 
 
 def test_alternating_form_validation(ctx3):
@@ -158,7 +158,7 @@ def test_point_weight_cases(space52, system52):
     assert code.weight_direct(phi, system52) == 192
     vals = code.point_weights(phi, space)
     assert set(int(v) for v in np.unique(vals)) == {0, 6, 8}
-    assert code.point_weight_values(5, 2) == (0, 6, 8)
+    assert counts.point_weight_values(5, 2) == (0, 6, 8)
     # vectors of the radical meeting the variety sit in the zero class
     pts = space.points()
     rad = phi.radical
@@ -338,7 +338,7 @@ def test_exhaustive_enumerator_45():
         0: 1, 600: 75600, 625: 18144, 720: 81900000, 725: 47174400, 730: 113400000, 750: 1572480,
     }
     assert rep.forms_scanned == 25**6
-    assert rep.min_nonzero_weight == code.code_params(4, 5).d_min == 600
+    assert rep.min_nonzero_weight == counts.code_params(4, 5).d_min == 600
     assert rep.min_weight_example == [0, 0, 1, 1, 0, 0]
     assert rep.min_weight_radical_dims == {0: 75600}
 

@@ -7,61 +7,61 @@ import numpy as np
 import pytest
 
 import hermgrass as hg
-from hermgrass import code, linalg, polar
+from hermgrass import code, counts, linalg, polar
 
 
 def test_point_count_closed_form_values():
-    assert polar.isotropic_point_count(0, 2) == 0
-    assert polar.isotropic_point_count(1, 2) == 0
-    assert polar.isotropic_point_count(2, 2) == 3
-    assert polar.isotropic_point_count(3, 2) == 9
-    assert polar.isotropic_point_count(4, 2) == 45
-    assert polar.isotropic_point_count(5, 2) == 165
-    assert polar.isotropic_point_count(6, 2) == 693
-    assert polar.isotropic_point_count(4, 3) == 280
-    assert polar.isotropic_point_count(5, 3) == 2440
+    assert counts.isotropic_point_count(0, 2) == 0
+    assert counts.isotropic_point_count(1, 2) == 0
+    assert counts.isotropic_point_count(2, 2) == 3
+    assert counts.isotropic_point_count(3, 2) == 9
+    assert counts.isotropic_point_count(4, 2) == 45
+    assert counts.isotropic_point_count(5, 2) == 165
+    assert counts.isotropic_point_count(6, 2) == 693
+    assert counts.isotropic_point_count(4, 3) == 280
+    assert counts.isotropic_point_count(5, 3) == 2440
 
 
 def test_line_count_closed_form_values():
-    assert polar.line_count(4, 2) == 27
-    assert polar.line_count(5, 2) == 297
-    assert polar.line_count(6, 2) == 6237
-    assert polar.line_count(7, 2) == 89397
-    assert polar.line_count(8, 2) == 1519749
-    assert polar.line_count(4, 3) == 112
-    assert polar.line_count(5, 3) == 6832
+    assert counts.line_count(4, 2) == 27
+    assert counts.line_count(5, 2) == 297
+    assert counts.line_count(6, 2) == 6237
+    assert counts.line_count(7, 2) == 89397
+    assert counts.line_count(8, 2) == 1519749
+    assert counts.line_count(4, 3) == 112
+    assert counts.line_count(5, 3) == 6832
 
 
 def test_cone_point_count_values():
     # empty vertex reduces to the nondegenerate section count
-    assert polar.cone_point_count(5, 1, 0, 2) == polar.isotropic_point_count(3, 2)
-    assert polar.cone_point_count(5, 1, 1, 2) == 13
-    assert polar.cone_point_count(6, 1, 2, 2) == 53
+    assert counts.cone_point_count(5, 1, 0, 2) == counts.isotropic_point_count(3, 2)
+    assert counts.cone_point_count(5, 1, 1, 2) == 13
+    assert counts.cone_point_count(6, 1, 2, 2) == 53
     with pytest.raises(ValueError):
-        polar.cone_point_count(5, 1, 4, 2)
+        counts.cone_point_count(5, 1, 4, 2)
     with pytest.raises(ValueError):
-        polar.cone_point_count(5, 3, 0, 2)
+        counts.cone_point_count(5, 3, 0, 2)
 
 
 @pytest.mark.parametrize("m,q", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (4, 3), (5, 3)])
 def test_point_enumeration_matches_count(m, q):
     ctx = hg.make_field(q, 1)
     space = hg.HermitianSpace(m, ctx)
-    assert space.num_points == polar.isotropic_point_count(m, q)
+    assert space.num_points == counts.isotropic_point_count(m, q)
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (5, 1), (7, 1), (2, 3)])
 def test_point_enumeration_headroom_fields(p, e):
     ctx = hg.make_field(p, e)
     space = hg.HermitianSpace(4, ctx)
-    assert space.num_points == polar.isotropic_point_count(4, ctx.q)
+    assert space.num_points == counts.isotropic_point_count(4, ctx.q)
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 2, 325), (5, 1, 756)])
 def test_line_enumeration_headroom_fields(p, e, n):
     ctx = hg.make_field(p, e)
     space = hg.HermitianSpace(4, ctx)
-    assert space.num_lines == polar.line_count(4, ctx.q) == n
+    assert space.num_lines == counts.line_count(4, ctx.q) == n
 
 
 def test_points_are_normalized_isotropic_and_lex_sorted(space52):
@@ -136,7 +136,7 @@ def test_line_enumeration_against_scan_and_dedup_oracle(m, p, e):
     space = hg.HermitianSpace(m, hg.make_field(p, e))
     pts = space.points()
     a, b = space.line_pair_indices()
-    assert len(a) == polar.line_count(m, space.ctx.q)
+    assert len(a) == counts.line_count(m, space.ctx.q)
     assert np.array_equal(np.hstack([pts[a], pts[b]]), _naive_line_bases(space))
 
 
@@ -185,7 +185,7 @@ def test_orthogonal_point_pairs_pinned(tag, pair_oracle):
     ui, xi = pair_oracle.pairs(space)
     assert ui.dtype == xi.dtype == np.int32
     q = space.ctx.q
-    assert len(ui) == space.num_points * (1 + q * q * polar.isotropic_point_count(space.m - 2, q))
+    assert len(ui) == space.num_points * (1 + q * q * counts.isotropic_point_count(space.m - 2, q))
     got = hashlib.sha256(np.stack([ui, xi]).astype(np.int64).tobytes()).hexdigest()
     assert got == ORTH_PAIR_SHA256[tag]
 
@@ -245,7 +245,7 @@ def test_section_table_checks_perp_sizes(monkeypatch):
     # for mu stands in for a corrupted table
     space = hg.HermitianSpace(4, hg.make_field(2, 1))
     space.points()
-    monkeypatch.setattr(polar, "isotropic_point_count", lambda m, q: 0)
+    monkeypatch.setattr(counts, "isotropic_point_count", lambda m, q: 0)
     with pytest.raises(RuntimeError, match="perp section"):
         space.section_table()
 
@@ -361,7 +361,7 @@ def test_min_witness_radical_profile_and_point_count(space52):
     on_variety = sum(
         1 for v in _subspace_points(space.ctx, phi.radical) if space.inner(v, v) == 0
     )
-    assert on_variety == polar.cone_point_count(5, 1, 1, 2) == 13
+    assert on_variety == counts.cone_point_count(5, 1, 1, 2) == 13
 
 
 def test_cone_count_matches_enumeration_on_random_subspaces(space52, space62):
@@ -382,7 +382,7 @@ def test_cone_count_matches_enumeration_on_random_subspaces(space52, space62):
             count = sum(
                 1 for v in _subspace_points(ctx, sub) if space.inner(v, v) == 0
             )
-            expected = q2**prof.t * polar.isotropic_point_count(
+            expected = q2**prof.t * counts.isotropic_point_count(
                 dim - prof.t, ctx.q
             ) + (q2**prof.t - 1) // (q2 - 1)
             assert count == expected
@@ -406,7 +406,7 @@ def test_cone_count_monotone_chains(q):
     for m in range(4, 21):
         for i in range(1, m // 2 + 1):
             tmax = min(2 * i, m - 2 * i)
-            seq = [polar.cone_point_count(m, i, t, q) for t in range(tmax + 1)]
+            seq = [counts.cone_point_count(m, i, t, q) for t in range(tmax + 1)]
             for t in range(tmax - 1):
                 if m % 2 == 0:
                     if t % 2 == 0:
