@@ -125,11 +125,13 @@ def classify_points(
     """Full classification report for a nonzero form.
 
     The direct weight is taken from the codeword of the system, a route
-    independent of the class-size reconstruction.  ``fix_count`` counts
-    the projective fixed points of the composed polarity map over the
-    whole projective space.  Every fixed point is isotropic (x^T S x = 0
-    puts a point that is its own pole in its own perp), so the one pass
-    over the isotropic points that gives the classes finds them all.
+    independent of the class-size reconstruction; ``weight_direct``
+    returns the weight the form keeps when it was already counted on this
+    system object.  ``fix_count`` counts the projective fixed points of
+    the composed polarity map over the whole projective space.  Every
+    fixed point is isotropic (x^T S x = 0 puts a point that is its own
+    pole in its own perp), so the one pass over the isotropic points that
+    gives the classes finds them all.
     """
     ctx = space.ctx
     q = ctx.q

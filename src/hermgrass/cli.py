@@ -383,12 +383,9 @@ def cmd_weight(args) -> int:
     ctx, phi = _load_form(args)
     space = polar.HermitianSpace(phi.m, ctx)
     system = pluecker.build_system(space)
-    wr = code.weight_recursive(phi, space)
-    if phi.is_zero():
-        wd, wfc = code.weight_direct(phi, system), 0
-    else:
-        rep = classify.classify_points(phi, space, system)
-        wd, wfc = rep.weight_direct, rep.weight_from_counts
+    wd, wr = code.weight_direct(phi, system), code.weight_recursive(phi, space)
+    # classify_points reads the direct weight the form keeps
+    wfc = 0 if phi.is_zero() else classify.classify_points(phi, space, system).weight_from_counts
     payload = {
         "m": phi.m,
         "q": ctx.q,
@@ -630,6 +627,8 @@ def run(argv=None) -> int:
         # argparse reads an attached "--" (-m--, --seed=--) as an empty list
         if any(v == [] or isinstance(v, list) and [] in v for v in vars(args).values()):
             raise ValueError("an option was given '--' as its value")
+        if getattr(args, "seed", 0) < 0:  # numpy seeds take no negative value
+            raise ValueError("--seed must be non-negative")
         if getattr(args, "budget", 1) <= 0:
             raise ValueError("budget must be positive")
         if getattr(args, "jobs", 1) < 1:

@@ -19,6 +19,12 @@ Weights are computed three independent ways across the package:
 * ``counts.weight_from_class_counts``: reconstruct from the sizes
   of the three per-point classes of ``classify``.
 
+Each route runs once per form and input: the form keeps its direct
+weight with the system it was counted on and its per-point counts with
+the space, so ``classify.classify_points`` after ``weight_direct``, or
+``point_weights`` after ``weight_recursive``, reads the kept result.
+Another system or space object, even an equal one, is counted afresh.
+
 Spectrum scans index the strict upper triangle as a mixed-radix
 counter (most significant digit first); sample mode draws seeded
 uniform forms.  Exhaustive mode covers all Q^K forms, Q = q^2, by
@@ -72,7 +78,9 @@ class AlternatingForm:
     meaningful in characteristic 2 as well.  The two-sided kernel
     (``radical``) is computed on first use and cached, and the rank
     (always even) is m minus its dimension, with no elimination of its
-    own.
+    own.  Beside it the form keeps the last result of two weight routes
+    with the object it was computed on: ``weight_direct`` with its
+    system and ``point_weights`` with its space.
     """
 
     def __init__(self, ctx: FieldCtx, s):
@@ -88,6 +96,7 @@ class AlternatingForm:
         self.ctx = ctx
         self.s = s
         self.m = s.shape[0]
+        self._direct = self._per_point = (None, None)
 
     @classmethod
     def from_upper(cls, ctx: FieldCtx, m: int, upper) -> "AlternatingForm":
@@ -162,8 +171,15 @@ def codeword(phi: AlternatingForm, system: ProjectiveSystem) -> np.ndarray:
 
 def weight_direct(phi: AlternatingForm, system: ProjectiveSystem) -> int:
     """Number of lines on which the form does not vanish: the nonzero
-    positions of its codeword."""
-    return int(np.count_nonzero(codeword(phi, system)))
+    positions of its codeword.
+
+    The form keeps the weight with ``system`` and returns it when called
+    again with that same object (matched by ``is``); any other system is
+    counted afresh and replaces it.
+    """
+    if phi._direct[0] is not system:
+        phi._direct = system, int(np.count_nonzero(codeword(phi, system)))
+    return phi._direct[1]
 
 
 # -- per-point line counts ------------------------------------------------
@@ -180,7 +196,14 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     divides exactly by q^2.  When the table does not fit in the
     available memory, both sections are streamed in row blocks of the
     points instead.
+
+    The counts are read-only.  The form keeps them with ``space`` and
+    returns them when called again with that same object (matched by
+    ``is``), as ``weight_recursive`` and then this function do; any other
+    space is counted afresh and replaces them.
     """
+    if phi._per_point[0] is space:
+        return phi._per_point[1]
     ctx = space.ctx
     if phi.m != space.m:
         raise ValueError("form does not match the space")
@@ -206,7 +229,10 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
             cnt[lo : lo + step] = ((eta == 0) & (val != 0)).sum(axis=0)
     if (cnt % q2).any():
         raise RuntimeError("pair count not divisible by q^2; arithmetic bug")
-    return cnt // q2
+    cnt //= q2
+    cnt.flags.writeable = False
+    phi._per_point = space, cnt
+    return cnt
 
 
 def weight_recursive(phi: AlternatingForm, space: polar.HermitianSpace) -> int:
@@ -214,8 +240,9 @@ def weight_recursive(phi: AlternatingForm, space: polar.HermitianSpace) -> int:
 
     Summing the counts over all isotropic vectors (q^2 - 1 per point)
     counts every non-annihilated line once per nonzero vector on it,
-    q^4 - 1 times in total.  The division must be exact; a nonzero
-    remainder would expose an arithmetic bug.
+    q^4 - 1 times in total.  The division must be exact, checked on
+    every call, kept counts included; a nonzero remainder would expose
+    an arithmetic bug.
     """
     q2 = space.ctx.q2
     total = int(point_weights(phi, space).sum()) * (q2 - 1)

@@ -225,7 +225,8 @@ def bit_counts(rows: np.ndarray) -> np.ndarray:
     """Set bits along the last axis of a uint8 array, as intp.
 
     With ``np.bitwise_count`` the whole words of each row are counted as
-    uint64 and the remaining bytes one at a time; without it (numpy
+    uint64 and the remaining bytes one at a time, a pass that rows of
+    whole words, such as the section table's, skip; without it (numpy
     before 2.0) every byte takes a SWAR popcount.
     """
     rows = np.ascontiguousarray(rows)

@@ -300,9 +300,11 @@ class HermitianSpace:
     def section_table(self) -> np.ndarray | None:
         """Bit-packed hyperplane sections of the isotropic points: row f,
         in all_points() order, has bit x (np.packbits order) set exactly
-        when sum_k f_k x_k = 0.  None, before allocating, when the
-        (Q^m - 1)/(Q - 1) rows of ceil(n_pts / 8) bytes exceed the
-        available memory of the machine.
+        when sum_k f_k x_k = 0.  Each row is padded with zero bytes to
+        whole 8-byte words, so ``linalg.bit_counts`` counts it as aligned
+        uint64 only.  None, before allocating, when the (Q^m - 1)/(Q - 1)
+        rows of 8 ceil(n_pts / 64) bytes exceed the available memory of
+        the machine.
 
         The rows are the complements of the scan kernel's nonzero masks
         for the isotropic points as matrix columns, over the normalized
@@ -315,17 +317,17 @@ class HermitianSpace:
             return self._cache["sections"]
         ctx, m, q2 = self.ctx, self.m, self.ctx.q2
         pts = self.points()
-        n_rows, width = (q2**m - 1) // (q2 - 1), -(-len(pts) // 8)
+        n_rows, used, width = (q2**m - 1) // (q2 - 1), -(-len(pts) // 8), -(-len(pts) // 64) * 8
         if n_rows * width > _available_memory():
             self._cache["sections"] = None
             return None
-        table, row = np.empty((n_rows, width), dtype=np.uint8), 0
+        table, row = np.zeros((n_rows, width), dtype=np.uint8), 0
         kernel = linalg._ScanKernel(ctx, pts.T)
         for _, mask in kernel.nonzero_masks((q2**r, 2 * q2**r) for r in range(m)):
-            np.invert(mask[:, :width], out=table[row : row + len(mask)])
+            np.invert(mask[:, :used], out=table[row : row + len(mask), :used])
             row += len(mask)
         if len(pts) % 8:
-            table[:, -1] &= np.uint8(0xFF << (8 - len(pts) % 8) & 0xFF)  # the padding bits
+            table[:, used - 1] &= np.uint8(0xFF << (8 - len(pts) % 8) & 0xFF)  # the padding bits
         q, perp, rows = ctx.q, self.perp_index(), max(1, linalg.DOT_BLOCK // max(1, width))
         want = 1 + q * q * counts.isotropic_point_count(m - 2, q)
         for lo in range(0, len(perp), rows):

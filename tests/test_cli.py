@@ -787,15 +787,19 @@ scan_value = st.one_of(
 
 @st.composite
 def scan_argv(draw):
-    """spectrum or min-word at (4,2) with --jobs 1 and some of --seed,
-    --budget and the sample count, each given a ``scan_value``."""
-    command = draw(st.sampled_from(["spectrum", "min-word"]))
+    """spectrum, min-word or verify at (4,2) with --jobs 1 and some of
+    --seed, --budget and the sample count, each given a ``scan_value``;
+    verify checks two seeded forms and draws no sample count, since it
+    has no budget on it."""
+    command = draw(st.sampled_from(["spectrum", "min-word", "verify"]))
     argv = [command, "-m", "4", "-q", "2", "--jobs", "1"]
     if command == "min-word":
         argv += draw(st.sampled_from([[], ["--construct"], ["--exhaustive"]]))
-    count = "--sample" if command == "spectrum" else "--samples"
+    if command == "verify":
+        argv += ["--samples", "2"]
+    count = {"spectrum": ["--sample"], "min-word": ["--samples"]}.get(command, [])
     values = {}
-    for flag in ("--seed", "--budget", count):
+    for flag in ["--seed", "--budget", *count]:
         if draw(st.booleans()):
             values[flag] = draw(scan_value)
             argv.append(f"{flag}={values[flag]}")
@@ -830,3 +834,9 @@ def test_scan_options_exit_0_or_2(drawn):
         assert out.getvalue() == "" and len(errors) == 1
     else:
         assert errors == [] and out.getvalue()
+    # a seed that is negative or no integer, beside values that parse,
+    # is refused by a message that names the flag, in every scan mode
+    seed = values.get("--seed", "1")
+    if seed != "--" and (_int_or_none(seed) is None or int(seed) < 0):
+        if all(_int_or_none(v) is not None for f, v in values.items() if f != "--seed"):
+            assert code == 2 and "--seed" in errors[0]

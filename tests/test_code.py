@@ -186,6 +186,54 @@ def test_weight_recursive_agrees_with_direct(space52, system52, seed, count):
         assert code.weight_recursive(phi, space52) == code.weight_direct(phi, system52)
 
 
+def test_each_route_runs_once_per_form_and_input(space52, system52, seeded_forms, monkeypatch):
+    # a form keeps its direct weight with the system object and its
+    # per-point counts with the space object: one codeword and one
+    # per-point pass (one section_table() call) per form and input
+    from hermgrass import classify
+
+    calls = {"codeword": 0, "per_point": 0}
+    codeword = code.codeword
+
+    def counted_codeword(phi, system):
+        calls["codeword"] += 1
+        return codeword(phi, system)
+
+    monkeypatch.setattr(code, "codeword", counted_codeword)
+    other_space = hg.HermitianSpace(5, space52.ctx)
+    for space in (space52, other_space):
+
+        def counted_sections(table=space.section_table):
+            calls["per_point"] += 1
+            return table()
+
+        monkeypatch.setattr(space, "section_table", counted_sections)
+    phi = seeded_forms(space52.ctx, 5, 7, 1)[0]
+    wd = code.weight_direct(phi, system52)
+    assert classify.classify_points(phi, space52, system52).weight_direct == wd
+    assert calls["codeword"] == 1
+    assert code.weight_recursive(phi, space52) == wd
+    kept = code.point_weights(phi, space52)
+    assert calls["per_point"] == 1 and code.weight_recursive(phi, space52) == wd
+    assert calls["per_point"] == 1 and not kept.flags.writeable
+    with pytest.raises(ValueError):
+        kept[0] = 0
+    # another object recounts, even an equal space, and replaces the kept
+    # result: one result per route
+    permuted = type(system52)(space52, system52.matrix[::-1])
+    code.weight_direct(phi, permuted)
+    assert calls["codeword"] == 2
+    assert code.weight_direct(phi, system52) == wd and calls["codeword"] == 3
+    assert np.array_equal(code.point_weights(phi, other_space), kept)
+    assert calls["per_point"] == 2
+    code.point_weights(phi, space52)
+    assert calls["per_point"] == 3
+    # a fresh form, equal to phi, keeps nothing of phi's
+    twin = code.AlternatingForm(phi.ctx, phi.s)
+    assert twin == phi and code.weight_direct(twin, system52) == wd
+    assert calls["codeword"] == 4
+
+
 def test_weight_recursive_zero_form(space52):
     zero = code.AlternatingForm(space52.ctx, np.zeros((5, 5), dtype=np.uint8))
     assert code.weight_recursive(zero, space52) == 0

@@ -224,8 +224,11 @@ def test_section_table_matches_brute_force(m, p, e, block, monkeypatch):
     space = hg.HermitianSpace(m, hg.make_field(p, e))
     table = space.section_table()
     zero = linalg.matmul(space.ctx, space.all_points(), space.points().T) == 0
-    assert table.shape == (len(zero), -(-space.num_points // 8))
-    assert np.array_equal(table, np.packbits(zero, axis=1))
+    used = -(-space.num_points // 8)
+    # rows are padded with zero bytes to whole 8-byte words
+    assert table.shape == (len(zero), -(-used // 8) * 8)
+    assert np.array_equal(table[:, :used], np.packbits(zero, axis=1))
+    assert not table[:, used:].any()
 
 
 def test_section_table_over_available_memory_is_none(monkeypatch):
@@ -233,11 +236,11 @@ def test_section_table_over_available_memory_is_none(monkeypatch):
     short, fits = hg.HermitianSpace(4, ctx), hg.HermitianSpace(4, ctx)
     short.points()
     fits.points()
-    # (4^4 - 1)/3 rows of ceil(45/8) bytes
-    monkeypatch.setattr(polar, "_available_memory", lambda: 85 * 6 - 1)
+    # (4^4 - 1)/3 rows of ceil(45/8) = 6 bytes, padded to 8
+    monkeypatch.setattr(polar, "_available_memory", lambda: 85 * 8 - 1)
     assert short.section_table() is None
-    monkeypatch.setattr(polar, "_available_memory", lambda: 85 * 6)
-    assert fits.section_table().nbytes == 85 * 6
+    monkeypatch.setattr(polar, "_available_memory", lambda: 85 * 8)
+    assert fits.section_table().nbytes == 85 * 8
 
 
 def test_section_table_checks_perp_sizes(monkeypatch):
