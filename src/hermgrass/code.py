@@ -20,9 +20,10 @@ Weights are computed three independent ways across the package:
   of the three per-point classes of ``classify``.
 
 Each route runs once per form and input: the form keeps its direct
-weight with the system it was counted on and its per-point counts with
-the space, so ``classify.classify_points`` after ``weight_direct``, or
-``point_weights`` after ``weight_recursive``, reads the kept result.
+weight with a weak reference to the system it was counted on and its
+per-point counts with one to the space, so ``classify.classify_points``
+after ``weight_direct``, or ``point_weights`` after
+``weight_recursive``, reads the kept result.
 Another system or space object, even an equal one, is counted afresh.
 
 Spectrum scans index the strict upper triangle as a mixed-radix
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -79,9 +81,13 @@ class AlternatingForm:
     (``radical``) is computed on first use and cached, and the rank
     (always even) is m minus its dimension, with no elimination of its
     own.  Beside it the form keeps the last result of two weight routes
-    with the object it was computed on: ``weight_direct`` with its
-    system and ``point_weights`` with its space.
+    with a weak reference to the object it was computed on:
+    ``weight_direct`` with its system and ``point_weights`` with its
+    space, so a kept form does not keep that system or space alive.
     """
+
+    # (weak reference to the system or space, result); none kept at first
+    _direct = _per_point = (lambda: None, None)
 
     def __init__(self, ctx: FieldCtx, s):
         s = linalg.as_matrix(ctx, s)
@@ -96,7 +102,10 @@ class AlternatingForm:
         self.ctx = ctx
         self.s = s
         self.m = s.shape[0]
-        self._direct = self._per_point = (None, None)
+
+    def __getstate__(self):
+        # weak references do not pickle; a copy counts its routes afresh
+        return {k: v for k, v in self.__dict__.items() if k not in ("_direct", "_per_point")}
 
     @classmethod
     def from_upper(cls, ctx: FieldCtx, m: int, upper) -> "AlternatingForm":
@@ -177,8 +186,8 @@ def weight_direct(phi: AlternatingForm, system: ProjectiveSystem) -> int:
     again with that same object (matched by ``is``); any other system is
     counted afresh and replaces it.
     """
-    if phi._direct[0] is not system:
-        phi._direct = system, int(np.count_nonzero(codeword(phi, system)))
+    if phi._direct[0]() is not system:
+        phi._direct = weakref.ref(system), int(np.count_nonzero(codeword(phi, system)))
     return phi._direct[1]
 
 
@@ -202,7 +211,7 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     ``is``), as ``weight_recursive`` and then this function do; any other
     space is counted afresh and replaces them.
     """
-    if phi._per_point[0] is space:
+    if phi._per_point[0]() is space:
         return phi._per_point[1]
     ctx = space.ctx
     if phi.m != space.m:
@@ -231,7 +240,7 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
         raise RuntimeError("pair count not divisible by q^2; arithmetic bug")
     cnt //= q2
     cnt.flags.writeable = False
-    phi._per_point = space, cnt
+    phi._per_point = weakref.ref(space), cnt
     return cnt
 
 

@@ -1,6 +1,9 @@
 import dataclasses
+import gc
 import itertools
+import pickle
 import types
+import weakref
 from math import comb
 
 import numpy as np
@@ -232,6 +235,25 @@ def test_each_route_runs_once_per_form_and_input(space52, system52, seeded_forms
     twin = code.AlternatingForm(phi.ctx, phi.s)
     assert twin == phi and code.weight_direct(twin, system52) == wd
     assert calls["codeword"] == 4
+
+
+def test_kept_route_results_do_not_keep_their_space_alive(space52):
+    # the form refers to the system and space it was counted on weakly,
+    # so dropping them frees their tables while the form lives on
+    space = hg.HermitianSpace(5, space52.ctx)
+    system = hg.build_system(space)
+    phi = code.AlternatingForm.from_upper(space.ctx, 5, np.arange(10) % 4)
+    wd = code.weight_direct(phi, system)
+    assert code.weight_recursive(phi, space) == wd
+    refs = weakref.ref(space), weakref.ref(system)
+    del space, system
+    gc.collect()
+    assert refs[0]() is None and refs[1]() is None
+    assert code.weight_direct(phi, hg.build_system(space52)) == wd
+    # a pickled copy leaves the weak references behind and counts afresh
+    twin = pickle.loads(pickle.dumps(phi))
+    assert twin == phi and twin._direct[0]() is None
+    assert code.weight_recursive(twin, space52) == wd
 
 
 def test_weight_recursive_zero_form(space52):

@@ -17,29 +17,25 @@ medians per process:
 ``--src DIR`` imports hermgrass from DIR instead of this checkout's src,
 so two trees are timed by one script:
 
-    python3 tools/route_times.py [--runs 5] [--forms 40] [--seed 1] [--src DIR] [m,q ...]
+    python3 tools/route_times.py [--runs 5] [--forms 40] [--src DIR] [m,q ...]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
+
+from stage_times import FIELD, run_fresh
 
 SIZES = ["6,2", "5,3", "4,5"]
-FIELD = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3)}  # q -> (p, e)
 
 
-def _forms(hg, ctx, m: int, seed: int, count: int):
+def _forms(hg, ctx, m: int, count: int):
     """Seeded nonzero form matrices at (m, q); every fourth has rank 2."""
     import numpy as np
 
-    rng = np.random.default_rng([seed, m, ctx.q])
+    rng = np.random.default_rng([1, m, ctx.q])
     out = []
     while len(out) < count:
         if len(out) % 4 == 3:
@@ -53,7 +49,7 @@ def _forms(hg, ctx, m: int, seed: int, count: int):
     return out
 
 
-def _child(m: int, q: int, forms: int, seed: int) -> dict:
+def _child(m: int, q: int, forms: int) -> dict:
     import numpy as np
 
     import hermgrass as hg
@@ -72,7 +68,7 @@ def _child(m: int, q: int, forms: int, seed: int) -> dict:
     for route in routes.values():
         route(hg.AlternatingForm(ctx, warm))
     times: dict[str, list[float]] = {name: [] for name in [*routes, "sequence"]}
-    for s in _forms(hg, ctx, m, seed, forms):
+    for s in _forms(hg, ctx, m, forms):
         for name, route in routes.items():
             phi = hg.AlternatingForm(ctx, s)
             t = time.perf_counter()
@@ -87,27 +83,5 @@ def _child(m: int, q: int, forms: int, seed: int) -> dict:
     return {"m": m, "q": q, "forms": forms, **ms}
 
 
-def main(argv: list[str]) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("sizes", nargs="*", default=SIZES, help="m,q pairs (default: %(default)s)")
-    ap.add_argument("--runs", type=int, default=5, help="fresh processes per size")
-    ap.add_argument("--forms", type=int, default=40, help="seeded forms per process")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the forms")
-    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
-    ap.add_argument("--child", nargs=4, type=int, help=argparse.SUPPRESS)
-    args = ap.parse_args(argv)
-    if args.child:
-        print(json.dumps(_child(*args.child)))
-        return 0
-    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
-    for size in args.sizes:
-        m, q = (int(x) for x in size.split(","))
-        for _ in range(args.runs):
-            cmd = [sys.executable, __file__, "--child", str(m), str(q), str(args.forms), str(args.seed)]
-            out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
-            print(out.strip(), flush=True)
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(run_fresh(sys.argv[1:], __file__, _child, SIZES, [("forms", 40, "seeded forms per process")]))

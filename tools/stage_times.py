@@ -56,25 +56,34 @@ def _child(m: int, q: int) -> dict:
     return {"m": m, "q": q, "n": space.num_lines, **ms}
 
 
-def main(argv: list[str]) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("sizes", nargs="*", default=SIZES, help="m,q pairs (default: %(default)s)")
+def run_fresh(argv: list[str], script: str, child, sizes: list[str], options=()) -> int:
+    """Parse ``argv`` and print ``child(m, q, *options)`` as one JSON line
+    per run, each run in a fresh interpreter of ``script``.
+
+    ``options`` holds ``(flag, default, help)`` of the script's own
+    integer options, which are passed to ``child`` after m and q.
+    """
+    ap = argparse.ArgumentParser(description=sys.modules[child.__module__].__doc__.splitlines()[0])
+    ap.add_argument("sizes", nargs="*", default=sizes, help="m,q pairs (default: %(default)s)")
     ap.add_argument("--runs", type=int, default=5, help="fresh processes per size")
+    for flag, default, text in options:
+        ap.add_argument(f"--{flag}", type=int, default=default, help=text)
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
-    ap.add_argument("--child", nargs=2, type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--child", nargs=2 + len(options), type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(_child(*args.child)))
+        print(json.dumps(child(*args.child)))
         return 0
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    extra = [str(getattr(args, flag)) for flag, _, _ in options]
     for size in args.sizes:
         m, q = (int(x) for x in size.split(","))
         for _ in range(args.runs):
-            cmd = [sys.executable, __file__, "--child", str(m), str(q)]
+            cmd = [sys.executable, script, "--child", str(m), str(q), *extra]
             out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
             print(out.strip(), flush=True)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(run_fresh(sys.argv[1:], __file__, _child, SIZES))
