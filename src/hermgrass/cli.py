@@ -593,6 +593,11 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
 
 
 def cmd_verify(args) -> int:
+    from .polar import _short
+
+    # refused before anything is built; code.spectrum refuses its samples alike
+    if args.samples > args.budget:
+        raise ValueError(f"sample count {_short(args.samples)} exceeds budget {_short(args.budget)}")
     space = _space_for(args)
     failures = 0
     for name, ok, detail in _verify_checks(space, args.seed, args.samples, args.budget, args.jobs):

@@ -39,10 +39,12 @@ counts B_0 .. B_3.
 Both modes use one codeword kernel on the generator,
 ``linalg._ScanKernel``, which sums one row of a digit-group table per
 group of g digits (Q^g <= 256), so a sampled form costs ceil(K/g) row
-gathers and adds.  The first-row digits lead the counter, so the forms
-of a class are one range of counter indices; the kernel's walk over
-those ranges yields the packed nonzero masks, which the scan popcounts
-(``linalg.bit_counts``).
+gathers and adds, into block buffers that each ``weights`` call
+allocates once.  The system holds its kernel (``scan_kernel``), so only
+the first scan of a system builds the tables.  The first-row digits
+lead the counter, so the forms of a class are one range of counter
+indices; the kernel's walk over those ranges yields the packed nonzero
+masks, which the scan popcounts (``linalg.bit_counts``).
 """
 
 from __future__ import annotations
@@ -449,8 +451,10 @@ def spectrum(
     pool costs more than the scan; ``multiprocessing`` is imported only
     when exhaustive mode starts a pool.
 
-    Both modes count weights with one ``_tally``, and in both a nonzero
-    form of weight 0 raises RuntimeError.
+    Both modes read the system's ``scan_kernel``, built by the first scan
+    of the system after a memory check that raises ValueError, and count
+    weights with one ``_tally``; in both a nonzero form of weight 0
+    raises RuntimeError.
     """
     ctx, m, k, n = system.ctx, system.space.m, system.k, system.n
     q2, started = ctx.q2, time.perf_counter()
@@ -469,7 +473,7 @@ def spectrum(
         if system is not build_system(system.space):
             raise ValueError("exhaustive mode needs the space's own generator from build_system")
         reps, sizes = classes
-    kernel = linalg._ScanKernel(ctx, system.matrix)
+    kernel = system.scan_kernel
     if exhaustive:
         span = q2 ** (k - m + 1)  # the forms of one first row
         workers = _pool_size(jobs, span)
@@ -488,7 +492,8 @@ def spectrum(
         hits = [i for _, w, idx in parts if w == best_w for i in idx]
     else:
         hist, best_w, hits = _tally(n, _sample_blocks(kernel, seed, samples, q2, k))
-    histogram = {int(w): int(c) for w, c in enumerate(hist) if c}
+    weights = np.flatnonzero(hist)
+    histogram = dict(zip(weights.tolist(), hist[weights].tolist()))
     # the zero form is scanned once in exhaustive mode, never drawn in sample mode
     if histogram.get(0, 0) != int(exhaustive):
         raise RuntimeError("a nonzero form has weight 0; the generator is rank deficient")

@@ -28,8 +28,12 @@ the exhaustive spectrum scan popcounts them (``bit_counts``), with M the
 generator and one range per first-row class, and
 ``HermitianSpace.section_table`` stores their complements, with M the
 transposed isotropic points and one range of normalized f per lead.
-Outside this module only ``n``, ``nonzero_masks`` and ``weights`` of the
-kernel are read.
+Sample mode reads ``weights`` of seeded digit rows, which sums each
+block of codewords into buffers allocated once per call.  A
+``pluecker.ProjectiveSystem`` holds the kernel of its generator, sized
+beforehand by ``table_bytes``, so scans of one system build it once.
+Outside this module only ``n``, ``nonzero_masks``, ``weights`` and
+``table_bytes`` of the kernel are read.
 """
 
 from __future__ import annotations
@@ -283,11 +287,9 @@ class _ScanKernel:
         self.ctx = ctx
         q2, (k, n) = ctx.q2, matrix.shape
         self.n = n
-        self.g = g = max(g for g in range(1, max(k, 2)) if q2**g <= _GROUP_ROWS)
-        self.bounds = [(max(0, b - g), b) for b in range(k, 0, -g)][::-1]
+        self.g, self.bounds, self.width = self._shape(ctx, k, n)
         self.planes = 2 * ctx.e if ctx.p == 2 else 0
         self.plane = -(-n // 64) * 8
-        self.width = self.planes * self.plane if self.planes else n
         if not self.planes:
             p, lo, hi = ctx.p, np.arange(256) & 15, np.arange(256) >> 4
             self._reduced = (lo % p + 16 * (hi % p)).astype(np.uint8)
@@ -304,6 +306,21 @@ class _ScanKernel:
                 tab = new.reshape(len(tab) * q2, self.width)
             self.tables.append(tab)
 
+    @staticmethod
+    def _shape(ctx: FieldCtx, k: int, n: int) -> tuple[int, list[tuple[int, int]], int]:
+        """The group size g, the digit groups [a, b) and the row width in
+        bytes of a kernel on a K x N matrix."""
+        g = max(g for g in range(1, max(k, 2)) if ctx.q2**g <= _GROUP_ROWS)
+        bounds = [(max(0, b - g), b) for b in range(k, 0, -g)][::-1]
+        return g, bounds, 2 * ctx.e * (-(-n // 64) * 8) if ctx.p == 2 else n
+
+    @classmethod
+    def table_bytes(cls, ctx: FieldCtx, k: int, n: int) -> int:
+        """Bytes of the tables of a kernel on a K x N matrix, the sum of
+        Q^(b - a) rows of ``width`` bytes over the groups [a, b)."""
+        _, bounds, width = cls._shape(ctx, k, n)
+        return sum(ctx.q2 ** (b - a) for a, b in bounds) * width
+
     def _pack(self, codes: np.ndarray) -> np.ndarray:
         """Rows of element codes in the table layout."""
         if not self.planes:
@@ -313,61 +330,87 @@ class _ScanKernel:
             packed[:, i, : -(-codes.shape[1] // 8)] = np.packbits(codes >> i & 1, axis=-1)
         return packed.reshape(len(codes), -1)
 
-    def _reduce(self, c: np.ndarray) -> np.ndarray:
-        """Odd p: c with each nibble reduced mod p, one lookup of
-        DOT_BLOCK entries at a time, since each first casts its index to
-        intp."""
+    def _reduce(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Odd p: c with each nibble reduced mod p, written to ``out``
+        when given, which may be c; one lookup of DOT_BLOCK entries at a
+        time, since each first casts its index to intp."""
         c = np.ascontiguousarray(c)
-        out = np.empty_like(c)
+        out = np.empty_like(c) if out is None else out
         src, dst = c.reshape(-1), out.reshape(-1)
         for lo in range(0, src.size, DOT_BLOCK):
             hi = lo + DOT_BLOCK
             np.take(self._reduced, src[lo:hi], out=dst[lo:hi], mode="clip")
         return out
 
-    def codewords(self, digits: np.ndarray) -> np.ndarray:
+    def codewords(self, digits: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Codewords of digit rows that cover whole groups, the digits of
         the groups left out being zero: one table row per group, summed
         (for odd p not necessarily reduced).  Rows that cover no group
-        give zero words."""
-        q2, c, terms = self.ctx.q2, None, 0
+        give zero words.  Given C-contiguous uint8 arrays ``out`` and
+        ``scratch`` of shape (rows, width), the sum is written to ``out``
+        and each gathered table row to ``scratch``, so nothing is
+        allocated per group."""
+        q2, terms = self.ctx.q2, 0
+        c = np.empty((len(digits), self.width), dtype=np.uint8) if out is None else out
         for (a, b), tab in zip(self.bounds, self.tables):
             if b > digits.shape[1]:
                 break
-            row = np.take(tab, digits[:, a:b] @ q2 ** np.arange(b - a - 1, -1, -1), axis=0)
-            if c is None:
-                c = row
-            elif self.planes:
-                c ^= row
+            # the indices are below Q^(b - a) by construction, and a take
+            # with the default mode="raise" buffers its out
+            idx = digits[:, a:b] @ q2 ** np.arange(b - a - 1, -1, -1)
+            if not terms:
+                np.take(tab, idx, axis=0, out=c, mode="clip")
             else:
-                if terms == self._terms:
-                    c, terms = self._reduce(c), 1
-                c += row
+                row = np.take(tab, idx, axis=0, out=scratch, mode="clip")
+                if self.planes:
+                    np.bitwise_xor(c, row, out=c)
+                else:
+                    if terms == self._terms:
+                        terms = 1  # the reduced sum is one term
+                        self._reduce(c, out=c)
+                    np.add(c, row, out=c)
             terms += 1
-        return np.zeros((len(digits), self.width), dtype=np.uint8) if c is None else c
+        if not terms:
+            c[...] = 0
+        return c
 
-    def _mask(self, c: np.ndarray) -> np.ndarray:
+    def _mask(self, c: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Packed nonzero positions of codewords along the last axis: the
         OR of the planes, or np.packbits of the positions with a nibble
-        nonzero mod p."""
+        nonzero mod p.  Given buffers, the OR is written to ``out`` (rows
+        by ``plane`` bytes) in characteristic 2; for odd p the nibble
+        products go to ``scratch`` (uint8 like c) and the nonzero
+        positions to ``out`` (bool like c), so only the packed mask, an
+        eighth of c, is allocated."""
         if not self.planes:
             p = self.ctx.p
             inv, top = np.uint8(pow(p, -1, 256)), np.uint8(255 // p)
-            nonzero = (c & 15) * inv > top
-            nonzero |= (c >> 4) * inv > top
+            s = np.bitwise_and(c, 15, out=scratch)
+            nonzero = np.greater(np.multiply(s, inv, out=s), top, out=out)
+            np.multiply(np.right_shift(c, 4, out=s), inv, out=s)
+            nonzero |= np.greater(s, top, out=s.view(bool))
             return np.packbits(nonzero, axis=-1)
         w = self.plane
-        acc = c[..., :w] | c[..., w : 2 * w]
+        acc = np.bitwise_or(c[..., :w], c[..., w : 2 * w], out=out)
         for i in range(2, self.planes):
             np.bitwise_or(acc, c[..., i * w : (i + 1) * w], out=acc)
         return acc
 
     def weights(self, digits: np.ndarray) -> np.ndarray:
         """Nonzero positions of the codeword of each row of K digits,
-        about _BLOCK_BYTES of codewords at a time."""
+        about _BLOCK_BYTES of codewords at a time.  The codeword, scratch
+        and mask buffers of a block are allocated once per call and
+        reused by every block."""
         step = max(1, _BLOCK_BYTES // self.width)
-        chunks = (self.codewords(digits[lo : lo + step]) for lo in range(0, len(digits), step))
-        return np.concatenate([bit_counts(self._mask(c)) for c in chunks])
+        rows = min(step, len(digits))
+        c, scratch = np.empty((2, rows, self.width), dtype=np.uint8)
+        mask = np.empty((rows, self.plane), np.uint8) if self.planes else np.empty((rows, self.n), bool)
+        out = np.empty(len(digits), dtype=np.intp)
+        for lo in range(0, len(digits), step):
+            b = min(step, len(digits) - lo)
+            block = self.codewords(digits[lo : lo + step], c[:b], scratch[:b])
+            out[lo : lo + b] = bit_counts(self._mask(block, mask[:b], scratch[:b]))
+        return out
 
     @cached_property
     def _walk_table(self) -> np.ndarray:

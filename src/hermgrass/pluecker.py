@@ -34,6 +34,8 @@ of its columns.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import counts, linalg, polar
@@ -84,7 +86,9 @@ class ProjectiveSystem:
     the normalized coordinates of the j-th line in canonical order.
     The constructor does not check the matrix; ``build_system``
     certifies that it has full rank K, so distinct coefficient vectors
-    give distinct codewords.
+    give distinct codewords.  The system holds the scan kernel of its
+    matrix (``scan_kernel``), built on first use, so every spectrum scan
+    of one system reads the same tables.
     """
 
     def __init__(self, space: polar.HermitianSpace, matrix: np.ndarray):
@@ -95,6 +99,15 @@ class ProjectiveSystem:
         self.matrix = matrix
         self.k = matrix.shape[0]
         self.n = matrix.shape[1]
+
+    @cached_property
+    def scan_kernel(self) -> linalg._ScanKernel:
+        """``linalg._ScanKernel`` of ``matrix``, built on first use and
+        kept.  ``polar._check_memory`` raises ValueError first when its
+        tables do not fit, so none is allocated."""
+        need = linalg._ScanKernel.table_bytes(self.ctx, self.k, self.n)
+        polar._check_memory(need, f"the scan tables of the {self.k} x {polar._short(self.n)} matrix need {{}} bytes")
+        return linalg._ScanKernel(self.ctx, self.matrix)
 
     def __repr__(self) -> str:
         return f"ProjectiveSystem(m={self.space.m}, q={self.ctx.q}, N={self.n}, K={self.k})"

@@ -556,6 +556,40 @@ def test_genmat_beyond_available_memory_exits_2(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "-m", "4", "-q", "2", "--sample", "5"], ["min-word", "-m", "4", "-q", "2", "--construct"]],
+    ids=["spectrum-sample", "min-word-construct"],
+)
+def test_scan_tables_beyond_available_memory_exit_2(capsys, monkeypatch, argv):
+    # at (4,2) the geometry and the 6 x 27 generator fit in 4351 bytes,
+    # the scan kernel's 16 + 256 table rows of 16 bytes not
+    space = hg.HermitianSpace(4, hg.make_field(2, 1))
+    monkeypatch.setattr(cli, "_space_for", lambda args: space)
+    monkeypatch.setattr(polar, "_available_memory", lambda: 4351)
+    assert cli.run(argv + ["--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: the scan tables of the 6 x 27 matrix need 4352 bytes,"
+        " more than the 4351 bytes of available memory"
+    ]
+    assert "scan_kernel" not in vars(hg.build_system(space))
+
+
+def test_verify_refuses_samples_over_budget_before_building(capsys, monkeypatch):
+    # the count is refused in the flags: no space is made, let alone scanned
+    monkeypatch.setattr(cli, "_space_for", mock.Mock(side_effect=AssertionError("a space was made")))
+    assert cli.run(["verify", "-m", "4", "-q", "2", "--samples", "100000000000000000000"]) == 2
+    assert cli.run(["verify", "-m", "4", "-q", "2", "--samples", "6", "--budget", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: sample count 1.00e+20 exceeds budget {1 << 24}",
+        "error: sample count 6 exceeds budget 5",
+    ]
+
+
 def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, n))
 
@@ -788,18 +822,14 @@ scan_value = st.one_of(
 @st.composite
 def scan_argv(draw):
     """spectrum, min-word or verify at (4,2) with --jobs 1 and some of
-    --seed, --budget and the sample count, each given a ``scan_value``;
-    verify checks two seeded forms and draws no sample count, since it
-    has no budget on it."""
+    --seed, --budget and the sample count, each given a ``scan_value``."""
     command = draw(st.sampled_from(["spectrum", "min-word", "verify"]))
     argv = [command, "-m", "4", "-q", "2", "--jobs", "1"]
     if command == "min-word":
         argv += draw(st.sampled_from([[], ["--construct"], ["--exhaustive"]]))
-    if command == "verify":
-        argv += ["--samples", "2"]
-    count = {"spectrum": ["--sample"], "min-word": ["--samples"]}.get(command, [])
+    count = "--sample" if command == "spectrum" else "--samples"
     values = {}
-    for flag in ["--seed", "--budget", *count]:
+    for flag in ["--seed", "--budget", count]:
         if draw(st.booleans()):
             values[flag] = draw(scan_value)
             argv.append(f"{flag}={values[flag]}")
@@ -817,11 +847,14 @@ def _int_or_none(text):
 @given(scan_argv())
 def test_scan_options_exit_0_or_2(drawn):
     argv, values = drawn
-    samples = _int_or_none(values.get("--sample", values.get("--samples", "100000")))
+    default = "200" if argv[0] == "verify" else "100000"
+    samples = _int_or_none(values.get("--sample", values.get("--samples", default)))
     budget = _int_or_none(values.get("--budget", str(1 << 24)))
     sampling = "--sample" in values or argv[0] == "min-word" and "--exhaustive" not in argv
-    # a sample the budget admits is scanned in full: valid, and only slow
+    # a sample the budget admits is scanned in full, and verify checks
+    # each of its forms by every route: valid, and only slow
     assume(not (sampling and samples and budget and 10**5 < samples <= budget))
+    assume(not (argv[0] == "verify" and samples and budget and 200 < samples <= budget))
     out, err = io.StringIO(), io.StringIO()
     # --jobs 1 runs every scan in this process: starting a pool fails the test
     no_pool = mock.patch("multiprocessing.get_context", side_effect=AssertionError("a pool was started"))

@@ -593,6 +593,48 @@ def test_scan_kernel_walks_counter_ranges(p, e, k, prefixes, monkeypatch):
     assert [f for f, _ in blocks if f < total - r - 7] == firsts
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_scan_kernel_weights_across_blocks(q):
+    # weights sums each block into buffers it allocates once and reuses,
+    # the last, shorter block into their first rows: row counts one short
+    # of a block, one block, one over and two blocks and three rows.  With
+    # K = 16 every odd p sums more rows than a nibble holds unreduced.
+    ctx = hg.make_field(q, 1)
+    rng = np.random.default_rng(q)
+    matrix = rng.integers(0, ctx.q2, size=(16, 203), dtype=np.uint8)
+    kernel = linalg._ScanKernel(ctx, matrix)
+    step = linalg._BLOCK_BYTES // kernel.width
+    for rows in (step - 1, step, step + 1, 2 * step + 3):
+        digits = rng.integers(0, ctx.q2, size=(rows, 16), dtype=np.uint8)
+        want = (linalg.matmul(ctx, digits, matrix) != 0).sum(axis=1)
+        assert kernel.weights(digits).tolist() == want.tolist()
+
+
+def test_spectrum_builds_one_kernel_per_system(ctx2, monkeypatch):
+    # the system holds its kernel: two sample scans and an exhaustive one
+    # build it once, and a system of permuted columns builds its own
+    space = hg.HermitianSpace(4, ctx2)
+    system = hg.build_system(space)
+    built = []
+    init = linalg._ScanKernel.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(linalg._ScanKernel, "__init__", counted_init)
+    first = code.spectrum(system, mode="sample", seed=4, samples=500)
+    again = code.spectrum(system, mode="sample", seed=4, samples=500)
+    code.spectrum(system, mode="exhaustive", jobs=1)
+    assert built == [system.scan_kernel]
+    assert again.histogram == first.histogram
+    perm = np.random.default_rng(4).permutation(system.n)
+    foreign = hg.ProjectiveSystem(space, system.matrix[:, perm])
+    permuted = code.spectrum(foreign, mode="sample", seed=4, samples=500)
+    assert built == [system.scan_kernel, foreign.scan_kernel]
+    assert permuted.histogram == first.histogram
+
+
 def test_sample_spectrum_matches_per_form_oracle(system43):
     # the seeded draws of sample mode: chunks of 4096 rows, all-zero rows
     # redrawn until none is left

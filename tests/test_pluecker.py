@@ -164,6 +164,19 @@ def test_build_system_over_available_memory_raises(monkeypatch):
     assert hg.build_system(space).matrix.shape == (15, 6237)
 
 
+def test_scan_kernel_over_available_memory_raises(monkeypatch):
+    # the (6,2) kernel holds 64 + 3 x 256 rows of 2 planes of 784 bytes;
+    # they are bounded before any is allocated
+    space = hg.HermitianSpace(6, hg.make_field(2, 1))
+    system = hg.build_system(space)
+    monkeypatch.setattr(polar, "_available_memory", lambda: 1304575)
+    with pytest.raises(ValueError, match="the scan tables of the 15 x 6237 matrix need 1304576 bytes"):
+        hg.spectrum(system, mode="sample", samples=5)
+    assert "scan_kernel" not in vars(system)
+    monkeypatch.setattr(polar, "_available_memory", lambda: 1304576)
+    assert sum(t.nbytes for t in system.scan_kernel.tables) == 1304576
+
+
 def test_build_requires_m_at_least_4(ctx2):
     space = hg.HermitianSpace(3, ctx2)
     with pytest.raises(ValueError):
