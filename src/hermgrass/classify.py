@@ -68,14 +68,8 @@ def _images(phi: AlternatingForm, space: polar.HermitianSpace, pts: np.ndarray):
     """
     ctx = space.ctx
     y = linalg.matmul(ctx, ctx.frob[pts], ctx.frob[phi.s])
-    kernel_mask = ~y.any(axis=1)
-    live = ~kernel_mask
-    if live.any():
-        sub = y[live]
-        lead = (sub != 0).argmax(axis=1)
-        vals = sub[np.arange(len(sub)), lead]
-        y[live] = ctx.mul[ctx.inv[vals][:, None], sub]
-    return kernel_mask, y, live & (y == pts).all(axis=1)
+    y = linalg.normalize(ctx, y)[0]  # kernel rows stay zero, so no point row equals them
+    return ~y.any(axis=1), y, (y == pts).all(axis=1)
 
 
 def _classes(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[np.ndarray, int]:

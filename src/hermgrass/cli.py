@@ -82,23 +82,15 @@ def _parse_range(text: str, q: int) -> range:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ValueError(f"q = {q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    return p, e
+    """(p, e) with p prime and p**e == q: p is the smallest factor of q up
+    to isqrt(q), or q itself, and e = round(log_p q).  ValueError unless
+    p**e is q."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        e = round(math.log(q, p))
+        if p**e == q:
+            return p, e
+    raise ValueError(f"q = {q} is not a prime power")
 
 
 def _add_field_args(sp, m_help="space dimension m", q_action="store"):
@@ -524,9 +516,9 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
         n_points == counts.isotropic_point_count(m, q),
         f"{n_points} isotropic points",
     )
+    system = pluecker.build_system(space)  # refuses a generator too large before the lines are enumerated
     n_lines = space.num_lines
     yield ("line count", n_lines == params.n, f"{n_lines} totally isotropic lines")
-    system = pluecker.build_system(space)
     yield ("generator rank", system.k == params.k, f"rank {system.k} = C(m,2)")
 
     table = counts.bound_table(m, q)

@@ -411,6 +411,11 @@ def _check_macwilliams(hist: dict[int, int], m: int, q: int) -> None:
             raise RuntimeError(f"spectrum fails MacWilliams: B_{j} = {got / q2**k:g}, not {want}")
 
 
+# Forms an exhaustive scan gives each pool worker at least: fewer take
+# less time than forking the pool.
+_POOL_FORMS = 1 << 20
+
+
 def _pool_size(jobs: int, tasks: int) -> int:
     """Worker processes for a pool: no more than the jobs asked for, the
     tasks to run or the CPUs present, and at least one."""
@@ -439,10 +444,12 @@ def spectrum(
     The class compression holds only for the space's own generator, so
     exhaustive mode raises ValueError unless ``system`` is
     ``build_system(system.space)``.  The forms of a class are one range
-    of counter indices.  With ``jobs > 1`` each class's range is cut into
-    one equal part per worker, and each worker scans as many consecutive
-    parts as there are classes; the result does not depend on the worker
-    count.
+    of counter indices.  The scan forks one worker per ``_POOL_FORMS``
+    forms, at most ``jobs`` and the CPU count (``_pool_size``), since a
+    smaller scan takes less time than the fork; each class's range is cut
+    into one equal part per worker, and each worker scans as many
+    consecutive parts as there are classes.  The result does not depend
+    on the worker count.
 
     Sample mode draws ``samples`` uniform nonzero forms from numpy's
     default PCG64 generator seeded with ``seed``; the seed is recorded
@@ -476,7 +483,7 @@ def spectrum(
     kernel = system.scan_kernel
     if exhaustive:
         span = q2 ** (k - m + 1)  # the forms of one first row
-        workers = _pool_size(jobs, span)
+        workers = _pool_size(jobs, len(reps) * span // _POOL_FORMS)
         cuts = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
         tasks = [(s, r * span + a, r * span + b) for r, s in zip(reps, sizes) for a, b in cuts]
         args = [(kernel, tasks[len(reps) * i : len(reps) * (i + 1)]) for i in range(workers)]

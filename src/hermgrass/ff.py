@@ -3,8 +3,12 @@
 Field elements are dense integer codes 0..q^2-1.  The code of an
 element is the base-p encoding of its coefficient vector over GF(p),
 constant coefficient in the lowest digit.  GF(q^2) is realized as
-GF(p)[x]/(f) for a fixed primitive polynomial f of degree 2e, so the
-codes are reproducible across runs and platforms.
+GF(p)[x]/(f) for a fixed monic polynomial f of degree 2e, so the
+codes are reproducible across runs and platforms (Lidl and
+Niederreiter, Finite Fields, ch. 1).  The product table is built from
+the products of the coefficient vectors, each reduced mod f; the
+constructor checks that every nonzero element has an inverse, which
+holds exactly when f is irreducible.  No logarithm tables are kept.
 
 The subfield GF(q) consists of the fixed points of the Frobenius map
 x -> x^q; this map is the conjugation underlying every Hermitian form
@@ -12,7 +16,8 @@ built on top of this module.  The norm x -> x^(q+1) takes values in
 GF(q) and is surjective onto it, with exactly q+1 preimages over each
 nonzero value.
 
-Primitive polynomials used, lowest coefficient first:
+Defining polynomials used, lowest coefficient first (each is also
+primitive, but only irreducibility is relied on and checked):
 
     GF(4)    1 + x + x^2
     GF(9)    2 + 2x + x^2
@@ -28,13 +33,12 @@ import numpy as np
 
 __all__ = ["SUPPORTED_Q", "FieldCtx", "make_field"]
 
-#: q values with pinned primitive polynomials.
+#: q values with pinned defining polynomials.
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8)
 
-# Keyed by (p, 2e); all entries are primitive, so the residue class of
-# x (code p) generates the multiplicative group.  The constructor
-# re-verifies this.
-_PRIMITIVE_POLY = {
+# Keyed by (p, 2e): the coefficients of f, lowest first, f monic.  The
+# constructor verifies that f is irreducible.
+_MODULUS = {
     (2, 2): (1, 1, 1),
     (3, 2): (2, 2, 1),
     (2, 4): (1, 1, 0, 0, 1),
@@ -45,16 +49,19 @@ _PRIMITIVE_POLY = {
 
 
 class FieldCtx:
-    """GF(q^2) with dense lookup tables.
+    """GF(q^2) = GF(p)[x]/(f) with dense lookup tables.
 
     Tables (numpy arrays, uint8 codes):
 
     ``add``, ``mul``
         shape (q2, q2) operation tables, indexable with broadcasting
-        element-code arrays.
+        element-code arrays.  ``mul`` holds the product of the
+        coefficient vectors, reduced mod f from the top degree down.
     ``neg``, ``inv``, ``frob``, ``norm``
-        shape (q2,) unary tables.  ``inv[0]`` is 0 and must not be
-        relied on.
+        shape (q2,) unary tables.  ``inv[a]`` is the column of the 1 in
+        row a of ``mul``; ``inv[0]`` is 0, so scaling a zero row by the
+        inverse of its first entry leaves it zero.  ``frob`` is a^q, q - 1
+        products, and ``norm`` is a^(q+1).
     ``subfield``
         ascending codes of the q elements fixed by ``frob``.
     ``mul_flat``, ``add_flat``, ``code_dtype``
@@ -69,51 +76,43 @@ class FieldCtx:
         characteristic-2 fill reads no table: bit u of a code is the
         coefficient of x^u, so it multiplies by shifts and adds.
 
-    Instances are immutable after construction and can be shared
-    freely across threads and worker processes.
+    The constructor raises RuntimeError unless every nonzero element
+    has an inverse (f irreducible) and ``frob`` fixes exactly q elements
+    and is an involution.  Instances are immutable after construction
+    and can be shared freely across threads and worker processes.
     """
 
     def __init__(self, p: int, e: int):
         # one lookup, instant for any p or e, before p**e
-        if (p, 2 * e) not in _PRIMITIVE_POLY:
+        if (p, 2 * e) not in _MODULUS:
             raise ValueError(f"q = {p}^{e} is outside the supported range {SUPPORTED_Q}")
-        q = p**e
-        self.p = p
-        self.e = e
-        self.q = q
-        self.q2 = q * q
-        deg = 2 * e
-        self.poly = _PRIMITIVE_POLY[(p, deg)]
-
-        exp, log = self._build_power_tables(p, deg)
+        q, deg = p**e, 2 * e
+        self.p, self.e, self.q, self.q2 = p, e, q, q * q
+        self.poly = f = _MODULUS[(p, deg)]
         codes = np.arange(self.q2)
-
-        digs = np.zeros((self.q2, deg), dtype=np.int64)
-        t = codes.copy()
-        for k in range(deg):
-            digs[:, k] = t % p
-            t //= p
         pw = p ** np.arange(deg)
+        digs = codes[:, None] // pw % p  # coefficient vectors, lowest first
         self.add = (((digs[:, None, :] + digs[None, :, :]) % p) @ pw).astype(np.uint8)
         self.add_flat = self.add.reshape(-1)
         self.neg = (((-digs) % p) @ pw).astype(np.uint8)
 
-        n1 = self.q2 - 1
-        nzlog = log[1:]
-        mul = np.zeros((self.q2, self.q2), dtype=np.uint8)
-        mul[1:, 1:] = exp[(nzlog[:, None] + nzlog[None, :]) % n1]
-        self.mul = mul
-        self.mul_flat = mul.reshape(-1)
+        prod = np.zeros((self.q2, self.q2, 2 * deg - 1), dtype=np.int64)
+        for i in range(deg):
+            prod[:, :, i : i + deg] += digs[:, None, i, None] * digs[None, :, :]
+        for k in range(2 * deg - 2, deg - 1, -1):  # x^k = x^(k-2e) (x^2e - f) mod f, of lower degree
+            prod[:, :, k - deg : k] -= prod[:, :, k, None] * np.array(f[:deg])
+        self.mul = ((prod[:, :, :deg] % p) @ pw).astype(np.uint8)
+        self.mul_flat = self.mul.reshape(-1)
         self.code_dtype = np.dtype(np.uint8 if self.q2 * self.q2 <= 256 else np.uint16)
-        inv = np.zeros(self.q2, dtype=np.uint8)
-        inv[1:] = exp[(n1 - nzlog) % n1]
-        self.inv = inv
-        frob = np.zeros(self.q2, dtype=np.uint8)
-        frob[1:] = exp[(nzlog * q) % n1]
-        self.frob = frob
-        norm = np.zeros(self.q2, dtype=np.uint8)
-        norm[1:] = exp[(nzlog * (q + 1)) % n1]
-        self.norm = norm
+
+        one = self.mul == 1
+        if not one[1:].any(axis=1).all():
+            raise RuntimeError("modulus polynomial is not irreducible")
+        self.inv = one.argmax(axis=1).astype(np.uint8)
+        frob = codes
+        for _ in range(q - 1):
+            frob = self.mul[frob, codes]
+        self.frob, self.norm = frob, self.mul[frob, codes]
 
         self.subfield = np.nonzero(frob == codes)[0].astype(np.uint8)
         if len(self.subfield) != q:
@@ -136,30 +135,6 @@ class FieldCtx:
         """
         return np.multiply(a, self.q2, dtype=self.code_dtype)
 
-    def _build_power_tables(self, p: int, deg: int):
-        # exp[i] = code of x^i, log[code of x^i] = i, for 0 <= i < q^2 - 1.
-        poly = self.poly
-        n1 = self.q2 - 1
-        exp = np.zeros(n1, dtype=np.int64)
-        log = np.zeros(self.q2, dtype=np.int64)
-        cur = [1] + [0] * (deg - 1)
-        seen = set()
-        for i in range(n1):
-            code = 0
-            for k in range(deg - 1, -1, -1):
-                code = code * p + cur[k]
-            exp[i] = code
-            log[code] = i
-            seen.add(code)
-            top = cur[deg - 1]
-            cur = [0] + cur[: deg - 1]
-            if top:
-                for k in range(deg):
-                    cur[k] = (cur[k] - top * poly[k]) % p
-        if len(seen) != n1 or cur != [1] + [0] * (deg - 1):
-            raise RuntimeError("modulus polynomial is not primitive")
-        return exp, log
-
     def __repr__(self) -> str:
         return f"FieldCtx(GF({self.q2}) = GF({self.p}^{2 * self.e}))"
 
@@ -170,4 +145,3 @@ def make_field(p: int, e: int) -> FieldCtx:
     Raises ValueError unless p is prime and q is in SUPPORTED_Q.
     """
     return FieldCtx(p, e)
-

@@ -10,7 +10,11 @@ characteristic 2 and by ``FieldCtx.mul_flat`` gathers for odd p; the
 scan kernel below sums table rows.  A
 subspace is held by its reduced row echelon basis, the canonical
 representative of a row space; its flattened entries serve as a total
-order and hash key.  Pivots are chosen leftmost first.
+order and hash key.  Pivots are chosen leftmost first.  ``normalize``
+scales rows so their first nonzero entry is 1, the normal form of a
+projective point; ``rref`` scales its pivot rows with it, and the point
+index of ``polar``, the polar images of ``classify`` and
+``pluecker.pluecker_point`` read it.
 
 One forward elimination, ``_echelon``, serves ``rank``, which counts
 its pivots, and ``rref``, which adds a backward pass and which ``kernel``
@@ -51,6 +55,7 @@ __all__ = [
     "fsub",
     "fneg",
     "matmul",
+    "normalize",
     "rref",
     "rank",
     "rank_stack",
@@ -111,6 +116,15 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
     return out
 
 
+def normalize(ctx: FieldCtx, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The rows scaled so that the first nonzero entry of each is 1, and
+    that entry's column: the normal form of a projective point.  A zero
+    row stays zero (``ctx.inv[0]`` is 0), with column 0."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    lead = (rows != 0).argmax(axis=1)
+    return ctx.mul[ctx.inv[rows[np.arange(len(rows)), lead]][:, None], rows], lead
+
+
 def _echelon(ctx: FieldCtx, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Forward elimination of a copy of the ``as_matrix`` array m: its
     rows in row echelon form, pivots leftmost first, and the pivot column
@@ -145,7 +159,7 @@ def rref(ctx: FieldCtx, m) -> tuple[np.ndarray, int]:
     """
     r, pivots = _echelon(ctx, as_matrix(ctx, m))
     k = len(pivots)
-    r[:k] = ctx.mul[ctx.inv[r[np.arange(k), pivots]][:, None], r[:k]]
+    r[:k] = normalize(ctx, r[:k])[0]
     for row in range(k - 1, 0, -1):
         f = r[:row, pivots[row], None]
         if f.any():
@@ -276,9 +290,11 @@ class _ScanKernel:
     through one 256-entry table, only before a sum would pass that
     limit, so its rows are congruent to the codewords nibble by nibble
     but need not be reduced; the tables are.  The nonzero mask tests
-    each nibble x for divisibility without a lookup: x <= 15 is a
-    multiple of p exactly when x p^-1 mod 256, a wrapping uint8 product,
-    is at most 255 // p; it is packed with np.packbits.
+    each nibble x for divisibility without a lookup or a shift: x <= 15
+    is a multiple of p exactly when x p^-1 mod 256, a wrapping uint8
+    product, is at most 255 // p, and the high nibble, kept in place as
+    16 x, exactly when 16 x p^-1 mod 256 = 16 (x p^-1 mod 16) is at most
+    16 (15 // p); it is packed with np.packbits.
     """
 
     def __init__(self, ctx: FieldCtx, matrix: np.ndarray):
@@ -384,11 +400,11 @@ class _ScanKernel:
         eighth of c, is allocated."""
         if not self.planes:
             p = self.ctx.p
-            inv, top = np.uint8(pow(p, -1, 256)), np.uint8(255 // p)
+            inv = np.uint8(pow(p, -1, 256))
             s = np.bitwise_and(c, 15, out=scratch)
-            nonzero = np.greater(np.multiply(s, inv, out=s), top, out=out)
-            np.multiply(np.right_shift(c, 4, out=s), inv, out=s)
-            nonzero |= np.greater(s, top, out=s.view(bool))
+            nonzero = np.greater(np.multiply(s, inv, out=s), np.uint8(255 // p), out=out)
+            np.multiply(np.bitwise_and(c, 0xF0, out=s), inv, out=s)
+            nonzero |= np.greater(s, np.uint8(16 * (15 // p)), out=s.view(bool))
             return np.packbits(nonzero, axis=-1)
         w = self.plane
         acc = np.bitwise_or(c[..., :w], c[..., w : 2 * w], out=out)

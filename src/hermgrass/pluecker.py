@@ -65,18 +65,11 @@ def pluecker_point(ctx: FieldCtx, basis) -> np.ndarray:
     b = linalg.as_matrix(ctx, basis)
     if b.shape[0] != 2:
         raise ValueError("need exactly 2 basis rows")
-    v, w = b[0], b[1]
-    m = b.shape[1]
-    coords = np.zeros(m * (m - 1) // 2, dtype=np.uint8)
-    for k, (i, j) in enumerate(pair_indices(m)):
-        coords[k] = fsub(ctx, ctx.mul[v[i], w[j]], ctx.mul[v[j], w[i]])
-    nz = np.nonzero(coords)[0]
-    if nz.size == 0:
+    i, j = np.triu_indices(b.shape[1], 1)  # pair order
+    coords = fsub(ctx, ctx.mul[b[0, i], b[1, j]], ctx.mul[b[0, j], b[1, i]])
+    if not coords.any():
         raise ValueError("degenerate basis: rows are linearly dependent")
-    lead = coords[nz[0]]
-    if lead != 1:
-        coords = ctx.mul[ctx.inv[lead], coords]
-    return coords
+    return linalg.normalize(ctx, coords[None])[0][0]
 
 
 class ProjectiveSystem:

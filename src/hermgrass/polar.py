@@ -12,8 +12,8 @@ depend on the choice; the Gram matrix is fixed to the identity.
 Conventions fixed here and relied on elsewhere:
 
 * projective points are normalized so the first nonzero coordinate
-  is 1, and the canonical point order is ascending lexicographic on
-  coordinate code tuples;
+  is 1 (``linalg.normalize``), and the canonical point order is
+  ascending lexicographic on coordinate code tuples;
 * a totally isotropic 2-space is represented by its unique 2 x m
   reduced row echelon basis, and the canonical line order is
   ascending lexicographic on the flattened basis.
@@ -282,11 +282,10 @@ class HermitianSpace:
         of the normalized digits after l (Q = q^2)."""
         ctx, m, q2 = self.ctx, self.m, self.ctx.q2
         rows = np.asarray(rows, dtype=np.uint8).reshape(-1, m)
-        lead = (rows != 0).argmax(axis=1)
-        first = rows[np.arange(len(rows)), lead]
-        value = ctx.mul[ctx.inv[first][:, None], rows] @ q2 ** np.arange(m - 1, -1, -1)
+        normal, lead = linalg.normalize(ctx, rows)
+        value = normal @ q2 ** np.arange(m - 1, -1, -1)  # 0 exactly for a zero row
         top = np.int64(q2) ** (m - 1 - lead)
-        return np.where(first != 0, (top - 1) // (q2 - 1) + value - top, -1)
+        return np.where(value != 0, (top - 1) // (q2 - 1) + value - top, -1)
 
     def perp_index(self) -> np.ndarray:
         """Row of section_table() holding the perp of each isotropic point:

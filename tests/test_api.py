@@ -60,6 +60,8 @@ DELETED = (
     "read_form_json",
     "point_rows",
 )
+# FieldCtx scalar wrappers that the tables replaced, and the discrete-log
+# walk that the products of coefficient vectors replaced.
 DELETED_FIELD_WRAPPERS = (
     "add_s",
     "sub_s",
@@ -69,6 +71,7 @@ DELETED_FIELD_WRAPPERS = (
     "elements",
     "coeffs",
     "from_coeffs",
+    "_build_power_tables",
 )
 
 # Parameter names of calls whose options were deleted: a new one needs a

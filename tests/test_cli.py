@@ -348,6 +348,53 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "FAIL doomed" in capsys.readouterr().out
 
 
+def test_weight_reports_disagreeing_routes(monkeypatch, tmp_path, capsys):
+    form = tmp_path / "form.json"
+    form.write_text('{"m": 4, "p": 2, "e": 1, "upper": [1, 0, 0, 0, 0, 0]}\n')
+    monkeypatch.setattr(code, "weight_recursive", lambda phi, space: 0)
+    assert cli.run(["weight", "--form", str(form), "-q", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[2] == "recursive,0"
+    assert captured.err == "weight routes disagree\n"
+
+
+ROUTES = "three weight routes + conservation + case values"
+
+
+@pytest.mark.parametrize(
+    "route,value,line",
+    [
+        ("weight_recursive", lambda phi, space: 0, f"{ROUTES}: disagreement at upper=["),
+        ("point_weight_values", lambda m, q: (), f"{ROUTES}: per-point value outside the case set"),
+        ("stratum_weight_bound", lambda m, i, q: 10**9, "per-rank lower bounds: weights >= stratum bounds"),
+    ],
+    ids=["routes", "case-values", "bounds"],
+)
+def test_verify_reports_a_failing_route(monkeypatch, capsys, route, value, line):
+    monkeypatch.setattr(code if route == "weight_recursive" else counts, route, value)
+    assert cli.run(["verify", "-m", "4", "-q", "2", "--samples", "3", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    fails = [x for x in captured.out.splitlines() if x.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL " + line)
+
+
+def test_verify_sizes_the_generator_before_enumerating_lines(capsys, monkeypatch):
+    # at (6,2) the points fit in 80000 bytes, the 15 x 6237 matrix not;
+    # verify refuses it before it enumerates a single line
+    calls = []
+    monkeypatch.setattr(polar, "_available_memory", lambda: 80000)
+    monkeypatch.setattr(polar.HermitianSpace, "line_pair_indices", lambda self: calls.append(self))
+    assert cli.run(["verify", "-m", "6", "-q", "2", "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == "PASS point count: 693 isotropic points\n"
+    assert captured.err.splitlines() == [
+        "error: the 15 x 6237 generator matrix needs 93555 bytes,"
+        " more than the 80000 bytes of available memory"
+    ]
+
+
 def test_verify_reports_a_wrong_witness_weight(monkeypatch, capsys):
     # the witness constructors leave the weight to verify, which reports a
     # mismatch as one FAIL line and runs the checks after it

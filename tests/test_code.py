@@ -5,6 +5,7 @@ import pickle
 import types
 import weakref
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -436,6 +437,7 @@ def _same_report(r1, r2):
 
 def test_worker_partition_merges_identically(monkeypatch, system42):
     monkeypatch.setattr(code.os, "cpu_count", lambda: 2)  # run the pool even on one CPU
+    monkeypatch.setattr(code, "_POOL_FORMS", 1)  # and for the 4096 forms of (4,2)
     r1 = code.spectrum(system42, mode="exhaustive", jobs=1)
     r2 = code.spectrum(system42, mode="exhaustive", jobs=2)
     _same_report(r1, r2)
@@ -444,6 +446,7 @@ def test_worker_partition_merges_identically(monkeypatch, system42):
 def test_worker_partition_odd_characteristic(monkeypatch, system43):
     # odd p goes through the add-table path inside the workers
     monkeypatch.setattr(code.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(code, "_POOL_FORMS", 1)
     r1 = code.spectrum(system43, mode="exhaustive", jobs=2)
     assert r1.min_nonzero_weight == 72
     assert sum(r1.histogram.values()) == 9**6
@@ -747,6 +750,33 @@ def test_min_distance_constructed(system62):
     assert cert["sample_min_weight"] >= 4032
     with pytest.raises(ValueError):
         code.min_distance(system62, strategy="guess")
+
+
+def test_small_exhaustive_scan_forks_no_pool(monkeypatch, system52):
+    # the 20480 forms scanned at (5,2) repay no fork, whatever jobs asks for
+    monkeypatch.setattr(code.os, "cpu_count", lambda: 8)
+    with mock.patch("multiprocessing.get_context", side_effect=AssertionError("a pool was started")):
+        rep = code.spectrum(system52, mode="exhaustive", jobs=8)
+    assert rep.min_nonzero_weight == 192
+
+
+def test_refusals(ctx2, space42, system42, space52):
+    with pytest.raises(ValueError, match="must be square"):
+        code.AlternatingForm(ctx2, np.zeros((2, 3), dtype=np.uint8))
+    phi4 = code.AlternatingForm.from_upper(ctx2, 4, [1, 0, 0, 0, 0, 0])
+    phi5 = code.AlternatingForm.from_upper(ctx2, 5, [1] + [0] * 9)
+    with pytest.raises(ValueError, match="line basis must be 2 x m"):
+        code.evaluate(phi4, np.eye(3, 4, dtype=np.uint8))
+    with pytest.raises(ValueError, match="line basis must be 2 x m"):
+        code.evaluate(phi4, np.eye(2, 5, dtype=np.uint8))
+    with pytest.raises(ValueError, match="form does not match the system"):
+        code.codeword(phi5, system42)
+    with pytest.raises(ValueError, match="form does not match the space"):
+        code.point_weights(phi4, space52)
+    with pytest.raises(ValueError, match="positive sample count"):
+        code.spectrum(system42, mode="sample", samples=0)
+    with pytest.raises(ValueError, match="unknown mode 'guess'"):
+        code.spectrum(system42, mode="guess")
 
 
 def test_pool_size_is_capped(monkeypatch):

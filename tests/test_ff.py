@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -121,3 +122,74 @@ def test_scalar_helpers():
     assert ctx.inv[1] == 1
     # 0 has no inverse: no product with 0 is 1
     assert not (ctx.mul[0] == 1).any()
+
+
+# sha256 of each table's bytes, recorded from the discrete-logarithm
+# construction the product-of-polynomials one replaced: the codes of every
+# field stay what they were.
+TABLE_SHA256 = {
+    (2, 1): {
+        "add": "62d40abfb721c5a0c265c70a68d2e962d3f13be6480239c305f2f0bca8590440",
+        "neg": "054edec1d0211f624fed0cbca9d4f9400b0e491c43742af2c5b0abebf0c990d8",
+        "mul": "e5e400e15d86822cd32ced3905038afeff90c607537f27fb5c2df36e4fbb38d4",
+        "inv": "dce8e125cc41a56ea02407a10727c0fbced6827fea37a619f5c3cc98f1ee4968",
+        "frob": "dce8e125cc41a56ea02407a10727c0fbced6827fea37a619f5c3cc98f1ee4968",
+        "norm": "cbd95ae5ef8810691e3fc7efb7c39ef9ffb661135d858aa0ccc81fc74a0160ae",
+    },
+    (3, 1): {
+        "add": "258998982899a881c22fd74bc2e9c9619b1ac28fa209d9dd48d7accc703bb4c7",
+        "neg": "c71e83c5c8b1ba02a7dbe675579db574b2c82a4fb2cc13ed5ae917595ee90900",
+        "mul": "29e92530f304bef086254b6547292a2b1c9131904a5a4058f54cd044a70e43a2",
+        "inv": "6ac689ccd15a5216b666ced6feb9db03dfe009d1b484cd7f93666f38086bd33b",
+        "frob": "a75bba468fab5d02ae76fc50dfa820abf4357657b699971913004d9252cf05dc",
+        "norm": "85988ce4afc9f0d2384f388b195625d7a5be2a131891fb8dab1ed3bdabe3e73f",
+    },
+    (2, 2): {
+        "add": "c64c6cd5750493429a8a7378e51e8a44b1d70c11d0564b411db0043923d6af20",
+        "neg": "be45cb2605bf36bebde684841a28f0fd43c69850a3dce5fedba69928ee3a8991",
+        "mul": "0f6d731eb3256344df6cd95ae358c8d7ddbb56cf7f88d4c591d80f53b8eb2667",
+        "inv": "b4c7231e1c1524aae08b4903575c7ad7d5b1a436a83eb2f54831806e0dc50e20",
+        "frob": "fa99222eaf8800a2b064f404e91162402ca21a1529182f0864250b8cfbf10152",
+        "norm": "25864ae873a351e474bfc02ba9398bcb2a3aa23ee7050d66ad34ed33f3e108d5",
+    },
+    (5, 1): {
+        "add": "a0396752f887de70e6eb4f821894cf27f2f436d24f2f602fcbcee4790f02de5d",
+        "neg": "49ce0b07c196179a87620f4c23232c53957879c6eea7887d747fb15355842915",
+        "mul": "873220a60a81bfa0eeb40ebdfcf3343fb581d457ded25737c1005d9b626c836d",
+        "inv": "57f16d6bd7e76ca7a49c541539b1aa6f927e440688ec787ce86d52480714b268",
+        "frob": "adde5e5c96a17fa05d586e4e7b2c360188090106240ac8bfc830da3ee493bb21",
+        "norm": "e0b1ae834eae798431d00703b7135ab15f7df2b9f9a96fb6083e41ccc9e7b2e6",
+    },
+    (7, 1): {
+        "add": "2cdeb3ae2cd89b216b4023b9f24c9aad96a748524f0db78a790b3fb50f2262ff",
+        "neg": "f99df71b3a548429536e28773904feed4703f68496cb6b48c82126c9a6a684aa",
+        "mul": "f3c70334301b13f5f2181966ee7ad000b27af3d222eec7c45bd021c0ec588c30",
+        "inv": "bb1995e11da976f8d638a07315afb72df59988f115deb918c7f4ae482ea15f85",
+        "frob": "dc9afb404a2b01b6f6d135a269aeed6cf3adb152dee51549879af620ae4d8404",
+        "norm": "89e52949f8b24fd623f603429109bdd2fa8b77de27a7dbe5d84db5aec86c331a",
+    },
+    (2, 3): {
+        "add": "f81810bac7773038d2a1aea439bc7412fcd98249549bac009482ec7b1214863c",
+        "neg": "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108",
+        "mul": "26107130571df271c13539a225b79388a83d952633d70b22eccf1c56296f62f7",
+        "inv": "676ad897dd243d8893cd9e601522fabd9c18a51a4029c8bd6ffe42a3b9381eca",
+        "frob": "bd461e0e2cdbb8ae7a40e7efd0e863a37a242ffbe63264c4e3a43086f089a9aa",
+        "norm": "86bcb73793c867d9a64123e84b71e62567dc7cc349123939dae5daadbb745980",
+    },
+}
+
+
+@pytest.mark.parametrize("pe", FIELDS, ids=lambda pe: f"GF({(pe[0] ** pe[1]) ** 2})")
+def test_field_tables_are_pinned(pe):
+    ctx = ff.make_field(*pe)
+    for name, want in TABLE_SHA256[pe].items():
+        table = getattr(ctx, name)
+        assert table.dtype == np.uint8, name
+        assert hashlib.sha256(table.tobytes()).hexdigest() == want, name
+
+
+def test_reducible_modulus_is_refused(monkeypatch):
+    # 1 + x^2 = (1 + x)^2 over GF(2): 1 + x has no inverse mod it
+    monkeypatch.setitem(ff._MODULUS, (2, 2), (1, 0, 1))
+    with pytest.raises(RuntimeError, match="not irreducible"):
+        ff.make_field(2, 1)

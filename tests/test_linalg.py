@@ -31,6 +31,20 @@ def test_rref_identity_and_zero(ctx2):
 
 @settings(deadline=None)
 @given(field_matrices())
+def test_normalize_scales_each_row_to_a_leading_one(cm):
+    ctx, m = cm
+    rows, lead = linalg.normalize(ctx, m)
+    for row, col, orig in zip(rows, lead, m):
+        if not orig.any():
+            assert col == 0 and not row.any()
+            continue
+        first = orig[col]
+        assert not orig[:col].any() and first != 0 and row[col] == 1
+        assert np.array_equal(ctx.mul[first, row], orig)
+
+
+@settings(deadline=None)
+@given(field_matrices())
 def test_rref_idempotent(cm):
     ctx, m = cm
     r1, k1 = linalg.rref(ctx, m)
@@ -172,6 +186,14 @@ def test_rank_stack_agrees_with_rank(p, e):
         linalg.rank_stack(ctx, stack[0])
 
 
+def test_entries_outside_the_field_are_refused(ctx2):
+    bad = np.eye(3, dtype=np.uint8) * 4  # GF(4) has the codes 0..3
+    with pytest.raises(ValueError, match="entry out of range for GF\\(4\\)"):
+        linalg.as_matrix(ctx2, bad)
+    with pytest.raises(ValueError, match="entry out of range for GF\\(4\\)"):
+        linalg.rank_stack(ctx2, bad[None])
+
+
 def test_kernel_extremes(ctx2):
     assert linalg.kernel(ctx2, np.eye(4, dtype=np.uint8)).shape == (0, 4)
     assert np.array_equal(linalg.kernel(ctx2, np.zeros((2, 4), dtype=np.uint8)), np.eye(4))
@@ -250,8 +272,11 @@ def test_odd_nonzero_mask_on_every_byte(p):
     # either nibble is nonzero mod p
     kernel = linalg._ScanKernel(hg.make_field(p, 1), np.eye(2, 8, dtype=np.uint8))
     c = np.arange(256, dtype=np.uint8)
-    want = ((c & 15) % p != 0) | ((c >> 4) % p != 0)
-    assert np.array_equal(kernel._mask(c.reshape(4, 64)), np.packbits(want.reshape(4, 64), axis=-1))
+    want = np.packbits((((c & 15) % p != 0) | ((c >> 4) % p != 0)).reshape(4, 64), axis=-1)
+    assert np.array_equal(kernel._mask(c.reshape(4, 64)), want)
+    # through the block buffers of a scan, which the mask overwrites
+    scratch, out = np.full((4, 64), 0xAA, dtype=np.uint8), np.ones((4, 64), dtype=bool)
+    assert np.array_equal(kernel._mask(c.reshape(4, 64), out, scratch), want)
 
 
 def _loop_dot(ctx, x, y):

@@ -41,6 +41,8 @@ def test_degenerate_basis_rejected(ctx2):
     v = np.array([1, 2, 3, 0], dtype=np.uint8)
     with pytest.raises(ValueError):
         pluecker.pluecker_point(ctx2, np.stack([v, ctx2.mul[2, v]]))
+    with pytest.raises(ValueError, match="need exactly 2 basis rows"):
+        pluecker.pluecker_point(ctx2, np.eye(3, 4, dtype=np.uint8))
 
 
 def test_quadratic_relations_on_enumerated_lines(space52, space43):

@@ -437,3 +437,17 @@ def test_m1_space_has_empty_section_table_and_zero_weight(ctx2, ctx3):
         assert space.section_table().shape == (1, 0)
         zero = code.AlternatingForm(ctx, np.zeros((1, 1), dtype=np.uint8))
         assert code.weight_recursive(zero, space) == 0
+
+
+def test_refusals(ctx2, space42):
+    with pytest.raises(ValueError, match="m must be positive"):
+        hg.HermitianSpace(0, ctx2)
+    with pytest.raises(ValueError, match="vector length"):
+        space42.inner([1, 0, 0], [1, 0, 0, 0])
+    with pytest.raises(ValueError, match="vector length"):
+        space42.inner([1, 0, 0, 0], [1, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        polar.perp(space42, np.eye(1, 5, dtype=np.uint8))
+    for i in (0, 3):  # rank 2i of a form on V(4, q^2) is 2 or 4
+        with pytest.raises(ValueError, match=f"i = {i} out of range for m = 4"):
+            hg.cone_count_max(4, i, 2)
