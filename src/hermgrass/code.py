@@ -411,8 +411,9 @@ def _check_macwilliams(hist: dict[int, int], m: int, q: int) -> None:
             raise RuntimeError(f"spectrum fails MacWilliams: B_{j} = {got / q2**k:g}, not {want}")
 
 
-# Forms an exhaustive scan gives each pool worker at least: fewer take
-# less time than forking the pool.
+# Fewest forms for which an exhaustive scan forks a pool: on 2 CPUs the
+# 156 250 forms of (4,5) took 0.08 s in one process and 0.10 s with two
+# workers, the 1 882 384 of (4,7) 1.9 s and 1.3 s (BENCH_one_definition).
 _POOL_FORMS = 1 << 20
 
 
@@ -444,12 +445,12 @@ def spectrum(
     The class compression holds only for the space's own generator, so
     exhaustive mode raises ValueError unless ``system`` is
     ``build_system(system.space)``.  The forms of a class are one range
-    of counter indices.  The scan forks one worker per ``_POOL_FORMS``
-    forms, at most ``jobs`` and the CPU count (``_pool_size``), since a
-    smaller scan takes less time than the fork; each class's range is cut
-    into one equal part per worker, and each worker scans as many
-    consecutive parts as there are classes.  The result does not depend
-    on the worker count.
+    of counter indices.  A scan of fewer than ``_POOL_FORMS`` forms runs
+    in the calling process, since it takes less time than forking a pool.
+    A larger one forks ``_pool_size(jobs, span)`` workers; each class's
+    range is cut into one equal part per worker, and each worker scans as
+    many consecutive parts as there are classes.  The result does not
+    depend on the worker count.
 
     Sample mode draws ``samples`` uniform nonzero forms from numpy's
     default PCG64 generator seeded with ``seed``; the seed is recorded
@@ -483,7 +484,7 @@ def spectrum(
     kernel = system.scan_kernel
     if exhaustive:
         span = q2 ** (k - m + 1)  # the forms of one first row
-        workers = _pool_size(jobs, len(reps) * span // _POOL_FORMS)
+        workers = _pool_size(jobs, span) if len(reps) * span >= _POOL_FORMS else 1
         cuts = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
         tasks = [(s, r * span + a, r * span + b) for r, s in zip(reps, sizes) for a, b in cuts]
         args = [(kernel, tasks[len(reps) * i : len(reps) * (i + 1)]) for i in range(workers)]

@@ -86,9 +86,13 @@ class FieldCtx:
         # one lookup, instant for any p or e, before p**e
         if (p, 2 * e) not in _MODULUS:
             raise ValueError(f"q = {p}^{e} is outside the supported range {SUPPORTED_Q}")
-        q, deg = p**e, 2 * e
-        self.p, self.e, self.q, self.q2 = p, e, q, q * q
-        self.poly = f = _MODULUS[(p, deg)]
+        q = p**e
+        self.p = p
+        self.e = e
+        self.q = q
+        self.q2 = q * q
+        deg = 2 * e
+        self.poly = _MODULUS[(p, deg)]
         codes = np.arange(self.q2)
         pw = p ** np.arange(deg)
         digs = codes[:, None] // pw % p  # coefficient vectors, lowest first
@@ -100,7 +104,7 @@ class FieldCtx:
         for i in range(deg):
             prod[:, :, i : i + deg] += digs[:, None, i, None] * digs[None, :, :]
         for k in range(2 * deg - 2, deg - 1, -1):  # x^k = x^(k-2e) (x^2e - f) mod f, of lower degree
-            prod[:, :, k - deg : k] -= prod[:, :, k, None] * np.array(f[:deg])
+            prod[:, :, k - deg : k] -= prod[:, :, k, None] * np.array(self.poly[:deg])
         self.mul = ((prod[:, :, :deg] % p) @ pw).astype(np.uint8)
         self.mul_flat = self.mul.reshape(-1)
         self.code_dtype = np.dtype(np.uint8 if self.q2 * self.q2 <= 256 else np.uint16)
@@ -112,7 +116,8 @@ class FieldCtx:
         frob = codes
         for _ in range(q - 1):
             frob = self.mul[frob, codes]
-        self.frob, self.norm = frob, self.mul[frob, codes]
+        self.frob = frob
+        self.norm = self.mul[frob, codes]
 
         self.subfield = np.nonzero(frob == codes)[0].astype(np.uint8)
         if len(self.subfield) != q:

@@ -752,12 +752,21 @@ def test_min_distance_constructed(system62):
         code.min_distance(system62, strategy="guess")
 
 
-def test_small_exhaustive_scan_forks_no_pool(monkeypatch, system52):
+def test_small_exhaustive_scan_forks_no_pool(monkeypatch, system52, system42):
     # the 20480 forms scanned at (5,2) repay no fork, whatever jobs asks for
     monkeypatch.setattr(code.os, "cpu_count", lambda: 8)
     with mock.patch("multiprocessing.get_context", side_effect=AssertionError("a pool was started")):
         rep = code.spectrum(system52, mode="exhaustive", jobs=8)
     assert rep.min_nonzero_weight == 192
+    # (4,2) scans 256 forms: a pool when _POOL_FORMS is 256, none at 257
+    import multiprocessing
+
+    calls, real = [], multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: calls.append(a) or real(*a))
+    for forms in (257, 256):
+        monkeypatch.setattr(code, "_POOL_FORMS", forms)
+        code.spectrum(system42, mode="exhaustive", jobs=2)
+    assert calls == [("fork",)]
 
 
 def test_refusals(ctx2, space42, system42, space52):
