@@ -29,6 +29,12 @@ recursive counts.  The per-rank zero-class and weight bounds are closed
 forms and live in ``counts``.  Minimum words take one of two shapes, rank-2 cone forms and
 permutable forms, each tested by one predicate that the witness
 constructions, min_word_witness and check_min_weight_profile share.
+
+The radical R = ker S cuts the polar space in a cone [Pi_t]H_(d-t)
+(Bose and Chakravarti, Canad. J. Math. 18, 1966), d = m - rank S.  Its
+profile needs no basis of R: R cap R^perp = ker S cap im conj(S), so
+t = rank S - rank(conj(S) S), two ranks of m x m matrices
+(``_radical_profile``), which the report and both predicates read.
 """
 
 from __future__ import annotations
@@ -86,6 +92,22 @@ def _classes(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[np.ndar
     return labels, int(fixed.sum())
 
 
+def _radical_profile(phi: AlternatingForm) -> polar.RadicalProfile:
+    """Profile of the section cut by the radical R = ker S, from two
+    ranks and no basis.
+
+    Under conj(x)^T y the perp of ker S is the image of conj(S), so
+    R cap R^perp = ker S cap im conj(S), whose dimension is the rank of
+    conj(S) minus that of S conj(S): t = rank S - rank(conj(S) S), the
+    two products being conjugate.  The section is the cone [Pi_t]H_(d-t)
+    over d = m - rank S (``polar.radical_profile`` gives the same from
+    the basis of R).
+    """
+    ctx, s = phi.ctx, phi.s
+    t = phi.rank - linalg.rank(ctx, linalg.matmul(ctx, ctx.frob[s], s))
+    return polar.RadicalProfile(dim=phi.rad_dim, t=t)
+
+
 def _class_sizes(ctx: FieldCtx, labels: np.ndarray) -> tuple[int, int, int]:
     """Vector counts (A, B, C) of the zero, secant and tangent classes,
     q^2 - 1 vectors per labelled point."""
@@ -121,11 +143,12 @@ def classify_points(
     The direct weight is taken from the codeword of the system, a route
     independent of the class-size reconstruction; ``weight_direct``
     returns the weight the form keeps when it was already counted on this
-    system object.  ``fix_count`` counts the projective fixed points of
-    the composed polarity map over the whole projective space.  Every
-    fixed point is isotropic (x^T S x = 0 puts a point that is its own
-    pole in its own perp), so the one pass over the isotropic points that
-    gives the classes finds them all.
+    system object.  The radical's dimension and profile come from two
+    ranks (``_radical_profile``), not from its basis.  ``fix_count``
+    counts the projective fixed points of the composed polarity map over
+    the whole projective space.  Every fixed point is isotropic (x^T S x
+    = 0 puts a point that is its own pole in its own perp), so the one
+    pass over the isotropic points that gives the classes finds them all.
     """
     ctx = space.ctx
     q = ctx.q
@@ -133,13 +156,12 @@ def classify_points(
     a, b, c = _class_sizes(ctx, labels)
     wfc = counts.weight_from_class_counts(space.m, q, a, b, c)
     wd = weight_direct(phi, system)
-    profile = polar.radical_profile(space, phi.radical)
     report = ClassificationReport(
         A=a,
         B=b,
         C=c,
         rad_dim=phi.rad_dim,
-        profile=profile,
+        profile=_radical_profile(phi),
         fix_count=fix_count,
         weight_from_counts=wfc,
         weight_direct=wd,
@@ -172,7 +194,7 @@ def _norm_minus_one_element(ctx: FieldCtx) -> int:
 def _is_rank2_cone(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[bool, str]:
     """Rank 2, the radical cutting a vertex-1 cone for odd m and a
     vertex-2 cone for even m."""
-    profile = polar.radical_profile(space, phi.radical)
+    profile = _radical_profile(phi)
     ok = phi.rank == 2 and profile.t == 2 - space.m % 2
     return ok, f"rad_dim={phi.rad_dim}, profile={profile.label}"
 
@@ -183,7 +205,7 @@ def _is_permutable(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[b
     secant class."""
     m, q, rank = space.m, space.ctx.q, phi.rank
     a, b, _ = _class_sizes(space.ctx, point_classes(phi, space))
-    ok = rank == m - m % 2 and polar.radical_profile(space, phi.radical).t == 0
+    ok = rank == m - m % 2 and _radical_profile(phi).t == 0
     ok = ok and a == (q**rank - 1) * (q + 1) and (b == 0 or m % 2 == 1)
     return ok, f"rank={rank}, A={a}, B={b}"
 

@@ -8,14 +8,21 @@ line's normalized Pluecker coordinates.
 
 Weights are computed three independent ways across the package:
 
-* ``weight_direct``: count the nonzero positions of ``codeword``, the
-  array of the form's values on the lines;
+* ``weight_direct``: count the nonzero positions of the codeword, the
+  form's values on the lines, from the generator's own digits
+  (``_direct_count``): in characteristic 2 one XOR of the system's
+  packed bit-plane rows (``ProjectiveSystem.planes``) per codeword plane,
+  for odd p one 1-D gather of each generator row from the nibble codes
+  of u_k x, added as uint8 and reduced mod p as the scan kernel reduces
+  (``linalg._nibble_reduction``).  ``codeword``, the ``linalg.matmul``
+  product, is the reference the tests compare it with;
 * ``weight_recursive``: accumulate, over all isotropic vectors u, the
   number of totally isotropic lines through [u] not annihilated by
   the form, then divide by q^4 - 1.  ``point_weights`` counts them as
   the isotropic points in the perp of u off the hyperplane u^T S x = 0,
-  one AND and popcount of two rows of the space's bit-packed
-  hyperplane-section table per point;
+  the perp row's fixed 1 + q^2 mu(m - 2) points minus one AND and
+  popcount of two rows of the space's bit-packed hyperplane-section
+  table per point;
 * ``counts.weight_from_class_counts``: reconstruct from the sizes
   of the three per-point classes of ``classify``.
 
@@ -39,8 +46,8 @@ counts B_0 .. B_3.
 Both modes use one codeword kernel on the generator,
 ``linalg._ScanKernel``, which sums one row of a digit-group table per
 group of g digits (Q^g <= 256), so a sampled form costs ceil(K/g) row
-gathers and adds, into block buffers that each ``weights`` call
-allocates once.  The system holds its kernel (``scan_kernel``), so only
+gathers and adds, into block buffers that each sample scan allocates
+once.  The system holds its kernel (``scan_kernel``), so only
 the first scan of a system builds the tables.  The first-row digits
 lead the counter, so the forms of a class are one range of counter
 indices; the kernel's walk over those ranges yields the packed nonzero
@@ -54,7 +61,7 @@ import os
 import time
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -75,17 +82,24 @@ __all__ = [
 ]
 
 
+# np.triu_indices builds a mask per call (about 20 us at m = 5); the cached
+# index arrays are shared, so callers only read them
+_upper_indices = cache(np.triu_indices)
+
+
 class AlternatingForm:
     """m x m matrix S over GF(q^2) with S^T = -S and zero diagonal.
 
     The zero diagonal is required explicitly so the condition is
-    meaningful in characteristic 2 as well.  The two-sided kernel
-    (``radical``) is computed on first use and cached, and the rank
-    (always even) is m minus its dimension, with no elimination of its
-    own.  Beside it the form keeps the last result of two weight routes
-    with a weak reference to the object it was computed on:
-    ``weight_direct`` with its system and ``point_weights`` with its
-    space, so a kept form does not keep that system or space alive.
+    meaningful in characteristic 2 as well.  The rank (always even) and
+    the two-sided kernel (``radical``), whose dimension is m minus the
+    rank, are each computed on first use and cached; the rank needs one
+    forward elimination, the basis two reduced ones, so the rank and
+    ``rad_dim`` do not build the basis.  Beside them the form keeps the
+    last result of two weight routes with a weak reference to the object
+    it was computed on: ``weight_direct`` with its system and
+    ``point_weights`` with its space, so a kept form does not keep that
+    system or space alive.
     """
 
     # (weak reference to the system or space, result); none kept at first
@@ -116,14 +130,14 @@ class AlternatingForm:
         upper = np.asarray(upper, dtype=np.uint8).reshape(-1)
         if upper.size != m * (m - 1) // 2:
             raise ValueError("upper triangle has wrong length")
-        iu, ju = np.triu_indices(m, 1)
+        iu, ju = _upper_indices(m, 1)
         s = np.zeros((m, m), dtype=np.uint8)
         s[iu, ju] = upper
         s[ju, iu] = ctx.neg[upper]
         return cls(ctx, s)
 
     def upper(self) -> np.ndarray:
-        return self.s[np.triu_indices(self.m, 1)]
+        return self.s[_upper_indices(self.m, 1)]
 
     @cached_property
     def radical(self) -> np.ndarray:
@@ -133,9 +147,10 @@ class AlternatingForm:
         radical.flags.writeable = False
         return radical
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        return self.m - len(self.radical)
+        """Rank of S, from one elimination (``linalg.rank``)."""
+        return linalg.rank(self.ctx, self.s)
 
     @property
     def rad_dim(self) -> int:
@@ -171,25 +186,65 @@ def evaluate(phi: AlternatingForm, line) -> int:
     return int(linalg.matmul(ctx, linalg.matmul(ctx, b[:1], phi.s), b[1:].T)[0, 0])
 
 
+def _check_system(phi: AlternatingForm, system: ProjectiveSystem) -> None:
+    if phi.m != system.space.m or phi.ctx.q2 != system.ctx.q2:
+        raise ValueError("form does not match the system")
+
+
 def codeword(phi: AlternatingForm, system: ProjectiveSystem) -> np.ndarray:
     """Codeword of the form, as element codes: position j holds the
     form's value on the normalized Pluecker coordinates of line j."""
-    ctx = system.ctx
-    if phi.m != system.space.m or phi.ctx.q2 != ctx.q2:
-        raise ValueError("form does not match the system")
-    return linalg.matmul(ctx, system.matrix.T, phi.upper()[:, None])[:, 0]
+    _check_system(phi, system)
+    return linalg.matmul(system.ctx, system.matrix.T, phi.upper()[:, None])[:, 0]
+
+
+def _direct_count(phi: AlternatingForm, system: ProjectiveSystem) -> int:
+    """Nonzero positions of the codeword sum_k u_k g_k, u the upper
+    triangle and g_k the rows of the generator, from the rows' digits.
+
+    In characteristic 2, u_k g_k = sum_i (u_k x^i) g_k,i with g_k,i bit i
+    of g_k, so plane j of the codeword is the XOR of the plane rows (k, i)
+    of ``system.planes`` for which bit j of u_k x^i is set, and its
+    nonzero positions are the OR of the 2e planes.  For odd p (e = 1) each
+    nonzero u_k gives one 1-D gather of g_k from the nibble codes of
+    u_k x; the terms add as uint8, reduced mod p before a nibble could
+    pass 15, and after the last reduction the nonzero bytes are the
+    nonzero positions.
+    """
+    _check_system(phi, system)
+    ctx, u = system.ctx, phi.upper()
+    if ctx.p == 2:
+        bits = 2 * ctx.e
+        # bit j of u_k x^i at [k, i, j]; x^i has the code 2^i
+        sel = np.unpackbits(ctx.mul[u[:, None], 1 << np.arange(bits)][..., None], axis=-1, bitorder="little")
+        sel = sel.view(bool)
+        acc = np.zeros(system.planes.shape[-1], dtype=np.uint64)
+        for j in range(bits):
+            acc |= np.bitwise_xor.reduce(system.planes[sel[:, :, j]], axis=0)
+        return int(linalg.bit_counts(acc.view(np.uint8)))
+    nibbles, (reduced, limit) = linalg._nibble_codes(ctx.mul[u], ctx.p), linalg._nibble_reduction(ctx.p)
+    acc, term = np.zeros((2, system.n), dtype=np.uint8)
+    held = 0  # terms summed in acc since it was last reduced
+    for k in np.flatnonzero(u):
+        if held == limit:
+            np.take(reduced, acc, out=acc, mode="clip")
+            held = 1
+        acc += np.take(nibbles[k], system.matrix[k], out=term, mode="clip")
+        held += 1
+    return int(np.count_nonzero(np.take(reduced, acc, out=acc, mode="clip")))
 
 
 def weight_direct(phi: AlternatingForm, system: ProjectiveSystem) -> int:
     """Number of lines on which the form does not vanish: the nonzero
-    positions of its codeword.
+    positions of its codeword, counted from the generator's digits
+    (``_direct_count``) without forming the codeword.
 
     The form keeps the weight with ``system`` and returns it when called
     again with that same object (matched by ``is``); any other system is
     counted afresh and replaces it.
     """
     if phi._direct[0]() is not system:
-        phi._direct = weakref.ref(system), int(np.count_nonzero(codeword(phi, system)))
+        phi._direct = weakref.ref(system), _direct_count(phi, system)
     return phi._direct[1]
 
 
@@ -203,10 +258,12 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     Such a line joins [u] to an isotropic x with conj(u)^T x = 0 and
     u^T S x != 0: the bits set in row ``space.perp_index()[u]`` of
     ``space.section_table()`` and clear in the row of u^T S (none when
-    u^T S = 0).  Each such line carries q^2 of these x, so the count
-    divides exactly by q^2.  When the table does not fit in the
-    available memory, both sections are streamed in row blocks of the
-    points instead.
+    u^T S = 0).  Every perp row holds 1 + q^2 mu(m - 2) points, which
+    ``section_table`` checks, so the count is that many minus the bits
+    set in both rows, one AND and one popcount.  Each such line carries
+    q^2 of these x, so the count divides exactly by q^2.  When the table
+    does not fit in the available memory, both sections are streamed in
+    row blocks of the points instead.
 
     The counts are read-only.  The form keeps them with ``space`` and
     returns them when called again with that same object (matched by
@@ -227,10 +284,12 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     if table is not None:
         live = np.flatnonzero(ps.any(axis=1))
         perp, sect = space.perp_index()[live], space.point_index(ps[live])
+        want = 1 + q2 * counts.isotropic_point_count(space.m - 2, ctx.q)
         step = max(1, linalg.DOT_BLOCK // max(1, table.shape[1]))
         for lo in range(0, len(live), step):
-            hits = table[perp[lo : lo + step]] & ~table[sect[lo : lo + step]]
-            cnt[live[lo : lo + step]] = linalg.bit_counts(hits)
+            both = table[perp[lo : lo + step]]
+            both &= table[sect[lo : lo + step]]
+            cnt[live[lo : lo + step]] = want - linalg.bit_counts(both)
     else:
         # points first: a chunk's product tables are Q x chunk, not Q x n_pts
         step = max(1, linalg.DOT_BLOCK // max(n_pts, 1))
@@ -357,21 +416,21 @@ def _scan_classes(kernel: linalg._ScanKernel, tasks):
 def _sample_blocks(kernel: linalg._ScanKernel, seed: int | None, samples: int, q2: int, k: int):
     """``_tally`` blocks of ``samples`` seeded uniform nonzero forms of k
     digits below q2, 4096 at a time, each counted once, hits given as
-    digit rows."""
-    rng = np.random.default_rng(seed)
+    digit rows; every block's weights reuse one set of kernel buffers."""
+    rng, buffers = np.random.default_rng(seed), kernel.buffers(min(4096, samples))
     for done in range(0, samples, 4096):
         b = min(4096, samples - done)
         digits = rng.integers(0, q2, size=(b, k), dtype=np.uint8)
         while (zero := ~digits.any(axis=1)).any():
             digits[zero] = rng.integers(0, q2, size=(int(zero.sum()), k), dtype=np.uint8)
-        yield kernel.weights(digits), 1, lambda hits, d=digits: d[hits]
+        yield kernel.weights(digits, buffers), 1, lambda hits, d=digits: d[hits]
 
 
 def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray, sizes: np.ndarray) -> dict[int, int]:
     """Radical dimension -> summed class sizes of the forms at the counter
     indices, keyed in order of first occurrence."""
     k = m * (m - 1) // 2
-    iu, ju = np.triu_indices(m, 1)
+    iu, ju = _upper_indices(m, 1)
     split: dict[int, int] = {}
     for lo in range(0, len(idx), _RANK_CHUNK):
         d = linalg._digits(idx[lo : lo + _RANK_CHUNK], ctx.q2, k).astype(np.uint8)
@@ -417,10 +476,12 @@ def _check_macwilliams(hist: dict[int, int], m: int, q: int) -> None:
 _POOL_FORMS = 1 << 20
 
 
-def _pool_size(jobs: int, tasks: int) -> int:
-    """Worker processes for a pool: no more than the jobs asked for, the
-    tasks to run or the CPUs present, and at least one."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+def _pool_size(jobs: int, span: int) -> int:
+    """Worker processes for an exhaustive scan whose classes each span
+    ``span`` counter indices: no more than the jobs asked for, the CPUs
+    present or ``span``, since every worker scans one part of each
+    class's range and a part must hold at least one index; at least one."""
+    return max(1, min(jobs, span, os.cpu_count() or 1))
 
 
 def spectrum(

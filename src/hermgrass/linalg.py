@@ -33,16 +33,19 @@ generator and one range per first-row class, and
 ``HermitianSpace.section_table`` stores their complements, with M the
 transposed isotropic points and one range of normalized f per lead.
 Sample mode reads ``weights`` of seeded digit rows, which sums each
-block of codewords into buffers allocated once per call.  A
+block of codewords into one set of ``buffers`` per scan.  A
 ``pluecker.ProjectiveSystem`` holds the kernel of its generator, sized
 beforehand by ``table_bytes``, so scans of one system build it once.
-Outside this module only ``n``, ``nonzero_masks``, ``weights`` and
-``table_bytes`` of the kernel are read.
+Outside this module only ``n``, ``nonzero_masks``, ``buffers``,
+``weights`` and ``table_bytes`` of the kernel are read.  The generator's
+direct weight (``code.weight_direct``) shares the kernel's row layouts,
+``_pack_planes`` in characteristic 2 and the nibble codes and reduction
+table for odd p, but holds no digit-group tables.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -119,10 +122,12 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
 def normalize(ctx: FieldCtx, rows) -> tuple[np.ndarray, np.ndarray]:
     """The rows scaled so that the first nonzero entry of each is 1, and
     that entry's column: the normal form of a projective point.  A zero
-    row stays zero (``ctx.inv[0]`` is 0), with column 0."""
+    row stays zero (``ctx.inv[0]`` is 0), with column 0.  The scaling is
+    one flat gather from ``ctx.mul_flat``."""
     rows = np.asarray(rows, dtype=np.uint8)
     lead = (rows != 0).argmax(axis=1)
-    return ctx.mul[ctx.inv[rows[np.arange(len(rows)), lead]][:, None], rows], lead
+    scale = ctx.scaled_codes(ctx.inv[rows[np.arange(len(rows)), lead]])
+    return np.take(ctx.mul_flat, scale[:, None] + rows), lead
 
 
 def _echelon(ctx: FieldCtx, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -259,6 +264,36 @@ def bit_counts(rows: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _pack_planes(codes: np.ndarray, bits: int) -> np.ndarray:
+    """Characteristic 2: rows of element codes as their ``bits`` GF(2)
+    bit-planes, plane i holding bit i of each code, each plane packed with
+    np.packbits into 8 ceil(N / 64) bytes (zero-padded), plane after
+    plane along a row."""
+    plane = -(-codes.shape[1] // 64) * 8
+    packed = np.zeros((len(codes), bits, plane), dtype=np.uint8)
+    for i in range(bits):  # one plane's bits at a time, not all at once
+        packed[:, i, : -(-codes.shape[1] // 8)] = np.packbits(codes >> i & 1, axis=-1)
+    return packed.reshape(len(codes), -1)
+
+
+def _nibble_codes(codes: np.ndarray, p: int) -> np.ndarray:
+    """Odd p (e = 1): each element code d0 + p d1 as the byte d0 + 16 d1,
+    whose nibbles add as uint8 (see ``_nibble_reduction``)."""
+    return codes + (16 - p) * (codes // p)
+
+
+@cache
+def _nibble_reduction(p: int) -> tuple[np.ndarray, int]:
+    """Odd p: the 256-entry table that reduces both nibbles of a byte mod
+    p, read-only, and the most terms of digits below p that a nibble may
+    sum before it must be reduced: the sum stays below 16 while there are
+    at most 15 // (p - 1), 7 at p = 3, 3 at p = 5 and 2 at p = 7."""
+    lo, hi = np.arange(256) & 15, np.arange(256) >> 4
+    reduced = (lo % p + 16 * (hi % p)).astype(np.uint8)
+    reduced.flags.writeable = False
+    return reduced, 15 // (p - 1)
+
+
 def _digits(idx: np.ndarray, q2: int, width: int) -> np.ndarray:
     """Counter digits of the indices, most significant first."""
     powers = q2 ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -307,9 +342,7 @@ class _ScanKernel:
         self.planes = 2 * ctx.e if ctx.p == 2 else 0
         self.plane = -(-n // 64) * 8
         if not self.planes:
-            p, lo, hi = ctx.p, np.arange(256) & 15, np.arange(256) >> 4
-            self._reduced = (lo % p + 16 * (hi % p)).astype(np.uint8)
-            self._terms = 15 // (p - 1)
+            self._reduced, self._terms = _nibble_reduction(ctx.p)
         self.tables = []
         for a, b in self.bounds:
             tab = np.zeros((1, self.width), dtype=np.uint8)
@@ -317,7 +350,8 @@ class _ScanKernel:
                 # row d of the take is d times the matrix row (np.take
                 # keeps it C-contiguous, unlike ctx.mul[:, row]); each
                 # old row r becomes the rows r Q + d
-                terms = self._pack(np.take(ctx.mul, row, axis=1))
+                codes = np.take(ctx.mul, row, axis=1)
+                terms = _pack_planes(codes, self.planes) if self.planes else _nibble_codes(codes, ctx.p)
                 new = tab[:, None] ^ terms if self.planes else self._reduce(tab[:, None] + terms)
                 tab = new.reshape(len(tab) * q2, self.width)
             self.tables.append(tab)
@@ -336,15 +370,6 @@ class _ScanKernel:
         Q^(b - a) rows of ``width`` bytes over the groups [a, b)."""
         _, bounds, width = cls._shape(ctx, k, n)
         return sum(ctx.q2 ** (b - a) for a, b in bounds) * width
-
-    def _pack(self, codes: np.ndarray) -> np.ndarray:
-        """Rows of element codes in the table layout."""
-        if not self.planes:
-            return codes + (16 - self.ctx.p) * (codes // self.ctx.p)
-        packed = np.zeros((len(codes), self.planes, self.plane), dtype=np.uint8)
-        for i in range(self.planes):  # one plane's bits at a time, not all 2e at once
-            packed[:, i, : -(-codes.shape[1] // 8)] = np.packbits(codes >> i & 1, axis=-1)
-        return packed.reshape(len(codes), -1)
 
     def _reduce(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Odd p: c with each nibble reduced mod p, written to ``out``
@@ -412,15 +437,22 @@ class _ScanKernel:
             np.bitwise_or(acc, c[..., i * w : (i + 1) * w], out=acc)
         return acc
 
-    def weights(self, digits: np.ndarray) -> np.ndarray:
-        """Nonzero positions of the codeword of each row of K digits,
-        about _BLOCK_BYTES of codewords at a time.  The codeword, scratch
-        and mask buffers of a block are allocated once per call and
-        reused by every block."""
-        step = max(1, _BLOCK_BYTES // self.width)
-        rows = min(step, len(digits))
+    def buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The codeword, scratch and mask buffers of ``weights`` for blocks
+        of at most ``rows`` digit rows and about _BLOCK_BYTES of codewords,
+        at least one row."""
+        rows = max(1, min(_BLOCK_BYTES // self.width, rows))
         c, scratch = np.empty((2, rows, self.width), dtype=np.uint8)
         mask = np.empty((rows, self.plane), np.uint8) if self.planes else np.empty((rows, self.n), bool)
+        return c, scratch, mask
+
+    def weights(self, digits: np.ndarray, buffers=None) -> np.ndarray:
+        """Nonzero positions of the codeword of each row of K digits, one
+        block of as many rows as the ``buffers`` hold at a time.  Every
+        block reuses the buffers, which a scan allocates once and passes
+        to each call; without them the call allocates its own."""
+        c, scratch, mask = self.buffers(len(digits)) if buffers is None else buffers
+        step = len(c)
         out = np.empty(len(digits), dtype=np.intp)
         for lo in range(0, len(digits), step):
             b = min(step, len(digits) - lo)

@@ -81,7 +81,8 @@ class ProjectiveSystem:
     certifies that it has full rank K, so distinct coefficient vectors
     give distinct codewords.  The system holds the scan kernel of its
     matrix (``scan_kernel``), built on first use, so every spectrum scan
-    of one system reads the same tables.
+    of one system reads the same tables, and in characteristic 2 the bit
+    planes of its matrix (``planes``), which the direct weight reads.
     """
 
     def __init__(self, space: polar.HermitianSpace, matrix: np.ndarray):
@@ -101,6 +102,21 @@ class ProjectiveSystem:
         need = linalg._ScanKernel.table_bytes(self.ctx, self.k, self.n)
         polar._check_memory(need, f"the scan tables of the {self.k} x {polar._short(self.n)} matrix need {{}} bytes")
         return linalg._ScanKernel(self.ctx, self.matrix)
+
+    @cached_property
+    def planes(self) -> np.ndarray:
+        """Characteristic 2: the 2e bit-planes of ``matrix``, plane i of
+        row k holding bit i of each entry of row k, packed as the scan
+        kernel packs a row (``linalg._pack_planes``), read-only and shaped
+        (K, 2e, words) of uint64.  Built on first use and kept;
+        ``polar._check_memory`` raises ValueError first when its K 2e
+        8 ceil(N / 64) bytes, at most K N, do not fit."""
+        bits, words = 2 * self.ctx.e, -(-self.n // 64)
+        need = self.k * bits * words * 8
+        polar._check_memory(need, f"the bit planes of the {self.k} x {polar._short(self.n)} matrix need {{}} bytes")
+        planes = linalg._pack_planes(self.matrix, bits).view(np.uint64).reshape(self.k, bits, words)
+        planes.flags.writeable = False
+        return planes
 
     def __repr__(self) -> str:
         return f"ProjectiveSystem(m={self.space.m}, q={self.ctx.q}, N={self.n}, K={self.k})"

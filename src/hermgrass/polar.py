@@ -98,7 +98,10 @@ class RadicalProfile:
 
     dim: int
     t: int
-    label: str
+
+    @property
+    def label(self) -> str:
+        return f"[Pi_{self.t}]H_{self.dim - self.t}"
 
 
 class HermitianSpace:
@@ -279,13 +282,15 @@ class HermitianSpace:
     def point_index(self, rows) -> np.ndarray:
         """Row of all_points() holding the point of each row, -1 for a zero
         row: (Q^(m-1-l) - 1)/(Q - 1) for the lead l, plus the base-Q value
-        of the normalized digits after l (Q = q^2)."""
+        of the normalized digits after l (Q = q^2).  The base-Q value of
+        the normalized row counts the lead's 1 as Q^(m-1-l), so it is
+        added to one of m offsets, (Q^(m-1-l) - 1)/(Q - 1) - Q^(m-1-l)."""
         ctx, m, q2 = self.ctx, self.m, self.ctx.q2
         rows = np.asarray(rows, dtype=np.uint8).reshape(-1, m)
         normal, lead = linalg.normalize(ctx, rows)
-        value = normal @ q2 ** np.arange(m - 1, -1, -1)  # 0 exactly for a zero row
-        top = np.int64(q2) ** (m - 1 - lead)
-        return np.where(value != 0, (top - 1) // (q2 - 1) + value - top, -1)
+        top = q2 ** np.arange(m - 1, -1, -1)
+        value = normal @ top  # 0 exactly for a zero row
+        return np.where(value != 0, ((top - 1) // (q2 - 1) - top)[lead] + value, -1)
 
     def perp_index(self) -> np.ndarray:
         """Row of section_table() holding the perp of each isotropic point:
@@ -354,12 +359,16 @@ def radical_profile(space: HermitianSpace, r) -> RadicalProfile:
     """Profile of the section cut by the row span of r, a basis.
 
     t is the dimension of the radical of the form restricted to r, so
-    the section is a cone [Pi_t]H_(dim-t).
+    the section is a cone [Pi_t]H_(dim-t) (Bose and Chakravarti, Canad.
+    J. Math. 18, 1966): d minus the rank of the d x d Gram matrix of the
+    basis.  The classification reads the profile of a form's radical
+    from two ranks of the form instead (``classify._radical_profile``);
+    this function, on the radical's basis, is the reference it is tested
+    against.
     """
     ctx = space.ctx
     rows = linalg.as_matrix(ctx, r)
     d = rows.shape[0]
     restricted = linalg.matmul(ctx, ctx.frob[rows], rows.T)
-    t = d - linalg.rank(ctx, restricted)
-    return RadicalProfile(dim=d, t=t, label=f"[Pi_{t}]H_{d - t}")
+    return RadicalProfile(dim=d, t=d - linalg.rank(ctx, restricted))
 

@@ -134,12 +134,13 @@ def pair_oracle():
     return PairOracle()
 
 
-def _seeded_forms(ctx, m, seed, count):
-    """Seeded nonzero forms at (m, q); every third one has rank 2."""
+def _seeded_forms(ctx, m, seed, count, rank2_every=3):
+    """Seeded nonzero forms at (m, q); every ``rank2_every``-th one has
+    rank 2."""
     rng = np.random.default_rng(seed)
     forms = []
     while len(forms) < count:
-        if len(forms) % 3 == 2:
+        if len(forms) % rank2_every == rank2_every - 1:
             a = rng.integers(0, ctx.q2, size=m, dtype=np.uint8)
             b = rng.integers(0, ctx.q2, size=m, dtype=np.uint8)
             s = ctx.add[ctx.mul[a[:, None], b[None, :]], ctx.neg[ctx.mul[b[:, None], a[None, :]]]]

@@ -425,11 +425,11 @@ def test_classify_points_matches_separate_passes(m, q, seeded_forms):
 
 
 @pytest.mark.parametrize("size", ["52", "62"])
-def test_classification_is_one_pass_with_three_eliminations(request, size, seeded_forms, monkeypatch):
+def test_classification_is_one_pass_with_two_eliminations(request, size, seeded_forms, monkeypatch):
     # once points() is cached, neither call reads the point table of the
-    # whole projective space; a fresh form costs three eliminations, two
-    # for the RREF of its radical, which also gives its rank, and one for
-    # the radical's profile
+    # whole projective space; a fresh form costs two eliminations, one for
+    # its rank and one for the rank of conj(S) S, which give the radical's
+    # dimension and profile without its basis
     space, system = (request.getfixturevalue(f"{k}{size}") for k in ("space", "system"))
     space.points()
 
@@ -443,7 +443,7 @@ def test_classification_is_one_pass_with_three_eliminations(request, size, seede
     for phi in seeded_forms(space.ctx, space.m, 7, 3):
         calls.clear()
         classify.classify_points(phi, space, system)
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert not phi.radical.flags.writeable
         classify.point_classes(phi, space)
 

@@ -156,6 +156,48 @@ def test_weight_direct_against_per_line_loop(space42, system42):
         assert code.weight_direct(phi, system42) == naive
 
 
+# The sizes of the pinned generators (test_pluecker), q in {2, 3, 4, 5, 7, 8}
+PINNED_SIZES = [(4, 2, 1), (4, 2, 2), (4, 5, 1), (4, 7, 1), (4, 2, 3), (5, 3, 1), (6, 2, 1), (7, 2, 1), (8, 2, 1), (5, 2, 2)]
+
+
+@pytest.mark.parametrize("m,p,e", PINNED_SIZES, ids=lambda v: str(v))
+def test_direct_weight_counts_the_codeword(m, p, e, seeded_forms):
+    # the direct pass on the generator's digits (bit planes at p = 2,
+    # nibble gathers at odd p) against the nonzero entries of the matmul
+    # codeword; (5,3) sums 10 terms, past the 7 a nibble holds at p = 3,
+    # and (4,7) 6, past the 2 at p = 7, when no coefficient is zero
+    ctx = hg.make_field(p, e)
+    system = hg.build_system(hg.HermitianSpace(m, ctx))
+    k, rng = system.k, np.random.default_rng([m, p, e])
+    sparse = rng.integers(0, ctx.q2, size=k, dtype=np.uint8) * (rng.random(k) < 0.4)
+    uppers = [np.zeros(k, dtype=np.uint8), sparse, rng.integers(1, ctx.q2, size=k, dtype=np.uint8)]
+    forms = [code.AlternatingForm.from_upper(ctx, m, u) for u in uppers] + seeded_forms(ctx, m, 5, 8, 4)
+    weights = [code.weight_direct(phi, system) for phi in forms]
+    assert weights == [int(np.count_nonzero(code.codeword(phi, system))) for phi in forms]
+    assert weights[0] == 0 and min(weights[1:]) >= counts.code_params(m, ctx.q).d_min
+    # the refusals of a form of another size or field
+    other = code.AlternatingForm.from_upper(ctx, m + 1, np.ones((m + 1) * m // 2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="form does not match the system"):
+        code.weight_direct(other, system)
+    if ctx.q2 > 4:
+        with pytest.raises(ValueError, match="form does not match the system"):
+            code.weight_direct(code.AlternatingForm.from_upper(hg.make_field(2, 1), m, np.ones(k)), system)
+
+
+@pytest.mark.parametrize("m,p,e", PINNED_SIZES, ids=lambda v: str(v))
+def test_rank_and_radical_profile_from_two_ranks(m, p, e, seeded_forms):
+    # the rank is one elimination and the radical's profile two ranks,
+    # t = rank S - rank(conj(S) S); both against the radical's basis
+    from hermgrass import classify
+
+    ctx = hg.make_field(p, e)
+    space = hg.HermitianSpace(m, ctx)
+    zero = code.AlternatingForm(ctx, np.zeros((m, m), dtype=np.uint8))
+    for phi in [zero, *seeded_forms(ctx, m, 6, 24, 4)]:
+        assert phi.rank == m - len(phi.radical) and phi.rad_dim == len(phi.radical)
+        assert classify._radical_profile(phi) == polar.radical_profile(space, phi.radical)
+
+
 def test_point_weight_cases(space52, system52):
     space = space52
     phi = hg.make_rank2_cone_form(space)
@@ -192,18 +234,18 @@ def test_weight_recursive_agrees_with_direct(space52, system52, seed, count):
 
 def test_each_route_runs_once_per_form_and_input(space52, system52, seeded_forms, monkeypatch):
     # a form keeps its direct weight with the system object and its
-    # per-point counts with the space object: one codeword and one
+    # per-point counts with the space object: one direct pass and one
     # per-point pass (one section_table() call) per form and input
     from hermgrass import classify
 
-    calls = {"codeword": 0, "per_point": 0}
-    codeword = code.codeword
+    calls = {"direct": 0, "per_point": 0}
+    direct_count = code._direct_count
 
-    def counted_codeword(phi, system):
-        calls["codeword"] += 1
-        return codeword(phi, system)
+    def counted_direct(phi, system):
+        calls["direct"] += 1
+        return direct_count(phi, system)
 
-    monkeypatch.setattr(code, "codeword", counted_codeword)
+    monkeypatch.setattr(code, "_direct_count", counted_direct)
     other_space = hg.HermitianSpace(5, space52.ctx)
     for space in (space52, other_space):
 
@@ -215,7 +257,7 @@ def test_each_route_runs_once_per_form_and_input(space52, system52, seeded_forms
     phi = seeded_forms(space52.ctx, 5, 7, 1)[0]
     wd = code.weight_direct(phi, system52)
     assert classify.classify_points(phi, space52, system52).weight_direct == wd
-    assert calls["codeword"] == 1
+    assert calls["direct"] == 1
     assert code.weight_recursive(phi, space52) == wd
     kept = code.point_weights(phi, space52)
     assert calls["per_point"] == 1 and code.weight_recursive(phi, space52) == wd
@@ -226,8 +268,8 @@ def test_each_route_runs_once_per_form_and_input(space52, system52, seeded_forms
     # result: one result per route
     permuted = type(system52)(space52, system52.matrix[::-1])
     code.weight_direct(phi, permuted)
-    assert calls["codeword"] == 2
-    assert code.weight_direct(phi, system52) == wd and calls["codeword"] == 3
+    assert calls["direct"] == 2
+    assert code.weight_direct(phi, system52) == wd and calls["direct"] == 3
     assert np.array_equal(code.point_weights(phi, other_space), kept)
     assert calls["per_point"] == 2
     code.point_weights(phi, space52)
@@ -235,7 +277,7 @@ def test_each_route_runs_once_per_form_and_input(space52, system52, seeded_forms
     # a fresh form, equal to phi, keeps nothing of phi's
     twin = code.AlternatingForm(phi.ctx, phi.s)
     assert twin == phi and code.weight_direct(twin, system52) == wd
-    assert calls["codeword"] == 4
+    assert calls["direct"] == 4
 
 
 def test_kept_route_results_do_not_keep_their_space_alive(space52):
