@@ -20,7 +20,7 @@ Weights are computed three independent ways across the package:
   number of totally isotropic lines through [u] not annihilated by
   the form, then divide by q^4 - 1.  ``point_weights`` counts them as
   the isotropic points in the perp of u off the hyperplane u^T S x = 0,
-  the perp row's fixed 1 + q^2 mu(m - 2) points minus one AND and
+  the perp row's fixed ``perp_size`` points minus one AND and
   popcount of two rows of the space's bit-packed hyperplane-section
   table per point;
 * ``counts.weight_from_class_counts``: reconstruct from the sizes
@@ -258,7 +258,7 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     Such a line joins [u] to an isotropic x with conj(u)^T x = 0 and
     u^T S x != 0: the bits set in row ``space.perp_index()[u]`` of
     ``space.section_table()`` and clear in the row of u^T S (none when
-    u^T S = 0).  Every perp row holds 1 + q^2 mu(m - 2) points, which
+    u^T S = 0).  Every perp row holds ``space.perp_size`` points, which
     ``section_table`` checks, so the count is that many minus the bits
     set in both rows, one AND and one popcount.  Each such line carries
     q^2 of these x, so the count divides exactly by q^2.  When the table
@@ -284,7 +284,7 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     if table is not None:
         live = np.flatnonzero(ps.any(axis=1))
         perp, sect = space.perp_index()[live], space.point_index(ps[live])
-        want = 1 + q2 * counts.isotropic_point_count(space.m - 2, ctx.q)
+        want = space.perp_size
         step = max(1, linalg.DOT_BLOCK // max(1, table.shape[1]))
         for lo in range(0, len(live), step):
             both = table[perp[lo : lo + step]]

@@ -446,12 +446,12 @@ class _ScanKernel:
         mask = np.empty((rows, self.plane), np.uint8) if self.planes else np.empty((rows, self.n), bool)
         return c, scratch, mask
 
-    def weights(self, digits: np.ndarray, buffers=None) -> np.ndarray:
+    def weights(self, digits: np.ndarray, buffers) -> np.ndarray:
         """Nonzero positions of the codeword of each row of K digits, one
         block of as many rows as the ``buffers`` hold at a time.  Every
         block reuses the buffers, which a scan allocates once and passes
-        to each call; without them the call allocates its own."""
-        c, scratch, mask = self.buffers(len(digits)) if buffers is None else buffers
+        to each call."""
+        c, scratch, mask = buffers
         step = len(c)
         out = np.empty(len(digits), dtype=np.intp)
         for lo in range(0, len(digits), step):

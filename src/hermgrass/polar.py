@@ -279,6 +279,14 @@ class HermitianSpace:
         return len(self.line_pair_indices()[0])
 
     # -- hyperplane sections (for per-point line counts) -------------------
+    @property
+    def perp_size(self) -> int:
+        """Isotropic points in the perp of an isotropic point p: p itself
+        and the q^2 points on each of the mu(m-2) lines through p, a cone
+        over H(m-3, q^2)."""
+        q = self.ctx.q
+        return 1 + q * q * counts.isotropic_point_count(self.m - 2, q)
+
     def point_index(self, rows) -> np.ndarray:
         """Row of all_points() holding the point of each row, -1 for a zero
         row: (Q^(m-1-l) - 1)/(Q - 1) for the lead l, plus the base-Q value
@@ -314,7 +322,7 @@ class HermitianSpace:
         for the isotropic points as matrix columns, over the normalized
         coefficient vectors, ascending as in all_points(): those with lead
         m-1-r are the counter indices [Q^r, 2 Q^r), one range of the
-        kernel's walk for each r.  Each perp must hold 1 + q^2 mu(m-2)
+        kernel's walk for each r.  Each perp must hold ``perp_size``
         isotropic points, or RuntimeError.
         """
         if "sections" in self._cache:
@@ -332,8 +340,7 @@ class HermitianSpace:
             row += len(mask)
         if len(pts) % 8:
             table[:, used - 1] &= np.uint8(0xFF << (8 - len(pts) % 8) & 0xFF)  # the padding bits
-        q, perp, rows = ctx.q, self.perp_index(), max(1, linalg.DOT_BLOCK // max(1, width))
-        want = 1 + q * q * counts.isotropic_point_count(m - 2, q)
+        perp, rows, want = self.perp_index(), max(1, linalg.DOT_BLOCK // max(1, width)), self.perp_size
         for lo in range(0, len(perp), rows):
             if (linalg.bit_counts(table[perp[lo : lo + rows]]) != want).any():
                 raise RuntimeError(f"a perp section does not hold {want} isotropic points")

@@ -577,7 +577,8 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     c = kernel.codewords(digits)
     assert c.shape == (len(digits), kernel.width)
     phis = [code.AlternatingForm.from_upper(ctx, m, r) for r in digits]
-    assert kernel.weights(digits).tolist() == [code.weight_direct(f, system) for f in phis]
+    weights = kernel.weights(digits, kernel.buffers(len(digits)))
+    assert weights.tolist() == [code.weight_direct(f, system) for f in phis]
     assert np.array_equal(_kernel_codes(kernel, c), np.array([code.codeword(f, system) for f in phis]))
     # the walk shared by the exhaustive scan and the section table, on its
     # first block, one in the middle and the last, found by arithmetic
@@ -606,7 +607,7 @@ def test_scan_kernel_reduces_long_nibble_sums():
     )
     want = linalg.matmul(ctx, digits, matrix)
     assert np.array_equal(_kernel_codes(kernel, kernel.codewords(digits)), want)
-    assert kernel.weights(digits).tolist() == (want != 0).sum(axis=1).tolist()
+    assert kernel.weights(digits, kernel.buffers(len(digits))).tolist() == (want != 0).sum(axis=1).tolist()
     # the walk, whose prefix codewords sum 7 rows, on the first, a middle
     # and the last prefix
     rows, total = ctx.q2**kernel.g, ctx.q2**16
@@ -640,8 +641,8 @@ def test_scan_kernel_walks_counter_ranges(p, e, k, prefixes, monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_scan_kernel_weights_across_blocks(q):
-    # weights sums each block into buffers it allocates once and reuses,
-    # the last, shorter block into their first rows: row counts one short
+    # weights sums each block into the buffers a scan allocates once and
+    # passes in, the last, shorter block into their first rows: row counts one short
     # of a block, one block, one over and two blocks and three rows.  With
     # K = 16 every odd p sums more rows than a nibble holds unreduced.
     ctx = hg.make_field(q, 1)
@@ -652,7 +653,7 @@ def test_scan_kernel_weights_across_blocks(q):
     for rows in (step - 1, step, step + 1, 2 * step + 3):
         digits = rng.integers(0, ctx.q2, size=(rows, 16), dtype=np.uint8)
         want = (linalg.matmul(ctx, digits, matrix) != 0).sum(axis=1)
-        assert kernel.weights(digits).tolist() == want.tolist()
+        assert kernel.weights(digits, kernel.buffers(len(digits))).tolist() == want.tolist()
 
 
 def test_spectrum_builds_one_kernel_per_system(ctx2, monkeypatch):

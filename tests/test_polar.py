@@ -229,6 +229,8 @@ def test_section_table_matches_brute_force(m, p, e, block, monkeypatch):
     assert table.shape == (len(zero), -(-used // 8) * 8)
     assert np.array_equal(table[:, :used], np.packbits(zero, axis=1))
     assert not table[:, used:].any()
+    # the perp of every isotropic point holds perp_size isotropic points
+    assert (zero[space.perp_index()].sum(axis=1) == space.perp_size).all()
 
 
 def test_section_table_over_available_memory_is_none(monkeypatch):
