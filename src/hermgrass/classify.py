@@ -122,7 +122,9 @@ def point_classes(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Class sizes and cross-checked weights for one nonzero form."""
+    """Class sizes and cross-checked weights for one nonzero form;
+    ``weight_from_counts`` is -1 when the class sizes give no weight,
+    and the failed check says why."""
 
     A: int
     B: int
@@ -154,7 +156,10 @@ def classify_points(
     q = ctx.q
     labels, fix_count = _classes(phi, space)
     a, b, c = _class_sizes(ctx, labels)
-    wfc = counts.weight_from_class_counts(space.m, q, a, b, c)
+    try:
+        wfc = counts.weight_from_class_counts(space.m, q, a, b, c)
+    except ValueError:  # sizes that do not add up or give no integral weight
+        wfc = -1  # no weight, so weight_agreement fails
     wd = weight_direct(phi, system)
     report = ClassificationReport(
         A=a,

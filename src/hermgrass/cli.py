@@ -1,8 +1,12 @@
 """Command line front end.
 
 Subcommands: params, points, lines, genmat, weight, spectrum,
-classify, bounds, min-word, verify.  Exit codes: 0 success, 1
-verification failure, 2 usage error.
+classify, bounds, min-word, verify; the subparsers are the one command
+table, and each runs the handler ``cmd_<name>``.  The field is always
+named by -q Q, a prime power.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.  Every usage error, argparse's own included,
+is one "error: .." line on stderr with nothing on stdout; --help prints
+to stdout and exits 0.
 
 All randomized paths take a seed (default 1) and echo it into the
 output metadata.  Identical invocations, seed included, write
@@ -54,7 +58,7 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 
 from . import counts
 
@@ -81,24 +85,10 @@ def _parse_range(text: str, q: int) -> range:
     return range(lo, hi + 1)
 
 
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    """(p, e) with p prime and p**e == q: p is the smallest factor of q up
-    to isqrt(q), or q itself, and e = round(log_p q).  ValueError unless
-    p**e is q."""
-    if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        e = round(math.log(q, p))
-        if p**e == q:
-            return p, e
-    raise ValueError(f"q = {q} is not a prime power")
-
-
 def _add_field_args(sp, m_help="space dimension m", q_action="store"):
     if m_help:
         sp.add_argument("-m", required=True, help=m_help)
     sp.add_argument("-q", type=int, action=q_action, help="subfield order (prime power)")
-    sp.add_argument("-p", type=int, help="subfield characteristic")
-    sp.add_argument("-e", type=int, help="subfield extension degree over GF(p)")
 
 
 def _add_output_args(sp, with_format=True):
@@ -113,8 +103,16 @@ def _add_scan_args(sp):
     sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="scan worker processes")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, its subparsers included, whose usage errors
+    raise ValueError, so run() prints them as its one error line."""
+
+    def error(self, message):
+        raise ValueError(" ".join(message.splitlines()))  # argv echoed into it may hold newlines
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hermgrass", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="hermgrass", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("params", help="N, K, d_min table over ranges of m and q")
@@ -168,34 +166,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# The largest subfield order the field flags take: it keeps the trial
-# division of q or p, and p**e, instant.
+# The largest subfield order -q takes: it keeps the trial division of q
+# instant.
 _MAX_Q = 1 << 32
 
 
-def _resolve_field(q, p, e) -> tuple[int, int]:
-    """(p, e) of the subfield GF(q), from -q or from -p and -e: p prime,
-    e >= 1 (default 1), the order at most _MAX_Q.  The order is checked
-    first, so an oversized q, p or e is rejected at once."""
-    if q is not None:
-        if p is not None or e is not None:
-            raise ValueError("give either -q or -p/-e, not both")
-        if q > _MAX_Q:
-            raise ValueError(f"q = {q} exceeds the largest supported order {_MAX_Q}")
-        return _factor_prime_power(q)
-    if p is None:
-        raise ValueError("a field is required: -q Q or -p P [-e E]")
-    e = 1 if e is None else e
-    if p > _MAX_Q or e >= _MAX_Q.bit_length() or p ** max(e, 1) > _MAX_Q:
-        raise ValueError(f"p^e exceeds the largest supported order {_MAX_Q}")
-    prime = False
-    with suppress(ValueError):  # raised for p < 2 and for p not a prime power
-        prime = _factor_prime_power(p) == (p, 1)
-    if not prime:
-        raise ValueError(f"p = {p} is not prime")
-    if e < 1:
-        raise ValueError(f"e = {e} is not a positive extension degree")
-    return p, e
+def _resolve_field(q) -> tuple[int, int]:
+    """(p, e) with p prime and p**e the -q value q, at most _MAX_Q, which
+    is checked first, so an oversized q is refused before any trial
+    division: p is the smallest factor of q up to isqrt(q), or q itself,
+    and e = round(log_p q)."""
+    if q is None:
+        raise ValueError("a field is required: -q Q")
+    if q > _MAX_Q:
+        raise ValueError(f"q = {q} exceeds the largest supported order {_MAX_Q}")
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        e = round(math.log(q, p))
+        if p**e == q:
+            return p, e
+    raise ValueError(f"q = {q} is not a prime power")
 
 
 def _single_m(text: str, q: int) -> int:
@@ -275,7 +265,7 @@ def _write_table(args, space, key: str, n_rows: int, width: int, block, header=N
 
 
 def cmd_params(args) -> int:
-    fields = [_resolve_field(q, args.p, args.e) for q in args.q or [None]]
+    fields = [_resolve_field(q) for q in args.q or [None]]
     m_values = _parse_range(args.m, max(p**e for p, e in fields))
     rows = [counts.code_params(m, p**e) for p, e in fields for m in m_values]
     _write(
@@ -291,7 +281,7 @@ def cmd_params(args) -> int:
 
 def _space_for(args):
     """The HermitianSpace of the flags, which are checked before numpy is imported."""
-    p, e = _resolve_field(args.q, args.p, args.e)
+    p, e = _resolve_field(args.q)
     m = _single_m(args.m, p**e)
     from . import ff, polar
 
@@ -337,10 +327,11 @@ def _json_int(value, what: str) -> int:
 
 
 def _load_form(args):
-    """The field of the flags and the form of the --form file, checked
-    as the module docstring states; ValueError on any mismatch."""
-    field = _resolve_field(args.q, args.p, args.e)
-    from . import code, ff
+    """The form of the --form file, checked against -q as the module
+    docstring states (ValueError on any mismatch), with its space and
+    that space's system."""
+    field = _resolve_field(args.q)
+    from . import code, ff, pluecker, polar
 
     ctx = ff.make_field(*field)
     with open(args.form, encoding="utf-8") as f:
@@ -366,21 +357,21 @@ def _load_form(args):
         raise ValueError("malformed form file: 'm' must be positive")
     if any(not 0 <= x < ctx.q2 for x in upper):
         raise ValueError("malformed form file: upper entries out of range")
-    return ctx, code.AlternatingForm.from_upper(ctx, m, upper)
+    phi = code.AlternatingForm.from_upper(ctx, m, upper)
+    space = polar.HermitianSpace(m, ctx)
+    return phi, space, pluecker.build_system(space)
 
 
 def cmd_weight(args) -> int:
-    from . import classify, code, pluecker, polar
+    from . import classify, code
 
-    ctx, phi = _load_form(args)
-    space = polar.HermitianSpace(phi.m, ctx)
-    system = pluecker.build_system(space)
+    phi, space, system = _load_form(args)
     wd, wr = code.weight_direct(phi, system), code.weight_recursive(phi, space)
     # classify_points reads the direct weight the form keeps
     wfc = 0 if phi.is_zero() else classify.classify_points(phi, space, system).weight_from_counts
     payload = {
         "m": phi.m,
-        "q": ctx.q,
+        "q": space.ctx.q,
         "weight_direct": wd,
         "weight_recursive": wr,
         "weight_from_counts": wfc,
@@ -439,13 +430,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from . import classify, pluecker, polar
+    from . import classify
 
-    ctx, phi = _load_form(args)
+    phi, space, system = _load_form(args)
     if phi.is_zero():
         raise ValueError("the zero form has no classification report")
-    space = polar.HermitianSpace(phi.m, ctx)
-    system = pluecker.build_system(space)
     rep = classify.classify_points(phi, space, system)
     payload = {
         "A": rep.A,
@@ -463,7 +452,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    p, e = _resolve_field(args.q, args.p, args.e)
+    p, e = _resolve_field(args.q)
     table = counts.bound_table(_single_m(args.m, p**e), p**e)
     rows = [
         {"i": r.i, "xi": r.xi, "muMax": r.mu_max, "dLower": math.ceil(r.d_lower)}
@@ -600,27 +589,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAIL
 
 
-_HANDLERS = {
-    "params": cmd_params,
-    "points": cmd_points,
-    "lines": cmd_lines,
-    "genmat": cmd_genmat,
-    "weight": cmd_weight,
-    "spectrum": cmd_spectrum,
-    "classify": cmd_classify,
-    "bounds": cmd_bounds,
-    "min-word": cmd_min_word,
-    "verify": cmd_verify,
-}
-
-
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         # argparse reads an attached "--" (-m--, --seed=--) as an empty list
         if any(v == [] or isinstance(v, list) and [] in v for v in vars(args).values()):
             raise ValueError("an option was given '--' as its value")
@@ -633,7 +604,10 @@ def run(argv=None) -> int:
         samples = getattr(args, "samples", getattr(args, "sample", None))
         if samples is not None and samples < 1:
             raise ValueError("sample count must be positive")
-        return _HANDLERS[args.command](args)
+        # looked up at call time, so a rebound cmd_* function is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except SystemExit:  # --help, the one exit left to argparse
+        return EXIT_OK
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

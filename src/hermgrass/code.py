@@ -87,6 +87,16 @@ __all__ = [
 _upper_indices = cache(np.triu_indices)
 
 
+def _alternating(ctx: FieldCtx, m: int, upper: np.ndarray) -> np.ndarray:
+    """The m x m alternating matrices, shape (..., m, m), of the strict
+    upper triangles ``upper``, shape (..., K), in ``_upper_indices`` order."""
+    iu, ju = _upper_indices(m, 1)
+    s = np.zeros((*upper.shape[:-1], m, m), dtype=np.uint8)
+    s[..., iu, ju] = upper
+    s[..., ju, iu] = ctx.neg[upper]
+    return s
+
+
 class AlternatingForm:
     """m x m matrix S over GF(q^2) with S^T = -S and zero diagonal.
 
@@ -130,11 +140,7 @@ class AlternatingForm:
         upper = np.asarray(upper, dtype=np.uint8).reshape(-1)
         if upper.size != m * (m - 1) // 2:
             raise ValueError("upper triangle has wrong length")
-        iu, ju = _upper_indices(m, 1)
-        s = np.zeros((m, m), dtype=np.uint8)
-        s[iu, ju] = upper
-        s[ju, iu] = ctx.neg[upper]
-        return cls(ctx, s)
+        return cls(ctx, _alternating(ctx, m, upper))
 
     def upper(self) -> np.ndarray:
         return self.s[_upper_indices(self.m, 1)]
@@ -430,14 +436,10 @@ def _radical_split(ctx: FieldCtx, m: int, idx: np.ndarray, sizes: np.ndarray) ->
     """Radical dimension -> summed class sizes of the forms at the counter
     indices, keyed in order of first occurrence."""
     k = m * (m - 1) // 2
-    iu, ju = _upper_indices(m, 1)
     split: dict[int, int] = {}
     for lo in range(0, len(idx), _RANK_CHUNK):
         d = linalg._digits(idx[lo : lo + _RANK_CHUNK], ctx.q2, k).astype(np.uint8)
-        s = np.zeros((len(d), m, m), dtype=np.uint8)
-        s[:, iu, ju] = d
-        s[:, ju, iu] = ctx.neg[d]
-        rad = m - linalg.rank_stack(ctx, s)
+        rad = m - linalg.rank_stack(ctx, _alternating(ctx, m, d))
         dims, first = np.unique(rad, return_index=True)
         for dim in dims[np.argsort(first)]:
             weight = int(sizes[lo : lo + _RANK_CHUNK][rad == dim].sum())

@@ -28,7 +28,9 @@ INIT = Path(hg.__file__)
 # its primitive polynomials replace; the file readers and writers,
 # whose formats the command line front end now owns; and the rows of the
 # isotropic points in the whole point table, which the classification no
-# longer reads since it passes over the isotropic points alone.
+# longer reads since it passes over the isotropic points alone; and the
+# command line's second command table and prime-power helper, replaced by
+# the subparsers and the one check of -q.
 DELETED = (
     "ProjectivePoint",
     "IsotropicLine",
@@ -59,6 +61,8 @@ DELETED = (
     "write_form_json",
     "read_form_json",
     "point_rows",
+    "_HANDLERS",
+    "_factor_prime_power",
 )
 # FieldCtx scalar wrappers that the tables replaced, and the discrete-log
 # walk that the products of coefficient vectors replaced.
@@ -159,7 +163,7 @@ def test_package_resolves_every_name_when_numpy_is_loaded():
 
 @pytest.mark.parametrize("name", DELETED)
 def test_deleted_names_are_gone(name):
-    for mod in (hg, *(importlib.import_module(f"hermgrass.{m}") for m in MODULES)):
+    for mod in (hg, *(importlib.import_module(f"hermgrass.{m}") for m in (*MODULES, "cli"))):
         assert not hasattr(mod, name), f"{mod.__name__}.{name}"
         assert name not in getattr(mod, "__all__", ())
     assert not hasattr(hg.HermitianSpace, name)

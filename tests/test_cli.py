@@ -140,7 +140,7 @@ def test_text_writer_matches_str_join(m, p, e, dot_block, monkeypatch, tmp_path)
     monkeypatch.setattr(cli, "_space_for", lambda args: space)
     if dot_block is not None:
         monkeypatch.setattr(linalg, "DOT_BLOCK", dot_block)
-    field = ["-m", str(m), "-p", str(p), "-e", str(e)]
+    field = ["-m", str(m), "-q", str(p**e)]
     for name, rows in tables.items():
         flat = rows.reshape(len(rows), -1)
         blocks = -(-len(rows) // max(1, linalg.DOT_BLOCK // 4 // flat.shape[1]))
@@ -471,6 +471,65 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.run(["min-word", "-m", "4", "-q", "2", "--format", "json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["no-such-command"],
+        ["points", "-q", "2"],
+        ["points", "-m", "4", "-p", "3"],
+        ["points", "-m", "4", "-q", "x"],
+        ["spectrum", "-m", "4", "-q", "2", "--seed", "seven"],
+        ["points", "-m", "4", "-q", "2", "--format", "xml"],
+        ["spectrum", "-m", "4", "-q", "2", "--sample", "3", "--exhaustive"],
+        ["points", "-m", "4", "-q", "2", "a\nb"],
+    ],
+    ids=["no-command", "unknown-command", "no-m", "p", "q-text", "seed-text", "format", "exclusive", "newline"],
+)
+def test_argparse_errors_are_one_error_line(capsys, argv):
+    # argparse's own refusals take run()'s one path: exit 2, no usage text
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["points", "--help"]])
+def test_help_exits_0_on_stdout(capsys, argv):
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: hermgrass") and captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [lambda a, b, c: (a + 1, b, c), lambda a, b, c: (a - 3, b + 3, c)],
+    ids=["not-conserved", "not-integral"],
+)
+def test_inconsistent_class_counts_fail_checks_not_usage(tmp_path, capsys, monkeypatch, shift):
+    # class sizes that do not add up, or add up to no integral weight, are
+    # a failed check: classify and weight exit 1, verify prints FAIL
+    sizes = classify._class_sizes
+    monkeypatch.setattr(classify, "_class_sizes", lambda ctx, labels: shift(*sizes(ctx, labels)))
+    form = tmp_path / "form.json"
+    form.write_text('{"m": 4, "p": 2, "e": 1, "upper": [1, 0, 0, 0, 0, 1]}\n')
+    assert cli.run(["classify", "--form", str(form), "-q", "2"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    conserved = sum(shift(0, 0, 0)) == 0
+    assert rep["checks"] == {"conservation": conserved, "weight_agreement": False}
+    assert rep["weightFromABC"] == -1 and rep["weightDirect"] > 0
+    assert cli.run(["weight", "--form", str(form), "-q", "2"]) == 1
+    assert "from_counts,-1\n" in capsys.readouterr().out
+    # at m = 5 the witness is a rank-2 cone form, whose certificate reads no class sizes
+    assert cli.run(["verify", "-m", "5", "-q", "2", "--samples", "3", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    fails = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL three weight routes + conservation + case values: disagreement at")
+
+
 def test_prime_power_shorthand(capsys):
     assert cli.run(["params", "-m", "4", "-q", "4"]) == 0
     out = capsys.readouterr().out
@@ -642,15 +701,12 @@ def _is_prime(n: int) -> bool:
 
 
 def _field_order(q, p, e):
-    """p^e when the flags name the field GF(p^e), p prime and e >= 1, else
-    None: -q alone must be a prime power, and -p (with an optional -e)
-    excludes -q."""
-    if q is not None:
-        powers = {b**k for b in range(2, q + 1) if _is_prime(b) for k in range(1, q)}
-        return q if p is None and e is None and q in powers else None
-    if p is None or not _is_prime(p) or (e is not None and e < 1):
+    """q when -q alone names the field GF(q), q a prime power, else None:
+    the command line has no -p or -e flag, so either is refused."""
+    if q is None or p is not None or e is not None:
         return None
-    return p ** (1 if e is None else e)
+    powers = {b**k for b in range(2, q + 1) if _is_prime(b) for k in range(1, q)}
+    return q if q in powers else None
 
 
 flag = st.one_of(st.none(), st.integers(-3, 20))

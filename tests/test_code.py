@@ -57,6 +57,16 @@ def test_upper_round_trip(ctx2):
     assert code.AlternatingForm.from_upper(ctx2, 5, np.zeros(10, dtype=np.uint8)).rank == 0
 
 
+def test_equal_forms_hash_equal(ctx2, ctx3):
+    up = np.arange(10, dtype=np.uint8) % 4
+    phi = code.AlternatingForm.from_upper(ctx2, 5, up)
+    twin = code.AlternatingForm(ctx2, phi.s.copy())
+    assert twin == phi and hash(twin) == hash(phi) and len({phi, twin}) == 1
+    other_upper = code.AlternatingForm.from_upper(ctx2, 5, (up + 1) % 4)
+    other_field = code.AlternatingForm.from_upper(ctx3, 5, up)
+    assert len({phi, other_upper, other_field}) == 3
+
+
 def test_evaluate_equals_pluecker_pairing(space52, system52):
     ctx = space52.ctx
     rng = np.random.default_rng(3)

@@ -16,3 +16,21 @@ def test_stage_times_prints_one_json_line_per_run():
     for r in rows:
         assert all(r[k] >= 0 for k in ("points_ms", "lines_ms", "fill_ms", "rank_ms"))
         assert r["rank_ms"] > 0 and r["sections_ms"] > 0
+
+
+def test_every_child_runs_without_huge_page_advice(monkeypatch):
+    sys.path.insert(0, str(_TOOL.parent))
+    try:
+        import stage_times
+    finally:
+        sys.path.remove(str(_TOOL.parent))
+    envs = []
+
+    def fake_run(cmd, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(cmd, 0, stdout="{}\n")
+
+    monkeypatch.setattr(stage_times.subprocess, "run", fake_run)
+    monkeypatch.setenv("NUMPY_MADVISE_HUGEPAGE", "1")
+    assert stage_times.run_fresh(["--runs", "2", "4,2", "5,3"], str(_TOOL), stage_times._child, []) == 0
+    assert len(envs) == 4 and all(env["NUMPY_MADVISE_HUGEPAGE"] == "0" for env in envs)

@@ -58,7 +58,8 @@ def _child(m: int, q: int) -> dict:
 
 def run_fresh(argv: list[str], script: str, child, sizes: list[str], options=()) -> int:
     """Parse ``argv`` and print ``child(m, q, *options)`` as one JSON line
-    per run, each run in a fresh interpreter of ``script``.
+    per run, each run in a fresh interpreter of ``script`` started with
+    NUMPY_MADVISE_HUGEPAGE=0.
 
     ``options`` holds ``(flag, default, help)`` of the script's own
     integer options, which are passed to ``child`` after m and q.
@@ -74,7 +75,9 @@ def run_fresh(argv: list[str], script: str, child, sizes: list[str], options=())
     if args.child:
         print(json.dumps(child(*args.child)))
         return 0
-    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()))
+    # as in hgbench: with numpy's huge-page advice on, child times fell
+    # into two modes about 1.4x apart
+    env = dict(os.environ, PYTHONPATH=str(args.src.resolve()), NUMPY_MADVISE_HUGEPAGE="0")
     extra = [str(getattr(args, flag)) for flag, _, _ in options]
     for size in args.sizes:
         m, q = (int(x) for x in size.split(","))
