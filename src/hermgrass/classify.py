@@ -33,8 +33,9 @@ constructions, min_word_witness and check_min_weight_profile share.
 The radical R = ker S cuts the polar space in a cone [Pi_t]H_(d-t)
 (Bose and Chakravarti, Canad. J. Math. 18, 1966), d = m - rank S.  Its
 profile needs no basis of R: R cap R^perp = ker S cap im conj(S), so
-t = rank S - rank(conj(S) S), two ranks of m x m matrices
-(``_radical_profile``), which the report and both predicates read.
+t = rank S - rank(conj(S) S), two ranks of m x m matrices that the form
+keeps from one stacked elimination (``_radical_profile``), which the
+report and both predicates read.
 """
 
 from __future__ import annotations
@@ -99,13 +100,13 @@ def _radical_profile(phi: AlternatingForm) -> polar.RadicalProfile:
     Under conj(x)^T y the perp of ker S is the image of conj(S), so
     R cap R^perp = ker S cap im conj(S), whose dimension is the rank of
     conj(S) minus that of S conj(S): t = rank S - rank(conj(S) S), the
-    two products being conjugate.  The section is the cone [Pi_t]H_(d-t)
+    two products being conjugate.  The form keeps both ranks
+    (``AlternatingForm.ranks``).  The section is the cone [Pi_t]H_(d-t)
     over d = m - rank S (``polar.radical_profile`` gives the same from
     the basis of R).
     """
-    ctx, s = phi.ctx, phi.s
-    t = phi.rank - linalg.rank(ctx, linalg.matmul(ctx, ctx.frob[s], s))
-    return polar.RadicalProfile(dim=phi.rad_dim, t=t)
+    r, r0 = phi.ranks
+    return polar.RadicalProfile(dim=phi.rad_dim, t=r - r0)
 
 
 def _class_sizes(ctx: FieldCtx, labels: np.ndarray) -> tuple[int, int, int]:

@@ -6,7 +6,9 @@ table, and each runs the handler ``cmd_<name>``.  The field is always
 named by -q Q, a prime power.  Exit codes: 0 success, 1 verification
 failure, 2 usage error.  Every usage error, argparse's own included,
 is one "error: .." line on stderr with nothing on stdout; --help prints
-to stdout and exits 0.
+to stdout and exits 0.  An internal check that fails with RuntimeError
+(a MacWilliams gate, a witness certification) is also one "error: .."
+line, with exit 1.
 
 All randomized paths take a seed (default 1) and echo it into the
 output metadata.  Identical invocations, seed included, write
@@ -611,6 +613,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a failed internal check, not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 def main() -> None:

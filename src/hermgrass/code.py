@@ -20,9 +20,10 @@ Weights are computed three independent ways across the package:
   number of totally isotropic lines through [u] not annihilated by
   the form, then divide by q^4 - 1.  ``point_weights`` counts them as
   the isotropic points in the perp of u off the hyperplane u^T S x = 0,
-  the perp row's fixed ``perp_size`` points minus one AND and
-  popcount of two rows of the space's bit-packed hyperplane-section
-  table per point;
+  the perp row's fixed ``perp_size`` points minus one AND and popcount
+  per point: of the perp row, which the space holds
+  (``HermitianSpace.perp_sections``), and the row of u^T S gathered from
+  its bit-packed hyperplane-section table;
 * ``counts.weight_from_class_counts``: reconstruct from the sizes
   of the three per-point classes of ``classify``.
 
@@ -101,11 +102,12 @@ class AlternatingForm:
     """m x m matrix S over GF(q^2) with S^T = -S and zero diagonal.
 
     The zero diagonal is required explicitly so the condition is
-    meaningful in characteristic 2 as well.  The rank (always even) and
-    the two-sided kernel (``radical``), whose dimension is m minus the
-    rank, are each computed on first use and cached; the rank needs one
-    forward elimination, the basis two reduced ones, so the rank and
-    ``rad_dim`` do not build the basis.  Beside them the form keeps the
+    meaningful in characteristic 2 as well.  The rank (always even),
+    kept with the rank of conj(S) S (``ranks``), and the two-sided kernel
+    (``radical``), whose dimension is m minus the rank, are each computed
+    on first use and cached; the two ranks need one stacked elimination,
+    the basis two reduced ones, so the rank and ``rad_dim`` do not build
+    the basis.  Beside them the form keeps the
     last result of two weight routes with a weak reference to the object
     it was computed on: ``weight_direct`` with its system and
     ``point_weights`` with its space, so a kept form does not keep that
@@ -154,9 +156,16 @@ class AlternatingForm:
         return radical
 
     @cached_property
+    def ranks(self) -> tuple[int, int]:
+        """(rank S, rank conj(S) S), from one ``linalg.rank_stack`` call
+        on the 2-stack of both matrices."""
+        ctx, s = self.ctx, self.s
+        r, r0 = linalg.rank_stack(ctx, np.stack([s, linalg.matmul(ctx, ctx.frob[s], s)]))
+        return int(r), int(r0)
+
+    @property
     def rank(self) -> int:
-        """Rank of S, from one elimination (``linalg.rank``)."""
-        return linalg.rank(self.ctx, self.s)
+        return self.ranks[0]
 
     @property
     def rad_dim(self) -> int:
@@ -228,16 +237,10 @@ def _direct_count(phi: AlternatingForm, system: ProjectiveSystem) -> int:
         for j in range(bits):
             acc |= np.bitwise_xor.reduce(system.planes[sel[:, :, j]], axis=0)
         return int(linalg.bit_counts(acc.view(np.uint8)))
-    nibbles, (reduced, limit) = linalg._nibble_codes(ctx.mul[u], ctx.p), linalg._nibble_reduction(ctx.p)
-    acc, term = np.zeros((2, system.n), dtype=np.uint8)
-    held = 0  # terms summed in acc since it was last reduced
-    for k in np.flatnonzero(u):
-        if held == limit:
-            np.take(reduced, acc, out=acc, mode="clip")
-            held = 1
-        acc += np.take(nibbles[k], system.matrix[k], out=term, mode="clip")
-        held += 1
-    return int(np.count_nonzero(np.take(reduced, acc, out=acc, mode="clip")))
+    nibbles, term = linalg._nibble_codes(ctx.mul[u], ctx.p), np.empty(system.n, dtype=np.uint8)
+    terms = (np.take(nibbles[k], system.matrix[k], out=term, mode="clip") for k in np.flatnonzero(u))
+    acc = linalg._add_terms(ctx, np.zeros(system.n, dtype=np.uint8), terms, held=0)
+    return int(np.count_nonzero(linalg._reduce(ctx.p, acc, out=acc)))
 
 
 def weight_direct(phi: AlternatingForm, system: ProjectiveSystem) -> int:
@@ -262,14 +265,16 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     lines through [u] not annihilated by the form.
 
     Such a line joins [u] to an isotropic x with conj(u)^T x = 0 and
-    u^T S x != 0: the bits set in row ``space.perp_index()[u]`` of
-    ``space.section_table()`` and clear in the row of u^T S (none when
-    u^T S = 0).  Every perp row holds ``space.perp_size`` points, which
-    ``section_table`` checks, so the count is that many minus the bits
-    set in both rows, one AND and one popcount.  Each such line carries
-    q^2 of these x, so the count divides exactly by q^2.  When the table
-    does not fit in the available memory, both sections are streamed in
-    row blocks of the points instead.
+    u^T S x != 0: the bits set in the held perp row of u
+    (``space.perp_sections()``) and clear in the row of u^T S in
+    ``space.section_table()``.  Every perp row holds ``space.perp_size``
+    points, which ``section_table`` checks, so the count is that many
+    minus the bits set in both rows: the u^T S rows are gathered into one
+    reused buffer, ANDed with the held rows and popcounted.  A point with
+    u^T S = 0 counts 0, since the form vanishes on every line through it.
+    Each such line carries q^2 of these x, so the count divides exactly by
+    q^2.  When the table and the held rows do not fit in the available
+    memory, both sections are streamed in row blocks of the points instead.
 
     The counts are read-only.  The form keeps them with ``space`` and
     returns them when called again with that same object (matched by
@@ -288,14 +293,17 @@ def point_weights(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
     table = space.section_table()
     cnt = np.zeros(n_pts, dtype=np.int64)
     if table is not None:
-        live = np.flatnonzero(ps.any(axis=1))
-        perp, sect = space.perp_index()[live], space.point_index(ps[live])
-        want = space.perp_size
-        step = max(1, linalg.DOT_BLOCK // max(1, table.shape[1]))
-        for lo in range(0, len(live), step):
-            both = table[perp[lo : lo + step]]
-            both &= table[sect[lo : lo + step]]
-            cnt[live[lo : lo + step]] = want - linalg.bit_counts(both)
+        sect, held, want = space.point_index(ps), space.perp_sections(), space.perp_size
+        # a row gather casts only its row indices, so a block is as many
+        # rows as about one scan-kernel block of bytes holds
+        step = max(1, linalg._BLOCK_BYTES // max(1, table.shape[1]))
+        buf = np.empty((min(step, n_pts), table.shape[1]), dtype=np.uint8)
+        for lo in range(0, n_pts, step):
+            both = buf[: min(step, n_pts - lo)]
+            np.take(table, sect[lo : lo + step], axis=0, out=both, mode="clip")
+            np.bitwise_and(both, held[lo : lo + step], out=both)
+            cnt[lo : lo + step] = want - linalg.bit_counts(both)
+        cnt[sect < 0] = 0  # u^T S = 0: the form vanishes on every line through [u]
     else:
         # points first: a chunk's product tables are Q x chunk, not Q x n_pts
         step = max(1, linalg.DOT_BLOCK // max(n_pts, 1))

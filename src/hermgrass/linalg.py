@@ -3,7 +3,9 @@
 Matrices are numpy arrays of field-element codes (see ff).  Sums of
 products go through ``matmul``, which sums one row-gathered product
 table per inner index, so every result is exact; the weight routes, the
-polar images and the line search all call it.  The Pluecker fill
+polar images and the line search all call it.  For odd p it sums the
+terms as nibble bytes (below), and ``fadd`` remains for scattered single
+additions.  The Pluecker fill
 (``pluecker.build_system``) has one difference of two products per
 coordinate instead, which it forms by shift-and-add on the code bits in
 characteristic 2 and by ``FieldCtx.mul_flat`` gathers for odd p; the
@@ -17,15 +19,20 @@ index of ``polar``, the polar images of ``classify`` and
 ``pluecker.pluecker_point`` read it.
 
 One forward elimination, ``_echelon``, serves ``rank``, which counts
-its pivots, and ``rref``, which adds a backward pass and which ``kernel``
-reads.  ``rank_stack`` eliminates a stack of small matrices at once.
+its pivots and certifies wide matrices such as the generator, and
+``rref``, which adds a backward pass and which ``kernel`` reads.
+``rank_stack`` eliminates a stack of small matrices at once: the radical
+split of a spectrum scan, and a form's two ranks, rank S and
+rank(conj(S) S), as one 2-stack (``code.AlternatingForm.ranks``).
 
 The scan kernel (``_ScanKernel``) holds the products f M of a K x N
 matrix M with every coefficient vector f as sums of digit-group table
 rows.  The rows are GF(2) bit-planes in characteristic 2; for odd p,
 which must have e = 1, each position is one byte d0 + 16 d1 holding the
-base-p digits of the code d0 + p d1, so rows add as uint8 and a nibble
-is reduced mod p only once it could pass 15.  The kernel's one walk
+base-p digits of the code d0 + p d1 (``_nibble_codes``), so rows add as
+uint8 and a nibble is reduced mod p only once it could pass 15; one
+helper, ``_add_terms``, keeps that count for ``matmul``, the kernel's
+``codewords`` and the direct weight alike.  The kernel's one walk
 (``_ScanKernel.nonzero_masks``) yields the packed nonzero masks of f M
 over ascending ranges of counter indices f, in blocks it cuts itself:
 the exhaustive spectrum scan popcounts them (``bit_counts``), with M the
@@ -39,8 +46,8 @@ beforehand by ``table_bytes``, so scans of one system build it once.
 Outside this module only ``n``, ``nonzero_masks``, ``buffers``,
 ``weights`` and ``table_bytes`` of the kernel are read.  The generator's
 direct weight (``code.weight_direct``) shares the kernel's row layouts,
-``_pack_planes`` in characteristic 2 and the nibble codes and reduction
-table for odd p, but holds no digit-group tables.
+``_pack_planes`` in characteristic 2 and the nibble codes and
+``_add_terms`` for odd p, but holds no digit-group tables.
 """
 
 from __future__ import annotations
@@ -104,18 +111,32 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
 
     For each k the product table of row k of b, ``np.take(ctx.mul, b[k],
     axis=1)``, is Q x c with v b[k] in row v (Q = q^2); gathered at
-    column k of a it gives the (r, c) terms of k, and the t terms are
-    summed in place with ``fadd``.  The tables cost Q c entries per k
-    whatever r is, so callers pass the tall operand as a.
+    column k of a it gives the (r, c) terms of k, and ``_add_terms`` sums
+    the t terms in place.  In characteristic 2 the terms are codes and
+    add by XOR.  For odd p each table is read as ``_nibble_codes``, the
+    terms add as uint8 nibbles, reduced only before a nibble could pass
+    15, and the sum is reduced and turned back into codes once: code =
+    byte - (16 - p) (byte >> 4).  The tables cost
+    Q c entries per k whatever r is, so callers pass the tall operand as a.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     t = a.shape[1]
     if b.shape[0] != t or t == 0:
         raise ValueError("inner dimensions do not match")
-    out = np.take(np.take(ctx.mul, b[0], axis=1), a[:, 0], axis=0)
-    for k in range(1, t):
-        fadd(ctx, out, np.take(np.take(ctx.mul, b[k], axis=1), a[:, k], axis=0), out)
+    p = ctx.p
+
+    def terms(k, out=None):
+        table = np.take(ctx.mul, b[k], axis=1)
+        return np.take(table if p == 2 else _nibble_codes(table, p), a[:, k], axis=0, out=out, mode="clip")
+
+    out = terms(0)
+    scratch = np.empty_like(out) if t > 1 else None
+    _add_terms(ctx, out, (terms(k, scratch) for k in range(1, t)))
+    if p != 2:
+        if t > 1:  # one term is a table entry, already reduced
+            _reduce(p, out, out=out)
+        out -= np.uint8(16 - p) * (out >> 4)
     return out
 
 
@@ -192,9 +213,13 @@ def rank(ctx: FieldCtx, m) -> int:
 def rank_stack(ctx: FieldCtx, mats) -> np.ndarray:
     """Ranks of a stack of matrices of shape (B, r, c).
 
-    One batched forward elimination: each column is one pivot step of
-    table lookups over the whole stack.  Instead of swapping rows, a
-    row that has served as a pivot leaves the pool of candidates.
+    One batched forward elimination with no row swaps: each column is
+    one pivot step of table lookups over the whole stack.  The first row
+    with a nonzero entry in the column is the pivot row, and every row,
+    the pivot row included, subtracts its multiple that clears the
+    column, so the pivot row becomes zero.  The rank of the rest plus one
+    is the rank before the step, and every earlier column stays zero, so
+    a step updates only the columns after its own.
     """
     a = np.array(mats, dtype=np.uint8)
     if a.ndim != 3:
@@ -202,19 +227,14 @@ def rank_stack(ctx: FieldCtx, mats) -> np.ndarray:
     if a.size and a.max() >= ctx.q2:
         raise ValueError(f"entry out of range for GF({ctx.q2})")
     b, nr, nc = a.shape
-    free = np.ones((b, nr), dtype=bool)
     ranks = np.zeros(b, dtype=np.int64)
     stack = np.arange(b)
     for col in range(nc):
-        cand = (a[:, :, col] != 0) & free
-        has = cand.any(axis=1)
-        piv = cand.argmax(axis=1)
-        prow = a[stack, piv]
-        f = ctx.mul[a[:, :, col], ctx.inv[prow[:, col]][:, None]]
-        f[~free] = 0
-        f[stack, piv] = 0
-        a = fsub(ctx, a, ctx.mul[f[:, :, None], prow[:, None, :]])
-        free[stack, piv] &= ~has
+        column = a[:, :, col]
+        prow = a[stack, (column != 0).argmax(axis=1), col:]
+        has = prow[:, 0] != 0  # a stack with no pivot has f = 0 below
+        f = ctx.mul[column, ctx.inv[prow[:, 0]][:, None]]
+        a[:, :, col + 1 :] = fsub(ctx, a[:, :, col + 1 :], ctx.mul[f[:, :, None], prow[:, None, 1:]])
         ranks += has
     return ranks
 
@@ -268,11 +288,16 @@ def _pack_planes(codes: np.ndarray, bits: int) -> np.ndarray:
     """Characteristic 2: rows of element codes as their ``bits`` GF(2)
     bit-planes, plane i holding bit i of each code, each plane packed with
     np.packbits into 8 ceil(N / 64) bytes (zero-padded), plane after
-    plane along a row."""
-    plane = -(-codes.shape[1] // 64) * 8
-    packed = np.zeros((len(codes), bits, plane), dtype=np.uint8)
-    for i in range(bits):  # one plane's bits at a time, not all at once
-        packed[:, i, : -(-codes.shape[1] // 8)] = np.packbits(codes >> i & 1, axis=-1)
+    plane along a row.  The rows are packed in blocks of about DOT_BLOCK
+    codes, at least one row, so a bit's temporaries never span the whole
+    matrix."""
+    n = codes.shape[1]
+    packed = np.zeros((len(codes), bits, -(-n // 64) * 8), dtype=np.uint8)
+    step = max(1, DOT_BLOCK // max(1, n))
+    for lo in range(0, len(codes), step):
+        block = codes[lo : lo + step]
+        for i in range(bits):
+            packed[lo : lo + step, i, : -(-n // 8)] = np.packbits(block >> i & 1, axis=-1)
     return packed.reshape(len(codes), -1)
 
 
@@ -292,6 +317,41 @@ def _nibble_reduction(p: int) -> tuple[np.ndarray, int]:
     reduced = (lo % p + 16 * (hi % p)).astype(np.uint8)
     reduced.flags.writeable = False
     return reduced, 15 // (p - 1)
+
+
+def _reduce(p: int, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Odd p: c with each nibble reduced mod p (``_nibble_reduction``),
+    written to ``out`` when given, which may be c; one lookup of
+    DOT_BLOCK entries at a time, since each first casts its index to intp."""
+    reduced = _nibble_reduction(p)[0]
+    c = np.ascontiguousarray(c)
+    out = np.empty_like(c) if out is None else out
+    src, dst = c.reshape(-1), out.reshape(-1)
+    for lo in range(0, src.size, DOT_BLOCK):
+        hi = lo + DOT_BLOCK
+        np.take(reduced, src[lo:hi], out=dst[lo:hi], mode="clip")
+    return out
+
+
+def _add_terms(ctx: FieldCtx, acc: np.ndarray, terms, held: int = 1) -> np.ndarray:
+    """acc plus every array of ``terms``, in place: XOR in characteristic
+    2.  For odd p acc and the terms are nibble bytes with digits below p,
+    and acc holds the sum of ``held`` of them; they add as uint8, and acc
+    is reduced (``_reduce``) only before a nibble could pass 15, so the
+    sum is congruent to the total nibble by nibble but need not be
+    reduced."""
+    if ctx.p == 2:
+        for term in terms:
+            np.bitwise_xor(acc, term, out=acc)
+        return acc
+    limit = _nibble_reduction(ctx.p)[1]
+    for term in terms:
+        if held == limit:
+            _reduce(ctx.p, acc, out=acc)
+            held = 1
+        np.add(acc, term, out=acc)
+        held += 1
+    return acc
 
 
 def _digits(idx: np.ndarray, q2: int, width: int) -> np.ndarray:
@@ -321,10 +381,10 @@ class _ScanKernel:
     A row holds one byte d0 + 16 d1 per position, and a sum is a plain
     uint8 add of the nibbles.  A sum of t rows of digits below p keeps
     every nibble below 16 while t <= 15 // (p - 1): 7 terms at p = 3,
-    3 at p = 5, 2 at p = 7.  ``codewords`` reduces each nibble mod p,
-    through one 256-entry table, only before a sum would pass that
-    limit, so its rows are congruent to the codewords nibble by nibble
-    but need not be reduced; the tables are.  The nonzero mask tests
+    3 at p = 5, 2 at p = 7.  ``codewords`` sums them with ``_add_terms``,
+    which reduces each nibble mod p, through one 256-entry table, only
+    before a sum would pass that limit, so its rows are congruent to the
+    codewords nibble by nibble but need not be reduced; the tables are.  The nonzero mask tests
     each nibble x for divisibility without a lookup or a shift: x <= 15
     is a multiple of p exactly when x p^-1 mod 256, a wrapping uint8
     product, is at most 255 // p, and the high nibble, kept in place as
@@ -341,8 +401,6 @@ class _ScanKernel:
         self.g, self.bounds, self.width = self._shape(ctx, k, n)
         self.planes = 2 * ctx.e if ctx.p == 2 else 0
         self.plane = -(-n // 64) * 8
-        if not self.planes:
-            self._reduced, self._terms = _nibble_reduction(ctx.p)
         self.tables = []
         for a, b in self.bounds:
             tab = np.zeros((1, self.width), dtype=np.uint8)
@@ -352,7 +410,7 @@ class _ScanKernel:
                 # old row r becomes the rows r Q + d
                 codes = np.take(ctx.mul, row, axis=1)
                 terms = _pack_planes(codes, self.planes) if self.planes else _nibble_codes(codes, ctx.p)
-                new = tab[:, None] ^ terms if self.planes else self._reduce(tab[:, None] + terms)
+                new = tab[:, None] ^ terms if self.planes else _reduce(ctx.p, tab[:, None] + terms)
                 tab = new.reshape(len(tab) * q2, self.width)
             self.tables.append(tab)
 
@@ -371,18 +429,6 @@ class _ScanKernel:
         _, bounds, width = cls._shape(ctx, k, n)
         return sum(ctx.q2 ** (b - a) for a, b in bounds) * width
 
-    def _reduce(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Odd p: c with each nibble reduced mod p, written to ``out``
-        when given, which may be c; one lookup of DOT_BLOCK entries at a
-        time, since each first casts its index to intp."""
-        c = np.ascontiguousarray(c)
-        out = np.empty_like(c) if out is None else out
-        src, dst = c.reshape(-1), out.reshape(-1)
-        for lo in range(0, src.size, DOT_BLOCK):
-            hi = lo + DOT_BLOCK
-            np.take(self._reduced, src[lo:hi], out=dst[lo:hi], mode="clip")
-        return out
-
     def codewords(self, digits: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Codewords of digit rows that cover whole groups, the digits of
         the groups left out being zero: one table row per group, summed
@@ -391,29 +437,22 @@ class _ScanKernel:
         ``scratch`` of shape (rows, width), the sum is written to ``out``
         and each gathered table row to ``scratch``, so nothing is
         allocated per group."""
-        q2, terms = self.ctx.q2, 0
+        q2 = self.ctx.q2
         c = np.empty((len(digits), self.width), dtype=np.uint8) if out is None else out
-        for (a, b), tab in zip(self.bounds, self.tables):
-            if b > digits.shape[1]:
-                break
+        groups = [(a, b, tab) for (a, b), tab in zip(self.bounds, self.tables) if b <= digits.shape[1]]
+        if not groups:
+            c[...] = 0
+            return c
+
+        def rows(a, b, tab, into):
             # the indices are below Q^(b - a) by construction, and a take
             # with the default mode="raise" buffers its out
             idx = digits[:, a:b] @ q2 ** np.arange(b - a - 1, -1, -1)
-            if not terms:
-                np.take(tab, idx, axis=0, out=c, mode="clip")
-            else:
-                row = np.take(tab, idx, axis=0, out=scratch, mode="clip")
-                if self.planes:
-                    np.bitwise_xor(c, row, out=c)
-                else:
-                    if terms == self._terms:
-                        terms = 1  # the reduced sum is one term
-                        self._reduce(c, out=c)
-                    np.add(c, row, out=c)
-            terms += 1
-        if not terms:
-            c[...] = 0
-        return c
+            return np.take(tab, idx, axis=0, out=into, mode="clip")
+
+        (a, b, tab), *rest = groups
+        rows(a, b, tab, c)
+        return _add_terms(self.ctx, c, (rows(a, b, tab, scratch) for a, b, tab in rest))
 
     def _mask(self, c: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Packed nonzero positions of codewords along the last axis: the
@@ -468,7 +507,7 @@ class _ScanKernel:
         of t is below p, so p - t is a nibble congruent to -t."""
         if self.planes:
             return self.tables[-1]
-        return self._reduce(np.uint8(0x11 * self.ctx.p) - self.tables[-1])
+        return _reduce(self.ctx.p, np.uint8(0x11 * self.ctx.p) - self.tables[-1])
 
     def nonzero_masks(self, ranges):
         """For each block of the ascending counter-index ranges [lo, hi),
@@ -492,7 +531,7 @@ class _ScanKernel:
             for b0 in range(start, stop, per * rows):
                 b1 = min(stop, b0 + per * rows)
                 c = self.codewords(_digits(np.arange(b0, b1, dtype=np.int64), self.ctx.q2, head))
-                c = c if self.planes else self._reduce(c)
+                c = c if self.planes else _reduce(self.ctx.p, c)
                 for p0 in range(b0, b1, per):
                     p1 = min(b1, p0 + per)
                     a, b = max(lo, p0 * rows), min(hi, p1 * rows)

@@ -25,7 +25,10 @@ enumerations here are checked against them.
 points lie on each hyperplane of PG(m-1, q^2).  It is the complement of
 the nonzero masks that the exhaustive scan's kernel walk
 (``linalg._ScanKernel``) yields for the points as matrix columns, one
-range of coefficient vectors per lead.
+range of coefficient vectors per lead.  Beside it, in the same
+allocation and under the same memory check, the space holds the perp
+row of every isotropic point (``perp_sections``), which the per-point
+route reads for every form.
 Subspaces (``perp``, ``radical_profile``) are RREF basis arrays.
 """
 
@@ -314,9 +317,11 @@ class HermitianSpace:
         in all_points() order, has bit x (np.packbits order) set exactly
         when sum_k f_k x_k = 0.  Each row is padded with zero bytes to
         whole 8-byte words, so ``linalg.bit_counts`` counts it as aligned
-        uint64 only.  None, before allocating, when the (Q^m - 1)/(Q - 1)
-        rows of 8 ceil(n_pts / 64) bytes exceed the available memory of
-        the machine.
+        uint64 only.  The same allocation holds ``perp_sections``, one
+        more row per isotropic point, so the table is None, before
+        allocating, when its (Q^m - 1)/(Q - 1) rows and the n_pts held
+        rows, 8 ceil(n_pts / 64) bytes each, exceed the available memory
+        of the machine.
 
         The rows are the complements of the scan kernel's nonzero masks
         for the isotropic points as matrix columns, over the normalized
@@ -330,23 +335,34 @@ class HermitianSpace:
         ctx, m, q2 = self.ctx, self.m, self.ctx.q2
         pts = self.points()
         n_rows, used, width = (q2**m - 1) // (q2 - 1), -(-len(pts) // 8), -(-len(pts) // 64) * 8
-        if n_rows * width > _available_memory():
+        if (n_rows + len(pts)) * width > _available_memory():
             self._cache["sections"] = None
             return None
-        table, row = np.zeros((n_rows, width), dtype=np.uint8), 0
+        rows, row = np.zeros((n_rows + len(pts), width), dtype=np.uint8), 0
+        table, held = rows[:n_rows], rows[n_rows:]
         kernel = linalg._ScanKernel(ctx, pts.T)
         for _, mask in kernel.nonzero_masks((q2**r, 2 * q2**r) for r in range(m)):
             np.invert(mask[:, :used], out=table[row : row + len(mask), :used])
             row += len(mask)
         if len(pts) % 8:
             table[:, used - 1] &= np.uint8(0xFF << (8 - len(pts) % 8) & 0xFF)  # the padding bits
-        perp, rows, want = self.perp_index(), max(1, linalg.DOT_BLOCK // max(1, width)), self.perp_size
-        for lo in range(0, len(perp), rows):
-            if (linalg.bit_counts(table[perp[lo : lo + rows]]) != want).any():
+        np.take(table, self.perp_index(), axis=0, out=held, mode="clip")
+        step, want = max(1, linalg.DOT_BLOCK // max(1, width)), self.perp_size
+        for lo in range(0, len(held), step):
+            if (linalg.bit_counts(held[lo : lo + step]) != want).any():
                 raise RuntimeError(f"a perp section does not hold {want} isotropic points")
-        table.flags.writeable = False
-        self._cache["sections"] = table
-        return table
+        rows.flags.writeable = False
+        self._cache["sections"], self._cache["perp_sections"] = rows[:n_rows], rows[n_rows:]
+        return self._cache["sections"]
+
+    def perp_sections(self) -> np.ndarray | None:
+        """Row i is ``section_table()[perp_index()[i]]``, the isotropic
+        points in the perp of point i, held read-only in the table's
+        allocation, so the per-point route gathers only its own rows.
+        None when the table is None."""
+        if "sections" not in self._cache:
+            self.section_table()
+        return self._cache.get("perp_sections")
 
     def __repr__(self) -> str:
         return f"HermitianSpace(m={self.m}, q={self.ctx.q})"

@@ -427,9 +427,9 @@ def test_classify_points_matches_separate_passes(m, q, seeded_forms):
 @pytest.mark.parametrize("size", ["52", "62"])
 def test_classification_is_one_pass_with_two_eliminations(request, size, seeded_forms, monkeypatch):
     # once points() is cached, neither call reads the point table of the
-    # whole projective space; a fresh form costs two eliminations, one for
-    # its rank and one for the rank of conj(S) S, which give the radical's
-    # dimension and profile without its basis
+    # whole projective space; a fresh form costs one rank_stack call on
+    # the 2-stack of S and conj(S) S, whose ranks give the radical's
+    # dimension and profile without its basis, and no _echelon
     space, system = (request.getfixturevalue(f"{k}{size}") for k in ("space", "system"))
     space.points()
 
@@ -437,13 +437,24 @@ def test_classification_is_one_pass_with_two_eliminations(request, size, seeded_
         raise AssertionError("all_points() called")
 
     monkeypatch.setattr(space, "all_points", refuse)
-    calls = []
-    echelon = linalg._echelon
-    monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(1) or echelon(*args))
+    calls = {"stack": [], "echelon": 0}
+    echelon, rank_stack = linalg._echelon, linalg.rank_stack
+
+    def counted_echelon(*args):
+        calls["echelon"] += 1
+        return echelon(*args)
+
+    def counted_stack(ctx, mats):
+        calls["stack"].append(np.shape(mats))
+        return rank_stack(ctx, mats)
+
+    monkeypatch.setattr(linalg, "_echelon", counted_echelon)
+    monkeypatch.setattr(linalg, "rank_stack", counted_stack)
     for phi in seeded_forms(space.ctx, space.m, 7, 3):
-        calls.clear()
+        calls["stack"].clear()
+        calls["echelon"] = 0
         classify.classify_points(phi, space, system)
-        assert len(calls) == 2
+        assert calls["stack"] == [(2, space.m, space.m)] and calls["echelon"] == 0
         assert not phi.radical.flags.writeable
         classify.point_classes(phi, space)
 

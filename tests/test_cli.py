@@ -348,6 +348,38 @@ def test_verify_reports_failures(monkeypatch, capsys):
     assert "FAIL doomed" in capsys.readouterr().out
 
 
+def test_verify_turns_a_failed_macwilliams_gate_into_one_error_line(monkeypatch, capsys):
+    # a tampered histogram fails the exhaustive scan's MacWilliams gate,
+    # which raises RuntimeError inside the library; the CLI prints it as
+    # one error line and exits 1, a failed check, not a usage error
+    tally = code._tally
+
+    def tampered(n, blocks):
+        hist, best_w, best = tally(n, blocks)
+        hist[-1] += 1
+        return hist, best_w, best
+
+    monkeypatch.setattr(code, "_tally", tampered)
+    assert cli.run(["verify", "-m", "4", "-q", "2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: spectrum fails MacWilliams: B_0")
+
+
+def test_verify_turns_a_failed_witness_certification_into_one_error_line(monkeypatch, capsys):
+    # class sizes shifted by one vector: the permutable witness fails its
+    # certification (classify._certified raises RuntimeError)
+    sizes = classify._class_sizes
+
+    def shifted(ctx, labels):
+        a, b, c = sizes(ctx, labels)
+        return a + 1, b - 1, c
+
+    monkeypatch.setattr(classify, "_class_sizes", shifted)
+    assert cli.run(["verify", "-m", "4", "-q", "2", "--samples", "3", "--jobs", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: witness at m = 4, q = 2 fails _is_permutable: rank=4, A=46, B=-1"]
+
+
 def test_weight_reports_disagreeing_routes(monkeypatch, tmp_path, capsys):
     form = tmp_path / "form.json"
     form.write_text('{"m": 4, "p": 2, "e": 1, "upper": [1, 0, 0, 0, 0, 0]}\n')

@@ -182,6 +182,14 @@ def test_rank_stack_agrees_with_rank(p, e):
     assert linalg.rank_stack(ctx, stack).tolist() == want
     rect = rng.integers(0, ctx.q2, size=(30, 3, 6), dtype=np.uint8)
     assert linalg.rank_stack(ctx, rect).tolist() == [linalg.rank(ctx, x) for x in rect]
+    # tall stacks, more rows than columns: dense, and of rank at most 1 or 2
+    tall = [rng.integers(0, ctx.q2, size=(6, 3), dtype=np.uint8) for _ in range(30)]
+    for r in (1, 2) * 15:
+        a = rng.integers(0, ctx.q2, size=(6, r), dtype=np.uint8)
+        tall.append(linalg.matmul(ctx, a, rng.integers(0, ctx.q2, size=(r, 3), dtype=np.uint8)))
+    want = [linalg.rank(ctx, x) for x in tall]
+    assert {1, 2, 3} <= set(want)
+    assert linalg.rank_stack(ctx, np.stack(tall)).tolist() == want
     with pytest.raises(ValueError):
         linalg.rank_stack(ctx, stack[0])
 
@@ -287,13 +295,33 @@ def _loop_dot(ctx, x, y):
     return acc
 
 
+def test_pack_planes_bounds_its_temporaries():
+    # the planes are packed in row blocks, so beside the packed planes the
+    # traced peak holds a few N-byte rows, never a K x N temporary
+    import tracemalloc
+
+    n = 3 * linalg.DOT_BLOCK
+    codes = np.random.default_rng(4).integers(0, 4, size=(8, n), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        planes = linalg._pack_planes(codes, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= planes.nbytes + 3 * n
+    want = np.concatenate([np.packbits(codes >> i & 1, axis=-1) for i in range(2)], axis=-1)
+    assert np.array_equal(planes, want)
+
+
 def test_matmul_against_python_loop():
     rng = np.random.default_rng(2)
     for p, e in FIELDS:
         ctx = hg.make_field(p, e)
         q2 = ctx.q2
-        # (r, t, c): the callers' shapes, with r below and above Q = q2 and t = 1
-        for r, t, c in [(3, 4, 2), (q2 - 1, 5, 3), (q2 + 7, 3, 4), (9, 1, 6), (1, 6, 1)]:
+        # (r, t, c): the callers' shapes, with r below and above Q = q2 and
+        # t = 1, and inner sizes past the terms a nibble sum holds before
+        # it is reduced (7 at p = 3, 3 at p = 5, 2 at p = 7)
+        for r, t, c in [(3, 4, 2), (q2 - 1, 5, 3), (q2 + 7, 3, 4), (9, 1, 6), (1, 6, 1), (5, 8, 3), (4, 15, 2)]:
             a = rng.integers(0, q2, size=(r, t), dtype=np.uint8)
             b = rng.integers(0, q2, size=(t, c), dtype=np.uint8)
             out = linalg.matmul(ctx, a, b)

@@ -238,11 +238,16 @@ def test_section_table_over_available_memory_is_none(monkeypatch):
     short, fits = hg.HermitianSpace(4, ctx), hg.HermitianSpace(4, ctx)
     short.points()
     fits.points()
-    # (4^4 - 1)/3 rows of ceil(45/8) = 6 bytes, padded to 8
-    monkeypatch.setattr(polar, "_available_memory", lambda: 85 * 8 - 1)
-    assert short.section_table() is None
-    monkeypatch.setattr(polar, "_available_memory", lambda: 85 * 8)
-    assert fits.section_table().nbytes == 85 * 8
+    # (4^4 - 1)/3 rows of ceil(45/8) = 6 bytes, padded to 8, and the 45
+    # held perp rows in the same allocation: the table alone fitting is
+    # not enough
+    monkeypatch.setattr(polar, "_available_memory", lambda: (85 + 45) * 8 - 1)
+    assert short.section_table() is None and short.perp_sections() is None
+    monkeypatch.setattr(polar, "_available_memory", lambda: (85 + 45) * 8)
+    table, held = fits.section_table(), fits.perp_sections()
+    assert table.nbytes == 85 * 8 and held.nbytes == 45 * 8
+    assert np.array_equal(held, table[fits.perp_index()])
+    assert not table.flags.writeable and not held.flags.writeable
 
 
 def test_section_table_checks_perp_sizes(monkeypatch):

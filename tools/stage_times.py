@@ -4,7 +4,9 @@ For each size (m, q) it starts ``--runs`` new interpreters.  Each builds
 GF(q^2) and the space, then times ``points()``, ``line_pair_indices()``
 and ``build_system``, with the ``linalg.rank`` certificate timed apart
 from the fill that precedes it, and last the first ``section_table()``
-call, and prints one JSON line:
+call, which also builds the perp rows the space holds beside the table
+(``perp_sections``), so the per-form work moved there shows as set-up.
+It prints one JSON line:
 
     {"m": 8, "q": 2, "n": 1519749, "points_ms": ..., "lines_ms": ...,
      "fill_ms": ..., "rank_ms": ..., "sections_ms": ...}
