@@ -165,6 +165,7 @@ class AlternatingForm:
 
     @property
     def rank(self) -> int:
+        """Rank of S, the first of ``ranks``."""
         return self.ranks[0]
 
     @property
@@ -238,7 +239,7 @@ def _direct_count(phi: AlternatingForm, system: ProjectiveSystem) -> int:
             acc |= np.bitwise_xor.reduce(system.planes[sel[:, :, j]], axis=0)
         return int(linalg.bit_counts(acc.view(np.uint8)))
     nibbles, term = linalg._nibble_codes(ctx.mul[u], ctx.p), np.empty(system.n, dtype=np.uint8)
-    terms = (np.take(nibbles[k], system.matrix[k], out=term, mode="clip") for k in np.flatnonzero(u))
+    terms = (nibbles[k].take(system.matrix[k], out=term, mode="clip") for k in np.flatnonzero(u))
     acc = linalg._add_terms(ctx, np.zeros(system.n, dtype=np.uint8), terms, held=0)
     return int(np.count_nonzero(linalg._reduce(ctx.p, acc, out=acc)))
 

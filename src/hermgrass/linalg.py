@@ -113,11 +113,12 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
     axis=1)``, is Q x c with v b[k] in row v (Q = q^2); gathered at
     column k of a it gives the (r, c) terms of k, and ``_add_terms`` sums
     the t terms in place.  In characteristic 2 the terms are codes and
-    add by XOR.  For odd p each table is read as ``_nibble_codes``, the
-    terms add as uint8 nibbles, reduced only before a nibble could pass
-    15, and the sum is reduced and turned back into codes once: code =
-    byte - (16 - p) (byte >> 4).  The tables cost
-    Q c entries per k whatever r is, so callers pass the tall operand as a.
+    add by XOR.  For odd p the tables are taken from ``ctx.mul`` in its
+    ``_nibble_codes`` form, the terms add as uint8 nibbles, reduced only
+    before a nibble could pass 15, and the sum is reduced and turned
+    back into codes once: code = byte - (16 - p) (byte >> 4).  The tables
+    cost Q c entries per k whatever r is, so callers pass the tall
+    operand as a.
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
@@ -125,10 +126,11 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
     if b.shape[0] != t or t == 0:
         raise ValueError("inner dimensions do not match")
     p = ctx.p
+    products = ctx.mul if p == 2 else _nibble_codes(ctx.mul, p)
 
     def terms(k, out=None):
-        table = np.take(ctx.mul, b[k], axis=1)
-        return np.take(table if p == 2 else _nibble_codes(table, p), a[:, k], axis=0, out=out, mode="clip")
+        # the ndarray methods skip np.take's dispatch, about 1 us a call
+        return products.take(b[k], axis=1).take(a[:, k], axis=0, out=out, mode="clip")
 
     out = terms(0)
     scratch = np.empty_like(out) if t > 1 else None
@@ -384,12 +386,13 @@ class _ScanKernel:
     3 at p = 5, 2 at p = 7.  ``codewords`` sums them with ``_add_terms``,
     which reduces each nibble mod p, through one 256-entry table, only
     before a sum would pass that limit, so its rows are congruent to the
-    codewords nibble by nibble but need not be reduced; the tables are.  The nonzero mask tests
-    each nibble x for divisibility without a lookup or a shift: x <= 15
-    is a multiple of p exactly when x p^-1 mod 256, a wrapping uint8
-    product, is at most 255 // p, and the high nibble, kept in place as
-    16 x, exactly when 16 x p^-1 mod 256 = 16 (x p^-1 mod 16) is at most
-    16 (15 // p); it is packed with np.packbits.
+    codewords nibble by nibble but need not be reduced; the tables are.
+    The nonzero mask tests each nibble x for divisibility without a
+    lookup or a shift: x <= 15 is a multiple of p exactly when x p^-1 mod
+    256, a wrapping uint8 product, is at most 255 // p, and the high
+    nibble, kept in place as 16 x, exactly when 16 x p^-1 mod 256 =
+    16 (x p^-1 mod 16) is at most 16 (15 // p); it is packed with
+    np.packbits.
     """
 
     def __init__(self, ctx: FieldCtx, matrix: np.ndarray):
