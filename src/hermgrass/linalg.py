@@ -113,9 +113,9 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
     axis=1)``, is Q x c with v b[k] in row v (Q = q^2); gathered at
     column k of a it gives the (r, c) terms of k, and ``_add_terms`` sums
     the t terms in place.  In characteristic 2 the terms are codes and
-    add by XOR.  For odd p the tables are taken from ``ctx.mul`` in its
-    ``_nibble_codes`` form, the terms add as uint8 nibbles, reduced only
-    before a nibble could pass 15, and the sum is reduced and turned
+    add by XOR.  For odd p and t > 1 the tables are taken from ``ctx.mul``
+    in its ``_nibble_codes`` form, the terms add as uint8 nibbles, reduced
+    only before a nibble could pass 15, and the sum is reduced and turned
     back into codes once: code = byte - (16 - p) (byte >> 4).  The tables
     cost Q c entries per k whatever r is, so callers pass the tall
     operand as a.
@@ -126,7 +126,8 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
     if b.shape[0] != t or t == 0:
         raise ValueError("inner dimensions do not match")
     p = ctx.p
-    products = ctx.mul if p == 2 else _nibble_codes(ctx.mul, p)
+    nibbles = p != 2 and t > 1  # a single term is a code of the table
+    products = _nibble_codes(ctx.mul, p) if nibbles else ctx.mul
 
     def terms(k, out=None):
         # the ndarray methods skip np.take's dispatch, about 1 us a call
@@ -135,9 +136,8 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
     out = terms(0)
     scratch = np.empty_like(out) if t > 1 else None
     _add_terms(ctx, out, (terms(k, scratch) for k in range(1, t)))
-    if p != 2:
-        if t > 1:  # one term is a table entry, already reduced
-            _reduce(p, out, out=out)
+    if nibbles:
+        _reduce(p, out, out=out)
         out -= np.uint8(16 - p) * (out >> 4)
     return out
 

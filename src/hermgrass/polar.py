@@ -338,8 +338,8 @@ class HermitianSpace:
         if (n_rows + len(pts)) * width > _available_memory():
             self._cache["sections"] = None
             return None
-        rows, row = np.zeros((n_rows + len(pts), width), dtype=np.uint8), 0
-        table, held = rows[:n_rows], rows[n_rows:]
+        buf, row = np.zeros((n_rows + len(pts), width), dtype=np.uint8), 0
+        table, held = buf[:n_rows], buf[n_rows:]
         kernel = linalg._ScanKernel(ctx, pts.T)
         for _, mask in kernel.nonzero_masks((q2**r, 2 * q2**r) for r in range(m)):
             np.invert(mask[:, :used], out=table[row : row + len(mask), :used])
@@ -351,8 +351,8 @@ class HermitianSpace:
         for lo in range(0, len(held), step):
             if (linalg.bit_counts(held[lo : lo + step]) != want).any():
                 raise RuntimeError(f"a perp section does not hold {want} isotropic points")
-        rows.flags.writeable = False
-        self._cache["sections"], self._cache["perp_sections"] = rows[:n_rows], rows[n_rows:]
+        buf.flags.writeable = False
+        self._cache["sections"], self._cache["perp_sections"] = buf[:n_rows], buf[n_rows:]
         return self._cache["sections"]
 
     def perp_sections(self) -> np.ndarray | None:
