@@ -448,10 +448,11 @@ class _ScanKernel:
             return c
 
         def rows(a, b, tab, into):
-            # the indices are below Q^(b - a) by construction, and a take
-            # with the default mode="raise" buffers its out
+            # the indices are below Q^(b - a) by construction, a take with
+            # the default mode="raise" buffers its out, and the method skips
+            # np.take's dispatch
             idx = digits[:, a:b] @ q2 ** np.arange(b - a - 1, -1, -1)
-            return np.take(tab, idx, axis=0, out=into, mode="clip")
+            return tab.take(idx, axis=0, out=into, mode="clip")
 
         (a, b, tab), *rest = groups
         rows(a, b, tab, c)
