@@ -8,7 +8,8 @@ failure, 2 usage error.  Every usage error, argparse's own included,
 is one "error: .." line on stderr with nothing on stdout; --help prints
 to stdout and exits 0.  An internal check that fails with RuntimeError
 (a MacWilliams gate, a witness certification) is also one "error: .."
-line, with exit 1.
+line, with exit 1; inside verify it is the FAIL line of the check it
+ran in, and the later checks still run.
 
 All randomized paths take a seed (default 1) and echo it into the
 output metadata.  Identical invocations, seed included, write
@@ -492,7 +493,17 @@ def cmd_min_word(args) -> int:
 
 
 def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
-    """Yield (name, ok, detail) for every claim feasible at this size."""
+    """Yield (name, ok, detail) for every claim feasible at this size.
+
+    Each check runs apart: a RuntimeError raised inside one, a failed
+    internal gate, gives that check's record (name, False, message), and
+    the checks after it still run.  What several checks read (the
+    generator, the sampled forms, the witness, the exhaustive scan) is
+    made on first use and kept; what raised is made again by the next
+    check that reads it, which fails alike.
+    """
+    from functools import cache, partial
+
     import numpy as np
 
     from . import classify, code, pluecker
@@ -501,78 +512,86 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
     m, q = space.m, ctx.q
     params = counts.code_params(m, q)
 
+    def check(name, run):
+        try:
+            return (name, *run())
+        except RuntimeError as exc:
+            return name, False, str(exc)
+
     n_points = space.num_points
-    yield (
-        "point count",
-        n_points == counts.isotropic_point_count(m, q),
-        f"{n_points} isotropic points",
-    )
-    system = pluecker.build_system(space)  # refuses a generator too large before the lines are enumerated
+    yield check("point count", lambda: (n_points == counts.isotropic_point_count(m, q), f"{n_points} isotropic points"))
+    system = partial(pluecker.build_system, space)  # kept on the space
+    # built first, so a generator too large is refused (ValueError) before
+    # the lines are enumerated; the rank check reports a RuntimeError
+    check("generator", lambda: (system(), ""))
     n_lines = space.num_lines
-    yield ("line count", n_lines == params.n, f"{n_lines} totally isotropic lines")
-    yield ("generator rank", system.k == params.k, f"rank {system.k} = C(m,2)")
+    yield check("line count", lambda: (n_lines == params.n, f"{n_lines} totally isotropic lines"))
+    yield check("generator rank", lambda: (system().k == params.k, f"rank {system().k} = C(m,2)"))
 
     table = counts.bound_table(m, q)
     maxima = table.max_indices()
-    yield ("bound table maximum", maxima == table.expected_max_indices(), f"max at i={maxima}")
+    yield check("bound table maximum", lambda: (maxima == table.expected_max_indices(), f"max at i={maxima}"))
 
-    rng = np.random.default_rng(seed)
-    values = set(counts.point_weight_values(m, q))
-    all_ok = bound_ok = True
-    detail = ""
-    for _ in range(samples):
-        upper = rng.integers(0, ctx.q2, size=params.k, dtype=np.uint8)
-        if not upper.any():
-            continue
-        phi = code.AlternatingForm.from_upper(ctx, m, upper)
-        rep = classify.classify_points(phi, space, system)
-        wd, wr = rep.weight_direct, code.weight_recursive(phi, space)
-        pw = set(code.point_weights(phi, space).tolist())
-        if not (wd == wr == rep.weight_from_counts and rep.checks["conservation"]):
-            all_ok = False
-            detail = f"disagreement at upper={list(map(int, upper))}"
-            break
-        if not pw <= values:
-            all_ok = False
-            detail = f"per-point value outside the case set: {sorted(pw)}"
-            break
-        bound_ok &= wd >= counts.stratum_weight_bound(m, phi.rank // 2, q)
-    yield ("three weight routes + conservation + case values", all_ok, detail or f"{samples} seeded forms")
-    yield ("per-rank lower bounds", bound_ok, "weights >= stratum bounds")
+    @cache
+    def sampled():
+        """(routes agree, detail, weights within the stratum bounds)"""
+        rng = np.random.default_rng(seed)
+        values = set(counts.point_weight_values(m, q))
+        bound_ok = True
+        for _ in range(samples):
+            upper = rng.integers(0, ctx.q2, size=params.k, dtype=np.uint8)
+            if not upper.any():
+                continue
+            phi = code.AlternatingForm.from_upper(ctx, m, upper)
+            rep = classify.classify_points(phi, space, system())
+            wd, wr = rep.weight_direct, code.weight_recursive(phi, space)
+            pw = set(code.point_weights(phi, space).tolist())
+            if not (wd == wr == rep.weight_from_counts and rep.checks["conservation"]):
+                return False, f"disagreement at upper={list(map(int, upper))}", bound_ok
+            if not pw <= values:
+                return False, f"per-point value outside the case set: {sorted(pw)}", bound_ok
+            bound_ok &= wd >= counts.stratum_weight_bound(m, phi.rank // 2, q)
+        return True, f"{samples} seeded forms", bound_ok
 
-    kind, witness = classify.min_word_witness(space)
+    yield check("three weight routes + conservation + case values", lambda: sampled()[:2])
+    yield check("per-rank lower bounds", lambda: (sampled()[2], "weights >= stratum bounds"))
+
+    kind = "permutable" if m in (4, 6) else "rank2-cone"  # as classify.min_word_witness chooses
+    witness = cache(lambda: classify.min_word_witness(space)[1])
+
+    def weight_is(form, want):
+        w = code.weight_direct(form(), system())  # kept on the form
+        return w == want, f"weight {w}"
+
     if m >= 5:
-        cone = witness if kind == "rank2-cone" else classify.make_rank2_cone_form(space)
-        w = code.weight_direct(cone, system)
-        yield ("rank-2 cone witness", w == counts.rank2_cone_weight(m, q), f"weight {w}")
+        cone = witness if kind == "rank2-cone" else partial(classify.make_rank2_cone_form, space)
+        yield check("rank-2 cone witness", lambda: weight_is(cone, counts.rank2_cone_weight(m, q)))
     if kind == "permutable":
-        w = code.weight_direct(witness, system)
-        yield ("permutable witness", w == params.d_min, f"weight {w}")
-    ok, why = False, f"weight {w} is not d_min = {params.d_min}"
-    if w == params.d_min:
-        ok, why = classify.check_min_weight_profile(witness, space, w)
-    yield (f"minimum-word profile ({'rank-2' if kind == 'rank2-cone' else kind})", ok, why)
+        yield check("permutable witness", lambda: weight_is(witness, params.d_min))
+
+    def profile():
+        w = code.weight_direct(witness(), system())
+        if w != params.d_min:
+            return False, f"weight {w} is not d_min = {params.d_min}"
+        return classify.check_min_weight_profile(witness(), space, w)
+
+    yield check(f"minimum-word profile ({'rank-2' if kind == 'rank2-cone' else kind})", profile)
 
     if code._first_row_classes(ctx, m, budget) is not None:
-        rep = code.spectrum(system, mode="exhaustive", budget=budget, jobs=jobs)
-        yield (
-            "exhaustive minimum distance",
-            rep.min_nonzero_weight == params.d_min,
-            f"min weight {rep.min_nonzero_weight} over {ctx.q2**params.k} forms",
-        )
+        rep = cache(lambda: code.spectrum(system(), mode="exhaustive", budget=budget, jobs=jobs))
+
+        def minimum():
+            w = rep().min_nonzero_weight
+            return w == params.d_min, f"min weight {w} over {ctx.q2**params.k} forms"
+
+        def spectrum52():
+            hist, dims = rep().histogram, rep().min_weight_radical_dims
+            ok = sorted(hist) == [0, 192, 216, 224, 232, 256] and hist[192] == 24948 and dims == {3: 5940, 1: 19008}
+            return ok, f"weights {sorted(hist)}, min multiplicity {hist.get(192)}, radical split {dims}"
+
+        yield check("exhaustive minimum distance", minimum)
         if (m, q) == (5, 2):
-            ok = (
-                sorted(rep.histogram) == [0, 192, 216, 224, 232, 256]
-                and rep.histogram[192] == 24948
-                and rep.min_weight_radical_dims == {3: 5940, 1: 19008}
-            )
-            yield (
-                "exhaustive (5,2) spectrum",
-                ok,
-                f"weights {sorted(rep.histogram)}, "
-                f"min multiplicity {rep.histogram.get(192)}, "
-                f"radical split {rep.min_weight_radical_dims}",
-            )
+            yield check("exhaustive (5,2) spectrum", spectrum52)
 
 
 def cmd_verify(args) -> int:

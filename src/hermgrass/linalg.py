@@ -7,9 +7,9 @@ polar images and the line search all call it.  For odd p it sums the
 terms as nibble bytes (below), and ``fadd`` remains for scattered single
 additions.  The Pluecker fill
 (``pluecker.build_system``) has one difference of two products per
-coordinate instead, which it forms by shift-and-add on the code bits in
-characteristic 2 and by ``FieldCtx.mul_flat`` gathers for odd p; the
-scan kernel below sums table rows.  A
+coordinate instead, which it forms as bit-sliced products of packed
+GF(2) planes in characteristic 2 and by ``FieldCtx.mul_flat`` gathers
+for odd p; the scan kernel below sums table rows.  A
 subspace is held by its reduced row echelon basis, the canonical
 representative of a row space; its flattened entries serve as a total
 order and hash key.  Pivots are chosen leftmost first.  ``normalize``
@@ -47,7 +47,10 @@ Outside this module only ``n``, ``nonzero_masks``, ``buffers``,
 ``weights`` and ``table_bytes`` of the kernel are read.  The generator's
 direct weight (``code.weight_direct``) shares the kernel's row layouts,
 ``_pack_planes`` in characteristic 2 and the nibble codes and
-``_add_terms`` for odd p, but holds no digit-group tables.
+``_add_terms`` for odd p, but holds no digit-group tables.  In
+characteristic 2 the generator exists only as such planes, and
+``_unpack_planes`` reads codes back from them: every column, or a
+chosen few.
 """
 
 from __future__ import annotations
@@ -299,8 +302,21 @@ def _pack_planes(codes: np.ndarray, bits: int) -> np.ndarray:
     for lo in range(0, len(codes), step):
         block = codes[lo : lo + step]
         for i in range(bits):
-            packed[lo : lo + step, i, : -(-n // 8)] = np.packbits(block >> i & 1, axis=-1)
+            # np.packbits sets a bit for every nonzero entry
+            packed[lo : lo + step, i, : -(-n // 8)] = np.packbits(block & (1 << i), axis=-1)
     return packed.reshape(len(codes), -1)
+
+
+def _unpack_planes(planes: np.ndarray, n: int, cols: np.ndarray | None = None) -> np.ndarray:
+    """Characteristic 2: the element codes of packed planes shaped (...,
+    bits, words), as ``_pack_planes`` packs them: every column 0 .. n-1,
+    or only the columns ``cols``, read bit by bit from their bytes."""
+    packed = planes.view(np.uint8)
+    bits = np.unpackbits(packed, axis=-1, count=n) if cols is None else packed[..., cols // 8] >> (7 - cols % 8).astype(np.uint8) & 1
+    codes = bits[..., 0, :]  # a loop, as np.bitwise_or.reduce over the planes took 10x as long
+    for i in range(1, bits.shape[-2]):
+        codes = codes | bits[..., i, :] << i
+    return codes
 
 
 def _nibble_codes(codes: np.ndarray, p: int) -> np.ndarray:
@@ -376,7 +392,12 @@ class _ScanKernel:
     In characteristic 2 a row holds the 2e bit-planes of the codeword,
     each packed with np.packbits into ``plane`` bytes (a multiple of 8,
     zero-padded), so a sum is an XOR and the nonzero mask is the OR of
-    the planes.
+    the planes.  The tables are built from the planes of M, which the
+    kernel is given, shaped (K, 2e, words) as ``ProjectiveSystem.planes``
+    with ``n`` = N, or packs from the K x N codes once
+    (``_pack_planes``): plane j of the row d M_k is the XOR of the planes
+    i of M_k for which bit j of d x^i is set, so no row of codes is
+    multiplied or packed per table.
 
     For odd p the field must have e = 1 (q = p, as for every supported
     odd q), so an element code is c = d0 + p d1 with two base-p digits.
@@ -395,25 +416,32 @@ class _ScanKernel:
     np.packbits.
     """
 
-    def __init__(self, ctx: FieldCtx, matrix: np.ndarray):
+    def __init__(self, ctx: FieldCtx, matrix: np.ndarray, n: int | None = None):
         if ctx.p != 2 and ctx.e != 1:
             raise ValueError(f"the scan kernel needs q = p for odd p, not q = {ctx.q}")
         self.ctx = ctx
-        q2, (k, n) = ctx.q2, matrix.shape
-        self.n = n
-        self.g, self.bounds, self.width = self._shape(ctx, k, n)
-        self.planes = 2 * ctx.e if ctx.p == 2 else 0
-        self.plane = -(-n // 64) * 8
+        q2, k, self.n = ctx.q2, len(matrix), matrix.shape[1] if n is None else n
+        self.g, self.bounds, self.width = self._shape(ctx, k, self.n)
+        self.planes = bits = 2 * ctx.e if ctx.p == 2 else 0
+        self.plane = -(-self.n // 64) * 8
+        if bits and matrix.ndim == 2:
+            matrix = _pack_planes(matrix, bits).view(np.uint64).reshape(k, bits, -1)
+        # bit j of d x^i at [d, i, j]; x^i has the code 2^i
+        sel = np.unpackbits(ctx.mul[:, 1 << np.arange(bits), None], axis=-1, bitorder="little")[..., :bits, None] > 0
         self.tables = []
         for a, b in self.bounds:
             tab = np.zeros((1, self.width), dtype=np.uint8)
             for row in matrix[a:b]:
-                # row d of the take is d times the matrix row (np.take
-                # keeps it C-contiguous, unlike ctx.mul[:, row]); each
-                # old row r becomes the rows r Q + d
-                codes = np.take(ctx.mul, row, axis=1)
-                terms = _pack_planes(codes, self.planes) if self.planes else _nibble_codes(codes, ctx.p)
-                new = tab[:, None] ^ terms if self.planes else _reduce(ctx.p, tab[:, None] + terms)
+                # row d of terms is d times the matrix row; each old row r
+                # becomes the rows r Q + d
+                if bits:
+                    # plane j of d g: the XOR of the planes i of g for which
+                    # bit j of d x^i is set, as code._direct_count selects
+                    terms = np.bitwise_xor.reduce(np.where(sel, row[None, :, None], np.uint64(0)), 1).view(np.uint8)
+                else:
+                    # np.take keeps it C-contiguous, unlike ctx.mul[:, row]
+                    terms = _nibble_codes(np.take(ctx.mul, row, axis=1), ctx.p)
+                new = tab[:, None] ^ terms.reshape(q2, -1) if bits else _reduce(ctx.p, tab[:, None] + terms)
                 tab = new.reshape(len(tab) * q2, self.width)
             self.tables.append(tab)
 

@@ -57,9 +57,13 @@ __all__ = [
 # heap that their hit lists grew, about 8 MB, stayed resident after it.
 _BLOCK_ELEMS = 1 << 18
 
-# Bytes per line that line_pair_indices keeps at once: the int32 b of each
-# hit in search order, and the int32 a and b it returns.
+# Bytes per line that line_pair_indices keeps at once, at most: the b of
+# each hit in search order, and the a and b it returns, int32 each when
+# the points need it (uint16 otherwise).
 _LINE_BYTES = 12
+
+# The most points whose indices line_pair_indices keeps as uint16.
+_UINT16_POINTS = 1 << 16
 
 
 def _available_memory() -> int:
@@ -221,7 +225,10 @@ class HermitianSpace:
 
     def line_pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (a, b) into points() whose rows stacked form the
-        canonical RREF basis of each totally isotropic line, as int32.
+        canonical RREF basis of each totally isotropic line: uint16 when
+        there are at most 2^16 points, as at (9,2), (6,3), (5,4) and
+        (4,8), else int32.  Beside the generator they are the largest
+        arrays a space keeps, so uint16 halves them where it can.
 
         The rows (p_a, p_b) are in RREF exactly when lead(a) < lead(b)
         and a[lead(b)] = 0, so every line appears exactly once among the
@@ -245,8 +252,10 @@ class HermitianSpace:
                 n_lines * _LINE_BYTES,
                 f"the {_short(n_lines)} totally isotropic lines of PG({m - 1}, {ctx.q2}) need {{}} bytes",
             )
+            n_pts = self.num_points
+            index = np.uint16 if n_pts <= _UINT16_POINTS else np.int32
             # b of every hit in search order, and each chunk's rows and hits per row
-            found, chunks, n_found = np.empty(n_lines, dtype=np.int32), [], 0
+            found, chunks, n_found = np.empty(n_lines, dtype=index), [], 0
             for rows, b_lo, hit in self._lead_blocks():
                 per_row = hit.view(np.uint8).sum(axis=1, dtype=np.intp)
                 flat = np.flatnonzero(hit)
@@ -260,12 +269,11 @@ class HermitianSpace:
                 n_found += len(flat)
             if n_found != n_lines:
                 raise RuntimeError(f"line enumeration produced {n_found} lines, expected {n_lines}")
-            n_pts = self.num_points
             per_point = np.zeros(n_pts, dtype=np.intp)
             for rows, per_row, _ in chunks:
                 per_point[rows] += per_row
-            a_idx = np.repeat(np.arange(n_pts, dtype=np.int32), per_point)
-            b_idx = np.empty(n_lines, dtype=np.int32)
+            a_idx = np.repeat(np.arange(n_pts, dtype=index), per_point)
+            b_idx = np.empty(n_lines, dtype=index)
             free = np.cumsum(per_point) - per_point  # next slot of each a
             for rows, per_row, lo in chunks:
                 dest = np.repeat(free[rows] - (np.cumsum(per_row) - per_row), per_row)

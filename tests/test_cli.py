@@ -350,8 +350,9 @@ def test_verify_reports_failures(monkeypatch, capsys):
 
 def test_verify_turns_a_failed_macwilliams_gate_into_one_error_line(monkeypatch, capsys):
     # a tampered histogram fails the exhaustive scan's MacWilliams gate,
-    # which raises RuntimeError inside the library; the CLI prints it as
-    # one error line and exits 1, a failed check, not a usage error
+    # which raises RuntimeError inside the library; verify prints it as
+    # that check's one FAIL line and exits 1, a failed check, not a usage
+    # error
     tally = code._tally
 
     def tampered(n, blocks):
@@ -361,13 +362,18 @@ def test_verify_turns_a_failed_macwilliams_gate_into_one_error_line(monkeypatch,
 
     monkeypatch.setattr(code, "_tally", tampered)
     assert cli.run(["verify", "-m", "4", "-q", "2"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: spectrum fails MacWilliams: B_0")
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[-1].startswith("FAIL exhaustive minimum distance: spectrum fails MacWilliams: B_0")
+    assert len(lines) == 9 and all(line.startswith("PASS ") for line in lines[:-1])
 
 
 def test_verify_turns_a_failed_witness_certification_into_one_error_line(monkeypatch, capsys):
     # class sizes shifted by one vector: the permutable witness fails its
-    # certification (classify._certified raises RuntimeError)
+    # certification (classify._certified raises RuntimeError); both checks
+    # that read the witness fail with its message, and the exhaustive
+    # scan after them still runs
     sizes = classify._class_sizes
 
     def shifted(ctx, labels):
@@ -376,8 +382,32 @@ def test_verify_turns_a_failed_witness_certification_into_one_error_line(monkeyp
 
     monkeypatch.setattr(classify, "_class_sizes", shifted)
     assert cli.run(["verify", "-m", "4", "-q", "2", "--samples", "3", "--jobs", "1"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: witness at m = 4, q = 2 fails _is_permutable: rank=4, A=46, B=-1"]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    why = "witness at m = 4, q = 2 fails _is_permutable: rank=4, A=46, B=-1"
+    assert captured.out.splitlines()[-3:] == [
+        f"FAIL permutable witness: {why}",
+        f"FAIL minimum-word profile (permutable): {why}",
+        "PASS exhaustive minimum distance: min weight 12 over 4096 forms",
+    ]
+
+
+def test_verify_reports_a_rank_deficient_generator_in_every_check_that_reads_it(monkeypatch, capsys):
+    # three lines give a 6 x 3 generator of rank 2: build_system raises
+    # RuntimeError once, and each check that reads the system fails with
+    # its message
+    space = hg.HermitianSpace(4, hg.make_field(2, 1))
+    a, b = space.line_pair_indices()
+    monkeypatch.setattr(space, "line_pair_indices", lambda: (a[:3], b[:3]))
+    monkeypatch.setattr(cli, "_space_for", lambda args: space)
+    assert cli.run(["verify", "-m", "4", "-q", "2", "--samples", "3", "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    why = "generator matrix rank 2, expected 6"
+    lines = captured.out.splitlines()
+    assert lines[1:3] == ["FAIL line count: 3 totally isotropic lines", f"FAIL generator rank: {why}"]
+    assert f"FAIL three weight routes + conservation + case values: {why}" in lines
+    assert lines[-1] == f"FAIL exhaustive minimum distance: {why}"
 
 
 def test_weight_reports_disagreeing_routes(monkeypatch, tmp_path, capsys):
@@ -412,8 +442,9 @@ def test_verify_reports_a_failing_route(monkeypatch, capsys, route, value, line)
 
 
 def test_verify_sizes_the_generator_before_enumerating_lines(capsys, monkeypatch):
-    # at (6,2) the points fit in 80000 bytes, the 15 x 6237 matrix not;
-    # verify refuses it before it enumerates a single line
+    # at (6,2) the points fit in 80000 bytes, the 23520 bytes of the
+    # generator's planes and the 6237 lines not; verify refuses them
+    # before it enumerates a single line
     calls = []
     monkeypatch.setattr(polar, "_available_memory", lambda: 80000)
     monkeypatch.setattr(polar.HermitianSpace, "line_pair_indices", lambda self: calls.append(self))
@@ -422,7 +453,7 @@ def test_verify_sizes_the_generator_before_enumerating_lines(capsys, monkeypatch
     assert calls == []
     assert captured.out == "PASS point count: 693 isotropic points\n"
     assert captured.err.splitlines() == [
-        "error: the 15 x 6237 generator matrix needs 93555 bytes,"
+        "error: the 15 x 6237 generator and its lines need 98364 bytes,"
         " more than the 80000 bytes of available memory"
     ]
 
@@ -683,13 +714,14 @@ def test_lines_beyond_available_memory_exits_2(capsys, monkeypatch):
 
 
 def test_genmat_beyond_available_memory_exits_2(capsys, monkeypatch):
-    # at (6,2) the 6237 lines fit in 80000 bytes, the 15 x 6237 matrix not
+    # at (6,2) the 6237 lines fit in 80000 bytes, the lines and the 23520
+    # bytes of the generator's planes not
     monkeypatch.setattr(polar, "_available_memory", lambda: 80000)
     assert cli.run(["genmat", "-m", "6", "-q", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: the 15 x 6237 generator matrix needs 93555 bytes,"
+        "error: the 15 x 6237 generator and its lines need 98364 bytes,"
         " more than the 80000 bytes of available memory"
     ]
 

@@ -134,36 +134,130 @@ def test_generator_pinned(m, p, e):
     assert hashlib.sha256(system.matrix.tobytes()).hexdigest() == GENERATOR_SHA256[(m, p, e)]
 
 
-# (4,2,2) has runs of 5 lines per a, each longer than a block of 4; at
-# (5,3,1) and (6,2,1) some runs are longer than 8 lines and others share
-# a block of 8
-@pytest.mark.parametrize("m,p,e,block", [(4, 2, 2, 4), (5, 3, 1, 8), (6, 2, 1, 8)])
-def test_fill_blocks_of_whole_runs_match_pins(monkeypatch, m, p, e, block):
-    fill, blocks = pluecker._fill_block, []
+# blocks of 64 lines start inside runs of one a at each of these sizes,
+# and cut them: the characteristic-2 plane fill at (4,2,2) and (6,2,1),
+# the odd-p byte fill at (5,3,1)
+@pytest.mark.parametrize("m,p,e", [(4, 2, 2), (5, 3, 1), (6, 2, 1)])
+def test_fill_blocks_that_cut_runs_match_pins(monkeypatch, m, p, e):
+    name = "_fill_planes" if p == 2 else "_fill_block"
+    fill, blocks = getattr(pluecker, name), []
 
-    def spy(ctx, heads, runs, b, g):
+    def spy(ctx, heads, runs, b, out):
         blocks.append(runs.tolist())
-        fill(ctx, heads, runs, b, g)
+        fill(ctx, heads, runs, b, out)
 
-    monkeypatch.setattr(pluecker, "_LINE_BLOCK", block)
-    monkeypatch.setattr(pluecker, "_fill_block", spy)
-    system = hg.build_system(hg.HermitianSpace(m, hg.make_field(p, e)))
+    monkeypatch.setattr(pluecker, "_LINE_BLOCK", 64)
+    monkeypatch.setattr(pluecker, name, spy)
+    space = hg.HermitianSpace(m, hg.make_field(p, e))
+    system = hg.build_system(space)
     assert hashlib.sha256(system.matrix.tobytes()).hexdigest() == GENERATOR_SHA256[(m, p, e)]
-    assert all(len(runs) == 1 or sum(runs) <= block for runs in blocks)
-    assert any(sum(runs) > block for runs in blocks)
-    assert any(len(runs) > 1 for runs in blocks) == (m > 4)
+    a, _ = space.line_pair_indices()
+    assert [sum(runs) for runs in blocks] == [min(64, len(a) - lo) for lo in range(0, len(a), 64)]
+    assert any(a[lo] == a[lo - 1] for lo in range(64, len(a), 64))
+
+
+def _byte_generator(space):
+    """The generator from one ``ctx.mul`` lookup per product of the
+    gathered line bases, apart from the fill."""
+    ctx, pts = space.ctx, space.points()
+    a, b = (pts[i].T for i in space.line_pair_indices())
+    rows = [linalg.fsub(ctx, ctx.mul[a[i], b[j]], ctx.mul[a[j], b[i]]) for i, j in pluecker.pair_indices(space.m)]
+    return np.array(rows, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("m,p,e", [(4, 2, 1), (4, 2, 2), (4, 2, 3), (6, 2, 1), (7, 2, 1), (5, 2, 2)])
+def test_plane_fill_matches_packed_byte_fill(m, p, e):
+    space = hg.HermitianSpace(m, hg.make_field(p, e))
+    system = hg.build_system(space)
+    want = _byte_generator(space)
+    bits = 2 * e
+    assert np.array_equal(system.planes, linalg._pack_planes(want, bits).view(np.uint64).reshape(system.planes.shape))
+    assert not system.planes.flags.writeable
+    assert np.array_equal(system.matrix, want)
+
+
+def test_char2_matrix_unpacks_on_every_read(monkeypatch):
+    space = hg.HermitianSpace(6, hg.make_field(2, 1))
+    system = hg.build_system(space)
+    g = system.matrix
+    assert g.dtype == np.uint8 and not g.flags.writeable
+    again = system.matrix
+    assert again is not g and np.array_equal(again, g)
+    assert "matrix" not in vars(system)
+    assert not any(isinstance(v, np.ndarray) and v.dtype == np.uint8 for v in vars(system).values())
+    # rows of 64 columns: 6237 columns end in a partial row
+    monkeypatch.setattr(linalg, "DOT_BLOCK", 64)
+    assert np.array_equal(system.matrix, g)
+
+
+def test_constructor_packs_a_matrix_as_the_fill_does(system62, system52):
+    for system in (system62, system52):
+        again = hg.ProjectiveSystem(system.space, system.matrix)
+        assert np.array_equal(again.matrix, system.matrix)
+    assert np.array_equal(hg.ProjectiveSystem(system62.space, system62.matrix).planes, system62.planes)
+
+
+def test_kernel_tables_from_planes_match_tables_from_bytes():
+    # the tables as they were built before the planes: each row's Q
+    # multiples by one np.take from ctx.mul, then packed
+    for m, p, e in [(4, 2, 1), (4, 2, 3), (5, 2, 2), (6, 2, 1)]:
+        ctx = hg.make_field(p, e)
+        system = hg.build_system(hg.HermitianSpace(m, ctx))
+        kernel, matrix = system.scan_kernel, system.matrix
+        for (lo, hi), tab in zip(kernel.bounds, kernel.tables):
+            want = np.zeros((1, kernel.width), dtype=np.uint8)
+            for row in matrix[lo:hi]:
+                terms = linalg._pack_planes(np.take(ctx.mul, row, axis=1), 2 * e)
+                want = (want[:, None] ^ terms).reshape(-1, kernel.width)
+            assert np.array_equal(tab, want)
+        bytes_kernel = linalg._ScanKernel(ctx, matrix)
+        assert all(np.array_equal(a, b) for a, b in zip(bytes_kernel.tables, kernel.tables))
+
+
+def test_plane_fill_bounds_its_temporaries(monkeypatch):
+    # with the lines enumerated, the (7,2) build holds the planes (K N / 4
+    # bytes), a few bytes a line for the run edges and one block of
+    # operands (about 20 bytes a line), well under the K x N bytes of the
+    # matrix it no longer keeps; 89397 lines are one default block, so the
+    # blocks here are smaller
+    import tracemalloc
+
+    block = 1 << 12
+    monkeypatch.setattr(pluecker, "_LINE_BLOCK", block)
+    space = hg.HermitianSpace(7, hg.make_field(2, 1))
+    space.line_pair_indices()
+    k, n = 21, space.num_lines
+    tracemalloc.start()
+    try:
+        system = hg.build_system(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= system.planes.nbytes + 3 * n + 24 * block
+    assert peak < k * n // 2
+
+
+def _refused_until_it_fits(monkeypatch, space, k, n, need):
+    monkeypatch.setattr(polar, "_available_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"the {k} x {n} generator and its lines need {need} bytes"):
+        hg.build_system(space)
+    assert "line_pairs" not in space._cache
+    monkeypatch.setattr(polar, "_available_memory", lambda: need)
+    assert hg.build_system(space).matrix.shape == (k, n)
 
 
 def test_build_system_over_available_memory_raises(monkeypatch):
-    # the 15 x 6237 matrix at (6,2) is bounded before the lines are
-    # searched, whose 6237 * polar._LINE_BYTES bytes are fewer
+    # the (6,2) planes, 2 of 98 words a row, and the 6237 lines at
+    # polar._LINE_BYTES each are bounded together, before the lines are
+    # searched
     space = hg.HermitianSpace(6, hg.make_field(2, 1))
-    monkeypatch.setattr(polar, "_available_memory", lambda: 15 * 6237 - 1)
-    with pytest.raises(ValueError, match="the 15 x 6237 generator matrix needs 93555 bytes"):
-        hg.build_system(space)
-    assert "line_pairs" not in space._cache
-    monkeypatch.setattr(polar, "_available_memory", lambda: 15 * 6237)
-    assert hg.build_system(space).matrix.shape == (15, 6237)
+    _refused_until_it_fits(monkeypatch, space, 15, 6237, 15 * 2 * 8 * 98 + 6237 * polar._LINE_BYTES)
+
+
+def test_odd_p_generator_over_available_memory_raises(monkeypatch):
+    # for odd p the generator is K x N bytes
+    space = hg.HermitianSpace(5, hg.make_field(3, 1))
+    _refused_until_it_fits(monkeypatch, space, 10, 6832, 10 * 6832 + 6832 * polar._LINE_BYTES)
 
 
 def test_scan_kernel_over_available_memory_raises(monkeypatch):

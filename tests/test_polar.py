@@ -158,9 +158,18 @@ LINE_PAIR_SHA256 = {
 def test_line_pair_indices_pinned(m, p, e):
     space = hg.HermitianSpace(m, hg.make_field(p, e))
     a, b = space.line_pair_indices()
-    assert a.dtype == b.dtype == np.int32
+    assert a.dtype == b.dtype == np.uint16
     got = hashlib.sha256(np.stack([a, b]).astype(np.int64).tobytes()).hexdigest()
     assert got == LINE_PAIR_SHA256[(m, p, e)]
+
+
+def test_line_pairs_of_more_points_than_uint16_holds_are_int32(monkeypatch):
+    # (4,2,2) has 1105 points; with a lower bound its pairs take int32
+    monkeypatch.setattr(polar, "_UINT16_POINTS", 1104)
+    a, b = hg.HermitianSpace(4, hg.make_field(2, 2)).line_pair_indices()
+    assert a.dtype == b.dtype == np.int32
+    got = hashlib.sha256(np.stack([a, b]).astype(np.int64).tobytes()).hexdigest()
+    assert got == LINE_PAIR_SHA256[(4, 2, 2)]
 
 
 # sha256 of the stacked int64 (ui, xi) orthogonal point pairs, recorded

@@ -16,6 +16,8 @@ def test_stage_times_prints_one_json_line_per_run():
     for r in rows:
         assert all(r[k] >= 0 for k in ("points_ms", "lines_ms", "fill_ms", "rank_ms"))
         assert r["rank_ms"] > 0 and r["sections_ms"] > 0
+        # an interpreter with numpy imported peaks above 10 MB
+        assert 10 < r["build_rss_mb"] < 1000
 
 
 def test_every_child_runs_without_huge_page_advice(monkeypatch):

@@ -6,10 +6,12 @@ and ``build_system``, with the ``linalg.rank`` certificate timed apart
 from the fill that precedes it, and last the first ``section_table()``
 call, which also builds the perp rows the space holds beside the table
 (``perp_sections``), so the per-form work moved there shows as set-up.
-It prints one JSON line:
+``build_rss_mb`` is the child's peak RSS (``ru_maxrss``) right after
+``build_system``, before the section table, so a run shows where memory
+went.  It prints one JSON line:
 
     {"m": 8, "q": 2, "n": 1519749, "points_ms": ..., "lines_ms": ...,
-     "fill_ms": ..., "rank_ms": ..., "sections_ms": ...}
+     "fill_ms": ..., "rank_ms": ..., "sections_ms": ..., "build_rss_mb": ...}
 
 ``--src DIR`` imports hermgrass from DIR instead of this checkout's src,
 so two trees are timed by one script:
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -46,16 +49,17 @@ def _child(m: int, q: int) -> dict:
 
     linalg.rank = timed_rank  # build_system calls it through the module
     space = hg.HermitianSpace(m, hg.make_field(*FIELD[q]))
-    times = []
+    times, rss_kb = [], []
     stages = (space.points, space.line_pair_indices, lambda: hg.build_system(space), space.section_table)
     for stage in stages:
         t = time.perf_counter()
         stage()
         times.append(time.perf_counter() - t)
+        rss_kb.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     secs = (times[0], times[1], times[2] - sum(rank_s), sum(rank_s), times[3])
     names = ("points", "lines", "fill", "rank", "sections")
     ms = {f"{name}_ms": round(s * 1e3, 3) for name, s in zip(names, secs)}
-    return {"m": m, "q": q, "n": space.num_lines, **ms}
+    return {"m": m, "q": q, "n": space.num_lines, **ms, "build_rss_mb": round(rss_kb[2] / 1024, 1)}
 
 
 def run_fresh(argv: list[str], script: str, child, sizes: list[str], options=()) -> int:
