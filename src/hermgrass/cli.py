@@ -317,8 +317,7 @@ def cmd_genmat(args) -> int:
     space = _space_for(args)
     system, ctx = pluecker.build_system(space), space.ctx
     header = f"{space.m} {ctx.p} {ctx.e} {system.n} {system.k}\n"
-    g = system.matrix
-    _write_table(args, space, "genmat", system.k, system.n, lambda lo, hi: g[lo:hi], header, " ")
+    _write_table(args, space, "genmat", system.k, system.n, system.rows, header, " ")
     return EXIT_OK
 
 
@@ -577,7 +576,7 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
 
     yield check(f"minimum-word profile ({'rank-2' if kind == 'rank2-cone' else kind})", profile)
 
-    if code._first_row_classes(ctx, m, budget) is not None:
+    if code._scan_prefixes(ctx, m, budget) is not None:
         rep = cache(lambda: code.spectrum(system(), mode="exhaustive", budget=budget, jobs=jobs))
 
         def minimum():

@@ -36,23 +36,28 @@ Another system or space object, even an equal one, is counted afresh.
 
 Spectrum scans index the strict upper triangle as a mixed-radix
 counter (most significant digit first); sample mode draws seeded
-uniform forms.  Exhaustive mode covers all Q^K forms, Q = q^2, by
-scanning one first row (S_01 .. S_0,m-1) per class of rows that
-unitary maps and scalars exchange, with all entries below it, and
-counting each form with its class size.  Both modes pass their weights
-to one tally (``_tally``) and gate weight 0, which only the zero form
-may have; the exhaustive histogram is also gated on its MacWilliams dual
-counts B_0 .. B_3.
+uniform forms.  Exhaustive mode covers all Q^K forms, Q = q^2, with
+two steps of compression by maps that keep weight and rank: monomial
+unitary maps and scalars split the first rows (S_01 .. S_0,m-1) into
+classes, and those of them that fix a class representative's first row
+and coordinate 1 split its second rows (S_12 .. S_1,m-1) into orbits.
+The scan visits one two-row prefix per orbit, the representative's first
+row and the orbit's smallest second row, with all entries below it, and
+counts each form with the class size times the orbit size.  Both modes
+pass their weights to one tally (``_tally``) and gate weight 0, which
+only the zero form may have; the exhaustive histogram is also gated on
+its MacWilliams dual counts B_0 .. B_3.
 
 Both modes use one codeword kernel on the generator,
 ``linalg._ScanKernel``, which sums one row of a digit-group table per
 group of g digits (Q^g <= 256), so a sampled form costs ceil(K/g) row
 gathers and adds, into block buffers that each sample scan allocates
 once.  The system holds its kernel (``scan_kernel``), so only
-the first scan of a system builds the tables.  The first-row digits
-lead the counter, so the forms of a class are one range of counter
-indices; the kernel's walk over those ranges yields the packed nonzero
-masks, which the scan popcounts (``linalg.bit_counts``).
+the first scan of a system builds the tables; the orbit labelling is
+kept per field and m alike.  The two-row digits lead the counter, so the
+forms of a prefix are one range of counter indices; the kernel's one
+walk covers all the ranges, many short ones to a block, and yields the
+packed nonzero masks, which the scan popcounts (``linalg.bit_counts``).
 """
 
 from __future__ import annotations
@@ -347,12 +352,13 @@ class SpectrumReport:
     In exhaustive mode the histogram covers all q^(2K) forms and
     ``min_weight_radical_dims`` maps radical dimension to the number
     of minimum-weight forms with that radical.  The scan visits each
-    first-row class representative with every entry below it; the
-    minimum words it visits are ``min_word_indices``, ascending counter
-    indices whose K base-Q digits, most significant first, are the upper
-    triangle, and ``min_word_class_sizes`` holds the size of each one's
-    first-row class, so the sizes sum to the number of minimum words.
-    Sample mode reports the seeded sample only and leaves both None.
+    two-row prefix with every entry below it; the minimum words it
+    visits are ``min_word_indices``, ascending counter indices whose K
+    base-Q digits, most significant first, are the upper triangle, and
+    ``min_word_class_sizes`` holds the forms each one stands for, its
+    first-row class size times its second-row orbit size, so the sizes
+    sum to the number of minimum words.  Sample mode reports the seeded
+    sample only and leaves both None.
     """
 
     mode: str
@@ -373,39 +379,117 @@ class SpectrumReport:
 _RANK_CHUNK = 1024
 
 
-def _first_row_classes(ctx: FieldCtx, m: int, budget: int):
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@cache
+def _first_row_classes(ctx: FieldCtx, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Representatives (smallest counter index) and sizes of the classes
-    of first rows (S_01 .. S_0,m-1), ascending, or None when scanning each
-    with all Q^C(m-1,2) entries below it would exceed ``budget`` forms.
+    of first rows (S_01 .. S_0,m-1), ascending and read-only.
 
     Permutations of coordinates 1..m-1, diagonal maps with norm-1 entries
     and scalars keep weight and rank and take S_0j to lambda d_0 d_j
     S_0(pi j), so two first rows share a class exactly when their norms
     x^(q+1), zeros included, agree as multisets up to a factor in GF(q)*.
     The key of a row is the least base-Q value of its sorted norms times
-    c, over c in GF(q)*.  Its Q^(m-1) rows are allocated only once
-    Q^C(m-1,2), no fewer for m >= 4, is within the budget.
+    c, over c in GF(q)*.  The count of zero entries, 0 to m - 1, is kept,
+    so there are at least m classes.
     """
-    q2, rest = ctx.q2, ctx.q2 ** ((m - 1) * (m - 2) // 2)
-    if rest > budget:
-        return None
+    q2 = ctx.q2
     norms = ctx.norm[linalg._digits(np.arange(q2 ** (m - 1)), q2, m - 1)]
     powers = q2 ** np.arange(m - 2, -1, -1)
     key = np.minimum.reduce([np.sort(ctx.mul[c, norms], axis=1) @ powers for c in ctx.subfield[1:]])
     _, reps, sizes = np.unique(key, return_index=True, return_counts=True)
     order = np.argsort(reps)
-    return (reps[order], sizes[order]) if len(reps) * rest <= budget else None
+    return _frozen(reps[order]), _frozen(sizes[order])
+
+
+def _orbit_labels(n: int, images) -> np.ndarray:
+    """The smallest index in the orbit of each of 0 .. n-1 under the group
+    generated by maps given as their images of 0 .. n-1: every label falls
+    to the smallest label it reaches by one map or its inverse, until none
+    falls."""
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        for image in images:
+            np.minimum.at(label, image, label)
+            label = np.minimum(label, label[image])
+        if np.array_equal(label, before):
+            return label
+
+
+@cache
+def _two_row_orbits(ctx: FieldCtx, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two-row prefixes the exhaustive scan visits, ascending, and the
+    forms each stands for, read-only.
+
+    A prefix is r Q^(m-2) + s: r a first-row class representative
+    (``_first_row_classes``) and s the counter index of a second row
+    (S_12 .. S_1,m-1) that is the smallest in its orbit under the maps
+    fixing row r exactly and coordinate 1.  It stands for the class size
+    times the orbit size.  These maps are a permutation pi of 2..m-1 with
+    r_pi(j) = r_j, a norm-1 diagonal map d and a scalar lambda with
+    lambda d_0 d_j = 1 wherever r_j != 0.  They take S_1j to lambda d_1
+    d_j S_1(pi j), so on the second row pi is followed by a factor c_j =
+    lambda d_1 d_j: any norm-1 c_j where r_j = 0, one norm-1 factor shared
+    by every j >= 2 with r_j != 0 (lambda has norm 1 unless r = 0), and
+    for r = 0 any nonzero scalar besides.  The orbits come from the images
+    of these generators, with transpositions of equal entries of r, by
+    ``_orbit_labels``.
+    """
+    q2, width = ctx.q2, m - 2
+    reps, sizes = _first_row_classes(ctx, m)
+    rows = linalg._digits(np.arange(q2**width), q2, width)
+    powers = q2 ** np.arange(width - 1, -1, -1)
+    units = np.flatnonzero(ctx.norm == 1)
+    prefixes, counts = [], []
+    for rep, size, r in zip(reps, sizes, linalg._digits(reps, q2, m - 1)[:, 1:]):  # r_2 .. r_m-1
+        maps = []
+        for j in range(width):
+            same = j + 1 + np.flatnonzero(r[j + 1 :] == r[j])
+            if len(same):  # swaps of each entry with the next equal one generate pi
+                perm = np.arange(width)
+                perm[[j, same[0]]] = same[0], j
+                maps.append(rows[:, perm])
+        for cols in [[j] for j in np.flatnonzero(r == 0)] + [np.flatnonzero(r)]:
+            for u in units:
+                scaled = rows.copy()
+                scaled[:, cols] = ctx.mul[u, rows[:, cols]]
+                maps.append(scaled)
+        if rep == 0:
+            maps += [ctx.mul[c, rows] for c in range(2, q2)]
+        label = _orbit_labels(len(rows), [image @ powers for image in maps])
+        orbits, orbit_sizes = np.unique(label, return_counts=True)
+        prefixes.append(rep * q2**width + orbits)
+        counts.append(size * orbit_sizes)
+    return _frozen(np.concatenate(prefixes)), _frozen(np.concatenate(counts))
+
+
+def _scan_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_two_row_orbits``, or None when scanning each prefix with all
+    Q^C(m-2,2) entries below it would exceed ``budget`` forms.  A class
+    holds at least one orbit, so the Q^(m-1) first rows are labelled only
+    once m classes, and the Q^(m-2) second rows of each class only once
+    one prefix a class, fit the budget."""
+    below = ctx.q2 ** ((m - 2) * (m - 3) // 2)
+    if m * below > budget or len(_first_row_classes(ctx, m)[0]) * below > budget:
+        return None
+    prefixes, sizes = _two_row_orbits(ctx, m)
+    return (prefixes, sizes) if len(prefixes) * below <= budget else None
 
 
 def _tally(n: int, blocks):
     """Histogram, minimum nonzero weight (n + 1 if none) and, in block
     order, at(hits) of the blocks reaching it, over blocks (weights,
-    count, at): each weight stands for ``count`` forms and ``at`` maps
-    positions to what the caller keeps."""
+    count, at): each weight stands for ``count`` forms, one number or one
+    per weight, and ``at`` maps positions to what the caller keeps."""
     hist = np.zeros(n + 1, dtype=np.int64)
     best_w, best = n + 1, []
     for w, count, at in blocks:
-        hist += count * np.bincount(w, minlength=n + 1)
+        np.add.at(hist, w, count)
         w[w == 0] = n + 1  # the zero form is no minimum word
         local = int(w.min())
         if local < best_w:
@@ -415,15 +499,17 @@ def _tally(n: int, blocks):
     return hist, best_w, best
 
 
-def _scan_classes(kernel: linalg._ScanKernel, tasks):
-    """``_tally`` of the tasks (size, lo, hi), each a counter-index range
-    inside one class, its forms counted with the class size and its hits
-    given as ascending counter indices."""
+def _scan_ranges(kernel: linalg._ScanKernel, counts: np.ndarray, ranges: np.ndarray):
+    """``_tally`` of the ascending counter-index ranges [lo, hi), rows of
+    ``ranges``, each inside the forms of one two-row prefix and its forms
+    counted as many times as ``counts`` says, with its hits given as
+    ascending counter indices."""
 
     def blocks():
-        for size, lo, hi in tasks:
-            for first, mask in kernel.nonzero_masks([(lo, hi)]):
-                yield linalg.bit_counts(mask), size, lambda hits, b=first: b + hits
+        for first, lens, mask in kernel.nonzero_masks(ranges):
+            count = np.repeat(counts[np.searchsorted(ranges[:, 0], first, "right") - 1], lens)
+            # a position's index: its segment's first index plus its offset in the segment
+            yield linalg.bit_counts(mask), count, lambda hits, f=first, n=lens: np.repeat(f - np.cumsum(n) + n, n)[hits] + hits
 
     return _tally(kernel.n, blocks())
 
@@ -488,10 +574,10 @@ _POOL_FORMS = 1 << 20
 
 
 def _pool_size(jobs: int, span: int) -> int:
-    """Worker processes for an exhaustive scan whose classes each span
-    ``span`` counter indices: no more than the jobs asked for, the CPUs
-    present or ``span``, since every worker scans one part of each
-    class's range and a part must hold at least one index; at least one."""
+    """Worker processes for an exhaustive scan whose two-row prefixes each
+    span ``span`` counter indices: no more than the jobs asked for, the
+    CPUs present or ``span``, since every worker scans one part of each
+    prefix's range and a part must hold at least one index; at least one."""
     return max(1, min(jobs, span, os.cpu_count() or 1))
 
 
@@ -505,24 +591,28 @@ def spectrum(
 ) -> SpectrumReport:
     """Weight histogram over alternating forms.
 
-    Exhaustive mode covers all Q^K forms, scanning one representative
-    per first-row class (``_first_row_classes``), so ``budget`` bounds
-    the forms scanned.  A class map takes any form to one with the
-    representative's first row and no larger index, so the scan, in
-    ascending counter order, meets the first form of every weight and
-    radical dimension:
+    Exhaustive mode covers all Q^K forms.  It scans the forms of each
+    two-row prefix (``_two_row_orbits``), first row and second row, with
+    every entry below them, and counts each with the prefix's class size
+    times orbit size, so ``budget`` bounds the forms scanned
+    (``_scan_prefixes``).  A class map takes any form to one with the
+    representative's first row and no larger index, and an orbit map then
+    to one with the orbit's smallest second row, whose digits lead every
+    entry below them; so the scan, in ascending counter order, meets the
+    first form of every weight and radical dimension:
     ``min_weight_example`` is the minimum word of smallest index and
     ``min_weight_radical_dims`` is keyed in order of first occurrence.
     A histogram failing ``_check_macwilliams`` raises RuntimeError.
-    The class compression holds only for the space's own generator, so
+    The compression holds only for the space's own generator, so
     exhaustive mode raises ValueError unless ``system`` is
-    ``build_system(system.space)``.  The forms of a class are one range
-    of counter indices.  A scan of fewer than ``_POOL_FORMS`` forms runs
-    in the calling process, since it takes less time than forking a pool.
-    A larger one forks ``_pool_size(jobs, span)`` workers; each class's
-    range is cut into one equal part per worker, and each worker scans as
-    many consecutive parts as there are classes.  The result does not
-    depend on the worker count.
+    ``build_system(system.space)``.  The forms of a prefix are one range
+    of counter indices, and one walk of the kernel covers all the ranges.
+    A scan of fewer than ``_POOL_FORMS`` forms runs in the calling
+    process, since it takes less time than forking a pool; (6,2) and
+    (5,3) do.  A larger one forks ``_pool_size(jobs, span)`` workers;
+    each prefix's range is cut into one equal part per worker, and each
+    worker scans as many consecutive parts as there are prefixes.  The
+    result does not depend on the worker count.
 
     Sample mode draws ``samples`` uniform nonzero forms from numpy's
     default PCG64 generator seeded with ``seed``; the seed is recorded
@@ -547,26 +637,29 @@ def spectrum(
 
     exhaustive = mode == "exhaustive"
     if exhaustive:
-        classes = _first_row_classes(ctx, m, budget)
-        if classes is None:
+        scanned = _scan_prefixes(ctx, m, budget)
+        if scanned is None:
             raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {polar._short(budget)}")
         if system is not build_system(system.space):
             raise ValueError("exhaustive mode needs the space's own generator from build_system")
-        reps, sizes = classes
+        prefixes, sizes = scanned
     kernel = system.scan_kernel
     if exhaustive:
-        span = q2 ** (k - m + 1)  # the forms of one first row
-        workers = _pool_size(jobs, span) if len(reps) * span >= _POOL_FORMS else 1
-        cuts = [(span * i // workers, span * (i + 1) // workers) for i in range(workers)]
-        tasks = [(s, r * span + a, r * span + b) for r, s in zip(reps, sizes) for a, b in cuts]
-        args = [(kernel, tasks[len(reps) * i : len(reps) * (i + 1)]) for i in range(workers)]
+        span = q2 ** (k - 2 * m + 3)  # the forms of one prefix, Q^C(m-2,2)
+        workers = _pool_size(jobs, span) if len(prefixes) * span >= _POOL_FORMS else 1
+        # each prefix's range cut into one part per worker, prefix by prefix
+        cuts = prefixes[:, None] * span + np.arange(workers + 1) * span // workers
+        ranges = np.stack([cuts[:, :-1], cuts[:, 1:]], axis=-1).reshape(-1, 2)
+        counts = np.repeat(sizes, workers)
+        part = [slice(len(prefixes) * i, len(prefixes) * (i + 1)) for i in range(workers)]
+        args = [(kernel, counts[cut], ranges[cut]) for cut in part]
         if workers > 1:
             import multiprocessing
 
             with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-                parts = pool.starmap(_scan_classes, args)
+                parts = pool.starmap(_scan_ranges, args)
         else:
-            parts = [_scan_classes(*args[0])]
+            parts = [_scan_ranges(*args[0])]
         # Parts cover ascending index ranges, so their hits stay ascending.
         hist, best_w = sum(h for h, _, _ in parts), min(w for _, w, _ in parts)
         hits = [i for _, w, idx in parts if w == best_w for i in idx]
@@ -581,7 +674,7 @@ def spectrum(
     if exhaustive:
         _check_macwilliams(histogram, m, ctx.q)
         min_idx = np.concatenate(hits)
-        min_size = sizes[np.searchsorted(reps, min_idx // span)]
+        min_size = sizes[np.searchsorted(prefixes, min_idx // span)]
         radical_dims = _radical_split(ctx, m, min_idx, min_size)
         example = linalg._digits(min_idx[:1], q2, k)[0]
         min_idx.flags.writeable = min_size.flags.writeable = False

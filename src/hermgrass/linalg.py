@@ -36,7 +36,7 @@ helper, ``_add_terms``, keeps that count for ``matmul``, the kernel's
 (``_ScanKernel.nonzero_masks``) yields the packed nonzero masks of f M
 over ascending ranges of counter indices f, in blocks it cuts itself:
 the exhaustive spectrum scan popcounts them (``bit_counts``), with M the
-generator and one range per first-row class, and
+generator and one short range per two-row orbit, many to a block, and
 ``HermitianSpace.section_table`` stores their complements, with M the
 transposed isotropic points and one range of normalized f per lead.
 Sample mode reads ``weights`` of seeded digit rows, which sums each
@@ -542,34 +542,46 @@ class _ScanKernel:
         return _reduce(self.ctx.p, np.uint8(0x11 * self.ctx.p) - self.tables[-1])
 
     def nonzero_masks(self, ranges):
-        """For each block of the ascending counter-index ranges [lo, hi),
-        its first index and the packed nonzero masks of the codewords of
-        its indices, shaped (indices, bytes).  The padding bits after N
-        are clear.
+        """For each block of the ascending, nonempty counter-index ranges
+        [lo, hi), pairs in a sequence or rows of an array, the first index
+        and the length of each of its segments, as int64, and the packed
+        nonzero masks of the codewords of their indices, in order, shaped
+        (indices, bytes).  The padding bits after N are clear.
 
         An index is a prefix, its digits before the last group, times Q^g
         plus a row of the last table, and its codeword is the prefix's
-        codeword plus that row.  From the first prefix of its range on,
-        each block meets as many prefixes as about _BLOCK_BYTES of
-        codewords hold, at least one, the last block of a range perhaps
-        fewer.  It takes every row for each prefix it meets and keeps its
-        own indices; a block inside one prefix takes only its rows.  The
-        prefix codewords are summed for Q^g blocks at a time.
+        codeword plus that row.  The ranges are cut at prefix edges into
+        segments, a range's first and last perhaps only part of a prefix,
+        and a block is the consecutive segments, all whole prefixes or all
+        parts, that start within one stretch of as many indices as about
+        _BLOCK_BYTES of codewords hold, whole prefixes, at least one: many
+        short ranges, such as the orbits of the exhaustive scan, share one
+        block, and a long one spans many.  The prefix codewords are summed
+        for a stretch of segments at a time, or one block if it has more.
+        A block of whole prefixes adds every row of the last table to each
+        prefix codeword; a block of parts gathers one prefix codeword and
+        one table row per index.
         """
-        head, last, rows = self.bounds[-1][0], self._walk_table, self.ctx.q2**self.g
-        per = max(1, _BLOCK_BYTES // max(1, rows * self.width))  # prefixes per block
-        for lo, hi in ranges:
-            start, stop = lo // rows, -(-hi // rows)  # the prefixes met
-            for b0 in range(start, stop, per * rows):
-                b1 = min(stop, b0 + per * rows)
-                c = self.codewords(_digits(np.arange(b0, b1, dtype=np.int64), self.ctx.q2, head))
-                c = c if self.planes else _reduce(self.ctx.p, c)
-                for p0 in range(b0, b1, per):
-                    p1 = min(b1, p0 + per)
-                    a, b = max(lo, p0 * rows), min(hi, p1 * rows)
-                    keep, t = slice(a - p0 * rows, b - p0 * rows), last
-                    if p1 - p0 == 1:
-                        keep, t = slice(None), last[keep]
-                    pc = c[p0 - b0 : p1 - b0, None, :]
-                    mask = self._mask(pc ^ t) if self.planes else np.packbits(pc != t, axis=-1)
-                    yield a, mask.reshape(mask.shape[0] * mask.shape[1], -1)[keep]
+        rows, last = self.ctx.q2**self.g, self._walk_table
+        stretch = max(1, _BLOCK_BYTES // max(1, rows * self.width)) * rows
+        lo, hi = np.array(ranges, dtype=np.int64).reshape(-1, 2).T
+        start = lo // rows
+        met = -(-hi // rows) - start  # the prefixes of each range
+        pre = np.repeat(start - np.cumsum(met) + met, met) + np.arange(met.sum())
+        a = np.maximum(np.repeat(lo, met) - pre * rows, 0)
+        lens = np.minimum(np.repeat(hi, met) - pre * rows, rows) - a
+        whole = lens == rows
+        cuts = (np.flatnonzero(np.diff((np.cumsum(lens) - lens) // stretch) | np.diff(whole)) + 1).tolist()
+        c, at = pre[:0], 0  # the prefix codewords of segments at, at + 1, ..
+        for s, e in zip([0, *cuts], [*cuts, len(pre)]):
+            if e > at + len(c):
+                at, digits = s, _digits(pre[s : s + max(stretch, e - s)], self.ctx.q2, self.bounds[-1][0])
+                c = self.codewords(digits) if self.planes else _reduce(self.ctx.p, self.codewords(digits))
+            pc, part = c[s - at : e - at], lens[s:e]
+            if whole[s]:
+                pc, t = pc[:, None], last[None]
+            else:
+                t = last.take(np.repeat(a[s:e] - np.cumsum(part) + part, part) + np.arange(part.sum()), axis=0)
+                pc = pc.take(np.repeat(np.arange(e - s), part), axis=0)
+            mask = self._mask(pc ^ t) if self.planes else np.packbits(pc != t, axis=-1)
+            yield pre[s:e] * rows + a[s:e], part, mask.reshape(len(part) * rows if whole[s] else len(t), -1)

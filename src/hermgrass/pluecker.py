@@ -91,7 +91,8 @@ class ProjectiveSystem:
     (``planes``): read-only uint64 words shaped (K, 2e, ceil(N / 64)),
     plane i of row k holding bit i of each entry of row k, packed as
     ``linalg._pack_planes`` packs a row.  Every weight path reads the
-    planes, and ``matrix`` unpacks them on each read.
+    planes, and ``matrix`` unpacks them on each read, as ``rows`` does
+    for a block of rows, which ``genmat`` writes one at a time.
 
     The constructor takes a matrix, which it packs in characteristic 2,
     and does not check it; ``build_system`` hands over the planes it
@@ -114,16 +115,21 @@ class ProjectiveSystem:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The K x N generator, read-only.  In characteristic 2 each read
-        unpacks ``planes`` into a new array, which the system does not
-        keep, a row of about DOT_BLOCK columns (whole words) at a time, so
-        beside the K x N array its temporaries stay a few such rows."""
+        """The K x N generator, read-only: ``rows(0, K)``."""
+        return self.rows(0, self.k)
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo .. hi-1 of the generator, read-only.  In characteristic 2
+        each read unpacks ``planes`` into a new array, which the system does
+        not keep, a row of about DOT_BLOCK columns (whole words) at a time,
+        so beside the rows read its temporaries stay a few such rows."""
         if self.ctx.p != 2:
-            return self._codes
-        g, step = np.empty((self.k, self.n), dtype=np.uint8), 64 * max(1, linalg.DOT_BLOCK // 64)
-        for lo in range(0, self.n, step):
-            for row, planes in zip(g[:, lo : lo + step], self.planes[:, :, lo // 64 : (lo + step) // 64]):
-                row[...] = linalg._unpack_planes(planes, len(row))
+            return self._codes[lo:hi]
+        planes = self.planes[lo:hi]
+        g, step = np.empty((len(planes), self.n), dtype=np.uint8), 64 * max(1, linalg.DOT_BLOCK // 64)
+        for c0 in range(0, self.n, step):
+            for row, plane in zip(g[:, c0 : c0 + step], planes[:, :, c0 // 64 : (c0 + step) // 64]):
+                row[...] = linalg._unpack_planes(plane, len(row))
         g.flags.writeable = False
         return g
 

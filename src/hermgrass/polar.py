@@ -349,7 +349,7 @@ class HermitianSpace:
         buf, row = np.zeros((n_rows + len(pts), width), dtype=np.uint8), 0
         table, held = buf[:n_rows], buf[n_rows:]
         kernel = linalg._ScanKernel(ctx, pts.T)
-        for _, mask in kernel.nonzero_masks((q2**r, 2 * q2**r) for r in range(m)):
+        for _, _, mask in kernel.nonzero_masks([(q2**r, 2 * q2**r) for r in range(m)]):
             np.invert(mask[:, :used], out=table[row : row + len(mask), :used])
             row += len(mask)
         if len(pts) % 8:

@@ -360,7 +360,7 @@ def _scanned_min_words(system):
     return [code.AlternatingForm.from_upper(ctx, m, d) for d in digits]
 
 
-MIN_WORD_SIZES = [(4, 2), (4, 3), (5, 2), (4, 4), (4, 5)]
+MIN_WORD_SIZES = [(4, 2), (4, 3), (5, 2), (4, 4), (4, 5), (6, 2)]
 
 
 @pytest.mark.parametrize("m,q", MIN_WORD_SIZES, ids=[f"{m}-{q}" for m, q in MIN_WORD_SIZES])

@@ -426,19 +426,54 @@ def test_first_row_classes_are_orbits(m, p, e):
         if np.array_equal(label, before):
             break
     reps, sizes = np.unique(label, return_counts=True)
-    got_reps, got_sizes = code._first_row_classes(ctx, m, budget=1 << 30)
+    got_reps, got_sizes = code._first_row_classes(ctx, m)
     assert got_reps.tolist() == reps.tolist()
     assert got_sizes.tolist() == sizes.tolist()
     assert int(got_sizes.sum()) == q2**width
-    # the budget counts the scanned forms, classes x Q^C(m-1,2)
-    scanned = len(reps) * q2 ** ((m - 1) * (m - 2) // 2)
-    assert code._first_row_classes(ctx, m, budget=scanned) is not None
-    assert code._first_row_classes(ctx, m, budget=scanned - 1) is None
+    assert len(reps) >= m  # the zero count of a first row is kept
+
+
+@pytest.mark.parametrize("m,p,e", [(4, 2, 1), (4, 3, 1), (5, 2, 1), (4, 5, 1), (5, 3, 1)])
+def test_two_row_orbits_are_brute_force_orbits(m, p, e):
+    # For each first-row class representative r, every map (pi, d, lambda)
+    # that fixes r and coordinate 1: pi a permutation of 2..m-1 among equal
+    # entries of r, d a norm-1 diagonal map and lambda a scalar with
+    # lambda d_0 d_j = 1 on the support of r.  It takes S_1j to lambda d_1
+    # d_j S_1(pi j); the set of maps is a group, so the smallest image of a
+    # second row over all of them labels its orbit.
+    ctx = hg.make_field(p, e)
+    q2, width = ctx.q2, m - 2
+    rows = linalg._digits(np.arange(q2**width), q2, width)
+    powers = q2 ** np.arange(width - 1, -1, -1)
+    diag = np.array(list(itertools.product(np.flatnonzero(ctx.norm == 1), repeat=m)))
+    reps, sizes = code._first_row_classes(ctx, m)
+    want_prefixes, want_sizes = [], []
+    for rep, size in zip(reps, sizes):
+        r = linalg._digits(np.array([rep]), q2, m - 1)[0]  # r[j - 1] is S_0j
+        factors = []
+        for lam in range(1, q2):
+            ld0 = ctx.mul[lam, diag[:, 0]]
+            fixed = (ctx.mul[ld0[:, None], diag[:, 1:][:, r != 0]] == 1).all(axis=1)
+            factors.append(ctx.mul[ctx.mul[lam, diag[fixed, 1]][:, None], diag[fixed, 2:]])
+        factors = np.unique(np.concatenate(factors), axis=0)
+        perms = [list(pi) for pi in itertools.permutations(range(width)) if (r[1:][list(pi)] == r[1:]).all()]
+        label = np.minimum.reduce([ctx.mul[c, rows[:, pi]] @ powers for c in factors for pi in perms])
+        orbits, counts_ = np.unique(label, return_counts=True)
+        assert (label[orbits] == orbits).all()  # each representative is its orbit's smallest index
+        want_prefixes += (rep * q2**width + orbits).tolist()
+        want_sizes += (size * counts_).tolist()
+    prefixes, got_sizes = code._two_row_orbits(ctx, m)
+    assert prefixes.tolist() == want_prefixes and got_sizes.tolist() == want_sizes
+    assert int(got_sizes.sum()) == q2 ** (2 * m - 3)
+    # the budget counts the scanned forms, prefixes x Q^C(m-2,2)
+    scanned = len(prefixes) * q2 ** ((m - 2) * (m - 3) // 2)
+    assert code._scan_prefixes(ctx, m, budget=scanned) is not None
+    assert code._scan_prefixes(ctx, m, budget=scanned - 1) is None
 
 
 def test_exhaustive_enumerator_62(system62):
-    # The whole (6,2) weight enumerator: 4^15 forms from 6 first-row
-    # classes of 4^10 scanned forms each.
+    # The whole (6,2) weight enumerator: 4^15 forms from 67 two-row
+    # prefixes of 4^6 scanned forms each.
     rep = code.spectrum(system62, mode="exhaustive")
     hist, n, q2 = rep.histogram, system62.n, 4
     assert rep.forms_scanned == sum(hist.values()) == q2**15
@@ -455,15 +490,33 @@ def test_exhaustive_enumerator_62(system62):
     witness = code.AlternatingForm.from_upper(system62.ctx, 6, rep.min_weight_example)
     assert code.weight_direct(witness, system62) == 4032
     with pytest.raises(ValueError, match="budget"):
-        code.spectrum(system62, mode="exhaustive", budget=6 * q2**10 - 1)
+        code.spectrum(system62, mode="exhaustive", budget=67 * q2**6 - 1)
+
+
+@pytest.fixture(scope="module")
+def spectrum53(system53):
+    return code.spectrum(system53, mode="exhaustive", jobs=1)
+
+
+def test_exhaustive_enumerator_53(spectrum53):
+    # The whole (5,3) weight enumerator, 9^10 forms from 521 two-row
+    # prefixes of 9^3 scanned forms each, as the one-row scan gave it.
+    rep = spectrum53
+    assert rep.histogram == {
+        0: 1, 5832: 11190816, 6048: 1248689520, 6075: 1151055360, 6102: 1075794048, 6561: 54656,
+    }
+    assert rep.forms_scanned == 9**10
+    assert rep.min_weight_example == [0, 0, 0, 0, 0, 0, 0, 0, 1, 3]
+    assert list(rep.min_weight_radical_dims.items()) == [(3, 1229760), (1, 9961056)]
+    assert rep.min_word_class_sizes.sum() == 11190816 and np.all(np.diff(rep.min_word_indices) > 0)
 
 
 def test_exhaustive_enumerator_45():
-    # odd p with several norms per first row: 10 classes of 25^3 forms
-    # cover the 25^6 forms, within a budget of exactly that many
+    # odd p with several norms per first row: 774 two-row prefixes of 25
+    # forms cover the 25^6 forms, within a budget of exactly that many
     ctx = hg.make_field(5, 1)
     system = hg.build_system(hg.HermitianSpace(4, ctx))
-    rep = code.spectrum(system, mode="exhaustive", budget=10 * 25**3)
+    rep = code.spectrum(system, mode="exhaustive", budget=774 * 25)
     assert rep.histogram == {
         0: 1, 600: 75600, 625: 18144, 720: 81900000, 725: 47174400, 730: 113400000, 750: 1572480,
     }
@@ -484,7 +537,7 @@ def test_exhaustive_codewords_all_distinct(system42):
 
 def test_exhaustive_spectrum_respects_budget(system62):
     with pytest.raises(ValueError):
-        code.spectrum(system62, mode="exhaustive", budget=1 << 20)
+        code.spectrum(system62, mode="exhaustive", budget=1 << 18)
 
 
 def _same_report(r1, r2):
@@ -511,6 +564,14 @@ def test_worker_partition_odd_characteristic(monkeypatch, system43):
     assert sum(r1.histogram.values()) == 9**6
     assert list(r1.min_weight_radical_dims.items()) == [(0, 2016)]
     _same_report(r1, code.spectrum(system43, mode="exhaustive", jobs=1))
+
+
+def test_worker_partition_53(monkeypatch, system53, spectrum53):
+    # (5,3) scans 379 809 forms, fewer than _POOL_FORMS: through the pool
+    # only with it patched, then each worker walks the parts of 521 prefixes
+    monkeypatch.setattr(code.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(code, "_POOL_FORMS", 1)
+    _same_report(code.spectrum(system53, mode="exhaustive", jobs=2), spectrum53)
 
 
 def test_exhaustive_spectrum_matches_per_form_oracle(system42):
@@ -546,23 +607,31 @@ def _kernel_codes(kernel, c):
 
 
 def _check_walk(kernel, matrix, ranges):
-    """The blocks of the walk over the ranges, checked: they tile the
-    ranges in order; each meets the prefixes of one block size, all but
-    the last of a range exactly that many and ending on a prefix edge;
-    and the masks are those of the products with the padding bits
-    clear."""
+    """The blocks of the walk over the ranges, as the indices of their
+    segments and their masks, checked: their indices are those of the
+    ranges in order; a block is the segments, parts of one prefix, that
+    start within one stretch of the walk as long as the whole prefixes
+    that _BLOCK_BYTES of codewords hold, all whole prefixes or all parts,
+    so it ends on a prefix edge or a range end, and the next starts in a
+    later stretch or is of the other kind; and the masks are those of the
+    products with the padding bits clear."""
     ctx, (k, n) = kernel.ctx, matrix.shape
     rows = ctx.q2**kernel.g
-    prefixes = max(1, linalg._BLOCK_BYTES // (rows * kernel.width))
-    blocks = list(kernel.nonzero_masks(ranges))
-    ends = {hi for _, hi in ranges}
-    for first, mask in blocks:
-        end = first + len(mask)
-        met = -(-end // rows) - first // rows
-        assert 0 < len(mask) and met <= prefixes
-        assert end in ends or (end % rows == 0 and met == prefixes)
+    stretch = max(1, linalg._BLOCK_BYTES // (rows * kernel.width)) * rows
+    blocks = [
+        (np.concatenate([np.arange(f, f + n) for f, n in zip(first, lens)]), mask)
+        for first, lens, mask in kernel.nonzero_masks(ranges)
+    ]
     idx = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
-    assert np.array_equal(np.concatenate([f + np.arange(len(mk)) for f, mk in blocks]), idx)
+    assert np.array_equal(np.concatenate([index for index, _ in blocks]), idx)
+    sizes = np.array([len(index) for index, _ in blocks])
+    starts = np.cumsum(sizes) - sizes
+    assert (sizes > 0).all() and (sizes < stretch + rows).all()
+    whole = [len(i) % rows == 0 and (i.reshape(-1, rows) % rows == np.arange(rows)).all() for i, _ in blocks]
+    assert ((np.diff(starts // stretch) > 0) | np.diff(whole)).all()
+    ends = {hi for _, hi in ranges}
+    assert all(index[-1] + 1 in ends or (index[-1] + 1) % rows == 0 for index, _ in blocks)
+    assert all(len(mask) == len(index) for index, mask in blocks)
     bits = np.unpackbits(np.concatenate([mask for _, mask in blocks]), axis=1)
     assert not bits[:, n:].any()
     assert np.array_equal(bits[:, :n], linalg.matmul(ctx, linalg._digits(idx, ctx.q2, k), matrix) != 0)
@@ -597,13 +666,13 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     weights = kernel.weights(digits, kernel.buffers(len(digits)))
     assert weights.tolist() == [code.weight_direct(f, system) for f in phis]
     assert np.array_equal(_kernel_codes(kernel, c), np.array([code.codeword(f, system) for f in phis]))
-    # the walk shared by the exhaustive scan and the section table, on its
-    # first block, one in the middle and the last, found by arithmetic
-    # ((4,8) has 64^6 indices)
+    # the walk shared by the exhaustive scan and the section table, on a
+    # stretch of one block at the start, one in the middle and one at the
+    # end, found by arithmetic ((4,8) has 64^6 indices)
     rows, total = q2**kernel.g, q2**k
     step = max(1, linalg._BLOCK_BYTES // (rows * kernel.width)) * rows
     starts = (0, total // rows // 2 * rows, (total - 1) // step * step)
-    assert len(_check_walk(kernel, system.matrix, [(lo, min(total, lo + step)) for lo in starts])) == 3
+    _check_walk(kernel, system.matrix, [(lo, min(total, lo + step)) for lo in starts])
 
 
 def test_scan_kernel_reduces_long_nibble_sums():
@@ -637,7 +706,7 @@ def test_scan_kernel_reduces_long_nibble_sums():
 @pytest.mark.parametrize("prefixes", [1, 3], ids=["one-prefix-blocks", "three-prefix-blocks"])
 @pytest.mark.parametrize("p,e,k", [(2, 1, 6), (2, 2, 4), (3, 1, 4), (7, 1, 3)], ids=["GF4", "GF16", "GF9", "GF49"])
 def test_scan_kernel_walks_counter_ranges(p, e, k, prefixes, monkeypatch):
-    # Ranges of any alignment, with blocks of one or three prefixes of
+    # Ranges of any alignment, with stretches of one or three prefixes of
     # Q^g rows: one inside a prefix, one across a prefix edge, one across
     # two, one across a block edge whatever the block, and one ending at
     # Q^K.
@@ -649,11 +718,12 @@ def test_scan_kernel_walks_counter_ranges(p, e, k, prefixes, monkeypatch):
     monkeypatch.setattr(linalg, "_BLOCK_BYTES", prefixes * r * kernel.width)
     ranges = [(r + 5, r + 17), (2 * r - 3, 2 * r + 4), (3 * r - 5, 4 * r + 2), (5 * r + 3, 9 * r + 1)]
     blocks = _check_walk(kernel, matrix, ranges + [(total - r - 7, total)])
+    # the first block holds the first two ranges and more: short ranges
+    # share a block; with one-prefix stretches the whole prefixes 6, 7 and
+    # 8 are blocks of their own
+    assert len(blocks[0][0]) > 19
     if prefixes == 1:
-        firsts = [r + 5, 2 * r - 3, 2 * r, 3 * r - 5, 3 * r, 4 * r] + [5 * r + 3] + [i * r for i in range(6, 10)]
-    else:
-        firsts = [r + 5, 2 * r - 3, 3 * r - 5, 5 * r + 3, 8 * r]
-    assert [f for f, _ in blocks if f < total - r - 7] == firsts
+        assert {6 * r, 7 * r, 8 * r} <= {index[0] for index, _ in blocks if len(index) == r}
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -813,17 +883,17 @@ def test_min_distance_constructed(system62):
 
 
 def test_small_exhaustive_scan_forks_no_pool(monkeypatch, system52, system42):
-    # the 20480 forms scanned at (5,2) repay no fork, whatever jobs asks for
+    # the 2176 forms scanned at (5,2) repay no fork, whatever jobs asks for
     monkeypatch.setattr(code.os, "cpu_count", lambda: 8)
     with mock.patch("multiprocessing.get_context", side_effect=AssertionError("a pool was started")):
         rep = code.spectrum(system52, mode="exhaustive", jobs=8)
     assert rep.min_nonzero_weight == 192
-    # (4,2) scans 256 forms: a pool when _POOL_FORMS is 256, none at 257
+    # (4,2) scans 60 forms: a pool when _POOL_FORMS is 60, none at 61
     import multiprocessing
 
     calls, real = [], multiprocessing.get_context
     monkeypatch.setattr(multiprocessing, "get_context", lambda *a: calls.append(a) or real(*a))
-    for forms in (257, 256):
+    for forms in (61, 60):
         monkeypatch.setattr(code, "_POOL_FORMS", forms)
         code.spectrum(system42, mode="exhaustive", jobs=2)
     assert calls == [("fork",)]

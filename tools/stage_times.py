@@ -68,13 +68,17 @@ def run_fresh(argv: list[str], script: str, child, sizes: list[str], options=())
     NUMPY_MADVISE_HUGEPAGE=0.
 
     ``options`` holds ``(flag, default, help)`` of the script's own
-    integer options, which are passed to ``child`` after m and q.
+    integer options, and of its switches where the default is False,
+    which are passed to ``child`` after m and q as integers.
     """
     ap = argparse.ArgumentParser(description=sys.modules[child.__module__].__doc__.splitlines()[0])
     ap.add_argument("sizes", nargs="*", default=sizes, help="m,q pairs (default: %(default)s)")
     ap.add_argument("--runs", type=int, default=5, help="fresh processes per size")
     for flag, default, text in options:
-        ap.add_argument(f"--{flag}", type=int, default=default, help=text)
+        if default is False:
+            ap.add_argument(f"--{flag}", action="store_true", help=text)
+        else:
+            ap.add_argument(f"--{flag}", type=int, default=default, help=text)
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
     ap.add_argument("--child", nargs=2 + len(options), type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -84,7 +88,7 @@ def run_fresh(argv: list[str], script: str, child, sizes: list[str], options=())
     # as in hgbench: with numpy's huge-page advice on, child times fell
     # into two modes about 1.4x apart
     env = dict(os.environ, PYTHONPATH=str(args.src.resolve()), NUMPY_MADVISE_HUGEPAGE="0")
-    extra = [str(getattr(args, flag)) for flag, _, _ in options]
+    extra = [str(int(getattr(args, flag))) for flag, _, _ in options]
     for size in args.sizes:
         m, q = (int(x) for x in size.split(","))
         for _ in range(args.runs):
