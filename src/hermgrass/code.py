@@ -41,12 +41,14 @@ two steps of compression by maps that keep weight and rank: monomial
 unitary maps and scalars split the first rows (S_01 .. S_0,m-1) into
 classes, and those of them that fix a class representative's first row
 and coordinate 1 split its second rows (S_12 .. S_1,m-1) into orbits.
-The scan visits one two-row prefix per orbit, the representative's first
-row and the orbit's smallest second row, with all entries below it, and
-counts each form with the class size times the orbit size.  Both modes
-pass their weights to one tally (``_tally``) and gate weight 0, which
-only the zero form may have; the exhaustive histogram is also gated on
-its MacWilliams dual counts B_0 .. B_3.
+One key labels both steps (``_orbits``): a row's sorted norms and
+entries, least over the factors that the maps fixing the row above it
+allow.  The scan visits one two-row prefix per orbit, the
+representative's first row and the orbit's smallest second row, with
+all entries below it, and counts each form with the class size times
+the orbit size.  Both modes pass their weights to one tally (``_tally``)
+and gate weight 0, which only the zero form may have; the exhaustive
+histogram is also gated on its MacWilliams dual counts B_0 .. B_3.
 
 Both modes use one codeword kernel on the generator,
 ``linalg._ScanKernel``, which sums one row of a digit-group table per
@@ -236,9 +238,7 @@ def _direct_count(phi: AlternatingForm, system: ProjectiveSystem) -> int:
     ctx, u = system.ctx, phi.upper()
     if ctx.p == 2:
         bits = 2 * ctx.e
-        # bit j of u_k x^i at [k, i, j]; x^i has the code 2^i
-        sel = np.unpackbits(ctx.mul[u[:, None], 1 << np.arange(bits)][..., None], axis=-1, bitorder="little")
-        sel = sel.view(bool)
+        sel = linalg._bit_products(ctx)[u]  # bit j of u_k x^i at [k, i, j]
         acc = np.zeros(system.planes.shape[-1], dtype=np.uint64)
         for j in range(bits):
             acc |= np.bitwise_xor.reduce(system.planes[sel[:, :, j]], axis=0)
@@ -379,9 +379,41 @@ class SpectrumReport:
 _RANK_CHUNK = 1024
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _orbits(ctx: FieldCtx, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest counter index and the size of each orbit of the Q^w
+    rows (x_1 .. x_w) of a form that follow its row r = (r_1 .. r_w),
+    ascending by index and read-only, under the maps that keep weight and
+    rank and fix r.  r must ascend, as the zero row and every class
+    representative do.
+
+    Those maps permute the x_j among positions of equal r_j and scale
+    each by a factor c_j: any norm-1 c_j where r_j = 0, one norm-1 factor
+    c shared by every j with r_j != 0, and, for r = 0, any nonzero scalar
+    besides.  Norm-1 factors take x to every element of its norm x^(q+1),
+    so the key of a row is the least base-Q value, over the factors, of
+    its sorted norms on the zeros of r, times c in GF(q)* when r = 0, and
+    then its sorted entries times c on each run of equal nonzero r_j, c of
+    norm 1.  Rows share a key exactly when they share an orbit.  The digit
+    rows, one factor's rows, two keys and np.unique's sort take about 2
+    bytes a digit and 48 a row; ``polar._check_memory`` raises ValueError
+    before any of them is made when they do not fit.
+    """
+    q2, w = ctx.q2, len(r)
+    polar._check_memory(q2**w * (2 * w + 48), f"the orbit labelling of {polar._short(q2**w)} rows needs {{}} bytes")
+    # r ascends, so each set is a run; w rounds of odd-even transposition sort it
+    pairs = [j for step in range(w) for j in range(step % 2, w - 1, 2) if r[j] == r[j + 1]]
+    digits = np.indices((q2,) * w, dtype=np.uint8).reshape(w, -1)
+    factors = [(c, 1) for c in ctx.subfield[1:]] if not r.any() else [(1, u) for u in np.flatnonzero(ctx.norm == 1)]
+    key = None
+    for a, u in factors:
+        planes = [(ctx.mul[u] if r_j else ctx.mul[a][ctx.norm])[x] for r_j, x in zip(r, digits)]
+        for j in pairs:
+            planes[j], planes[j + 1] = np.minimum(planes[j], planes[j + 1]), np.maximum(planes[j], planes[j + 1])
+        value = np.ravel_multi_index(planes, (q2,) * w)
+        key = value if key is None else np.minimum(key, value, out=key)
+    _, reps, sizes = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(reps)
+    return linalg._frozen(reps[order]), linalg._frozen(sizes[order])
 
 
 @cache
@@ -391,34 +423,12 @@ def _first_row_classes(ctx: FieldCtx, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Permutations of coordinates 1..m-1, diagonal maps with norm-1 entries
     and scalars keep weight and rank and take S_0j to lambda d_0 d_j
-    S_0(pi j), so two first rows share a class exactly when their norms
-    x^(q+1), zeros included, agree as multisets up to a factor in GF(q)*.
-    The key of a row is the least base-Q value of its sorted norms times
-    c, over c in GF(q)*.  The count of zero entries, 0 to m - 1, is kept,
-    so there are at least m classes.
+    S_0(pi j): they are the maps of ``_orbits`` fixing the zero row, so
+    two first rows share a class exactly when their norms, zeros
+    included, agree as multisets up to a factor in GF(q)*.  The count of
+    zero entries, 0 to m - 1, is kept, so there are at least m classes.
     """
-    q2 = ctx.q2
-    norms = ctx.norm[linalg._digits(np.arange(q2 ** (m - 1)), q2, m - 1)]
-    powers = q2 ** np.arange(m - 2, -1, -1)
-    key = np.minimum.reduce([np.sort(ctx.mul[c, norms], axis=1) @ powers for c in ctx.subfield[1:]])
-    _, reps, sizes = np.unique(key, return_index=True, return_counts=True)
-    order = np.argsort(reps)
-    return _frozen(reps[order]), _frozen(sizes[order])
-
-
-def _orbit_labels(n: int, images) -> np.ndarray:
-    """The smallest index in the orbit of each of 0 .. n-1 under the group
-    generated by maps given as their images of 0 .. n-1: every label falls
-    to the smallest label it reaches by one map or its inverse, until none
-    falls."""
-    label = np.arange(n)
-    while True:
-        before = label.copy()
-        for image in images:
-            np.minimum.at(label, image, label)
-            label = np.minimum(label, label[image])
-        if np.array_equal(label, before):
-            return label
+    return _orbits(ctx, np.zeros(m - 1, dtype=np.int64))
 
 
 @cache
@@ -433,39 +443,15 @@ def _two_row_orbits(ctx: FieldCtx, m: int) -> tuple[np.ndarray, np.ndarray]:
     times the orbit size.  These maps are a permutation pi of 2..m-1 with
     r_pi(j) = r_j, a norm-1 diagonal map d and a scalar lambda with
     lambda d_0 d_j = 1 wherever r_j != 0.  They take S_1j to lambda d_1
-    d_j S_1(pi j), so on the second row pi is followed by a factor c_j =
-    lambda d_1 d_j: any norm-1 c_j where r_j = 0, one norm-1 factor shared
-    by every j >= 2 with r_j != 0 (lambda has norm 1 unless r = 0), and
-    for r = 0 any nonzero scalar besides.  The orbits come from the images
-    of these generators, with transpositions of equal entries of r, by
-    ``_orbit_labels``.
+    d_j S_1(pi j): the maps of ``_orbits`` fixing (r_2 .. r_m-1), with any
+    nonzero scalar for r = 0 alone, since lambda has norm 1 unless r = 0.
+    A representative's entries ascend, so r_1 != 0 only when no r_j is 0.
     """
-    q2, width = ctx.q2, m - 2
     reps, sizes = _first_row_classes(ctx, m)
-    rows = linalg._digits(np.arange(q2**width), q2, width)
-    powers = q2 ** np.arange(width - 1, -1, -1)
-    units = np.flatnonzero(ctx.norm == 1)
-    prefixes, counts = [], []
-    for rep, size, r in zip(reps, sizes, linalg._digits(reps, q2, m - 1)[:, 1:]):  # r_2 .. r_m-1
-        maps = []
-        for j in range(width):
-            same = j + 1 + np.flatnonzero(r[j + 1 :] == r[j])
-            if len(same):  # swaps of each entry with the next equal one generate pi
-                perm = np.arange(width)
-                perm[[j, same[0]]] = same[0], j
-                maps.append(rows[:, perm])
-        for cols in [[j] for j in np.flatnonzero(r == 0)] + [np.flatnonzero(r)]:
-            for u in units:
-                scaled = rows.copy()
-                scaled[:, cols] = ctx.mul[u, rows[:, cols]]
-                maps.append(scaled)
-        if rep == 0:
-            maps += [ctx.mul[c, rows] for c in range(2, q2)]
-        label = _orbit_labels(len(rows), [image @ powers for image in maps])
-        orbits, orbit_sizes = np.unique(label, return_counts=True)
-        prefixes.append(rep * q2**width + orbits)
-        counts.append(size * orbit_sizes)
-    return _frozen(np.concatenate(prefixes)), _frozen(np.concatenate(counts))
+    orbits = [_orbits(ctx, r) for r in linalg._digits(reps, ctx.q2, m - 1)[:, 1:]]
+    prefixes = [rep * ctx.q2 ** (m - 2) + first for rep, (first, _) in zip(reps, orbits)]
+    counts = [size * orbit_sizes for size, (_, orbit_sizes) in zip(sizes, orbits)]
+    return linalg._frozen(np.concatenate(prefixes)), linalg._frozen(np.concatenate(counts))
 
 
 def _scan_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -473,11 +459,15 @@ def _scan_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.n
     Q^C(m-2,2) entries below it would exceed ``budget`` forms.  A class
     holds at least one orbit, so the Q^(m-1) first rows are labelled only
     once m classes, and the Q^(m-2) second rows of each class only once
-    one prefix a class, fit the budget."""
+    one prefix a class, fit the budget.  It is None too when a labelling
+    does not fit in the available memory (``_orbits``)."""
     below = ctx.q2 ** ((m - 2) * (m - 3) // 2)
-    if m * below > budget or len(_first_row_classes(ctx, m)[0]) * below > budget:
+    try:
+        if m * below > budget or len(_first_row_classes(ctx, m)[0]) * below > budget:
+            return None
+        prefixes, sizes = _two_row_orbits(ctx, m)
+    except ValueError:  # a labelling beyond the available memory
         return None
-    prefixes, sizes = _two_row_orbits(ctx, m)
     return (prefixes, sizes) if len(prefixes) * below <= budget else None
 
 
@@ -595,11 +585,13 @@ def spectrum(
     two-row prefix (``_two_row_orbits``), first row and second row, with
     every entry below them, and counts each with the prefix's class size
     times orbit size, so ``budget`` bounds the forms scanned
-    (``_scan_prefixes``).  A class map takes any form to one with the
-    representative's first row and no larger index, and an orbit map then
-    to one with the orbit's smallest second row, whose digits lead every
-    entry below them; so the scan, in ascending counter order, meets the
-    first form of every weight and radical dimension:
+    (``_scan_prefixes``); a scan over budget, or whose orbit labelling
+    does not fit in the available memory, raises ValueError.  A class
+    map takes any form to one with the representative's first row and no
+    larger index, and an orbit map then to one with the orbit's smallest
+    second row, whose digits lead every entry below them; so the scan, in
+    ascending counter order, meets the first form of every weight and
+    radical dimension:
     ``min_weight_example`` is the minimum word of smallest index and
     ``min_weight_radical_dims`` is keyed in order of first occurrence.
     A histogram failing ``_check_macwilliams`` raises RuntimeError.
@@ -639,7 +631,7 @@ def spectrum(
     if exhaustive:
         scanned = _scan_prefixes(ctx, m, budget)
         if scanned is None:
-            raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {polar._short(budget)}")
+            raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {polar._short(budget)} or the available memory")
         if system is not build_system(system.space):
             raise ValueError("exhaustive mode needs the space's own generator from build_system")
         prefixes, sizes = scanned

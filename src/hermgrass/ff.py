@@ -72,9 +72,11 @@ class FieldCtx:
         once with ``scaled_codes`` turns each product or sum into one
         add and one 1-D gather: odd-p ``linalg.fadd`` and the odd-p
         Pluecker fill (``pluecker.build_system``) are built on these.
-        ``linalg.matmul`` gathers rows of ``mul``, and the
-        characteristic-2 fill reads no table: bit u of a code is the
-        coefficient of x^u, so it multiplies by shifts and adds.
+        ``linalg.matmul`` gathers rows of ``mul``.  In characteristic 2
+        bit u of a code is the coefficient of x^u, and the Pluecker fill,
+        the scan kernel and the direct weight multiply bit planes by the
+        bits of the products d x^i, one table read from ``mul``
+        (``linalg._bit_products``).
 
     The constructor raises RuntimeError unless every nonzero element
     has an inverse (f irreducible) and ``frob`` fixes exactly q elements

@@ -289,6 +289,23 @@ def bit_counts(rows: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
+@cache
+def _bit_products(ctx: FieldCtx) -> np.ndarray:
+    """Characteristic 2: bit j of d x^i at [d, i, j], a read-only bool
+    array of shape (Q, 2e, 2e); x^i has the code 2^i.  Plane j of d g is
+    the XOR of the planes i of g for which [d, i, j] is set: the scan
+    kernel's tables read every row d, the direct weight the rows of a
+    form's entries and the Pluecker fill the rows d = x^w."""
+    shifts = np.arange(2 * ctx.e)
+    return _frozen(ctx.mul[:, 1 << shifts, None] >> shifts & 1 > 0)
+
+
 def _pack_planes(codes: np.ndarray, bits: int) -> np.ndarray:
     """Characteristic 2: rows of element codes as their ``bits`` GF(2)
     bit-planes, plane i holding bit i of each code, each plane packed with
@@ -332,9 +349,7 @@ def _nibble_reduction(p: int) -> tuple[np.ndarray, int]:
     sum before it must be reduced: the sum stays below 16 while there are
     at most 15 // (p - 1), 7 at p = 3, 3 at p = 5 and 2 at p = 7."""
     lo, hi = np.arange(256) & 15, np.arange(256) >> 4
-    reduced = (lo % p + 16 * (hi % p)).astype(np.uint8)
-    reduced.flags.writeable = False
-    return reduced, 15 // (p - 1)
+    return _frozen((lo % p + 16 * (hi % p)).astype(np.uint8)), 15 // (p - 1)
 
 
 def _reduce(p: int, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -426,8 +441,7 @@ class _ScanKernel:
         self.plane = -(-self.n // 64) * 8
         if bits and matrix.ndim == 2:
             matrix = _pack_planes(matrix, bits).view(np.uint64).reshape(k, bits, -1)
-        # bit j of d x^i at [d, i, j]; x^i has the code 2^i
-        sel = np.unpackbits(ctx.mul[:, 1 << np.arange(bits), None], axis=-1, bitorder="little")[..., :bits, None] > 0
+        sel = _bit_products(ctx)[..., None] if bits else None
         self.tables = []
         for a, b in self.bounds:
             tab = np.zeros((1, self.width), dtype=np.uint8)
@@ -435,8 +449,8 @@ class _ScanKernel:
                 # row d of terms is d times the matrix row; each old row r
                 # becomes the rows r Q + d
                 if bits:
-                    # plane j of d g: the XOR of the planes i of g for which
-                    # bit j of d x^i is set, as code._direct_count selects
+                    # plane j of d g: the XOR of the planes i of g that
+                    # [d, i, j] selects, as code._direct_count selects
                     terms = np.bitwise_xor.reduce(np.where(sel, row[None, :, None], np.uint64(0)), 1).view(np.uint8)
                 else:
                     # np.take keeps it C-contiguous, unlike ctx.mul[:, row]

@@ -29,13 +29,13 @@ words of the planes.  Plane v of row (i, j) is then the XOR, over the
 pairs (w, u) for which bit v of x^w x^u is set, of (A[i, w] & B[j, u]) ^
 (A[j, w] & B[i, u]): the bit-sliced product of Boothby and Bradshaw,
 "Bitslicing and the Method of Four Russians Over Larger Finite Fields"
-(2009).  The bit table is read once from ``ctx.mul``.  For odd p (e = 1,
-small systems) the generator stays bytes, each product is one
-``FieldCtx.mul_flat`` gather, and the difference adds p_a[i] p_b[j] and
-(-p_a[j]) p_b[i], with the heads negated once per block.  The fill
-computes its products itself, not through ``linalg.matmul``, since a
-coordinate is a difference of two products, not a sum over an inner
-index.
+(2009).  The bit table is the rows x^w of ``linalg._bit_products``.
+For odd p (e = 1, small systems) the generator stays bytes, each
+product is one ``FieldCtx.mul_flat`` gather, and the difference adds
+p_a[i] p_b[j] and (-p_a[j]) p_b[i], with the heads negated once per
+block.  The fill computes its products itself, not through
+``linalg.matmul``, since a coordinate is a difference of two products,
+not a sum over an inner index.
 
 ``linalg.rank`` certifies the generator on an evenly strided subset of
 about 64 columns per row, unpacked from the planes in characteristic 2,
@@ -204,9 +204,8 @@ def _fill_planes(ctx: FieldCtx, heads, runs, b, out) -> None:
     """
     m, bits = len(b), 2 * ctx.e
     a_side, b_side = (linalg._pack_planes(c, bits).view(np.uint64).reshape(m, bits, -1) for c in (np.repeat(heads, runs, axis=1), b))
-    table = ctx.mul[np.ix_(1 << np.arange(bits), 1 << np.arange(bits))][..., None] >> np.arange(bits) & 1  # bit v of x^w x^u
     bx = np.zeros((bits, *b_side.shape), dtype=np.uint64)
-    for w, u, v in zip(*np.nonzero(table)):
+    for w, u, v in zip(*np.nonzero(linalg._bit_products(ctx)[1 << np.arange(bits)])):  # bit v of x^w x^u
         bx[w, :, v] ^= b_side[:, u]
     np.bitwise_and(b_side[1:], a_side[0, 0], out=out[: m - 1])
     tmp = np.empty_like(b_side[2:])

@@ -747,6 +747,23 @@ def test_scan_tables_beyond_available_memory_exit_2(capsys, monkeypatch, argv):
     assert "scan_kernel" not in vars(hg.build_system(space))
 
 
+def test_exhaustive_labelling_beyond_available_memory_exits_2(capsys, monkeypatch):
+    # the (4,2) system is built beforehand; labelling its 4^3 first rows
+    # needs 4^3 (2 * 3 + 48) = 3456 bytes
+    space = hg.HermitianSpace(4, hg.make_field(2, 1))
+    hg.build_system(space)
+    monkeypatch.setattr(cli, "_space_for", lambda args: space)
+    monkeypatch.setattr(polar, "_available_memory", lambda: 3455)
+    code._first_row_classes.cache_clear()
+    code._two_row_orbits.cache_clear()
+    assert cli.run(["spectrum", "-m", "4", "-q", "2", "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: exhaustive scan at m = 4, q = 2 exceeds budget {1 << 24} or the available memory"
+    ]
+
+
 def test_verify_refuses_samples_over_budget_before_building(capsys, monkeypatch):
     # the count is refused in the flags: no space is made, let alone scanned
     monkeypatch.setattr(cli, "_space_for", mock.Mock(side_effect=AssertionError("a space was made")))

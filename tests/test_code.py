@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import pickle
 import types
@@ -469,6 +470,60 @@ def test_two_row_orbits_are_brute_force_orbits(m, p, e):
     scanned = len(prefixes) * q2 ** ((m - 2) * (m - 3) // 2)
     assert code._scan_prefixes(ctx, m, budget=scanned) is not None
     assert code._scan_prefixes(ctx, m, budget=scanned - 1) is None
+
+
+# (m, p, e, prefixes, sha256 of the prefixes and then the sizes as
+# little-endian int64), recorded from the min-label propagation these
+# orbits were first computed by, at sizes the brute-force test above does
+# not reach
+TWO_ROW_ORBIT_PINS = [
+    (4, 2, 2, 284, "3f24769ae3d3670a508512675032bee9d73eb26ff5590ef19ae58f28a9e930b1"),
+    (4, 7, 1, 3981, "3f2f09a8627482b3c4e34e60368edac933a155cac494e3797b7436a5d04df00e"),
+    (4, 2, 3, 6918, "aee25a740a92d45c33fb35d27852aa4ab2ca39244051c18f0f6f292946ed92c9"),
+    (5, 2, 2, 4516, "009d246fbf3710c13648a68d826a42bec79d287c622e368eae710961cb30866c"),
+    (7, 2, 1, 122, "092d2c6955e2eec2f16412028dc1ec007d28f9306ed214b642ad0c7ef0daf837"),
+]
+
+
+@pytest.mark.parametrize("m,p,e,count,digest", TWO_ROW_ORBIT_PINS, ids=["4-4", "4-7", "4-8", "5-4", "7-2"])
+def test_two_row_orbits_pins(m, p, e, count, digest):
+    ctx = hg.make_field(p, e)
+    prefixes, sizes = code._two_row_orbits(ctx, m)
+    assert len(prefixes) == count and int(sizes.sum()) == ctx.q2 ** (2 * m - 3)
+    assert hashlib.sha256(prefixes.astype("<i8").tobytes() + sizes.astype("<i8").tobytes()).hexdigest() == digest
+
+
+def test_orbit_labelling_stays_within_its_memory_check():
+    # the traced peak of labelling the 7^6 first rows of (4,7) is at most
+    # what _orbits checks, 2 bytes a digit and 48 a row
+    import tracemalloc
+
+    ctx, n = hg.make_field(7, 1), 49**3
+    tracemalloc.start()
+    try:
+        reps, _ = code._orbits(ctx, np.zeros(3, dtype=np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == 16 and peak <= n * (2 * 3 + 48)
+
+
+def test_orbit_labelling_beyond_available_memory_is_none(monkeypatch):
+    # (4,5): the 25^3 first rows need 25^3 (2 * 3 + 48) bytes to label,
+    # then each class's 25^2 second rows far fewer
+    ctx, need = hg.make_field(5, 1), 25**3 * (2 * 3 + 48)
+    system = hg.build_system(hg.HermitianSpace(4, ctx))
+    code._first_row_classes.cache_clear()
+    code._two_row_orbits.cache_clear()
+    monkeypatch.setattr(polar, "_available_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="the orbit labelling of 15625 rows needs 843750 bytes"):
+        code._first_row_classes(ctx, 4)
+    assert code._scan_prefixes(ctx, 4, 1 << 24) is None
+    with pytest.raises(ValueError, match="exceeds budget 16777216 or the available memory"):
+        code.spectrum(system, mode="exhaustive")
+    monkeypatch.setattr(polar, "_available_memory", lambda: need)
+    prefixes, _ = code._scan_prefixes(ctx, 4, 1 << 24)
+    assert len(prefixes) == 774
 
 
 def test_exhaustive_enumerator_62(system62):

@@ -295,6 +295,16 @@ def _loop_dot(ctx, x, y):
     return acc
 
 
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_bit_products_is_the_bit_table_of_the_products(e):
+    # [d, i, j] is bit j of d x^i, x^i having the code 2^i; one table, kept
+    ctx = hg.make_field(2, e)
+    table = linalg._bit_products(ctx)
+    want = [[[ctx.mul[d, 1 << i] >> j & 1 for j in range(2 * e)] for i in range(2 * e)] for d in range(ctx.q2)]
+    assert table.dtype == bool and table.tolist() == np.array(want, dtype=bool).tolist()
+    assert not table.flags.writeable and linalg._bit_products(ctx) is table
+
+
 def test_pack_planes_bounds_its_temporaries():
     # the planes are packed in row blocks, so beside the packed planes the
     # traced peak holds a few N-byte rows, never a K x N temporary

@@ -30,5 +30,5 @@ def test_scan_times_exhaustive_prints_forms_scanned_and_histogram_hash():
     digest = hashlib.sha256(json.dumps(sorted(want.items())).encode()).hexdigest()
     assert [(r["m"], r["q"], r["jobs"], r["scanned"]) for r in rows] == [(4, 2, 1, 60)] * 2
     for r in rows:
-        assert r["cold_ms"] > 0 and r["warm_ms"] > 0 and r["maxrss_mb"] > 0
+        assert r["label_ms"] > 0 and r["cold_ms"] > 0 and r["warm_ms"] > 0 and r["maxrss_mb"] > 0
         assert r["workers_maxrss_mb"] >= 0 and r["histogram_sha256"] == digest

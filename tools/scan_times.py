@@ -2,9 +2,10 @@
 
 For each size (m, q) it starts ``--runs`` new interpreters.  Each builds
 GF(q^2), the space and its system, then runs the same scan twice on that
-system.  The first, cold scan builds the system's scan kernel (and, when
-exhaustive, the two-row orbit labelling); the second, warm scan reads
-what the first kept, as every later scan does.
+system.  The first, cold scan builds the system's scan kernel; the
+second, warm scan reads what the first kept, as every later scan does.
+When exhaustive, the two-row orbit labelling is made and timed on its
+own before either scan.
 
 By default the scan is seeded sample mode (``spectrum(mode="sample")``,
 seed 1, ``--forms`` forms, one process), each reported with the minor
@@ -15,11 +16,12 @@ page faults of its own process over the scan (``ru_minflt``):
 
 With ``--exhaustive`` it is the whole enumerator
 (``spectrum(mode="exhaustive")``, ``--jobs`` workers, no budget limit),
-reported with the forms the scan visits, the peak RSS (``ru_maxrss``) of
-the process and of its largest pool worker, and the sha256 of the
+reported with the forms the scan visits, the time of the orbit labelling
+that picks them (``code._scan_prefixes``), the peak RSS (``ru_maxrss``)
+of the process and of its largest pool worker, and the sha256 of the
 histogram as sorted (weight, count) pairs in JSON:
 
-    {"m": 5, "q": 3, "jobs": 1, "scanned": 379809, "cold_ms": ...,
+    {"m": 5, "q": 3, "jobs": 1, "scanned": 379809, "label_ms": ..., "cold_ms": ...,
      "warm_ms": ..., "maxrss_mb": ..., "workers_maxrss_mb": ...,
      "histogram_sha256": "..."}
 
@@ -64,9 +66,11 @@ def _child(m: int, q: int, forms: int, exhaustive: int, jobs: int) -> dict:
 def _exhaustive(hg, system, m: int, q: int, jobs: int) -> dict:
     from hermgrass import code
 
+    t = time.perf_counter()
     prefixes, _ = code._scan_prefixes(system.ctx, m, _UNBOUNDED)
+    label_ms = round((time.perf_counter() - t) * 1e3, 3)
     scanned = len(prefixes) * system.ctx.q2 ** ((m - 2) * (m - 3) // 2)
-    out: dict = {"m": m, "q": q, "jobs": jobs, "scanned": scanned}
+    out: dict = {"m": m, "q": q, "jobs": jobs, "scanned": scanned, "label_ms": label_ms}
     for scan in ("cold", "warm"):
         t = time.perf_counter()
         rep = hg.spectrum(system, mode="exhaustive", budget=_UNBOUNDED, jobs=jobs)
