@@ -11,6 +11,13 @@ to stdout and exits 0.  An internal check that fails with RuntimeError
 line, with exit 1; inside verify it is the FAIL line of the check it
 ran in, and the later checks still run.
 
+spectrum, min-word and verify refuse a scan over --budget before the
+system is built: a sample count above it in the flags, before numpy is
+imported (min-word --exhaustive takes no sample), and an exhaustive scan
+whose two-row prefixes exceed it, or whose orbit labelling exceeds the
+available memory, before a line is enumerated (``_system_for``; verify
+skips its exhaustive checks instead).
+
 All randomized paths take a seed (default 1) and echo it into the
 output metadata.  Identical invocations, seed included, write
 byte-identical output files; wall-clock timing is reported on stderr
@@ -291,6 +298,19 @@ def _space_for(args):
     return polar.HermitianSpace(m, ff.make_field(p, e))
 
 
+def _system_for(args, exhaustive: bool):
+    """The system of the flags' space, built only once an exhaustive scan,
+    where one is asked, fits --budget and the available memory: its
+    refusal (``code._exhaustive_prefixes``) is a ValueError.  Below m = 4
+    build_system refuses the m first."""
+    from . import code, pluecker
+
+    space = _space_for(args)
+    if exhaustive and space.m >= 4:
+        code._exhaustive_prefixes(space.ctx, space.m, args.budget)
+    return pluecker.build_system(space)
+
+
 def cmd_points(args) -> int:
     space = _space_for(args)
     pts = space.points()
@@ -388,10 +408,9 @@ def cmd_weight(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from . import code, pluecker
+    from . import code
 
-    space = _space_for(args)
-    system = pluecker.build_system(space)
+    system = _system_for(args, args.sample is None)
     mode = "exhaustive" if args.sample is None else "sample"
     rep = code.spectrum(system, mode, args.budget, args.seed, args.sample, args.jobs)
     meta = {
@@ -471,10 +490,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_min_word(args) -> int:
-    from . import code, pluecker
+    from . import code
 
-    space = _space_for(args)
-    system = pluecker.build_system(space)
+    system = _system_for(args, args.exhaustive)
     strategy = "exhaustive" if args.exhaustive else "construct+sample"
     d, cert = code.min_distance(
         system,
@@ -594,11 +612,6 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
 
 
 def cmd_verify(args) -> int:
-    from .polar import _short
-
-    # refused before anything is built; code.spectrum refuses its samples alike
-    if args.samples > args.budget:
-        raise ValueError(f"sample count {_short(args.samples)} exceeds budget {_short(args.budget)}")
     space = _space_for(args)
     failures = 0
     for name, ok, detail in _verify_checks(space, args.seed, args.samples, args.budget, args.jobs):
@@ -622,8 +635,12 @@ def run(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("jobs must be at least 1")
         samples = getattr(args, "samples", getattr(args, "sample", None))
-        if samples is not None and samples < 1:
-            raise ValueError("sample count must be positive")
+        # min-word --exhaustive scans no sample; a sample over budget is
+        # refused here, before numpy is imported
+        if samples is not None and not getattr(args, "exhaustive", None):
+            if samples < 1:
+                raise ValueError("sample count must be positive")
+            counts._check_sample_budget(samples, args.budget)
         # looked up at call time, so a rebound cmd_* function is the one run
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit:  # --help, the one exit left to argparse

@@ -471,6 +471,15 @@ def _scan_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.n
     return (prefixes, sizes) if len(prefixes) * below <= budget else None
 
 
+def _exhaustive_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_scan_prefixes``, or ValueError where it is None: the one refusal
+    of an exhaustive scan, which the CLI asks before building the system."""
+    scanned = _scan_prefixes(ctx, m, budget)
+    if scanned is None:
+        raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {polar._short(budget)} or the available memory")
+    return scanned
+
+
 def _tally(n: int, blocks):
     """Histogram, minimum nonzero weight (n + 1 if none) and, in block
     order, at(hits) of the blocks reaching it, over blocks (weights,
@@ -622,19 +631,16 @@ def spectrum(
     q2, started = ctx.q2, time.perf_counter()
     if mode == "sample" and (not samples or samples < 1):
         raise ValueError("sample mode needs a positive sample count")
-    if mode == "sample" and samples > budget:
-        raise ValueError(f"sample count {polar._short(samples)} exceeds budget {polar._short(budget)}")
+    if mode == "sample":
+        counts._check_sample_budget(samples, budget)
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
 
     exhaustive = mode == "exhaustive"
     if exhaustive:
-        scanned = _scan_prefixes(ctx, m, budget)
-        if scanned is None:
-            raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {polar._short(budget)} or the available memory")
+        prefixes, sizes = _exhaustive_prefixes(ctx, m, budget)
         if system is not build_system(system.space):
             raise ValueError("exhaustive mode needs the space's own generator from build_system")
-        prefixes, sizes = scanned
     kernel = system.scan_kernel
     if exhaustive:
         span = q2 ** (k - 2 * m + 3)  # the forms of one prefix, Q^C(m-2,2)
@@ -642,9 +648,9 @@ def spectrum(
         # each prefix's range cut into one part per worker, prefix by prefix
         cuts = prefixes[:, None] * span + np.arange(workers + 1) * span // workers
         ranges = np.stack([cuts[:, :-1], cuts[:, 1:]], axis=-1).reshape(-1, 2)
-        counts = np.repeat(sizes, workers)
+        per_range = np.repeat(sizes, workers)
         part = [slice(len(prefixes) * i, len(prefixes) * (i + 1)) for i in range(workers)]
-        args = [(kernel, counts[cut], ranges[cut]) for cut in part]
+        args = [(kernel, per_range[cut], ranges[cut]) for cut in part]
         if workers > 1:
             import multiprocessing
 
@@ -694,48 +700,40 @@ def min_distance(
     budget: int = 1 << 24,
     jobs: int = 1,
 ) -> tuple[int, dict]:
-    """Minimum distance with a certificate.
+    """Minimum distance d with a certificate, by one path for both
+    strategies.
 
-    "exhaustive" scans every nonzero form and returns the true minimum
-    with a witness.  "construct+sample" returns the closed-form value,
-    a constructed witness verified to achieve it, and a seeded sample
-    showing no scanned form beats it.
+    A strategy picks d, a witness and its own certificate fields.
+    "exhaustive" scans every nonzero form: d is the true minimum, the
+    witness the minimum word of smallest counter index, and it records
+    ``forms_scanned``.  "construct+sample" takes the closed-form d_min and
+    the witness of ``classify.min_word_witness``, and records
+    ``witness_kind``, ``samples`` and ``seed``.  Then the witness's direct
+    weight must be d (RuntimeError otherwise); only after that does
+    "construct+sample" scan its seeded sample, record its least weight as
+    ``sample_min_weight`` and raise RuntimeError if it is below d.  The
+    certificate also holds the strategy, the witness's upper triangle and
+    its weight.
     """
-    ctx = system.ctx
-    m = system.space.m
-    params = counts.code_params(m, ctx.q)
+    ctx, m = system.ctx, system.space.m
     if strategy == "exhaustive":
         rep = spectrum(system, mode="exhaustive", budget=budget, jobs=jobs)
-        d = rep.min_nonzero_weight
         witness = AlternatingForm.from_upper(ctx, m, rep.min_weight_example)
-        wd = weight_direct(witness, system)
-        if wd != d:
-            raise RuntimeError(f"exhaustive witness has weight {wd}, expected {d}")
-        cert = {
-            "strategy": "exhaustive",
-            "forms_scanned": rep.forms_scanned,
-            "witness_upper": [int(x) for x in witness.upper()],
-            "weight": d,
-        }
-        return d, cert
-    if strategy == "construct+sample":
+        d, what, fields = rep.min_nonzero_weight, "exhaustive", {"forms_scanned": rep.forms_scanned}
+    elif strategy == "construct+sample":
         from .classify import min_word_witness
 
         kind, witness = min_word_witness(system.space)
-        wd = weight_direct(witness, system)
-        if wd != params.d_min:
-            raise RuntimeError(f"constructed witness has weight {wd}, expected {params.d_min}")
+        d, what = counts.code_params(m, ctx.q).d_min, "constructed"
+        fields = {"witness_kind": kind, "samples": samples, "seed": seed}
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    wd = weight_direct(witness, system)
+    if wd != d:
+        raise RuntimeError(f"{what} witness has weight {wd}, expected {d}")
+    if what == "constructed":
         rep = spectrum(system, mode="sample", budget=budget, seed=seed, samples=samples, jobs=jobs)
-        cert = {
-            "strategy": "construct+sample",
-            "witness_kind": kind,
-            "witness_upper": [int(x) for x in witness.upper()],
-            "weight": wd,
-            "samples": samples,
-            "seed": seed,
-            "sample_min_weight": rep.min_nonzero_weight,
-        }
-        if rep.min_nonzero_weight is not None and rep.min_nonzero_weight < wd:
+        if rep.min_nonzero_weight < d:
             raise RuntimeError("sampled a form below the closed-form minimum; arithmetic bug")
-        return params.d_min, cert
-    raise ValueError(f"unknown strategy {strategy!r}")
+        fields["sample_min_weight"] = rep.min_nonzero_weight
+    return d, {"strategy": strategy, "witness_upper": [int(x) for x in witness.upper()], "weight": d, **fields}

@@ -19,6 +19,11 @@ belong here too.
 * ``zero_class_bound(m, i, q)``, a bound on the zero-class size over all
   forms of rank 2i, which ``stratum_weight_bound`` turns into a per-rank
   lower bound on weights, tabulated by ``bound_table``.
+
+Being free of numpy, this module also states the one refusal of a sample
+over budget (``_check_sample_budget``), which the CLI asks in its flags
+and ``code.spectrum`` for library callers, and the short form of the
+counts a refusal prints (``_short``).
 """
 
 from __future__ import annotations
@@ -88,6 +93,23 @@ class CodeParams:
     n: int
     k: int
     d_min: int
+
+
+def _short(n: int) -> str:
+    """``n`` in full up to 15 digits, else to three significant digits
+    (4.10e+2144), so that a refusal stays one short line.  ``decimal``,
+    which prints ints past str()'s 4300 digits, is imported only then."""
+    if n < 10**15:
+        return str(n)
+    from decimal import Decimal
+
+    return f"{Decimal(n):.2e}"
+
+
+def _check_sample_budget(samples: int, budget: int) -> None:
+    """Raise ValueError when a scan of ``samples`` forms exceeds ``budget``."""
+    if samples > budget:
+        raise ValueError(f"sample count {_short(samples)} exceeds budget {_short(budget)}")
 
 
 def code_params(m: int, q: int) -> CodeParams:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import partial, reduce
 
 import numpy as np
@@ -79,10 +78,7 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _short(n: int) -> str:
-    """``n`` in full up to 15 digits, else to three significant digits
-    (4.10e+2144), so that a refusal stays one short line."""
-    return str(n) if n < 10**15 else f"{Decimal(n):.2e}"
+_short = counts._short
 
 
 def _check_memory(need: int, what: str) -> None:
@@ -114,8 +110,10 @@ class RadicalProfile:
 class HermitianSpace:
     """V(m, q^2) with the Hermitian form conj(x)^T y.
 
-    Enumerations are cached on the instance; the caches are immutable
-    arrays, so sharing a space between workers is safe.
+    Enumerations are cached on the instance, all but the point table of
+    the whole projective space (``all_points``), which is made on each
+    call; the caches are immutable arrays, so sharing a space between
+    workers is safe.
     """
 
     def __init__(self, m: int, ctx: FieldCtx):
@@ -142,30 +140,29 @@ class HermitianSpace:
         return reduce(partial(fadd, self.ctx), self.ctx.norm[pts].T)
 
     def all_points(self) -> np.ndarray:
-        """All normalized points of PG(m-1, q^2), ascending lex order.
+        """All normalized points of PG(m-1, q^2), ascending lex order,
+        made afresh on each call: only ``points()``, which keeps its own
+        result, and the tests read it.
 
         ``_check_memory`` raises ValueError first if its (Q^m - 1)/(Q - 1)
         rows of m bytes (Q = q^2) do not fit.
         """
-        if "all_points" not in self._cache:
-            m, q2 = self.m, self.ctx.q2
-            total = (q2**m - 1) // (q2 - 1)
-            _check_memory(total * m, f"the point table of PG({m - 1}, {q2}) needs {{}} bytes")
-            pts = np.zeros((total, m), dtype=np.uint8)
-            start = 0
-            for lead in range(m - 1, -1, -1):
-                tail = m - 1 - lead
-                block = pts[start : start + q2**tail]
-                block[:, lead] = 1
-                # Digit c of the block row index is the middle axis of a
-                # (q2^c, q2, q2^(tail-1-c)) split of the rows.
-                for c in range(tail):
-                    view = block.reshape(q2**c, q2, q2 ** (tail - 1 - c), m)
-                    view[:, :, :, lead + 1 + c] = np.arange(q2, dtype=np.uint8)[None, :, None]
-                start += len(block)
-            pts.flags.writeable = False
-            self._cache["all_points"] = pts
-        return self._cache["all_points"]
+        m, q2 = self.m, self.ctx.q2
+        total = (q2**m - 1) // (q2 - 1)
+        _check_memory(total * m, f"the point table of PG({m - 1}, {q2}) needs {{}} bytes")
+        pts = np.zeros((total, m), dtype=np.uint8)
+        start = 0
+        for lead in range(m - 1, -1, -1):
+            tail = m - 1 - lead
+            block = pts[start : start + q2**tail]
+            block[:, lead] = 1
+            # Digit c of the block row index is the middle axis of a
+            # (q2^c, q2, q2^(tail-1-c)) split of the rows.
+            for c in range(tail):
+                view = block.reshape(q2**c, q2, q2 ** (tail - 1 - c), m)
+                view[:, :, :, lead + 1 + c] = np.arange(q2, dtype=np.uint8)[None, :, None]
+            start += len(block)
+        return pts
 
     def points(self) -> np.ndarray:
         """Isotropic points, canonical order, one row per point.
@@ -313,12 +310,10 @@ class HermitianSpace:
 
     def perp_index(self) -> np.ndarray:
         """Row of section_table() holding the perp of each isotropic point:
-        the point conj(p), whose hyperplane is the perp of p."""
-        if "perp_index" not in self._cache:
-            idx = self.point_index(self.ctx.frob[self.points()])
-            idx.flags.writeable = False
-            self._cache["perp_index"] = idx
-        return self._cache["perp_index"]
+        the point conj(p), whose hyperplane is the perp of p.  Made afresh
+        on each call; ``section_table`` reads it once, for the rows it
+        holds (``perp_sections``)."""
+        return self.point_index(self.ctx.frob[self.points()])
 
     def section_table(self) -> np.ndarray | None:
         """Bit-packed hyperplane sections of the isotropic points: row f,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import hermgrass as hg
-from hermgrass import classify, cli, code, counts, linalg, polar
+from hermgrass import classify, cli, code, counts, linalg, pluecker, polar
 
 
 def test_params_table_contains_expected_row(capsys):
@@ -330,6 +331,34 @@ def test_min_word_constructed(tmp_path):
     assert data["d_min"] == 192
     assert data["certificate"]["witness_kind"] == "rank2-cone"
     assert data["certificate"]["seed"] == 1
+
+
+def _fails_with(capsys, argv, message):
+    """min-word at (4,2) exits 1 with ``message`` as its one error line."""
+    assert cli.run(["min-word", "-m", "4", "-q", "2", "--jobs", "1", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("flag,kind", [("--exhaustive", "exhaustive"), ("--construct", "constructed")])
+def test_min_word_witness_of_wrong_weight_exits_1(capsys, monkeypatch, flag, kind):
+    # a witness whose direct weight is not d fails its certification, and
+    # a constructed one fails it before any form is sampled
+    monkeypatch.setattr(code, "weight_direct", lambda phi, system: 13)
+    scan = mock.Mock(wraps=code.spectrum)
+    monkeypatch.setattr(code, "spectrum", scan)
+    _fails_with(capsys, [flag], f"{kind} witness has weight 13, expected 12")
+    assert [c.kwargs["mode"] for c in scan.call_args_list] == (["exhaustive"] if kind == "exhaustive" else [])
+
+
+def test_min_word_sample_below_minimum_exits_1(capsys, monkeypatch):
+    # a sample scan reporting a form below the closed-form d_min = 12
+    scan = code.spectrum
+    monkeypatch.setattr(
+        code, "spectrum", lambda *a, **kw: dataclasses.replace(scan(*a, **kw), min_nonzero_weight=11)
+    )
+    _fails_with(capsys, ["--samples", "50"], "sampled a form below the closed-form minimum; arithmetic bug")
 
 
 def test_verify_passes_at_42(capsys):
@@ -775,6 +804,35 @@ def test_verify_refuses_samples_over_budget_before_building(capsys, monkeypatch)
         f"error: sample count 1.00e+20 exceeds budget {1 << 24}",
         "error: sample count 6 exceeds budget 5",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["spectrum", "-m", "6", "-q", "2", "--exhaustive", "--budget", "100"],
+         "exhaustive scan at m = 6, q = 2 exceeds budget 100 or the available memory"),
+        (["min-word", "-m", "6", "-q", "2", "--exhaustive", "--budget", "100"],
+         "exhaustive scan at m = 6, q = 2 exceeds budget 100 or the available memory"),
+        (["spectrum", "-m", "4", "-q", "2", "--sample", "6", "--budget", "5"], "sample count 6 exceeds budget 5"),
+        (["min-word", "-m", "4", "-q", "2", "--samples", "6", "--budget", "5"], "sample count 6 exceeds budget 5"),
+    ],
+    ids=["spectrum-exhaustive", "min-word-exhaustive", "spectrum-sample", "min-word-construct"],
+)
+def test_scans_over_budget_are_refused_before_building(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(pluecker, "build_system", mock.Mock(side_effect=AssertionError("a system was built")))
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("samples", ["101", "0"])
+def test_min_word_exhaustive_ignores_samples(capsys, samples):
+    # --samples belongs to the construct strategy; the exhaustive scan of
+    # (4,2) scans 60 forms, within the budget of 100
+    argv = ["min-word", "-m", "4", "-q", "2", "--exhaustive", "--samples", samples, "--budget", "100", "--jobs", "1"]
+    assert cli.run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["d_min"] == 12
 
 
 def _is_prime(n: int) -> bool:

@@ -6,13 +6,17 @@ so that the per-space tables are built before timing, then draws
 ``--forms`` seeded nonzero forms, every fourth of rank 2 (a b^T - b a^T).
 Each route is timed on its own new copy of a form, so that nothing the
 form keeps is reused: ``weight_direct``, ``weight_recursive``,
-``point_weights`` and ``classify_points``.  Last it times the four routes
-in sequence on one more copy, the order in which hgbench's routes
-workload and ``verify`` cross-check a form.  It prints one JSON line of
-medians per process:
+``point_weights`` and ``classify_points``.  ``streamed`` is
+``point_weights`` on a second space of the same size whose section table
+was refused, as on a machine without the memory for it: the per-point
+fallback that streams both sections in row blocks of the points.  Last it
+times the four routes in sequence on one more copy, the order in which
+hgbench's routes workload and ``verify`` cross-check a form.  It prints
+one JSON line of medians per process:
 
     {"m": 6, "q": 2, "forms": 40, "direct_ms": ..., "recursive_ms": ...,
-     "point_weights_ms": ..., "classify_ms": ..., "sequence_ms": ...}
+     "point_weights_ms": ..., "classify_ms": ..., "streamed_ms": ...,
+     "sequence_ms": ...}
 
 ``--src DIR`` imports hermgrass from DIR instead of this checkout's src,
 so two trees are timed by one script:
@@ -53,6 +57,7 @@ def _child(m: int, q: int, forms: int) -> dict:
     import numpy as np
 
     import hermgrass as hg
+    from hermgrass import polar
 
     ctx = hg.make_field(*FIELD[q])
     space = hg.HermitianSpace(m, ctx)
@@ -63,13 +68,21 @@ def _child(m: int, q: int, forms: int) -> dict:
         "point_weights": lambda phi: hg.point_weights(phi, space),
         "classify": lambda phi: hg.classify_points(phi, space, system),
     }
+    streamed = hg.HermitianSpace(m, ctx)
+    streamed.points()
+    available, polar._available_memory = polar._available_memory, lambda: 0
+    refused = streamed.section_table() is None  # kept on the space, so the refusal holds
+    polar._available_memory = available
+    if not refused:
+        raise RuntimeError("the section table was not refused")
+    alone = {**routes, "streamed": lambda phi: hg.point_weights(phi, streamed)}
     warm = np.zeros((m, m), dtype=np.uint8)
     warm[0, 1], warm[1, 0] = 1, ctx.neg[1]
-    for route in routes.values():
+    for route in alone.values():
         route(hg.AlternatingForm(ctx, warm))
-    times: dict[str, list[float]] = {name: [] for name in [*routes, "sequence"]}
+    times: dict[str, list[float]] = {name: [] for name in [*alone, "sequence"]}
     for s in _forms(hg, ctx, m, forms):
-        for name, route in routes.items():
+        for name, route in alone.items():
             phi = hg.AlternatingForm(ctx, s)
             t = time.perf_counter()
             route(phi)
