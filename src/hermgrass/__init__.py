@@ -17,9 +17,9 @@ import importlib
 import sys
 
 from .counts import (
-    BoundRow, BoundTable, CodeParams, bound_table, code_params, cone_count_max, cone_point_count,
-    isotropic_point_count, line_count, point_weight_values, rank2_cone_weight, stratum_weight_bound,
-    weight_from_class_counts, zero_class_bound,
+    BoundRow, BoundTable, CodeParams, bound_table, class_counts_from_ranks, code_params, cone_count_max,
+    cone_point_count, isotropic_point_count, line_count, point_weight_values, rank2_cone_weight,
+    stratum_weight_bound, weight_from_class_counts, zero_class_bound,
 )
 
 # The module of each name that needs numpy, imported by __getattr__.

@@ -19,23 +19,29 @@ count:
 Every fixed point of the map is isotropic: conj(S^T x) = c x with c
 nonzero gives S^T x = conj(c) conj(x), so conj(c) conj(x)^T x =
 x^T S x = 0 for the alternating S, and the point lies in its own perp.
-So one pass of polar images over the isotropic points gives both the
-classes and all fixed points of PG(m - 1, q^2).
 
-The class sizes (counted as vectors, q^2 - 1 per point) reconstruct
-the weight of the codeword exactly (``counts.weight_from_class_counts``),
-giving a third route to weights besides the direct and the per-point
-recursive counts.  The per-rank zero-class and weight bounds are closed
-forms and live in ``counts``.  Minimum words take one of two shapes, rank-2 cone forms and
-permutable forms, each tested by one predicate that the witness
-constructions, min_word_witness and check_min_weight_profile share.
+The class sizes (counted as vectors, q^2 - 1 per point) and the fixed
+points come from ranks alone: the map squares to T = conj(S) S, and
+rank S with the q ranks of T - lambda I, lambda in GF(q), give all four
+counts in closed form (``counts.class_counts_from_ranks``; the form keeps
+the ranks from one stacked elimination, ``code.AlternatingForm.ranks``).
+No point is visited.  One pass of polar images over the isotropic points
+(``point_classes``, with ``_images``) labels each point; it is the
+reference the rank counts are checked against.
+
+The class sizes reconstruct the weight of the codeword exactly
+(``counts.weight_from_class_counts``), giving a third route to weights
+besides the direct and the per-point recursive counts.  The per-rank
+zero-class and weight bounds are closed forms and live in ``counts``.
+Minimum words take one of two shapes, rank-2 cone forms and permutable
+forms, each tested by one predicate that the witness constructions,
+min_word_witness and check_min_weight_profile share.
 
 The radical R = ker S cuts the polar space in a cone [Pi_t]H_(d-t)
 (Bose and Chakravarti, Canad. J. Math. 18, 1966), d = m - rank S.  Its
 profile needs no basis of R: R cap R^perp = ker S cap im conj(S), so
-t = rank S - rank(conj(S) S), two ranks of m x m matrices that the form
-keeps from one stacked elimination (``_radical_profile``), which the
-report and both predicates read.
+t = rank S - rank(conj(S) S), the first two of the form's ranks
+(``_radical_profile``), which the report and both predicates read.
 """
 
 from __future__ import annotations
@@ -100,20 +106,32 @@ def _radical_profile(phi: AlternatingForm) -> polar.RadicalProfile:
     Under conj(x)^T y the perp of ker S is the image of conj(S), so
     R cap R^perp = ker S cap im conj(S), whose dimension is the rank of
     conj(S) minus that of S conj(S): t = rank S - rank(conj(S) S), the
-    two products being conjugate.  The form keeps both ranks
-    (``AlternatingForm.ranks``).  The section is the cone [Pi_t]H_(d-t)
-    over d = m - rank S (``polar.radical_profile`` gives the same from
-    the basis of R).
+    two products being conjugate.  The form keeps both ranks, the first
+    two of ``AlternatingForm.ranks``.  The section is the cone
+    [Pi_t]H_(d-t) over d = m - rank S (``polar.radical_profile`` gives
+    the same from the basis of R).
     """
-    r, r0 = phi.ranks
+    r, r0 = phi.ranks[:2]
     return polar.RadicalProfile(dim=phi.rad_dim, t=r - r0)
 
 
-def _class_sizes(ctx: FieldCtx, labels: np.ndarray) -> tuple[int, int, int]:
-    """Vector counts (A, B, C) of the zero, secant and tangent classes,
-    q^2 - 1 vectors per labelled point."""
-    a, b, c = np.bincount(labels, minlength=3) * (ctx.q2 - 1)
-    return int(a), int(b), int(c)
+def _class_counts(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[int, int, int, int]:
+    """(A, B, C, fix_count) of a nonzero form from its q + 1 ranks
+    (``counts.class_counts_from_ranks``), or -1 for each when the ranks
+    give no valid counts, so every check that reads them fails."""
+    try:
+        return counts.class_counts_from_ranks(space.m, space.ctx.q, phi.ranks)
+    except ValueError:
+        return -1, -1, -1, -1
+
+
+def _point_counts(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[int, int, int, int]:
+    """(A, B, C, fix_count) from one ``_images`` pass over the isotropic
+    points, q^2 - 1 vectors per labelled point: the reference for
+    ``_class_counts``."""
+    labels, fixed = _classes(phi, space)
+    a, b, c = np.bincount(labels, minlength=3) * (space.ctx.q2 - 1)
+    return int(a), int(b), int(c), fixed
 
 
 def point_classes(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarray:
@@ -124,8 +142,9 @@ def point_classes(phi: AlternatingForm, space: polar.HermitianSpace) -> np.ndarr
 @dataclass(frozen=True)
 class ClassificationReport:
     """Class sizes and cross-checked weights for one nonzero form;
-    ``weight_from_counts`` is -1 when the class sizes give no weight,
-    and the failed check says why."""
+    ``weight_from_counts`` is -1 when the class sizes give no weight, and
+    A, B, C and ``fix_count`` are -1 when the ranks give no counts; the
+    failed check says why."""
 
     A: int
     B: int
@@ -143,26 +162,24 @@ def classify_points(
 ) -> ClassificationReport:
     """Full classification report for a nonzero form.
 
-    The direct weight is taken from the codeword of the system, a route
-    independent of the class-size reconstruction; ``weight_direct``
-    returns the weight the form keeps when it was already counted on this
-    system object.  The radical's dimension and profile come from two
-    ranks (``_radical_profile``), not from its basis.  ``fix_count``
-    counts the projective fixed points of the composed polarity map over
-    the whole projective space.  Every fixed point is isotropic (x^T S x
-    = 0 puts a point that is its own pole in its own perp), so the one
-    pass over the isotropic points that gives the classes finds them all.
+    The class sizes and ``fix_count``, the projective fixed points of the
+    composed polarity map over the whole projective space, come from the
+    form's q + 1 ranks (``_class_counts``), as do the radical's dimension
+    and profile (``_radical_profile``); no point is visited.  The direct
+    weight is taken from the codeword of the system, a route independent
+    of the class-size reconstruction; ``weight_direct`` returns the weight
+    the form keeps when it was already counted on this system object.
     """
-    ctx = space.ctx
-    q = ctx.q
-    labels, fix_count = _classes(phi, space)
-    a, b, c = _class_sizes(ctx, labels)
+    if phi.is_zero():
+        raise ValueError("the zero form has no point classification")
+    m, q = space.m, space.ctx.q
+    a, b, c, fix_count = _class_counts(phi, space)
     try:
-        wfc = counts.weight_from_class_counts(space.m, q, a, b, c)
+        wfc = counts.weight_from_class_counts(m, q, a, b, c)
     except ValueError:  # sizes that do not add up or give no integral weight
         wfc = -1  # no weight, so weight_agreement fails
     wd = weight_direct(phi, system)
-    report = ClassificationReport(
+    return ClassificationReport(
         A=a,
         B=b,
         C=c,
@@ -172,11 +189,10 @@ def classify_points(
         weight_from_counts=wfc,
         weight_direct=wd,
         checks={
-            "conservation": a + b + c == (ctx.q2 - 1) * counts.isotropic_point_count(space.m, q),
+            "conservation": a + b + c == (q * q - 1) * counts.isotropic_point_count(m, q),
             "weight_agreement": wfc == wd,
         },
     )
-    return report
 
 
 # -- constructions ------------------------------------------------------------
@@ -210,7 +226,7 @@ def _is_permutable(phi: AlternatingForm, space: polar.HermitianSpace) -> tuple[b
     zero class of (q^rank - 1)(q + 1) vectors and, for even m, an empty
     secant class."""
     m, q, rank = space.m, space.ctx.q, phi.rank
-    a, b, _ = _class_sizes(space.ctx, point_classes(phi, space))
+    a, b = _class_counts(phi, space)[:2]
     ok = rank == m - m % 2 and _radical_profile(phi).t == 0
     ok = ok and a == (q**rank - 1) * (q + 1) and (b == 0 or m % 2 == 1)
     return ok, f"rank={rank}, A={a}, B={b}"

@@ -14,9 +14,10 @@ ran in, and the later checks still run.
 spectrum, min-word and verify refuse a scan over --budget before the
 system is built: a sample count above it in the flags, before numpy is
 imported (min-word --exhaustive takes no sample), and an exhaustive scan
-whose two-row prefixes exceed it, or whose orbit labelling exceeds the
-available memory, before a line is enumerated (``_system_for``; verify
-skips its exhaustive checks instead).
+whose floor of one form per orbit exceeds it, also before numpy is
+imported, or whose two-row prefixes exceed it, or whose orbit labelling
+exceeds the available memory, before a line is enumerated
+(``_system_for``; verify skips its exhaustive checks instead).
 
 All randomized paths take a seed (default 1) and echo it into the
 output metadata.  Identical invocations, seed included, write
@@ -301,12 +302,17 @@ def _space_for(args):
 def _system_for(args, exhaustive: bool):
     """The system of the flags' space, built only once an exhaustive scan,
     where one is asked, fits --budget and the available memory: its
-    refusal (``code._exhaustive_prefixes``) is a ValueError.  Below m = 4
-    build_system refuses the m first."""
+    refusal is a ValueError, first from the floor on its forms, before
+    numpy is imported (``counts._check_scan_budget``), then from its
+    prefixes (``code._exhaustive_prefixes``).  Below m = 4 build_system
+    refuses the m."""
+    if exhaustive:
+        p, e = _resolve_field(args.q)
+        counts._check_scan_budget(_single_m(args.m, p**e), p**e, args.budget)
     from . import code, pluecker
 
     space = _space_for(args)
-    if exhaustive and space.m >= 4:
+    if exhaustive:
         code._exhaustive_prefixes(space.ctx, space.m, args.budget)
     return pluecker.build_system(space)
 
@@ -408,9 +414,9 @@ def cmd_weight(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    system = _system_for(args, args.sample is None)
     from . import code
 
-    system = _system_for(args, args.sample is None)
     mode = "exhaustive" if args.sample is None else "sample"
     rep = code.spectrum(system, mode, args.budget, args.seed, args.sample, args.jobs)
     meta = {
@@ -490,9 +496,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_min_word(args) -> int:
+    system = _system_for(args, args.exhaustive)
     from . import code
 
-    system = _system_for(args, args.exhaustive)
     strategy = "exhaustive" if args.exhaustive else "construct+sample"
     d, cert = code.min_distance(
         system,
@@ -563,7 +569,9 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
             rep = classify.classify_points(phi, space, system())
             wd, wr = rep.weight_direct, code.weight_recursive(phi, space)
             pw = set(code.point_weights(phi, space).tolist())
-            if not (wd == wr == rep.weight_from_counts and rep.checks["conservation"]):
+            # the class counts from ranks against the reference pass over the points
+            points_agree = classify._point_counts(phi, space) == (rep.A, rep.B, rep.C, rep.fix_count)
+            if not (wd == wr == rep.weight_from_counts and rep.checks["conservation"] and points_agree):
                 return False, f"disagreement at upper={list(map(int, upper))}", bound_ok
             if not pw <= values:
                 return False, f"per-point value outside the case set: {sorted(pw)}", bound_ok

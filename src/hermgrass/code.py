@@ -25,7 +25,8 @@ Weights are computed three independent ways across the package:
   (``HermitianSpace.perp_sections``), and the row of u^T S gathered from
   its bit-packed hyperplane-section table;
 * ``counts.weight_from_class_counts``: reconstruct from the sizes
-  of the three per-point classes of ``classify``.
+  of the three per-point classes of ``classify``, which come from the
+  form's q + 1 ranks (``_form_ranks``) and visit no point.
 
 Each route runs once per form and input: the form keeps its direct
 weight with a weak reference to the system it was counted on and its
@@ -105,16 +106,32 @@ def _alternating(ctx: FieldCtx, m: int, upper: np.ndarray) -> np.ndarray:
     return s
 
 
+def _form_ranks(ctx: FieldCtx, s: np.ndarray) -> np.ndarray:
+    """The q + 1 ranks of each form of a stack s, shape (F, m, m), as an
+    (F, q + 1) array: rank S, then rank(T - lambda I) for each lambda of
+    ``ctx.subfield``, 0 first, with T = conj(S) S.  One ``linalg.matmul``
+    of the stacks gives every T and one ``linalg.rank_stack`` call the
+    F (q + 1) ranks; a single form is the stack F = 1."""
+    f, m = s.shape[:2]
+    t = linalg.matmul(ctx, ctx.frob[s], s)
+    mats = np.empty((f, 1 + ctx.q, m, m), dtype=np.uint8)
+    mats[:, 0], mats[:, 1:] = s, t[:, None]
+    diag = np.arange(m)
+    mats[:, 1:, diag, diag] = linalg.fsub(ctx, t[:, None, diag, diag], ctx.subfield[None, :, None])
+    return linalg.rank_stack(ctx, mats.reshape(-1, m, m)).reshape(f, 1 + ctx.q)
+
+
 class AlternatingForm:
     """m x m matrix S over GF(q^2) with S^T = -S and zero diagonal.
 
     The zero diagonal is required explicitly so the condition is
     meaningful in characteristic 2 as well.  The rank (always even),
-    kept with the rank of conj(S) S (``ranks``), and the two-sided kernel
-    (``radical``), whose dimension is m minus the rank, are each computed
-    on first use and cached; the two ranks need one stacked elimination,
-    the basis two reduced ones, so the rank and ``rad_dim`` do not build
-    the basis.  Beside them the form keeps the
+    kept with the ranks of conj(S) S - lambda I for lambda in GF(q)
+    (``ranks``), and the two-sided kernel (``radical``), whose dimension
+    is m minus the rank, are each computed on first use and cached; the
+    q + 1 ranks need one stacked elimination, the basis two reduced ones,
+    so the rank and ``rad_dim`` do not build the basis.  Beside them the
+    form keeps the
     last result of two weight routes with a weak reference to the object
     it was computed on: ``weight_direct`` with its system and
     ``point_weights`` with its space, so a kept form does not keep that
@@ -163,12 +180,10 @@ class AlternatingForm:
         return radical
 
     @cached_property
-    def ranks(self) -> tuple[int, int]:
-        """(rank S, rank conj(S) S), from one ``linalg.rank_stack`` call
-        on the 2-stack of both matrices."""
-        ctx, s = self.ctx, self.s
-        r, r0 = linalg.rank_stack(ctx, np.stack([s, linalg.matmul(ctx, ctx.frob[s], s)]))
-        return int(r), int(r0)
+    def ranks(self) -> tuple[int, ...]:
+        """(rank S, then rank(T - lambda I) for each lambda of GF(q), 0
+        first), T = conj(S) S: ``_form_ranks`` of the stack of this form."""
+        return tuple(_form_ranks(self.ctx, self.s[None])[0].tolist())
 
     @property
     def rank(self) -> int:
@@ -399,7 +414,9 @@ def _orbits(ctx: FieldCtx, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     before any of them is made when they do not fit.
     """
     q2, w = ctx.q2, len(r)
-    polar._check_memory(q2**w * (2 * w + 48), f"the orbit labelling of {polar._short(q2**w)} rows needs {{}} bytes")
+    if not w:  # the one empty row is its own orbit
+        return linalg._frozen(np.zeros(1, dtype=np.intp)), linalg._frozen(np.ones(1, dtype=np.intp))
+    polar._check_memory(q2**w * (2 * w + 48), f"the orbit labelling of {counts._short(q2**w)} rows needs {{}} bytes")
     # r ascends, so each set is a run; w rounds of odd-even transposition sort it
     pairs = [j for step in range(w) for j in range(step % 2, w - 1, 2) if r[j] == r[j + 1]]
     digits = np.indices((q2,) * w, dtype=np.uint8).reshape(w, -1)
@@ -446,37 +463,40 @@ def _two_row_orbits(ctx: FieldCtx, m: int) -> tuple[np.ndarray, np.ndarray]:
     d_j S_1(pi j): the maps of ``_orbits`` fixing (r_2 .. r_m-1), with any
     nonzero scalar for r = 0 alone, since lambda has norm 1 unless r = 0.
     A representative's entries ascend, so r_1 != 0 only when no r_j is 0.
+    At m = 1 there is no second row, and its one empty orbit adds no digit.
     """
     reps, sizes = _first_row_classes(ctx, m)
     orbits = [_orbits(ctx, r) for r in linalg._digits(reps, ctx.q2, m - 1)[:, 1:]]
-    prefixes = [rep * ctx.q2 ** (m - 2) + first for rep, (first, _) in zip(reps, orbits)]
+    prefixes = [rep * ctx.q2 ** max(m - 2, 0) + first for rep, (first, _) in zip(reps, orbits)]
     counts = [size * orbit_sizes for size, (_, orbit_sizes) in zip(sizes, orbits)]
     return linalg._frozen(np.concatenate(prefixes)), linalg._frozen(np.concatenate(counts))
 
 
 def _scan_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.ndarray] | None:
     """``_two_row_orbits``, or None when scanning each prefix with all
-    Q^C(m-2,2) entries below it would exceed ``budget`` forms.  A class
-    holds at least one orbit, so the Q^(m-1) first rows are labelled only
-    once m classes, and the Q^(m-2) second rows of each class only once
-    one prefix a class, fit the budget.  It is None too when a labelling
-    does not fit in the available memory (``_orbits``)."""
-    below = ctx.q2 ** ((m - 2) * (m - 3) // 2)
+    Q^C(m-2,2) entries below it would exceed ``budget`` forms.  Nothing is
+    labelled when the floor of ``counts._check_scan_budget`` exceeds the
+    budget.  A class holds at least one orbit, so the Q^(m-1) first rows
+    are labelled only once m classes, and the Q^(m-2) second rows of each
+    class only once one prefix a class, fit the budget.  It is None too
+    when a labelling does not fit in the available memory (``_orbits``)."""
+    below = ctx.q2 ** math.comb(max(m - 2, 0), 2)
     try:
+        counts._check_scan_budget(m, ctx.q, budget)
         if m * below > budget or len(_first_row_classes(ctx, m)[0]) * below > budget:
             return None
         prefixes, sizes = _two_row_orbits(ctx, m)
-    except ValueError:  # a labelling beyond the available memory
+    except ValueError:  # over the floor, or a labelling beyond the available memory
         return None
     return (prefixes, sizes) if len(prefixes) * below <= budget else None
 
 
 def _exhaustive_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
     """``_scan_prefixes``, or ValueError where it is None: the one refusal
-    of an exhaustive scan, which the CLI asks before building the system."""
+    of an exhaustive scan (``counts._check_scan_budget``), which the CLI
+    asks before building the system."""
     scanned = _scan_prefixes(ctx, m, budget)
-    if scanned is None:
-        raise ValueError(f"exhaustive scan at m = {m}, q = {ctx.q} exceeds budget {polar._short(budget)} or the available memory")
+    counts._check_scan_budget(m, ctx.q, budget, fits=scanned is not None)
     return scanned
 
 

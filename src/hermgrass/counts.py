@@ -3,9 +3,7 @@
 Every function here is exact integer or rational arithmetic in m and q
 and imports nothing beyond the standard library, so the commands that
 print closed forms (``params``, ``bounds``) start without numpy.  This
-is the home of the paper's closed forms; the number of minimum words
-(``min_word_count``) and the m = 4 weight enumerator (``m4_spectrum``)
-belong here too.
+is the home of the paper's closed forms.
 
 * ``isotropic_point_count(m, q)`` for the nondegenerate space,
 * ``line_count(m, q)`` for totally isotropic lines,
@@ -14,26 +12,32 @@ belong here too.
   has dimension t (a cone with a t-dimensional vertex over a
   nondegenerate piece of dimension m-2i-t);
 * ``code_params`` and ``point_weight_values`` for the line code;
-* ``weight_from_class_counts``, the class-count weight route's
-  arithmetic;
+* ``class_counts_from_ranks``, the sizes of the three point classes of
+  ``classify`` and the fixed points, from q + 1 ranks of a form, with no
+  point visited, and ``weight_from_class_counts``, the class-count
+  weight route's arithmetic on them;
 * ``zero_class_bound(m, i, q)``, a bound on the zero-class size over all
   forms of rank 2i, which ``stratum_weight_bound`` turns into a per-rank
   lower bound on weights, tabulated by ``bound_table``.
 
 Being free of numpy, this module also states the one refusal of a sample
 over budget (``_check_sample_budget``), which the CLI asks in its flags
-and ``code.spectrum`` for library callers, and the short form of the
+and ``code.spectrum`` for library callers, the one refusal of an
+exhaustive scan (``_check_scan_budget``), whose floor on the forms
+scanned the CLI asks before numpy is imported, and the short form of the
 counts a refusal prints (``_short``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "isotropic_point_count", "line_count", "cone_point_count",
     "CodeParams", "code_params", "point_weight_values", "weight_from_class_counts", "rank2_cone_weight",
+    "class_counts_from_ranks",
     "cone_count_max", "zero_class_bound", "stratum_weight_bound", "BoundRow", "BoundTable", "bound_table",
 ]
 
@@ -112,6 +116,23 @@ def _check_sample_budget(samples: int, budget: int) -> None:
         raise ValueError(f"sample count {_short(samples)} exceeds budget {_short(budget)}")
 
 
+def _check_scan_budget(m: int, q: int, budget: int, fits: bool = True) -> None:
+    """Raise ValueError, the one refusal of an exhaustive scan, unless it
+    ``fits`` (``code._scan_prefixes`` found its prefixes within budget and
+    memory) and a floor on the forms it scans stays within ``budget``.
+
+    The scan visits a form of every orbit of the maps it compresses by,
+    which lie in the group of coordinate permutations, norm-1 diagonal
+    maps and scalars, of order m! (q + 1)^m (Q - 1), Q = q^2.  So it scans
+    at least Q^C(m,2) / (m! (q + 1)^m (Q - 1)) forms, a floor that needs
+    no labelling: 2.6e9 at (5,8).
+    """
+    q2 = q * q
+    group = math.factorial(m) * (q + 1) ** m * (q2 - 1)
+    if not fits or q2 ** (m * (m - 1) // 2) > budget * group:
+        raise ValueError(f"exhaustive scan at m = {m}, q = {q} exceeds budget {_short(budget)} or the available memory")
+
+
 def code_params(m: int, q: int) -> CodeParams:
     """Parameters of the line code on V(m, q^2); requires m >= 4.
 
@@ -153,6 +174,49 @@ def weight_from_class_counts(m: int, q: int, a: int, b: int, c: int) -> int:
     if num % den:
         raise ValueError("class counts do not give an integral weight")
     return num // den
+
+
+def class_counts_from_ranks(m: int, q: int, ranks) -> tuple[int, int, int, int]:
+    """The class sizes (A, B, C) and the fixed-point count of a nonzero
+    alternating form S on V(m, q^2), from ranks alone: r = rank S, then
+    r_lambda = rank(T - lambda I), T = conj(S) S, for each lambda of GF(q),
+    lambda = 0 first (``code.AlternatingForm.ranks``).
+
+    The polarity map tau(x) = conj(S^T x) squares to T (``classify``).
+    With Q = q^2:
+
+    * R = ``cone_point_count(m, r/2, r - r_0, q)`` isotropic points lie in
+      the radical, whose profile is t = r - r_0 (``classify._radical_profile``);
+    * F = sum over lambda != 0 of (q^(m - r_lambda) - 1)/(q - 1) points are
+      fixed: on the lambda-eigenspace of T, tau times a c of norm lambda is
+      a semilinear involution whose fixed points form a Baer subgeometry;
+    * Z = q^(2m-2) [1 + (q-1)(-q)^(-m) + (q-1) sum_lambda (-q)^(-r_lambda)]
+      vectors are common zeros of the Hermitian pencil <I, T>, the
+      isotropic x with tau(x) isotropic or zero, by the character sum
+      q^(2m) (-q)^(-rho) of a rank-rho Hermitian form (Bose and
+      Chakravarti, Canad. J. Math. 18, 1966); their P = (Z - 1)/(Q - 1)
+      points hold the zero and tangent classes.
+
+    So A = (Q-1)(R + F), B = (Q-1)(mu - P) and C = (Q-1)(P - R - F), mu the
+    isotropic points.  For ranks in 0..m, Z is the integer
+    q^(m-2) [q^m + (q-1)((-1)^m + sum_lambda (-1)^r_lambda q^(m-r_lambda))],
+    and Z = 1 mod Q - 1, as q = -1 mod q + 1 makes the inner sum 0 mod
+    q + 1; so P is exact.  Raises ValueError when the
+    ranks are not those of a nonzero form (length, parity or range, or a
+    vertex beyond the radical) or give a negative class size.
+    """
+    r, *rl = ranks
+    if len(rl) != q or r % 2 or not 2 <= r <= m or not all(0 <= x <= m for x in rl):
+        raise ValueError(f"ranks {list(ranks)} are not those of a nonzero form at m = {m}, q = {q}")
+    q2 = q * q
+    radical = cone_point_count(m, r // 2, r - rl[0], q)
+    fixed = sum(q ** (m - x) - 1 for x in rl[1:]) // (q - 1)
+    zeros = q ** (m - 2) * (q**m + (q - 1) * ((-1) ** m + sum((-1) ** x * q ** (m - x) for x in rl)))
+    pts = (zeros - 1) // (q2 - 1)
+    a, b, c = ((q2 - 1) * n for n in (radical + fixed, isotropic_point_count(m, q) - pts, pts - radical - fixed))
+    if b < 0 or c < 0:
+        raise ValueError(f"ranks {list(ranks)} give a negative class size")
+    return a, b, c, fixed
 
 
 def rank2_cone_weight(m: int, q: int) -> int:

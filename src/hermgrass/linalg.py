@@ -22,8 +22,10 @@ One forward elimination, ``_echelon``, serves ``rank``, which counts
 its pivots and certifies wide matrices such as the generator, and
 ``rref``, which adds a backward pass and which ``kernel`` reads.
 ``rank_stack`` eliminates a stack of small matrices at once: the radical
-split of a spectrum scan, and a form's two ranks, rank S and
-rank(conj(S) S), as one 2-stack (``code.AlternatingForm.ranks``).
+split of a spectrum scan, and a form's q + 1 ranks, rank S and
+rank(conj(S) S - lambda I) for each lambda in GF(q), as one stack
+(``code._form_ranks``), whose products conj(S) S ``matmul`` forms for a
+stack of forms at once.
 
 The scan kernel (``_ScanKernel``) holds the products f M of a K x N
 matrix M with every coefficient vector f as sums of digit-group table
@@ -110,7 +112,8 @@ def fsub(ctx: FieldCtx, a, b, out=None):
 
 
 def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
-    """Matrix product over GF(q^2); a is (r, t), b is (t, c), t >= 1.
+    """Matrix product over GF(q^2); a is (r, t), b is (t, c), t >= 1, or
+    the products a[f] b[f] of two stacks, (F, r, t) and (F, t, c).
 
     For each k the product table of row k of b, ``np.take(ctx.mul, b[k],
     axis=1)``, is Q x c with v b[k] in row v (Q = q^2); gathered at
@@ -121,18 +124,21 @@ def matmul(ctx: FieldCtx, a, b) -> np.ndarray:
     only before a nibble could pass 15, and the sum is reduced and turned
     back into codes once: code = byte - (16 - p) (byte >> 4).  The tables
     cost Q c entries per k whatever r is, so callers pass the tall
-    operand as a.
+    operand as a.  A stack has no shared table: the terms of k are one
+    gather of the products of column k of each a[f] with row k of b[f].
     """
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
-    t = a.shape[1]
-    if b.shape[0] != t or t == 0:
+    t = a.shape[-1]
+    if b.shape[-2] != t or t == 0 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ValueError("inner dimensions do not match")
     p = ctx.p
     nibbles = p != 2 and t > 1  # a single term is a code of the table
     products = _nibble_codes(ctx.mul, p) if nibbles else ctx.mul
 
     def terms(k, out=None):
+        if b.ndim == 3:
+            return products[a[:, :, k, None], b[:, None, k, :]]
         # the ndarray methods skip np.take's dispatch, about 1 us a call
         return products.take(b[k], axis=1).take(a[:, k], axis=0, out=out, mode="clip")
 

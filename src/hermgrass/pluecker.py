@@ -140,7 +140,7 @@ class ProjectiveSystem:
         raises ValueError first when its tables do not fit, so none is
         allocated."""
         need = linalg._ScanKernel.table_bytes(self.ctx, self.k, self.n)
-        polar._check_memory(need, f"the scan tables of the {self.k} x {polar._short(self.n)} matrix need {{}} bytes")
+        polar._check_memory(need, f"the scan tables of the {self.k} x {counts._short(self.n)} matrix need {{}} bytes")
         return linalg._ScanKernel(self.ctx, self.planes if self.ctx.p == 2 else self._codes, self.n)
 
     def __repr__(self) -> str:
@@ -164,7 +164,7 @@ def build_system(space: polar.HermitianSpace) -> ProjectiveSystem:
     k, n_lines = space.m * (space.m - 1) // 2, counts.line_count(space.m, ctx.q)
     bits = 2 * ctx.e if ctx.p == 2 else 0
     need = (k * bits * 8 * -(-n_lines // 64) if bits else k * n_lines) + n_lines * polar._LINE_BYTES
-    polar._check_memory(need, f"the {k} x {polar._short(n_lines)} generator and its lines need {{}} bytes")
+    polar._check_memory(need, f"the {k} x {counts._short(n_lines)} generator and its lines need {{}} bytes")
     (a_idx, b_idx), pts = space.line_pair_indices(), space.points()
     n = len(a_idx)
     # the first line of each run of equal a, then n

@@ -78,15 +78,12 @@ def _available_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-_short = counts._short
-
-
 def _check_memory(need: int, what: str) -> None:
     """Raise ValueError when ``need`` bytes exceed the available memory;
-    ``what`` names them, with ``{}`` for ``need`` in ``_short`` form."""
+    ``what`` names them, with ``{}`` for ``need`` in ``counts._short`` form."""
     have = _available_memory()
     if need > have:
-        raise ValueError(f"{what.format(_short(need))}, more than the {have} bytes of available memory")
+        raise ValueError(f"{what.format(counts._short(need))}, more than the {have} bytes of available memory")
 
 
 @dataclass(frozen=True)
@@ -247,7 +244,7 @@ class HermitianSpace:
             n_lines = counts.line_count(m, ctx.q)
             _check_memory(
                 n_lines * _LINE_BYTES,
-                f"the {_short(n_lines)} totally isotropic lines of PG({m - 1}, {ctx.q2}) need {{}} bytes",
+                f"the {counts._short(n_lines)} totally isotropic lines of PG({m - 1}, {ctx.q2}) need {{}} bytes",
             )
             n_pts = self.num_points
             index = np.uint16 if n_pts <= _UINT16_POINTS else np.int32

@@ -167,6 +167,8 @@ def _scan_forms(space, system, forms):
         per_point = code.point_weights(phi, space)
         assert wd == wr == rep.weight_from_counts
         assert rep.A + rep.B + rep.C == conservation_total
+        # the class counts from ranks against the reference pass over the points
+        assert (rep.A, rep.B, rep.C, rep.fix_count) == classify._point_counts(phi, space)
         assert set(int(x) for x in np.unique(per_point)) <= values
         records.append((phi.rank // 2, wd))
     return records

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -360,7 +361,7 @@ def _scanned_min_words(system):
     return [code.AlternatingForm.from_upper(ctx, m, d) for d in digits]
 
 
-MIN_WORD_SIZES = [(4, 2), (4, 3), (5, 2), (4, 4), (4, 5), (6, 2)]
+MIN_WORD_SIZES = [(4, 2), (4, 3), (5, 2), (4, 4), (4, 5), (6, 2), (5, 3)]
 
 
 @pytest.mark.parametrize("m,q", MIN_WORD_SIZES, ids=[f"{m}-{q}" for m, q in MIN_WORD_SIZES])
@@ -403,10 +404,10 @@ LEMMA_SIZES = [(5, 2), (4, 3), (5, 3), (4, 4), (6, 2)]
 
 @pytest.mark.parametrize("m,q", LEMMA_SIZES, ids=[f"{m}-{q}" for m, q in LEMMA_SIZES])
 def test_classify_points_matches_separate_passes(m, q, seeded_forms):
-    # classify_points takes the labels and the fixed points from one pass
-    # over the isotropic points; they must equal point_classes and a
-    # separate pass of polar images over the whole projective space, which
-    # marks only isotropic rows fixed
+    # classify_points takes the class sizes and the fixed points from the
+    # form's ranks; they must equal the labels of the reference pass over
+    # the isotropic points and a separate pass of polar images over the
+    # whole projective space, which marks only isotropic rows fixed
     space = hg.HermitianSpace(m, _field(q))
     system = hg.build_system(space)
     allp = space.all_points()
@@ -424,19 +425,80 @@ def test_classify_points_matches_separate_passes(m, q, seeded_forms):
     assert total > 0
 
 
+# the sizes whose generators test_code pins; q = 2, 3, 4, 5, 7 and 8
+RANK_COUNT_SIZES = [(4, 2), (4, 4), (4, 5), (4, 7), (4, 8), (5, 3), (6, 2), (7, 2), (8, 2), (5, 4)]
+
+
+@pytest.mark.parametrize("m,q", RANK_COUNT_SIZES, ids=[f"{m}-{q}" for m, q in RANK_COUNT_SIZES])
+def test_rank_counts_equal_the_point_pass(m, q, seeded_forms):
+    # (A, B, C, fix_count) from the q + 1 ranks against the reference pass
+    # over the isotropic points, on random, rank-2 and sparse forms and on
+    # both witness kinds; neither needs the lines
+    ctx = _field(q)
+    space = hg.HermitianSpace(m, ctx)
+    k, rng = m * (m - 1) // 2, np.random.default_rng([m, q])
+    sparse = [rng.integers(0, ctx.q2, size=k, dtype=np.uint8) * (rng.random(k) < 0.25) for _ in range(8)]
+    forms = [*seeded_forms(ctx, m, 36, 12, 3)]
+    forms += [code.AlternatingForm.from_upper(ctx, m, up.astype(np.uint8)) for up in sparse if up.any()]
+    forms += [hg.make_permutable_form(space)] if m in (4, 6) else [_symplectic_block(ctx, m)]
+    forms += [hg.make_rank2_cone_form(space)] if m >= 5 else []
+    for phi in forms:
+        assert classify._class_counts(phi, space) == classify._point_counts(phi, space), phi.ranks
+
+
+@pytest.mark.parametrize(
+    "ranks", [(4, 4), (4, 4, 0, 0), (3, 3, 0), (0, 0, 4), (6, 4, 0), (4, 5, 0), (4, 4, -1), (4, 3, 0), (2, 3, 0), (2, 0, 0)]
+)
+def test_invalid_rank_lists_give_no_counts(ranks):
+    # the wrong length, an odd, zero or oversized rank S, a rank beyond m
+    # or negative, a vertex of -1 or beyond the radical, a negative class
+    with pytest.raises(ValueError):
+        counts.class_counts_from_ranks(4, 2, ranks)
+
+
+def test_rank_counts_are_integers_for_every_rank_list():
+    # every in-range list gives whole counts that add up to the isotropic
+    # vectors, or a ValueError; none gives a fraction or a traceback
+    for m, q in [(4, 2), (4, 3), (5, 2), (6, 2)]:
+        mu = counts.isotropic_point_count(m, q)
+        for ranks in itertools.product(range(m + 1), repeat=q + 1):
+            try:
+                got = counts.class_counts_from_ranks(m, q, ranks)
+            except ValueError:
+                continue
+            assert all(type(n) is int and n >= 0 for n in got) and sum(got[:3]) == (q * q - 1) * mu
+
+
+@pytest.mark.parametrize("size", ["42", "52", "62", "43", "53"])
+def test_tampered_ranks_fail_a_check(request, size, seeded_forms):
+    # every change of one rank of a form's list, or of its length, gives a
+    # report with a failed check, never a silent pass or a traceback
+    space, system = (request.getfixturevalue(f"{k}{size}") for k in ("space", "system"))
+    m, q = space.m, space.ctx.q
+    witness = [hg.make_permutable_form(space)] if m == 4 else []
+    for phi in [*seeded_forms(space.ctx, m, 5, 4, 2), *witness]:
+        ranks = phi.ranks
+        tampered = [ranks[:-1], (*ranks, m)]
+        tampered += [(*ranks[:j], r + d, *ranks[j + 1 :]) for j, r in enumerate(ranks) for d in (-2, -1, 1, 2)]
+        for bad in tampered:
+            form = code.AlternatingForm(space.ctx, phi.s)
+            form.__dict__["ranks"] = bad  # what the cached property would hold
+            rep = classify.classify_points(form, space, system)
+            if all(rep.checks.values()):  # only a change the counts cannot see
+                assert classify._class_counts(form, space) == classify._point_counts(phi, space), (ranks, bad)
+
+
 @pytest.mark.parametrize("size", ["52", "62"])
-def test_classification_is_one_pass_with_two_eliminations(request, size, seeded_forms, monkeypatch):
-    # once points() is cached, neither call reads the point table of the
-    # whole projective space; a fresh form costs one rank_stack call on
-    # the 2-stack of S and conj(S) S, whose ranks give the radical's
+def test_classification_is_one_rank_stack_call(request, size, seeded_forms, monkeypatch):
+    # classify_points reads no point of the space: a fresh form costs one
+    # rank_stack call on the q + 1 matrices S and conj(S) S - lambda I,
+    # whose ranks give the class sizes, the fixed points and the radical's
     # dimension and profile without its basis, and no _echelon
     space, system = (request.getfixturevalue(f"{k}{size}") for k in ("space", "system"))
-    space.points()
 
     def refuse():
-        raise AssertionError("all_points() called")
+        raise AssertionError("a point table was read")
 
-    monkeypatch.setattr(space, "all_points", refuse)
     calls = {"stack": [], "echelon": 0}
     echelon, rank_stack = linalg._echelon, linalg.rank_stack
 
@@ -453,8 +515,11 @@ def test_classification_is_one_pass_with_two_eliminations(request, size, seeded_
     for phi in seeded_forms(space.ctx, space.m, 7, 3):
         calls["stack"].clear()
         calls["echelon"] = 0
-        classify.classify_points(phi, space, system)
-        assert calls["stack"] == [(2, space.m, space.m)] and calls["echelon"] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(space, "points", refuse)
+            patch.setattr(space, "all_points", refuse)
+            classify.classify_points(phi, space, system)
+        assert calls["stack"] == [(space.ctx.q + 1, space.m, space.m)] and calls["echelon"] == 0
         assert not phi.radical.flags.writeable
         classify.point_classes(phi, space)
 

@@ -403,13 +403,13 @@ def test_verify_turns_a_failed_witness_certification_into_one_error_line(monkeyp
     # certification (classify._certified raises RuntimeError); both checks
     # that read the witness fail with its message, and the exhaustive
     # scan after them still runs
-    sizes = classify._class_sizes
+    sizes = classify._class_counts
 
-    def shifted(ctx, labels):
-        a, b, c = sizes(ctx, labels)
-        return a + 1, b - 1, c
+    def shifted(phi, space):
+        a, b, c, fixed = sizes(phi, space)
+        return a + 1, b - 1, c, fixed
 
-    monkeypatch.setattr(classify, "_class_sizes", shifted)
+    monkeypatch.setattr(classify, "_class_counts", shifted)
     assert cli.run(["verify", "-m", "4", "-q", "2", "--samples", "3", "--jobs", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -602,8 +602,8 @@ def test_help_exits_0_on_stdout(capsys, argv):
 def test_inconsistent_class_counts_fail_checks_not_usage(tmp_path, capsys, monkeypatch, shift):
     # class sizes that do not add up, or add up to no integral weight, are
     # a failed check: classify and weight exit 1, verify prints FAIL
-    sizes = classify._class_sizes
-    monkeypatch.setattr(classify, "_class_sizes", lambda ctx, labels: shift(*sizes(ctx, labels)))
+    sizes = classify._class_counts
+    monkeypatch.setattr(classify, "_class_counts", lambda phi, space: (*shift(*sizes(phi, space)[:3]), sizes(phi, space)[3]))
     form = tmp_path / "form.json"
     form.write_text('{"m": 4, "p": 2, "e": 1, "upper": [1, 0, 0, 0, 0, 1]}\n')
     assert cli.run(["classify", "--form", str(form), "-q", "2"]) == 1
@@ -774,6 +774,29 @@ def test_scan_tables_beyond_available_memory_exit_2(capsys, monkeypatch, argv):
         " more than the 4351 bytes of available memory"
     ]
     assert "scan_kernel" not in vars(hg.build_system(space))
+
+
+@pytest.mark.parametrize("command", ["spectrum", "min-word"])
+def test_exhaustive_scan_over_its_floor_is_refused_before_labelling(capsys, monkeypatch, command):
+    # (5,8) scans at least 2.6e9 forms, one per orbit, over the default
+    # budget: refused from the closed form, with no row labelled
+    monkeypatch.setattr(code, "_orbits", mock.Mock(side_effect=AssertionError("a row was labelled")))
+    assert cli.run([command, "-m", "5", "-q", "8", "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: exhaustive scan at m = 5, q = 8 exceeds budget {1 << 24} or the available memory"
+    ]
+
+
+@pytest.mark.parametrize("m", ["1", "2", "3"])
+@pytest.mark.parametrize("command", ["spectrum", "min-word"])
+def test_exhaustive_scan_below_m4_refuses_the_m(capsys, command, m):
+    # the scan gate answers m < 4, and build_system then refuses the m
+    assert cli.run([command, "-m", m, "-q", "2", "--exhaustive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: the line system requires m >= 4"]
 
 
 def test_exhaustive_labelling_beyond_available_memory_exits_2(capsys, monkeypatch):
@@ -995,9 +1018,9 @@ def test_fuzzed_form_files_exit_0_1_or_2(tmp_path_factory, command, data):
 
 
 def test_closed_form_commands_start_without_numpy():
-    # params, bounds, --help and a bad -m run from the standard library
-    # alone: a fresh interpreter ends each with neither numpy nor
-    # multiprocessing loaded
+    # params, bounds, --help, a bad -m and an exhaustive scan over its
+    # floor run from the standard library alone: a fresh interpreter ends
+    # each with neither numpy nor multiprocessing loaded
     script = """
 import contextlib, io, json, sys
 from hermgrass import cli
@@ -1013,13 +1036,15 @@ print(json.dumps(runs))
         ["bounds", "-m", "6", "-q", "2"],
         ["--help"],
         ["points", "-m", "four", "-q", "2"],
+        ["spectrum", "-m", "5", "-q", "8", "--exhaustive"],
+        ["min-word", "-m", "5", "-q", "8", "--exhaustive"],
     ]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     done = subprocess.run(
         [sys.executable, "-c", script, json.dumps(commands)], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[0, []], [0, []], [0, []], [2, []]]
+    assert json.loads(done.stdout) == [[0, []], [0, []], [0, []], [2, []], [2, []], [2, []]]
 
 
 @pytest.mark.parametrize(
@@ -1045,9 +1070,9 @@ def test_refusals_of_huge_counts_are_short(capsys, argv):
 
 
 def test_refusal_counts_keep_three_significant_digits():
-    assert polar._short(10**15 - 1) == "999999999999999"
-    assert polar._short(4095 * 10**2141) == "4.10e+2144"
-    assert polar._short(10**15) == "1.00e+15"
+    assert counts._short(10**15 - 1) == "999999999999999"
+    assert counts._short(4095 * 10**2141) == "4.10e+2144"
+    assert counts._short(10**15) == "1.00e+15"
 
 
 # Scan option values: negative, zero, small, past the default budget,

@@ -196,6 +196,22 @@ def test_direct_weight_counts_the_codeword(m, p, e, seeded_forms):
 
 
 @pytest.mark.parametrize("m,p,e", PINNED_SIZES, ids=lambda v: str(v))
+def test_form_ranks_of_a_stack_equal_each_form(m, p, e, seeded_forms):
+    # the (F, q + 1) ranks of a stack, the zero form among them, against
+    # each form's own ranks and separate eliminations of S and of
+    # conj(S) S - lambda I for each lambda of GF(q)
+    ctx = hg.make_field(p, e)
+    forms = [code.AlternatingForm(ctx, np.zeros((m, m), dtype=np.uint8)), *seeded_forms(ctx, m, 8, 12, 3)]
+    stack = code._form_ranks(ctx, np.stack([phi.s for phi in forms]))
+    assert stack.shape == (len(forms), ctx.q + 1)
+    eye = np.eye(m, dtype=np.uint8)
+    for row, phi in zip(stack.tolist(), forms):
+        t = linalg.matmul(ctx, ctx.frob[phi.s], phi.s)
+        want = [linalg.rank(ctx, phi.s)] + [linalg.rank(ctx, linalg.fsub(ctx, t, eye * lam)) for lam in ctx.subfield]
+        assert tuple(row) == phi.ranks == tuple(want)
+
+
+@pytest.mark.parametrize("m,p,e", PINNED_SIZES, ids=lambda v: str(v))
 def test_rank_and_radical_profile_from_two_ranks(m, p, e, seeded_forms):
     # the rank is one elimination and the radical's profile two ranks,
     # t = rank S - rank(conj(S) S); both against the radical's basis
@@ -524,6 +540,34 @@ def test_orbit_labelling_beyond_available_memory_is_none(monkeypatch):
     monkeypatch.setattr(polar, "_available_memory", lambda: need)
     prefixes, _ = code._scan_prefixes(ctx, 4, 1 << 24)
     assert len(prefixes) == 774
+
+
+def test_scan_floor_refuses_without_labelling(monkeypatch):
+    # (5,8): at least 64^10 / (5! 9^5 63) = 2.6e9 forms, one per orbit of
+    # the maps the scan compresses by, so no row is labelled to refuse it
+    monkeypatch.setattr(code, "_orbits", mock.Mock(side_effect=AssertionError("a row was labelled")))
+    ctx = hg.make_field(2, 3)
+    assert code._scan_prefixes(ctx, 5, 1 << 24) is None
+    with pytest.raises(ValueError, match="at m = 5, q = 8 exceeds budget 16777216 or the available memory"):
+        code._exhaustive_prefixes(ctx, 5, 1 << 24)
+    floor = 64**10 // (120 * 9**5 * 63)
+    counts._check_scan_budget(5, 8, floor + 1)
+    with pytest.raises(ValueError):
+        counts._check_scan_budget(5, 8, floor)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_scan_prefixes_answer_below_m4(m, p):
+    # the empty row is one orbit of size 1, so m = 1 (no row) and m = 2 (an
+    # empty second row) get prefixes standing for all Q^C(m,2) forms, as
+    # m = 3 does, and not the refusal
+    ctx = hg.make_field(p, 1)
+    prefixes, sizes = code._exhaustive_prefixes(ctx, m, 1 << 24)
+    assert int(sizes.sum()) == ctx.q2 ** (m * (m - 1) // 2)
+    assert prefixes.dtype.kind == "i" and np.all(np.diff(prefixes) > 0)
+    reps, one = code._orbits(ctx, np.zeros(0, dtype=np.int64))
+    assert reps.tolist() == [0] and one.tolist() == [1]
 
 
 def test_exhaustive_enumerator_62(system62):

@@ -14,5 +14,5 @@ def test_route_times_prints_one_json_line_per_run():
     rows = [json.loads(line) for line in out.splitlines()]
     assert [(r["m"], r["q"], r["forms"]) for r in rows] == [(4, 2, 3)] * 2
     for r in rows:
-        names = ("direct", "recursive", "point_weights", "classify", "streamed", "sequence")
+        names = ("direct", "recursive", "point_weights", "classify", "point_classes", "streamed", "sequence")
         assert all(r[f"{name}_ms"] > 0 for name in names)

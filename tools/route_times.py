@@ -6,7 +6,10 @@ so that the per-space tables are built before timing, then draws
 ``--forms`` seeded nonzero forms, every fourth of rank 2 (a b^T - b a^T).
 Each route is timed on its own new copy of a form, so that nothing the
 form keeps is reused: ``weight_direct``, ``weight_recursive``,
-``point_weights`` and ``classify_points``.  ``streamed`` is
+``point_weights`` and ``classify_points``, which counts the classes
+from the form's ranks, and ``point_classes``, the reference pass of polar
+images over the isotropic points that they are checked against.
+``streamed`` is
 ``point_weights`` on a second space of the same size whose section table
 was refused, as on a machine without the memory for it: the per-point
 fallback that streams both sections in row blocks of the points.  Last it
@@ -15,8 +18,8 @@ hgbench's routes workload and ``verify`` cross-check a form.  It prints
 one JSON line of medians per process:
 
     {"m": 6, "q": 2, "forms": 40, "direct_ms": ..., "recursive_ms": ...,
-     "point_weights_ms": ..., "classify_ms": ..., "streamed_ms": ...,
-     "sequence_ms": ...}
+     "point_weights_ms": ..., "classify_ms": ..., "point_classes_ms": ...,
+     "streamed_ms": ..., "sequence_ms": ...}
 
 ``--src DIR`` imports hermgrass from DIR instead of this checkout's src,
 so two trees are timed by one script:
@@ -75,7 +78,11 @@ def _child(m: int, q: int, forms: int) -> dict:
     polar._available_memory = available
     if not refused:
         raise RuntimeError("the section table was not refused")
-    alone = {**routes, "streamed": lambda phi: hg.point_weights(phi, streamed)}
+    alone = {
+        **routes,
+        "point_classes": lambda phi: hg.point_classes(phi, space),
+        "streamed": lambda phi: hg.point_weights(phi, streamed),
+    }
     warm = np.zeros((m, m), dtype=np.uint8)
     warm[0, 1], warm[1, 0] = 1, ctx.neg[1]
     for route in alone.values():
