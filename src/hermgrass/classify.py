@@ -144,7 +144,11 @@ class ClassificationReport:
     """Class sizes and cross-checked weights for one nonzero form;
     ``weight_from_counts`` is -1 when the class sizes give no weight, and
     A, B, C and ``fix_count`` are -1 when the ranks give no counts; the
-    failed check says why."""
+    failed check says why.  The ``conservation`` check cannot fail for
+    counts from ranks, whose closed form makes A + B + C = (Q - 1) mu by
+    construction: it reads False only for the -1 of refused ranks.  The
+    independent check of the counts is the comparison with the pass over
+    the points (``_point_counts``) that ``verify`` and the tests make."""
 
     A: int
     B: int
@@ -169,6 +173,10 @@ def classify_points(
     weight is taken from the codeword of the system, a route independent
     of the class-size reconstruction; ``weight_direct`` returns the weight
     the form keeps when it was already counted on this system object.
+    So ``weight_agreement`` compares two routes, but ``conservation``
+    holds by construction of the rank counts and fails only when the
+    ranks are refused (``ClassificationReport``); the pass over the points
+    is the check of the counts themselves.
     """
     if phi.is_zero():
         raise ValueError("the zero form has no point classification")

@@ -304,7 +304,7 @@ def _system_for(args, exhaustive: bool):
     where one is asked, fits --budget and the available memory: its
     refusal is a ValueError, first from the floor on its forms, before
     numpy is imported (``counts._check_scan_budget``), then from its
-    prefixes (``code._exhaustive_prefixes``).  Below m = 4 build_system
+    prefixes (``code._scan_prefixes``).  Below m = 4 build_system
     refuses the m."""
     if exhaustive:
         p, e = _resolve_field(args.q)
@@ -313,7 +313,7 @@ def _system_for(args, exhaustive: bool):
 
     space = _space_for(args)
     if exhaustive:
-        code._exhaustive_prefixes(space.ctx, space.m, args.budget)
+        code._scan_prefixes(space.ctx, space.m, args.budget)
     return pluecker.build_system(space)
 
 
@@ -602,21 +602,24 @@ def _verify_checks(space, seed: int, samples: int, budget: int, jobs: int):
 
     yield check(f"minimum-word profile ({'rank-2' if kind == 'rank2-cone' else kind})", profile)
 
-    if code._scan_prefixes(ctx, m, budget) is not None:
-        rep = cache(lambda: code.spectrum(system(), mode="exhaustive", budget=budget, jobs=jobs))
+    try:
+        code._scan_prefixes(ctx, m, budget)
+    except ValueError:  # an exhaustive scan over budget or memory is skipped
+        return
+    rep = cache(lambda: code.spectrum(system(), mode="exhaustive", budget=budget, jobs=jobs))
 
-        def minimum():
-            w = rep().min_nonzero_weight
-            return w == params.d_min, f"min weight {w} over {ctx.q2**params.k} forms"
+    def minimum():
+        w = rep().min_nonzero_weight
+        return w == params.d_min, f"min weight {w} over {ctx.q2**params.k} forms"
 
-        def spectrum52():
-            hist, dims = rep().histogram, rep().min_weight_radical_dims
-            ok = sorted(hist) == [0, 192, 216, 224, 232, 256] and hist[192] == 24948 and dims == {3: 5940, 1: 19008}
-            return ok, f"weights {sorted(hist)}, min multiplicity {hist.get(192)}, radical split {dims}"
+    def spectrum52():
+        hist, dims = rep().histogram, rep().min_weight_radical_dims
+        ok = sorted(hist) == [0, 192, 216, 224, 232, 256] and hist[192] == 24948 and dims == {3: 5940, 1: 19008}
+        return ok, f"weights {sorted(hist)}, min multiplicity {hist.get(192)}, radical split {dims}"
 
-        yield check("exhaustive minimum distance", minimum)
-        if (m, q) == (5, 2):
-            yield check("exhaustive (5,2) spectrum", spectrum52)
+    yield check("exhaustive minimum distance", minimum)
+    if (m, q) == (5, 2):
+        yield check("exhaustive (5,2) spectrum", spectrum52)
 
 
 def cmd_verify(args) -> int:

@@ -58,9 +58,10 @@ gathers and adds, into block buffers that each sample scan allocates
 once.  The system holds its kernel (``scan_kernel``), so only
 the first scan of a system builds the tables; the orbit labelling is
 kept per field and m alike.  The two-row digits lead the counter, so the
-forms of a prefix are one range of counter indices; the kernel's one
-walk covers all the ranges, many short ones to a block, and yields the
-packed nonzero masks, which the scan popcounts (``linalg.bit_counts``).
+forms of a prefix are one aligned block of Q^C(m-2,2) counter indices;
+the kernel's one walk covers all the blocks, many short ones to a chunk,
+and yields the packed nonzero masks, which the scan popcounts
+(``linalg.bit_counts``).
 """
 
 from __future__ import annotations
@@ -472,32 +473,21 @@ def _two_row_orbits(ctx: FieldCtx, m: int) -> tuple[np.ndarray, np.ndarray]:
     return linalg._frozen(np.concatenate(prefixes)), linalg._frozen(np.concatenate(counts))
 
 
-def _scan_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``_two_row_orbits``, or None when scanning each prefix with all
-    Q^C(m-2,2) entries below it would exceed ``budget`` forms.  Nothing is
-    labelled when the floor of ``counts._check_scan_budget`` exceeds the
-    budget.  A class holds at least one orbit, so the Q^(m-1) first rows
-    are labelled only once m classes, and the Q^(m-2) second rows of each
-    class only once one prefix a class, fit the budget.  It is None too
-    when a labelling does not fit in the available memory (``_orbits``)."""
-    below = ctx.q2 ** math.comb(max(m - 2, 0), 2)
+def _scan_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_two_row_orbits``, or ValueError, the one refusal of an exhaustive
+    scan (``counts._check_scan_budget``), when scanning each prefix with
+    all Q^C(m-2,2) entries below it would exceed ``budget`` forms or a
+    labelling does not fit in the available memory (``_orbits``).  Nothing
+    is labelled when the floor of that refusal exceeds the budget; the CLI
+    asks it before building the system."""
+    counts._check_scan_budget(m, ctx.q, budget)
     try:
-        counts._check_scan_budget(m, ctx.q, budget)
-        if m * below > budget or len(_first_row_classes(ctx, m)[0]) * below > budget:
-            return None
         prefixes, sizes = _two_row_orbits(ctx, m)
-    except ValueError:  # over the floor, or a labelling beyond the available memory
-        return None
-    return (prefixes, sizes) if len(prefixes) * below <= budget else None
-
-
-def _exhaustive_prefixes(ctx: FieldCtx, m: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_scan_prefixes``, or ValueError where it is None: the one refusal
-    of an exhaustive scan (``counts._check_scan_budget``), which the CLI
-    asks before building the system."""
-    scanned = _scan_prefixes(ctx, m, budget)
-    counts._check_scan_budget(m, ctx.q, budget, fits=scanned is not None)
-    return scanned
+    except ValueError:  # a labelling beyond the available memory
+        prefixes = sizes = None
+    below = ctx.q2 ** math.comb(max(m - 2, 0), 2)
+    counts._check_scan_budget(m, ctx.q, budget, fits=prefixes is not None and len(prefixes) * below <= budget)
+    return prefixes, sizes
 
 
 def _tally(n: int, blocks):
@@ -518,17 +508,18 @@ def _tally(n: int, blocks):
     return hist, best_w, best
 
 
-def _scan_ranges(kernel: linalg._ScanKernel, counts: np.ndarray, ranges: np.ndarray):
-    """``_tally`` of the ascending counter-index ranges [lo, hi), rows of
-    ``ranges``, each inside the forms of one two-row prefix and its forms
-    counted as many times as ``counts`` says, with its hits given as
+def _tally_prefixes(kernel: linalg._ScanKernel, prefixes: np.ndarray, sizes: np.ndarray, span: int):
+    """``_tally`` of the forms of the ascending two-row prefixes, the
+    ``span`` counter indices from prefix * span on, each counted as many
+    times as its prefix's entry of ``sizes``, with its hits given as
     ascending counter indices."""
 
     def blocks():
-        for first, lens, mask in kernel.nonzero_masks(ranges):
-            count = np.repeat(counts[np.searchsorted(ranges[:, 0], first, "right") - 1], lens)
-            # a position's index: its segment's first index plus its offset in the segment
-            yield linalg.bit_counts(mask), count, lambda hits, f=first, n=lens: np.repeat(f - np.cumsum(n) + n, n)[hits] + hits
+        done = 0
+        for mask in kernel.nonzero_masks(prefixes * span, span):
+            j = np.arange(done, done + len(mask))  # position j: index prefixes[j // span] * span + j % span
+            done += len(mask)
+            yield linalg.bit_counts(mask), sizes[j // span], lambda hits, j=j: prefixes[j[hits] // span] * span + j[hits] % span
 
     return _tally(kernel.n, blocks())
 
@@ -592,12 +583,12 @@ def _check_macwilliams(hist: dict[int, int], m: int, q: int) -> None:
 _POOL_FORMS = 1 << 20
 
 
-def _pool_size(jobs: int, span: int) -> int:
-    """Worker processes for an exhaustive scan whose two-row prefixes each
-    span ``span`` counter indices: no more than the jobs asked for, the
-    CPUs present or ``span``, since every worker scans one part of each
-    prefix's range and a part must hold at least one index; at least one."""
-    return max(1, min(jobs, span, os.cpu_count() or 1))
+def _pool_size(jobs: int, prefixes: int) -> int:
+    """Worker processes for an exhaustive scan of ``prefixes`` two-row
+    prefixes: no more than the jobs asked for, the CPUs present or the
+    prefixes, since every worker scans a run of consecutive prefixes and a
+    run holds at least one; at least one."""
+    return max(1, min(jobs, prefixes, os.cpu_count() or 1))
 
 
 def spectrum(
@@ -626,14 +617,14 @@ def spectrum(
     A histogram failing ``_check_macwilliams`` raises RuntimeError.
     The compression holds only for the space's own generator, so
     exhaustive mode raises ValueError unless ``system`` is
-    ``build_system(system.space)``.  The forms of a prefix are one range
-    of counter indices, and one walk of the kernel covers all the ranges.
-    A scan of fewer than ``_POOL_FORMS`` forms runs in the calling
-    process, since it takes less time than forking a pool; (6,2) and
-    (5,3) do.  A larger one forks ``_pool_size(jobs, span)`` workers;
-    each prefix's range is cut into one equal part per worker, and each
-    worker scans as many consecutive parts as there are prefixes.  The
-    result does not depend on the worker count.
+    ``build_system(system.space)``.  The forms of a prefix are one
+    aligned block of counter indices, and one walk of the kernel covers
+    all the blocks.  A scan of fewer than ``_POOL_FORMS`` forms runs in
+    the calling process, since it takes less time than forking a pool;
+    (6,2) and (5,3) do.  A larger one forks ``_pool_size(jobs,
+    prefixes)`` workers, and each scans one run of consecutive prefixes,
+    the runs as equal as ``np.array_split`` makes them.  The result does
+    not depend on the worker count.
 
     Sample mode draws ``samples`` uniform nonzero forms from numpy's
     default PCG64 generator seeded with ``seed``; the seed is recorded
@@ -658,27 +649,22 @@ def spectrum(
 
     exhaustive = mode == "exhaustive"
     if exhaustive:
-        prefixes, sizes = _exhaustive_prefixes(ctx, m, budget)
+        prefixes, sizes = _scan_prefixes(ctx, m, budget)
         if system is not build_system(system.space):
             raise ValueError("exhaustive mode needs the space's own generator from build_system")
     kernel = system.scan_kernel
     if exhaustive:
         span = q2 ** (k - 2 * m + 3)  # the forms of one prefix, Q^C(m-2,2)
-        workers = _pool_size(jobs, span) if len(prefixes) * span >= _POOL_FORMS else 1
-        # each prefix's range cut into one part per worker, prefix by prefix
-        cuts = prefixes[:, None] * span + np.arange(workers + 1) * span // workers
-        ranges = np.stack([cuts[:, :-1], cuts[:, 1:]], axis=-1).reshape(-1, 2)
-        per_range = np.repeat(sizes, workers)
-        part = [slice(len(prefixes) * i, len(prefixes) * (i + 1)) for i in range(workers)]
-        args = [(kernel, per_range[cut], ranges[cut]) for cut in part]
+        workers = _pool_size(jobs, len(prefixes)) if len(prefixes) * span >= _POOL_FORMS else 1
+        args = [(kernel, *run, span) for run in zip(np.array_split(prefixes, workers), np.array_split(sizes, workers))]
         if workers > 1:
             import multiprocessing
 
             with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-                parts = pool.starmap(_scan_ranges, args)
+                parts = pool.starmap(_tally_prefixes, args)
         else:
-            parts = [_scan_ranges(*args[0])]
-        # Parts cover ascending index ranges, so their hits stay ascending.
+            parts = [_tally_prefixes(*args[0])]
+        # Parts are runs of ascending prefixes, so their hits stay ascending.
         hist, best_w = sum(h for h, _, _ in parts), min(w for _, w, _ in parts)
         hits = [i for _, w, idx in parts if w == best_w for i in idx]
     else:

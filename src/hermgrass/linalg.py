@@ -36,11 +36,13 @@ uint8 and a nibble is reduced mod p only once it could pass 15; one
 helper, ``_add_terms``, keeps that count for ``matmul``, the kernel's
 ``codewords`` and the direct weight alike.  The kernel's one walk
 (``_ScanKernel.nonzero_masks``) yields the packed nonzero masks of f M
-over ascending ranges of counter indices f, in blocks it cuts itself:
-the exhaustive spectrum scan popcounts them (``bit_counts``), with M the
-generator and one short range per two-row orbit, many to a block, and
-``HermitianSpace.section_table`` stores their complements, with M the
-transposed isotropic points and one range of normalized f per lead.
+over aligned blocks of counter indices f, each a power of Q long and
+starting at a multiple of its length, in chunks it cuts itself: the
+exhaustive spectrum scan popcounts them (``bit_counts``), with M the
+generator and one block of Q^C(m-2,2) forms per two-row orbit, many to a
+chunk, and ``HermitianSpace.section_table`` stores their complements,
+with M the transposed isotropic points and the block [Q^r, 2 Q^r) of
+normalized f for each lead.
 Sample mode reads ``weights`` of seeded digit rows, which sums each
 block of codewords into one set of ``buffers`` per scan.  A
 ``pluecker.ProjectiveSystem`` holds the kernel of its generator, sized
@@ -561,47 +563,34 @@ class _ScanKernel:
             return self.tables[-1]
         return _reduce(self.ctx.p, np.uint8(0x11 * self.ctx.p) - self.tables[-1])
 
-    def nonzero_masks(self, ranges):
-        """For each block of the ascending, nonempty counter-index ranges
-        [lo, hi), pairs in a sequence or rows of an array, the first index
-        and the length of each of its segments, as int64, and the packed
-        nonzero masks of the codewords of their indices, in order, shaped
-        (indices, bytes).  The padding bits after N are clear.
+    def nonzero_masks(self, starts, size: int):
+        """The packed nonzero masks of the codewords of the counter
+        indices of the aligned blocks [s, s + size), s in ``starts``, in
+        order and in chunks, each shaped (indices, bytes); ``size`` is a
+        power of Q and the starts ascend as multiples of it.  The padding
+        bits after N are clear.
 
         An index is a prefix, its digits before the last group, times Q^g
         plus a row of the last table, and its codeword is the prefix's
-        codeword plus that row.  The ranges are cut at prefix edges into
-        segments, a range's first and last perhaps only part of a prefix,
-        and a block is the consecutive segments, all whole prefixes or all
-        parts, that start within one stretch of as many indices as about
-        _BLOCK_BYTES of codewords hold, whole prefixes, at least one: many
-        short ranges, such as the orbits of the exhaustive scan, share one
-        block, and a long one spans many.  The prefix codewords are summed
-        for a stretch of segments at a time, or one block if it has more.
-        A block of whole prefixes adds every row of the last table to each
-        prefix codeword; a block of parts gathers one prefix codeword and
-        one table row per index.
+        codeword plus that row.  So a block no longer than the table is
+        one aligned slice of it beside one prefix, and a longer block is
+        whole prefixes: every segment of the walk is min(size, Q^g) table
+        rows beside one prefix codeword.  The prefix codewords are summed
+        for about _BLOCK_BYTES of them at a time, and a chunk is as many
+        segments as about _BLOCK_BYTES of codewords hold, at least one;
+        the whole table is broadcast, not gathered, to each prefix.
         """
         rows, last = self.ctx.q2**self.g, self._walk_table
-        stretch = max(1, _BLOCK_BYTES // max(1, rows * self.width)) * rows
-        lo, hi = np.array(ranges, dtype=np.int64).reshape(-1, 2).T
-        start = lo // rows
-        met = -(-hi // rows) - start  # the prefixes of each range
-        pre = np.repeat(start - np.cumsum(met) + met, met) + np.arange(met.sum())
-        a = np.maximum(np.repeat(lo, met) - pre * rows, 0)
-        lens = np.minimum(np.repeat(hi, met) - pre * rows, rows) - a
-        whole = lens == rows
-        cuts = (np.flatnonzero(np.diff((np.cumsum(lens) - lens) // stretch) | np.diff(whole)) + 1).tolist()
-        c, at = pre[:0], 0  # the prefix codewords of segments at, at + 1, ..
-        for s, e in zip([0, *cuts], [*cuts, len(pre)]):
-            if e > at + len(c):
-                at, digits = s, _digits(pre[s : s + max(stretch, e - s)], self.ctx.q2, self.bounds[-1][0])
-                c = self.codewords(digits) if self.planes else _reduce(self.ctx.p, self.codewords(digits))
-            pc, part = c[s - at : e - at], lens[s:e]
-            if whole[s]:
-                pc, t = pc[:, None], last[None]
-            else:
-                t = last.take(np.repeat(a[s:e] - np.cumsum(part) + part, part) + np.arange(part.sum()), axis=0)
-                pc = pc.take(np.repeat(np.arange(e - s), part), axis=0)
-            mask = self._mask(pc ^ t) if self.planes else np.packbits(pc != t, axis=-1)
-            yield pre[s:e] * rows + a[s:e], part, mask.reshape(len(part) * rows if whole[s] else len(t), -1)
+        seg = min(size, rows)
+        first = (np.asarray(starts, dtype=np.int64)[:, None] + np.arange(0, size, seg)).reshape(-1)
+        slices = last.reshape(rows // seg, seg, -1)
+        per = max(1, _BLOCK_BYTES // max(1, seg * self.width))  # N = 0 has empty rows
+        summed = max(1, _BLOCK_BYTES // max(1, self.width) // per) * per
+        for lo in range(0, len(first), summed):
+            digits = _digits(first[lo : lo + summed] // rows, self.ctx.q2, self.bounds[-1][0])
+            c = self.codewords(digits) if self.planes else _reduce(self.ctx.p, self.codewords(digits))
+            for at in range(0, len(c), per):
+                pc = c[at : at + per, None]
+                t = slices if seg == rows else slices[first[lo + at : lo + at + per] % rows // seg]
+                mask = self._mask(pc ^ t) if self.planes else np.packbits(pc != t, axis=-1)
+                yield mask.reshape(len(pc) * seg, mask.shape[-1])

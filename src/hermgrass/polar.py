@@ -25,7 +25,7 @@ enumerations here are checked against them.
 points lie on each hyperplane of PG(m-1, q^2).  It is the complement of
 the nonzero masks that the exhaustive scan's kernel walk
 (``linalg._ScanKernel``) yields for the points as matrix columns, one
-range of coefficient vectors per lead.  Beside it, in the same
+aligned block of coefficient vectors per lead.  Beside it, in the same
 allocation and under the same memory check, the space holds the perp
 row of every isotropic point (``perp_sections``), which the per-point
 route reads for every form.
@@ -326,9 +326,9 @@ class HermitianSpace:
         The rows are the complements of the scan kernel's nonzero masks
         for the isotropic points as matrix columns, over the normalized
         coefficient vectors, ascending as in all_points(): those with lead
-        m-1-r are the counter indices [Q^r, 2 Q^r), one range of the
-        kernel's walk for each r.  Each perp must hold ``perp_size``
-        isotropic points, or RuntimeError.
+        m-1-r are the counter indices [Q^r, 2 Q^r), the aligned block of
+        one walk of the kernel for each r.  Each perp must hold
+        ``perp_size`` isotropic points, or RuntimeError.
         """
         if "sections" in self._cache:
             return self._cache["sections"]
@@ -341,9 +341,10 @@ class HermitianSpace:
         buf, row = np.zeros((n_rows + len(pts), width), dtype=np.uint8), 0
         table, held = buf[:n_rows], buf[n_rows:]
         kernel = linalg._ScanKernel(ctx, pts.T)
-        for _, _, mask in kernel.nonzero_masks([(q2**r, 2 * q2**r) for r in range(m)]):
-            np.invert(mask[:, :used], out=table[row : row + len(mask), :used])
-            row += len(mask)
+        for r in range(m):
+            for mask in kernel.nonzero_masks([q2**r], q2**r):
+                np.invert(mask[:, :used], out=table[row : row + len(mask), :used])
+                row += len(mask)
         if len(pts) % 8:
             table[:, used - 1] &= np.uint8(0xFF << (8 - len(pts) % 8) & 0xFF)  # the padding bits
         np.take(table, self.perp_index(), axis=0, out=held, mode="clip")

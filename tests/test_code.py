@@ -484,8 +484,9 @@ def test_two_row_orbits_are_brute_force_orbits(m, p, e):
     assert int(got_sizes.sum()) == q2 ** (2 * m - 3)
     # the budget counts the scanned forms, prefixes x Q^C(m-2,2)
     scanned = len(prefixes) * q2 ** ((m - 2) * (m - 3) // 2)
-    assert code._scan_prefixes(ctx, m, budget=scanned) is not None
-    assert code._scan_prefixes(ctx, m, budget=scanned - 1) is None
+    assert code._scan_prefixes(ctx, m, budget=scanned)[0] is prefixes
+    with pytest.raises(ValueError, match=f"exceeds budget {scanned - 1} or the available memory"):
+        code._scan_prefixes(ctx, m, budget=scanned - 1)
 
 
 # (m, p, e, prefixes, sha256 of the prefixes and then the sizes as
@@ -524,7 +525,7 @@ def test_orbit_labelling_stays_within_its_memory_check():
     assert len(reps) == 16 and peak <= n * (2 * 3 + 48)
 
 
-def test_orbit_labelling_beyond_available_memory_is_none(monkeypatch):
+def test_orbit_labelling_beyond_available_memory_is_refused(monkeypatch):
     # (4,5): the 25^3 first rows need 25^3 (2 * 3 + 48) bytes to label,
     # then each class's 25^2 second rows far fewer
     ctx, need = hg.make_field(5, 1), 25**3 * (2 * 3 + 48)
@@ -534,7 +535,8 @@ def test_orbit_labelling_beyond_available_memory_is_none(monkeypatch):
     monkeypatch.setattr(polar, "_available_memory", lambda: need - 1)
     with pytest.raises(ValueError, match="the orbit labelling of 15625 rows needs 843750 bytes"):
         code._first_row_classes(ctx, 4)
-    assert code._scan_prefixes(ctx, 4, 1 << 24) is None
+    with pytest.raises(ValueError, match="exceeds budget 16777216 or the available memory"):
+        code._scan_prefixes(ctx, 4, 1 << 24)
     with pytest.raises(ValueError, match="exceeds budget 16777216 or the available memory"):
         code.spectrum(system, mode="exhaustive")
     monkeypatch.setattr(polar, "_available_memory", lambda: need)
@@ -547,9 +549,8 @@ def test_scan_floor_refuses_without_labelling(monkeypatch):
     # the maps the scan compresses by, so no row is labelled to refuse it
     monkeypatch.setattr(code, "_orbits", mock.Mock(side_effect=AssertionError("a row was labelled")))
     ctx = hg.make_field(2, 3)
-    assert code._scan_prefixes(ctx, 5, 1 << 24) is None
     with pytest.raises(ValueError, match="at m = 5, q = 8 exceeds budget 16777216 or the available memory"):
-        code._exhaustive_prefixes(ctx, 5, 1 << 24)
+        code._scan_prefixes(ctx, 5, 1 << 24)
     floor = 64**10 // (120 * 9**5 * 63)
     counts._check_scan_budget(5, 8, floor + 1)
     with pytest.raises(ValueError):
@@ -563,7 +564,7 @@ def test_scan_prefixes_answer_below_m4(m, p):
     # empty second row) get prefixes standing for all Q^C(m,2) forms, as
     # m = 3 does, and not the refusal
     ctx = hg.make_field(p, 1)
-    prefixes, sizes = code._exhaustive_prefixes(ctx, m, 1 << 24)
+    prefixes, sizes = code._scan_prefixes(ctx, m, 1 << 24)
     assert int(sizes.sum()) == ctx.q2 ** (m * (m - 1) // 2)
     assert prefixes.dtype.kind == "i" and np.all(np.diff(prefixes) > 0)
     reps, one = code._orbits(ctx, np.zeros(0, dtype=np.int64))
@@ -705,34 +706,19 @@ def _kernel_codes(kernel, c):
     return (bits << np.arange(kernel.planes, dtype=np.uint8)[None, :, None]).sum(axis=1)
 
 
-def _check_walk(kernel, matrix, ranges):
-    """The blocks of the walk over the ranges, as the indices of their
-    segments and their masks, checked: their indices are those of the
-    ranges in order; a block is the segments, parts of one prefix, that
-    start within one stretch of the walk as long as the whole prefixes
-    that _BLOCK_BYTES of codewords hold, all whole prefixes or all parts,
-    so it ends on a prefix edge or a range end, and the next starts in a
-    later stretch or is of the other kind; and the masks are those of the
-    products with the padding bits clear."""
+def _check_walk(kernel, matrix, starts, size):
+    """The chunks of the walk over the aligned blocks [s, s + size), s in
+    starts, checked: each is whole segments of min(size, Q^g) indices, no
+    more than _BLOCK_BYTES of codewords hold unless it is one segment;
+    together they hold the indices of the blocks in order; and the masks
+    are those of the products with the padding bits clear."""
     ctx, (k, n) = kernel.ctx, matrix.shape
-    rows = ctx.q2**kernel.g
-    stretch = max(1, linalg._BLOCK_BYTES // (rows * kernel.width)) * rows
-    blocks = [
-        (np.concatenate([np.arange(f, f + n) for f, n in zip(first, lens)]), mask)
-        for first, lens, mask in kernel.nonzero_masks(ranges)
-    ]
-    idx = np.concatenate([np.arange(lo, hi) for lo, hi in ranges])
-    assert np.array_equal(np.concatenate([index for index, _ in blocks]), idx)
-    sizes = np.array([len(index) for index, _ in blocks])
-    starts = np.cumsum(sizes) - sizes
-    assert (sizes > 0).all() and (sizes < stretch + rows).all()
-    whole = [len(i) % rows == 0 and (i.reshape(-1, rows) % rows == np.arange(rows)).all() for i, _ in blocks]
-    assert ((np.diff(starts // stretch) > 0) | np.diff(whole)).all()
-    ends = {hi for _, hi in ranges}
-    assert all(index[-1] + 1 in ends or (index[-1] + 1) % rows == 0 for index, _ in blocks)
-    assert all(len(mask) == len(index) for index, mask in blocks)
-    bits = np.unpackbits(np.concatenate([mask for _, mask in blocks]), axis=1)
-    assert not bits[:, n:].any()
+    seg = min(size, ctx.q2**kernel.g)
+    blocks = list(kernel.nonzero_masks(starts, size))
+    assert all(len(b) % seg == 0 and seg <= len(b) <= max(seg, linalg._BLOCK_BYTES // kernel.width) for b in blocks)
+    idx = np.concatenate([np.arange(s, s + size) for s in starts])
+    bits = np.unpackbits(np.concatenate(blocks), axis=1)
+    assert len(bits) == len(idx) and not bits[:, n:].any()
     assert np.array_equal(bits[:, :n], linalg.matmul(ctx, linalg._digits(idx, ctx.q2, k), matrix) != 0)
     return blocks
 
@@ -765,13 +751,13 @@ def test_scan_kernel_matches_codeword_oracle(m, q):
     weights = kernel.weights(digits, kernel.buffers(len(digits)))
     assert weights.tolist() == [code.weight_direct(f, system) for f in phis]
     assert np.array_equal(_kernel_codes(kernel, c), np.array([code.codeword(f, system) for f in phis]))
-    # the walk shared by the exhaustive scan and the section table, on a
-    # stretch of one block at the start, one in the middle and one at the
-    # end, found by arithmetic ((4,8) has 64^6 indices)
-    rows, total = q2**kernel.g, q2**k
-    step = max(1, linalg._BLOCK_BYTES // (rows * kernel.width)) * rows
-    starts = (0, total // rows // 2 * rows, (total - 1) // step * step)
-    _check_walk(kernel, system.matrix, [(lo, min(total, lo + step)) for lo in starts])
+    # the walk shared by the exhaustive scan and the section table, on
+    # blocks of a whole prefix and of a slice of the last table, at the
+    # start, in the middle and at the end, found by arithmetic ((4,8) has
+    # 64^6 indices)
+    total = q2**k
+    for size in (q2 ** (kernel.g - 1), q2**kernel.g):
+        _check_walk(kernel, system.matrix, [0, total // size // 2 * size, total - size], size)
 
 
 def test_scan_kernel_reduces_long_nibble_sums():
@@ -796,33 +782,30 @@ def test_scan_kernel_reduces_long_nibble_sums():
     # the walk, whose prefix codewords sum 7 rows, on the first, a middle
     # and the last prefix
     rows, total = ctx.q2**kernel.g, ctx.q2**16
-    _check_walk(kernel, matrix, [(lo, lo + rows) for lo in (0, total // 2, total - rows)])
+    _check_walk(kernel, matrix, [0, total // rows // 2 * rows, total - rows], rows)
     # the two digits of a nibble byte are those of q = p only
     with pytest.raises(ValueError, match="q = p"):
         linalg._ScanKernel(types.SimpleNamespace(p=3, e=2, q=9), matrix)
 
 
-@pytest.mark.parametrize("prefixes", [1, 3], ids=["one-prefix-blocks", "three-prefix-blocks"])
+@pytest.mark.parametrize("segments", [1, 3], ids=["one-prefix-blocks", "three-prefix-blocks"])
 @pytest.mark.parametrize("p,e,k", [(2, 1, 6), (2, 2, 4), (3, 1, 4), (7, 1, 3)], ids=["GF4", "GF16", "GF9", "GF49"])
-def test_scan_kernel_walks_counter_ranges(p, e, k, prefixes, monkeypatch):
-    # Ranges of any alignment, with stretches of one or three prefixes of
-    # Q^g rows: one inside a prefix, one across a prefix edge, one across
-    # two, one across a block edge whatever the block, and one ending at
-    # Q^K.
+def test_scan_kernel_walks_counter_ranges(p, e, k, segments, monkeypatch):
+    # Aligned blocks of Q^0 to Q^(g+1) indices, slices of the last table
+    # up to Q^g and whole prefixes beyond, at the first, a middle and the
+    # last start, with _BLOCK_BYTES holding one or three segments, a slice
+    # or a prefix each, a chunk of the walk.
     ctx = hg.make_field(p, e)
     matrix = np.random.default_rng(ctx.q2).integers(0, ctx.q2, size=(k, 77), dtype=np.uint8)
     kernel = linalg._ScanKernel(ctx, matrix)
-    r, total = ctx.q2**kernel.g, ctx.q2**k
-    assert kernel.bounds[-1][0] > 0  # the indices have prefixes
-    monkeypatch.setattr(linalg, "_BLOCK_BYTES", prefixes * r * kernel.width)
-    ranges = [(r + 5, r + 17), (2 * r - 3, 2 * r + 4), (3 * r - 5, 4 * r + 2), (5 * r + 3, 9 * r + 1)]
-    blocks = _check_walk(kernel, matrix, ranges + [(total - r - 7, total)])
-    # the first block holds the first two ranges and more: short ranges
-    # share a block; with one-prefix stretches the whole prefixes 6, 7 and
-    # 8 are blocks of their own
-    assert len(blocks[0][0]) > 19
-    if prefixes == 1:
-        assert {6 * r, 7 * r, 8 * r} <= {index[0] for index, _ in blocks if len(index) == r}
+    total = ctx.q2**k
+    assert kernel.g + 1 < k  # the indices have prefixes, and the starts differ
+    for j in range(kernel.g + 2):
+        size, seg = ctx.q2**j, ctx.q2 ** min(j, kernel.g)
+        monkeypatch.setattr(linalg, "_BLOCK_BYTES", segments * seg * kernel.width)
+        blocks = _check_walk(kernel, matrix, [0, total // size // 2 * size, total - size], size)
+        full, rest = divmod(3 * size, segments * seg)
+        assert [len(b) for b in blocks] == [segments * seg] * full + [rest] * (rest > 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -1025,3 +1008,11 @@ def test_pool_size_is_capped(monkeypatch):
     assert code._pool_size(8, 0) == 1
     monkeypatch.setattr(code.os, "cpu_count", lambda: None)
     assert code._pool_size(8, 16) == 1
+
+
+def test_pool_size_never_exceeds_the_prefixes(monkeypatch):
+    # each worker scans a run of at least one prefix
+    monkeypatch.setattr(code.os, "cpu_count", lambda: 64)
+    for prefixes in range(1, 20):
+        for jobs in range(1, 70):
+            assert 1 <= code._pool_size(jobs, prefixes) <= min(jobs, prefixes)

@@ -227,8 +227,8 @@ def test_point_index_inverts_all_points(m, p, e):
 def test_section_table_matches_brute_force(m, p, e, block, monkeypatch):
     # (4, 2, 2) is GF(16): 4 bit-planes and 1105 points, a partial last byte
     if block is not None:
-        # one prefix per block of the kernel walk, so the leads with
-        # several prefixes span several blocks
+        # one segment per chunk of the kernel walk, so the leads with
+        # several prefixes span several chunks
         monkeypatch.setattr(linalg, "_BLOCK_BYTES", block)
     space = hg.HermitianSpace(m, hg.make_field(p, e))
     table = space.section_table()
