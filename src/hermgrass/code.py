@@ -517,7 +517,7 @@ def _tally_prefixes(kernel: linalg._ScanKernel, prefixes: np.ndarray, sizes: np.
     def blocks():
         done = 0
         for mask in kernel.nonzero_masks(prefixes * span, span):
-            j = np.arange(done, done + len(mask))  # position j: index prefixes[j // span] * span + j % span
+            j = np.arange(done, done + len(mask))
             done += len(mask)
             yield linalg.bit_counts(mask), sizes[j // span], lambda hits, j=j: prefixes[j[hits] // span] * span + j[hits] % span
 
